@@ -202,7 +202,7 @@ BENCHMARK(BM_LegacyEventQueue)->Arg(1024)->Arg(16384);
 
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   // Events/sec through Simulator::step on a full Welch-Lynch workload
-  // (n = 10, two-faced faults), per scheduler policy.
+  // (n = 10, two-faced faults): the d-ary heap default vs the calendar.
   const auto kind = static_cast<engine::SchedulerKind>(state.range(0));
   std::int64_t events = 0;
   for (auto _ : state) {
@@ -224,7 +224,6 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
   state.SetLabel(engine::scheduler_name(kind));
 }
 BENCHMARK(BM_SimulatorEventThroughput)
-    ->Arg(static_cast<int>(engine::SchedulerKind::kLegacyHeap))
     ->Arg(static_cast<int>(engine::SchedulerKind::kDaryHeap))
     ->Arg(static_cast<int>(engine::SchedulerKind::kCalendar));
 
@@ -253,7 +252,9 @@ class TimerStressProcess final : public proc::Process {
 
 void BM_SimulatorStepSchedulerBound(benchmark::State& state) {
   // Events/sec through Simulator::step with ~1024 events always pending and
-  // a near-trivial handler: isolates the scheduling layer of step().
+  // a near-trivial handler: isolates the scheduling layer of step(), d-ary
+  // heap default vs calendar queue.  Timer times here are uniform over one
+  // period, the calendar's best case; the simulated protocol's are not.
   const auto kind = static_cast<engine::SchedulerKind>(state.range(0));
   sim::SimConfig config;
   config.scheduler = kind;
@@ -277,10 +278,8 @@ void BM_SimulatorStepSchedulerBound(benchmark::State& state) {
   state.SetLabel(engine::scheduler_name(kind));
 }
 BENCHMARK(BM_SimulatorStepSchedulerBound)
-    ->Arg(static_cast<int>(engine::SchedulerKind::kLegacyHeap))
     ->Arg(static_cast<int>(engine::SchedulerKind::kDaryHeap))
-    ->Arg(static_cast<int>(engine::SchedulerKind::kCalendar))
-    ->Arg(static_cast<int>(engine::SchedulerKind::kAuto));
+    ->Arg(static_cast<int>(engine::SchedulerKind::kCalendar));
 
 /// Queue pressure of the batched fan-out path vs the seed's per-recipient
 /// scheduling, n = 128 full mesh (ISSUE 2's acceptance metric).  Reported
@@ -993,8 +992,8 @@ int run_smoke(const util::Flags& flags) {
 // One gradient run per (workload, engine) cell — the full-mesh plain cells
 // are the ISSUE 6 acceptance workload; ISSUE 8 added two engine-only
 // widening cells (staggered full mesh at n = 1024, fault-isolating deg-16
-// expander at n = 2048) — timed wall-clock and reduced to ns/round +
-// rounds/sec.  The
+// expander at n = 2048) — timed wall-clock (best of 3 for cells under
+// 10 s) and reduced to ns/round + rounds/sec.  The
 // event engine is the measured reference for every workload; the `speedup`
 // field is fastpath-rounds-per-sec / event-rounds-per-sec per key.  CI
 // uploads the file on every run to seed the bench history; timing rows are
@@ -1074,18 +1073,30 @@ std::vector<FastpathCell> measure_fastpath_cells(std::int32_t max_n) {
     workloads.push_back(std::move(region));
   }
 
+  // Each cell keeps the best wall of up to kReps runs: a single sample of
+  // a sub-second cell swings +-30% with host load, enough to trip the
+  // 0.8x compare gate on its own.  Cells slower than kRepeatBelowSeconds
+  // are stable already and keep their first sample.
+  constexpr std::int32_t kReps = 3;
+  constexpr double kRepeatBelowSeconds = 10.0;
   std::vector<FastpathCell> cells;
   for (const Workload& w : workloads) {
     for (const analysis::EngineMode engine :
          {analysis::EngineMode::kEvent, analysis::EngineMode::kFastpath}) {
       analysis::RunSpec spec = w.spec;
       spec.engine = engine;
-      const auto start = std::chrono::steady_clock::now();
-      const analysis::RunResult result = analysis::run_experiment(spec);
-      const double wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
+      analysis::RunResult result;
+      double wall = 0.0;
+      for (std::int32_t rep = 0; rep < kReps; ++rep) {
+        const auto start = std::chrono::steady_clock::now();
+        result = analysis::run_experiment(spec);
+        const double sample =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count();
+        if (rep == 0 || sample < wall) wall = sample;
+        if (wall >= kRepeatBelowSeconds) break;
+      }
       cells.push_back({w.key, w.variant, w.spec.params.n,
                        engine == analysis::EngineMode::kEvent ? "event"
                                                               : "fastpath",
@@ -1135,7 +1146,8 @@ int run_fastpath_json(const util::Flags& flags) {
   json << "{\n  \"workload\": \"gradient run, P=10, seed 9; plain cells "
           "full mesh with gradient measurement, stagger/region cells "
           "engine-only (sigma=1e-4 mesh; deg-16 expander, 2 silent "
-          "random, 48 rounds)\",\n"
+          "random, 48 rounds); best wall of 3 reps for cells under 10 "
+          "s\",\n"
        << "  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const FastpathCell& c = cells[i];

@@ -162,9 +162,8 @@ void write_csv_header(std::ostream& out) {
 // ring-of-cliques (clique=64) row maps the near-ideal cut and the mesh
 // row (n=4096 only, 2 rounds — every cell is ~n^2 messages per round)
 // maps the adversarial one.  Wall-clock numbers are informational on
-// shared runners — the interesting trajectory on a single-core host is
-// the queue-depth win (k shallow heaps vs one deep one), which
-// multiplies with real cores.
+// shared runners.  Serial and lanes run the same d-ary heap, so on one
+// core the ratios sit near 1x and what they show is real parallelism.
 int run_pdes_json(const util::Flags& flags) {
   const std::string out_path =
       flags.get_string("pdes-json", "BENCH_pdes.json");
@@ -263,13 +262,11 @@ int run_pdes_json(const util::Flags& flags) {
     // shared keys in artifacts written before the topology axis existed.
     const std::string prefix = topo == "expander" ? "" : topo + "_";
     if (topo == "mesh") {
-      // Mesh is nominally the adversarial cut, but at n=4096 the serial
-      // engine is memory-bound (~2 GB arena + queue working set) and
-      // sharding it is the artifact's biggest win (12.9x at w=8) —
-      // measured only there: below that the serial engine wins outright,
-      // above it the serial reference alone runs for hours.  2 rounds
-      // keeps the ~n^2-messages-per-round cell in budget, and the event
-      // budget needs lifting past the 50M default.
+      // Mesh is the adversarial cut, measured only at n=4096: below that
+      // the serial engine wins outright, above it the serial reference
+      // alone runs for many minutes.  2 rounds keeps the
+      // ~n^2-messages-per-round cell in budget, and the event budget needs
+      // lifting past the 50M default.
       if (max_n < 4096) continue;
       const std::int32_t n = 4096;
       for (const std::int32_t workers : {0, 8}) {

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "analysis/parallel_runner.h"
 #include "baselines/averaging_rounds.h"
 #include "baselines/hssd.h"
 #include "baselines/srikanth_toueg.h"
@@ -554,10 +555,13 @@ RunResult Experiment::run() {
   // (empty past the horizon) remainder serially.  kAuto reaches here when
   // the fast path didn't engage; pdes_workers >= 2 pins the shard count,
   // <= 0 (the default) asks the auto-tuner, and exactly 1 opts kAuto out
-  // (single-shard PDES is pure overhead).  kPdes asserts eligibility,
-  // including auto-tune declining.  Per-lane RoundTraces catch each
-  // shard's annotations and fold back into trace_ so every measurement
-  // below reads the same trace a serial run would have built.
+  // (single-shard PDES is pure overhead).  Inside a ParallelRunner worker
+  // the auto-tuner declines outright: the sweep already claims the cores,
+  // and nested shards would oversubscribe them (the same guard measure.cpp
+  // applies).  kPdes asserts eligibility, including auto-tune declining.
+  // Per-lane RoundTraces catch each shard's annotations and fold back into
+  // trace_ so every measurement below reads the same trace a serial run
+  // would have built.
   const bool pdes_auto_tune = spec_.pdes_workers <= 0;
   if (spec_.engine == EngineMode::kPdes ||
       (spec_.engine == EngineMode::kAuto && !result.fastpath_engaged &&
@@ -565,7 +569,10 @@ RunResult Experiment::run() {
     const char* blocked = pdes_spec_block(spec_);
     std::string blocked_buf;
     std::int32_t workers = spec_.pdes_workers;
-    if (blocked == nullptr && pdes_auto_tune) {
+    if (blocked == nullptr && pdes_auto_tune &&
+        ParallelRunner::in_worker()) {
+      blocked = "auto-tune declined: inside a ParallelRunner worker";
+    } else if (blocked == nullptr && pdes_auto_tune) {
       const engine::PdesAutoChoice choice =
           engine::choose_pdes_workers(topology(), spec_.seed);
       if (choice.workers >= 2) {

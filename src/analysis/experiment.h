@@ -208,8 +208,8 @@ struct RunSpec : ScenarioSpec {
   std::uint64_t seed = 1;
   std::optional<sim::NicConfig> nic;
   /// Engine scheduling policy — performance only; results are identical
-  /// under every policy (see tests/engine_test.cpp).  kAuto selects by
-  /// observed queue depth; set an explicit kind to override.
+  /// under every policy (see tests/engine_test.cpp).  The kAuto default is
+  /// the d-ary heap; kCalendar is an explicit opt-in.
   engine::SchedulerKind scheduler = engine::SchedulerKind::kAuto;
   /// Round-synchronous fast path (core/fastpath.h) — performance only;
   /// executions are bit-identical either way.  kAuto engages it exactly on
@@ -221,8 +221,9 @@ struct RunSpec : ScenarioSpec {
   /// <= 0 (the default) auto-tunes: engine::choose_pdes_workers scores
   /// candidate shard counts from partition cut statistics and live stall
   /// telemetry, and the run stays serial (pdes_refusal says why) when no
-  /// candidate scores.  engine = kPdes accepts any explicit value >= 1
-  /// (1 = single-shard, one epoch — useful for pinning the protocol
+  /// candidate scores or the run is a ParallelRunner trial (the sweep
+  /// already owns the cores).  engine = kPdes accepts any explicit value
+  /// >= 1 (1 = single-shard, one epoch — useful for pinning the protocol
   /// without concurrency) and throws when auto-tune declines.  Performance
   /// only: executions are bit-identical at results_identical strictness
   /// for any worker count (tests/pdes_test.cpp).

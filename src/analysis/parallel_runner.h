@@ -46,8 +46,9 @@ class ParallelRunner {
                    const std::function<void(std::size_t)>& fn) const;
 
   /// True on a thread currently executing run_indexed work.  Auto-parallel
-  /// helpers (analysis/measure.cpp) consult this to stay serial inside an
-  /// outer sweep instead of oversubscribing the machine with nested pools.
+  /// helpers (analysis/measure.cpp, the PDES auto-tuner in Experiment::run)
+  /// consult this to stay serial inside an outer sweep instead of
+  /// oversubscribing the machine with nested pools.
   [[nodiscard]] static bool in_worker() noexcept;
 
   /// Runs one Experiment per spec; result[i] corresponds to specs[i].

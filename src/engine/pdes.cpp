@@ -507,16 +507,7 @@ void PdesEngine::setup(const net::Partition& partition,
   sim_.shard_lanes_.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
     auto lane = std::make_unique<Lane>();
-    // Lane pending sets are ~1/k of the serial queue, squarely in the
-    // indexed d-ary heap's regime; under kAuto, picking it outright skips
-    // the depth-adaptive wrapper's per-op indirection and its
-    // heap<->calendar migration churn at lane scale.  Sound because every
-    // policy pops the identical (time, tier, seq) order (engine/scheduler.h)
-    // — an explicitly pinned kind is still honored.
-    lane->scheduler = make_scheduler(
-        sim_.config_.scheduler == SchedulerKind::kAuto ? SchedulerKind::kDaryHeap
-                                                       : sim_.config_.scheduler,
-        lane->pool);
+    lane->scheduler = make_scheduler(sim_.config_.scheduler, lane->pool);
     lane->shard = static_cast<std::int32_t>(i);
     lane->current_time = sim_.main_.current_time;
     // Direct SPSC channels to every other lane, the engine boundary set

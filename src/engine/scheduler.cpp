@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
@@ -10,8 +9,6 @@ namespace wlsync::engine {
 
 namespace {
 
-using sim::Event;
-using sim::EventAfter;
 using sim::EventHandle;
 using sim::EventKey;
 using sim::EventKeyOf;
@@ -39,51 +36,6 @@ class DAryHeapScheduler final : public SchedulerPolicy {
   IndexedEventQueue queue_;
 };
 
-// ----------------------------------------------------------- legacy heap ---
-
-/// The seed engine's exact cost profile: a binary std::priority_queue whose
-/// sifts copy the full Event payload at every level.  Benchmarks compare
-/// the pooled policies against this.
-class LegacyHeapScheduler final : public SchedulerPolicy {
- public:
-  explicit LegacyHeapScheduler(const EventPool& pool) : pool_(&pool) {}
-
-  void push(EventHandle handle) override {
-    queue_.push(Entry{(*pool_)[handle], handle});
-  }
-  EventHandle pop() override {
-    const EventHandle handle = queue_.top().handle;
-    queue_.pop();
-    return handle;
-  }
-  EventHandle pop_if_not_after(double time) override {
-    if (queue_.empty() || queue_.top().event.time > time) {
-      return EventPool::kInvalidHandle;
-    }
-    return pop();
-  }
-  [[nodiscard]] EventHandle peek() const override {
-    return queue_.top().handle;
-  }
-  [[nodiscard]] std::size_t size() const noexcept override {
-    return queue_.size();
-  }
-
- private:
-  struct Entry {
-    Event event;
-    EventHandle handle;
-  };
-  struct After {
-    [[nodiscard]] bool operator()(const Entry& a, const Entry& b) const {
-      return EventAfter{}(a.event, b.event);
-    }
-  };
-
-  const EventPool* pool_;
-  std::priority_queue<Entry, std::vector<Entry>, After> queue_;
-};
-
 // -------------------------------------------------------- calendar queue ---
 
 // Brown's calendar queue over pooled handles.  The time axis is partitioned
@@ -96,7 +48,7 @@ class LegacyHeapScheduler final : public SchedulerPolicy {
 // land on the wrong side of a guard.  The scan invariant is that no pending
 // event's cell precedes cursor_cell_; dequeue scans cells forward from the
 // cursor, and within the first populated cell picks the minimum by the full
-// (time, tier, seq) key, so ties resolve identically to the heap policies.
+// (time, tier, seq) key, so ties resolve identically to the d-ary heap.
 class CalendarQueueScheduler final : public SchedulerPolicy {
  public:
   explicit CalendarQueueScheduler(const EventPool& pool) : pool_(&pool) {
@@ -245,71 +197,12 @@ class CalendarQueueScheduler final : public SchedulerPolicy {
   mutable std::size_t cache_pos_ = 0;
 };
 
-// ------------------------------------------------------------------ auto ---
-
-/// Depth-adaptive policy (the ROADMAP item PR 1 left manual): a d-ary heap
-/// while the pending set is small, the calendar queue once it grows past
-/// kCalendarAt.  Wide hysteresis (migrate back only below kHeapAt) keeps
-/// workloads that oscillate around the threshold from paying the O(k log k)
-/// migration repeatedly.  Selection depends only on the pending-set size,
-/// which is itself determined by the deterministic execution — and since
-/// every policy pops the identical (time, tier, seq) order, the switch is
-/// invisible to results whenever it happens.
-class AutoScheduler final : public SchedulerPolicy {
- public:
-  explicit AutoScheduler(const sim::EventPool& pool)
-      : heap_(pool), calendar_(pool), active_(&heap_) {}
-
-  void push(sim::EventHandle handle) override {
-    active_->push(handle);
-    if (active_ == &heap_ && heap_.size() >= kCalendarAt) {
-      migrate(&heap_, &calendar_);
-    }
-  }
-  sim::EventHandle pop() override {
-    const sim::EventHandle handle = active_->pop();
-    maybe_downshift();
-    return handle;
-  }
-  sim::EventHandle pop_if_not_after(double time) override {
-    const sim::EventHandle handle = active_->pop_if_not_after(time);
-    if (handle != sim::EventPool::kInvalidHandle) maybe_downshift();
-    return handle;
-  }
-  [[nodiscard]] sim::EventHandle peek() const override {
-    return active_->peek();
-  }
-  [[nodiscard]] std::size_t size() const noexcept override {
-    return active_->size();
-  }
-
- private:
-  static constexpr std::size_t kCalendarAt = 1024;
-  static constexpr std::size_t kHeapAt = 192;
-
-  void maybe_downshift() {
-    if (active_ == &calendar_ && calendar_.size() <= kHeapAt) {
-      migrate(&calendar_, &heap_);
-    }
-  }
-  void migrate(SchedulerPolicy* from, SchedulerPolicy* to) {
-    while (from->size() > 0) to->push(from->pop());
-    active_ = to;
-  }
-
-  DAryHeapScheduler heap_;
-  CalendarQueueScheduler calendar_;
-  SchedulerPolicy* active_;
-};
-
 }  // namespace
 
 const char* scheduler_name(SchedulerKind kind) noexcept {
   switch (kind) {
     case SchedulerKind::kDaryHeap: return "d-ary-heap";
     case SchedulerKind::kCalendar: return "calendar";
-    case SchedulerKind::kLegacyHeap: return "legacy-heap";
-    case SchedulerKind::kAuto: return "auto";
   }
   return "?";
 }
@@ -321,10 +214,6 @@ std::unique_ptr<SchedulerPolicy> make_scheduler(SchedulerKind kind,
       return std::make_unique<DAryHeapScheduler>(pool);
     case SchedulerKind::kCalendar:
       return std::make_unique<CalendarQueueScheduler>(pool);
-    case SchedulerKind::kLegacyHeap:
-      return std::make_unique<LegacyHeapScheduler>(pool);
-    case SchedulerKind::kAuto:
-      return std::make_unique<AutoScheduler>(pool);
   }
   throw std::invalid_argument("make_scheduler: unknown SchedulerKind");
 }

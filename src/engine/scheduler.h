@@ -10,16 +10,22 @@
 // knob (and is pinned down by tests/engine_test.cpp).
 //
 // Policies:
-//   kDaryHeap  — 4-ary indexed heap; O(log n), branch-light.
-//   kCalendar  — Brown's calendar queue; amortized O(1) for workloads whose
-//                event times are roughly uniform per window, the classic
-//                choice of large discrete-event network simulators.
-//   kAuto      — the default: starts on the d-ary heap and migrates the
-//                pending set to the calendar queue when the observed depth
-//                crosses ~1k events (where the calendar wins ~2.5x), back
-//                when it falls low again.  Migration drains one policy into
-//                the other; since every policy pops the same total order,
-//                switching at any instant cannot change the execution.
+//   kDaryHeap  — 4-ary indexed heap (sim::IndexedEventQueue); O(log n),
+//                branch-light.  What every Simulator lane runs by default.
+//   kCalendar  — Brown's calendar queue; amortized O(1) only when pending
+//                event times are roughly uniform over their span.  Opt-in,
+//                kept so the end-to-end benchmark's engine split can time
+//                it against the heap.
+//
+// Why the calendar queue loses on this model: rebuild() sizes the cell
+// width from the span of *all* pending times, and that span includes the
+// round timers up to a period P = 10 s ahead, while the bulk of the
+// pending set (deliveries) clusters within delta +- eps of now.  On the
+// n = 512, f = 170 two-faced mesh the rebuilt width averages 11 ms against
+// a delivery spread of 2 * eps = 2 ms (mean pending span 4.3 s), so one
+// cell holds a whole wave of deliveries and locate_min() scans ~390
+// entries per pop.  Under gprof the calendar's pop/peek take 96% of that
+// run, which is ~4x slower than on the heap.
 
 #include <cstdint>
 #include <memory>
@@ -31,14 +37,8 @@ namespace wlsync::engine {
 enum class SchedulerKind : std::uint8_t {
   kDaryHeap = 0,
   kCalendar = 1,
-  /// The seed's data path — a std::priority_queue copying whole Events on
-  /// every sift.  Kept as the measured baseline for bench_micro's
-  /// event-throughput comparison; never the right choice in production.
-  kLegacyHeap = 2,
-  /// Depth-adaptive: d-ary heap below ~1k pending events, calendar queue
-  /// above (hysteresis avoids thrashing at the boundary).  The default;
-  /// pick an explicit policy via SimConfig/RunSpec to override.
-  kAuto = 3,
+  /// The default; an alias of kDaryHeap.
+  kAuto = kDaryHeap,
 };
 
 [[nodiscard]] const char* scheduler_name(SchedulerKind kind) noexcept;

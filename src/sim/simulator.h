@@ -88,8 +88,7 @@ struct SimConfig {
   std::uint64_t max_events = 50'000'000;  ///< runaway guard
   /// Event-scheduling policy; a pure performance knob — every policy
   /// dispatches the identical deterministic (time, tier, seq) order.  The
-  /// kAuto default selects by observed queue depth; set an explicit kind
-  /// to override.
+  /// kAuto default is the d-ary heap; kCalendar is an explicit opt-in.
   engine::SchedulerKind scheduler = engine::SchedulerKind::kAuto;
   /// Exchange graph broadcasts route through.  Unset = the paper's fully
   /// connected model (recipients 0..n-1), with no adjacency materialized.

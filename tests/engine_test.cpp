@@ -1,9 +1,9 @@
 // Engine layer: slab pool handle stability and recycling, indexed d-ary
 // heap order, scheduler policies (d-ary heap vs calendar queue) agreeing
 // with each other and with a reference priority queue on the deterministic
-// (time, tier, seq) order, and whole-execution byte-identity of RoundTraces
-// across policies — the invariant that makes the scheduler a pure
-// performance knob.
+// (time, tier, seq) order, the default resolving to the d-ary heap, and
+// whole-execution byte-identity of RoundTraces across policies — the
+// invariant that makes the scheduler a pure performance knob.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "analysis/round_trace.h"
 #include "engine/scheduler.h"
 #include "sim/event.h"
+#include "sim/simulator.h"
 #include "util/rng.h"
 
 namespace wlsync {
@@ -152,38 +153,13 @@ TEST(SchedulerPolicy, CalendarMatchesReference) {
   check_policy_against_reference(SchedulerKind::kCalendar, 99);
 }
 
-TEST(SchedulerPolicy, LegacyHeapMatchesReference) {
-  check_policy_against_reference(SchedulerKind::kLegacyHeap, 11);
-}
-
-TEST(SchedulerPolicy, AutoMatchesReference) {
-  // The random stream hovers around a few thousand pending entries, so the
-  // adaptive policy crosses its migration thresholds repeatedly.
-  check_policy_against_reference(SchedulerKind::kAuto, 11);
-  check_policy_against_reference(SchedulerKind::kAuto, 99);
-}
-
-TEST(SchedulerPolicy, AutoSurvivesDepthSwings) {
-  // Force full migrations both ways: fill far past the calendar threshold,
-  // drain far below the heap threshold, repeat — pops must stay sorted.
-  EventPool pool;
-  const auto policy = engine::make_scheduler(SchedulerKind::kAuto, pool);
-  util::Rng rng(5);
-  std::uint64_t next_seq = 0;
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    while (policy->size() < 3000) {
-      const EventHandle handle = pool.acquire();
-      pool[handle] = Event{rng.uniform(0.0, 100.0), 0, next_seq++, 0,
-                           sim::EngineKind::kDeliver, {}, {}};
-      policy->push(handle);
-    }
-    double last = -1.0;
-    while (policy->size() > 50) {
-      const EventHandle handle = policy->pop();
-      EXPECT_GE(pool[handle].time, last);
-      last = pool[handle].time;
-      pool.release(handle);
-    }
+TEST(SchedulerPolicy, DefaultIsTheDaryHeap) {
+  // Both configuration structs default to kAuto, which is the d-ary heap
+  // itself — no wrapper, no migration.
+  for (const SchedulerKind kind :
+       {analysis::RunSpec{}.scheduler, sim::SimConfig{}.scheduler}) {
+    EXPECT_EQ(kind, SchedulerKind::kDaryHeap);
+    EXPECT_STREQ(engine::scheduler_name(kind), "d-ary-heap");
   }
 }
 
@@ -243,27 +219,41 @@ TEST(SchedulerDeterminism, PoliciesProduceIdenticalExecutions) {
   analysis::RunSpec calendar_spec = base_spec();
   calendar_spec.scheduler = SchedulerKind::kCalendar;
 
-  analysis::RunSpec legacy_spec = base_spec();
-  legacy_spec.scheduler = SchedulerKind::kLegacyHeap;
-  analysis::RunSpec auto_spec = base_spec();
-  auto_spec.scheduler = SchedulerKind::kAuto;
+  analysis::Experiment heap_run(heap_spec);
+  analysis::Experiment calendar_run(calendar_spec);
+  const analysis::RunResult heap_result = heap_run.run();
+  const analysis::RunResult calendar_result = calendar_run.run();
+
+  EXPECT_TRUE(analysis::results_identical(heap_result, calendar_result));
+  EXPECT_TRUE(traces_identical(heap_run.trace(), calendar_run.trace()));
+  EXPECT_GT(heap_run.trace().begins().size(), 0u);
+}
+
+TEST(SchedulerDeterminism, PoliciesAgreeOnADeepTwoFacedMesh) {
+  // Theorem 16's n = 3f + 2 two-faced mesh: the adversaries' per-victim
+  // sends push the pending set past 1024 entries, the depth where the
+  // calendar queue's crowded cells and the heap's sifts part ways most.
+  analysis::RunSpec heap_spec;
+  heap_spec.params = core::make_params(80, 26, 1e-5, 0.01, 1e-3, 10.0);
+  heap_spec.fault = analysis::FaultKind::kTwoFaced;
+  heap_spec.fault_count = 26;
+  heap_spec.rounds = 4;
+  heap_spec.seed = 31;
+  heap_spec.engine = analysis::EngineMode::kEvent;
+  heap_spec.scheduler = SchedulerKind::kDaryHeap;
+  analysis::RunSpec calendar_spec = heap_spec;
+  calendar_spec.scheduler = SchedulerKind::kCalendar;
 
   analysis::Experiment heap_run(heap_spec);
   analysis::Experiment calendar_run(calendar_spec);
-  analysis::Experiment legacy_run(legacy_spec);
-  analysis::Experiment auto_run(auto_spec);
   const analysis::RunResult heap_result = heap_run.run();
   const analysis::RunResult calendar_result = calendar_run.run();
-  const analysis::RunResult legacy_result = legacy_run.run();
-  const analysis::RunResult auto_result = auto_run.run();
 
+  EXPECT_GT(heap_run.simulator().peak_pending(), 1024u);
+  EXPECT_EQ(heap_run.simulator().peak_pending(),
+            calendar_run.simulator().peak_pending());
   EXPECT_TRUE(analysis::results_identical(heap_result, calendar_result));
-  EXPECT_TRUE(analysis::results_identical(heap_result, legacy_result));
-  EXPECT_TRUE(analysis::results_identical(heap_result, auto_result));
   EXPECT_TRUE(traces_identical(heap_run.trace(), calendar_run.trace()));
-  EXPECT_TRUE(traces_identical(heap_run.trace(), legacy_run.trace()));
-  EXPECT_TRUE(traces_identical(heap_run.trace(), auto_run.trace()));
-  EXPECT_GT(heap_run.trace().begins().size(), 0u);
 }
 
 TEST(SchedulerDeterminism, PoliciesAgreeUnderNicBuffering) {

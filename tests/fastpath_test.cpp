@@ -133,9 +133,9 @@ TEST(FastpathPin, MeasurementAndEngineKnobs) {
   unbatched.batch_fanout = false;
   expect_engines_identical(unbatched, "per-recipient fan-out");
 
-  RunSpec legacy_heap = base_spec(13, 4);
-  legacy_heap.scheduler = engine::SchedulerKind::kLegacyHeap;
-  expect_engines_identical(legacy_heap, "legacy-heap scheduler");
+  RunSpec calendar = base_spec(13, 4);
+  calendar.scheduler = engine::SchedulerKind::kCalendar;
+  expect_engines_identical(calendar, "calendar scheduler");
 }
 
 TEST(FastpathPin, DeterministicUnderParallelRunner) {

@@ -47,6 +47,28 @@ TEST(ParallelRunner, MatchesSerialUnderBothSchedulers) {
   }
 }
 
+TEST(ParallelRunner, PdesAutoTuneDeclinesInsideWorkers) {
+  // A default-pdes_workers LM trial on the n = 128 mesh is one the
+  // auto-tuner shards when run alone; inside a sweep worker it must stay
+  // serial, since the sweep already claims the cores.
+  RunSpec base;
+  base.params = core::make_params(128, 42, 1e-5, 0.01, 1e-3, 10.0);
+  base.algo = Algo::kLM;
+  base.rounds = 4;
+  const std::vector<RunSpec> specs = seed_sweep(base, 21, 4);
+  const std::vector<RunResult> serial = ParallelRunner(1).run(specs);
+  const std::vector<RunResult> sharded = ParallelRunner(4).run(specs);
+  ASSERT_EQ(serial.size(), sharded.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_GE(serial[i].pdes_workers_used, 2) << "trial " << i;
+    EXPECT_EQ(sharded[i].pdes_workers_used, 0) << "trial " << i;
+    EXPECT_EQ(sharded[i].pdes_refusal,
+              "auto-tune declined: inside a ParallelRunner worker")
+        << "trial " << i;
+    EXPECT_TRUE(results_identical(serial[i], sharded[i])) << "trial " << i;
+  }
+}
+
 TEST(ParallelRunner, RunIndexedCoversEveryIndexExactlyOnce) {
   constexpr std::size_t kCount = 257;
   std::vector<std::atomic<int>> hits(kCount);

@@ -299,16 +299,16 @@ TEST(FanoutDeterminism, MatchesOnSparseTopology) {
 }
 
 TEST(FanoutDeterminism, MatchesAcrossSchedulerPolicies) {
-  // Batched fan-out on the adaptive scheduler vs the seed configuration
-  // (per-recipient events on the legacy copying heap): same execution.
-  RunSpec modern = fanout_spec();
-  modern.batch_fanout = true;
-  modern.scheduler = engine::SchedulerKind::kAuto;
-  RunSpec seed_config = fanout_spec();
-  seed_config.batch_fanout = false;
-  seed_config.scheduler = engine::SchedulerKind::kLegacyHeap;
-  const RunResult a = analysis::run_experiment(modern);
-  const RunResult b = analysis::run_experiment(seed_config);
+  // Batched fan-out on the calendar queue vs per-recipient events on the
+  // d-ary heap: same execution.
+  RunSpec batched = fanout_spec();
+  batched.batch_fanout = true;
+  batched.scheduler = engine::SchedulerKind::kCalendar;
+  RunSpec per_recipient = fanout_spec();
+  per_recipient.batch_fanout = false;
+  per_recipient.scheduler = engine::SchedulerKind::kDaryHeap;
+  const RunResult a = analysis::run_experiment(batched);
+  const RunResult b = analysis::run_experiment(per_recipient);
   EXPECT_TRUE(analysis::results_identical(a, b));
 }
 
