@@ -177,14 +177,6 @@ inline net::TopologyKind parse_topology(const std::string& name) {
       "topology");
 }
 
-inline proc::IngestMode parse_ingest(const std::string& name) {
-  return parse_name<proc::IngestMode>(
-      name,
-      {{"arena", proc::IngestMode::kArena},
-       {"legacy", proc::IngestMode::kLegacy}},
-      "ingest");
-}
-
 /// NIC axis values: "off" (no ingress model), "inf" (unbounded queue), or a
 /// capacity in datagrams (> 0).  Returns the std::optional the RunSpec
 /// wants; malformed tokens fail with the axis named, like parse_name.

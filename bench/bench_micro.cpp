@@ -22,7 +22,6 @@
 #include <iostream>
 #include <memory>
 #include <new>
-#include <queue>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -161,45 +160,6 @@ void BM_EventQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue)->Arg(1024)->Arg(16384);
 
-/// The seed's queue — a std::priority_queue copying whole Events on every
-/// sift — kept here as the baseline the pooled engine is measured against.
-class LegacyEventQueue {
- public:
-  void push(sim::Event event) {
-    event.seq = next_seq_++;
-    queue_.push(event);
-  }
-  [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
-  sim::Event pop() {
-    sim::Event event = queue_.top();
-    queue_.pop();
-    return event;
-  }
-
- private:
-  std::priority_queue<sim::Event, std::vector<sim::Event>, sim::EventAfter>
-      queue_;
-  std::uint64_t next_seq_ = 0;
-};
-
-void BM_LegacyEventQueue(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(8);
-  for (auto _ : state) {
-    LegacyEventQueue queue;
-    for (std::size_t i = 0; i < batch; ++i) {
-      sim::Event event;
-      event.time = rng.uniform();
-      event.tier = static_cast<std::int32_t>(i % 2);
-      queue.push(event);
-    }
-    while (!queue.empty()) benchmark::DoNotOptimize(queue.pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_LegacyEventQueue)->Arg(1024)->Arg(16384);
-
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   // Events/sec through Simulator::step on a full Welch-Lynch workload
   // (n = 10, two-faced faults): the d-ary heap default vs the calendar.
@@ -281,16 +241,15 @@ BENCHMARK(BM_SimulatorStepSchedulerBound)
     ->Arg(static_cast<int>(engine::SchedulerKind::kDaryHeap))
     ->Arg(static_cast<int>(engine::SchedulerKind::kCalendar));
 
-/// Queue pressure of the batched fan-out path vs the seed's per-recipient
-/// scheduling, n = 128 full mesh (ISSUE 2's acceptance metric).  Reported
+/// Queue pressure of the batched fan-out path, n = 128 full mesh.  Reported
 /// counters are per simulated round: scheduler push+pop operations, the
 /// pending-entry high-water mark, and direct (queue-bypassing) deliveries.
-/// arg0: 1 = batched, 0 = per-recipient; arg1: DelayKind (kSlow clusters a
-/// broadcast's deliveries at one instant — the regime the batching wins
-/// outright; kUniform spreads them, where the win is depth, not op count).
+/// arg0: DelayKind (kSlow clusters a broadcast's deliveries at one instant
+/// — the regime batching wins outright; kUniform spreads them, where the
+/// win is depth, not op count).  One entry per recipient would cost a push
+/// and a pop per message, ~33k ops/round here.
 void BM_BroadcastFanoutQueueOps(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
-  const auto delay = static_cast<analysis::DelayKind>(state.range(1));
+  const auto delay = static_cast<analysis::DelayKind>(state.range(0));
   constexpr std::int32_t kRounds = 3;
   std::uint64_t ops = 0;
   std::uint64_t peak = 0;
@@ -303,7 +262,6 @@ void BM_BroadcastFanoutQueueOps(benchmark::State& state) {
     spec.rounds = kRounds;
     spec.delay = delay;
     spec.seed = 9;
-    spec.batch_fanout = batched;
     analysis::Experiment experiment(spec);
     state.ResumeTiming();
     experiment.simulator().run_until((kRounds + 2) * spec.params.P);
@@ -317,23 +275,19 @@ void BM_BroadcastFanoutQueueOps(benchmark::State& state) {
   state.counters["peak_pending"] = static_cast<double>(peak);
   state.counters["direct/round"] =
       static_cast<double>(direct) / static_cast<double>(rounds_done);
-  state.SetLabel(std::string(batched ? "batched" : "per-recipient") + "/" +
-                 (delay == analysis::DelayKind::kSlow ? "slow" : "uniform"));
+  state.SetLabel(delay == analysis::DelayKind::kSlow ? "slow" : "uniform");
 }
 BENCHMARK(BM_BroadcastFanoutQueueOps)
-    ->Args({0, static_cast<int>(analysis::DelayKind::kSlow)})
-    ->Args({1, static_cast<int>(analysis::DelayKind::kSlow)})
-    ->Args({0, static_cast<int>(analysis::DelayKind::kUniform)})
-    ->Args({1, static_cast<int>(analysis::DelayKind::kUniform)})
+    ->Arg(static_cast<int>(analysis::DelayKind::kSlow))
+    ->Arg(static_cast<int>(analysis::DelayKind::kUniform))
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// ARR-ingestion hot path (ISSUE 4's acceptance metric): per-delivery cost of
-// on_message + the amortized per-round mid(reduce(ARR)) update, legacy
-// (id-indexed ARR, allocating ms::reduce) vs arena (dense neighbor slots,
-// scratch reductions).  The harness drives a real WelchLynchProcess through
-// a minimal Context — no scheduler, no clock segments — so the measured
-// nanoseconds are the ingestion path itself.
+// ARR-ingestion hot path: per-delivery cost of on_message + the amortized
+// per-round mid(reduce(ARR)) update over the dense neighbor-slot arena.
+// The harness drives a real WelchLynchProcess through a minimal Context —
+// no scheduler, no clock segments — so the measured nanoseconds are the
+// ingestion path itself.
 
 /// Context stub for driving processes without a simulator: linear time,
 /// fixed neighbor view, all outputs swallowed.
@@ -375,7 +329,7 @@ struct IngestHarness {
   /// n-process system; mesh = everyone exchanges with everyone, sparse =
   /// a fixed closed neighborhood of `degree + 1` ids (the arena's win on
   /// sparse graphs is skipping the O(n) gather).
-  IngestHarness(std::int32_t n, proc::IngestMode mode, std::int32_t degree) {
+  IngestHarness(std::int32_t n, std::int32_t degree) {
     std::vector<std::int32_t> neighborhood;
     if (degree <= 0 || degree >= n - 1) {
       for (std::int32_t i = 0; i < n; ++i) neighborhood.push_back(i);
@@ -397,7 +351,6 @@ struct IngestHarness {
       std::swap(senders[i - 1], senders[j < i ? j : i - 1]);
     }
     config.params = core::make_params(n, (n - 1) / 3, 1e-5, 0.01, 1e-3, 10.0);
-    config.ingest = mode;
     process = std::make_unique<core::WelchLynchProcess>(config);
     ctx = std::make_unique<IngestContext>(n, std::move(neighborhood));
     process->on_start(*ctx);
@@ -417,28 +370,20 @@ struct IngestHarness {
 };
 
 void BM_ArrIngestion(benchmark::State& state) {
-  // arg0: IngestMode; arg1: n; arg2: neighborhood degree (0 = full mesh).
-  const auto mode = static_cast<proc::IngestMode>(state.range(0));
-  const auto n = static_cast<std::int32_t>(state.range(1));
-  const auto degree = static_cast<std::int32_t>(state.range(2));
-  IngestHarness harness(n, mode, degree);
+  // arg0: n; arg1: neighborhood degree (0 = full mesh).
+  const auto n = static_cast<std::int32_t>(state.range(0));
+  const auto degree = static_cast<std::int32_t>(state.range(1));
+  IngestHarness harness(n, degree);
   harness.round();  // warm-up: arena bound, scratch grown
   for (auto _ : state) {
     harness.round();
   }
   const auto deliveries = static_cast<std::int64_t>(harness.senders.size());
   state.SetItemsProcessed(state.iterations() * deliveries);
-  state.SetLabel(std::string(proc::ingest_name(mode)) + "/n=" +
-                 std::to_string(n) +
+  state.SetLabel("n=" + std::to_string(n) +
                  (degree > 0 ? "/deg=" + std::to_string(degree) : "/mesh"));
 }
-BENCHMARK(BM_ArrIngestion)
-    ->Args({static_cast<int>(proc::IngestMode::kLegacy), 512, 0})
-    ->Args({static_cast<int>(proc::IngestMode::kArena), 512, 0})
-    ->Args({static_cast<int>(proc::IngestMode::kLegacy), 512, 16})
-    ->Args({static_cast<int>(proc::IngestMode::kArena), 512, 16})
-    ->Args({static_cast<int>(proc::IngestMode::kLegacy), 128, 0})
-    ->Args({static_cast<int>(proc::IngestMode::kArena), 128, 0});
+BENCHMARK(BM_ArrIngestion)->Args({512, 0})->Args({512, 16})->Args({128, 0});
 
 void BM_ReduceScratch(benchmark::State& state) {
   // The reduction alone: ms::fault_tolerant_midpoint (sort + 2 allocations)
@@ -471,8 +416,7 @@ BENCHMARK(BM_ReduceScratch)->Args({0, 512})->Args({1, 512})->Args({0, 64})->Args
 
 
 void BM_ArrDeliverOnly(benchmark::State& state) {
-  const auto mode = static_cast<proc::IngestMode>(state.range(0));
-  IngestHarness harness(512, mode, 0);
+  IngestHarness harness(512, 0);
   harness.round();
   core::WelchLynchProcess& p = *harness.process;
   IngestContext& c = *harness.ctx;
@@ -483,22 +427,19 @@ void BM_ArrDeliverOnly(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(state.iterations() * 512);
-  state.SetLabel(proc::ingest_name(mode));
 }
-BENCHMARK(BM_ArrDeliverOnly)->Arg(0)->Arg(1);
+BENCHMARK(BM_ArrDeliverOnly);
 
 void BM_ArrUpdateOnly(benchmark::State& state) {
-  const auto mode = static_cast<proc::IngestMode>(state.range(0));
-  IngestHarness harness(512, mode, 0);
+  IngestHarness harness(512, 0);
   harness.round();
   core::WelchLynchProcess& p = *harness.process;
   IngestContext& c = *harness.ctx;
   for (auto _ : state) {
     p.on_timer(c, core::WelchLynchProcess::kUpdateTimerTag);
   }
-  state.SetLabel(proc::ingest_name(mode));
 }
-BENCHMARK(BM_ArrUpdateOnly)->Arg(0)->Arg(1);
+BENCHMARK(BM_ArrUpdateOnly);
 
 void BM_SimulatedRounds(benchmark::State& state) {
   // Whole-system throughput: one complete Welch-Lynch round (n^2 messages,
@@ -538,31 +479,23 @@ struct SmokeRow {
 /// Measured 2026-07 on the batched engine and re-confirmed 2026-08 after
 /// the per-lane scheduler refactor (engine/pdes.h): ~1323 scheduler
 /// ops/round for the n = 128 clustered-delay mesh (timers + one entry per
-/// broadcast; the per-recipient engine needs ~33k).  Ratcheted from the
+/// broadcast; one entry per recipient would need ~33k).  Ratcheted from the
 /// original 1460 to ~5% headroom; a real regression re-queues per
 /// recipient and lands ~25x over this.
 constexpr double kQueueOpsPerRoundLimit = 1390.0;
 
 /// Heap allocations per steady-state ingestion round (n = 512 full mesh,
-/// 10 measured rounds after warm-up).  The arena path is pinned at ZERO;
-/// the legacy path is reported alongside for the artifact diff.
+/// 10 measured rounds after warm-up), pinned at ZERO.
 void smoke_alloc_rounds(std::vector<SmokeRow>& rows) {
-  for (const proc::IngestMode mode :
-       {proc::IngestMode::kArena, proc::IngestMode::kLegacy}) {
-    IngestHarness harness(512, mode, 0);
-    for (int r = 0; r < 3; ++r) harness.round();  // warm-up
-    g_alloc_count.store(0);
-    g_count_allocs.store(true);
-    constexpr int kRounds = 10;
-    for (int r = 0; r < kRounds; ++r) harness.round();
-    g_count_allocs.store(false);
-    const double per_round =
-        static_cast<double>(g_alloc_count.load()) / kRounds;
-    const bool arena = mode == proc::IngestMode::kArena;
-    rows.push_back({std::string("allocs_per_round_") + proc::ingest_name(mode),
-                    per_round, arena ? 0.0 : -1.0,
-                    !arena || per_round <= 0.0});
-  }
+  IngestHarness harness(512, 0);
+  for (int r = 0; r < 3; ++r) harness.round();  // warm-up
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  constexpr int kRounds = 10;
+  for (int r = 0; r < kRounds; ++r) harness.round();
+  g_count_allocs.store(false);
+  const double per_round = static_cast<double>(g_alloc_count.load()) / kRounds;
+  rows.push_back({"allocs_per_round_arena", per_round, 0.0, per_round <= 0.0});
 }
 
 /// Scheduler queue operations per round, batched fan-out, n = 128 full mesh
@@ -576,7 +509,6 @@ void smoke_queue_ops(std::vector<SmokeRow>& rows) {
   spec.rounds = 3;
   spec.delay = analysis::DelayKind::kSlow;
   spec.seed = 9;
-  spec.batch_fanout = true;
   analysis::Experiment experiment(spec);
   experiment.simulator().run_until(5 * spec.params.P);
   const double per_round =

@@ -44,16 +44,13 @@
 //   --stagger   Section 9.3 staggered-broadcast axis (seconds between
 //               successive senders' broadcasts; Welch-Lynch only).  The
 //               stagger x capacity x n grid maps the drop-free frontier.
-//   --ingest    arena (dense neighbor-slot ARR arena), legacy (the seed's
-//               id-indexed path) — results are bit-identical, only wall_s
-//               moves; the axis exists for perf A/Bs
 //   --engine    execution-engine axis (core/fastpath.h, engine/pdes.h):
 //               event (the event engine, the measured reference), fastpath
 //               (require the round fast path; aborts on ineligible cells),
 //               pdes (require the sharded conservative engine; pair with
 //               --workers), auto (fast path where the cell qualifies, then
 //               PDES where the cell opted in with workers >= 2).
-//               Bit-identical like --ingest; the wall_s / rounds_per_sec
+//               Results are bit-identical; the wall_s / rounds_per_sec
 //               columns show the speedup per cell, the fastpath column
 //               records whether the fast path engaged, the
 //               fastpath_refusal / pdes_refusal columns say why an engine
@@ -144,7 +141,6 @@ using bench::split_list;
 
 void write_csv_header(std::ostream& out) {
   out << "spec,n,f,algo,delay,drift,fault,faults,topology,placement,churn,"
-         "ingest,"
          "engine,workers,"
          "nic,nic_drop,stagger,observe,rounds,seed,completed_rounds,messages,"
          "gamma_bound,"
@@ -429,8 +425,6 @@ int main(int argc, char** argv) {
       split_list(flags.get_string("nic-drop", "oldest"));
   const std::vector<double> staggers =
       bench::split_doubles(flags.get_string("stagger", "0"));
-  const std::vector<std::string> ingests =
-      split_list(flags.get_string("ingest", "arena"));
   const std::vector<std::string> engines =
       split_list(flags.get_string("engine", smoke ? "event,auto" : "auto"));
   const std::vector<std::int64_t> workers_axis =
@@ -468,7 +462,6 @@ int main(int argc, char** argv) {
                   for (const std::string& nic_drop : nic_drops) {
                   for (const double stagger : staggers) {
                   for (const std::string& observe : observes) {
-                  for (const std::string& ingest : ingests) {
                   for (const std::string& engine : engines) {
                   for (const std::int64_t workers : workers_axis) {
                   analysis::RunSpec base;
@@ -498,7 +491,6 @@ int main(int argc, char** argv) {
                   const bench::ObserveMode omode = bench::parse_observe(observe);
                   base.observe = omode.observe;
                   base.retain_history = omode.retain;
-                  base.ingest = bench::parse_ingest(ingest);
                   base.engine = bench::parse_engine(engine);
                   // 0 under --engine=pdes is the auto-tuner (the kAuto
                   // default): engine::choose_pdes_workers picks the shard
@@ -533,7 +525,6 @@ int main(int argc, char** argv) {
                   const std::vector<analysis::RunSpec> seeded =
                       analysis::seed_sweep(base, seed0, trials);
                   specs.insert(specs.end(), seeded.begin(), seeded.end());
-                  }
                   }
                   }
                   }
@@ -577,7 +568,6 @@ int main(int argc, char** argv) {
         << net::topology_name(s.topology.kind) << ','
         << proc::placement_name(s.placement) << ','
         << net::churn_intervals(s.dynamics).size() << ','
-        << proc::ingest_name(s.ingest) << ','
         << bench::engine_name(s.engine) << ',' << s.pdes_workers << ','
         << bench::nic_name(s.nic) << ','
         << (s.nic.has_value() ? bench::nic_drop_name(s.nic->drop) : "-") << ','

@@ -8,16 +8,10 @@
 // high-water mark, and wall time per round — plus the measured steady skew,
 // since sparse graphs trade agreement quality for O(degree * n) traffic.
 //
-// --batch=0 reruns everything through the seed's per-recipient scheduling
-// for an A/B of the fan-out engine on identical executions (results are
-// bit-identical; only the engine counters and wall time move).
-//
 // --nic=off|inf|<capacity> engages the Section 9.3 datagram-ingress model
 // (--nic-service seconds per datagram): the table gains drops/round and the
 // largest same-instant arrival burst, making overflow at n >= 128 — the
 // regime the paper's small-n study leaves open — a measured axis.
-// --ingest=arena|legacy A/Bs the dense ARR-arena ingestion path the same
-// way --batch A/Bs the fan-out engine.
 //
 // --observe=off|on|bounded A/Bs the measurement engine: post-hoc grids vs
 // the streaming in-run observer (analysis/observe.h), optionally with
@@ -27,10 +21,9 @@
 // bounded mode eliminates.
 //
 // --engine=event|fastpath|pdes|auto A/Bs the execution engines
-// (core/fastpath.h, engine/pdes.h) the same way --batch A/Bs the fan-out
-// engine: results are bit-identical, only wall-s/round and rounds/sec
-// move.  The fp column records whether the fast path engaged (arena cells
-// without NIC/observe-bounded pressure: yes, including staggered and
+// (core/fastpath.h, engine/pdes.h): results are bit-identical, only
+// wall-s/round and rounds/sec move.  The fp column records whether the
+// fast path engaged (cells without NIC/observe-bounded pressure: yes, including staggered and
 // fault-isolating-region cells); the refusal column says WHY a cell fell
 // back to the event engine (RunResult::fastpath_refusal — the ISSUE 8
 // silent-fallback fix); the epochs and stalls columns record the
@@ -63,10 +56,9 @@ struct Row {
 };
 
 Row run_case(const std::string& label, std::int32_t n,
-             const net::TopologySpec& topology, bool batch,
-             std::int32_t rounds,
+             const net::TopologySpec& topology, std::int32_t rounds,
              const std::optional<sim::NicConfig>& nic,
-             proc::IngestMode ingest, const bench::ObserveMode& observe,
+             const bench::ObserveMode& observe,
              analysis::EngineMode engine, std::int32_t workers) {
   analysis::RunSpec spec;
   const std::int32_t f = (n - 1) / 3;
@@ -74,9 +66,7 @@ Row run_case(const std::string& label, std::int32_t n,
   spec.rounds = rounds;
   spec.seed = 1;
   spec.topology = topology;
-  spec.batch_fanout = batch;
   spec.nic = nic;
-  spec.ingest = ingest;
   spec.observe = observe.observe;
   spec.retain_history = observe.retain;
   spec.engine = engine;
@@ -109,13 +99,10 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto max_n = static_cast<std::int32_t>(flags.get_int("max-n", 512));
   const auto rounds = static_cast<std::int32_t>(flags.get_int("rounds", 4));
-  const bool batch = flags.get_bool("batch", true);
   const auto degree = static_cast<std::int32_t>(flags.get_int("degree", 16));
   const auto clique = static_cast<std::int32_t>(flags.get_int("clique", 16));
   const std::optional<sim::NicConfig> nic = bench::parse_nic(
       flags.get_string("nic", "off"), flags.get_double("nic-service", 50e-6));
-  const proc::IngestMode ingest =
-      bench::parse_ingest(flags.get_string("ingest", "arena"));
   const bench::ObserveMode observe =
       bench::parse_observe(flags.get_string("observe", "off"));
   const analysis::EngineMode engine =
@@ -130,11 +117,7 @@ int main(int argc, char** argv) {
       "the route to n >= 512 the ROADMAP calls for.  queue-ops and peak\n"
       "pending show the batched fan-out keeping scheduler pressure at\n"
       "O(n) entries instead of O(n^2).");
-  std::cout << "fan-out engine: "
-            << (batch ? "batched (one entry per broadcast)"
-                      : "per-recipient (seed baseline)")
-            << "; ingestion: " << proc::ingest_name(ingest)
-            << "; nic: " << bench::nic_name(nic)
+  std::cout << "nic: " << bench::nic_name(nic)
             << "; observe: " << bench::observe_name(observe)
             << "; engine: " << bench::engine_name(engine)
             << "; workers: " << workers << "\n\n";
@@ -156,8 +139,8 @@ int main(int argc, char** argv) {
     cases.emplace_back("cliques/" + std::to_string(clique), cliques);
 
     for (const auto& [label, topology] : cases) {
-      const Row row = run_case(label, n, topology, batch, rounds, nic, ingest,
-                               observe, engine, workers);
+      const Row row =
+          run_case(label, n, topology, rounds, nic, observe, engine, workers);
       const double per_round =
           row.result.completed_rounds > 0
               ? static_cast<double>(row.result.completed_rounds)

@@ -72,7 +72,6 @@ core::WelchLynchConfig make_wl_config(const RunSpec& spec) {
   config.k_exchanges = spec.k_exchanges;
   config.stagger = spec.stagger;
   config.amortize = spec.amortize;
-  config.ingest = spec.ingest;
   return config;
 }
 
@@ -87,21 +86,19 @@ proc::ProcessPtr build_algorithm(const RunSpec& spec) {
               : 4.0 * (spec.params.beta +
                        static_cast<double>(spec.params.n) * spec.params.eps);
       return std::make_unique<baselines::InteractiveConvergenceProcess>(
-          spec.params, delta_max, spec.ingest);
+          spec.params, delta_max);
     }
     case Algo::kST:
-      return std::make_unique<baselines::SrikanthTouegProcess>(spec.params,
-                                                               spec.ingest);
+      return std::make_unique<baselines::SrikanthTouegProcess>(spec.params);
     case Algo::kMS: {
       const double tau = spec.ms_tau > 0.0
                              ? spec.ms_tau
                              : 4.0 * (spec.params.beta + 2.0 * spec.params.eps);
       return std::make_unique<baselines::MahaneySchneiderProcess>(
-          spec.params, tau, spec.ingest);
+          spec.params, tau);
     }
     case Algo::kPlainMean:
-      return std::make_unique<baselines::PlainMeanProcess>(spec.params,
-                                                           spec.ingest);
+      return std::make_unique<baselines::PlainMeanProcess>(spec.params);
     case Algo::kHSSD:
       return std::make_unique<baselines::HssdProcess>(spec.params);
   }
@@ -120,7 +117,6 @@ const char* fastpath_spec_block(const RunSpec& spec) {
     return "dynamic-topology schedule present (net/dynamics.h)";
   }
   if (spec.algo != Algo::kWelchLynch) return "algo is not Welch-Lynch";
-  if (spec.ingest != proc::IngestMode::kArena) return "legacy arrival ingestion";
   const bool faults = !spec.fault_mix.empty() ||
                       (spec.fault != FaultKind::kNone && spec.fault_count > 0);
   if (faults) {
@@ -201,7 +197,6 @@ void Experiment::build() {
   sim_config.seed = rng.fork(1)();
   sim_config.nic = spec_.nic;
   sim_config.scheduler = spec_.scheduler;
-  sim_config.batch_fanout = spec_.batch_fanout;
   if (spec_.max_events > 0) sim_config.max_events = spec_.max_events;
   if (spec_.topology.kind != net::TopologyKind::kFullMesh ||
       (dynamic && spec_.dynamics.topology_changing())) {
@@ -219,9 +214,23 @@ void Experiment::build() {
 
   // Faulty roster: either the homogeneous (fault, fault_count) pair or the
   // heterogeneous fault_mix.  Faulty processes occupy the highest ids.
+  // Every roster slot must name a real fault: a kNone slot would count
+  // against n without registering a process, and a negative count would
+  // quietly shrink the mix (or, for fault_count, overflow the roster).
+  if (spec_.fault_count < 0) {
+    throw std::invalid_argument("RunSpec: fault_count must be >= 0");
+  }
   std::vector<FaultKind> roster;
   if (!spec_.fault_mix.empty()) {
     for (const auto& entry : spec_.fault_mix) {
+      if (entry.kind == FaultKind::kNone) {
+        throw std::invalid_argument(
+            "RunSpec: fault_mix entry of kind kNone (every entry must name "
+            "a fault kind)");
+      }
+      if (entry.count < 0) {
+        throw std::invalid_argument("RunSpec: fault_mix count must be >= 0");
+      }
       for (std::int32_t i = 0; i < entry.count; ++i) roster.push_back(entry.kind);
     }
   } else if (spec_.fault != FaultKind::kNone) {
@@ -423,7 +432,7 @@ void Experiment::build() {
                           /*faulty=*/true, /*start=*/s);
         break;
       }
-      case FaultKind::kNone:
+      case FaultKind::kNone:  // rejected when the roster was built
         break;
     }
   }
@@ -600,9 +609,7 @@ RunResult Experiment::run() {
       for (RoundTrace& lane_trace : lane_traces) {
         lane_sinks.push_back(&lane_trace);
       }
-      engine::PdesOptions options;
-      options.adaptive = spec_.pdes_adaptive;
-      engine::PdesEngine pdes(*sim_, part, lane_sinks, options);
+      engine::PdesEngine pdes(*sim_, part, lane_sinks);
       pdes.run_until(horizon);
       trace_.absorb_all(lane_traces);
       result.pdes_epochs = pdes.stats().epochs;

@@ -67,12 +67,12 @@ enum class DriftKind : std::uint8_t {
 /// Which execution engine run() drives (core/fastpath.h).  A pure
 /// performance knob: the fast path is pinned bit-identical to the event
 /// engine at results_identical strictness (tests/fastpath_test.cpp), like
-/// SchedulerKind and batch_fanout before it.
+/// SchedulerKind.
 enum class EngineMode : std::uint8_t {
   kEvent = 0,     ///< the event engine only (the measured reference)
   kFastpath = 1,  ///< require the fast path; throws if the spec is ineligible
-  /// Fast path when the spec qualifies: Welch-Lynch with arena ingestion,
-  /// no NIC, retained history, and either (a) fault-free — simultaneous or
+  /// Fast path when the spec qualifies: Welch-Lynch, no NIC, retained
+  /// history, and either (a) fault-free — simultaneous or
   /// staggered (Section 9.3) broadcasts both batch — or (b) faults on a
   /// sparse unstaggered topology whose adversary closed neighborhood
   /// leaves a nonempty honest remainder (the fault-isolating region mode;
@@ -154,13 +154,6 @@ struct RunSpec : ScenarioSpec {
   std::int32_t k_exchanges = 1;
   double stagger = 0.0;
   double amortize = 0.0;
-  /// Arrival-ingestion engine for the averaging algorithms (WL, LM, MS,
-  /// plain mean, ST): the dense neighbor-slot arena (default) or the
-  /// seed's sparse id-indexed path.  Executions are bit-identical either
-  /// way (tests/ingest_pin_test.cpp); kLegacy is the measured reference,
-  /// like batch_fanout = false.  HSSD keeps no per-sender state at all,
-  /// so the knob is a no-op there — don't sweep the ingest axis for it.
-  proc::IngestMode ingest = proc::IngestMode::kArena;
 
   /// The nested scenario view of this spec — the ScenarioSpec base
   /// subobject itself, not a copy (mutations through either view are the
@@ -197,11 +190,6 @@ struct RunSpec : ScenarioSpec {
   DriftKind drift = DriftKind::kExtremal;
   double drift_period = 2.0;
 
-  /// Batched fan-out delivery: one scheduler entry per in-flight broadcast.
-  /// Results are bit-identical either way (tests/topology_test.cpp); false
-  /// keeps the seed's per-recipient scheduling as the measured baseline.
-  bool batch_fanout = true;
-
   /// Real-time spread of the nonfaulty STARTs; < 0 means 0.9 * beta.
   double initial_spread = -1.0;
   std::int32_t rounds = 20;
@@ -228,12 +216,6 @@ struct RunSpec : ScenarioSpec {
   /// only: executions are bit-identical at results_identical strictness
   /// for any worker count (tests/pdes_test.cpp).
   std::int32_t pdes_workers = 0;
-  /// PDES lookahead mode (engine/pdes.h): true (default) folds per-epoch
-  /// adaptive windows from the lanes' actual next-send horizons; false
-  /// keeps the static global-cut-floor window.  Performance only — both
-  /// are bit-identical to the serial engine; adaptive never takes more
-  /// epochs than static (tests/pdes_property_test.cpp).
-  bool pdes_adaptive = true;
 
   double lm_delta_max = 0.0;  ///< 0 = auto
   double ms_tau = 0.0;        ///< 0 = auto

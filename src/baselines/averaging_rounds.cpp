@@ -9,12 +9,8 @@ constexpr std::int32_t kBcastTimer = 1;
 constexpr std::int32_t kUpdateTimer = 2;
 }  // namespace
 
-RoundExchangeProcess::RoundExchangeProcess(core::Params params,
-                                           proc::IngestMode ingest)
-    : params_(params), derived_(core::derive(params)), ingest_(ingest) {
-  if (ingest_ == proc::IngestMode::kLegacy) {
-    diff_.assign(static_cast<std::size_t>(params_.n), core::kNeverArrived);
-  }
+RoundExchangeProcess::RoundExchangeProcess(core::Params params)
+    : params_(params), derived_(core::derive(params)) {
   label_ = params_.T0;
 }
 
@@ -26,24 +22,10 @@ void RoundExchangeProcess::ensure_arena(const proc::Context& ctx) {
 
 const std::vector<double>& RoundExchangeProcess::round_values(
     const proc::Context& ctx) {
-  if (ingest_ == proc::IngestMode::kLegacy) {
-    // Project the per-id estimates onto the neighbor view: one slot per
-    // exchange-graph neighbor, own slot pinned to 0 (our clock is 0 away
-    // from itself).  On the full mesh this is the historical all-n vector,
-    // bit for bit.
-    const std::span<const std::int32_t> peers = ctx.neighbors();
-    values_.clear();
-    values_.reserve(peers.size());
-    for (std::int32_t q : peers) {
-      values_.push_back(q == ctx.id() ? 0.0
-                                      : diff_[static_cast<std::size_t>(q)]);
-    }
-    return values_;
-  }
-  // Dense mode: the arena already IS the neighbor view; force the own slot
-  // to 0.0 (a self-delivered broadcast wrote an estimate there, which the
-  // legacy gather also discarded) and hand the adjustment rule the arena's
-  // storage directly — no per-round gather.
+  // The arena already IS the neighbor view (on the full mesh, all n
+  // processes in id order); force the own slot to 0.0 — our clock is 0
+  // away from itself, whatever estimate a self-delivered broadcast wrote
+  // there — and hand the adjustment rule the arena's storage directly.
   ensure_arena(ctx);
   const std::int32_t own = arena_.slot_of(ctx.id());
   if (own >= 0) arena_.set_slot(static_cast<std::size_t>(own), 0.0);
@@ -51,10 +33,6 @@ const std::vector<double>& RoundExchangeProcess::round_values(
 }
 
 void RoundExchangeProcess::reset_round(const proc::Context& ctx) {
-  if (ingest_ == proc::IngestMode::kLegacy) {
-    diff_.assign(static_cast<std::size_t>(params_.n), core::kNeverArrived);
-    return;
-  }
   ensure_arena(ctx);
   arena_.fill(core::kNeverArrived);  // O(degree), not O(n)
 }
@@ -75,12 +53,8 @@ void RoundExchangeProcess::on_message(proc::Context& ctx, const sim::Message& m)
   if (m.tag != core::kTimeTag) return;
   // Estimate of how far ahead q's clock is, assuming the delay was delta.
   const double estimate = m.value + params_.delta - ctx.local_time();
-  if (ingest_ == proc::IngestMode::kLegacy) {
-    diff_[static_cast<std::size_t>(m.from)] = estimate;
-  } else {
-    if (!arena_.bound()) ensure_arena(ctx);
-    arena_.record(m.from, estimate);
-  }
+  if (!arena_.bound()) ensure_arena(ctx);
+  arena_.record(m.from, estimate);
 }
 
 void RoundExchangeProcess::on_timer(proc::Context& ctx, std::int32_t tag) {

@@ -22,9 +22,7 @@ namespace wlsync::baselines {
 /// Base class: subclasses provide the averaging rule.
 class RoundExchangeProcess : public proc::Process {
  public:
-  explicit RoundExchangeProcess(
-      core::Params params,
-      proc::IngestMode ingest = proc::IngestMode::kArena);
+  explicit RoundExchangeProcess(core::Params params);
 
   void on_start(proc::Context& ctx) override;
   void on_timer(proc::Context& ctx, std::int32_t tag) override;
@@ -47,19 +45,15 @@ class RoundExchangeProcess : public proc::Process {
  private:
   void begin_round(proc::Context& ctx);
   void ensure_arena(const proc::Context& ctx);
-  /// The neighbor-view estimate vector for this round's adjustment, with
-  /// the caller's own slot pinned to 0.0 — the dense arena in arena mode,
-  /// the gathered values_ scratch in legacy mode.
+  /// The neighbor-view estimate vector for this round's adjustment (the
+  /// arena's own storage), with the caller's own slot pinned to 0.0.
   [[nodiscard]] const std::vector<double>& round_values(
       const proc::Context& ctx);
   void reset_round(const proc::Context& ctx);
 
   core::Params params_;
   core::Derived derived_;
-  proc::IngestMode ingest_;
-  proc::ArrivalArena arena_;    ///< dense per-neighbor DIFF slots (kArena)
-  std::vector<double> diff_;    ///< legacy id-indexed DIFF (kLegacy)
-  std::vector<double> values_;  ///< legacy per-round neighbor-view gather
+  proc::ArrivalArena arena_;  ///< DIFF, one dense slot per neighbor
   double label_ = 0.0;
   std::int32_t round_ = 0;
   double last_adj_ = 0.0;
@@ -73,10 +67,8 @@ class RoundExchangeProcess : public proc::Process {
 /// shape EXP-COMPARE reproduces.
 class InteractiveConvergenceProcess final : public RoundExchangeProcess {
  public:
-  InteractiveConvergenceProcess(
-      core::Params params, double delta_max,
-      proc::IngestMode ingest = proc::IngestMode::kArena)
-      : RoundExchangeProcess(params, ingest), delta_max_(delta_max) {}
+  InteractiveConvergenceProcess(core::Params params, double delta_max)
+      : RoundExchangeProcess(params), delta_max_(delta_max) {}
 
  protected:
   [[nodiscard]] double compute_adjustment(
@@ -92,9 +84,8 @@ class InteractiveConvergenceProcess final : public RoundExchangeProcess {
 /// result is the adjustment.  Degrades gracefully past f faults.
 class MahaneySchneiderProcess final : public RoundExchangeProcess {
  public:
-  MahaneySchneiderProcess(core::Params params, double tau,
-                          proc::IngestMode ingest = proc::IngestMode::kArena)
-      : RoundExchangeProcess(params, ingest), tau_(tau) {}
+  MahaneySchneiderProcess(core::Params params, double tau)
+      : RoundExchangeProcess(params), tau_(tau) {}
 
  protected:
   [[nodiscard]] double compute_adjustment(
@@ -109,9 +100,8 @@ class MahaneySchneiderProcess final : public RoundExchangeProcess {
 /// exists.
 class PlainMeanProcess final : public RoundExchangeProcess {
  public:
-  explicit PlainMeanProcess(core::Params params,
-                            proc::IngestMode ingest = proc::IngestMode::kArena)
-      : RoundExchangeProcess(params, ingest) {}
+  explicit PlainMeanProcess(core::Params params)
+      : RoundExchangeProcess(params) {}
 
  protected:
   [[nodiscard]] double compute_adjustment(

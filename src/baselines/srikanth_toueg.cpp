@@ -54,11 +54,6 @@ SrikanthTouegProcess::RoundTally& SrikanthTouegProcess::tally_for(
 std::int32_t SrikanthTouegProcess::note_sender(proc::Context& ctx,
                                                std::int32_t k,
                                                std::int32_t from) {
-  if (ingest_ == proc::IngestMode::kLegacy) {
-    auto& senders = heard_[k];
-    senders.insert(from);
-    return static_cast<std::int32_t>(senders.size());
-  }
   if (!index_.bound()) index_.bind(ctx.neighbors(), ctx.process_count());
   RoundTally& tally = tally_for(k);
   const std::int32_t slot = index_.slot_of(from);
@@ -73,7 +68,7 @@ std::int32_t SrikanthTouegProcess::note_sender(proc::Context& ctx,
   } else if (std::find(tally.extras.begin(), tally.extras.end(), from) ==
              tally.extras.end()) {
     // Point-to-point send from outside the neighborhood (an adversary
-    // power); the legacy set counted it, so the flat path must too.
+    // power): a distinct sender all the same, so it counts.
     tally.extras.push_back(from);
     ++tally.count;
   }
@@ -81,10 +76,6 @@ std::int32_t SrikanthTouegProcess::note_sender(proc::Context& ctx,
 }
 
 void SrikanthTouegProcess::drop_through(std::int32_t k) {
-  if (ingest_ == proc::IngestMode::kLegacy) {
-    heard_.erase(heard_.begin(), heard_.upper_bound(k));
-    return;
-  }
   auto it = active_.begin();
   while (it != active_.end() && it->round <= k) {
     free_.push_back(std::move(*it));  // recycle the bitset storage

@@ -15,16 +15,15 @@
 // checks those shapes on the shared substrate.
 //
 // Ingestion: the distinct-sender tallies are the [ST] hot path — one set
-// insertion per delivery.  In IngestMode::kArena the per-round sender sets
-// are flat bitsets over dense neighbor slots (proc::NeighborIndex), pooled
-// and recycled across rounds so steady-state deliveries allocate nothing;
-// senders outside the bound neighborhood (possible only for point-to-point
-// adversary sends) fall back to a small per-round overflow list.  kLegacy
-// keeps the seed's std::map<round, std::set<sender>> as the pinned
-// reference (tests/ingest_pin_test.cpp).
+// insertion per delivery.  The per-round sender sets are flat bitsets over
+// dense neighbor slots (proc::NeighborIndex), pooled and recycled across
+// rounds so steady-state deliveries allocate nothing; senders outside the
+// bound neighborhood (possible only for point-to-point adversary sends)
+// fall back to a small per-round overflow list.  tests/ingest_pin_test.cpp
+// recounts every tally with a std::set and checks each relay and
+// acceptance against it.
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <vector>
 
@@ -38,9 +37,7 @@ inline constexpr std::int32_t kTickTag = 3;
 
 class SrikanthTouegProcess final : public proc::Process {
  public:
-  explicit SrikanthTouegProcess(
-      core::Params params, proc::IngestMode ingest = proc::IngestMode::kArena)
-      : params_(params), ingest_(ingest) {}
+  explicit SrikanthTouegProcess(core::Params params) : params_(params) {}
 
   void on_start(proc::Context& ctx) override;
   void on_timer(proc::Context& ctx, std::int32_t tag) override;
@@ -61,7 +58,7 @@ class SrikanthTouegProcess final : public proc::Process {
   void maybe_broadcast(proc::Context& ctx, std::int32_t k);
   void accept(proc::Context& ctx, std::int32_t k);
   /// Registers `from` as a sender for round k and returns the number of
-  /// distinct senders heard for k (identical in both ingestion modes).
+  /// distinct senders heard for k.
   [[nodiscard]] std::int32_t note_sender(proc::Context& ctx, std::int32_t k,
                                          std::int32_t from);
   /// Drops tallies for every round <= k (post-acceptance cleanup).
@@ -69,14 +66,10 @@ class SrikanthTouegProcess final : public proc::Process {
   [[nodiscard]] RoundTally& tally_for(std::int32_t k);
 
   core::Params params_;
-  proc::IngestMode ingest_;
-  // --- arena mode ---
   proc::NeighborIndex index_;
   std::vector<RoundTally> active_;  ///< pending rounds, ascending by round
   std::vector<RoundTally> free_;    ///< recycled tallies (capacity retained)
-  // --- legacy mode ---
-  std::map<std::int32_t, std::set<std::int32_t>> heard_;  ///< senders per round
-  std::set<std::int32_t> sent_;                           ///< rounds broadcast
+  std::set<std::int32_t> sent_;     ///< rounds broadcast
   std::int32_t accepted_ = 0;  ///< highest accepted round
   double last_adj_ = 0.0;
   bool started_ = false;

@@ -125,9 +125,6 @@ const char* RoundFastPath::ineligible_reason(sim::Simulator& sim) {
     if (!fast[static_cast<std::size_t>(id)]) continue;
     auto* wl = dynamic_cast<WelchLynchProcess*>(&sim.process(id));
     if (wl == nullptr) return "a process is not WelchLynchProcess";
-    if (wl->config().ingest != proc::IngestMode::kArena) {
-      return "legacy arrival ingestion";
-    }
     if (!stagger_seen) {
       stagger = wl->config().stagger;
       stagger_seen = true;

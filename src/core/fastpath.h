@@ -121,8 +121,7 @@ class RoundFastPath {
 
   /// Static eligibility: nullptr when the registered system can run on the
   /// fast path, else a human-readable reason.  Requires: no NIC, every fast
-  /// process a WelchLynchProcess with arena ingestion and one consistent
-  /// stagger, no trace sink consuming per-message events, and — when faults
+  /// process a WelchLynchProcess with one consistent stagger, no trace sink consuming per-message events, and — when faults
   /// are registered — an unstaggered run on an explicit topology where the
   /// adversaries' closed neighborhood leaves a nonempty honest remainder.
   /// Dynamic conditions (queue shape, phase separation, budgets) are

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "multiset/multiset_ops.h"
-
 namespace wlsync::core {
 
 namespace {
@@ -23,9 +21,6 @@ WelchLynchProcess::WelchLynchProcess(WelchLynchConfig config)
     // like n = 3f on purpose.)
     throw std::invalid_argument("WelchLynch: need n >= 2f+1 for reduce()");
   }
-  if (config_.ingest == proc::IngestMode::kLegacy) {
-    arr_.assign(static_cast<std::size_t>(config_.params.n), kNeverArrived);
-  }
   label_ = config_.params.T0;
 }
 
@@ -42,11 +37,8 @@ void WelchLynchProcess::sync_topology(const proc::Context& ctx) {
   topo_seen_ = version;
   // The exchange graph moved under us: arrivals recorded against the old
   // neighbor view are no longer comparable (a vanished neighbor's slot
-  // would masquerade as a live arrival).  Discard the window in both
-  // ingestion modes — identically, so arena and legacy stay bit-identical.
-  if (config_.ingest == proc::IngestMode::kLegacy) {
-    std::fill(arr_.begin(), arr_.end(), kNeverArrived);
-  } else if (arena_.bound()) {
+  // would masquerade as a live arrival), so discard the window.
+  if (arena_.bound()) {
     arena_.bind(ctx.neighbors(), ctx.process_count(), kNeverArrived);
   }
 }
@@ -137,47 +129,21 @@ void WelchLynchProcess::on_message(proc::Context& ctx, const sim::Message& m) {
   if (config_.stagger > 0.0 && m.tag == kTimeTag) {
     arrival -= static_cast<double>(m.from) * config_.stagger;
   }
-  if (config_.ingest == proc::IngestMode::kLegacy) {
-    arr_[static_cast<std::size_t>(m.from)] = arrival;
-  } else {
-    // The bound() probe is inline; the out-of-line bind happens once.
-    if (!arena_.bound()) ensure_arena(ctx);
-    arena_.record(m.from, arrival);
-  }
-}
-
-double WelchLynchProcess::update_legacy(const proc::Context& ctx) {
-  // The multiset is the neighbor view: on the paper's full mesh that is all
-  // of ARR; on a sparse exchange graph only neighbors can have arrived, so
-  // the non-neighbor slots (permanently kNeverArrived) must not be allowed
-  // to masquerade as f stale entries for reduce() to clip.
-  auto f = static_cast<std::size_t>(config_.params.f);
-  const std::span<const std::int32_t> peers = ctx.neighbors();
-  const ms::Multiset* values = &arr_;
-  if (static_cast<std::int32_t>(peers.size()) != ctx.process_count()) {
-    scratch_.clear();
-    scratch_.reserve(peers.size());
-    for (std::int32_t q : peers) {
-      scratch_.push_back(arr_[static_cast<std::size_t>(q)]);
-    }
-    values = &scratch_;
-    // The A2 ratio applied to the neighborhood: a process can only clip
-    // the faults that can actually reach it, so the global budget f caps
-    // at (deg - 1) / 3 locally (deg >= 3 f_local + 1, as n >= 3f + 1).
-    f = std::min(f, (scratch_.size() - 1) / 3);
-  }
-  return config_.averaging == Averaging::kMidpoint
-             ? ms::fault_tolerant_midpoint(*values, f)
-             : ms::fault_tolerant_mean(*values, f);
+  // The bound() probe is inline; the out-of-line bind happens once.
+  if (!arena_.bound()) ensure_arena(ctx);
+  arena_.record(m.from, arrival);
 }
 
 double WelchLynchProcess::update_arena(const proc::Context& ctx) {
-  // Same multiset and same local-f clamp as the legacy path, read straight
-  // out of the dense arena (no gather) and reduced over its scratch (no
-  // allocations).  On the full mesh the neighbor order is id order, so the
-  // multiset is the historical one element for element.
+  // The multiset is the neighbor view: on the paper's full mesh that is all
+  // of ARR; on a sparse exchange graph only neighbors can have arrived, so
+  // the arena holds exactly their slots (no gather) and reduces them over
+  // its scratch (no allocations).
   auto f = static_cast<std::size_t>(config_.params.f);
   if (static_cast<std::int32_t>(arena_.size()) != ctx.process_count()) {
+    // The A2 ratio applied to the neighborhood: a process can only clip
+    // the faults that can actually reach it, so the global budget f caps
+    // at (deg - 1) / 3 locally (deg >= 3 f_local + 1, as n >= 3f + 1).
     f = std::min(f, (arena_.size() - 1) / 3);
   }
   return config_.averaging == Averaging::kMidpoint
@@ -187,22 +153,12 @@ double WelchLynchProcess::update_arena(const proc::Context& ctx) {
 
 bool WelchLynchProcess::window_starved(const proc::Context& ctx) const {
   auto f = static_cast<std::size_t>(config_.params.f);
+  if (static_cast<std::int32_t>(arena_.size()) != ctx.process_count()) {
+    f = std::min(f, (arena_.size() - 1) / 3);  // update_arena's local clamp
+  }
   std::size_t sentinels = 0;
-  if (config_.ingest == proc::IngestMode::kLegacy) {
-    const std::span<const std::int32_t> peers = ctx.neighbors();
-    if (static_cast<std::int32_t>(peers.size()) != ctx.process_count()) {
-      f = std::min(f, (peers.size() - 1) / 3);  // update_legacy's local clamp
-    }
-    for (std::int32_t q : peers) {
-      sentinels += arr_[static_cast<std::size_t>(q)] == kNeverArrived ? 1 : 0;
-    }
-  } else {
-    if (static_cast<std::int32_t>(arena_.size()) != ctx.process_count()) {
-      f = std::min(f, (arena_.size() - 1) / 3);  // update_arena's local clamp
-    }
-    for (const double v : arena_.values()) {
-      sentinels += v == kNeverArrived ? 1 : 0;
-    }
+  for (const double v : arena_.values()) {
+    sentinels += v == kNeverArrived ? 1 : 0;
   }
   // reduce() clips the f smallest entries; sentinels sort below every real
   // arrival, so the f-th order statistic is a sentinel iff more than f
@@ -219,17 +175,13 @@ void WelchLynchProcess::do_update(proc::Context& ctx) {
   // heard too few peers this round learned nothing it can average — skip
   // the UPDATE exactly like a missed round (no ADJ, no annotation) and
   // rejoin the schedule at the next broadcast.
-  if (config_.ingest != proc::IngestMode::kLegacy) {
-    ensure_arena(ctx);  // a process that heard nobody still has a view
-  }
+  ensure_arena(ctx);  // a process that heard nobody still has a view
   sync_topology(ctx);  // a change since the last arrival still resyncs
   if (window_starved(ctx)) {
     ++starved_updates_;
   } else {
     // AV := mid(reduce(ARR)); ADJ := T + delta - AV; CORR := CORR + ADJ.
-    const double av = config_.ingest == proc::IngestMode::kLegacy
-                          ? update_legacy(ctx)
-                          : update_arena(ctx);
+    const double av = update_arena(ctx);
     const double adj = base + config_.params.delta - av;
     last_av_ = av;
     last_adj_ = adj;

@@ -34,7 +34,6 @@
 // lands in ARR unnormalized, exactly as a Byzantine sender would want.)
 
 #include <cstdint>
-#include <vector>
 
 #include "core/params.h"
 #include "proc/arrival.h"
@@ -63,10 +62,6 @@ struct WelchLynchConfig {
   std::int32_t k_exchanges = 1;  ///< Section 7 variant; 1 = paper's algorithm
   double stagger = 0.0;          ///< sigma of Section 9.3; 0 = simultaneous
   double amortize = 0.0;         ///< slew duration for displayed time; 0 = step
-  /// Arrival-ingestion engine: the dense neighbor-slot arena (default) or
-  /// the seed's sparse id-indexed path.  Executions are bit-identical either
-  /// way (tests/ingest_pin_test.cpp); kLegacy is the measured baseline.
-  proc::IngestMode ingest = proc::IngestMode::kArena;
 };
 
 class WelchLynchProcess final : public proc::Process {
@@ -125,9 +120,9 @@ class WelchLynchProcess final : public proc::Process {
   void ensure_arena(const proc::Context& ctx);
   /// Dynamic-topology resync (net/dynamics.h): when the context reports a
   /// newer graph version than the one this process last built its view
-  /// for, discard the current collection window — legacy ARR refills with
-  /// sentinels, the arena rebinds to the new neighbor list.  The local-f
-  /// clamps then read the LIVE degree at the next update.  A change that
+  /// for, discard the current collection window: the arena rebinds to the
+  /// new neighbor list.  The local-f clamp then reads the LIVE degree at
+  /// the next update.  A change that
   /// lands mid-window may starve that update (too few arrivals survive)
   /// — that is a missed round, exactly the Section 9.3 guard's semantics.
   /// Free on static graphs: the version stays 0 and this early-returns.
@@ -139,14 +134,12 @@ class WelchLynchProcess final : public proc::Process {
   /// serialization emptied the collection window (at most f honest slots
   /// can legitimately be stale); the update is skipped like a missed round.
   [[nodiscard]] bool window_starved(const proc::Context& ctx) const;
-  [[nodiscard]] double update_legacy(const proc::Context& ctx);
+  /// AV := mid / mean(reduce(ARR)) over the neighbor view.
   [[nodiscard]] double update_arena(const proc::Context& ctx);
 
   WelchLynchConfig config_;
   Derived derived_;
-  proc::ArrivalArena arena_;     ///< dense ingestion path (kArena)
-  std::vector<double> arr_;      ///< legacy id-indexed ARR (kLegacy)
-  std::vector<double> scratch_;  ///< legacy neighbor-view gather (kLegacy)
+  proc::ArrivalArena arena_;  ///< ARR, one dense slot per neighbor
   double label_ = 0.0;        ///< T: start label of the current round
   std::int32_t round_ = 0;    ///< i
   std::int32_t exchange_ = 0; ///< sub-exchange j in [0, k)

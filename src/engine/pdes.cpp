@@ -151,7 +151,6 @@ PdesAutoChoice choose_pdes_workers(const net::Topology& topo,
 struct PdesEngine::Shared {
   PdesEngine& engine;
   std::int32_t k;
-  bool adaptive;
   double horizon = 0.0;
   double static_lookahead = kInf;  ///< min_j lane_floor[j]
   /// L_j: min delay floor over shard j's OUTGOING cut directions, min'd
@@ -213,10 +212,9 @@ struct PdesEngine::Shared {
   };
   std::barrier<Fold> gate;
 
-  Shared(PdesEngine& eng, std::int32_t shards, bool adapt)
+  Shared(PdesEngine& eng, std::int32_t shards)
       : engine(eng),
         k(shards),
-        adaptive(adapt),
         lane_floor(static_cast<std::size_t>(shards), kInf),
         intra_floor(static_cast<std::size_t>(shards), kInf),
         local_next(static_cast<std::size_t>(shards), kInf),
@@ -297,30 +295,26 @@ struct PdesEngine::Shared {
     }
 
     // Track the boundary heap only where the lane is majority-interior:
-    // that is where A_j outruns I_j.  (adaptive == false skips the heaps
-    // everywhere — the fold ignores them.)
+    // that is where A_j outruns I_j.
     track_boundary.assign(static_cast<std::size_t>(k), 0);
+    std::vector<std::int32_t> lane_sizes(static_cast<std::size_t>(k), 0);
+    std::vector<std::int32_t> lane_boundary(static_cast<std::size_t>(k), 0);
+    for (std::int32_t id = 0; id < n; ++id) {
+      const auto s = static_cast<std::size_t>(
+          part.shard_of[static_cast<std::size_t>(id)]);
+      ++lane_sizes[s];
+      lane_boundary[s] += boundary[static_cast<std::size_t>(id)] != 0 ? 1 : 0;
+    }
+    for (std::int32_t s = 0; s < k; ++s) {
+      track_boundary[static_cast<std::size_t>(s)] =
+          2 * lane_boundary[static_cast<std::size_t>(s)] <
+                  lane_sizes[static_cast<std::size_t>(s)]
+              ? 1
+              : 0;
+    }
     bool any_interior = false;
-    if (adaptive) {
-      std::vector<std::int32_t> lane_sizes(static_cast<std::size_t>(k), 0);
-      std::vector<std::int32_t> lane_boundary(static_cast<std::size_t>(k), 0);
-      for (std::int32_t id = 0; id < n; ++id) {
-        const auto s = static_cast<std::size_t>(
-            part.shard_of[static_cast<std::size_t>(id)]);
-        ++lane_sizes[s];
-        lane_boundary[s] +=
-            boundary[static_cast<std::size_t>(id)] != 0 ? 1 : 0;
-      }
-      for (std::int32_t s = 0; s < k; ++s) {
-        track_boundary[static_cast<std::size_t>(s)] =
-            2 * lane_boundary[static_cast<std::size_t>(s)] <
-                    lane_sizes[static_cast<std::size_t>(s)]
-                ? 1
-                : 0;
-      }
-      for (std::int32_t id = 0; id < n && !any_interior; ++id) {
-        any_interior = boundary[static_cast<std::size_t>(id)] == 0;
-      }
+    for (std::int32_t id = 0; id < n && !any_interior; ++id) {
+      any_interior = boundary[static_cast<std::size_t>(id)] == 0;
     }
 
     // F_j over interior sources only.  A full mesh has no interior nodes at
@@ -414,7 +408,6 @@ struct PdesEngine::Shared {
       return;
     }
     ++epochs;
-    if (!adaptive) bound = t + static_lookahead;
     // Safe window: events strictly below the bound cannot be affected by
     // any cross-cut message still to be sent.  run_lane's limit is
     // inclusive, so step one ulp below; every adaptive term exceeds t by at
@@ -438,14 +431,13 @@ struct PdesEngine::Shared {
 // Engine lifecycle
 
 PdesEngine::PdesEngine(sim::Simulator& sim, const net::Partition& partition,
-                       std::vector<sim::TraceSink*> lane_sinks,
-                       PdesOptions options)
+                       std::vector<sim::TraceSink*> lane_sinks)
     : sim_(sim) {
   const char* reason = ineligible_reason(sim_, partition);
   if (reason != nullptr) {
     throw std::invalid_argument(std::string("PdesEngine: ") + reason);
   }
-  shared_ = std::make_unique<Shared>(*this, partition.k, options.adaptive);
+  shared_ = std::make_unique<Shared>(*this, partition.k);
   shared_->init_floors(partition);
   setup(partition, lane_sinks);
   stats_.lookahead = shared_->static_lookahead;

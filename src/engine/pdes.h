@@ -36,19 +36,19 @@
 // faulty process) and per-lane intra floors F_j (min in-lane edge floor
 // from an interior node):
 //
-//   static    W = T + min_j L_j          (the PR 7 global-floor window)
+//   static    W = T + min_j L_j          (the global-floor window)
 //   adaptive  W = min_j min( A_j + L_j,            boundary events
 //                            I_j + F_j + L_j,      interior events: one
 //                                                  in-lane hop before any
 //                                                  cut edge is reachable
 //                            r + [L_j | F_j+L_j])  pending channel items r
 //
-// Every adaptive term dominates T + min_j L_j, so the adaptive window is
-// never narrower than the static one and adaptive epoch counts are <= the
-// static counts on every spec (tests/pdes_property_test.cpp pins this).
-// Epochs widen to the next cross-cut *send horizon* instead of the next
-// event anywhere: the inter-round gap, where no boundary process has
-// anything pending, collapses into one epoch.
+// The engine runs the adaptive window.  Every adaptive term dominates
+// T + min_j L_j, so it is never narrower than the static one, which
+// survives only as the PdesStats::lookahead telemetry.  Epochs widen to
+// the next cross-cut *send horizon* instead of the next event anywhere:
+// the inter-round gap, where no boundary process has anything pending,
+// collapses into one epoch.
 //
 // Bit-identity (the whole point): per-origin seq allocation, per-sender
 // delay streams and the store-and-forward NIC make the event order
@@ -89,13 +89,6 @@ struct PdesStats {
   /// window_sum / epochs - lookahead.
   double window_sum = 0.0;
   std::int32_t shards = 0;
-};
-
-struct PdesOptions {
-  /// Per-epoch adaptive lookahead (the default).  false = the static
-  /// global-cut-floor window of PR 7, kept as the A/B reference for the
-  /// epoch-monotonicity pin and the --pdes-adaptive bench axis.
-  bool adaptive = true;
 };
 
 /// Deterministic auto-tune outcome for pdes_workers <= 0.
@@ -144,8 +137,7 @@ class PdesEngine {
   /// order, and the caller merges afterwards (RoundTrace::absorb).  The
   /// simulator's own main-lane sinks see nothing while the engine runs.
   PdesEngine(sim::Simulator& sim, const net::Partition& partition,
-             std::vector<sim::TraceSink*> lane_sinks = {},
-             PdesOptions options = {});
+             std::vector<sim::TraceSink*> lane_sinks = {});
   ~PdesEngine();
 
   PdesEngine(const PdesEngine&) = delete;

@@ -1,13 +1,11 @@
 #pragma once
 // Batched fan-out records for broadcast delivery.
 //
-// The unbatched engine turns one broadcast into deg(p) separate queue
-// entries that all sit in the scheduler at once — O(n^2) pending events per
-// round on a full mesh, the large-n bottleneck flagged in ROADMAP.  The
-// batched path stores the whole fan-out once: at broadcast time the
-// simulator draws every per-link delay (in neighbor order, from the same
-// DelayModel/RNG stream as the unbatched path — this is what keeps
-// full-mesh executions bit-identical), sorts the deliveries, and enqueues
+// One queue entry per recipient would turn one broadcast into deg(p)
+// entries that all sit in the scheduler at once — O(n^2) pending events
+// per round on a full mesh.  Instead the whole fan-out is stored once: at
+// broadcast time the simulator draws every per-link delay (in neighbor
+// order, from the sender's DelayModel/RNG stream), sorts the deliveries, and enqueues
 // ONE pooled event keyed by the earliest one.  Each pop delivers the next
 // recipient and either re-arms the same event for the following recipient
 // or, when that recipient's key still precedes everything else in the
@@ -15,9 +13,10 @@
 // pressure per round drops from O(n^2) pending entries to O(n).
 //
 // Sequence numbers are reserved in a block at broadcast time, one per
-// recipient in neighbor order — exactly the numbers the unbatched path
-// would have assigned — so the global (time, tier, seq) order, including
-// exact-tie behaviour under extremal delay models, is unchanged.
+// recipient in neighbor order — exactly the numbers one do_send per
+// recipient would have assigned — so the global (time, tier, seq) order,
+// including exact-tie behaviour under extremal delay models, is the
+// per-recipient one (tests/topology_test.cpp checks it with an oracle).
 
 #include <cstdint>
 #include <vector>
@@ -30,7 +29,7 @@ namespace wlsync::net {
 /// One recipient of an in-flight broadcast.
 struct FanoutDelivery {
   double time = 0.0;       ///< real delivery time (send time + link delay)
-  std::uint64_t seq = 0;   ///< the seq the unbatched path would have used
+  std::uint64_t seq = 0;   ///< the seq a per-recipient event would carry
   std::int32_t to = -1;
 };
 

@@ -13,8 +13,8 @@
 //   * each node's neighbor list contains the node itself (a process always
 //     hears its own broadcast, as in the paper);
 //   * lists are sorted ascending and duplicate-free — the batched fan-out
-//     draws per-link delays in neighbor order, so this ordering is what
-//     makes full-mesh runs bit-identical to the unbatched engine;
+//     draws per-link delays and allocates seqs in neighbor order, so this
+//     ordering fixes every broadcast's delivery order;
 //   * the graph is symmetric (p hears q iff q hears p), matching the
 //     bidirectional-link reading of assumption A3.
 //

@@ -7,16 +7,6 @@
 
 namespace wlsync::proc {
 
-const char* ingest_name(IngestMode mode) {
-  switch (mode) {
-    case IngestMode::kArena:
-      return "arena";
-    case IngestMode::kLegacy:
-      return "legacy";
-  }
-  return "?";
-}
-
 void NeighborIndex::bind(std::span<const std::int32_t> neighbors,
                          std::int32_t n) {
   if (n < 1) throw std::invalid_argument("NeighborIndex: need n >= 1");

@@ -27,25 +27,15 @@
 // ms::fault_tolerant_midpoint / ms::fault_tolerant_mean produce on the same
 // multiset (order statistics are value-exact, and the mean accumulates in
 // the same ascending order) — tests/arrival_test.cpp holds them to ==, and
-// tests/ingest_pin_test.cpp pins whole-system traces against the legacy
-// ingestion path (IngestMode::kLegacy) at results_identical strictness.
+// tests/ingest_pin_test.cpp checks every whole-system update against an
+// oracle that rebuilds the id-indexed ARR/DIFF arrays from the delivery
+// stream and reduces them with ms::reduce().
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
 namespace wlsync::proc {
-
-/// Which ingestion engine an algorithm instance runs.  kLegacy keeps the
-/// seed's id-indexed arrays + allocating ms::reduce() as the measured and
-/// pinned reference, exactly as SimConfig::batch_fanout = false keeps the
-/// per-recipient scheduler.
-enum class IngestMode : std::uint8_t {
-  kArena = 0,   ///< dense neighbor-slot arena, allocation-free reductions
-  kLegacy = 1,  ///< the seed's sparse id-indexed path (reference baseline)
-};
-
-[[nodiscard]] const char* ingest_name(IngestMode mode);
 
 /// Sender-id -> dense-slot map over a process' closed neighborhood.  The
 /// slot of a sender is its position in the sorted neighbor list; non-
@@ -107,8 +97,8 @@ class ArrivalArena {
   }
 
   /// Records `value` for `sender`; non-neighbor senders are dropped (the
-  /// legacy path wrote them into the id-indexed array, but the reduction
-  /// only ever read neighbor slots, so the observable behaviour is equal).
+  /// reduction only reads neighbor slots, so an id-indexed array that kept
+  /// them would reduce to the same value).
   /// Precondition: sender is a registered process id in [0, n) — the
   /// per-delivery hot path trusts the simulator's id validation and spends
   /// exactly one load + one predicate on the slot lookup.
@@ -150,8 +140,8 @@ class ArrivalArena {
 
   /// == ms::fault_tolerant_mean(values(), f), allocation-free: sorts the
   /// scratch (network for <= 16 elements, std::sort above) and accumulates
-  /// the survivors in the same ascending order as the legacy reduce()
-  /// slice.  Precondition: size() >= 2f + 1.
+  /// the survivors in the same ascending order as the ms::reduce() slice.
+  /// Precondition: size() >= 2f + 1.
   [[nodiscard]] double mean_reduced(std::size_t f);
 
   // --- counters for the CI perf-smoke gate (bench_micro --smoke) ---

@@ -412,16 +412,11 @@ void Simulator::do_send(Lane& lane, std::int32_t from, std::int32_t to,
 void Simulator::do_broadcast(Lane& lane, std::int32_t from, std::int32_t tag,
                              double value, std::int32_t aux) {
   const std::span<const std::int32_t> recipients = neighbors_of(from);
-  if (!config_.batch_fanout) {
-    // Reference path: one scheduler entry per recipient (the seed engine).
-    for (std::int32_t to : recipients) do_send(lane, from, to, tag, value, aux);
-    return;
-  }
   if (recipients.empty()) return;
 
-  // Batched path.  Everything observable happens exactly as in the
-  // reference path and in the same order: delays are drawn per link in
-  // neighbor order from the same RNG stream, seq numbers are the block the
+  // Everything observable happens exactly as for one do_send per
+  // recipient, in the same order: delays are drawn per link in neighbor
+  // order from the same RNG stream, seq numbers are the block a
   // per-recipient loop would have consumed, and on_send fires per
   // recipient at send time.  Only the scheduler sees a difference — one
   // entry, keyed by the earliest remaining delivery.  Cross-lane

@@ -94,12 +94,6 @@ struct SimConfig {
   /// connected model (recipients 0..n-1), with no adjacency materialized.
   /// When set, its node count must equal the registered process count.
   std::optional<net::Topology> topology;
-  /// Batched fan-out: a broadcast occupies ONE scheduler entry that re-arms
-  /// per recipient (per-link delays still drawn independently, in the same
-  /// order, so executions are bit-identical either way — pinned by
-  /// tests/topology_test.cpp).  false = the seed's per-recipient
-  /// scheduling, kept as the measured/reference baseline.
-  bool batch_fanout = true;
 };
 
 class Simulator {
@@ -406,8 +400,11 @@ class Simulator {
 
   void do_send(Lane& lane, std::int32_t from, std::int32_t to, std::int32_t tag,
                double value, std::int32_t aux);
-  /// Fan-out to the sender's exchange-graph neighborhood — batched into a
-  /// single scheduler entry unless config_.batch_fanout is off.  Cross-lane
+  /// Fan-out to the sender's exchange-graph neighborhood, batched into a
+  /// single scheduler entry that re-arms per recipient.  Per-link delays
+  /// are drawn in neighbor order and deliveries run in the (time, seq)
+  /// order one entry per recipient would have produced — checked against
+  /// an order oracle by tests/topology_test.cpp.  Cross-lane
   /// recipients are split into RemoteEvents (their seqs come out of the
   /// same per-sender allocation order, so the serial tie-break survives).
   void do_broadcast(Lane& lane, std::int32_t from, std::int32_t tag,

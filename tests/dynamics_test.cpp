@@ -264,16 +264,5 @@ TEST(Dynamics, ChurnIdsMustBeDisjointFromByzantineRoster) {
   EXPECT_THROW(analysis::run(spec), std::invalid_argument);
 }
 
-// Legacy-vs-arena ingestion stays bit-identical under a schedule: both
-// discard the collection window identically on a version bump.
-TEST(Dynamics, IngestModesAgreeUnderSchedule) {
-  RunSpec arena = cliques_spec();
-  arena.dynamics.fail_link(25.0, 0, 1).heal_link(65.0, 0, 1);
-  RunSpec legacy = arena;
-  legacy.ingest = proc::IngestMode::kLegacy;
-  EXPECT_TRUE(analysis::results_identical(analysis::run(arena),
-                                          analysis::run(legacy)));
-}
-
 }  // namespace
 }  // namespace wlsync

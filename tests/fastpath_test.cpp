@@ -11,7 +11,7 @@
 // across stagger values, topologies and adversary placements — including
 // an adversary sitting ON a region boundary (a bridge endpoint).  The
 // fallback half proves the dispatcher still refuses what it must: NIC,
-// legacy ingest, bounded history, non-WL algorithms, stagger+faults, and
+// bounded history, non-WL algorithms, stagger+faults, and
 // faults whose neighborhood covers the whole graph (any full mesh).
 
 #include <gtest/gtest.h>
@@ -127,12 +127,8 @@ TEST(FastpathPin, MeasurementAndEngineKnobs) {
   gradient.measure_gradient = true;
   expect_engines_identical(gradient, "gradient measurement");
 
-  // Engine knobs that only matter when events flow: the fast path hands
-  // the same queue back regardless.
-  RunSpec unbatched = base_spec(13, 4);
-  unbatched.batch_fanout = false;
-  expect_engines_identical(unbatched, "per-recipient fan-out");
-
+  // An engine knob that only matters when events flow: the fast path
+  // hands the same queue back regardless.
   RunSpec calendar = base_spec(13, 4);
   calendar.scheduler = engine::SchedulerKind::kCalendar;
   expect_engines_identical(calendar, "calendar scheduler");
@@ -330,14 +326,6 @@ TEST(FastpathFallback, NicForcesTheEventEngine) {
   expect_event_fallback(nic, "NIC ingress model");
 }
 
-TEST(FastpathFallback, LegacyIngestForcesTheEventEngine) {
-  RunSpec legacy = base_spec(13, 4);
-  legacy.ingest = proc::IngestMode::kLegacy;
-  expect_event_fallback(legacy, "legacy sparse ingestion");
-  EXPECT_EQ(run_engine(legacy, EngineMode::kAuto).fastpath_refusal,
-            "legacy arrival ingestion");
-}
-
 TEST(FastpathFallback, BoundedHistoryForcesTheEventEngine) {
   // The batched delivery kernel reads clock segments for the whole
   // collection window; a truncating observer could discard them mid-round.
@@ -352,8 +340,6 @@ TEST(FastpathFallback, OtherAlgorithmsForceTheEventEngine) {
                           Algo::kHSSD}) {
     RunSpec spec = base_spec(13, 4);
     spec.algo = algo;
-    spec.ingest = algo == Algo::kHSSD ? proc::IngestMode::kLegacy
-                                      : proc::IngestMode::kArena;
     const RunResult event = run_engine(spec, EngineMode::kEvent);
     const RunResult autod = run_engine(spec, EngineMode::kAuto);
     EXPECT_FALSE(autod.fastpath_engaged) << "algo " << int(algo);

@@ -147,11 +147,48 @@ INSTANTIATE_TEST_SUITE_P(SparseMixes, SparseMixedFaults,
                          ::testing::ValuesIn(sparse_mix_cases()),
                          [](const auto& info) { return std::string(info.param.name); });
 
+/// The std::invalid_argument message Experiment's constructor throws, or
+/// "" when it builds.
+std::string build_error(const RunSpec& spec) {
+  try {
+    (void)Experiment{spec};
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(MixedFaults, RejectsAllFaulty) {
   RunSpec spec;
   spec.params = core::make_params(4, 1, 1e-5, 0.01, 1e-3, 10.0);
   spec.fault_mix = {RunSpec::FaultSpec{FaultKind::kSilent, 4}};
   EXPECT_THROW((void)Experiment{spec}, std::invalid_argument);
+
+  // Invalid rosters are refused by name, on the mesh and on a k-regular
+  // graph alike (a kNone slot used to shrink the process set silently).
+  for (const net::TopologyKind kind :
+       {net::TopologyKind::kFullMesh, net::TopologyKind::kKRegular}) {
+    RunSpec base;
+    base.params = core::make_params(16, 5, 1e-5, 0.01, 1e-3, 10.0);
+    base.topology.kind = kind;
+    base.topology.degree = 6;
+
+    RunSpec none_entry = base;
+    none_entry.fault_mix = {{FaultKind::kNone, 2}};
+    EXPECT_EQ(build_error(none_entry).rfind("RunSpec: fault_mix entry of kind kNone", 0), 0u)
+        << build_error(none_entry);
+
+    RunSpec negative_entry = base;
+    negative_entry.fault_mix = {{FaultKind::kSilent, -3}};
+    EXPECT_EQ(build_error(negative_entry), "RunSpec: fault_mix count must be >= 0");
+
+    RunSpec negative_count = base;
+    negative_count.fault = FaultKind::kSilent;
+    negative_count.fault_count = -1;
+    EXPECT_EQ(build_error(negative_count), "RunSpec: fault_count must be >= 0");
+
+    EXPECT_EQ(build_error(base), "");
+  }
 }
 
 }  // namespace

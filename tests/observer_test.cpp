@@ -140,14 +140,6 @@ TEST(Observer, BoundedModeIsDeterministicAcrossEnginesAndSchedulers) {
   RunSpec scheduler = spec;
   scheduler.scheduler = engine::SchedulerKind::kCalendar;
   EXPECT_TRUE(results_identical(reference, run_experiment(scheduler)));
-
-  RunSpec per_recipient = spec;
-  per_recipient.batch_fanout = false;
-  EXPECT_TRUE(results_identical(reference, run_experiment(per_recipient)));
-
-  RunSpec legacy_ingest = spec;
-  legacy_ingest.ingest = proc::IngestMode::kLegacy;
-  EXPECT_TRUE(results_identical(reference, run_experiment(legacy_ingest)));
 }
 
 TEST(Observer, CountersCrossCheckAgainstSimulatorState) {

@@ -1,14 +1,9 @@
 // Randomized property pins for the PDES engine (engine/pdes.h), the
 // adversarial counterpart to tests/pdes_test.cpp's curated matrix: a
 // deterministic PRNG sweeps (topology kind x size, delay model, fault mix,
-// partition seed, worker count) and every sampled configuration must
-// satisfy both engine invariants at once —
-//
-//   identity      the sharded run is results_identical (bitwise skews,
-//                 series, counters, traces) to the serial event engine,
-//                 for adaptive AND static lookahead;
-//   monotonicity  the adaptive window is never narrower than the static
-//                 one, so adaptive epochs <= static epochs, always.
+// partition seed, worker count) and every sampled configuration's
+// sharded run must run at least one epoch and be results_identical
+// (bitwise skews, series, counters, traces) to the serial event engine.
 //
 // The sweep is seeded constant so failures replay; bumping kConfigs is the
 // cheap way to deepen the search locally.
@@ -27,15 +22,13 @@ namespace {
 
 constexpr int kConfigs = 14;
 
-RunResult run_one(RunSpec spec, EngineMode engine, std::int32_t workers,
-                  bool adaptive) {
+RunResult run_one(RunSpec spec, EngineMode engine, std::int32_t workers) {
   spec.engine = engine;
   spec.pdes_workers = workers;
-  spec.pdes_adaptive = adaptive;
   return run_experiment(spec);
 }
 
-TEST(PdesProperty, RandomizedIdentityAndEpochMonotonicity) {
+TEST(PdesProperty, RandomizedIdentity) {
   std::mt19937_64 gen(0xF00DF00Du);
   const auto pick = [&gen](std::int32_t lo, std::int32_t hi) {
     return std::uniform_int_distribution<std::int32_t>(lo, hi)(gen);
@@ -83,17 +76,11 @@ TEST(PdesProperty, RandomizedIdentityAndEpochMonotonicity) {
         std::to_string(spec.fault_count) + " workers=" +
         std::to_string(workers) + " seed=" + std::to_string(spec.seed);
 
-    const RunResult serial = run_one(spec, EngineMode::kEvent, 0, true);
-    const RunResult adaptive =
-        run_one(spec, EngineMode::kPdes, workers, /*adaptive=*/true);
-    const RunResult fixed =
-        run_one(spec, EngineMode::kPdes, workers, /*adaptive=*/false);
+    const RunResult serial = run_one(spec, EngineMode::kEvent, 0);
+    const RunResult pdes = run_one(spec, EngineMode::kPdes, workers);
 
-    EXPECT_TRUE(results_identical(serial, adaptive)) << what;
-    EXPECT_TRUE(results_identical(serial, fixed)) << what;
-    EXPECT_GE(adaptive.pdes_epochs, 1) << what;
-    EXPECT_GE(fixed.pdes_epochs, 1) << what;
-    EXPECT_LE(adaptive.pdes_epochs, fixed.pdes_epochs) << what;
+    EXPECT_TRUE(results_identical(serial, pdes)) << what;
+    EXPECT_GE(pdes.pdes_epochs, 1) << what;
   }
 }
 
@@ -102,7 +89,9 @@ TEST(PdesProperty, AdaptiveCollapsesTheInterRoundGap) {
   // has anything pending, so one epoch swallows the whole gap where the
   // static window tiles it in lookahead-sized steps.  Pin a spec where the
   // effect is unambiguous (sparse cut, long quiet periods) and require a
-  // strict epoch reduction, not just <=.
+  // strict epoch reduction against the static window's count for it,
+  // measured while the static window still existed and frozen here.
+  constexpr std::int64_t kStaticWindowEpochs = 16;
   RunSpec spec;
   spec.params = core::make_params(64, 5, 1e-5, 0.01, 1e-3, 10.0);
   spec.rounds = 5;
@@ -110,12 +99,10 @@ TEST(PdesProperty, AdaptiveCollapsesTheInterRoundGap) {
   spec.topology.kind = net::TopologyKind::kRingOfCliques;
   spec.topology.clique_size = 8;
 
-  const RunResult adaptive =
-      run_one(spec, EngineMode::kPdes, 4, /*adaptive=*/true);
-  const RunResult fixed =
-      run_one(spec, EngineMode::kPdes, 4, /*adaptive=*/false);
-  EXPECT_LT(adaptive.pdes_epochs, fixed.pdes_epochs)
-      << "adaptive=" << adaptive.pdes_epochs << " static=" << fixed.pdes_epochs;
+  const RunResult adaptive = run_one(spec, EngineMode::kPdes, 4);
+  EXPECT_GE(adaptive.pdes_epochs, 1);
+  EXPECT_LT(adaptive.pdes_epochs, kStaticWindowEpochs)
+      << "adaptive=" << adaptive.pdes_epochs;
 }
 
 }  // namespace

@@ -59,6 +59,14 @@ RunSpec cliques_spec(std::int32_t n, std::int32_t f) {
   return spec;
 }
 
+/// Keeps the fast path out of kAuto's reach (region mode included) while
+/// leaving the spec PDES-eligible: an unbounded NIC never drops, and the
+/// sharded engine runs the ingress model like any other event.
+constexpr const char* kNicRefusal = "Section 9.3 NIC ingress model engaged";
+void block_fastpath(RunSpec& spec) {
+  spec.nic = sim::NicConfig{/*capacity=*/0, /*service_time=*/50e-6};
+}
+
 RunSpec expander_spec(std::int32_t n, std::int32_t f) {
   RunSpec spec = base_spec(n, f);
   spec.topology.kind = net::TopologyKind::kKRegular;
@@ -138,10 +146,6 @@ TEST(PdesPin, DriftAndVariants) {
   amortized.amortize = 1.5;
   amortized.averaging = core::Averaging::kReducedMean;
   expect_pdes_identical(amortized, "amortized reduced-mean");
-
-  RunSpec unbatched = cliques_spec(24, 7);
-  unbatched.batch_fanout = false;
-  expect_pdes_identical(unbatched, "per-recipient fan-out");
 }
 
 TEST(PdesPin, MeasurementKnobs) {
@@ -195,16 +199,15 @@ TEST(PdesDispatch, AutoPrefersRegionFastPathOverPdes) {
 }
 
 TEST(PdesDispatch, AutoFallsBackToPdes) {
-  // Legacy ingest blocks the fast path (region mode included); with
-  // pdes_workers >= 2 kAuto shards, and the refusal reason is recorded
-  // instead of evaporating (the ISSUE 8 silent-fallback fix).
+  // The NIC blocks the fast path; with pdes_workers >= 2 kAuto shards,
+  // and the refusal reason is recorded instead of evaporating.
   RunSpec spec = cliques_spec(24, 7);
   spec.fault = FaultKind::kSilent;
   spec.fault_count = 2;
-  spec.ingest = proc::IngestMode::kLegacy;
+  block_fastpath(spec);
   const RunResult autod = run_engine(spec, EngineMode::kAuto, /*workers=*/4);
   EXPECT_FALSE(autod.fastpath_engaged);
-  EXPECT_EQ(autod.fastpath_refusal, "legacy arrival ingestion");
+  EXPECT_EQ(autod.fastpath_refusal, kNicRefusal);
   EXPECT_GE(autod.pdes_epochs, 1);
   EXPECT_TRUE(results_identical(run_engine(spec, EngineMode::kEvent), autod));
 }
@@ -217,10 +220,10 @@ TEST(PdesDispatch, AutoTuneDeclinesAndSaysWhy) {
   RunSpec spec = cliques_spec(24, 7);
   spec.fault = FaultKind::kSilent;
   spec.fault_count = 2;
-  spec.ingest = proc::IngestMode::kLegacy;
+  block_fastpath(spec);
   const RunResult autod = run_engine(spec, EngineMode::kAuto);
   EXPECT_FALSE(autod.fastpath_engaged);
-  EXPECT_EQ(autod.fastpath_refusal, "legacy arrival ingestion");
+  EXPECT_EQ(autod.fastpath_refusal, kNicRefusal);
   EXPECT_EQ(autod.pdes_epochs, 0);
   EXPECT_EQ(autod.pdes_workers_used, 0);
   EXPECT_TRUE(autod.pdes_refusal.rfind("auto-tune declined:", 0) == 0)
@@ -240,7 +243,7 @@ TEST(PdesDispatch, AutoTuneEngagesWhereLanesAreThickEnough) {
   // reported.
   engine::PdesTuner::instance().reset();
   RunSpec spec = cliques_spec(512, 64);
-  spec.ingest = proc::IngestMode::kLegacy;  // keep the fast path out
+  block_fastpath(spec);
   const RunResult serial = run_engine(spec, EngineMode::kEvent);
   const RunResult autod = run_engine(spec, EngineMode::kAuto);
   EXPECT_FALSE(autod.fastpath_engaged);
@@ -256,7 +259,7 @@ TEST(PdesDispatch, StallTelemetryDemotesAWorkerCount) {
   engine::PdesTuner::instance().reset();
   engine::PdesTuner::instance().record(512, 8, 0.9);
   RunSpec spec = cliques_spec(512, 64);
-  spec.ingest = proc::IngestMode::kLegacy;
+  block_fastpath(spec);
   const RunResult demoted = run_engine(spec, EngineMode::kAuto);
   EXPECT_EQ(demoted.pdes_refusal, "") << demoted.pdes_refusal;
   EXPECT_EQ(demoted.pdes_workers_used, 4);

@@ -1,6 +1,6 @@
-// Network layer: exchange-graph construction invariants, bit-identity of
-// the batched fan-out engine against the seed's per-recipient scheduling
-// (the guarantee that makes batching a pure performance knob), sparse-graph
+// Network layer: exchange-graph construction invariants, the batched
+// fan-out engine's delivery order against a per-recipient order oracle
+// (the guarantee that makes batching a pure performance detail), sparse-graph
 // determinism under the parallel runner, and the sharded measurement
 // pipeline's 1e-12 regression against the per-sample scan.
 
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "analysis/experiment.h"
@@ -16,6 +17,7 @@
 #include "analysis/parallel_runner.h"
 #include "analysis/round_trace.h"
 #include "net/topology.h"
+#include "sim/trace.h"
 #include "util/rng.h"
 
 namespace wlsync {
@@ -206,7 +208,7 @@ TEST(TopologyProperties, RandomExpandersSeededAndSane) {
   }
 }
 
-// ------------------------------------------------- fan-out bit-identity ---
+// ----------------------------------------------------- fan-out oracle ---
 
 bool traces_identical(const analysis::RoundTrace& a,
                       const analysis::RoundTrace& b) {
@@ -226,6 +228,75 @@ bool traces_identical(const analysis::RoundTrace& a,
          same(a.joins(), b.joins());
 }
 
+/// Delivery-order oracle for the batched fan-out engine (NIC off).  One
+/// scheduler entry per recipient, keyed (deliver_time, tier 0, seq =
+/// sender << 40 | sender's send index), is the engine the batching must be
+/// indistinguishable from; that order is reconstructible from on_send
+/// alone.  The oracle records every send with its per-sender index and
+/// every application-message receive, and check() requires the receives
+/// to be exactly the sends sorted by (deliver_time, sender, send index),
+/// up to the run's end time.
+class FanoutOracle final : public sim::TraceSink {
+ public:
+  void on_send(std::int32_t from, std::int32_t to, const sim::Message& msg,
+               double /*send_time*/, double deliver_time) override {
+    const auto sender = static_cast<std::size_t>(from);
+    if (sender >= next_index_.size()) next_index_.resize(sender + 1, 0);
+    sends_.push_back({deliver_time, from, next_index_[sender]++, to, msg});
+  }
+
+  void on_receive(std::int32_t pid, const sim::Message& msg,
+                  double time) override {
+    if (msg.kind == sim::Kind::kApp) received_.push_back({time, msg.from, 0, pid, msg});
+  }
+
+  /// Returns the first mismatch, or "" when the orders agree.
+  [[nodiscard]] std::string check(double end_time) const {
+    std::vector<Delivery> expected = sends_;
+    std::sort(expected.begin(), expected.end(),
+              [](const Delivery& a, const Delivery& b) {
+                if (a.time != b.time) return a.time < b.time;
+                if (a.from != b.from) return a.from < b.from;
+                return a.index < b.index;
+              });
+    while (!expected.empty() && expected.back().time > end_time) {
+      expected.pop_back();  // still in flight at the horizon
+    }
+    if (expected.size() != received_.size()) {
+      return "expected " + std::to_string(expected.size()) +
+             " deliveries, saw " + std::to_string(received_.size());
+    }
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const Delivery& want = expected[i];
+      const Delivery& got = received_[i];
+      if (want.time != got.time || want.to != got.to ||
+          want.from != got.from || want.msg.tag != got.msg.tag ||
+          want.msg.value != got.msg.value || want.msg.aux != got.msg.aux) {
+        return "delivery " + std::to_string(i) + ": expected " +
+               std::to_string(want.from) + "->" + std::to_string(want.to) +
+               " at " + std::to_string(want.time) + ", saw " +
+               std::to_string(got.from) + "->" + std::to_string(got.to) +
+               " at " + std::to_string(got.time);
+      }
+    }
+    return "";
+  }
+
+  [[nodiscard]] std::size_t deliveries() const { return received_.size(); }
+
+ private:
+  struct Delivery {
+    double time;
+    std::int32_t from;
+    std::uint64_t index;  ///< per-sender send counter (receives: unused)
+    std::int32_t to;
+    sim::Message msg;
+  };
+  std::vector<Delivery> sends_;
+  std::vector<Delivery> received_;
+  std::vector<std::uint64_t> next_index_;
+};
+
 RunSpec fanout_spec() {
   RunSpec spec;
   spec.params = core::make_params(7, 2, 1e-5, 0.01, 1e-3, 10.0);
@@ -236,103 +307,99 @@ RunSpec fanout_spec() {
   return spec;
 }
 
-/// Runs `spec` through the batched fan-out engine and the seed's
-/// per-recipient engine; both executions must be indistinguishable.
-void check_batched_matches_reference(RunSpec spec) {
-  RunSpec batched = spec;
-  batched.batch_fanout = true;
-  RunSpec reference = spec;
-  reference.batch_fanout = false;
+/// Runs `spec` on the event engine under the delivery-order oracle, and
+/// requires the default engine selection to reproduce the traced run.
+void check_fanout_order(RunSpec spec) {
+  spec.engine = analysis::EngineMode::kEvent;
+  analysis::Experiment traced(spec);
+  FanoutOracle oracle;
+  traced.simulator().add_trace_sink(&oracle);
+  const RunResult result = traced.run();
+  EXPECT_EQ(oracle.check(traced.simulator().current_time()), "");
+  EXPECT_GT(oracle.deliveries(), 0u);
+  EXPECT_GT(traced.simulator().fanout_direct(), 0u);
 
-  analysis::Experiment batched_run(batched);
-  analysis::Experiment reference_run(reference);
-  const RunResult batched_result = batched_run.run();
-  const RunResult reference_result = reference_run.run();
-  EXPECT_TRUE(analysis::results_identical(batched_result, reference_result));
-  EXPECT_TRUE(traces_identical(batched_run.trace(), reference_run.trace()));
-  EXPECT_GT(batched_run.trace().begins().size(), 0u);
-  EXPECT_EQ(batched_run.simulator().messages_sent(),
-            reference_run.simulator().messages_sent());
-  EXPECT_EQ(batched_run.simulator().events_processed(),
-            reference_run.simulator().events_processed());
+  RunSpec selected = spec;
+  selected.engine = analysis::EngineMode::kAuto;
+  analysis::Experiment plain(selected);
+  EXPECT_TRUE(analysis::results_identical(plain.run(), result));
+  EXPECT_TRUE(traces_identical(plain.trace(), traced.trace()));
 }
 
-TEST(FanoutDeterminism, MatchesPerRecipientEngineAcrossDelayModels) {
+TEST(FanoutOracle, DeliveryOrderAcrossDelayModels) {
   // kFast/kSlow produce exact delivery-time ties across a whole broadcast —
-  // the seq-block reservation is what keeps those ordered identically.
+  // the seq-block reservation is what keeps those ordered by sender.
   for (const DelayKind delay :
        {DelayKind::kUniform, DelayKind::kFast, DelayKind::kSlow,
         DelayKind::kPerLink, DelayKind::kSplit}) {
     RunSpec spec = fanout_spec();
     spec.delay = delay;
-    check_batched_matches_reference(spec);
+    check_fanout_order(spec);
   }
 }
 
-TEST(FanoutDeterminism, MatchesUnderNicBuffering) {
-  RunSpec spec = fanout_spec();
-  spec.nic = sim::NicConfig{/*capacity=*/4, /*service_time=*/5e-4};
-  check_batched_matches_reference(spec);
-}
-
-TEST(FanoutDeterminism, MatchesWithStaggerAndKExchanges) {
+TEST(FanoutOracle, DeliveryOrderWithStaggerAndKExchanges) {
   RunSpec spec = fanout_spec();
   spec.fault = analysis::FaultKind::kSilent;
   spec.fault_count = 2;
   spec.stagger = 2e-3;
-  check_batched_matches_reference(spec);
+  check_fanout_order(spec);
 
   RunSpec multi = fanout_spec();
   multi.k_exchanges = 2;
   multi.rounds = 5;
-  check_batched_matches_reference(multi);
+  check_fanout_order(multi);
 }
 
-TEST(FanoutDeterminism, MatchesOnSparseTopology) {
+TEST(FanoutOracle, DeliveryOrderOnSparseTopology) {
   RunSpec spec;
   spec.params = core::make_params(24, 1, 1e-5, 0.01, 1e-3, 10.0);
   spec.rounds = 6;
   spec.seed = 77;
   spec.topology.kind = TopologyKind::kKRegular;
   spec.topology.degree = 8;
-  check_batched_matches_reference(spec);
+  check_fanout_order(spec);
 }
 
-TEST(FanoutDeterminism, MatchesAcrossSchedulerPolicies) {
-  // Batched fan-out on the calendar queue vs per-recipient events on the
-  // d-ary heap: same execution.
-  RunSpec batched = fanout_spec();
-  batched.batch_fanout = true;
-  batched.scheduler = engine::SchedulerKind::kCalendar;
-  RunSpec per_recipient = fanout_spec();
-  per_recipient.batch_fanout = false;
-  per_recipient.scheduler = engine::SchedulerKind::kDaryHeap;
-  const RunResult a = analysis::run_experiment(batched);
-  const RunResult b = analysis::run_experiment(per_recipient);
-  EXPECT_TRUE(analysis::results_identical(a, b));
+TEST(FanoutOracle, DeliveryOrderOnTheCalendarQueue) {
+  RunSpec spec = fanout_spec();
+  spec.scheduler = engine::SchedulerKind::kCalendar;
+  check_fanout_order(spec);
+}
+
+TEST(FanoutDeterminism, SchedulerPoliciesAgreeUnderNicBuffering) {
+  // With the NIC engaged, deliveries reach processes through the NIC
+  // queues, so the order oracle above does not apply; the two scheduler
+  // policies must still produce the same execution.
+  RunSpec dary = fanout_spec();
+  dary.nic = sim::NicConfig{/*capacity=*/4, /*service_time=*/5e-4};
+  RunSpec calendar = dary;
+  calendar.scheduler = engine::SchedulerKind::kCalendar;
+  analysis::Experiment dary_run(dary);
+  analysis::Experiment calendar_run(calendar);
+  EXPECT_TRUE(analysis::results_identical(dary_run.run(), calendar_run.run()));
+  EXPECT_TRUE(traces_identical(dary_run.trace(), calendar_run.trace()));
+  EXPECT_GT(dary_run.simulator().nic_dropped(), 0u);
 }
 
 TEST(FanoutDeterminism, BatchingShrinksQueuePressure) {
-  // The engineering claim behind the refactor: one entry per in-flight
-  // broadcast instead of one per recipient.
+  // The engineering claim behind batching: one entry per in-flight
+  // broadcast instead of one per recipient.  Under kSlow every broadcast
+  // of a round is in flight at once, so one entry per recipient would
+  // hold n*n deliveries and cost a push and a pop per message.
   RunSpec spec;
   spec.params = core::make_params(31, 10, 1e-5, 0.01, 1e-3, 10.0);
   spec.rounds = 4;
   spec.delay = DelayKind::kSlow;  // clustered deliveries: the worst case
   // Queue-pressure telemetry only exists when the event engine runs the
-  // rounds; the fast path would advance both configurations past the queue.
+  // rounds; the fast path would advance past the queue.
   spec.engine = analysis::EngineMode::kEvent;
-  RunSpec reference = spec;
-  reference.batch_fanout = false;
-  analysis::Experiment batched_run(spec);
-  analysis::Experiment reference_run(reference);
-  (void)batched_run.run();
-  (void)reference_run.run();
-  EXPECT_LT(batched_run.simulator().peak_pending() * 4,
-            reference_run.simulator().peak_pending());
-  EXPECT_LT(batched_run.simulator().queue_ops() * 2,
-            reference_run.simulator().queue_ops());
-  EXPECT_GT(batched_run.simulator().fanout_direct(), 0u);
+  analysis::Experiment run(spec);
+  (void)run.run();
+  const sim::Simulator& sim = run.simulator();
+  EXPECT_LT(sim.peak_pending() * 4, 31u * 31u);
+  EXPECT_LT(sim.queue_ops(), sim.messages_sent());
+  EXPECT_GT(sim.fanout_direct(), 0u);
 }
 
 // ------------------------------------------- sparse-graph determinism ---

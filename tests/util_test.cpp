@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/flags.h"
 #include "util/rng.h"
@@ -150,6 +152,27 @@ TEST(Flags, ParsesForms) {
   EXPECT_EQ(flags.get_int("missing", 42), 42);
   EXPECT_TRUE(flags.has("n"));
   EXPECT_FALSE(flags.has("missing"));
+}
+
+TEST(Flags, RejectsMalformedValues) {
+  const char* argv[] = {"prog",        "--trials=abc", "--rho=0.5x",
+                        "--big=99999999999999999999", "--verbose=maybe",
+                        "--empty=",    "--off=no",     "--neg=-3"};
+  Flags flags(8, const_cast<char**>(argv));
+  EXPECT_THROW((void)flags.get_int("trials", 0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_double("trials", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_double("rho", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_int("big", 0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_bool("verbose", false), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_int("empty", 0), std::invalid_argument);
+  EXPECT_FALSE(flags.get_bool("off", true));
+  EXPECT_EQ(flags.get_int("neg", 0), -3);
+  // The reason names the flag and the value.
+  try {
+    (void)flags.get_int("trials", 0);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "flags: --trials='abc' is not an integer");
+  }
 }
 
 }  // namespace
