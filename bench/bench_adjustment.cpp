@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
         spec.fault_count = 2;
         spec.rounds = rounds;
         spec.seed = seed;
-        const analysis::RunResult result = analysis::run_experiment(spec);
+        const analysis::RunResult result = analysis::run(spec);
         worst = std::max(worst, result.max_abs_adj);
       }
       return worst;

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
         spec.fault_count = 2;
         spec.rounds = rounds;
         spec.seed = seed;
-        const analysis::RunResult result = analysis::run_experiment(spec);
+        const analysis::RunResult result = analysis::run(spec);
         worst = std::max(worst, result.gamma_measured);
       }
       const bool ok = worst <= derived.gamma * (1 + 1e-9);

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     spec.drift_period = 1000.0;  // persistent divergence pressure
     spec.rounds = rounds;
     spec.seed = 7;
-    const analysis::RunResult result = analysis::run_experiment(spec);
+    const analysis::RunResult result = analysis::run(spec);
     double steady = 0.0;
     for (std::size_t r = result.begin_spread.size() / 2;
          r < result.begin_spread.size(); ++r) {

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     }
   }
   const std::vector<analysis::RunResult> results =
-      analysis::run_experiments(specs, threads);
+      analysis::ParallelRunner(threads).run_adaptive(specs);
 
   util::Table table({"algorithm", "fault", "steady skew", "max |ADJ|",
                      "validity", "msgs/round"});
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     }
   }
   const std::vector<analysis::RunResult> cross_results =
-      analysis::run_experiments(cross_specs, threads);
+      analysis::ParallelRunner(threads).run_adaptive(cross_specs);
   for (std::size_t r = 0; r < ratios.size(); ++r) {
     const double ratio = ratios[r];
     const core::Params& p = cross_params[r];
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
       spec.rounds = rounds;
       spec.seed = 8;
       try {
-        const analysis::RunResult result = analysis::run_experiment(spec);
+        const analysis::RunResult result = analysis::run(spec);
         const bool survives =
             !result.diverged && result.completed_rounds >= rounds - 1;
         signed_table.add_row({bench::algo_name(algo),
@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
     spec.fault_count = faults;
     spec.rounds = rounds;
     spec.seed = 7;
-    const analysis::RunResult result = analysis::run_experiment(spec);
+    const analysis::RunResult result = analysis::run(spec);
     degradation.add_row({std::to_string(faults),
                          util::fmt(result.gamma_measured),
                          bench::verdict(result.diverged)});

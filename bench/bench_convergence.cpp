@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     spec.initial_spread = 0.95 * p.beta;
     spec.rounds = rounds;
     spec.seed = seed;
-    return analysis::run_experiment(spec).begin_spread;
+    return analysis::run(spec).begin_spread;
   };
 
   const auto adversarial = series(analysis::FaultKind::kTwoFaced);

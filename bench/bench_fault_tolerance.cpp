@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     }
   }
   const std::vector<analysis::RunResult> results =
-      analysis::run_experiments(specs, threads);
+      analysis::ParallelRunner(threads).run_adaptive(specs);
 
   std::vector<double> worst_ratio(grid.size(), 0.0);
   for (std::size_t i = 0; i < results.size(); ++i) {

@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
   const analysis::ParallelRunner runner(threads);
   std::cerr << "bench_gradient: " << specs.size() << " trials on "
             << runner.threads() << " threads\n";
-  (void)runner.run_streaming(
+  (void)runner.run_adaptive(
       specs, [&](std::size_t i, const analysis::RunResult& r) {
         const analysis::RunSpec& s = specs[i];
         const analysis::GradientSummary& g = r.gradient;

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     spec.drift_period = 1000.0;
     spec.rounds = rounds;
     spec.seed = 21;
-    const analysis::RunResult result = analysis::run_experiment(spec);
+    const analysis::RunResult result = analysis::run(spec);
     double sum = 0.0;
     int count = 0;
     for (std::size_t r = result.begin_spread.size() - 5;

@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     }
   }
   const std::vector<analysis::RunResult> results =
-      analysis::run_experiments(specs, threads);
+      analysis::ParallelRunner(threads).run_adaptive(specs);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto [n, averaging] = cells[i];
     const analysis::RunResult& result = results[i];

@@ -530,7 +530,7 @@ void smoke_nic_overflow(std::vector<SmokeRow>& rows) {
   spec.initial_spread = 0.0;
   spec.seed = 9;
   spec.nic = sim::NicConfig{/*capacity=*/8, /*service_time=*/50e-6};
-  const analysis::RunResult result = analysis::run_experiment(spec);
+  const analysis::RunResult result = analysis::run(spec);
   const auto arrivals = static_cast<double>(result.nic.arrivals);
   const auto accounted =
       static_cast<double>(result.nic.served + result.nic.dropped);
@@ -619,9 +619,9 @@ void smoke_observer_history(std::vector<SmokeRow>& rows) {
   spec.seed = 9;
   spec.observe = true;
   spec.retain_history = false;
-  const analysis::RunResult bounded = analysis::run_experiment(spec);
+  const analysis::RunResult bounded = analysis::run(spec);
   spec.retain_history = true;
-  const analysis::RunResult retained = analysis::run_experiment(spec);
+  const analysis::RunResult retained = analysis::run(spec);
   constexpr double kHistoryCeiling = 64.0 * 1024.0;
   const auto peak = static_cast<double>(bounded.observe.peak_history_bytes);
   rows.push_back({"observer_bounded_history_peak_bytes", peak, kHistoryCeiling,
@@ -815,7 +815,7 @@ void smoke_pdes_stalls(std::vector<SmokeRow>& rows) {
   spec.topology.degree = 16;
   spec.engine = analysis::EngineMode::kPdes;
   spec.pdes_workers = 8;
-  const analysis::RunResult result = analysis::run_experiment(spec);
+  const analysis::RunResult result = analysis::run(spec);
   // Pinned EXACT (was report-only): the adaptive-window fold is a pure
   // function of the partition and the delay floors, so the epoch count for
   // this spec is a constant of the code — 17 as of the ISSUE 10 adaptive
@@ -1021,7 +1021,7 @@ std::vector<FastpathCell> measure_fastpath_cells(std::int32_t max_n) {
       double wall = 0.0;
       for (std::int32_t rep = 0; rep < kReps; ++rep) {
         const auto start = std::chrono::steady_clock::now();
-        result = analysis::run_experiment(spec);
+        result = analysis::run(spec);
         const double sample =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start)

@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
 
   std::vector<analysis::RunResult> serial, parallel;
   const double t_serial = wall_seconds(
-      [&] { serial = analysis::ParallelRunner(1).run(specs); });
+      [&] { serial = analysis::ParallelRunner(1).run_adaptive(specs); });
   const double t_parallel = wall_seconds(
-      [&] { parallel = analysis::ParallelRunner(threads).run(specs); });
+      [&] { parallel = analysis::ParallelRunner(threads).run_adaptive(specs); });
 
   bool identical = serial.size() == parallel.size();
   for (std::size_t i = 0; identical && i < serial.size(); ++i) {

@@ -1,6 +1,7 @@
 // EXP-REJOIN — Section 9.1: a repaired process reaches T^{i+1} within beta
 // of every nonfaulty process and thereafter participates normally.  Sweeps
-// crash/wake schedules and seeds.
+// crash/wake schedules and seeds.  A --rounds too short for a schedule's
+// rejoin fails with RunSpec's named reason instead of printing a spread.
 
 #include "bench_common.h"
 
@@ -23,14 +24,15 @@ int main(int argc, char** argv) {
   for (auto [crash, wake] : std::vector<std::pair<double, double>>{
            {25.0, 95.0}, {22.0, 90.3}, {15.0, 60.0}, {33.0, 105.7}}) {
     for (std::uint64_t seed : {1ull, 2ull}) {
-      analysis::ReintegrationSpec spec;
+      analysis::RunSpec spec;
+      spec.mode = analysis::RunMode::kReintegration;
       spec.params = params;
       spec.crash_at = crash;
       spec.wake_at = wake;
       spec.rounds = rounds;
       spec.seed = seed;
       const analysis::ReintegrationResult result =
-          analysis::run_reintegration(spec);
+          *analysis::run(spec).reintegration;
       const bool spread_ok =
           result.rejoined &&
           result.spread_with_joiner <= result.beta * (1 + 1e-9);

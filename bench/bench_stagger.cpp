@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
       spec.nic = sim::NicConfig{capacity, /*service_time=*/1e-3};
       spec.rounds = rounds;
       spec.seed = 4;
-      const analysis::RunResult result = analysis::run_experiment(spec);
+      const analysis::RunResult result = analysis::run(spec);
       // "Punished": datagrams lost outright, or the service backlog pushed
       // arrivals past the collection window and the round structure
       // collapsed (both happen on real datagram NICs).

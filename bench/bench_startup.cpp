@@ -13,7 +13,8 @@ int main(int argc, char** argv) {
   const double spread0 = flags.get_double("spread", 5.0);
 
   const core::Params params = bench::default_params(7, 2);
-  analysis::StartupSpec spec;
+  analysis::RunSpec spec;
+  spec.mode = analysis::RunMode::kStartup;
   spec.params = params;
   spec.rounds = rounds;
   spec.initial_clock_spread = spread0;
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
                                               params.eps)) +
           "; limit ~ 4 eps = " + util::fmt(4 * params.eps) + ".");
 
-  const analysis::StartupResult result = analysis::run_startup(spec);
+  const analysis::StartupResult result = *analysis::run(spec).startup;
   util::Table table({"round", "B^i", "bound from B^{i-1}", "within"});
   bool all_ok = true;
   for (std::size_t i = 0; i < result.b_series.size(); ++i) {
@@ -50,11 +51,11 @@ int main(int argc, char** argv) {
             << "  (limit 2*slack = " << util::fmt_sci(result.limit) << ")\n";
 
   // Handoff mode: switch to maintenance and verify gamma.
-  analysis::StartupSpec handoff = spec;
-  handoff.handoff = true;
+  analysis::RunSpec handoff = spec;
+  handoff.startup_handoff = true;
   handoff.fault = analysis::FaultKind::kSilent;
   handoff.fault_count = 2;
-  const analysis::StartupResult h = analysis::run_startup(handoff);
+  const analysis::StartupResult h = *analysis::run(handoff).startup;
   const double gamma = core::derive(params).gamma;
   std::cout << "handoff to maintenance (with 2 silent faults): done="
             << bench::verdict(h.handoff_done)

@@ -75,9 +75,6 @@
 //   --gradient  also measure skew-vs-distance (analysis/gradient.h); fills
 //               the gradient_slope / gradient_diameter / gradient_far_skew
 //               columns (blank-zero when off)
-//   --balance   adaptive (default: cost-aware chunks + telemetry-guided
-//               stealing, ParallelRunner::run_adaptive) or fixed (equal
-//               chunks).  Scheduling only; rows are bit-identical.
 //   --smoke     tiny fixed grid for CI driver smoke tests
 //
 // --pdes-json=PATH bypasses the grid entirely and emits the PDES
@@ -110,11 +107,10 @@
 // runs, so their ratios measure the host, not the engine.
 //
 // Every row also carries wall_s, the trial's wall-clock seconds as measured
-// inside run_experiment (per-trial telemetry from the streaming runner),
+// inside analysis::run (per-trial telemetry from the streaming runner),
 // and hist_peak_mb, the peak retained clock/CORR history on observe rows.
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -179,7 +175,7 @@ int run_pdes_json(const util::Flags& flags) {
     std::int32_t rounds;
     std::int64_t epochs;
     std::int64_t stalls;
-    double wall_s;    // full run_experiment (setup + engine + measurement)
+    double wall_s;    // full analysis::run (setup + engine + measurement)
     double engine_s;  // engine span only — the speedup map uses this
   };
   std::vector<Cell> cells;
@@ -216,9 +212,8 @@ int run_pdes_json(const util::Flags& flags) {
     double wall = 0.0;
     double engine = 0.0;
     for (std::int32_t rep = 0; rep < cell_reps; ++rep) {
-      const auto start = std::chrono::steady_clock::now();
       try {
-        result = analysis::run_experiment(spec);
+        result = analysis::run(spec);
       } catch (const std::exception& e) {
         // An auto row the tuner declines (or a partition collapse) is a
         // skipped cell, not a dead artifact.
@@ -226,11 +221,7 @@ int run_pdes_json(const util::Flags& flags) {
                   << ": skipped (" << e.what() << ")\n";
         return;
       }
-      const double sample =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      if (rep == 0 || sample < wall) wall = sample;
+      if (rep == 0 || result.wall_seconds < wall) wall = result.wall_seconds;
       if (rep == 0 || result.engine_seconds < engine) {
         engine = result.engine_seconds;
       }
@@ -431,8 +422,6 @@ int main(int argc, char** argv) {
       split_ints(flags.get_string("workers", "0"));
   const std::vector<std::string> observes =
       split_list(flags.get_string("observe", smoke ? "off,bounded" : "off"));
-  const bool adaptive =
-      flags.get_string("balance", "adaptive") != "fixed";
   const bool gradient = flags.get_bool("gradient", smoke);
   const auto fault_count = flags.get_int("faults", -1);
   const auto trials =
@@ -556,8 +545,7 @@ int main(int argc, char** argv) {
   std::size_t done = 0;
   const analysis::ParallelRunner runner(threads);
   std::cerr << "bench_sweep: " << specs.size() << " trials on "
-            << runner.threads() << " threads ("
-            << (adaptive ? "adaptive" : "fixed") << " chunks)\n";
+            << runner.threads() << " threads\n";
   const auto write_row = [&](std::size_t i, const analysis::RunResult& r) {
     const analysis::RunSpec& s = specs[i];
     const bench::ObserveMode omode{s.observe, s.retain_history};
@@ -592,11 +580,7 @@ int main(int argc, char** argv) {
       std::cerr << "  " << done << "/" << specs.size() << " trials\n";
     }
   };
-  if (adaptive) {
-    (void)runner.run_adaptive(specs, write_row);
-  } else {
-    (void)runner.run_streaming(specs, write_row);
-  }
+  (void)runner.run_adaptive(specs, write_row);
   csv.flush();
   std::cerr << "bench_sweep: done (" << done << " trials)\n";
   return 0;

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
       spec.delay = delay;
       spec.rounds = rounds;
       spec.seed = seed;
-      const analysis::RunResult result = analysis::run_experiment(spec);
+      const analysis::RunResult result = analysis::run(spec);
       double max_spread = 0.0;
       for (double spread : result.begin_spread) {
         max_spread = std::max(max_spread, spread);

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     spec.fault_count = fault == analysis::FaultKind::kNone ? 0 : 2;
     spec.rounds = rounds;
     spec.seed = 3;
-    const analysis::RunResult result = analysis::run_experiment(spec);
+    const analysis::RunResult result = analysis::run(spec);
     all_ok = all_ok && result.validity.holds;
     // Slack: how far inside the envelope the worst sample sat (negative
     // violation = margin).

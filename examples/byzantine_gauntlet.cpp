@@ -62,7 +62,7 @@ int main() {
     }
   }
   const std::vector<analysis::RunResult> results =
-      analysis::run_experiments(specs);
+      analysis::ParallelRunner().run_adaptive(specs);
 
   util::Table table({"adversary (x3)", "delay regime", "steady skew",
                      "validity", "verdict"});
@@ -89,7 +89,7 @@ int main() {
   ablation.fault_count = 1;
   ablation.rounds = 16;
   ablation.seed = 77;
-  const analysis::RunResult broken = analysis::run_experiment(ablation);
+  const analysis::RunResult broken = analysis::run(ablation);
   table.add_row({"lying clock", "uniform (no reduce!)",
                  util::fmt(broken.gamma_measured),
                  broken.validity.holds ? "holds" : "violated",

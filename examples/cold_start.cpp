@@ -14,10 +14,11 @@ using namespace wlsync;
 int main() {
   const core::Params params = core::make_params(7, 2, 1e-5, 0.01, 1e-3, 10.0);
 
-  analysis::StartupSpec spec;
+  analysis::RunSpec spec;
+  spec.mode = analysis::RunMode::kStartup;
   spec.params = params;
   spec.rounds = 12;
-  spec.handoff = true;
+  spec.startup_handoff = true;
   spec.initial_clock_spread = 5.0;  // clocks begin up to 5 s apart!
   spec.fault = analysis::FaultKind::kSilent;
   spec.fault_count = 2;  // and two machines never come up
@@ -29,7 +30,7 @@ int main() {
                                                    params.eps))
             << ", limit ~ 4 eps = " << util::fmt(4 * params.eps) << "\n\n";
 
-  const analysis::StartupResult result = analysis::run_startup(spec);
+  const analysis::StartupResult result = *analysis::run(spec).startup;
 
   util::Table table({"startup round", "clock disagreement B^i"});
   for (std::size_t i = 0; i < result.b_series.size(); ++i) {

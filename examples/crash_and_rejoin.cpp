@@ -13,7 +13,8 @@ using namespace wlsync;
 int main() {
   const core::Params params = core::make_params(4, 1, 1e-5, 0.01, 1e-3, 10.0);
 
-  analysis::ReintegrationSpec spec;
+  analysis::RunSpec spec;
+  spec.mode = analysis::RunMode::kReintegration;
   spec.params = params;
   spec.crash_at = 25.0;
   spec.wake_at = 95.0;
@@ -30,7 +31,8 @@ int main() {
             << "         - it collects the *next* round completely, then\n"
             << "           applies ADJ = T + delta - mid(reduce(ARR))\n\n";
 
-  const analysis::ReintegrationResult result = analysis::run_reintegration(spec);
+  const analysis::ReintegrationResult result =
+      *analysis::run(spec).reintegration;
 
   if (!result.rejoined) {
     std::cout << "process 0 failed to rejoin — unexpected!\n";

@@ -45,7 +45,7 @@ int main() {
                "joints (neighbor-scoped, per-victim faces)\n\n";
 
   const std::vector<analysis::RunResult> results =
-      analysis::run_experiments({base, attacked});
+      analysis::ParallelRunner().run_adaptive({base, attacked});
   const analysis::GradientSummary& clean = results[0].gradient;
   const analysis::GradientSummary& split = results[1].gradient;
 
@@ -84,7 +84,7 @@ int main() {
   longrun.rounds = 4 * attacked.rounds;
   longrun.observe = true;
   longrun.retain_history = false;
-  const analysis::RunResult streamed = analysis::run_experiment(longrun);
+  const analysis::RunResult streamed = analysis::run(longrun);
   std::cout << "\nstreaming bounded-memory run, " << longrun.rounds
             << " rounds: far skew " << util::fmt_sci(streamed.gradient.far_skew())
             << " s, slope " << util::fmt_sci(streamed.gradient.slope)

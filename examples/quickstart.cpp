@@ -34,7 +34,7 @@ int main() {
   spec.rounds = 20;
   spec.seed = 2024;
 
-  const analysis::RunResult result = analysis::run_experiment(spec);
+  const analysis::RunResult result = analysis::run(spec);
 
   std::cout << "ran " << result.completed_rounds << " rounds, "
             << result.messages << " messages\n"

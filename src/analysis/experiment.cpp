@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -158,6 +159,56 @@ const char* pdes_spec_block(const RunSpec& spec) {
   return nullptr;
 }
 
+/// The simulator every mode runs on: the spec's SimConfig (with an explicit
+/// exchange graph when `topology` is non-null), its delay model and the
+/// round-trace sink.  Draws rng.fork(1) then rng.fork(2), so every mode
+/// consumes the seed's stream identically up to here.
+std::unique_ptr<sim::Simulator> make_simulator(const RunSpec& spec,
+                                               util::Rng& rng,
+                                               RoundTrace& trace,
+                                               const net::Topology* topology) {
+  const core::Params& p = spec.params;
+  sim::SimConfig config;
+  config.delta = p.delta;
+  config.eps = p.eps;
+  config.seed = rng.fork(1)();
+  config.nic = spec.nic;
+  config.scheduler = spec.scheduler;
+  if (spec.max_events > 0) config.max_events = spec.max_events;
+  if (topology != nullptr) config.topology = *topology;
+  util::Rng delay_rng = rng.fork(2);
+  auto sim = std::make_unique<sim::Simulator>(
+      config, build_delay(spec.delay, p, delay_rng));
+  sim->add_trace_sink(&trace);
+  return sim;
+}
+
+/// A StreamingObserver attached for one run and detached on every exit
+/// path: the observer dies with the run's frame, and a simulator that
+/// outlives it (tests drive Experiment::simulator() directly) must never
+/// hold the stale pointer.
+class ScopedObserver {
+ public:
+  ScopedObserver() = default;
+  ScopedObserver(const ScopedObserver&) = delete;
+  ScopedObserver& operator=(const ScopedObserver&) = delete;
+  ~ScopedObserver() {
+    if (sim_ != nullptr) sim_->set_observer(nullptr);
+  }
+
+  void attach(sim::Simulator& sim, ObserveSpec spec) {
+    observer_ = std::make_unique<StreamingObserver>(sim, std::move(spec));
+    sim.set_observer(observer_.get());
+    sim_ = &sim;
+  }
+  explicit operator bool() const noexcept { return observer_ != nullptr; }
+  StreamingObserver* operator->() const noexcept { return observer_.get(); }
+
+ private:
+  sim::Simulator* sim_ = nullptr;
+  std::unique_ptr<StreamingObserver> observer_;
+};
+
 }  // namespace
 
 Experiment::Experiment(RunSpec spec) : spec_(std::move(spec)) { build(); }
@@ -186,31 +237,20 @@ void Experiment::build() {
           "algorithm with dynamic neighbor-view resync)");
     }
     // Churn needs a dead window of 2P so stale WL timers expire before the
-    // reintegration procedure wakes (same bound run_reintegration enforces).
+    // reintegration procedure wakes (the bound kReintegration enforces).
     spec_.dynamics.validate(p.n, 2.0 * p.P);
   }
   util::Rng rng(spec_.seed);
-
-  sim::SimConfig sim_config;
-  sim_config.delta = p.delta;
-  sim_config.eps = p.eps;
-  sim_config.seed = rng.fork(1)();
-  sim_config.nic = spec_.nic;
-  sim_config.scheduler = spec_.scheduler;
-  if (spec_.max_events > 0) sim_config.max_events = spec_.max_events;
-  if (spec_.topology.kind != net::TopologyKind::kFullMesh ||
-      (dynamic && spec_.dynamics.topology_changing())) {
-    // Full mesh stays on the implicit fast path (no adjacency storage) —
-    // unless the schedule mutates the graph, which needs an explicit
-    // adjacency to edit.  Construction runs once, through topology(); the
-    // simulator gets its own copy (distance-cache state is not shared
-    // with topo_).
-    sim_config.topology = topology();
-  }
-  util::Rng delay_rng = rng.fork(2);
-  sim_ = std::make_unique<sim::Simulator>(sim_config,
-                                          build_delay(spec_.delay, p, delay_rng));
-  sim_->add_trace_sink(&trace_);
+  // Full mesh stays on the implicit fast path (no adjacency storage) —
+  // unless the schedule mutates the graph, which needs an explicit
+  // adjacency to edit.  Construction runs once, through topology(); the
+  // simulator gets its own copy (distance-cache state is not shared with
+  // topo_).
+  const bool explicit_graph =
+      spec_.topology.kind != net::TopologyKind::kFullMesh ||
+      (dynamic && spec_.dynamics.topology_changing());
+  sim_ = make_simulator(spec_, rng, trace_,
+                        explicit_graph ? &topology() : nullptr);
 
   // Faulty roster: either the homogeneous (fault, fault_count) pair or the
   // heterogeneous fault_mix.  Faulty processes occupy the highest ids.
@@ -508,21 +548,8 @@ RunResult Experiment::run() {
   const double horizon = this->horizon();
 
   // Streaming mode: attach the in-run observer before any event fires.
-  // The guard detaches on every exit path — the observer dies with this
-  // frame, and a simulator that outlives it (tests drive simulator()
-  // directly) must never hold the stale pointer.
-  std::unique_ptr<StreamingObserver> observer;
-  struct ObserverGuard {
-    sim::Simulator* sim = nullptr;
-    ~ObserverGuard() {
-      if (sim != nullptr) sim->set_observer(nullptr);
-    }
-  } observer_guard;
-  if (spec_.observe) {
-    observer = std::make_unique<StreamingObserver>(*sim_, make_observe_spec());
-    sim_->set_observer(observer.get());
-    observer_guard.sim = sim_.get();
-  }
+  ScopedObserver observer;
+  if (spec_.observe) observer.attach(*sim_, make_observe_spec());
 
   const auto engine_start = std::chrono::steady_clock::now();
 
@@ -757,18 +784,13 @@ RunResult Experiment::run() {
 
 namespace {
 
-StartupResult run_startup_impl(const StartupSpec& spec) {
+StartupResult run_startup_impl(const RunSpec& spec) {
   const core::Params& p = spec.params;
   util::Rng rng(spec.seed);
-
-  sim::SimConfig sim_config;
-  sim_config.delta = p.delta;
-  sim_config.eps = p.eps;
-  sim_config.seed = rng.fork(1)();
-  util::Rng delay_rng = rng.fork(2);
-  sim::Simulator sim(sim_config, build_delay(spec.delay, p, delay_rng));
   RoundTrace trace;
-  sim.add_trace_sink(&trace);
+  const std::unique_ptr<sim::Simulator> owned =
+      make_simulator(spec, rng, trace, nullptr);
+  sim::Simulator& sim = *owned;
 
   const std::int32_t fault_count =
       spec.fault == FaultKind::kNone ? 0 : spec.fault_count;
@@ -779,12 +801,12 @@ StartupResult run_startup_impl(const StartupSpec& spec) {
   for (std::int32_t id = 0; id < p.n; ++id) {
     const bool faulty = id >= honest_count;
     auto clock = std::make_unique<clk::PhysicalClock>(
-        build_drift(spec.drift, p, 2.0, id, clock_rng),
+        build_drift(spec.drift, p, spec.drift_period, id, clock_rng),
         clock_rng.uniform(0.0, 100.0), p.rho);
     if (!faulty) {
       core::StartupConfig config;
       config.params = p;
-      config.handoff_rounds = spec.handoff ? spec.rounds : 0;
+      config.handoff_rounds = spec.startup_handoff ? spec.rounds : 0;
       // Clocks are NOT initially synchronized: CORR is arbitrary.
       const double corr0 =
           clock_rng.uniform(0.0, spec.initial_clock_spread) - clock->now(0.0);
@@ -795,7 +817,7 @@ StartupResult run_startup_impl(const StartupSpec& spec) {
     } else if (spec.fault == FaultKind::kSilent) {
       sim.add_process(std::make_unique<proc::SilentAdversary>(),
                       std::move(clock), 0.0, true, -1.0);
-    } else {
+    } else {  // kSpam (run() rejects every other fault kind here)
       proc::SpamAdversary::Config config;
       config.period = p.delta;
       config.burst = 2;
@@ -811,19 +833,13 @@ StartupResult run_startup_impl(const StartupSpec& spec) {
   const double round_budget = 4.0 * (2.0 * p.delta + 8.0 * p.eps) + 6.0 * p.delta;
   const double horizon =
       static_cast<double>(spec.rounds + 2) * round_budget +
-      (spec.handoff ? 3.0 * p.P : 0.0) + 1.0;
+      (spec.startup_handoff ? 3.0 * p.P : 0.0) + 1.0;
 
   // Streaming mode: only the round-boundary stream is consumed (it feeds
   // b_series below).  The anchor round sits past anything the run can
   // complete, so the skew grid collapses to finalize's endpoint sample,
   // and the validity window opens past the horizon so it never samples.
-  std::unique_ptr<StreamingObserver> observer;
-  struct ObserverGuard {
-    sim::Simulator* sim = nullptr;
-    ~ObserverGuard() {
-      if (sim != nullptr) sim->set_observer(nullptr);
-    }
-  } observer_guard;
+  ScopedObserver observer;
   if (spec.observe) {
     ObserveSpec ospec;
     ospec.ids = honest;
@@ -835,9 +851,7 @@ StartupResult run_startup_impl(const StartupSpec& spec) {
     ospec.validity_dt = round_budget;
     ospec.validity_t0 = horizon + 1.0;
     ospec.skew_hist_max = 1.0;
-    observer = std::make_unique<StreamingObserver>(sim, std::move(ospec));
-    sim.set_observer(observer.get());
-    observer_guard.sim = &sim;
+    observer.attach(sim, std::move(ospec));
   }
 
   sim.run_until(horizon);
@@ -867,7 +881,7 @@ StartupResult run_startup_impl(const StartupSpec& spec) {
         // trace completed but the observer never saw means they
         // desynchronized — fail loudly rather than fabricate a measurement.
         throw std::logic_error(
-            "run_startup: streaming observer missed a round the trace "
+            "kStartup: streaming observer missed a round the trace "
             "completed (round " + std::to_string(r) + ")");
       }
       result.b_series.push_back(streamed.skew_at_round[idx]);
@@ -878,7 +892,7 @@ StartupResult run_startup_impl(const StartupSpec& spec) {
   }
   result.final_b = result.b_series.empty() ? 1e300 : result.b_series.back();
 
-  if (spec.handoff) {
+  if (spec.startup_handoff) {
     bool all = true;
     for (std::int32_t id : honest) {
       auto& process = dynamic_cast<core::StartupProcess&>(sim.process(id));
@@ -951,38 +965,52 @@ class CrashRejoinProcess final : public proc::Process {
   core::ReintegrationProcess rejoin_;
 };
 
-ReintegrationResult run_reintegration_impl(const ReintegrationSpec& spec) {
+ReintegrationResult run_reintegration_impl(const RunSpec& spec) {
   const core::Params& p = spec.params;
   const core::Derived d = core::derive(p);
   if (spec.wake_at < spec.crash_at + 2.0 * p.P) {
     throw std::invalid_argument(
-        "run_reintegration: need wake_at >= crash_at + 2P so stale timers die");
+        "RunSpec: kReintegration needs wake_at >= crash_at + 2P so stale "
+        "timers die");
+  }
+  const auto horizon_after = [&](double tmax0) {
+    return tmax0 +
+           static_cast<double>(spec.rounds + 1) * p.P * (1.0 + 2.0 * p.rho) +
+           2.0 * d.window + 1.0;
+  };
+  // The joiner's first full round begins by wake_at + 2P (one round to
+  // orient, one to collect).  A horizon short of that would report a
+  // rejoin whose round never completed — so reject it up front, using the
+  // earliest horizon any seed can draw (tmax0 = 0).
+  if (horizon_after(0.0) < spec.wake_at + 2.0 * p.P) {
+    throw std::invalid_argument(
+        "RunSpec: kReintegration rounds too few: the horizon ends before "
+        "wake_at + 2P, the joiner's first full round");
   }
   util::Rng rng(spec.seed);
-
-  sim::SimConfig sim_config;
-  sim_config.delta = p.delta;
-  sim_config.eps = p.eps;
-  sim_config.seed = rng.fork(1)();
-  util::Rng delay_rng = rng.fork(2);
-  sim::Simulator sim(sim_config, build_delay(spec.delay, p, delay_rng));
   RoundTrace trace;
-  sim.add_trace_sink(&trace);
+  const std::unique_ptr<sim::Simulator> owned =
+      make_simulator(spec, rng, trace, nullptr);
+  sim::Simulator& sim = *owned;
 
   core::WelchLynchConfig wl_config;
   wl_config.params = p;
 
   // Process 0 is the crash/rejoin victim (registered faulty: from the
-  // model's viewpoint it is one of the f faults until it rejoins).
-  std::vector<std::int32_t> survivors;
+  // model's viewpoint it is one of the f faults until it rejoins); the
+  // measurements after the rejoin cover everyone.
+  std::vector<std::int32_t> everyone(static_cast<std::size_t>(p.n));
+  std::iota(everyone.begin(), everyone.end(), 0);
   util::Rng clock_rng = rng.fork(4);
   util::Rng start_rng = rng.fork(3);
+  const double spread =
+      spec.initial_spread < 0.0 ? 0.9 * p.beta : spec.initial_spread;
   double tmax0 = 0.0;
   for (std::int32_t id = 0; id < p.n; ++id) {
     auto clock = std::make_unique<clk::PhysicalClock>(
-        build_drift(spec.drift, p, 2.0, id, clock_rng),
+        build_drift(spec.drift, p, spec.drift_period, id, clock_rng),
         clock_rng.uniform(0.0, 100.0), p.rho);
-    const double s = id == 0 ? 0.0 : start_rng.uniform(0.0, 0.9 * p.beta);
+    const double s = id == 0 ? 0.0 : start_rng.uniform(0.0, spread);
     tmax0 = std::max(tmax0, s);
     const double corr0 = p.T0 - clock->now(s);
     if (id == 0) {
@@ -990,17 +1018,13 @@ ReintegrationResult run_reintegration_impl(const ReintegrationSpec& spec) {
           std::make_unique<CrashRejoinProcess>(wl_config, spec.crash_at),
           std::move(clock), corr0, /*faulty=*/true, /*start=*/s);
     } else {
-      survivors.push_back(id);
       sim.add_process(std::make_unique<core::WelchLynchProcess>(wl_config),
                       std::move(clock), corr0, false, s);
     }
   }
   sim.schedule_start(0, spec.wake_at);
 
-  const double horizon = tmax0 +
-                         static_cast<double>(spec.rounds + 1) * p.P *
-                             (1.0 + 2.0 * p.rho) +
-                         2.0 * d.window + 1.0;
+  const double horizon = horizon_after(tmax0);
 
   // Streaming mode: the measurement window ([join + 2P, t_end]) is only
   // known once the victim rejoins, so step the run in P-sized chunks until
@@ -1010,13 +1034,7 @@ ReintegrationResult run_reintegration_impl(const ReintegrationSpec& spec) {
   // run_until is the same event sequence as one call, and every observer
   // query targets t >= join + 2P > attach time, so the mid-run attach is
   // exact (pinned bitwise by tests/reintegration_test.cpp).
-  std::unique_ptr<StreamingObserver> observer;
-  struct ObserverGuard {
-    sim::Simulator* sim = nullptr;
-    ~ObserverGuard() {
-      if (sim != nullptr) sim->set_observer(nullptr);
-    }
-  } observer_guard;
+  ScopedObserver observer;
   if (spec.observe) {
     double join_time = -1.0;
     double next = std::min(spec.wake_at, horizon);
@@ -1032,11 +1050,8 @@ ReintegrationResult run_reintegration_impl(const ReintegrationSpec& spec) {
       next = std::min(next + p.P, horizon);
     }
     if (join_time >= 0.0) {
-      std::vector<std::int32_t> everyone = survivors;
-      everyone.push_back(0);
-      std::sort(everyone.begin(), everyone.end());
       ObserveSpec ospec;
-      ospec.ids = std::move(everyone);
+      ospec.ids = everyone;
       ospec.params = p;
       ospec.horizon = horizon;
       ospec.skew_t0 = join_time + 2.0 * p.P;
@@ -1045,9 +1060,7 @@ ReintegrationResult run_reintegration_impl(const ReintegrationSpec& spec) {
       ospec.validity_dt = p.P / 10.0;
       ospec.validity_t0 = horizon + 1.0;  // never samples
       ospec.skew_hist_max = 4.0 * d.gamma;
-      observer = std::make_unique<StreamingObserver>(sim, std::move(ospec));
-      sim.set_observer(observer.get());
-      observer_guard.sim = &sim;
+      observer.attach(sim, std::move(ospec));
     }
   }
 
@@ -1069,11 +1082,15 @@ ReintegrationResult run_reintegration_impl(const ReintegrationSpec& spec) {
 
   // The joiner's first full round: every process (victim included) should
   // begin within beta of each other (the Section 9.1 claim).
-  std::vector<std::int32_t> everyone = survivors;
-  everyone.push_back(0);
-  std::sort(everyone.begin(), everyone.end());
   result.spread_with_joiner =
       trace.begin_spread(result.join_round, everyone);
+  if (std::isnan(result.spread_with_joiner)) {
+    // The up-front horizon check makes this unreachable; fail loudly
+    // rather than report a rejoin without its spread.
+    throw std::logic_error(
+        "kReintegration: the joiner's first full round did not complete "
+        "before the horizon");
+  }
 
   // Steady skew including the joiner, from join + 2P to the end of the
   // run.  The streaming accumulators produce the identical doubles: the
@@ -1096,9 +1113,41 @@ ReintegrationResult run_reintegration_impl(const ReintegrationSpec& spec) {
   return result;
 }
 
-}  // namespace
-
 // ---------------------------------------------------- unified entry point ---
+
+/// The knobs the start-up and rejoin bodies cannot honour, rejected by name
+/// instead of silently ignored.
+void reject_unsupported(const RunSpec& spec) {
+  const bool startup = spec.mode == RunMode::kStartup;
+  const auto reject = [&](const char* what) {
+    throw std::invalid_argument(
+        std::string("RunSpec: mode = ") +
+        (startup ? "kStartup" : "kReintegration") + " does not support " +
+        what);
+  };
+  if (!spec.fault_mix.empty()) reject("fault_mix");
+  if (spec.placement != proc::PlacementKind::kTrailing) reject("placement");
+  if (!spec.placement_ids.empty()) reject("placement_ids");
+  if (!spec.dynamics.empty()) reject("dynamics");
+  if (spec.nic.has_value()) reject("nic");
+  if (spec.topology.kind != net::TopologyKind::kFullMesh) {
+    reject("a non-mesh topology");
+  }
+  if (spec.algo != Algo::kWelchLynch) reject("algo != kWelchLynch");
+  if (spec.engine == EngineMode::kFastpath ||
+      spec.engine == EngineMode::kPdes) {
+    reject("engine = kFastpath / kPdes");
+  }
+  if (startup) {
+    if (spec.fault == FaultKind::kTwoFaced || spec.fault == FaultKind::kLiar) {
+      reject("two-faced or liar faults (only kSilent / kSpam)");
+    }
+  } else if (spec.fault != FaultKind::kNone) {
+    reject("fault (the victim is the only fault)");
+  }
+}
+
+}  // namespace
 
 RunResult run(const RunSpec& spec) {
   const auto wall_start = std::chrono::steady_clock::now();
@@ -1109,77 +1158,20 @@ RunResult run(const RunSpec& spec) {
       result = experiment.run();
       break;
     }
-    case RunMode::kStartup: {
-      // The flat RunSpec fields map verbatim onto the historical
-      // StartupSpec — including initial_clock_spread, whose RunSpec
-      // default (0, aligned) differs from StartupSpec's (1.0); the
-      // run_startup wrapper below copies the caller's value through
-      // unchanged, so the round trip is bit-identical.
-      StartupSpec s;
-      s.params = spec.params;
-      s.rounds = spec.rounds;
-      s.handoff = spec.startup_handoff;
-      s.initial_clock_spread = spec.initial_clock_spread;
-      s.fault = spec.fault;
-      s.fault_count = spec.fault_count;
-      s.delay = spec.delay;
-      s.drift = spec.drift;
-      s.seed = spec.seed;
-      s.observe = spec.observe;
-      result.startup = run_startup_impl(s);
+    case RunMode::kStartup:
+      reject_unsupported(spec);
+      result.startup = run_startup_impl(spec);
       break;
-    }
-    case RunMode::kReintegration: {
-      ReintegrationSpec s;
-      s.params = spec.params;
-      s.crash_at = spec.crash_at;
-      s.wake_at = spec.wake_at;
-      s.rounds = spec.rounds;
-      s.delay = spec.delay;
-      s.drift = spec.drift;
-      s.seed = spec.seed;
-      s.observe = spec.observe;
-      result.reintegration = run_reintegration_impl(s);
+    case RunMode::kReintegration:
+      reject_unsupported(spec);
+      result.reintegration = run_reintegration_impl(spec);
       break;
-    }
   }
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
   return result;
-}
-
-RunResult run_experiment(const RunSpec& spec) { return run(spec); }
-
-StartupResult run_startup(const StartupSpec& spec) {
-  RunSpec rs;
-  rs.mode = RunMode::kStartup;
-  rs.params = spec.params;
-  rs.rounds = spec.rounds;
-  rs.startup_handoff = spec.handoff;
-  rs.initial_clock_spread = spec.initial_clock_spread;
-  rs.fault = spec.fault;
-  rs.fault_count = spec.fault_count;
-  rs.delay = spec.delay;
-  rs.drift = spec.drift;
-  rs.seed = spec.seed;
-  rs.observe = spec.observe;
-  return *run(rs).startup;
-}
-
-ReintegrationResult run_reintegration(const ReintegrationSpec& spec) {
-  RunSpec rs;
-  rs.mode = RunMode::kReintegration;
-  rs.params = spec.params;
-  rs.crash_at = spec.crash_at;
-  rs.wake_at = spec.wake_at;
-  rs.rounds = spec.rounds;
-  rs.delay = spec.delay;
-  rs.drift = spec.drift;
-  rs.seed = spec.seed;
-  rs.observe = spec.observe;
-  return *run(rs).reintegration;
 }
 
 }  // namespace wlsync::analysis

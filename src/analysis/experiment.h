@@ -164,21 +164,25 @@ struct RunSpec : ScenarioSpec {
   /// Which experiment family run() executes.  kStartup reads
   /// startup_handoff / initial_clock_spread and fills RunResult::startup;
   /// kReintegration reads crash_at / wake_at and fills
-  /// RunResult::reintegration.  Experiment itself accepts only
+  /// RunResult::reintegration.  Both also read params, rounds, seed,
+  /// delay, drift, drift_period and observe (kStartup also fault /
+  /// fault_count, kReintegration also initial_spread); run() rejects the
+  /// scenario knobs they cannot honour.  Experiment itself accepts only
   /// kMaintenance.
   RunMode mode = RunMode::kMaintenance;
-  /// kStartup: switch to maintenance after `rounds` (StartupSpec::handoff).
+  /// kStartup: switch to maintenance after `rounds`.
   bool startup_handoff = false;
-  /// kStartup: initial local-time disagreement, read verbatim into
-  /// StartupSpec::initial_clock_spread.  kMaintenance: > 0 engages the
-  /// Khanchandani–Lenzen-style self-stabilization workload — every honest
-  /// process additionally starts with CORR offset uniform in [0, spread),
-  /// i.e. from arbitrary logical-clock state — and run() measures
-  /// RunResult::stabilized_round / stabilization_time.  0 (default) is the
-  /// historical aligned start.
+  /// kStartup: initial local-time disagreement (clock values are
+  /// "arbitrary"; the Section 9.2 runs use 1.0).  kMaintenance: > 0
+  /// engages the Khanchandani–Lenzen-style self-stabilization workload —
+  /// every honest process additionally starts with CORR offset uniform in
+  /// [0, spread), i.e. from arbitrary logical-clock state — and run()
+  /// measures RunResult::stabilized_round / stabilization_time.  0
+  /// (default) is the historical aligned start.
   double initial_clock_spread = 0.0;
-  /// kReintegration: real time the victim stops / is repaired
-  /// (ReintegrationSpec::crash_at / wake_at).
+  /// kReintegration: real time the victim (process 0) stops / is repaired.
+  /// run() requires wake_at >= crash_at + 2P, and enough rounds that the
+  /// horizon reaches wake_at + 2P (the joiner's first full round).
   double crash_at = 0.0;
   double wake_at = 0.0;
   /// Stabilization threshold for the arbitrary-initial-state workload:
@@ -257,30 +261,10 @@ struct RunSpec : ScenarioSpec {
 };
 
 // ------------------------------------------------------------------------
-// Start-up synchronization (Section 9.2).  Declared before RunResult so
-// the unified run() can embed the result (std::optional needs the
-// complete type).
+// Mode payloads of run().  Declared before RunResult, which embeds them
+// (std::optional needs the complete type).
 
-struct StartupSpec {
-  core::Params params;
-  std::int32_t rounds = 12;
-  bool handoff = false;  ///< switch to maintenance after `rounds`
-  /// Initial local-time disagreement (clock values are "arbitrary").
-  double initial_clock_spread = 1.0;
-  FaultKind fault = FaultKind::kNone;
-  std::int32_t fault_count = 0;
-  DelayKind delay = DelayKind::kUniform;
-  DriftKind drift = DriftKind::kExtremal;
-  std::uint64_t seed = 1;
-  /// Streaming in-run observation (analysis/observe.h): measure b_series
-  /// through a StreamingObserver's round-boundary stream instead of the
-  /// post-hoc per-round skew_at scans.  Bit-identical either way
-  /// (tests/startup_test.cpp) — this flag used to be silently ignored by
-  /// run_startup; now it switches the measurement engine like
-  /// RunSpec::observe does for Experiment::run.
-  bool observe = false;
-};
-
+/// RunMode::kStartup (Section 9.2).
 struct StartupResult {
   /// B^i: max difference between nonfaulty clock values at the latest real
   /// time a nonfaulty process begins round i (Lemma 20's quantity).
@@ -290,31 +274,12 @@ struct StartupResult {
   double final_b = 0.0;
   bool handoff_done = false;
   double post_handoff_skew = 0.0;  ///< steady skew under maintenance
-  /// Observation telemetry (defaults when StartupSpec::observe is off).
+  /// Observation telemetry (defaults when RunSpec::observe is off).
   /// Like RunResult::observe, NOT part of any identity comparison.
   ObserveStats observe;
 };
 
-// ------------------------------------------------------------------------
-// Reintegration (Section 9.1)
-
-struct ReintegrationSpec {
-  core::Params params;
-  double crash_at = 0.0;  ///< real time the victim stops
-  double wake_at = 0.0;   ///< real time it is repaired (>= crash_at + 2P)
-  std::int32_t rounds = 30;
-  DelayKind delay = DelayKind::kUniform;
-  DriftKind drift = DriftKind::kExtremal;
-  std::uint64_t seed = 1;
-  /// Streaming in-run observation: run in P-sized chunks until the victim
-  /// rejoins, then attach a StreamingObserver whose skew window opens at
-  /// join_time + 2P (ObserveSpec::skew_t0) and measure skew_after from its
-  /// accumulators instead of the post-hoc skew_series walk.  Bit-identical
-  /// either way (tests/reintegration_test.cpp); previously this knob did
-  /// not exist and observation requests were silently impossible here.
-  bool observe = false;
-};
-
+/// RunMode::kReintegration (Section 9.1).
 struct ReintegrationResult {
   bool rejoined = false;
   double join_time = 0.0;
@@ -325,8 +290,8 @@ struct ReintegrationResult {
   double beta = 0.0;
   double skew_after = 0.0;  ///< steady skew including the joiner
   double gamma_bound = 0.0;
-  /// Observation telemetry (defaults when ReintegrationSpec::observe is
-  /// off).  NOT part of any identity comparison.
+  /// Observation telemetry (defaults when RunSpec::observe is off).  NOT
+  /// part of any identity comparison.
   ObserveStats observe;
 };
 
@@ -369,13 +334,12 @@ struct RunResult {
   /// dynamics_applied); 0 on static runs.  Deterministic — part of
   /// results_identical, pinning that every engine saw the same schedule.
   std::int64_t dynamics_applied = 0;
-  /// Mode-specific payloads of the unified run(): engaged exactly when
-  /// RunSpec::mode is kStartup / kReintegration.  NOT part of
-  /// results_identical (the flat fields above stay the comparison surface;
-  /// the legacy entry points are pinned bit-identical through these).
+  /// Mode-specific payloads of run(): engaged exactly when RunSpec::mode is
+  /// kStartup / kReintegration.  Their physics fields are part of
+  /// results_identical; their ObserveStats telemetry is not.
   std::optional<StartupResult> startup;
   std::optional<ReintegrationResult> reintegration;
-  /// Wall-clock seconds this trial took (run_experiment measures it; the
+  /// Wall-clock seconds this trial took (run() measures it; the
   /// ParallelRunner streams it to sweep CSVs).  Telemetry only — it is NOT
   /// part of results_identical, which compares measured physics.
   double wall_seconds = 0.0;
@@ -470,27 +434,16 @@ class Experiment {
 /// THE experiment entry point: dispatches on RunSpec::mode.
 ///   kMaintenance   — Experiment::run (plus the stabilization measurement
 ///                    when initial_clock_spread > 0);
-///   kStartup       — the Section 9.2 start-up experiment; the flat fields
-///                    map verbatim into a StartupSpec and the full result
-///                    lands in RunResult::startup;
-///   kReintegration — the Section 9.1 rejoin experiment, likewise into
-///                    RunResult::reintegration.
-/// wall_seconds is measured here for every mode.  The three historical
-/// entry points below are thin wrappers over this function and stay
-/// bit-identical to their pre-unification behaviour (pinned in
-/// tests/scenario_test.cpp).
+///   kStartup       — the Section 9.2 start-up experiment; the result lands
+///                    in RunResult::startup;
+///   kReintegration — the Section 9.1 rejoin experiment; the result lands
+///                    in RunResult::reintegration.
+/// The two non-maintenance modes throw std::invalid_argument, naming the
+/// field, for any knob they would otherwise silently ignore: fault_mix,
+/// placement, placement_ids, dynamics, nic, a non-mesh topology,
+/// algo != kWelchLynch, engine = kFastpath / kPdes, a two-faced or liar
+/// fault (kStartup) and any fault at all (kReintegration).  wall_seconds is
+/// measured here for every mode.
 [[nodiscard]] RunResult run(const RunSpec& spec);
-
-/// Deprecated: use run().  Kept as a one-line wrapper (same result,
-/// bit-identical) so two PR-generations of callers keep compiling.
-[[nodiscard]] RunResult run_experiment(const RunSpec& spec);
-
-/// Deprecated: use run() with mode = kStartup.  Wrapper over run();
-/// returns the embedded RunResult::startup payload.
-[[nodiscard]] StartupResult run_startup(const StartupSpec& spec);
-
-/// Deprecated: use run() with mode = kReintegration.  Wrapper over run();
-/// returns the embedded RunResult::reintegration payload.
-[[nodiscard]] ReintegrationResult run_reintegration(const ReintegrationSpec& spec);
 
 }  // namespace wlsync::analysis

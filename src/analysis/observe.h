@@ -63,8 +63,8 @@ struct ObserveSpec {
   /// When >= 0, the skew/gradient window opens unconditionally at this
   /// real time instead of waiting for the anchor round — for harnesses
   /// whose measurement window is an explicit instant rather than a round
-  /// boundary (run_reintegration opens at join_time + 2P).  The grid then
-  /// samples skew_t0, skew_t0 + skew_dt, ... exactly like the post-hoc
+  /// boundary (RunMode::kReintegration opens at join_time + 2P).  The grid
+  /// then samples skew_t0, skew_t0 + skew_dt, ... exactly like the post-hoc
   /// skew_series on [skew_t0, t_end].  A skew_t0 past t_end degenerates to
   /// the endpoint sample, matching the post-hoc skew_at fallback.
   double skew_t0 = -1.0;

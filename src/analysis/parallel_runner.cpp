@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 namespace wlsync::analysis {
@@ -83,31 +84,6 @@ void ParallelRunner::run_indexed(
   if (first_error) std::rethrow_exception(first_error);
 }
 
-std::vector<RunResult> ParallelRunner::run(
-    const std::vector<RunSpec>& specs) const {
-  std::vector<RunResult> results(specs.size());
-  // Each task writes only its own slot, so the merge is by construction
-  // deterministic: position i is trial i regardless of completion order.
-  run_indexed(specs.size(),
-              [&](std::size_t i) { results[i] = run_experiment(specs[i]); });
-  return results;
-}
-
-std::vector<RunResult> ParallelRunner::run_streaming(
-    const std::vector<RunSpec>& specs,
-    const std::function<void(std::size_t, const RunResult&)>& on_result)
-    const {
-  if (!on_result) return run(specs);
-  std::vector<RunResult> results(specs.size());
-  std::mutex stream_mutex;
-  run_indexed(specs.size(), [&](std::size_t i) {
-    results[i] = run_experiment(specs[i]);
-    const std::lock_guard<std::mutex> lock(stream_mutex);
-    on_result(i, results[i]);
-  });
-  return results;
-}
-
 double ParallelRunner::estimate_cost(const RunSpec& spec) {
   const double n = static_cast<double>(spec.params.n);
   double per_round;  // messages per round under the exchange graph
@@ -142,7 +118,7 @@ std::vector<RunResult> ParallelRunner::run_adaptive(
       std::min<std::size_t>(static_cast<std::size_t>(threads_), count);
   if (workers <= 1) {
     for (std::size_t i = 0; i < count; ++i) {
-      results[i] = run_experiment(specs[i]);
+      results[i] = analysis::run(specs[i]);
       if (on_result) on_result(i, results[i]);
     }
     return results;
@@ -227,7 +203,7 @@ std::vector<RunResult> ParallelRunner::run_adaptive(
   std::mutex stream_mutex;
   const auto run_one = [&](std::size_t i) {
     try {
-      results[i] = run_experiment(specs[i]);
+      results[i] = analysis::run(specs[i]);
       CostCell& cell = cells[cell_of[i]];
       cell.wall.fetch_add(results[i].wall_seconds, std::memory_order_relaxed);
       cell.done.fetch_add(1, std::memory_order_relaxed);
@@ -292,10 +268,32 @@ std::vector<RunSpec> seed_sweep(const RunSpec& base, std::uint64_t first_seed,
   return specs;
 }
 
-std::vector<RunResult> run_experiments(const std::vector<RunSpec>& specs,
-                                       int threads) {
-  return ParallelRunner(threads).run(specs);
+namespace {
+
+// Physics fields of the mode payloads; their ObserveStats telemetry is
+// excluded like RunResult::observe.
+bool payloads_identical(const StartupResult& a, const StartupResult& b) {
+  return a.b_series == b.b_series && a.round_slack == b.round_slack &&
+         a.limit == b.limit && a.final_b == b.final_b &&
+         a.handoff_done == b.handoff_done &&
+         a.post_handoff_skew == b.post_handoff_skew;
 }
+
+bool payloads_identical(const ReintegrationResult& a,
+                        const ReintegrationResult& b) {
+  return a.rejoined == b.rejoined && a.join_time == b.join_time &&
+         a.join_round == b.join_round &&
+         a.spread_with_joiner == b.spread_with_joiner && a.beta == b.beta &&
+         a.skew_after == b.skew_after && a.gamma_bound == b.gamma_bound;
+}
+
+template <typename T>
+bool payloads_identical(const std::optional<T>& a, const std::optional<T>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  return !a.has_value() || payloads_identical(*a, *b);
+}
+
+}  // namespace
 
 bool results_identical(const RunResult& a, const RunResult& b) {
   return a.honest == b.honest && a.gamma_bound == b.gamma_bound &&
@@ -316,7 +314,9 @@ bool results_identical(const RunResult& a, const RunResult& b) {
          a.stabilized_round == b.stabilized_round &&
          a.stabilization_time == b.stabilization_time &&
          a.dynamics_applied == b.dynamics_applied &&
-         gradient_summaries_identical(a.gradient, b.gradient);
+         gradient_summaries_identical(a.gradient, b.gradient) &&
+         payloads_identical(a.startup, b.startup) &&
+         payloads_identical(a.reintegration, b.reintegration);
   // wall_seconds, the ObserveStats telemetry, the fast-path telemetry
   // (fastpath_engaged / fastpath_exchanges / fastpath_rearms), and the PDES
   // telemetry (pdes_epochs / pdes_stalls) are deliberately excluded: they

@@ -4,24 +4,21 @@
 // Large n/f/seed sweeps dominate the wall time of every study in this
 // repository, and the trials are embarrassingly parallel: each Experiment
 // owns its Simulator, its RNG streams (derived from RunSpec::seed alone),
-// and its trace sinks, and touches no shared mutable state.  ParallelRunner
-// shards a vector of independent RunSpecs across a thread pool and merges
-// results deterministically: result[i] always corresponds to specs[i], and
-// is bit-for-bit the RunResult a serial run_experiment(specs[i]) produces,
-// whatever the thread count or interleaving (pinned by
-// tests/parallel_runner_test.cpp).
+// and its trace sinks, and touches no shared mutable state.  run_adaptive
+// — the one sweep entry point — shards a vector of independent RunSpecs
+// across a thread pool and merges results deterministically: result[i]
+// always corresponds to specs[i], and is bit-for-bit the RunResult a serial
+// analysis::run(specs[i]) produces, whatever the thread count or
+// interleaving (pinned by tests/parallel_runner_test.cpp).
 //
-// Scheduling is work-stealing over contiguous chunks: each worker owns an
-// equal slice of the index space (locality for cache- and NUMA-friendly
-// sweeps) and drains it through a per-chunk atomic cursor; workers that
-// finish early steal from the slices with work remaining, so heterogeneous
-// trial costs — a grid mixing n = 4 with n = 512 — keep every core busy to
-// the end instead of waiting on whichever worker drew the expensive tail.
-// run_streaming additionally surfaces each trial's result the moment it
-// completes, for CSV writers and progress meters over long grids.
-// run_adaptive goes one step further on skewed grids: chunks equalize
-// *estimated* cost instead of trial count, and steal decisions are guided
-// by the per-trial wall_seconds telemetry of already-completed trials.
+// Scheduling is work-stealing over contiguous chunks that equalize
+// *estimated* trial cost, so a grid mixing n = 4 with n = 512 keeps every
+// core busy to the end; steal decisions are guided by the per-trial
+// wall_seconds telemetry of already-completed trials, and an optional
+// callback surfaces each result the moment it completes, for CSV writers
+// and progress meters over long grids.  run_indexed is the same pool over
+// plain indices (equal-count chunks), for callers that shard something
+// other than trials.
 
 #include <cstdint>
 #include <functional>
@@ -51,30 +48,18 @@ class ParallelRunner {
   /// oversubscribing the machine with nested pools.
   [[nodiscard]] static bool in_worker() noexcept;
 
-  /// Runs one Experiment per spec; result[i] corresponds to specs[i].
-  [[nodiscard]] std::vector<RunResult> run(
-      const std::vector<RunSpec>& specs) const;
-
-  /// Like run(), but additionally invokes on_result(i, result) as each
-  /// trial finishes — completion order, not spec order; calls are
-  /// serialized, so the callback may write to shared sinks (CSV, progress
-  /// bars) without its own locking.  The returned vector is still in spec
-  /// order and bit-identical to run()'s.
-  std::vector<RunResult> run_streaming(
-      const std::vector<RunSpec>& specs,
-      const std::function<void(std::size_t, const RunResult&)>& on_result)
-      const;
-
-  /// Self-balancing variant of run_streaming for skewed grids (n mixing 4
-  /// and 512): the initial contiguous chunks equalize *estimated* cost
-  /// (estimate_cost) rather than trial count, and a worker that drains its
-  /// chunk steals from the chunk with the most estimated work remaining —
-  /// with estimates refined online from the per-trial wall_seconds
-  /// telemetry of completed trials (the measured mean wall per distinct n
-  /// replaces the static prior as cells finish).  Purely a scheduling
-  /// change: result[i] still corresponds to specs[i] and is bit-identical
-  /// to run()'s, whatever the thread count (pinned by
-  /// tests/parallel_runner_test.cpp).  on_result may be empty.
+  /// Runs analysis::run once per spec; result[i] corresponds to specs[i]
+  /// and is bit-identical to a serial run, whatever the thread count
+  /// (pinned by tests/parallel_runner_test.cpp).  The initial contiguous
+  /// chunks equalize *estimated* cost (estimate_cost) rather than trial
+  /// count, and a worker that drains its chunk steals from the chunk with
+  /// the most estimated work remaining — with estimates refined online
+  /// from the per-trial wall_seconds telemetry of completed trials (the
+  /// measured mean wall per distinct n replaces the static prior as cells
+  /// finish).  on_result(i, result), when set, is invoked as each trial
+  /// finishes — completion order, not spec order; calls are serialized, so
+  /// the callback may write to shared sinks (CSV, progress bars) without
+  /// its own locking.
   std::vector<RunResult> run_adaptive(
       const std::vector<RunSpec>& specs,
       const std::function<void(std::size_t, const RunResult&)>& on_result = {})
@@ -96,11 +81,8 @@ class ParallelRunner {
                                               std::uint64_t first_seed,
                                               std::int32_t count);
 
-/// One-shot convenience: sweep `specs` across `threads` workers.
-[[nodiscard]] std::vector<RunResult> run_experiments(
-    const std::vector<RunSpec>& specs, int threads = 0);
-
-/// Exact (bitwise, no tolerance) equality of every measured field — the
+/// Exact (bitwise, no tolerance) equality of every measured field,
+/// including the physics of the kStartup / kReintegration payloads — the
 /// standard the parallel runner and the scheduler policies are held to.
 [[nodiscard]] bool results_identical(const RunResult& a, const RunResult& b);
 

@@ -87,7 +87,7 @@ class ReintegrationProcess final : public proc::Process {
 /// (analysis::Experiment) schedules one START per rejoin; intervals must be
 /// sorted, non-overlapping, and >= 2P apart from their rejoin to the next
 /// leave so the fresh procedure's timers cannot collide with stale ones
-/// (the same margin run_reintegration has always required).
+/// (the same margin RunMode::kReintegration has always required).
 class ChurnProcess final : public proc::Process {
  public:
   struct Downtime {

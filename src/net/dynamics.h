@@ -4,8 +4,8 @@
 //
 // Everything before this layer ran on a static graph: the Topology was
 // materialized once, adversaries were placed once, and the only dynamism
-// was a single scripted crash in run_reintegration.  A DynamicsSpec is the
-// scenario-facing answer — an ordered list of events
+// was a single scripted crash (RunMode::kReintegration).  A DynamicsSpec is
+// the scenario-facing answer — an ordered list of events
 //
 //   * kLinkFail / kLinkHeal  — one undirected edge leaves / re-enters the
 //     live graph;

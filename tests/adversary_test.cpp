@@ -147,7 +147,7 @@ analysis::RunSpec sparse_fault_spec(net::TopologyKind kind) {
 TEST(SparseFaults, TwoFacedAtJointsOfRingOfCliques) {
   analysis::RunSpec spec = sparse_fault_spec(net::TopologyKind::kRingOfCliques);
   spec.placement = PlacementKind::kArticulation;  // joints via degree fallback
-  const analysis::RunResult result = analysis::run_experiment(spec);
+  const analysis::RunResult result = analysis::run(spec);
   EXPECT_FALSE(result.diverged);
   EXPECT_GE(result.completed_rounds, spec.rounds);
   EXPECT_LT(result.gamma_measured, 10.0 * result.gamma_bound);
@@ -159,7 +159,7 @@ TEST(SparseFaults, TwoFacedOnExpanderEveryPlacement) {
         PlacementKind::kMaxDegree, PlacementKind::kAntipodal}) {
     analysis::RunSpec spec = sparse_fault_spec(net::TopologyKind::kKRegular);
     spec.placement = placement;
-    const analysis::RunResult result = analysis::run_experiment(spec);
+    const analysis::RunResult result = analysis::run(spec);
     EXPECT_FALSE(result.diverged) << placement_name(placement);
     EXPECT_GE(result.completed_rounds, spec.rounds) << placement_name(placement);
     EXPECT_LT(result.gamma_measured, 10.0 * result.gamma_bound)
@@ -173,7 +173,7 @@ TEST(SparseFaults, SilentAndSpamRespectLocalQuorums) {
     analysis::RunSpec spec = sparse_fault_spec(net::TopologyKind::kRingOfCliques);
     spec.fault = fault;
     spec.placement = PlacementKind::kRandom;
-    const analysis::RunResult result = analysis::run_experiment(spec);
+    const analysis::RunResult result = analysis::run(spec);
     EXPECT_FALSE(result.diverged) << static_cast<int>(fault);
     EXPECT_GE(result.completed_rounds, spec.rounds);
   }

@@ -21,7 +21,7 @@ TEST_P(AgreementSeeds, GammaBoundHoldsUnderWorstAdversary) {
   spec.fault_count = 2;
   spec.rounds = 16;
   spec.seed = GetParam();
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   ASSERT_FALSE(result.diverged);
   EXPECT_LE(result.gamma_measured, result.gamma_bound * (1 + 1e-9));
 }
@@ -55,7 +55,7 @@ TEST(Convergence, SpreadHalvesPerRoundUnderWorstCaseSplitter) {
   spec.initial_spread = p.beta * 0.95;
   spec.rounds = 12;
   spec.seed = 5;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   ASSERT_FALSE(result.diverged);
   ASSERT_GE(result.begin_spread.size(), 8u);
   int halvings = 0;
@@ -88,7 +88,7 @@ TEST(Convergence, BenignExecutionCollapsesInOneRound) {
   spec.initial_spread = p.beta * 0.95;
   spec.rounds = 4;
   spec.seed = 5;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   ASSERT_FALSE(result.diverged);
   ASSERT_GE(result.begin_spread.size(), 2u);
   EXPECT_GT(result.begin_spread[0], 0.9 * p.beta * 0.95);
@@ -105,7 +105,7 @@ TEST(Convergence, SteadyStateSkewIsEpsScaleNotDeltaScale) {
   spec.params = p;
   spec.rounds = 16;
   spec.seed = 9;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   ASSERT_FALSE(result.diverged);
   // Within ~5 eps (beta ~ 4 eps + eps), despite delta = 50 eps.
   EXPECT_LE(result.gamma_measured, 6.0 * p.eps);
@@ -121,7 +121,7 @@ TEST(Convergence, NoRegrowthAfterConvergence) {
   spec.seed = 31;
   spec.fault = FaultKind::kSilent;
   spec.fault_count = 1;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   ASSERT_FALSE(result.diverged);
   ASSERT_GE(result.skew_at_round.size(), 20u);
   const double floor_estimate = result.skew_at_round.back();

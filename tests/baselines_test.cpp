@@ -23,7 +23,7 @@ double steady_skew(Algo algo, FaultKind fault, std::int32_t n, std::int32_t f,
   spec.fault_count = fault == FaultKind::kNone ? 0 : f;
   spec.rounds = 14;
   spec.seed = seed;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   if (diverged != nullptr) *diverged = result.diverged;
   return result.gamma_measured;
 }
@@ -48,7 +48,7 @@ TEST(Baselines, PlainMeanBreaksUnderOneLiarWelchLynchDoesNot) {
     spec.fault_count = 1;
     spec.rounds = 14;
     spec.seed = 7;
-    return run_experiment(spec);
+    return analysis::run(spec);
   };
   const RunResult wl = run(Algo::kWelchLynch);
   const RunResult pm = run(Algo::kPlainMean);
@@ -106,7 +106,7 @@ TEST(Baselines, MSDegradesGracefullyPastF) {
   spec.fault_count = 4;  // > f = 3
   spec.rounds = 12;
   spec.seed = 11;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   EXPECT_FALSE(result.diverged);
   EXPECT_LT(result.gamma_measured, 0.05);
 }

@@ -132,7 +132,7 @@ TEST(Dynamics, ParallelRunnerMatchesSerial) {
 
   const RunResult serial = analysis::run(spec);
   const std::vector<RunResult> parallel =
-      analysis::run_experiments({spec, spec}, /*threads=*/2);
+      analysis::ParallelRunner(2).run_adaptive({spec, spec});
   ASSERT_EQ(parallel.size(), 2u);
   EXPECT_TRUE(analysis::results_identical(serial, parallel[0]));
   EXPECT_TRUE(analysis::results_identical(serial, parallel[1]));

@@ -264,9 +264,9 @@ TEST(SchedulerDeterminism, PoliciesAgreeUnderNicBuffering) {
   analysis::RunSpec calendar_spec = heap_spec;
   calendar_spec.scheduler = SchedulerKind::kCalendar;
 
-  const analysis::RunResult heap_result = analysis::run_experiment(heap_spec);
+  const analysis::RunResult heap_result = analysis::run(heap_spec);
   const analysis::RunResult calendar_result =
-      analysis::run_experiment(calendar_spec);
+      analysis::run(calendar_spec);
   EXPECT_TRUE(analysis::results_identical(heap_result, calendar_result));
 }
 

@@ -28,7 +28,7 @@ namespace {
 
 RunResult run_engine(RunSpec spec, EngineMode engine) {
   spec.engine = engine;
-  return run_experiment(spec);
+  return run(spec);
 }
 
 /// Failure breadcrumb: enough of the drawn spec to reconstruct the trial.

@@ -25,7 +25,7 @@ namespace {
 
 RunResult run_engine(RunSpec spec, EngineMode engine) {
   spec.engine = engine;
-  return run_experiment(spec);
+  return run(spec);
 }
 
 /// The central pin: the fast path engages, advances exchanges past the
@@ -138,8 +138,8 @@ TEST(FastpathPin, DeterministicUnderParallelRunner) {
   RunSpec base = base_spec(16, 5);
   base.engine = EngineMode::kFastpath;
   const std::vector<RunSpec> specs = seed_sweep(base, 900, 6);
-  const std::vector<RunResult> serial = ParallelRunner(1).run(specs);
-  const std::vector<RunResult> sharded = ParallelRunner(4).run(specs);
+  const std::vector<RunResult> serial = ParallelRunner(1).run_adaptive(specs);
+  const std::vector<RunResult> sharded = ParallelRunner(4).run_adaptive(specs);
   ASSERT_EQ(serial.size(), sharded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(results_identical(serial[i], sharded[i])) << "trial " << i;

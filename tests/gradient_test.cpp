@@ -218,7 +218,7 @@ TEST(Gradient, ThreadCountInvariance) {
 TEST(Gradient, ExperimentFillsSummaryAndStaysDeterministic) {
   RunSpec base = sparse_spec();
   base.measure_gradient = true;
-  const RunResult one = analysis::run_experiment(base);
+  const RunResult one = analysis::run(base);
   ASSERT_TRUE(one.gradient.measured());
   EXPECT_EQ(one.gradient.diameter, 5);
   ASSERT_EQ(one.gradient.frontier.size(), one.gradient.distances.size());
@@ -232,8 +232,8 @@ TEST(Gradient, ExperimentFillsSummaryAndStaysDeterministic) {
   // results_identical covers the gradient fields: parallel sweeps must
   // reproduce the serial summaries bit-for-bit.
   const std::vector<RunSpec> specs = analysis::seed_sweep(base, 900, 4);
-  const std::vector<RunResult> serial = analysis::ParallelRunner(1).run(specs);
-  const std::vector<RunResult> sharded = analysis::ParallelRunner(4).run(specs);
+  const std::vector<RunResult> serial = analysis::ParallelRunner(1).run_adaptive(specs);
+  const std::vector<RunResult> sharded = analysis::ParallelRunner(4).run_adaptive(specs);
   ASSERT_EQ(serial.size(), sharded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(analysis::results_identical(serial[i], sharded[i])) << "trial " << i;
@@ -249,8 +249,8 @@ TEST(Gradient, GammaMeasuredExactlyUnchangedByGradientMeasurement) {
   RunSpec plain = sparse_spec();
   RunSpec measured = sparse_spec();
   measured.measure_gradient = true;
-  const RunResult a = analysis::run_experiment(plain);
-  const RunResult b = analysis::run_experiment(measured);
+  const RunResult a = analysis::run(plain);
+  const RunResult b = analysis::run(measured);
   EXPECT_EQ(a.gamma_measured, b.gamma_measured);
   EXPECT_EQ(a.final_skew, b.final_skew);
   EXPECT_EQ(a.messages, b.messages);
@@ -264,7 +264,7 @@ TEST(Gradient, MeshGradientCollapsesToGlobalSkew) {
   spec.rounds = 8;
   spec.seed = 41;
   spec.measure_gradient = true;
-  const RunResult result = analysis::run_experiment(spec);
+  const RunResult result = analysis::run(spec);
   ASSERT_TRUE(result.gradient.measured());
   // Every honest pair is one hop apart on the mesh: a single bucket whose
   // max over the window IS the measured global skew.

@@ -26,7 +26,7 @@ TEST(Hssd, FaultFreeAgreementIsDeltaEpsScale) {
   spec.algo = Algo::kHSSD;
   spec.rounds = 14;
   spec.seed = 3;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   ASSERT_FALSE(result.diverged);
   // About delta + eps (Section 10); allow 1.5x.
   EXPECT_LT(result.gamma_measured,
@@ -46,7 +46,7 @@ TEST(Hssd, ToleratesHalfSilentWithSignatures) {
   spec.fault_count = 2;
   spec.rounds = 14;
   spec.seed = 4;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   ASSERT_FALSE(result.diverged);
   ASSERT_GE(result.completed_rounds, 13);
   EXPECT_LT(result.gamma_measured, 1.5 * (p.delta + p.eps));
@@ -65,7 +65,7 @@ TEST(Hssd, WelchLynchCannotDoThat) {
   spec.fault_count = 2;
   spec.rounds = 14;
   spec.seed = 4;
-  EXPECT_THROW((void)run_experiment(spec), std::invalid_argument);
+  EXPECT_THROW((void)run(spec), std::invalid_argument);
 }
 
 /// Rushing signer: a faulty-but-signature-abiding process that broadcasts
@@ -161,7 +161,7 @@ TEST(Hssd, AdjustmentIsDeltaScale) {
   spec.fault_count = 2;
   spec.rounds = 12;
   spec.seed = 5;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   ASSERT_FALSE(result.diverged);
   // Clocks advance to ET_i on acceptance: adjustments are delta-scale
   // (Section 10 quotes ~(f+1)(delta+eps) worst case), far above WL's ~5 eps.

@@ -323,7 +323,7 @@ std::int64_t expect_matches_oracle(RunSpec spec, const char* what) {
 
   RunSpec selected = spec;
   selected.engine = EngineMode::kAuto;
-  EXPECT_TRUE(results_identical(run_experiment(selected), traced)) << what;
+  EXPECT_TRUE(results_identical(run(selected), traced)) << what;
   return oracle.relays();
 }
 

@@ -13,15 +13,16 @@ core::Params standard(std::int32_t n, std::int32_t f) {
 }
 
 TEST(Integration, ColdStartToMaintenanceUnderFaults) {
-  StartupSpec spec;
+  RunSpec spec;
+  spec.mode = RunMode::kStartup;
   spec.params = standard(7, 2);
   spec.rounds = 12;
-  spec.handoff = true;
+  spec.startup_handoff = true;
   spec.initial_clock_spread = 3.0;
   spec.fault = FaultKind::kSilent;
   spec.fault_count = 2;
   spec.seed = 11;
-  const StartupResult result = run_startup(spec);
+  const StartupResult result = *run(spec).startup;
   EXPECT_TRUE(result.handoff_done);
   const core::Derived d = core::derive(spec.params);
   EXPECT_LE(result.post_handoff_skew, d.gamma * (1 + 1e-9));
@@ -30,7 +31,8 @@ TEST(Integration, ColdStartToMaintenanceUnderFaults) {
 TEST(Integration, CrashRejoinWithConcurrentByzantineLoad) {
   // Seven processes: one crash/rejoin victim plus six healthy — the victim
   // occupies the f = 2 budget along with message-delay adversity.
-  ReintegrationSpec spec;
+  RunSpec spec;
+  spec.mode = RunMode::kReintegration;
   spec.params = standard(7, 2);
   spec.crash_at = 15.0;
   spec.wake_at = 80.0;
@@ -38,7 +40,7 @@ TEST(Integration, CrashRejoinWithConcurrentByzantineLoad) {
   spec.delay = DelayKind::kPerLink;
   spec.drift = DriftKind::kRandomWalk;
   spec.seed = 12;
-  const ReintegrationResult result = run_reintegration(spec);
+  const ReintegrationResult result = *run(spec).reintegration;
   ASSERT_TRUE(result.rejoined);
   EXPECT_LE(result.spread_with_joiner, result.beta * (1 + 1e-9));
   EXPECT_LE(result.skew_after, result.gamma_bound * (1 + 1e-9));
@@ -54,7 +56,7 @@ TEST(Integration, WholePipelineIsDeterministic) {
     spec.drift = DriftKind::kPiecewise;
     spec.rounds = 10;
     spec.seed = 13;
-    const RunResult result = run_experiment(spec);
+    const RunResult result = run(spec);
     return std::make_tuple(result.gamma_measured, result.max_abs_adj,
                            result.final_skew, result.messages);
   };
@@ -67,7 +69,7 @@ TEST(Integration, SeedsActuallyMatter) {
     spec.params = standard(4, 1);
     spec.rounds = 8;
     spec.seed = seed;
-    return run_experiment(spec).gamma_measured;
+    return run(spec).gamma_measured;
   };
   EXPECT_NE(gamma_for(1), gamma_for(2));
 }
@@ -79,7 +81,7 @@ TEST(Integration, LongRunFortyRoundsStable) {
   spec.fault_count = 2;
   spec.rounds = 40;
   spec.seed = 14;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   ASSERT_FALSE(result.diverged);
   ASSERT_GE(result.completed_rounds, 40);
   EXPECT_LE(result.gamma_measured, result.gamma_bound * (1 + 1e-9));
@@ -95,7 +97,7 @@ TEST(Integration, MixedDriftModelsAcrossProcessesStaySynchronized) {
   spec.fault_count = 3;
   spec.rounds = 15;
   spec.seed = 15;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   ASSERT_FALSE(result.diverged);
   EXPECT_LE(result.gamma_measured, result.gamma_bound * (1 + 1e-9));
 }

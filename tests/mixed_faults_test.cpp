@@ -28,7 +28,7 @@ TEST_P(MixedFaults, AllGuaranteesHold) {
   spec.fault_mix = c.mix;
   spec.rounds = 14;
   spec.seed = c.seed;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   ASSERT_FALSE(result.diverged);
   EXPECT_LE(result.gamma_measured, result.gamma_bound * (1 + 1e-9));
   EXPECT_LE(result.max_abs_adj, result.adj_bound * (1 + 1e-9));
@@ -69,7 +69,7 @@ TEST(MixedFaults, MixOverridesHomogeneousFields) {
   spec.fault_mix = {RunSpec::FaultSpec{FaultKind::kSilent, 1}};  // ...but mix wins
   spec.rounds = 8;
   spec.seed = 1;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   // Only one faulty process: 6 honest remain.
   EXPECT_EQ(result.honest.size(), 6u);
   EXPECT_FALSE(result.diverged);
@@ -110,7 +110,7 @@ TEST_P(SparseMixedFaults, StaysTogetherUnderLocalQuorumClamp) {
   spec.rounds = 10;
   spec.seed = c.seed;
   spec.measure_gradient = true;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   ASSERT_FALSE(result.diverged) << c.name;
   EXPECT_GE(result.completed_rounds, spec.rounds) << c.name;
   // Loose sparse-regime envelope: an order of magnitude over the mesh

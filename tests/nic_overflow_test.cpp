@@ -53,7 +53,7 @@ TEST(NicOverflow, DeterministicDropTraceOnClusteredMesh) {
 }
 
 TEST(NicOverflow, SummaryAggregatesAndConservation) {
-  const RunResult result = run_experiment(clustered_spec(16, 4));
+  const RunResult result = run(clustered_spec(16, 4));
   EXPECT_GT(result.nic.dropped, 0u);
   EXPECT_EQ(result.nic.dropped, result.nic_dropped);  // legacy counter agrees
   EXPECT_EQ(result.nic.max_burst, 16u);
@@ -70,7 +70,7 @@ TEST(NicOverflow, SummaryAggregatesAndConservation) {
 }
 
 TEST(NicOverflow, UnboundedQueueNeverDrops) {
-  const RunResult result = run_experiment(clustered_spec(16, 0));
+  const RunResult result = run(clustered_spec(16, 0));
   EXPECT_EQ(result.nic.dropped, 0u);
   EXPECT_EQ(result.nic.max_burst, 16u);   // bursts still observed
   EXPECT_GE(result.nic.peak_queue, 16u);  // the whole burst queues
@@ -82,8 +82,8 @@ TEST(NicOverflow, UnboundedQueueBitIdenticalToHugeCapacity) {
   // overflows": pinned bitwise against a finite queue too large to drop.
   RunSpec unbounded = clustered_spec(16, 0);
   RunSpec huge = clustered_spec(16, 1u << 20);
-  const RunResult a = run_experiment(unbounded);
-  const RunResult b = run_experiment(huge);
+  const RunResult a = run(unbounded);
+  const RunResult b = run(huge);
   EXPECT_TRUE(results_identical(a, b));
 }
 
@@ -230,11 +230,11 @@ TEST(NicOverflow, DropPolicyBiasUnderTwoFacedAttack) {
   spec.nic = sim::NicConfig{/*capacity=*/4, /*service_time=*/50e-6};
 
   spec.nic->drop = sim::NicDropPolicy::kDropOldest;
-  const RunResult oldest = run_experiment(spec);
-  EXPECT_TRUE(results_identical(oldest, run_experiment(spec)));
+  const RunResult oldest = run(spec);
+  EXPECT_TRUE(results_identical(oldest, run(spec)));
   spec.nic->drop = sim::NicDropPolicy::kDropNewest;
-  const RunResult newest = run_experiment(spec);
-  EXPECT_TRUE(results_identical(newest, run_experiment(spec)));
+  const RunResult newest = run(spec);
+  EXPECT_TRUE(results_identical(newest, run(spec)));
 
   EXPECT_GT(oldest.nic.dropped, 0u);
   EXPECT_GT(newest.nic.dropped, 0u);
@@ -280,14 +280,14 @@ TEST(NicOverflow, StarvedWindowsSkipUpdatesAcrossAlgosAndConfigs) {
       spec.averaging = a.averaging;
       spec.rounds = 5;
       spec.nic = nic;
-      const RunResult result = run_experiment(spec);
+      const RunResult result = run(spec);
       const std::string label = "algo " + std::to_string(int(a.algo)) +
                                 " avg " + std::to_string(int(a.averaging)) +
                                 " cap " + std::to_string(nic.capacity);
       EXPECT_GT(result.nic.dropped, 0u) << label;
       EXPECT_LT(result.max_abs_adj, 1.0) << label;
       EXPECT_LT(std::abs(result.final_skew), 1e3) << label;
-      EXPECT_TRUE(results_identical(result, run_experiment(spec))) << label;
+      EXPECT_TRUE(results_identical(result, run(spec))) << label;
       if (a.algo == Algo::kWelchLynch) {
         // Capacity 2 against a 16-wide burst empties every window: the
         // guard must fire rather than let mid() see the sentinels.
@@ -320,9 +320,9 @@ TEST(NicOverflow, DropPolicyInvariantUnderJointPlacementOnCliques) {
   spec.nic = sim::NicConfig{/*capacity=*/6, /*service_time=*/50e-6};
 
   spec.nic->drop = sim::NicDropPolicy::kDropOldest;
-  const RunResult oldest = run_experiment(spec);
+  const RunResult oldest = run(spec);
   spec.nic->drop = sim::NicDropPolicy::kDropNewest;
-  const RunResult newest = run_experiment(spec);
+  const RunResult newest = run(spec);
   EXPECT_GT(oldest.nic.dropped, 0u);
   EXPECT_FALSE(oldest.diverged);
   EXPECT_TRUE(results_identical(oldest, newest));
@@ -342,22 +342,22 @@ TEST(NicOverflow, MixedFaultsUnderOverflowStaysMeasurable) {
   spec.rounds = 6;
   spec.seed = 3;
   spec.nic = sim::NicConfig{/*capacity=*/5, /*service_time=*/5e-4};
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   EXPECT_GE(result.completed_rounds, 1);
   EXPECT_GT(result.nic.dropped, 0u);
   EXPECT_GE(result.nic.arrivals, result.nic.served + result.nic.dropped);
   EXPECT_GT(result.nic.worst_dropped, 0u);
   EXPECT_LE(result.nic.worst_dropped, result.nic.dropped);
   // Determinism under overflow + faults: same spec, same trace.
-  const RunResult again = run_experiment(spec);
+  const RunResult again = run(spec);
   EXPECT_TRUE(results_identical(result, again));
 }
 
 TEST(NicOverflow, StreamedTrialsCarryWallTelemetry) {
-  // Satellite: per-trial wall-time telemetry surfaces through run_streaming.
+  // Satellite: per-trial wall-time telemetry surfaces through run_adaptive.
   const std::vector<RunSpec> specs = seed_sweep(clustered_spec(8, 4), 1, 3);
   std::vector<double> streamed;
-  const std::vector<RunResult> results = ParallelRunner(2).run_streaming(
+  const std::vector<RunResult> results = ParallelRunner(2).run_adaptive(
       specs, [&](std::size_t, const RunResult& r) {
         streamed.push_back(r.wall_seconds);
       });

@@ -22,21 +22,21 @@ RunSpec ethernet_spec(double stagger, std::uint64_t seed) {
 }
 
 TEST(Ethernet, SimultaneousBroadcastsDropDatagrams) {
-  const RunResult result = run_experiment(ethernet_spec(0.0, 1));
+  const RunResult result = run(ethernet_spec(0.0, 1));
   EXPECT_GT(result.nic_dropped, 0u);
 }
 
 TEST(Ethernet, StaggerEliminatesDrops) {
   // sigma = 5 ms spacing >> 1 ms service: queues never build.
-  const RunResult result = run_experiment(ethernet_spec(0.005, 1));
+  const RunResult result = run(ethernet_spec(0.005, 1));
   EXPECT_EQ(result.nic_dropped, 0u);
   EXPECT_FALSE(result.diverged);
   EXPECT_LE(result.gamma_measured, result.gamma_bound * (1 + 1e-9));
 }
 
 TEST(Ethernet, StaggeredSystemNoWorseThanLossyUnstaggered) {
-  const RunResult unstaggered = run_experiment(ethernet_spec(0.0, 2));
-  const RunResult staggered = run_experiment(ethernet_spec(0.005, 2));
+  const RunResult unstaggered = run(ethernet_spec(0.0, 2));
+  const RunResult staggered = run(ethernet_spec(0.005, 2));
   // The staggered run keeps every guarantee; the unstaggered run at minimum
   // loses messages, and its skew cannot be meaningfully better.
   EXPECT_EQ(staggered.nic_dropped, 0u);
@@ -48,7 +48,7 @@ TEST(Ethernet, StaggeredSystemNoWorseThanLossyUnstaggered) {
 TEST(Ethernet, GenerousNicNeedsNoStagger) {
   RunSpec spec = ethernet_spec(0.0, 3);
   spec.nic = sim::NicConfig{/*capacity=*/64, /*service_time=*/20e-6};
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   EXPECT_EQ(result.nic_dropped, 0u);
   EXPECT_FALSE(result.diverged);
 }

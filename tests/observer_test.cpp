@@ -68,17 +68,17 @@ TEST(Observer, StreamingMatchesPostHocAcrossConfigs) {
   grid.push_back(gradient_mesh);
 
   for (const RunSpec& spec : grid) {
-    const RunResult legacy = run_experiment(spec);
+    const RunResult legacy = run(spec);
     // The bitwise pin holds when both engines anchor at the same round:
     // post-hoc uses last_complete_round / 2, streaming (rounds + 1) / 2.
     ASSERT_EQ((legacy.completed_rounds - 1) / 2, (spec.rounds + 1) / 2)
         << label(spec) << " completed=" << legacy.completed_rounds;
     RunSpec observed = spec;
     observed.observe = true;
-    const RunResult streamed = run_experiment(observed);
+    const RunResult streamed = run(observed);
     EXPECT_TRUE(results_identical(legacy, streamed)) << label(spec);
     observed.retain_history = false;
-    const RunResult bounded = run_experiment(observed);
+    const RunResult bounded = run(observed);
     EXPECT_TRUE(results_identical(streamed, bounded)) << label(spec);
     EXPECT_GT(bounded.observe.truncated_entries, 0u) << label(spec);
     EXPECT_LT(bounded.observe.peak_history_bytes,
@@ -133,13 +133,13 @@ TEST(Observer, BoundedModeIsDeterministicAcrossEnginesAndSchedulers) {
   spec.observe = true;
   spec.retain_history = false;
 
-  const RunResult reference = run_experiment(spec);
-  const RunResult repeat = run_experiment(spec);
+  const RunResult reference = run(spec);
+  const RunResult repeat = run(spec);
   EXPECT_TRUE(results_identical(reference, repeat));
 
   RunSpec scheduler = spec;
   scheduler.scheduler = engine::SchedulerKind::kCalendar;
-  EXPECT_TRUE(results_identical(reference, run_experiment(scheduler)));
+  EXPECT_TRUE(results_identical(reference, run(scheduler)));
 }
 
 TEST(Observer, CountersCrossCheckAgainstSimulatorState) {
@@ -174,7 +174,7 @@ TEST(Observer, NicDropCounterMatchesSummary) {
   spec.initial_spread = 0.0;
   spec.nic = sim::NicConfig{/*capacity=*/4, /*service_time=*/50e-6};
   spec.observe = true;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   EXPECT_GT(result.nic.dropped, 0u);
   EXPECT_EQ(result.observe.nic_drops, result.nic.dropped);
 }
@@ -192,20 +192,20 @@ TEST(Observer, DegradedRunCollapsesWindowDeterministically) {
   spec.rounds = 12;
   spec.nic = sim::NicConfig{/*capacity=*/4, /*service_time=*/1e-3};
   spec.observe = true;
-  const RunResult streamed = run_experiment(spec);
+  const RunResult streamed = run(spec);
   EXPECT_TRUE(streamed.diverged);
   EXPECT_LT(streamed.completed_rounds, spec.rounds);
   EXPECT_EQ(streamed.observe.t_steady, streamed.t_end);  // collapsed window
-  EXPECT_TRUE(results_identical(streamed, run_experiment(spec)));
+  EXPECT_TRUE(results_identical(streamed, run(spec)));
   spec.retain_history = false;
-  EXPECT_TRUE(results_identical(streamed, run_experiment(spec)));
+  EXPECT_TRUE(results_identical(streamed, run(spec)));
 }
 
 TEST(Observer, RetainHistoryWithoutObserveThrows) {
   RunSpec spec = base_spec(Algo::kWelchLynch, net::TopologyKind::kFullMesh,
                            FaultKind::kNone, 0);
   spec.retain_history = false;
-  EXPECT_THROW((void)run_experiment(spec), std::invalid_argument);
+  EXPECT_THROW((void)run(spec), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // ParallelRunner: sharded sweeps must be indistinguishable from serial ones
-// — result[i] is bit-for-bit the serial run_experiment(specs[i]) — and the
+// — result[i] is bit-for-bit the serial run(specs[i]) — and the
 // pool must cover every index exactly once and surface worker exceptions.
 
 #include <gtest/gtest.h>
@@ -24,10 +24,33 @@ RunSpec cheap_spec() {
   return spec;
 }
 
+RunSpec startup_spec(std::uint64_t seed) {
+  RunSpec spec;
+  spec.mode = RunMode::kStartup;
+  spec.params = core::make_params(5, 1, 1e-5, 0.01, 1e-3, 10.0);
+  spec.rounds = 12;
+  spec.initial_clock_spread = 1.0;
+  spec.seed = seed;
+  return spec;
+}
+
+RunSpec reintegration_spec(std::uint64_t seed) {
+  RunSpec spec;
+  spec.mode = RunMode::kReintegration;
+  spec.params = core::make_params(4, 1, 1e-5, 0.01, 1e-3, 10.0);
+  spec.crash_at = 25.0;
+  spec.wake_at = 95.0;
+  spec.rounds = 30;
+  spec.seed = seed;
+  return spec;
+}
+
 TEST(ParallelRunner, MatchesSerialBitForBit) {
-  const std::vector<RunSpec> specs = seed_sweep(cheap_spec(), 100, 12);
-  const std::vector<RunResult> serial = ParallelRunner(1).run(specs);
-  const std::vector<RunResult> sharded = ParallelRunner(4).run(specs);
+  std::vector<RunSpec> specs = seed_sweep(cheap_spec(), 100, 12);
+  specs.push_back(startup_spec(3));
+  specs.push_back(reintegration_spec(3));
+  const std::vector<RunResult> serial = ParallelRunner(1).run_adaptive(specs);
+  const std::vector<RunResult> sharded = ParallelRunner(4).run_adaptive(specs);
   ASSERT_EQ(serial.size(), sharded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(results_identical(serial[i], sharded[i])) << "trial " << i;
@@ -36,12 +59,24 @@ TEST(ParallelRunner, MatchesSerialBitForBit) {
   EXPECT_FALSE(results_identical(serial[0], serial[1]));
 }
 
+TEST(ParallelRunner, IdentityComparesModePayloads) {
+  // The flat maintenance fields stay at their defaults in both modes, so
+  // only the payload physics can tell two such runs apart.
+  const RunResult startup = run(startup_spec(1));
+  EXPECT_TRUE(results_identical(startup, run(startup_spec(1))));
+  EXPECT_FALSE(results_identical(startup, run(startup_spec(2))));
+  const RunResult rejoin = run(reintegration_spec(1));
+  EXPECT_TRUE(results_identical(rejoin, run(reintegration_spec(1))));
+  EXPECT_FALSE(results_identical(rejoin, run(reintegration_spec(2))));
+  EXPECT_FALSE(results_identical(startup, rejoin));
+}
+
 TEST(ParallelRunner, MatchesSerialUnderBothSchedulers) {
   RunSpec base = cheap_spec();
   base.scheduler = engine::SchedulerKind::kCalendar;
   const std::vector<RunSpec> specs = seed_sweep(base, 7, 6);
-  const std::vector<RunResult> serial = ParallelRunner(1).run(specs);
-  const std::vector<RunResult> sharded = ParallelRunner(3).run(specs);
+  const std::vector<RunResult> serial = ParallelRunner(1).run_adaptive(specs);
+  const std::vector<RunResult> sharded = ParallelRunner(3).run_adaptive(specs);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(results_identical(serial[i], sharded[i])) << "trial " << i;
   }
@@ -56,8 +91,8 @@ TEST(ParallelRunner, PdesAutoTuneDeclinesInsideWorkers) {
   base.algo = Algo::kLM;
   base.rounds = 4;
   const std::vector<RunSpec> specs = seed_sweep(base, 21, 4);
-  const std::vector<RunResult> serial = ParallelRunner(1).run(specs);
-  const std::vector<RunResult> sharded = ParallelRunner(4).run(specs);
+  const std::vector<RunResult> serial = ParallelRunner(1).run_adaptive(specs);
+  const std::vector<RunResult> sharded = ParallelRunner(4).run_adaptive(specs);
   ASSERT_EQ(serial.size(), sharded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_GE(serial[i].pdes_workers_used, 2) << "trial " << i;
@@ -93,27 +128,6 @@ TEST(ParallelRunner, WorkStealingCoversSkewedCosts) {
   for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i], 1) << i;
 }
 
-TEST(ParallelRunner, StreamingDeliversEveryResultOnceAndMatchesRun) {
-  const std::vector<RunSpec> specs = seed_sweep(cheap_spec(), 300, 9);
-  const std::vector<RunResult> plain = ParallelRunner(3).run(specs);
-
-  std::vector<int> delivered(specs.size(), 0);
-  std::vector<RunResult> streamed_copies(specs.size());
-  const std::vector<RunResult> streamed = ParallelRunner(3).run_streaming(
-      specs, [&](std::size_t i, const RunResult& result) {
-        // Serialized by the runner: plain writes are safe here.
-        ++delivered[i];
-        streamed_copies[i] = result;
-      });
-
-  ASSERT_EQ(streamed.size(), plain.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(delivered[i], 1) << i;
-    EXPECT_TRUE(results_identical(plain[i], streamed[i])) << i;
-    EXPECT_TRUE(results_identical(plain[i], streamed_copies[i])) << i;
-  }
-}
-
 TEST(ParallelRunner, PropagatesWorkerExceptions) {
   ParallelRunner runner(4);
   EXPECT_THROW(runner.run_indexed(64,
@@ -126,15 +140,15 @@ TEST(ParallelRunner, PropagatesWorkerExceptions) {
 }
 
 TEST(ParallelRunner, HandlesEmptyAndDefaults) {
-  EXPECT_TRUE(ParallelRunner(2).run({}).empty());
+  EXPECT_TRUE(ParallelRunner(2).run_adaptive({}).empty());
   EXPECT_GE(ParallelRunner(0).threads(), 1);  // hardware default
   ParallelRunner(0).run_indexed(0, [](std::size_t) { FAIL(); });
 }
 
 // ------------------------------------------------------------------------
-// Self-balancing (run_adaptive): cost-aware chunks + telemetry-guided
-// stealing are scheduling-only — results stay bit-identical to the
-// fixed-chunk path on skewed grids.
+// Self-balancing: cost-aware chunks + telemetry-guided stealing are
+// scheduling-only — results stay bit-identical to a serial sweep on skewed
+// grids.
 
 std::vector<RunSpec> skewed_grid() {
   // A grid deliberately mixing cheap and expensive trials: small and
@@ -156,37 +170,39 @@ std::vector<RunSpec> skewed_grid() {
   return specs;
 }
 
-TEST(ParallelRunner, AdaptiveMatchesFixedChunksBitForBit) {
-  const std::vector<RunSpec> specs = skewed_grid();
-  const std::vector<RunResult> fixed = ParallelRunner(4).run(specs);
-  const std::vector<RunResult> adaptive = ParallelRunner(4).run_adaptive(specs);
-  ASSERT_EQ(fixed.size(), adaptive.size());
-  for (std::size_t i = 0; i < fixed.size(); ++i) {
-    EXPECT_TRUE(results_identical(fixed[i], adaptive[i])) << "trial " << i;
-  }
-}
-
 TEST(ParallelRunner, AdaptiveIsThreadCountInvariant) {
   const std::vector<RunSpec> specs = skewed_grid();
   const std::vector<RunResult> serial = ParallelRunner(1).run_adaptive(specs);
-  const std::vector<RunResult> wide = ParallelRunner(8).run_adaptive(specs);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(results_identical(serial[i], wide[i])) << "trial " << i;
+  for (const int threads : {4, 8}) {
+    const std::vector<RunResult> wide =
+        ParallelRunner(threads).run_adaptive(specs);
+    ASSERT_EQ(serial.size(), wide.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_TRUE(results_identical(serial[i], wide[i]))
+          << threads << " threads, trial " << i;
+    }
   }
 }
 
 TEST(ParallelRunner, AdaptiveStreamsEveryResultExactlyOnce) {
-  const std::vector<RunSpec> specs = seed_sweep(cheap_spec(), 9, 10);
+  const std::vector<RunSpec> specs = seed_sweep(cheap_spec(), 300, 9);
+  const std::vector<RunResult> serial = ParallelRunner(1).run_adaptive(specs);
+
   std::vector<int> seen(specs.size(), 0);
-  const std::vector<RunResult> adaptive = ParallelRunner(4).run_adaptive(
+  std::vector<RunResult> streamed_copies(specs.size());
+  const std::vector<RunResult> streamed = ParallelRunner(4).run_adaptive(
       specs, [&](std::size_t i, const RunResult& r) {
+        // Serialized by the runner: plain writes are safe here.
         ++seen[i];
+        streamed_copies[i] = r;
         EXPECT_GT(r.wall_seconds, 0.0);
       });
-  for (std::size_t i = 0; i < specs.size(); ++i) EXPECT_EQ(seen[i], 1) << i;
-  const std::vector<RunResult> fixed = ParallelRunner(4).run(specs);
+
+  ASSERT_EQ(streamed.size(), serial.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_TRUE(results_identical(fixed[i], adaptive[i])) << "trial " << i;
+    EXPECT_EQ(seen[i], 1) << i;
+    EXPECT_TRUE(results_identical(serial[i], streamed[i])) << i;
+    EXPECT_TRUE(results_identical(serial[i], streamed_copies[i])) << i;
   }
 }
 

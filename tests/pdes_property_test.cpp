@@ -25,7 +25,7 @@ constexpr int kConfigs = 14;
 RunResult run_one(RunSpec spec, EngineMode engine, std::int32_t workers) {
   spec.engine = engine;
   spec.pdes_workers = workers;
-  return run_experiment(spec);
+  return run(spec);
 }
 
 TEST(PdesProperty, RandomizedIdentity) {

@@ -27,7 +27,7 @@ RunResult run_engine(RunSpec spec, EngineMode engine,
                      std::int32_t workers = 0) {
   spec.engine = engine;
   spec.pdes_workers = workers;
-  return run_experiment(spec);
+  return run(spec);
 }
 
 /// The central pin: for workers in {1, 2, 8} the PDES engine runs, makes
@@ -164,8 +164,8 @@ TEST(PdesPin, DeterministicUnderParallelRunner) {
   base.engine = EngineMode::kPdes;
   base.pdes_workers = 4;
   const std::vector<RunSpec> specs = seed_sweep(base, 700, 4);
-  const std::vector<RunResult> serial = ParallelRunner(1).run(specs);
-  const std::vector<RunResult> sharded = ParallelRunner(4).run(specs);
+  const std::vector<RunResult> serial = ParallelRunner(1).run_adaptive(specs);
+  const std::vector<RunResult> sharded = ParallelRunner(4).run_adaptive(specs);
   ASSERT_EQ(serial.size(), sharded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(results_identical(serial[i], sharded[i])) << "trial " << i;

@@ -320,7 +320,7 @@ TEST(Placement, ExperimentPlacesFaultsPositionally) {
       proc::place_faults(topo, spec.placement, 1, spec.seed);
   ASSERT_EQ(placed.size(), 1u);
 
-  const analysis::RunResult result = analysis::run_experiment(spec);
+  const analysis::RunResult result = analysis::run(spec);
   EXPECT_EQ(result.honest.size(), 23u);
   EXPECT_FALSE(std::binary_search(result.honest.begin(), result.honest.end(),
                                   placed[0]))
@@ -329,8 +329,8 @@ TEST(Placement, ExperimentPlacesFaultsPositionally) {
 
   // Positional trials stay deterministic under the parallel runner.
   const std::vector<analysis::RunSpec> specs = analysis::seed_sweep(spec, 300, 4);
-  const auto serial = analysis::ParallelRunner(1).run(specs);
-  const auto sharded = analysis::ParallelRunner(4).run(specs);
+  const auto serial = analysis::ParallelRunner(1).run_adaptive(specs);
+  const auto sharded = analysis::ParallelRunner(4).run_adaptive(specs);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(analysis::results_identical(serial[i], sharded[i])) << "trial " << i;
   }

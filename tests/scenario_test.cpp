@@ -1,13 +1,15 @@
 // Pins for the composable scenario API:
 //   - ScenarioSpec is the RunSpec's base subobject (aliasing, not a copy);
-//   - the unified analysis::run() dispatches on RunSpec::mode and the three
-//     historical entry points are bit-identical wrappers over it;
+//   - analysis::run() dispatches on RunSpec::mode, and the start-up and
+//     rejoin modes reject every knob they cannot honour by name;
 //   - the arbitrary-initial-state (self-stabilization) workload measures a
 //     deterministic stabilization round / time;
 //   - the adaptive-adversary env reproduces bit for bit under the same
 //     action sequence, and different actions change the physics.
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -74,83 +76,153 @@ TEST(ScenarioSpec, ScenarioSliceIsCopyableAsOneValue) {
   EXPECT_TRUE(analysis::results_identical(ra, rb));
 }
 
-TEST(UnifiedRun, RunExperimentWrapperIsBitIdentical) {
+TEST(UnifiedRun, MaintenanceModeIsDeterministicWithoutPayloads) {
   const RunSpec spec = small_spec();
-  const RunResult via_run = analysis::run(spec);
-  const RunResult via_wrapper = analysis::run_experiment(spec);
-  EXPECT_TRUE(analysis::results_identical(via_run, via_wrapper));
-  EXPECT_FALSE(via_run.startup.has_value());
-  EXPECT_FALSE(via_run.reintegration.has_value());
-  EXPECT_GT(via_run.wall_seconds, 0.0);
+  const RunResult first = analysis::run(spec);
+  const RunResult second = analysis::run(spec);
+  EXPECT_TRUE(analysis::results_identical(first, second));
+  EXPECT_FALSE(first.startup.has_value());
+  EXPECT_FALSE(first.reintegration.has_value());
+  EXPECT_GT(first.wall_seconds, 0.0);
 }
 
-TEST(UnifiedRun, StartupModeEmbedsTheLegacyResultExactly) {
-  analysis::StartupSpec legacy;
-  legacy.params = core::make_params(8, 1, 1e-5, 0.01, 1e-3, 10.0);
-  legacy.rounds = 8;
-  legacy.handoff = true;
-  legacy.initial_clock_spread = 1.5;
-  legacy.fault = analysis::FaultKind::kSilent;
-  legacy.fault_count = 1;
-  legacy.seed = 9;
+// ------------------------------------------------------------------------
+// kStartup / kReintegration reject what their bodies would ignore.
 
-  RunSpec unified;
-  unified.mode = analysis::RunMode::kStartup;
-  unified.params = legacy.params;
-  unified.rounds = legacy.rounds;
-  unified.startup_handoff = legacy.handoff;
-  unified.initial_clock_spread = legacy.initial_clock_spread;
-  unified.fault = legacy.fault;
-  unified.fault_count = legacy.fault_count;
-  unified.delay = legacy.delay;
-  unified.drift = legacy.drift;
-  unified.seed = legacy.seed;
-
-  const analysis::StartupResult a = analysis::run_startup(legacy);
-  const RunResult r = analysis::run(unified);
-  ASSERT_TRUE(r.startup.has_value());
-  const analysis::StartupResult& b = *r.startup;
-
-  EXPECT_EQ(a.b_series, b.b_series);  // bitwise: same doubles, same order
-  EXPECT_EQ(a.round_slack, b.round_slack);
-  EXPECT_EQ(a.limit, b.limit);
-  EXPECT_EQ(a.final_b, b.final_b);
-  EXPECT_EQ(a.handoff_done, b.handoff_done);
-  EXPECT_EQ(a.post_handoff_skew, b.post_handoff_skew);
-  EXPECT_GT(r.wall_seconds, 0.0);
+RunSpec startup_spec() {
+  RunSpec spec;
+  spec.mode = analysis::RunMode::kStartup;
+  spec.params = core::make_params(7, 2, 1e-5, 0.01, 1e-3, 10.0);
+  spec.rounds = 12;
+  spec.initial_clock_spread = 1.0;
+  return spec;
 }
 
-TEST(UnifiedRun, ReintegrationModeEmbedsTheLegacyResultExactly) {
-  analysis::ReintegrationSpec legacy;
-  legacy.params = core::make_params(8, 1, 1e-5, 0.01, 1e-3, 10.0);
-  legacy.crash_at = 15.0;
-  legacy.wake_at = 55.0;
-  legacy.rounds = 14;
-  legacy.seed = 3;
+RunSpec rejoin_spec() {
+  RunSpec spec;
+  spec.mode = analysis::RunMode::kReintegration;
+  spec.params = core::make_params(4, 1, 1e-5, 0.01, 1e-3, 10.0);
+  spec.crash_at = 25.0;
+  spec.wake_at = 95.0;
+  spec.rounds = 30;
+  return spec;
+}
 
-  RunSpec unified;
-  unified.mode = analysis::RunMode::kReintegration;
-  unified.params = legacy.params;
-  unified.crash_at = legacy.crash_at;
-  unified.wake_at = legacy.wake_at;
-  unified.rounds = legacy.rounds;
-  unified.delay = legacy.delay;
-  unified.drift = legacy.drift;
-  unified.seed = legacy.seed;
+/// The std::invalid_argument message run() throws for `spec`; empty when
+/// it runs.
+std::string rejection(const RunSpec& spec) {
+  try {
+    (void)analysis::run(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
 
-  const analysis::ReintegrationResult a = analysis::run_reintegration(legacy);
-  const RunResult r = analysis::run(unified);
+/// Applies `mutate` to a valid spec of each non-maintenance mode and
+/// expects run() to reject both, naming `field`.
+template <typename Mutate>
+void expect_both_modes_reject(Mutate mutate, const std::string& field) {
+  for (RunSpec spec : {startup_spec(), rejoin_spec()}) {
+    mutate(spec);
+    EXPECT_NE(rejection(spec).find(field), std::string::npos)
+        << "mode " << static_cast<int>(spec.mode) << ": \"" << rejection(spec)
+        << "\" does not name " << field;
+  }
+}
+
+TEST(ModeValidation, BaseSpecsRun) {
+  EXPECT_EQ(rejection(startup_spec()), "");
+  EXPECT_EQ(rejection(rejoin_spec()), "");
+  RunSpec spam = startup_spec();
+  spam.fault = analysis::FaultKind::kSpam;
+  spam.fault_count = 2;
+  spam.engine = analysis::EngineMode::kEvent;
+  EXPECT_EQ(rejection(spam), "");
+}
+
+TEST(ModeValidation, RejectsFaultMix) {
+  expect_both_modes_reject(
+      [](RunSpec& s) { s.fault_mix = {{analysis::FaultKind::kSilent, 1}}; },
+      "fault_mix");
+}
+
+TEST(ModeValidation, RejectsPlacement) {
+  expect_both_modes_reject(
+      [](RunSpec& s) { s.placement = proc::PlacementKind::kRandom; },
+      "placement");
+}
+
+TEST(ModeValidation, RejectsPlacementIds) {
+  expect_both_modes_reject([](RunSpec& s) { s.placement_ids = {0}; },
+                           "placement_ids");
+}
+
+TEST(ModeValidation, RejectsDynamics) {
+  expect_both_modes_reject([](RunSpec& s) { s.dynamics.fail_link(5.0, 0, 1); },
+                           "dynamics");
+}
+
+TEST(ModeValidation, RejectsNic) {
+  expect_both_modes_reject([](RunSpec& s) { s.nic = sim::NicConfig{}; },
+                           "nic");
+}
+
+TEST(ModeValidation, RejectsNonMeshTopology) {
+  expect_both_modes_reject(
+      [](RunSpec& s) {
+        s.topology.kind = net::TopologyKind::kKRegular;
+        s.topology.degree = 2;
+      },
+      "topology");
+}
+
+TEST(ModeValidation, RejectsNonWelchLynchAlgo) {
+  expect_both_modes_reject([](RunSpec& s) { s.algo = analysis::Algo::kLM; },
+                           "algo");
+}
+
+TEST(ModeValidation, RejectsFastpathAndPdesEngines) {
+  for (const auto engine :
+       {analysis::EngineMode::kFastpath, analysis::EngineMode::kPdes}) {
+    expect_both_modes_reject([&](RunSpec& s) { s.engine = engine; },
+                             "engine");
+  }
+}
+
+TEST(ModeValidation, StartupRejectsTwoFacedAndLiarFaults) {
+  // These used to run silently as spam adversaries.
+  for (const auto fault :
+       {analysis::FaultKind::kTwoFaced, analysis::FaultKind::kLiar}) {
+    RunSpec spec = startup_spec();
+    spec.fault = fault;
+    spec.fault_count = 2;
+    EXPECT_NE(rejection(spec).find("two-faced or liar"), std::string::npos)
+        << static_cast<int>(fault);
+  }
+}
+
+TEST(ModeValidation, ReintegrationRejectsFaults) {
+  RunSpec spec = rejoin_spec();
+  spec.fault = analysis::FaultKind::kSilent;
+  spec.fault_count = 1;
+  EXPECT_NE(rejection(spec).find("fault"), std::string::npos);
+}
+
+TEST(ModeValidation, ReintegrationRejectsRoundsShortOfTheJoin) {
+  // Six rounds end before the joiner's first full round: this schedule
+  // used to report rejoined = true with a NaN spread.
+  RunSpec spec = rejoin_spec();
+  spec.crash_at = 15.0;
+  spec.wake_at = 60.0;
+  spec.rounds = 6;
+  EXPECT_NE(rejection(spec).find("rounds too few"), std::string::npos);
+  spec.rounds = 7;
+  const RunResult r = analysis::run(spec);
   ASSERT_TRUE(r.reintegration.has_value());
-  const analysis::ReintegrationResult& b = *r.reintegration;
-
-  EXPECT_EQ(a.rejoined, b.rejoined);
-  EXPECT_EQ(a.join_time, b.join_time);
-  EXPECT_EQ(a.join_round, b.join_round);
-  EXPECT_EQ(a.spread_with_joiner, b.spread_with_joiner);
-  EXPECT_EQ(a.beta, b.beta);
-  EXPECT_EQ(a.skew_after, b.skew_after);
-  EXPECT_EQ(a.gamma_bound, b.gamma_bound);
-  EXPECT_TRUE(a.rejoined);
+  EXPECT_TRUE(r.reintegration->rejoined);
+  EXPECT_FALSE(std::isnan(r.reintegration->spread_with_joiner));
+  EXPECT_LE(r.reintegration->spread_with_joiner, r.reintegration->beta);
 }
 
 TEST(Stabilization, AlignedStartIsStableFromTheFirstRound) {

@@ -13,7 +13,7 @@ TEST(Smoke, FaultFreeSystemStaysSynchronized) {
                                   /*delta=*/0.01, /*eps=*/1e-3, /*P=*/10.0);
   spec.rounds = 10;
   spec.seed = 42;
-  const analysis::RunResult result = analysis::run_experiment(spec);
+  const analysis::RunResult result = analysis::run(spec);
   EXPECT_FALSE(result.diverged);
   EXPECT_LE(result.gamma_measured, result.gamma_bound);
   EXPECT_LE(result.max_abs_adj, result.adj_bound + 1e-12);

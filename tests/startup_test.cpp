@@ -16,12 +16,13 @@ core::Params standard(std::int32_t n, std::int32_t f) {
 class StartupSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StartupSeeds, Lemma20ContractionAndLimit) {
-  StartupSpec spec;
+  RunSpec spec;
+  spec.mode = RunMode::kStartup;
   spec.params = standard(7, 2);
   spec.rounds = 14;
   spec.initial_clock_spread = 5.0;  // clocks start up to 5 s apart (arbitrary)
   spec.seed = GetParam();
-  const StartupResult result = run_startup(spec);
+  const StartupResult result = *run(spec).startup;
   ASSERT_GE(result.b_series.size(), 10u);
 
   // Per-round contraction while above the noise floor (near the floor the
@@ -44,62 +45,65 @@ TEST_P(StartupSeeds, Lemma20ContractionAndLimit) {
 INSTANTIATE_TEST_SUITE_P(Seeds, StartupSeeds, ::testing::Values(1, 2, 3, 55, 99));
 
 TEST(Startup, ToleratesSilentFaults) {
-  StartupSpec spec;
+  RunSpec spec;
+  spec.mode = RunMode::kStartup;
   spec.params = standard(7, 2);
   spec.rounds = 12;
   spec.initial_clock_spread = 2.0;
   spec.fault = FaultKind::kSilent;
   spec.fault_count = 2;
   spec.seed = 4;
-  const StartupResult result = run_startup(spec);
+  const StartupResult result = *run(spec).startup;
   ASSERT_GE(result.b_series.size(), 8u);
   EXPECT_LT(result.final_b, spec.initial_clock_spread / 50.0);
 }
 
 TEST(Startup, ToleratesSpamFaults) {
-  StartupSpec spec;
+  RunSpec spec;
+  spec.mode = RunMode::kStartup;
   spec.params = standard(7, 2);
   spec.rounds = 12;
   spec.initial_clock_spread = 2.0;
   spec.fault = FaultKind::kSpam;
   spec.fault_count = 2;
   spec.seed = 5;
-  const StartupResult result = run_startup(spec);
+  const StartupResult result = *run(spec).startup;
   ASSERT_GE(result.b_series.size(), 8u);
   EXPECT_LT(result.final_b, spec.initial_clock_spread / 50.0);
 }
 
 TEST(Startup, HugeInitialSpreadStillConverges) {
-  StartupSpec spec;
+  RunSpec spec;
+  spec.mode = RunMode::kStartup;
   spec.params = standard(4, 1);
   spec.rounds = 24;
   spec.initial_clock_spread = 1000.0;  // ~17 minutes apart
   spec.seed = 6;
-  const StartupResult result = run_startup(spec);
+  const StartupResult result = *run(spec).startup;
   ASSERT_GE(result.b_series.size(), 20u);
   EXPECT_LE(result.final_b, 3.0 * result.limit + 2 * spec.params.eps);
 }
 
 TEST(Startup, StreamingObservationIsBitIdentical) {
-  // StartupSpec::observe used to be silently ignored; now it switches the
-  // b_series measurement to the streaming round-boundary accumulator.  The
-  // observer folds the same walkers in the same id order at the same
+  // RunSpec::observe switches the b_series measurement to the streaming
+  // round-boundary accumulator.  The observer folds the same walkers in the same id order at the same
   // instants as the post-hoc skew_at scans, so every measured double must
   // be bitwise equal — across fault-free, faulty, and handoff runs.
   for (const bool faults : {false, true}) {
-    StartupSpec spec;
+    RunSpec spec;
+    spec.mode = RunMode::kStartup;
     spec.params = standard(7, 2);
     spec.rounds = 12;
     spec.initial_clock_spread = 2.0;
-    spec.handoff = true;
+    spec.startup_handoff = true;
     spec.seed = 8;
     if (faults) {
       spec.fault = FaultKind::kSilent;
       spec.fault_count = 2;
     }
-    const StartupResult plain = run_startup(spec);
+    const StartupResult plain = *run(spec).startup;
     spec.observe = true;
-    const StartupResult observed = run_startup(spec);
+    const StartupResult observed = *run(spec).startup;
 
     EXPECT_FALSE(plain.observe.enabled);
     EXPECT_TRUE(observed.observe.enabled);
@@ -117,13 +121,14 @@ TEST(Startup, StreamingObservationIsBitIdentical) {
 }
 
 TEST(Startup, HandoffToMaintenanceWorks) {
-  StartupSpec spec;
+  RunSpec spec;
+  spec.mode = RunMode::kStartup;
   spec.params = standard(4, 1);
   spec.rounds = 12;
   spec.initial_clock_spread = 2.0;
-  spec.handoff = true;
+  spec.startup_handoff = true;
   spec.seed = 7;
-  const StartupResult result = run_startup(spec);
+  const StartupResult result = *run(spec).startup;
   EXPECT_TRUE(result.handoff_done);
   // Post-handoff the maintenance algorithm holds its own gamma.
   const core::Derived d = core::derive(spec.params);

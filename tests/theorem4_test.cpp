@@ -56,7 +56,7 @@ TEST_P(Theorem4, InvariantsHold) {
   spec.rounds = 12;
   spec.seed = c.seed;
 
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   ASSERT_FALSE(result.diverged);
   ASSERT_GE(result.completed_rounds, spec.rounds);
 
@@ -152,7 +152,7 @@ TEST(FaultBoundary, GuaranteeDegradesBelowThreeFPlusOne) {
       spec.fault_count = f;
       spec.rounds = 30;
       spec.seed = seed;
-      const RunResult result = run_experiment(spec);
+      const RunResult result = run(spec);
       worst = std::max(worst, result.gamma_measured / result.gamma_bound);
     }
     return worst;

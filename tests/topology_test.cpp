@@ -411,15 +411,15 @@ TEST(SparseTopology, DeterministicUnderParallelRunner) {
   base.topology.kind = TopologyKind::kRingOfCliques;
   base.topology.clique_size = 6;
   const std::vector<RunSpec> specs = analysis::seed_sweep(base, 500, 8);
-  const std::vector<RunResult> serial = analysis::ParallelRunner(1).run(specs);
-  const std::vector<RunResult> sharded = analysis::ParallelRunner(4).run(specs);
+  const std::vector<RunResult> serial = analysis::ParallelRunner(1).run_adaptive(specs);
+  const std::vector<RunResult> sharded = analysis::ParallelRunner(4).run_adaptive(specs);
   ASSERT_EQ(serial.size(), sharded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(analysis::results_identical(serial[i], sharded[i]))
         << "trial " << i;
   }
   // And run-over-run: no hidden state in the net layer.
-  const std::vector<RunResult> again = analysis::ParallelRunner(4).run(specs);
+  const std::vector<RunResult> again = analysis::ParallelRunner(4).run_adaptive(specs);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(analysis::results_identical(serial[i], again[i]));
   }
@@ -434,7 +434,7 @@ TEST(SparseTopology, WelchLynchStaysBoundedOnExpander) {
   spec.rounds = 10;
   spec.topology.kind = TopologyKind::kKRegular;
   spec.topology.degree = 8;
-  const RunResult result = analysis::run_experiment(spec);
+  const RunResult result = analysis::run(spec);
   EXPECT_GE(result.completed_rounds, 10);
   EXPECT_FALSE(result.diverged);
   EXPECT_LT(result.gamma_measured, 0.1);

@@ -26,7 +26,7 @@ TEST_P(Validity, EnvelopeHolds) {
   spec.drift = c.drift;
   spec.rounds = 15;
   spec.seed = c.seed;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   ASSERT_FALSE(result.diverged);
   EXPECT_TRUE(result.validity.holds)
       << "upper violation " << result.validity.max_upper_violation

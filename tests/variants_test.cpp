@@ -41,7 +41,7 @@ TEST(KExchange, SteadySpreadScalesLikeTwoToKOverTwoToKMinusOne) {
     spec.drift_period = 1000.0;      // constant rates: sustained divergence
     spec.rounds = 14;
     spec.seed = 21;
-    const RunResult result = run_experiment(spec);
+    const RunResult result = run(spec);
     EXPECT_FALSE(result.diverged) << "k=" << k;
     // Average the last few rounds' begin spreads.
     double sum = 0.0;
@@ -72,7 +72,7 @@ TEST(KExchange, GammaStillHoldsWithFaults) {
   spec.fault_count = 2;
   spec.rounds = 10;
   spec.seed = 22;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   ASSERT_FALSE(result.diverged);
   EXPECT_LE(result.gamma_measured, result.gamma_bound * (1 + 1e-9));
 }
@@ -107,7 +107,7 @@ TEST(MeanVariant, ConvergesAndHoldsFloorUnderSteeringForLargeN) {
     spec.initial_spread = 0.9 * p.beta;
     spec.rounds = 12;
     spec.seed = 23;
-    const RunResult result = run_experiment(spec);
+    const RunResult result = analysis::run(spec);
     EXPECT_FALSE(result.diverged);
     EXPECT_LE(result.gamma_measured, result.gamma_bound * (1 + 1e-9));
     return result;
@@ -131,7 +131,7 @@ TEST(MeanVariant, StillToleratesWorstAdversary) {
   spec.fault_count = 5;
   spec.rounds = 12;
   spec.seed = 24;
-  const RunResult result = run_experiment(spec);
+  const RunResult result = run(spec);
   ASSERT_FALSE(result.diverged);
   EXPECT_LE(result.gamma_measured, result.gamma_bound * (1 + 1e-9));
 }
@@ -145,7 +145,7 @@ TEST(Stagger, BehavesLikeOriginalWithoutCollisions) {
     spec.stagger = sigma;
     spec.rounds = 12;
     spec.seed = 25;
-    const RunResult result = run_experiment(spec);
+    const RunResult result = run(spec);
     EXPECT_FALSE(result.diverged) << "sigma=" << sigma;
     EXPECT_LE(result.gamma_measured, result.gamma_bound * (1 + 1e-9))
         << "sigma=" << sigma;
