@@ -16,7 +16,6 @@
 #include "core/reintegration.h"
 #include "core/startup.h"
 #include "engine/pdes.h"
-#include "net/partition.h"
 #include "proc/adversaries.h"
 #include "util/rng.h"
 
@@ -104,59 +103,6 @@ proc::ProcessPtr build_algorithm(const RunSpec& spec) {
       return std::make_unique<baselines::HssdProcess>(spec.params);
   }
   throw std::logic_error("unknown Algo");
-}
-
-/// Spec-level fast-path eligibility (core/fastpath.h documents the system-
-/// level half, re-verified by RoundFastPath::ineligible_reason).  Returns
-/// nullptr when eligible.
-const char* fastpath_spec_block(const RunSpec& spec) {
-  if (!spec.dynamics.empty()) {
-    // The round loop batches whole exchanges against a FIXED neighbor
-    // structure; a schedule that rewires the graph (or churns membership)
-    // mid-run would silently execute on the stale one.  Refuse by name —
-    // never run a dynamic scenario on the static fast path.
-    return "dynamic-topology schedule present (net/dynamics.h)";
-  }
-  if (spec.algo != Algo::kWelchLynch) return "algo is not Welch-Lynch";
-  const bool faults = !spec.fault_mix.empty() ||
-                      (spec.fault != FaultKind::kNone && spec.fault_count > 0);
-  if (faults) {
-    // Fault-isolating region mode (core/fastpath.h): needs an unstaggered
-    // run on a sparse exchange graph — on the full mesh every honest
-    // process neighbors the adversary, so no fast region exists.  (Whether
-    // the adversaries' actual placement leaves a nonempty honest remainder
-    // is a system-level question; ineligible_reason re-checks it.)
-    if (spec.stagger > 0.0) return "staggered broadcasts with faults present";
-    if (spec.topology.kind == net::TopologyKind::kFullMesh) {
-      return "adversary neighborhood covers the exchange graph";
-    }
-  }
-  if (spec.nic.has_value()) return "Section 9.3 NIC ingress model engaged";
-  if (!spec.retain_history) {
-    // Bounded-memory observation truncates clock segments behind the
-    // drained frontier; the batched delivery kernel still reads segments
-    // at delivery times that can precede that frontier.
-    return "bounded-memory observation (retain_history = false)";
-  }
-  return nullptr;
-}
-
-/// Spec-level PDES eligibility; the engine-level half is
-/// engine::PdesEngine::ineligible_reason (delay floors, observer, partition
-/// shape).  Returns nullptr when eligible.
-const char* pdes_spec_block(const RunSpec& spec) {
-  if (!spec.dynamics.empty()) {
-    // The shard cut is computed once from the start topology; a schedule
-    // that rewires the graph would invalidate lane ownership and the
-    // lookahead floor mid-epoch.  Refuse by name, like the fast path.
-    return "dynamic-topology schedule present (net/dynamics.h)";
-  }
-  if (spec.observe) {
-    // The streaming observer is a single-threaded accumulator wired to the
-    // one global event order; lanes advance time independently.
-    return "streaming observation (single-threaded API)";
-  }
-  return nullptr;
 }
 
 /// The simulator every mode runs on: the spec's SimConfig (with an explicit
@@ -553,102 +499,73 @@ RunResult Experiment::run() {
 
   const auto engine_start = std::chrono::steady_clock::now();
 
-  // Round-synchronous fast path: advance fault-free Welch-Lynch exchanges
-  // past the event queue, then let run_until finish whatever the fast path
-  // handed back (everything, when it never engaged).  Bit-identical either
-  // way — see core/fastpath.h for the replay protocol.
+  // The engine span: the round fast path (core/fastpath.h), then PDES
+  // (engine/pdes.h) on whatever it handed back, then run_until for the
+  // rest (everything, when neither ran).  All three are pinned
+  // bit-identical, so the choice is a performance decision, and each
+  // engine's ineligible_reason is the only statement of its rules.  kAuto
+  // records a refusal in RunResult; a forced engine throws it.
+  const auto refuse = [this](const std::string& reason, std::string& slot) {
+    if (spec_.engine != EngineMode::kAuto) {
+      throw std::invalid_argument(
+          std::string("RunSpec: engine = ") +
+          (spec_.engine == EngineMode::kFastpath ? "kFastpath" : "kPdes") +
+          " but the spec is ineligible: " + reason);
+    }
+    slot = reason;
+  };
   if (spec_.engine == EngineMode::kFastpath ||
       spec_.engine == EngineMode::kAuto) {
-    const char* blocked = fastpath_spec_block(spec_);
-    if (blocked == nullptr) {
-      blocked = core::RoundFastPath::ineligible_reason(*sim_);
-    }
-    if (blocked == nullptr) {
+    if (const char* reason = core::RoundFastPath::ineligible_reason(
+            *sim_, /*truncates_history=*/!spec_.retain_history)) {
+      refuse(reason, result.fastpath_refusal);
+    } else {
       core::RoundFastPath fastpath(*sim_);
       fastpath.run(horizon);
-      result.fastpath_engaged = fastpath.stats().engaged;
-      result.fastpath_exchanges = fastpath.stats().exchanges;
-      result.fastpath_rearms = fastpath.stats().rearms;
-      result.fastpath_fast_count = fastpath.stats().fast_count;
-      result.fastpath_region_events = fastpath.stats().region_events;
-      if (!fastpath.stats().engaged) {
-        // Ran but never passed entry validation — the handoff string says
-        // why (e.g. "unexpected initial queue").
-        result.fastpath_refusal = fastpath.stats().handoff;
-      }
-    } else if (spec_.engine == EngineMode::kFastpath) {
-      throw std::invalid_argument(
-          std::string("RunSpec: engine = kFastpath but the spec is "
-                      "ineligible: ") +
-          blocked);
-    } else {
-      result.fastpath_refusal = blocked;
+      const core::FastPathStats& stats = fastpath.stats();
+      result.fastpath_engaged = stats.engaged;
+      result.fastpath_exchanges = stats.exchanges;
+      result.fastpath_rearms = stats.rearms;
+      result.fastpath_fast_count = stats.fast_count;
+      result.fastpath_region_events = stats.region_events;
+      // Ran but never passed entry validation: the handoff says why.
+      if (!stats.engaged) result.fastpath_refusal = stats.handoff;
     }
   }
 
-  // Conservative PDES (engine/pdes.h): shard the topology, run the epoch
-  // loop with one worker per shard, then let run_until below finish the
-  // (empty past the horizon) remainder serially.  kAuto reaches here when
-  // the fast path didn't engage; pdes_workers >= 2 pins the shard count,
-  // <= 0 (the default) asks the auto-tuner, and exactly 1 opts kAuto out
-  // (single-shard PDES is pure overhead).  Inside a ParallelRunner worker
-  // the auto-tuner declines outright: the sweep already claims the cores,
-  // and nested shards would oversubscribe them (the same guard measure.cpp
-  // applies).  kPdes asserts eligibility, including auto-tune declining.
+  // pdes_workers = 1 opts kAuto out of PDES (one shard is pure overhead).
   // Per-lane RoundTraces catch each shard's annotations and fold back into
-  // trace_ so every measurement below reads the same trace a serial run
-  // would have built.
-  const bool pdes_auto_tune = spec_.pdes_workers <= 0;
+  // trace_, so the measurements below read the trace a serial run builds.
   if (spec_.engine == EngineMode::kPdes ||
       (spec_.engine == EngineMode::kAuto && !result.fastpath_engaged &&
-       (spec_.pdes_workers >= 2 || pdes_auto_tune))) {
-    const char* blocked = pdes_spec_block(spec_);
-    std::string blocked_buf;
-    std::int32_t workers = spec_.pdes_workers;
-    if (blocked == nullptr && pdes_auto_tune &&
-        ParallelRunner::in_worker()) {
-      blocked = "auto-tune declined: inside a ParallelRunner worker";
-    } else if (blocked == nullptr && pdes_auto_tune) {
-      const engine::PdesAutoChoice choice =
-          engine::choose_pdes_workers(topology(), spec_.seed);
-      if (choice.workers >= 2) {
-        workers = choice.workers;
-      } else {
-        blocked_buf = "auto-tune declined: " + choice.reason;
-        blocked = blocked_buf.c_str();
-      }
+       spec_.pdes_workers != 1)) {
+    engine::PdesPlan plan;
+    if (const char* reason = engine::PdesEngine::ineligible_reason(*sim_)) {
+      plan.refusal = reason;
+    } else if (spec_.pdes_workers <= 0 && ParallelRunner::in_worker()) {
+      // The sweep already claims the cores; nested shards would
+      // oversubscribe them (the same guard measure.cpp applies).
+      plan.refusal = "auto-tune declined: inside a ParallelRunner worker";
+    } else {
+      plan = engine::plan_pdes(*sim_, topology(), spec_.pdes_workers,
+                               spec_.seed);
     }
-    net::Partition part;
-    if (blocked == nullptr) {
-      part = net::partition_topology(topology(), workers, spec_.seed);
-      if (workers >= 2 && part.k < 2) {
-        // A collapsed partition silently serialized (and under-reported)
-        // before: surface it like any other refusal.
-        blocked = "partition collapsed to 1 shard";
-      } else {
-        blocked = engine::PdesEngine::ineligible_reason(*sim_, part);
-      }
-    }
-    if (blocked == nullptr) {
-      std::vector<RoundTrace> lane_traces(static_cast<std::size_t>(part.k));
+    if (!plan.refusal.empty()) {
+      refuse(plan.refusal, result.pdes_refusal);
+    } else {
+      std::vector<RoundTrace> lane_traces(
+          static_cast<std::size_t>(plan.partition.k));
       std::vector<sim::TraceSink*> lane_sinks;
       lane_sinks.reserve(lane_traces.size());
       for (RoundTrace& lane_trace : lane_traces) {
         lane_sinks.push_back(&lane_trace);
       }
-      engine::PdesEngine pdes(*sim_, part, lane_sinks);
+      engine::PdesEngine pdes(*sim_, plan.partition, lane_sinks);
       pdes.run_until(horizon);
       trace_.absorb_all(lane_traces);
       result.pdes_epochs = pdes.stats().epochs;
       result.pdes_stalls = pdes.stats().stalls;
       result.pdes_workers_used = pdes.stats().shards;
-    } else if (spec_.engine == EngineMode::kPdes) {
-      throw std::invalid_argument(
-          std::string("RunSpec: engine = kPdes but the spec is "
-                      "ineligible: ") +
-          blocked);
-    } else {
-      result.pdes_refusal = blocked;
     }
   }
 
@@ -1134,6 +1051,12 @@ void reject_unsupported(const RunSpec& spec) {
     reject("a non-mesh topology");
   }
   if (spec.algo != Algo::kWelchLynch) reject("algo != kWelchLynch");
+  if (spec.averaging != core::Averaging::kMidpoint) reject("averaging");
+  if (spec.k_exchanges != 1) reject("k_exchanges");
+  if (spec.stagger != 0.0) reject("stagger");
+  if (spec.amortize != 0.0) reject("amortize");
+  if (spec.measure_gradient) reject("measure_gradient");
+  if (spec.stabilize_threshold != 0.0) reject("stabilize_threshold");
   if (spec.engine == EngineMode::kFastpath ||
       spec.engine == EngineMode::kPdes) {
     reject("engine = kFastpath / kPdes");

@@ -71,17 +71,11 @@ enum class DriftKind : std::uint8_t {
 enum class EngineMode : std::uint8_t {
   kEvent = 0,     ///< the event engine only (the measured reference)
   kFastpath = 1,  ///< require the fast path; throws if the spec is ineligible
-  /// Fast path when the spec qualifies: Welch-Lynch, no NIC, retained
-  /// history, and either (a) fault-free — simultaneous or
-  /// staggered (Section 9.3) broadcasts both batch — or (b) faults on a
-  /// sparse unstaggered topology whose adversary closed neighborhood
-  /// leaves a nonempty honest remainder (the fault-isolating region mode;
-  /// core/fastpath.h).  Otherwise the PDES engine when the spec qualifies
-  /// (no streaming observer, positive lookahead floor) and either
-  /// pdes_workers >= 2 pins the shard count or pdes_workers <= 0 lets the
-  /// auto-tuner pick one (engine::choose_pdes_workers); event engine last.
-  /// RunResult::fastpath_refusal / pdes_refusal record why a declined
-  /// engine was declined.
+  /// The fast path when core::RoundFastPath::ineligible_reason accepts
+  /// the run.  Otherwise PDES when pdes_workers != 1 and
+  /// engine::PdesEngine::ineligible_reason and engine::plan_pdes accept
+  /// it.  Otherwise the event engine.  Those functions state the rules;
+  /// RunResult::fastpath_refusal / pdes_refusal record each refusal.
   kAuto = 2,
   /// Require the conservative PDES engine (engine/pdes.h); throws if the
   /// spec is ineligible.  Bit-identical to kEvent like the other engines.
@@ -368,9 +362,10 @@ struct RunResult {
   std::int32_t fastpath_fast_count = 0;
   std::int64_t fastpath_region_events = 0;
   /// Why engine = kAuto declined (or disengaged from) the fast path / the
-  /// PDES engine: the spec- or system-level block reason, or the entry
-  /// handoff when the fast path ran but never engaged.  Empty when the
-  /// engine engaged or was never a candidate (e.g. pdes_workers < 2).
+  /// PDES engine: the refusal of the engine's ineligible_reason or of
+  /// engine::plan_pdes, or the entry handoff when the fast path ran but
+  /// never engaged.  Empty when the engine engaged or was never a
+  /// candidate (e.g. pdes_workers = 1).
   /// Telemetry, NOT part of results_identical — like wall_seconds it
   /// describes how the run was computed, and the silent-fallback bug it
   /// fixes was precisely that this information evaporated.
@@ -441,9 +436,11 @@ class Experiment {
 /// The two non-maintenance modes throw std::invalid_argument, naming the
 /// field, for any knob they would otherwise silently ignore: fault_mix,
 /// placement, placement_ids, dynamics, nic, a non-mesh topology,
-/// algo != kWelchLynch, engine = kFastpath / kPdes, a two-faced or liar
-/// fault (kStartup) and any fault at all (kReintegration).  wall_seconds is
-/// measured here for every mode.
+/// algo != kWelchLynch, averaging, k_exchanges, stagger, amortize,
+/// measure_gradient and stabilize_threshold off their defaults,
+/// engine = kFastpath / kPdes, a two-faced or liar fault (kStartup) and
+/// any fault at all (kReintegration).  wall_seconds is measured here for
+/// every mode.
 [[nodiscard]] RunResult run(const RunSpec& spec);
 
 }  // namespace wlsync::analysis

@@ -89,42 +89,27 @@ std::span<const std::int32_t> FastPathContext::neighbors() const {
 RoundFastPath::RoundFastPath(sim::Simulator& sim) : sim_(sim) {}
 RoundFastPath::~RoundFastPath() = default;
 
-const char* RoundFastPath::ineligible_reason(sim::Simulator& sim) {
-  if (sim.process_count() == 0) return "no processes registered";
-  if (sim.has_dynamics()) return "dynamic-topology schedule installed";
-  if (sim.nic_enabled()) return "Section 9.3 NIC ingress model engaged";
+const char* RoundFastPath::ineligible_reason(sim::Simulator& sim,
+                                             bool truncates_history) {
   const std::int32_t n = sim.process_count();
+  if (n == 0) return "no processes registered";
+  // The round loop batches whole exchanges against a FIXED neighbor
+  // structure; a schedule that rewires the graph (or churns membership)
+  // mid-run would silently execute on the stale one.
+  if (sim.has_dynamics()) {
+    return "dynamic-topology schedule present (net/dynamics.h)";
+  }
+  // The replayed code is Welch-Lynch's, with one stagger for everyone.
   std::vector<std::int32_t> faulty;
-  for (std::int32_t id = 0; id < n; ++id) {
-    if (sim.is_faulty(id)) faulty.push_back(id);
-  }
-  // The fast set: everyone when fault-free; the honest remainder outside
-  // the adversaries' closed neighborhood otherwise.  A fast pid has no
-  // faulty neighbor by construction, so its collection window can only be
-  // fed by the batched kernel and by honest region senders the merged loop
-  // dispatches at their exact instants.
-  std::vector<char> fast(static_cast<std::size_t>(n), 1);
-  if (!faulty.empty()) {
-    if (!sim.config_.topology.has_value()) {
-      // Implicit full mesh: every honest process is the adversary's
-      // neighbor, so no fast region exists.
-      return "adversary neighborhood covers the exchange graph";
-    }
-    for (std::int32_t r : sim.config_.topology->closed_neighborhood(faulty)) {
-      fast[static_cast<std::size_t>(r)] = 0;
-    }
-    bool any_fast = false;
-    for (std::int32_t id = 0; id < n && !any_fast; ++id) {
-      any_fast = fast[static_cast<std::size_t>(id)] != 0;
-    }
-    if (!any_fast) return "adversary neighborhood covers the exchange graph";
-  }
   double stagger = 0.0;
   bool stagger_seen = false;
   for (std::int32_t id = 0; id < n; ++id) {
-    if (!fast[static_cast<std::size_t>(id)]) continue;
+    if (sim.is_faulty(id)) {
+      faulty.push_back(id);
+      continue;
+    }
     auto* wl = dynamic_cast<WelchLynchProcess*>(&sim.process(id));
-    if (wl == nullptr) return "a process is not WelchLynchProcess";
+    if (wl == nullptr) return "algo is not Welch-Lynch";
     if (!stagger_seen) {
       stagger = wl->config().stagger;
       stagger_seen = true;
@@ -132,8 +117,28 @@ const char* RoundFastPath::ineligible_reason(sim::Simulator& sim) {
       return "inconsistent stagger across processes";
     }
   }
-  if (stagger > 0.0 && !faulty.empty()) {
-    return "staggered broadcasts with faults present";
+  // Faults engage the region mode, which needs an unstaggered run on an
+  // explicit graph: on the implicit full mesh every honest process
+  // neighbors the adversary, so no fast region exists.
+  if (!faulty.empty()) {
+    if (stagger > 0.0) return "staggered broadcasts with faults present";
+    if (!sim.config_.topology.has_value()) {
+      return "adversary neighborhood covers the exchange graph";
+    }
+  }
+  if (sim.nic_enabled()) return "Section 9.3 NIC ingress model engaged";
+  if (truncates_history) {
+    // The batched delivery kernel reads clock segments at delivery times
+    // that can precede a truncating observer's drained frontier.
+    return "bounded-memory observation (retain_history = false)";
+  }
+  // The fast set is the honest remainder outside the adversaries' closed
+  // neighborhood (the sorted, deduplicated tainted region); it must be
+  // nonempty.
+  if (!faulty.empty() &&
+      sim.config_.topology->closed_neighborhood(faulty).size() ==
+          static_cast<std::size_t>(n)) {
+    return "adversary neighborhood covers the exchange graph";
   }
   for (sim::TraceSink* sink : sim.main_.sinks) {
     if (sink->wants_message_events()) {

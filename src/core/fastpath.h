@@ -119,17 +119,19 @@ class RoundFastPath {
   RoundFastPath(const RoundFastPath&) = delete;
   RoundFastPath& operator=(const RoundFastPath&) = delete;
 
-  /// Static eligibility: nullptr when the registered system can run on the
-  /// fast path, else a human-readable reason.  Requires: no NIC, every fast
-  /// process a WelchLynchProcess with one consistent stagger, no trace sink consuming per-message events, and — when faults
-  /// are registered — an unstaggered run on an explicit topology where the
-  /// adversaries' closed neighborhood leaves a nonempty honest remainder.
+  /// Static eligibility, and the only statement of the fast path's rules:
+  /// nullptr when the registered system can run on the fast path, else the
+  /// reason.  In check order: no dynamics schedule; every nonfaulty process
+  /// a WelchLynchProcess with one consistent stagger; when faults are
+  /// registered, no stagger and an explicit topology; no NIC; no truncating
+  /// observer (`truncates_history`, which the caller knows and the
+  /// simulator does not: analysis::RunSpec::retain_history = false); when
+  /// faults are registered, an adversary closed neighborhood that leaves a
+  /// nonempty honest remainder; no trace sink consuming per-message events.
   /// Dynamic conditions (queue shape, phase separation, budgets) are
-  /// handled by run()'s bail protocol, not here.  The caller must also
-  /// guarantee retained history (analysis::RunSpec::retain_history): a
-  /// truncating observer could discard clock segments the batched kernel
-  /// still reads.
-  [[nodiscard]] static const char* ineligible_reason(sim::Simulator& sim);
+  /// handled by run()'s bail protocol, not here.
+  [[nodiscard]] static const char* ineligible_reason(
+      sim::Simulator& sim, bool truncates_history = false);
 
   /// Advances exchanges until a precondition breaks or `horizon` is
   /// reached, then re-injects the pending stratum; the caller finishes with

@@ -469,21 +469,55 @@ double PdesEngine::lookahead_for(const sim::Simulator& sim,
   return floor;
 }
 
-const char* PdesEngine::ineligible_reason(const sim::Simulator& sim,
-                                          const net::Partition& partition) {
+const char* PdesEngine::ineligible_reason(const sim::Simulator& sim) {
   if (sim.process_count() == 0) return "no processes registered";
-  if (sim.has_dynamics()) return "dynamic-topology schedule installed";
-  if (partition.n() != sim.process_count()) {
-    return "partition node count does not match process count";
+  // The shard cut is computed once from the start topology; a schedule
+  // that rewires the graph would invalidate lane ownership and the
+  // lookahead floor mid-epoch.
+  if (sim.has_dynamics()) {
+    return "dynamic-topology schedule present (net/dynamics.h)";
   }
   if (!sim.shard_lanes_.empty()) return "shard lanes already live";
+  // The streaming observer is a single-threaded accumulator wired to the
+  // one global event order; lanes advance time independently.
   if (sim.observer_ != nullptr) {
-    return "a streaming observer is attached (single-threaded API)";
+    return "streaming observation (single-threaded API)";
+  }
+  return nullptr;
+}
+
+const char* PdesEngine::ineligible_reason(const sim::Simulator& sim,
+                                          const net::Partition& partition) {
+  if (const char* reason = ineligible_reason(sim)) return reason;
+  if (partition.n() != sim.process_count()) {
+    return "partition node count does not match process count";
   }
   if (!(lookahead_for(sim, partition) > 0.0)) {
     return "delay model promises no positive lookahead floor on the cut";
   }
   return nullptr;
+}
+
+PdesPlan plan_pdes(const sim::Simulator& sim, const net::Topology& topo,
+                   std::int32_t workers, std::uint64_t seed) {
+  PdesPlan plan;
+  if (workers <= 0) {
+    const PdesAutoChoice choice = choose_pdes_workers(topo, seed);
+    if (choice.workers < 2) {
+      plan.refusal = "auto-tune declined: " + choice.reason;
+      return plan;
+    }
+    workers = choice.workers;
+  }
+  plan.partition = net::partition_topology(topo, workers, seed);
+  if (workers >= 2 && plan.partition.k < 2) {
+    // Running it would silently serialize (and under-report) the run.
+    plan.refusal = "partition collapsed to 1 shard";
+  } else if (const char* reason =
+                 PdesEngine::ineligible_reason(sim, plan.partition)) {
+    plan.refusal = reason;
+  }
+  return plan;
 }
 
 void PdesEngine::setup(const net::Partition& partition,

@@ -104,6 +104,23 @@ struct PdesAutoChoice {
 [[nodiscard]] PdesAutoChoice choose_pdes_workers(const net::Topology& topo,
                                                  std::uint64_t seed);
 
+/// The shard layout a PDES run over `sim` uses, or why it cannot run.
+struct PdesPlan {
+  net::Partition partition;  ///< valid iff refusal is empty
+  std::string refusal;
+};
+
+/// Plans a PDES run over `sim`, whose exchange graph is `topo`: `workers`
+/// >= 2 pins the shard count, exactly 1 runs one shard, and <= 0 asks
+/// choose_pdes_workers (refused when it declines).  Refused as well when
+/// the partitioner collapses a pinned count to one shard, or by either
+/// PdesEngine::ineligible_reason.  Callers check the partition-free
+/// PdesEngine::ineligible_reason(sim) first, so a run refused for one of
+/// those reasons never tunes or partitions.
+[[nodiscard]] PdesPlan plan_pdes(const sim::Simulator& sim,
+                                 const net::Topology& topo,
+                                 std::int32_t workers, std::uint64_t seed);
+
 /// Process-wide stall telemetry: every completed PDES run records its
 /// stall rate keyed by (n, shards); choose_pdes_workers demotes candidates
 /// whose observed EWMA rate exceeds the smoke-gate ceiling (0.25).  This
@@ -143,9 +160,14 @@ class PdesEngine {
   PdesEngine(const PdesEngine&) = delete;
   PdesEngine& operator=(const PdesEngine&) = delete;
 
-  /// Why `sim` cannot run under this engine with `partition`, or nullptr if
-  /// it can.  Mirrors RoundFastPath::ineligible_reason: a static vet the
-  /// analysis layer consults before committing to the engine.
+  /// Why `sim` cannot run under this engine at all, or nullptr if it may:
+  /// no dynamics schedule, no live shard lanes, no streaming observer.
+  /// These rules need no partition, so callers check them before paying
+  /// for one (see plan_pdes).
+  [[nodiscard]] static const char* ineligible_reason(const sim::Simulator& sim);
+  /// The above plus the rules that need the partition: it covers every
+  /// process, and the cut promises a positive lookahead floor.  The
+  /// constructor throws on any of them.
   [[nodiscard]] static const char* ineligible_reason(
       const sim::Simulator& sim, const net::Partition& partition);
 

@@ -304,8 +304,8 @@ TEST(FastpathFallback, StaggerWithFaultsForcesTheEventEngine) {
 TEST(FastpathFallback, CoveringAdversaryForcesTheEventEngine) {
   // A sparse custom graph whose highest id (the trailing fault slot) is a
   // hub adjacent to everyone: the closed neighborhood covers the graph, so
-  // the system-level check refuses even though the spec-level gate (sparse
-  // topology, no stagger) passes.
+  // the fast path refuses even though the topology is sparse and
+  // unstaggered.
   RunSpec spec = base_spec(8, 2);
   spec.topology.kind = net::TopologyKind::kCustom;
   spec.topology.custom.assign(8, {});

@@ -182,6 +182,47 @@ TEST(ModeValidation, RejectsNonWelchLynchAlgo) {
                            "algo");
 }
 
+// The six algorithm and measurement knobs below used to run silently with
+// results identical to the base spec.
+
+TEST(ModeValidation, RejectsAveraging) {
+  expect_both_modes_reject(
+      [](RunSpec& s) { s.averaging = core::Averaging::kReducedMean; },
+      "averaging");
+}
+
+TEST(ModeValidation, RejectsKExchanges) {
+  expect_both_modes_reject([](RunSpec& s) { s.k_exchanges = 2; },
+                           "k_exchanges");
+}
+
+TEST(ModeValidation, RejectsStagger) {
+  expect_both_modes_reject([](RunSpec& s) { s.stagger = 0.05; }, "stagger");
+}
+
+TEST(ModeValidation, RejectsAmortize) {
+  expect_both_modes_reject([](RunSpec& s) { s.amortize = 0.5; }, "amortize");
+}
+
+TEST(ModeValidation, RejectsMeasureGradient) {
+  expect_both_modes_reject([](RunSpec& s) { s.measure_gradient = true; },
+                           "measure_gradient");
+}
+
+TEST(ModeValidation, RejectsStabilizeThreshold) {
+  expect_both_modes_reject([](RunSpec& s) { s.stabilize_threshold = 1.0; },
+                           "stabilize_threshold");
+}
+
+TEST(ModeValidation, AcceptsPerformanceKnobs) {
+  for (RunSpec spec : {startup_spec(), rejoin_spec()}) {
+    spec.pdes_workers = 2;
+    spec.scheduler = engine::SchedulerKind::kCalendar;
+    spec.max_events = 100'000'000;
+    EXPECT_EQ(rejection(spec), "") << "mode " << static_cast<int>(spec.mode);
+  }
+}
+
 TEST(ModeValidation, RejectsFastpathAndPdesEngines) {
   for (const auto engine :
        {analysis::EngineMode::kFastpath, analysis::EngineMode::kPdes}) {
