@@ -20,8 +20,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -46,6 +48,7 @@
 #include "sim/event.h"
 #include "sim/simulator.h"
 #include "util/flags.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 // ---------------------------------------------------------------------------
@@ -768,8 +771,8 @@ struct FastpathHarness {
 void smoke_fastpath_round(std::vector<SmokeRow>& rows) {
   constexpr std::int32_t kN = 128;
   constexpr double kP = 10.0;
-  const auto run_counted = [&](std::int32_t rounds) {
-    FastpathHarness harness(kN);
+  const auto run_counted = [&](std::int32_t n, std::int32_t rounds) {
+    FastpathHarness harness(n);
     g_alloc_count.store(0);
     g_count_allocs.store(true);
     harness.fastpath.run((static_cast<double>(rounds) + 0.5) * kP);
@@ -777,8 +780,8 @@ void smoke_fastpath_round(std::vector<SmokeRow>& rows) {
     return std::pair<std::uint64_t, core::FastPathStats>(
         g_alloc_count.load(), harness.fastpath.stats());
   };
-  const auto [alloc_short, stats_short] = run_counted(6);
-  const auto [alloc_long, stats_long] = run_counted(12);
+  const auto [alloc_short, stats_short] = run_counted(kN, 6);
+  const auto [alloc_long, stats_long] = run_counted(kN, 12);
   rows.push_back({"fastpath_engaged", stats_long.engaged ? 1.0 : 0.0, -1.0,
                   stats_long.engaged});
   const double exchange_delta =
@@ -794,6 +797,21 @@ void smoke_fastpath_round(std::vector<SmokeRow>& rows) {
                       ? static_cast<double>(stats_long.deliveries) /
                             static_cast<double>(stats_long.exchanges)
                       : 0.0,
+                  -1.0, true});
+  // Report-only: at n = 256 an exchange reaches
+  // core::kFastpathShardThreshold and the kernels shard across the cores;
+  // util::parallel_for spawns its threads per phase, so those rounds
+  // allocate.  The n = 128 gate above is the serial path.
+  constexpr std::int32_t kShardedN = 256;
+  const auto [sharded_short, sharded_stats_short] = run_counted(kShardedN, 6);
+  const auto [sharded_long, sharded_stats_long] = run_counted(kShardedN, 12);
+  rows.push_back({"fastpath_sharded_threads_n256",
+                  static_cast<double>(sharded_stats_long.threads), -1.0,
+                  true});
+  rows.push_back({"fastpath_sharded_allocs_per_round_n256",
+                  (static_cast<double>(sharded_long) -
+                   static_cast<double>(sharded_short)) /
+                      6.0,
                   -1.0, true});
 }
 
@@ -925,24 +943,33 @@ int run_smoke(const util::Flags& flags) {
 // are the ISSUE 6 acceptance workload; ISSUE 8 added two engine-only
 // widening cells (staggered full mesh at n = 1024, fault-isolating deg-16
 // expander at n = 2048) — timed wall-clock (best of 3 for cells under
-// 10 s) and reduced to ns/round + rounds/sec.  The
-// event engine is the measured reference for every workload; the `speedup`
-// field is fastpath-rounds-per-sec / event-rounds-per-sec per key.  CI
+// 10 s) and reduced to ns/round + rounds/sec.  Every workload runs three
+// cells: the event engine and the fast path on one thread (inside a
+// util::WorkerScope, which keeps the fast path's kernels and the
+// measurement pass serial — the best serial configuration of each), then
+// the fast path with its kernels sharded across the machine's cores
+// (`threads` records how many ran; kRegion always runs serially).  The
+// event cell is the reference: `speedup` is serial-fastpath / event
+// rounds-per-sec per key, `parallel_speedup` sharded-fastpath / event.  CI
 // uploads the file on every run to seed the bench history; timing rows are
 // telemetry, not gates (the deterministic gates live in --smoke) — except
-// under --fastpath-compare=OLD.json, which turns the speedup RATIOS into a
-// regression gate: a fresh ratio below 0.8x the checked-in artifact's on
-// any shared key fails the run.  Ratios, not raw rounds/sec, so the gate
-// transfers across machines of different absolute speed.
+// under --fastpath-compare=OLD.json, which turns the serial speedup RATIOS
+// into a regression gate: a fresh ratio below 0.8x the checked-in
+// artifact's on any shared key fails the run.  Ratios, not raw
+// rounds/sec, so the gate transfers across machines of different absolute
+// speed.  The parallel ratios are report-only: they scale with the
+// runner's core count, which `hardware_concurrency` records.
 
 struct FastpathCell {
   std::string key;      ///< speedup-map key: "n512", "stagger_n1024", ...
   std::string variant;  ///< "plain" | "staggered" | "region"
   std::int32_t n;
-  const char* engine;
+  const char* engine;   ///< "event" | "fastpath" | "fastpath_parallel"
   std::int32_t rounds;
   bool engaged;
-  double wall_s;
+  std::int32_t threads;  ///< RunResult::fastpath_threads (0 = event engine)
+  double wall_s;         ///< best whole-run wall: the speedup basis
+  double engine_s;       ///< best RunResult::engine_seconds (report-only)
 };
 
 std::vector<FastpathCell> measure_fastpath_cells(std::int32_t max_n) {
@@ -1008,34 +1035,53 @@ std::vector<FastpathCell> measure_fastpath_cells(std::int32_t max_n) {
   // Each cell keeps the best wall of up to kReps runs: a single sample of
   // a sub-second cell swings +-30% with host load, enough to trip the
   // 0.8x compare gate on its own.  Cells slower than kRepeatBelowSeconds
-  // are stable already and keep their first sample.
+  // are stable already and keep their first sample.  The reps interleave
+  // a workload's three configurations, so a slow stretch of the host
+  // lands on all of them rather than skewing one side of a ratio.
   constexpr std::int32_t kReps = 3;
   constexpr double kRepeatBelowSeconds = 10.0;
+  struct Config {
+    const char* name;
+    analysis::EngineMode engine;
+    bool serial;
+  };
+  constexpr Config kConfigs[] = {
+      {"event", analysis::EngineMode::kEvent, true},
+      {"fastpath", analysis::EngineMode::kFastpath, true},
+      {"fastpath_parallel", analysis::EngineMode::kFastpath, false},
+  };
+  constexpr std::size_t kConfigCount = std::size(kConfigs);
   std::vector<FastpathCell> cells;
   for (const Workload& w : workloads) {
-    for (const analysis::EngineMode engine :
-         {analysis::EngineMode::kEvent, analysis::EngineMode::kFastpath}) {
-      analysis::RunSpec spec = w.spec;
-      spec.engine = engine;
-      analysis::RunResult result;
-      double wall = 0.0;
-      for (std::int32_t rep = 0; rep < kReps; ++rep) {
+    FastpathCell best[kConfigCount];
+    for (std::int32_t rep = 0; rep < kReps; ++rep) {
+      for (std::size_t c = 0; c < kConfigCount; ++c) {
+        if (rep > 0 && best[c].wall_s >= kRepeatBelowSeconds) continue;
+        analysis::RunSpec spec = w.spec;
+        spec.engine = kConfigs[c].engine;
+        std::optional<util::WorkerScope> serial;
+        if (kConfigs[c].serial) serial.emplace();
         const auto start = std::chrono::steady_clock::now();
-        result = analysis::run(spec);
+        const analysis::RunResult result = analysis::run(spec);
         const double sample =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start)
                 .count();
-        if (rep == 0 || sample < wall) wall = sample;
-        if (wall >= kRepeatBelowSeconds) break;
+        if (rep == 0) {
+          best[c] = {w.key, w.variant, w.spec.params.n, kConfigs[c].name,
+                     result.completed_rounds, result.fastpath_engaged,
+                     result.fastpath_threads, sample, result.engine_seconds};
+        } else {
+          best[c].wall_s = std::min(best[c].wall_s, sample);
+          best[c].engine_s = std::min(best[c].engine_s, result.engine_seconds);
+        }
       }
-      cells.push_back({w.key, w.variant, w.spec.params.n,
-                       engine == analysis::EngineMode::kEvent ? "event"
-                                                              : "fastpath",
-                       result.completed_rounds, result.fastpath_engaged,
-                       wall});
-      std::cerr << "  " << w.key << " engine=" << cells.back().engine << " "
-                << result.completed_rounds << " rounds in " << wall << " s\n";
+    }
+    for (const FastpathCell& cell : best) {
+      cells.push_back(cell);
+      std::cerr << "  " << w.key << " engine=" << cell.engine << " "
+                << cell.rounds << " rounds in " << cell.wall_s << " s ("
+                << cell.engine_s << " s engine span)\n";
     }
   }
   return cells;
@@ -1045,15 +1091,17 @@ double fastpath_cell_rate(const FastpathCell& c) {
   return c.wall_s > 0.0 ? static_cast<double>(c.rounds) / c.wall_s : 0.0;
 }
 
-/// The fresh per-key speedup map: cells come in (event, fastpath) pairs.
+/// A fresh per-key speedup map against the event cell: cells come in
+/// (event, fastpath, fastpath_parallel) triples; `offset` 1 picks the
+/// serial fast path, 2 the sharded one.
 std::vector<std::pair<std::string, double>> fastpath_speedups(
-    const std::vector<FastpathCell>& cells) {
+    const std::vector<FastpathCell>& cells, std::size_t offset) {
   std::vector<std::pair<std::string, double>> speedups;
-  for (std::size_t i = 0; i + 1 < cells.size(); i += 2) {
+  for (std::size_t i = 0; i + 2 < cells.size(); i += 3) {
     const double event_rate = fastpath_cell_rate(cells[i]);
     if (event_rate <= 0.0) continue;
     speedups.emplace_back(cells[i].key,
-                          fastpath_cell_rate(cells[i + 1]) / event_rate);
+                          fastpath_cell_rate(cells[i + offset]) / event_rate);
   }
   return speedups;
 }
@@ -1079,7 +1127,10 @@ int run_fastpath_json(const util::Flags& flags) {
           "full mesh with gradient measurement, stagger/region cells "
           "engine-only (sigma=1e-4 mesh; deg-16 expander, 2 silent "
           "random, 48 rounds); best wall of 3 reps for cells under 10 "
-          "s\",\n"
+          "s, reps interleaved across a workload's cells; event and "
+          "fastpath cells single-threaded, fastpath_parallel cells shard "
+          "the fast path's kernels\",\n"
+       << "  \"hardware_concurrency\": " << util::hardware_threads() << ",\n"
        << "  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const FastpathCell& c = cells[i];
@@ -1087,21 +1138,30 @@ int run_fastpath_json(const util::Flags& flags) {
          << "\", \"n\": " << c.n << ", \"engine\": \"" << c.engine
          << "\", \"rounds\": " << c.rounds
          << ", \"fastpath_engaged\": " << (c.engaged ? "true" : "false")
-         << ", \"wall_s\": " << c.wall_s
+         << ", \"threads\": " << c.threads << ", \"wall_s\": " << c.wall_s
+         << ", \"engine_s\": " << c.engine_s
          << ", \"rounds_per_sec\": " << fastpath_cell_rate(c)
          << ", \"ns_per_round\": "
          << (c.rounds > 0 ? c.wall_s * 1e9 / static_cast<double>(c.rounds)
                           : 0.0)
          << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
   }
-  json << "  ],\n  \"speedup\": {";
+  const auto write_map =
+      [&json](const std::vector<std::pair<std::string, double>>& map) {
+        json << "{";
+        for (std::size_t i = 0; i < map.size(); ++i) {
+          json << (i == 0 ? "" : ", ") << "\"" << map[i].first
+               << "\": " << map[i].second;
+        }
+        json << "}";
+      };
   const std::vector<std::pair<std::string, double>> fresh =
-      fastpath_speedups(cells);
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    json << (i == 0 ? "" : ", ") << "\"" << fresh[i].first
-         << "\": " << fresh[i].second;
-  }
-  json << "}\n}\n";
+      fastpath_speedups(cells, 1);
+  json << "  ],\n  \"speedup\": ";
+  write_map(fresh);
+  json << ",\n  \"parallel_speedup\": ";
+  write_map(fastpath_speedups(cells, 2));
+  json << "\n}\n";
   std::cout << "bench_micro --fastpath-json: wrote " << out_path << "\n";
 
   if (compare_path.empty()) return 0;

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "analysis/parallel_runner.h"
 #include "baselines/averaging_rounds.h"
 #include "baselines/hssd.h"
 #include "baselines/srikanth_toueg.h"
@@ -17,6 +16,7 @@
 #include "core/startup.h"
 #include "engine/pdes.h"
 #include "proc/adversaries.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace wlsync::analysis {
@@ -528,6 +528,7 @@ RunResult Experiment::run() {
       result.fastpath_rearms = stats.rearms;
       result.fastpath_fast_count = stats.fast_count;
       result.fastpath_region_events = stats.region_events;
+      if (stats.engaged) result.fastpath_threads = stats.threads;
       // Ran but never passed entry validation: the handoff says why.
       if (!stats.engaged) result.fastpath_refusal = stats.handoff;
     }
@@ -542,7 +543,7 @@ RunResult Experiment::run() {
     engine::PdesPlan plan;
     if (const char* reason = engine::PdesEngine::ineligible_reason(*sim_)) {
       plan.refusal = reason;
-    } else if (spec_.pdes_workers <= 0 && ParallelRunner::in_worker()) {
+    } else if (spec_.pdes_workers <= 0 && util::in_worker()) {
       // The sweep already claims the cores; nested shards would
       // oversubscribe them (the same guard measure.cpp applies).
       plan.refusal = "auto-tune declined: inside a ParallelRunner worker";

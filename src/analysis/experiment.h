@@ -361,6 +361,9 @@ struct RunResult {
   /// fast_count / region_events); zero unless the fast path ran.
   std::int32_t fastpath_fast_count = 0;
   std::int64_t fastpath_region_events = 0;
+  /// Threads the fast path's per-exchange kernels ran on
+  /// (FastPathStats::threads): 1 = serial; 0 unless the fast path engaged.
+  std::int32_t fastpath_threads = 0;
   /// Why engine = kAuto declined (or disengaged from) the fast path / the
   /// PDES engine: the refusal of the engine's ineligible_reason or of
   /// engine::plan_pdes, or the entry handoff when the fast path ran but

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 
 #include "analysis/measure.h"
-#include "analysis/parallel_runner.h"
+#include "util/parallel.h"
 #include "util/stats.h"
 
 namespace wlsync::analysis {
@@ -119,15 +118,14 @@ GradientSeries gradient_series(const sim::Simulator& sim,
   bool parallel = threads > 1;
   if (threads == 0) {
     parallel = m >= 4 && (m * (m - 1) / 2) * cols >= kMeasureShardThreshold &&
-               std::thread::hardware_concurrency() > 1 &&
-               !ParallelRunner::in_worker();
+               util::hardware_threads() > 1 && !util::in_worker();
   }
   if (parallel) {
-    const ParallelRunner runner(threads);
+    const int workers = threads > 0 ? threads : util::hardware_threads();
     const std::size_t shards =
-        std::min<std::size_t>(static_cast<std::size_t>(runner.threads()), m);
+        std::min<std::size_t>(static_cast<std::size_t>(workers), m);
     std::vector<double> partial(shards * buckets * cols, 0.0);
-    runner.run_indexed(shards, [&](std::size_t s) {
+    util::parallel_for(shards, workers, [&](std::size_t s) {
       scan_rows(partial.data() + s * buckets * cols, s, shards);
     });
     for (std::size_t s = 0; s < shards; ++s) {

@@ -1,8 +1,6 @@
 #include "analysis/measure.h"
 
-#include <thread>
-
-#include "analysis/parallel_runner.h"
+#include "util/parallel.h"
 
 namespace wlsync::analysis {
 
@@ -42,17 +40,17 @@ LocalTimeGrid sample_local_times(const sim::Simulator& sim,
 
   bool parallel = threads > 1;
   if (threads == 0) {
-    // Auto mode: shard big grids — but never from inside an outer
-    // ParallelRunner sweep, where the cores are already claimed by trials
-    // and a nested pool per measurement window would oversubscribe them.
+    // Auto mode: shard big grids — but never from inside an outer pool
+    // (a ParallelRunner sweep), where the cores are already claimed by
+    // trials and a nested pool per measurement window would oversubscribe
+    // them.
     parallel = grid.rows >= 2 && grid.rows * grid.cols >= kMeasureShardThreshold &&
-               std::thread::hardware_concurrency() > 1 &&
-               !ParallelRunner::in_worker();
+               util::hardware_threads() > 1 && !util::in_worker();
   }
   if (parallel) {
     // Rows write disjoint slices and walk disjoint clocks, so any worker
     // count and interleaving computes the identical grid.
-    ParallelRunner(threads).run_indexed(grid.rows, sample_row);
+    util::parallel_for(grid.rows, threads, sample_row);
   } else {
     for (std::size_t r = 0; r < grid.rows; ++r) sample_row(r);
   }

@@ -7,82 +7,12 @@
 #include <optional>
 #include <thread>
 
+#include "util/parallel.h"
+
 namespace wlsync::analysis {
 
-namespace {
-thread_local bool t_in_runner_worker = false;
-}
-
-bool ParallelRunner::in_worker() noexcept { return t_in_runner_worker; }
-
-ParallelRunner::ParallelRunner(int threads) : threads_(threads) {
-  if (threads_ <= 0) {
-    threads_ = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads_ <= 0) threads_ = 1;
-  }
-}
-
-void ParallelRunner::run_indexed(
-    std::size_t count, const std::function<void(std::size_t)>& fn) const {
-  if (count == 0) return;
-  const std::size_t workers =
-      std::min<std::size_t>(static_cast<std::size_t>(threads_), count);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-
-  // Contiguous chunk per worker, drained front-to-back through an atomic
-  // cursor; exhausted workers steal from the other chunks in ring order.
-  // The cursor may overshoot `end` by one per visiting worker — bounded,
-  // and claims beyond the chunk simply fall through to the next victim.
-  struct Chunk {
-    std::atomic<std::size_t> next{0};
-    std::size_t end = 0;
-  };
-  std::vector<Chunk> chunks(workers);
-  const std::size_t base = count / workers;
-  const std::size_t extra = count % workers;
-  std::size_t begin = 0;
-  for (std::size_t w = 0; w < workers; ++w) {
-    chunks[w].next.store(begin, std::memory_order_relaxed);
-    begin += base + (w < extra ? 1 : 0);
-    chunks[w].end = begin;
-  }
-
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  auto run_one = [&](std::size_t i) {
-    try {
-      fn(i);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-    }
-  };
-  auto drain = [&](Chunk& chunk) {
-    for (;;) {
-      const std::size_t i = chunk.next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= chunk.end) return;
-      run_one(i);
-    }
-  };
-  auto worker = [&](std::size_t w) {
-    t_in_runner_worker = true;  // pool threads die with the call: no reset
-    drain(chunks[w]);
-    for (std::size_t lap = 1; lap < workers; ++lap) {
-      drain(chunks[(w + lap) % workers]);  // steal from the others
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker, w);
-  for (std::thread& thread : pool) thread.join();
-
-  if (first_error) std::rethrow_exception(first_error);
-}
+ParallelRunner::ParallelRunner(int threads)
+    : threads_(threads > 0 ? threads : util::hardware_threads()) {}
 
 double ParallelRunner::estimate_cost(const RunSpec& spec) {
   const double n = static_cast<double>(spec.params.n);
@@ -219,7 +149,7 @@ std::vector<RunResult> ParallelRunner::run_adaptive(
     }
   };
   const auto worker = [&](std::size_t w) {
-    t_in_runner_worker = true;  // pool threads die with the call: no reset
+    const util::WorkerScope scope;
     for (;;) {
       const std::size_t i =
           chunks[w].next.fetch_add(1, std::memory_order_relaxed);

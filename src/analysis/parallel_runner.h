@@ -16,9 +16,10 @@
 // core busy to the end; steal decisions are guided by the per-trial
 // wall_seconds telemetry of already-completed trials, and an optional
 // callback surfaces each result the moment it completes, for CSV writers
-// and progress meters over long grids.  run_indexed is the same pool over
-// plain indices (equal-count chunks), for callers that shard something
-// other than trials.
+// and progress meters over long grids.  Its workers run under
+// util::WorkerScope, so the auto-parallel paths inside a trial (measurement,
+// the fast path's kernels, the PDES auto-tuner) stay serial; callers that
+// shard something other than trials use util::parallel_for.
 
 #include <cstdint>
 #include <functional>
@@ -34,19 +35,6 @@ class ParallelRunner {
   explicit ParallelRunner(int threads = 0);
 
   [[nodiscard]] int threads() const noexcept { return threads_; }
-
-  /// Invokes fn(0) ... fn(count - 1), each exactly once, sharded across the
-  /// pool (work-stealing chunks — see the header comment).  fn must be safe
-  /// to call concurrently for distinct indices.  The first exception thrown
-  /// by any task is rethrown to the caller after all workers have drained.
-  void run_indexed(std::size_t count,
-                   const std::function<void(std::size_t)>& fn) const;
-
-  /// True on a thread currently executing run_indexed work.  Auto-parallel
-  /// helpers (analysis/measure.cpp, the PDES auto-tuner in Experiment::run)
-  /// consult this to stay serial inside an outer sweep instead of
-  /// oversubscribing the machine with nested pools.
-  [[nodiscard]] static bool in_worker() noexcept;
 
   /// Runs analysis::run once per spec; result[i] corresponds to specs[i]
   /// and is bit-identical to a serial run, whatever the thread count

@@ -11,10 +11,16 @@
 #include "proc/arrival.h"
 #include "proc/reduce_kernels.h"
 #include "sim/simulator.h"
+#include "util/parallel.h"
 
 namespace wlsync::core {
 
 namespace {
+/// Parallel slices per worker thread: enough that a worker slowed by other
+/// load hands its share to the rest, few enough that the per-slice scratch
+/// and the fork-join bookkeeping stay negligible.
+constexpr std::size_t kSlicesPerThread = 4;
+
 /// Safety margin on the phase-separation and round-overlap predicates.
 /// Both comparisons are conservative-by-construction (a false negative
 /// merely bails to the event engine); the slack absorbs the delay model's
@@ -183,31 +189,40 @@ void RoundFastPath::on_annotate(std::int32_t pid,
 void RoundFastPath::on_broadcast(std::int32_t from, std::int32_t tag,
                                  double value, std::int32_t aux) {
   // Mirror of do_broadcast's observable effects: per recipient in neighbor
-  // order, draw the A3-validated delay (the engine's only runtime RNG
-  // consumer — same stream, same order), count the message and consume one
-  // seq (the engine stamps one per delivery whether fanned out batched or
-  // per-recipient).  Fast recipients go into the delivery matrix; in
-  // kRegion, recipients inside the tainted region get a real scheduler
-  // entry carrying the pre-drawn delay and pre-allocated seq — exactly the
-  // kDeliver event the serial engine's fan-out would have keyed.  The
-  // payload matters only for those: the fast-side algorithm records
-  // arrival TIMES, and the bail protocol never needs to re-inject a
-  // kernel delivery (every bail point precedes the first draw of its
-  // exchange).
+  // order, draw the A3-validated delay from the sender's private stream,
+  // count the message and consume one seq (the engine stamps one per
+  // delivery).  The payload matters only for kRegion's scheduled entries:
+  // the fast-side algorithm records arrival TIMES, and the bail protocol
+  // never needs to re-inject a kernel delivery (every bail point precedes
+  // the first draw of its exchange).
   const std::span<const std::int32_t> recipients = sim_.neighbors_of(from);
+  ++broadcasts_recorded_;
+  if (mode_ != Mode::kRegion) {
+    // Every recipient is a kernel delivery whose seq is never read, so
+    // only the effects outlive the replay: the message count and the seq
+    // block alloc_seq would hand out, one per recipient.  The delays are
+    // drawn after the replay, one sender per task (draw_rows) — each
+    // sender's stream is its own, so the draws are the ones this call
+    // would have made.
+    sim_.main_.messages_sent += recipients.size();
+    sim_.nodes_[static_cast<std::size_t>(from)].next_seq += recipients.size();
+    sends_.push_back({from, sim_.main_.current_time});
+    return;
+  }
+  // kRegion: recipients inside the tainted region get a real scheduler
+  // entry carrying the pre-drawn delay and pre-allocated seq — exactly the
+  // kDeliver event the serial engine's fan-out would have keyed — and the
+  // merged loop may dispatch it before the next fast replay step, so the
+  // draws happen here, in replay order.
   double* row = times_.data() + row_offset_[static_cast<std::size_t>(from)];
   std::size_t cursor = 0;
-  const bool region = mode_ == Mode::kRegion;
-  sim::Message msg;
-  if (region) msg = sim::make_app(from, tag, value, aux);
-  for (std::size_t j = 0; j < recipients.size(); ++j) {
-    const std::int32_t to = recipients[j];
-    const double deliver_time =
-        sim_.main_.current_time + sim_.draw_delay(sim_.main_, from, to);
+  const double now = sim_.main_.current_time;
+  const sim::Message msg = sim::make_app(from, tag, value, aux);
+  for (const std::int32_t to : recipients) {
+    const double deliver_time = now + sim_.draw_delay(from, to, now);
     ++sim_.main_.messages_sent;
     const std::uint64_t seq = sim_.alloc_seq(from);
-    if (!region || fast_[static_cast<std::size_t>(to)]) {
-      (void)seq;
+    if (fast_[static_cast<std::size_t>(to)]) {
       row[cursor++] = deliver_time;
       deliver_min_ = std::min(deliver_min_, deliver_time);
       deliver_max_ = std::max(deliver_max_, deliver_time);
@@ -217,7 +232,48 @@ void RoundFastPath::on_broadcast(std::int32_t from, std::int32_t tag,
       engine_head_valid_ = false;
     }
   }
-  ++broadcasts_recorded_;
+}
+
+void RoundFastPath::draw_rows() {
+  // One task per recorded broadcast: sender s's row is drawn from s's own
+  // delay_rng in neighbor order, so the values are exactly the ones
+  // on_broadcast would have drawn inline, whichever thread runs the task.
+  // A sender's row and stream may belong to one task only.
+  seen_.assign(static_cast<std::size_t>(n_), 0);
+  for (const Send& send : sends_) {
+    char& seen = seen_[static_cast<std::size_t>(send.from)];
+    if (seen != 0) {
+      throw std::logic_error("RoundFastPath: broadcast phase contract violated");
+    }
+    seen = 1;
+  }
+  for_slices(sends_.size(), [this](std::size_t begin, std::size_t end,
+                                   Slice& slice) {
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+    for (std::size_t k = begin; k < end; ++k) {
+      const Send send = sends_[k];
+      const std::span<const std::int32_t> recipients =
+          sim_.neighbors_of(send.from);
+      double* row =
+          times_.data() + row_offset_[static_cast<std::size_t>(send.from)];
+      for (std::size_t j = 0; j < recipients.size(); ++j) {
+        const double deliver_time =
+            send.time + sim_.draw_delay(send.from, recipients[j], send.time);
+        row[j] = deliver_time;
+        lo = std::min(lo, deliver_time);
+        hi = std::max(hi, deliver_time);
+      }
+    }
+    slice.lo = lo;
+    slice.hi = hi;
+  });
+  deliver_min_ = std::numeric_limits<double>::infinity();
+  deliver_max_ = -std::numeric_limits<double>::infinity();
+  for (std::size_t k = 0; k < slice_count(sends_.size()); ++k) {
+    deliver_min_ = std::min(deliver_min_, slices_[k].lo);
+    deliver_max_ = std::max(deliver_max_, slices_[k].hi);
+  }
 }
 
 void RoundFastPath::on_set_timer_logical(std::int32_t pid, double logical_time,
@@ -375,6 +431,35 @@ void RoundFastPath::init() {
   entry_updates_.reserve(n);
   pred_update_.resize(n);
   pred_wend_.resize(n);
+  arr_min_.resize(n);
+  sends_.reserve(n);
+
+  // Shard the per-exchange kernels when an exchange is big enough to pay
+  // for the fork-join, the machine has cores to spare, and no outer pool
+  // (a ParallelRunner sweep) has claimed them already.  kRegion stays
+  // serial: its phase 1 interleaves the merged engine loop.
+  threads_ = mode_ != Mode::kRegion && total_deg_ >= kFastpathShardThreshold &&
+                     !util::in_worker()
+                 ? util::hardware_threads()
+                 : 1;
+  slices_.resize(threads_ > 1
+                     ? static_cast<std::size_t>(threads_) * kSlicesPerThread
+                     : 1);
+  stats_.threads = threads_;
+}
+
+std::size_t RoundFastPath::slice_count(std::size_t count) const {
+  return std::min(count, slices_.size());
+}
+
+template <typename Fn>
+void RoundFastPath::for_slices(std::size_t count, Fn&& fn) {
+  // Slice s covers [s*count/k, (s+1)*count/k): contiguous, nonempty, and
+  // the same partition on every call, so a slice's scratch stays warm.
+  const std::size_t k = slice_count(count);
+  util::parallel_for(k, threads_, [&](std::size_t s) {
+    fn(s * count / k, (s + 1) * count / k, slices_[s]);
+  });
 }
 
 bool RoundFastPath::take_entry_events() {
@@ -756,6 +841,7 @@ bool RoundFastPath::run_exchange(double horizon) {
   std::make_heap(worklist_.begin(), worklist_.end(), after);
   worklist_active_ = true;
   broadcasts_recorded_ = 0;
+  sends_.clear();
   deliver_min_ = std::numeric_limits<double>::infinity();
   deliver_max_ = -std::numeric_limits<double>::infinity();
   while (!worklist_.empty()) {
@@ -787,11 +873,13 @@ bool RoundFastPath::run_exchange(double horizon) {
       throw std::logic_error("RoundFastPath: update timer diverged from prediction");
     }
   }
+  if (mode_ != Mode::kRegion) draw_rows();
 
   // --- phase 2: batched arrival evaluation ---
   sim_.main_.events_processed += total_deg_;
   stats_.deliveries += total_deg_;
   do_batched_deliveries();
+  if (mode_ != Mode::kRegion) prime_updates();
 
   // Round-overlap guard, BEFORE updates consume seqs: if any fast process'
   // NEXT broadcast could fire at or before this round's last fast update,
@@ -907,12 +995,8 @@ bool RoundFastPath::run_exchange(double horizon) {
             ++garbage;
           }
         }
-        std::int32_t clip_budget = wl.config_.params.f;
-        const auto arena_n = static_cast<std::int32_t>(wl.arena_.size());
-        if (arena_n != n_) {
-          // update_arena's own clamp for neighborhood-sized arenas.
-          clip_budget = std::min(clip_budget, (arena_n - 1) / 3);
-        }
+        // update_arena's own clip count, local clamp included.
+        const auto clip_budget = static_cast<std::int32_t>(wl.reduce_f(n_));
         if (garbage > clip_budget) {
           if (overwrite_proven < 0) overwrite_proven = prove_overwrites() ? 1 : 0;
         }
@@ -926,9 +1010,7 @@ bool RoundFastPath::run_exchange(double horizon) {
         }
         adj_hi = std::max(base + wl.config_.params.delta - m_lb, 0.0);
       } else {
-        double arr_min = std::numeric_limits<double>::infinity();
-        for (const double v : wl.arena_.values()) arr_min = std::min(arr_min, v);
-        adj_hi = base + wl.config_.params.delta - arr_min;
+        adj_hi = base + wl.config_.params.delta - arr_min_[i];
       }
       const double physical_gap = (next_base - pred_wend_[i]) - adj_hi;
       const double bound =
@@ -986,55 +1068,79 @@ void RoundFastPath::do_batched_deliveries() {
   }
 }
 
+void RoundFastPath::prime_updates() {
+  // Per fast receiver, after its window is complete: the arena minimum the
+  // round-overlap guard bounds ADJ with, and the reduction do_update will
+  // ask for — the same kind and the same f clamp update_arena applies —
+  // primed as the arena's one-shot memo.  Phase 3 then runs every update
+  // serially through the real process code, which consumes the memo.
+  for_slices(fast_ids_.size(), [this](std::size_t begin, std::size_t end,
+                                      Slice& /*slice*/) {
+    for (std::size_t k = begin; k < end; ++k) {
+      const auto i = static_cast<std::size_t>(fast_ids_[k]);
+      WelchLynchProcess& wl = *wl_[i];
+      double arr_min = std::numeric_limits<double>::infinity();
+      for (const double v : wl.arena_.values()) arr_min = std::min(arr_min, v);
+      arr_min_[i] = arr_min;
+      wl.arena_.precompute(wl.reduction(), wl.reduce_f(n_));
+    }
+  });
+}
+
 void RoundFastPath::deliver_generic(double t0, double t1) {
   // Sparse graphs: per receiver, gather its delivery times from the flat
-  // matrix, evaluate ARR = local-time(t) with the affine kernel (or exact
-  // per-point now() when a drift breakpoint splits the window), scatter
-  // into the arena slots.  Degrees are small; the strided gather is cheap.
-  // In kStaggered the receiver subtracts the sender's known offset with
-  // the engine's exact expression (local - s*sigma); recv_off_ carries the
-  // per-entry offsets contiguously per receiver.
+  // matrix into the slice's scratch, evaluate ARR = local-time(t) with the
+  // affine kernel (or exact per-point now() when a drift breakpoint splits
+  // the window), scatter into the arena slots.  Degrees are small; the
+  // strided gather is cheap.  In kStaggered the receiver subtracts the
+  // sender's known offset with the engine's exact expression (local -
+  // s*sigma); recv_off_ carries the per-entry offsets contiguously per
+  // receiver.
   const bool staggered = mode_ == Mode::kStaggered;
-  for (std::int32_t r : fast_ids_) {
-    const auto i = static_cast<std::size_t>(r);
-    const std::size_t begin = recv_offset_[i];
-    const std::size_t end = recv_offset_[i + 1];
-    const std::size_t m = end - begin;
-    if (m == 0) continue;
-    proc::ArrivalArena& arena = wl_[i]->arena_;
-    const double corr = sim_.nodes_[i].corr.current_target();
-    const clk::PhysicalClock& clock = *sim_.nodes_[i].clock;
-    gather_t_.resize(m);
-    gather_v_.resize(m);
-    for (std::size_t k = 0; k < m; ++k) {
-      gather_t_[k] = times_[recv_flat_[begin + k]];
-    }
-    clk::PhysicalClock::AffineSpan span;
-    if (clock.affine_span(t0, t1, span)) {
-      if (staggered) {
-        proc::kernels::affine_arrival_eval_offset(
-            gather_v_.data(), gather_t_.data(), recv_off_.data() + begin, m,
-            span.real, span.clock, span.rate, corr);
+  for_slices(fast_ids_.size(), [&](std::size_t first, std::size_t last,
+                                   Slice& slice) {
+    std::vector<double>& gather_t = slice.gather_t;
+    std::vector<double>& gather_v = slice.gather_v;
+    for (std::size_t k = first; k < last; ++k) {
+      const auto i = static_cast<std::size_t>(fast_ids_[k]);
+      const std::size_t begin = recv_offset_[i];
+      const std::size_t m = recv_offset_[i + 1] - begin;
+      if (m == 0) continue;
+      proc::ArrivalArena& arena = wl_[i]->arena_;
+      const double corr = sim_.nodes_[i].corr.current_target();
+      const clk::PhysicalClock& clock = *sim_.nodes_[i].clock;
+      gather_t.resize(m);
+      gather_v.resize(m);
+      for (std::size_t j = 0; j < m; ++j) {
+        gather_t[j] = times_[recv_flat_[begin + j]];
+      }
+      clk::PhysicalClock::AffineSpan span;
+      if (clock.affine_span(t0, t1, span)) {
+        if (staggered) {
+          proc::kernels::affine_arrival_eval_offset(
+              gather_v.data(), gather_t.data(), recv_off_.data() + begin, m,
+              span.real, span.clock, span.rate, corr);
+        } else {
+          proc::kernels::affine_arrival_eval(gather_v.data(), gather_t.data(),
+                                             m, span.real, span.clock,
+                                             span.rate, corr);
+        }
       } else {
-        proc::kernels::affine_arrival_eval(gather_v_.data(), gather_t_.data(),
-                                           m, span.real, span.clock, span.rate,
-                                           corr);
-      }
-    } else {
-      for (std::size_t k = 0; k < m; ++k) {
-        gather_v_[k] = clock.now(gather_t_[k]) + corr;
-      }
-      if (staggered) {
-        for (std::size_t k = 0; k < m; ++k) {
-          gather_v_[k] -= recv_off_[begin + k];
+        for (std::size_t j = 0; j < m; ++j) {
+          gather_v[j] = clock.now(gather_t[j]) + corr;
+        }
+        if (staggered) {
+          for (std::size_t j = 0; j < m; ++j) {
+            gather_v[j] -= recv_off_[begin + j];
+          }
         }
       }
+      for (std::size_t j = 0; j < m; ++j) {
+        arena.set_slot(static_cast<std::size_t>(recv_slot_[begin + j]),
+                       gather_v[j]);
+      }
     }
-    for (std::size_t k = 0; k < m; ++k) {
-      arena.set_slot(static_cast<std::size_t>(recv_slot_[begin + k]),
-                     gather_v_[k]);
-    }
-  }
+  });
 }
 
 void RoundFastPath::deliver_mesh(double t0, double t1) {
@@ -1046,70 +1152,77 @@ void RoundFastPath::deliver_mesh(double t0, double t1) {
   // eight senders).  The inner expression is affine_arrival_eval's, kept
   // inline so the compiler vectorizes across the receiver block; the
   // staggered variant appends the engine's receiver-side normalization
-  // (- s*sigma) as the last operation, exactly as on_message does.
+  // (- s*sigma) as the last operation, exactly as on_message does.  Blocks
+  // are the unit of parallel work: each owns its receivers' clocks and
+  // arenas.
   constexpr std::size_t kBlock = 64;
   const auto n = static_cast<std::size_t>(n_);
   const bool staggered = mode_ == Mode::kStaggered;
-  double a_c[kBlock];   // segment clock reading
-  double o_c[kBlock];   // segment real start
-  double r_c[kBlock];   // segment rate
-  double c_c[kBlock];   // CORR target
-  double* dst[kBlock];  // arena slot base
-  bool affine[kBlock];
-
-  for (std::size_t rb = 0; rb < n; rb += kBlock) {
-    const std::size_t blk = std::min(kBlock, n - rb);
-    bool all_affine = true;
-    for (std::size_t i = 0; i < blk; ++i) {
-      const std::size_t r = rb + i;
-      c_c[i] = sim_.nodes_[r].corr.current_target();
-      dst[i] = wl_[r]->arena_.slot_data();
-      clk::PhysicalClock::AffineSpan span;
-      affine[i] = sim_.nodes_[r].clock->affine_span(t0, t1, span);
-      a_c[i] = span.clock;
-      o_c[i] = span.real;
-      r_c[i] = span.rate;
-      all_affine = all_affine && affine[i];
-    }
-    if (all_affine) {
-      if (staggered) {
-        for (std::size_t s = 0; s < n; ++s) {
-          const double* trow = times_.data() + s * n + rb;
-          const double off_s = off_[s];
-          for (std::size_t i = 0; i < blk; ++i) {
-            dst[i][s] = ((a_c[i] + (trow[i] - o_c[i]) * r_c[i]) + c_c[i]) - off_s;
+  const std::size_t blocks = (n + kBlock - 1) / kBlock;
+  for_slices(blocks, [&](std::size_t first, std::size_t last, Slice&) {
+    double a_c[kBlock];   // segment clock reading
+    double o_c[kBlock];   // segment real start
+    double r_c[kBlock];   // segment rate
+    double c_c[kBlock];   // CORR target
+    double* dst[kBlock];  // arena slot base
+    bool affine[kBlock];
+    for (std::size_t b = first; b < last; ++b) {
+      const std::size_t rb = b * kBlock;
+      const std::size_t blk = std::min(kBlock, n - rb);
+      bool all_affine = true;
+      for (std::size_t i = 0; i < blk; ++i) {
+        const std::size_t r = rb + i;
+        c_c[i] = sim_.nodes_[r].corr.current_target();
+        dst[i] = wl_[r]->arena_.slot_data();
+        clk::PhysicalClock::AffineSpan span;
+        affine[i] = sim_.nodes_[r].clock->affine_span(t0, t1, span);
+        a_c[i] = span.clock;
+        o_c[i] = span.real;
+        r_c[i] = span.rate;
+        all_affine = all_affine && affine[i];
+      }
+      if (all_affine) {
+        if (staggered) {
+          for (std::size_t s = 0; s < n; ++s) {
+            const double* trow = times_.data() + s * n + rb;
+            const double off_s = off_[s];
+            for (std::size_t i = 0; i < blk; ++i) {
+              dst[i][s] =
+                  ((a_c[i] + (trow[i] - o_c[i]) * r_c[i]) + c_c[i]) - off_s;
+            }
+          }
+        } else {
+          for (std::size_t s = 0; s < n; ++s) {
+            const double* trow = times_.data() + s * n + rb;
+            for (std::size_t i = 0; i < blk; ++i) {
+              dst[i][s] = (a_c[i] + (trow[i] - o_c[i]) * r_c[i]) + c_c[i];
+            }
           }
         }
-      } else {
-        for (std::size_t s = 0; s < n; ++s) {
-          const double* trow = times_.data() + s * n + rb;
-          for (std::size_t i = 0; i < blk; ++i) {
-            dst[i][s] = (a_c[i] + (trow[i] - o_c[i]) * r_c[i]) + c_c[i];
+        continue;
+      }
+      // A drift breakpoint inside the window for some receiver in the
+      // block: evaluate those receivers per point through now()
+      // (bit-identical on any window) and the rest with the affine
+      // expression.
+      for (std::size_t i = 0; i < blk; ++i) {
+        const std::size_t r = rb + i;
+        if (affine[i]) {
+          for (std::size_t s = 0; s < n; ++s) {
+            const double t = times_[s * n + r];
+            const double v = (a_c[i] + (t - o_c[i]) * r_c[i]) + c_c[i];
+            dst[i][s] = staggered ? v - off_[s] : v;
+          }
+        } else {
+          const clk::PhysicalClock& clock = *sim_.nodes_[r].clock;
+          for (std::size_t s = 0; s < n; ++s) {
+            const double v = clock.now(times_[s * n + r]) + c_c[i];
+            dst[i][s] = staggered ? v - off_[s] : v;
           }
         }
       }
-      continue;
     }
-    // A drift breakpoint inside the window for some receiver in the block:
-    // evaluate those receivers per point through now() (bit-identical on
-    // any window) and the rest with the affine expression.
-    for (std::size_t i = 0; i < blk; ++i) {
-      const std::size_t r = rb + i;
-      if (affine[i]) {
-        for (std::size_t s = 0; s < n; ++s) {
-          const double t = times_[s * n + r];
-          const double v = (a_c[i] + (t - o_c[i]) * r_c[i]) + c_c[i];
-          dst[i][s] = staggered ? v - off_[s] : v;
-        }
-      } else {
-        const clk::PhysicalClock& clock = *sim_.nodes_[r].clock;
-        for (std::size_t s = 0; s < n; ++s) {
-          const double v = clock.now(times_[s * n + r]) + c_c[i];
-          dst[i][s] = staggered ? v - off_[s] : v;
-        }
-      }
-    }
-  }
+  });
 }
 
 }  // namespace wlsync::core

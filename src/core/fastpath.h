@@ -21,10 +21,11 @@
 //            bails BEFORE mutating anything.
 //   phase 1  run the broadcast events in (time, tier, seq) order through
 //            the REAL WelchLynchProcess::on_start/on_timer with a mirrored
-//            Context: delays are drawn per link in the engine's exact RNG
-//            order and recorded into a flat delivery matrix instead of
-//            being scheduled; seq numbers advance exactly as the engine's
-//            fanout blocks would.
+//            Context; seq numbers and message counts advance exactly as the
+//            engine's fanout blocks would.  Delays are drawn per link from
+//            each sender's own stream, in neighbor order, into a flat
+//            delivery matrix instead of being scheduled — after the replay,
+//            one sender per task (kRegion draws inline, see below).
 //   phase 2  evaluate all arrivals with one batched kernel per receiver:
 //            a single affine clock segment covering the window turns
 //            ARR = local-time(t) into (seg.clock + (t - seg.real) *
@@ -35,10 +36,26 @@
 //            seqs and the streaming observer's drains are idempotent, so
 //            draining in bigger steps at broadcast/update instants leaves
 //            identical observer state at every interaction point.
+//            Then, per receiver, the arena minimum the round-overlap
+//            guard needs and the update's reduction mid/mean(reduce(ARR)),
+//            primed in the arena's one-shot memo (proc/arrival.h).
 //   phase 3  run the update events in order through the real process code
 //            (CORR steps, annotations and trace callbacks fire at their
-//            exact instants); the next broadcast timers they set become
-//            the next iteration's pending stratum.
+//            exact instants; do_update consumes the primed reduction); the
+//            next broadcast timers they set become the next iteration's
+//            pending stratum.
+//
+// Parallelism.  Within one exchange the O(n^2) work has no ordering: a
+// sender's delay row depends only on its own stream, a receiver's arrivals
+// and reduction only on its own clock and arena.  So the delay rows (by
+// sender), the arrival kernel (by receiver block) and the reductions (by
+// receiver) run on util::parallel_for once an exchange carries
+// kFastpathShardThreshold deliveries, the machine has more than one
+// hardware thread, and the caller is not itself a pool worker (a
+// ParallelRunner trial stays serial).  Each task touches disjoint state, so
+// any thread count produces the same doubles.  Process code, trace
+// callbacks and the observer stay on the calling thread in exact (time,
+// tier, seq) order.  kRegion always runs serially.
 //
 // Three operating modes widen the eligible region (ISSUE 8):
 //
@@ -86,6 +103,12 @@ class Simulator;
 
 namespace wlsync::core {
 
+/// Deliveries per exchange (n^2 on the full mesh) from which RoundFastPath
+/// shards its per-exchange kernels across the machine's cores: n = 256 on
+/// the mesh.  Below it the fork-join costs more than the kernels save
+/// (measured in README.md's fast-path section).
+inline constexpr std::uint64_t kFastpathShardThreshold = std::uint64_t{1} << 16;
+
 class WelchLynchProcess;
 class FastPathContext;
 
@@ -109,6 +132,9 @@ struct FastPathStats {
   /// event engine while engaged (region timers, region fan-outs, deliveries
   /// crossing the region boundary).
   std::int64_t region_events = 0;
+  /// Threads the per-exchange kernels ran on: 1 = serial, else
+  /// util::hardware_threads() (see kFastpathShardThreshold).
+  std::int32_t threads = 1;
 };
 
 class RoundFastPath {
@@ -187,9 +213,34 @@ class RoundFastPath {
   /// (time, tier, seq) through the regular engine, so region activity and
   /// fast replays interleave in the global deterministic order.
   void advance_engine_to(double time, std::int32_t tier, std::uint64_t seq);
+  /// A broadcast replayed in phase 1 whose delays are not drawn yet.
+  struct Send {
+    std::int32_t from = -1;
+    double time = 0.0;
+  };
+  /// Per-slice state of the sharded kernels: gather scratch for
+  /// deliver_generic and the delay rows' partial min/max.
+  struct Slice {
+    std::vector<double> gather_t;
+    std::vector<double> gather_v;
+    double lo = 0.0;
+    double hi = 0.0;
+  };
+  /// Slices a kernel over `count` work units uses: min(count, slices_).
+  [[nodiscard]] std::size_t slice_count(std::size_t count) const;
+  /// Runs fn(begin, end, slice) over contiguous slices of [0, count) on
+  /// threads_ threads; inline when serial.
+  template <typename Fn>
+  void for_slices(std::size_t count, Fn&& fn);
+  /// kPlain / kStaggered: draws every recorded broadcast's delay row, one
+  /// sender per task, and sets deliver_min_ / deliver_max_.
+  void draw_rows();
   void do_batched_deliveries();
   void deliver_mesh(double t0, double t1);
   void deliver_generic(double t0, double t1);
+  /// kPlain / kStaggered, after phase 2: each fast receiver's arena minimum
+  /// (arr_min_) and its update's reduction, primed in the arena's memo.
+  void prime_updates();
 
   // --- FastPathContext callbacks (mirrors of the SimContext entry points;
   // see fastpath.cpp for the per-call equivalence argument) ---
@@ -236,8 +287,10 @@ class RoundFastPath {
   std::vector<PendingTimer>* record_update_ = nullptr;  ///< active target
   std::vector<double> pred_update_;  ///< exact predicted update instants
   std::vector<double> pred_wend_;    ///< window-end logical times (overlap guard)
-  std::vector<double> gather_t_;     ///< per-receiver gather scratch
-  std::vector<double> gather_v_;
+  std::vector<double> arr_min_;      ///< per-pid arena minimum (overlap guard)
+  std::vector<Send> sends_;          ///< phase-1 broadcasts awaiting draw_rows
+  std::vector<Slice> slices_;        ///< one per parallel slice (1 when serial)
+  std::int32_t threads_ = 1;         ///< kernel threads; see init()
   std::vector<char> seen_;           ///< pid-uniqueness scratch
   std::vector<std::uint32_t> scan_handles_;  ///< kRegion guard queue scan
   /// Cached scheduler head for advance_engine_to's fast-out (kRegion): the

@@ -134,28 +134,36 @@ void WelchLynchProcess::on_message(proc::Context& ctx, const sim::Message& m) {
   arena_.record(m.from, arrival);
 }
 
-double WelchLynchProcess::update_arena(const proc::Context& ctx) {
-  // The multiset is the neighbor view: on the paper's full mesh that is all
-  // of ARR; on a sparse exchange graph only neighbors can have arrived, so
-  // the arena holds exactly their slots (no gather) and reduces them over
-  // its scratch (no allocations).
+std::size_t WelchLynchProcess::reduce_f(std::int32_t process_count) const {
   auto f = static_cast<std::size_t>(config_.params.f);
-  if (static_cast<std::int32_t>(arena_.size()) != ctx.process_count()) {
+  if (static_cast<std::int32_t>(arena_.size()) != process_count) {
     // The A2 ratio applied to the neighborhood: a process can only clip
     // the faults that can actually reach it, so the global budget f caps
     // at (deg - 1) / 3 locally (deg >= 3 f_local + 1, as n >= 3f + 1).
     f = std::min(f, (arena_.size() - 1) / 3);
   }
+  return f;
+}
+
+proc::ArrivalArena::Reduction WelchLynchProcess::reduction() const {
   return config_.averaging == Averaging::kMidpoint
+             ? proc::ArrivalArena::Reduction::kMidpoint
+             : proc::ArrivalArena::Reduction::kMean;
+}
+
+double WelchLynchProcess::update_arena(const proc::Context& ctx) {
+  // The multiset is the neighbor view: on the paper's full mesh that is all
+  // of ARR; on a sparse exchange graph only neighbors can have arrived, so
+  // the arena holds exactly their slots (no gather) and reduces them over
+  // its scratch (no allocations).
+  const std::size_t f = reduce_f(ctx.process_count());
+  return reduction() == proc::ArrivalArena::Reduction::kMidpoint
              ? arena_.midpoint_reduced(f)
              : arena_.mean_reduced(f);
 }
 
 bool WelchLynchProcess::window_starved(const proc::Context& ctx) const {
-  auto f = static_cast<std::size_t>(config_.params.f);
-  if (static_cast<std::int32_t>(arena_.size()) != ctx.process_count()) {
-    f = std::min(f, (arena_.size() - 1) / 3);  // update_arena's local clamp
-  }
+  const std::size_t f = reduce_f(ctx.process_count());
   std::size_t sentinels = 0;
   for (const double v : arena_.values()) {
     sentinels += v == kNeverArrived ? 1 : 0;

@@ -136,6 +136,11 @@ class WelchLynchProcess final : public proc::Process {
   [[nodiscard]] bool window_starved(const proc::Context& ctx) const;
   /// AV := mid / mean(reduce(ARR)) over the neighbor view.
   [[nodiscard]] double update_arena(const proc::Context& ctx);
+  /// The reduction's clip count: f, capped at (deg - 1) / 3 on a sparse
+  /// exchange graph.
+  [[nodiscard]] std::size_t reduce_f(std::int32_t process_count) const;
+  /// The arena reduction the configured averaging function runs.
+  [[nodiscard]] proc::ArrivalArena::Reduction reduction() const;
 
   WelchLynchConfig config_;
   Derived derived_;

@@ -31,10 +31,12 @@ void ArrivalArena::bind(std::span<const std::int32_t> neighbors,
   scratch_.reserve(neighbors.size());
   select_tmp_.reserve(neighbors.size());
   bound_ = true;
+  memo_valid_ = false;
   ++rebinds_;
 }
 
 void ArrivalArena::fill(double value) {
+  memo_valid_ = false;
   std::fill(values_.begin(), values_.end(), value);
 }
 
@@ -42,10 +44,37 @@ void ArrivalArena::load_scratch() {
   // assign() into retained capacity: no allocation once scratch_ has grown
   // to the (fixed) neighborhood size.
   scratch_.assign(values_.begin(), values_.end());
-  ++reductions_;
+}
+
+void ArrivalArena::precompute(Reduction kind, std::size_t f) {
+  if (values_.size() < 2 * f + 1) return;
+  memo_value_ = compute(kind, f);
+  memo_kind_ = kind;
+  memo_f_ = f;
+  memo_valid_ = true;
 }
 
 double ArrivalArena::midpoint_reduced(std::size_t f) {
+  return reduced(Reduction::kMidpoint, f);
+}
+
+double ArrivalArena::mean_reduced(std::size_t f) {
+  return reduced(Reduction::kMean, f);
+}
+
+double ArrivalArena::reduced(Reduction kind, std::size_t f) {
+  const bool hit = memo_valid_ && memo_kind_ == kind && memo_f_ == f;
+  memo_valid_ = false;  // one-shot, whether it matched or not
+  const double value = hit ? memo_value_ : compute(kind, f);
+  ++reductions_;
+  return value;
+}
+
+double ArrivalArena::compute(Reduction kind, std::size_t f) {
+  return kind == Reduction::kMidpoint ? compute_midpoint(f) : compute_mean(f);
+}
+
+double ArrivalArena::compute_midpoint(std::size_t f) {
   const std::size_t m = values_.size();
   if (m < 2 * f + 1) {
     throw std::invalid_argument("ArrivalArena: reduce needs |U| >= 2f+1");
@@ -73,7 +102,7 @@ double ArrivalArena::midpoint_reduced(std::size_t f) {
   return 0.5 * (hi + lo);
 }
 
-double ArrivalArena::mean_reduced(std::size_t f) {
+double ArrivalArena::compute_mean(std::size_t f) {
   const std::size_t m = values_.size();
   if (m < 2 * f + 1) {
     throw std::invalid_argument("ArrivalArena: reduce needs |U| >= 2f+1");

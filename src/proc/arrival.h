@@ -103,6 +103,7 @@ class ArrivalArena {
   /// per-delivery hot path trusts the simulator's id validation and spends
   /// exactly one load + one predicate on the slot lookup.
   void record(std::int32_t sender, double value) {
+    memo_valid_ = false;
     if (index_.identity()) {  // full mesh: sender id IS the slot
       values_[static_cast<std::size_t>(sender)] = value;
       return;
@@ -111,12 +112,18 @@ class ArrivalArena {
     if (slot >= 0) values_[static_cast<std::size_t>(slot)] = value;
   }
 
-  void set_slot(std::size_t slot, double value) { values_[slot] = value; }
+  void set_slot(std::size_t slot, double value) {
+    memo_valid_ = false;
+    values_[slot] = value;
+  }
   /// Mutable base of the dense slot array — the round fast path's batched
   /// delivery kernel (core/fastpath.h) writes a whole collection window of
   /// arrivals straight into the arena, one store per (sender, receiver)
   /// pair, instead of calling record() per simulated delivery event.
-  [[nodiscard]] double* slot_data() noexcept { return values_.data(); }
+  [[nodiscard]] double* slot_data() noexcept {
+    memo_valid_ = false;
+    return values_.data();
+  }
   [[nodiscard]] double slot_value(std::size_t slot) const {
     return values_[slot];
   }
@@ -144,6 +151,19 @@ class ArrivalArena {
   /// Precondition: size() >= 2f + 1.
   [[nodiscard]] double mean_reduced(std::size_t f);
 
+  enum class Reduction : std::uint8_t { kMidpoint, kMean };
+  /// Computes the `kind` reduction of the current slots now and keeps it as
+  /// a one-shot memo: the next midpoint_reduced / mean_reduced call with
+  /// the same kind and f returns it instead of recomputing (any other
+  /// reduction call drops it).  Every write path — record, set_slot, fill,
+  /// bind, slot_data — drops it too, so a consumed memo is always the
+  /// double a fresh reduction of the same slots would produce.  The round
+  /// fast path (core/fastpath.h) primes every receiver's reduction on the
+  /// worker threads, then runs the updates serially through the real
+  /// process code.  Not counted in reductions() — the consuming call is.
+  /// A no-op when size() < 2f + 1 (the consuming call throws as usual).
+  void precompute(Reduction kind, std::size_t f);
+
   // --- counters for the CI perf-smoke gate (bench_micro --smoke) ---
   /// Times bind() rebuilt the slot table (should be 1 per run).
   [[nodiscard]] std::uint64_t rebinds() const noexcept { return rebinds_; }
@@ -152,6 +172,11 @@ class ArrivalArena {
 
  private:
   void load_scratch();
+  /// The memo when it matches (kind, f), else a fresh reduction; counted.
+  [[nodiscard]] double reduced(Reduction kind, std::size_t f);
+  [[nodiscard]] double compute(Reduction kind, std::size_t f);
+  [[nodiscard]] double compute_midpoint(std::size_t f);
+  [[nodiscard]] double compute_mean(std::size_t f);
 
   NeighborIndex index_;
   std::vector<double> values_;   ///< dense, neighbor order
@@ -160,6 +185,10 @@ class ArrivalArena {
   bool bound_ = false;
   std::uint64_t rebinds_ = 0;
   std::uint64_t reductions_ = 0;
+  bool memo_valid_ = false;
+  Reduction memo_kind_ = Reduction::kMidpoint;
+  std::size_t memo_f_ = 0;
+  double memo_value_ = 0.0;
 };
 
 }  // namespace wlsync::proc

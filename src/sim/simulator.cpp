@@ -373,9 +373,10 @@ std::size_t Simulator::history_entries() const noexcept {
   return entries;
 }
 
-double Simulator::draw_delay(Lane& lane, std::int32_t from, std::int32_t to) {
+double Simulator::draw_delay(std::int32_t from, std::int32_t to,
+                             double send_time) {
   const double delay =
-      delay_->delay(from, to, lane.current_time, nodes_[idx(from)].delay_rng);
+      delay_->delay(from, to, send_time, nodes_[idx(from)].delay_rng);
   if (delay < config_.delta - config_.eps - kDelayTolerance ||
       delay > config_.delta + config_.eps + kDelayTolerance) {
     throw std::logic_error("delay model produced a delay outside A3 bounds");
@@ -386,7 +387,8 @@ double Simulator::draw_delay(Lane& lane, std::int32_t from, std::int32_t to) {
 void Simulator::do_send(Lane& lane, std::int32_t from, std::int32_t to,
                         std::int32_t tag, double value, std::int32_t aux) {
   (void)idx(to);  // validates the recipient id
-  const double deliver_time = lane.current_time + draw_delay(lane, from, to);
+  const double deliver_time =
+      lane.current_time + draw_delay(from, to, lane.current_time);
   const Message msg = make_app(from, tag, value, aux);
   ++lane.messages_sent;
   for (TraceSink* sink : lane.sinks) {
@@ -435,7 +437,8 @@ void Simulator::do_broadcast(Lane& lane, std::int32_t from, std::int32_t tag,
                                      ? EngineKind::kNicArrive
                                      : EngineKind::kDeliver;
   for (std::int32_t to : recipients) {
-    const double deliver_time = lane.current_time + draw_delay(lane, from, to);
+    const double deliver_time =
+        lane.current_time + draw_delay(from, to, lane.current_time);
     ++lane.messages_sent;
     for (TraceSink* sink : lane.sinks) {
       sink->on_send(from, to, msg, lane.current_time, deliver_time);

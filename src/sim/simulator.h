@@ -409,8 +409,12 @@ class Simulator {
   /// same per-sender allocation order, so the serial tie-break survives).
   void do_broadcast(Lane& lane, std::int32_t from, std::int32_t tag,
                     double value, std::int32_t aux);
-  /// Draws the A3-validated per-link delay for a message sent now.
-  [[nodiscard]] double draw_delay(Lane& lane, std::int32_t from, std::int32_t to);
+  /// Draws the A3-validated per-link delay for a message `from` sends to
+  /// `to` at `send_time`.  Touches only the sender's delay_rng, so draws for
+  /// distinct senders may run concurrently (the PDES lanes and the round
+  /// fast path's sharded delay rows rely on it).
+  [[nodiscard]] double draw_delay(std::int32_t from, std::int32_t to,
+                                  double send_time);
   void do_set_timer_logical(Lane& lane, std::int32_t pid, double logical_time,
                             std::int32_t tag);
   void do_set_timer_physical(Lane& lane, std::int32_t pid, double physical_time,

@@ -144,5 +144,63 @@ TEST(ArrivalArena, ReductionsAreCountedAndRebindIsExplicit) {
   EXPECT_EQ(arena.reductions(), 2u);
 }
 
+TEST(ArrivalArena, PrecomputedReductionIsOneShotAndDroppedByEveryWrite) {
+  // The round fast path primes each receiver's reduction on a worker thread
+  // and consumes it in the serial update.  The memo must be what a fresh
+  // reduction of the CURRENT slots returns: each of the five write paths
+  // below changes the reduced value, so a memo surviving one of them
+  // returns the stale 4.0 and fails the comparison.
+  constexpr std::size_t kF = 2;
+  const auto ids = identity_ids(9);
+  const auto load = [&](ArrivalArena& arena) {
+    arena.bind({ids.data(), ids.size()}, 9, 0.0);
+    for (std::size_t i = 0; i < 9; ++i) {
+      arena.set_slot(i, static_cast<double>(i));
+    }
+  };
+  const auto fresh_midpoint = [&](const ArrivalArena& arena) {
+    return ms::fault_tolerant_midpoint(arena.values(), kF);
+  };
+  using Write = void (*)(ArrivalArena&);
+  const std::vector<std::pair<const char*, Write>> writes = {
+      {"record", [](ArrivalArena& a) { a.record(0, 50.0); }},
+      {"set_slot", [](ArrivalArena& a) { a.set_slot(0, 50.0); }},
+      {"slot_data", [](ArrivalArena& a) { a.slot_data()[0] = 50.0; }},
+      {"fill", [](ArrivalArena& a) { a.fill(10.0); }},
+      {"bind",
+       [](ArrivalArena& a) {
+         const auto fresh_ids = identity_ids(9);
+         a.bind({fresh_ids.data(), fresh_ids.size()}, 9, -1.0);
+       }},
+  };
+  for (const auto& [name, write] : writes) {
+    ArrivalArena arena;
+    load(arena);
+    arena.precompute(ArrivalArena::Reduction::kMidpoint, kF);
+    write(arena);
+    ASSERT_NE(fresh_midpoint(arena), 4.0) << name;
+    EXPECT_EQ(arena.midpoint_reduced(kF), fresh_midpoint(arena)) << name;
+  }
+
+  // Untouched, the memo is consumed once and counted once; precompute
+  // itself is not a reduction.
+  ArrivalArena arena;
+  load(arena);
+  arena.precompute(ArrivalArena::Reduction::kMidpoint, kF);
+  EXPECT_EQ(arena.reductions(), 0u);
+  EXPECT_EQ(arena.midpoint_reduced(kF), 4.0);
+  EXPECT_EQ(arena.midpoint_reduced(kF), 4.0);
+  EXPECT_EQ(arena.reductions(), 2u);
+  // A different kind or f is recomputed, never served from the memo.
+  arena.precompute(ArrivalArena::Reduction::kMidpoint, kF);
+  EXPECT_EQ(arena.mean_reduced(kF),
+            ms::fault_tolerant_mean(arena.values(), kF));
+  arena.precompute(ArrivalArena::Reduction::kMean, kF);
+  EXPECT_EQ(arena.mean_reduced(1), ms::fault_tolerant_mean(arena.values(), 1));
+  // Too few slots for f: precompute is a no-op and the call still throws.
+  arena.precompute(ArrivalArena::Reduction::kMidpoint, 5);
+  EXPECT_THROW((void)arena.midpoint_reduced(5), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace wlsync::proc

@@ -19,6 +19,7 @@
 #include <stdexcept>
 
 #include "analysis/parallel_runner.h"
+#include "util/parallel.h"
 
 namespace wlsync::analysis {
 namespace {
@@ -347,6 +348,100 @@ TEST(FastpathFallback, OtherAlgorithmsForceTheEventEngine) {
     EXPECT_THROW((void)run_engine(spec, EngineMode::kFastpath),
                  std::invalid_argument)
         << "algo " << int(algo);
+  }
+}
+
+// --------------------------------------------------- sharded kernels ---
+// Every pin above runs below core::kFastpathShardThreshold deliveries per
+// exchange, so the fast path's per-exchange kernels run serially there.
+// These specs cross it (n = 256, 300 and 512 on the mesh, n = 4096 on the
+// deg-16 graph), so the delay rows, the arrival kernels and the primed
+// reductions run on every hardware thread — and must still be bitwise the
+// event engine.
+
+RunSpec sharded_spec(std::int32_t n) {
+  RunSpec spec = base_spec(n, (n - 1) / 3);
+  spec.rounds = 4;
+  return spec;
+}
+
+RunSpec sharded_kregular_spec() {
+  RunSpec spec = sharded_spec(4096);
+  spec.topology.kind = net::TopologyKind::kKRegular;
+  spec.topology.degree = 16;
+  return spec;
+}
+
+void expect_sharded_identical(const RunSpec& spec, const char* what) {
+  const RunResult event = run_engine(spec, EngineMode::kEvent);
+  const RunResult fast = run_engine(spec, EngineMode::kFastpath);
+  EXPECT_TRUE(fast.fastpath_engaged) << what;
+  EXPECT_GT(fast.fastpath_exchanges, 0) << what;
+  EXPECT_EQ(fast.fastpath_threads, util::hardware_threads()) << what;
+  EXPECT_TRUE(results_identical(event, fast)) << what;
+}
+
+TEST(FastpathParallel, PlainMidpoint) {
+  expect_sharded_identical(sharded_spec(256), "plain WL, n = 256");
+  expect_sharded_identical(sharded_spec(512), "plain WL, n = 512");
+  // Slices of unequal length and a partial 64-receiver block.
+  expect_sharded_identical(sharded_spec(300), "plain WL, n = 300");
+}
+
+TEST(FastpathParallel, ReducedMean) {
+  RunSpec spec = sharded_spec(256);
+  spec.averaging = core::Averaging::kReducedMean;
+  expect_sharded_identical(spec, "reduced-mean averaging, n = 256");
+}
+
+TEST(FastpathParallel, Staggered) {
+  RunSpec spec = sharded_spec(256);
+  spec.stagger = 1e-4;
+  expect_sharded_identical(spec, "staggered full mesh, n = 256");
+}
+
+TEST(FastpathParallel, DriftBreakpointInsideTheWindow) {
+  // Every clock's drift segments start at real time 0, so a period of
+  // 10.012 s puts one breakpoint for all of them inside the second
+  // exchange's collection window (deliveries land ~10.011-10.013 s):
+  // both kernels take their per-point now() fallback there.
+  RunSpec mesh = sharded_spec(256);
+  mesh.drift = DriftKind::kPiecewise;
+  mesh.drift_period = 10.012;
+  expect_sharded_identical(mesh, "breakpoint in window, mesh");
+  RunSpec sparse = sharded_kregular_spec();
+  sparse.drift = DriftKind::kPiecewise;
+  sparse.drift_period = 10.012;
+  expect_sharded_identical(sparse, "breakpoint in window, deg-16 graph");
+}
+
+TEST(FastpathParallel, DelayModels) {
+  for (const DelayKind delay : {DelayKind::kExpTrunc, DelayKind::kPerLink}) {
+    RunSpec spec = sharded_spec(256);
+    spec.delay = delay;
+    expect_sharded_identical(spec, "delay model, n = 256");
+  }
+}
+
+TEST(FastpathParallel, SparseGraphRunsTheGenericKernel) {
+  expect_sharded_identical(sharded_kregular_spec(),
+                           "fault-free deg-16 graph, n = 4096");
+}
+
+TEST(FastpathParallel, SweepWorkersStaySerial) {
+  // Inside a ParallelRunner trial the kernels run serially (the sweep owns
+  // the cores) and produce exactly what the sharded kernels produce.
+  RunSpec spec = sharded_spec(256);
+  spec.engine = EngineMode::kFastpath;
+  const std::vector<RunSpec> specs = seed_sweep(spec, 31, 2);
+  const std::vector<RunResult> swept = ParallelRunner(2).run_adaptive(specs);
+  ASSERT_EQ(swept.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const RunResult direct = run(specs[i]);
+    EXPECT_EQ(direct.fastpath_threads, util::hardware_threads()) << i;
+    EXPECT_EQ(swept[i].fastpath_threads, 1) << i;
+    EXPECT_TRUE(swept[i].fastpath_engaged) << i;
+    EXPECT_TRUE(results_identical(direct, swept[i])) << i;
   }
 }
 

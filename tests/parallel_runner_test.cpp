@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "analysis/parallel_runner.h"
+#include "util/parallel.h"
 
 namespace wlsync::analysis {
 namespace {
@@ -104,21 +105,21 @@ TEST(ParallelRunner, PdesAutoTuneDeclinesInsideWorkers) {
   }
 }
 
-TEST(ParallelRunner, RunIndexedCoversEveryIndexExactlyOnce) {
+TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   constexpr std::size_t kCount = 257;
   std::vector<std::atomic<int>> hits(kCount);
   for (auto& hit : hits) hit = 0;
-  ParallelRunner(8).run_indexed(kCount, [&](std::size_t i) { ++hits[i]; });
+  util::parallel_for(kCount, 8, [&](std::size_t i) { ++hits[i]; });
   for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i], 1) << i;
 }
 
-TEST(ParallelRunner, WorkStealingCoversSkewedCosts) {
+TEST(ParallelFor, WorkStealingCoversSkewedCosts) {
   // One chunk holds all the expensive work; the other workers must steal
   // it rather than idle, and every index still runs exactly once.
   constexpr std::size_t kCount = 64;
   std::vector<std::atomic<int>> hits(kCount);
   for (auto& hit : hits) hit = 0;
-  ParallelRunner(4).run_indexed(kCount, [&](std::size_t i) {
+  util::parallel_for(kCount, 4, [&](std::size_t i) {
     if (i < kCount / 4) {
       // The first worker's own chunk is pathologically slow.
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -128,9 +129,8 @@ TEST(ParallelRunner, WorkStealingCoversSkewedCosts) {
   for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i], 1) << i;
 }
 
-TEST(ParallelRunner, PropagatesWorkerExceptions) {
-  ParallelRunner runner(4);
-  EXPECT_THROW(runner.run_indexed(64,
+TEST(ParallelFor, PropagatesWorkerExceptions) {
+  EXPECT_THROW(util::parallel_for(64, 4,
                                   [](std::size_t i) {
                                     if (i == 13) {
                                       throw std::runtime_error("trial 13");
@@ -139,10 +139,32 @@ TEST(ParallelRunner, PropagatesWorkerExceptions) {
                std::runtime_error);
 }
 
+TEST(ParallelFor, MarksWorkersAndRunsInlineWhenSerial) {
+  // Pool threads carry the in-worker flag; a one-thread call runs inline on
+  // the caller, whose flag WorkerScope sets and restores.
+  std::vector<std::atomic<int>> flagged(16);
+  for (auto& flag : flagged) flag = 0;
+  util::parallel_for(16, 4, [&](std::size_t i) {
+    flagged[i] = util::in_worker() ? 1 : 0;
+  });
+  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(flagged[i], 1) << i;
+  EXPECT_FALSE(util::in_worker());
+  const std::thread::id caller = std::this_thread::get_id();
+  util::parallel_for(3, 1, [&](std::size_t) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_FALSE(util::in_worker());
+  });
+  {
+    const util::WorkerScope scope;
+    EXPECT_TRUE(util::in_worker());
+  }
+  EXPECT_FALSE(util::in_worker());
+}
+
 TEST(ParallelRunner, HandlesEmptyAndDefaults) {
   EXPECT_TRUE(ParallelRunner(2).run_adaptive({}).empty());
   EXPECT_GE(ParallelRunner(0).threads(), 1);  // hardware default
-  ParallelRunner(0).run_indexed(0, [](std::size_t) { FAIL(); });
+  util::parallel_for(0, 0, [](std::size_t) { FAIL(); });
 }
 
 // ------------------------------------------------------------------------
