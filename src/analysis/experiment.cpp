@@ -702,7 +702,7 @@ RunResult Experiment::run() {
 
 namespace {
 
-StartupResult run_startup_impl(const RunSpec& spec) {
+StartupResult run_startup_impl(const RunSpec& spec, ObserveStats& observe) {
   const core::Params& p = spec.params;
   util::Rng rng(spec.seed);
   RoundTrace trace;
@@ -775,10 +775,12 @@ StartupResult run_startup_impl(const RunSpec& spec) {
   sim.run_until(horizon);
 
   StreamingSummary streamed;
-  if (observer) streamed = observer->finalize(sim.current_time());
+  if (observer) {
+    streamed = observer->finalize(sim.current_time());
+    observe = streamed.stats;
+  }
 
   StartupResult result;
-  if (observer) result.observe = streamed.stats;
   result.round_slack = core::startup_round_slack(p.rho, p.delta, p.eps);
   result.limit = core::startup_limit(p.rho, p.delta, p.eps);
 
@@ -883,7 +885,8 @@ class CrashRejoinProcess final : public proc::Process {
   core::ReintegrationProcess rejoin_;
 };
 
-ReintegrationResult run_reintegration_impl(const RunSpec& spec) {
+ReintegrationResult run_reintegration_impl(const RunSpec& spec,
+                                           ObserveStats& observe) {
   const core::Params& p = spec.params;
   const core::Derived d = core::derive(p);
   if (spec.wake_at < spec.crash_at + 2.0 * p.P) {
@@ -1018,7 +1021,7 @@ ReintegrationResult run_reintegration_impl(const RunSpec& spec) {
   const double t_check = result.join_time + 2.0 * p.P;
   if (observer) {
     const StreamingSummary streamed = observer->finalize(sim.current_time());
-    result.observe = streamed.stats;
+    observe = streamed.stats;
     result.skew_after = t_check < sim.current_time() ? streamed.skew.max_skew
                                                      : streamed.final_skew;
   } else if (t_check < sim.current_time()) {
@@ -1084,11 +1087,11 @@ RunResult run(const RunSpec& spec) {
     }
     case RunMode::kStartup:
       reject_unsupported(spec);
-      result.startup = run_startup_impl(spec);
+      result.startup = run_startup_impl(spec, result.observe);
       break;
     case RunMode::kReintegration:
       reject_unsupported(spec);
-      result.reintegration = run_reintegration_impl(spec);
+      result.reintegration = run_reintegration_impl(spec, result.observe);
       break;
   }
   result.wall_seconds =

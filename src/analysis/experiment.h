@@ -268,9 +268,8 @@ struct StartupResult {
   double final_b = 0.0;
   bool handoff_done = false;
   double post_handoff_skew = 0.0;  ///< steady skew under maintenance
-  /// Observation telemetry (defaults when RunSpec::observe is off).
-  /// Like RunResult::observe, NOT part of any identity comparison.
-  ObserveStats observe;
+
+  bool operator==(const StartupResult&) const = default;
 };
 
 /// RunMode::kReintegration (Section 9.1).
@@ -284,12 +283,14 @@ struct ReintegrationResult {
   double beta = 0.0;
   double skew_after = 0.0;  ///< steady skew including the joiner
   double gamma_bound = 0.0;
-  /// Observation telemetry (defaults when RunSpec::observe is off).  NOT
-  /// part of any identity comparison.
-  ObserveStats observe;
+
+  bool operator==(const ReintegrationResult&) const = default;
 };
 
-struct RunResult {
+/// What a run measured: a deterministic function of the RunSpec, identical
+/// bit for bit across engines, scheduler policies, worker counts and
+/// observe modes.  results_identical compares exactly these members.
+struct RunPhysics {
   std::vector<std::int32_t> honest;
   double gamma_bound = 0.0;
   double gamma_measured = 0.0;  ///< steady-state max skew among honest
@@ -306,8 +307,7 @@ struct RunResult {
   std::uint64_t nic_dropped = 0;
   /// UPDATEs skipped because NIC drops / serialization emptied a collection
   /// window (missed-round semantics; see WelchLynchProcess::window_starved).
-  /// Summed over the Welch-Lynch processes; deterministic physics, so it IS
-  /// part of results_identical.
+  /// Summed over the Welch-Lynch processes.
   std::int64_t starved_updates = 0;
   /// Section 9.3 ingress accounting (all zeros when RunSpec::nic is unset).
   NicSummary nic;
@@ -321,69 +321,87 @@ struct RunResult {
   /// stabilization threshold (RunSpec::stabilize_threshold; default
   /// 2 * gamma_bound), and the real time of that round's last honest begin
   /// minus tmax0.  -1 when the run never stabilizes (or completed no
-  /// rounds).  Deterministic physics — part of results_identical.
+  /// rounds).
   std::int32_t stabilized_round = -1;
   double stabilization_time = -1.0;
   /// Scenario events the simulator applied (sim::Simulator::
-  /// dynamics_applied); 0 on static runs.  Deterministic — part of
-  /// results_identical, pinning that every engine saw the same schedule.
+  /// dynamics_applied); 0 on static runs.  Pins that every engine saw the
+  /// same schedule.
   std::int64_t dynamics_applied = 0;
   /// Mode-specific payloads of run(): engaged exactly when RunSpec::mode is
-  /// kStartup / kReintegration.  Their physics fields are part of
-  /// results_identical; their ObserveStats telemetry is not.
+  /// kStartup / kReintegration.
   std::optional<StartupResult> startup;
   std::optional<ReintegrationResult> reintegration;
-  /// Wall-clock seconds this trial took (run() measures it; the
-  /// ParallelRunner streams it to sweep CSVs).  Telemetry only — it is NOT
-  /// part of results_identical, which compares measured physics.
+
+  bool operator==(const RunPhysics&) const = default;
+};
+
+/// How a run was computed and measured: timing, engine selection and the
+/// observation footprint.  Runs of identical physics intentionally differ
+/// here (retained vs bounded observe, event engine vs fast path vs PDES).
+/// Members are ordered so the struct has no tail padding: a member added
+/// straight to RunResult then always grows it (see the static_assert
+/// below).
+struct RunTelemetry {
+  /// Wall-clock seconds this trial took (run() measures it for every mode;
+  /// the ParallelRunner streams it to sweep CSVs).
   double wall_seconds = 0.0;
   /// Wall-clock seconds of the engine span alone: the fastpath / PDES /
   /// event-loop execution between setup (topology, simulator, partition)
   /// and measurement (trace scans, skew series).  This is the number
   /// engine-vs-engine comparisons should use — wall_seconds folds in
   /// per-spec costs every engine pays identically, which dilutes any
-  /// speedup toward 1.  Telemetry, NOT part of results_identical.
+  /// speedup toward 1.
   double engine_seconds = 0.0;
-  /// Streaming-observation telemetry (all defaults when RunSpec::observe
-  /// is off).  Like wall_seconds, NOT part of results_identical: the
-  /// history footprint intentionally differs between retained and bounded
-  /// runs of identical physics.
+  /// Streaming-observation telemetry of every mode (all defaults when
+  /// RunSpec::observe is off).
   ObserveStats observe;
-  /// Round-fast-path telemetry (core/fastpath.h).  Like wall_seconds, NOT
-  /// part of results_identical — engine selection is a performance knob
-  /// and the measured physics are pinned identical across engines.
+  /// Round-fast-path telemetry (core/fastpath.h).
   bool fastpath_engaged = false;
+  /// Fast-set size (FastPathStats::fast_count); zero unless the fast path
+  /// ran.
+  std::int32_t fastpath_fast_count = 0;
   std::int64_t fastpath_exchanges = 0;
   /// Times the fast path re-armed after a clean handoff to the event
-  /// engine mid-run (core/fastpath.h).  Telemetry, not physics.
+  /// engine mid-run (core/fastpath.h).
   std::int64_t fastpath_rearms = 0;
-  /// Fast-set size and merged-loop engine dispatches (FastPathStats::
-  /// fast_count / region_events); zero unless the fast path ran.
-  std::int32_t fastpath_fast_count = 0;
+  /// Merged-loop engine dispatches (FastPathStats::region_events); zero
+  /// unless the fast path ran.
   std::int64_t fastpath_region_events = 0;
   /// Threads the fast path's per-exchange kernels ran on
   /// (FastPathStats::threads): 1 = serial; 0 unless the fast path engaged.
   std::int32_t fastpath_threads = 0;
+  /// Shard/worker count the PDES engine actually ran with (the auto-tuner's
+  /// pick when pdes_workers <= 0).  Zero when the engine didn't run.
+  std::int32_t pdes_workers_used = 0;
   /// Why engine = kAuto declined (or disengaged from) the fast path / the
   /// PDES engine: the refusal of the engine's ineligible_reason or of
   /// engine::plan_pdes, or the entry handoff when the fast path ran but
   /// never engaged.  Empty when the engine engaged or was never a
   /// candidate (e.g. pdes_workers = 1).
-  /// Telemetry, NOT part of results_identical — like wall_seconds it
-  /// describes how the run was computed, and the silent-fallback bug it
-  /// fixes was precisely that this information evaporated.
   std::string fastpath_refusal;
   std::string pdes_refusal;
   /// PDES telemetry (engine/pdes.h): conservative windows executed and
   /// lane-epochs that dispatched nothing.  Zero when the engine didn't
-  /// run.  Like wall_seconds, NOT part of results_identical.
+  /// run.
   std::int64_t pdes_epochs = 0;
   std::int64_t pdes_stalls = 0;
-  /// Shard/worker count the PDES engine actually ran with (the auto-tuner's
-  /// pick when pdes_workers <= 0).  Zero when the engine didn't run.
-  /// Telemetry, NOT part of results_identical.
-  std::int32_t pdes_workers_used = 0;
 };
+
+/// One run's result.  Both halves are inherited, so every member keeps its
+/// flat spelling (`r.messages`, `r.engine_seconds`).
+struct RunResult : RunPhysics, RunTelemetry {};
+
+// Every member lives in exactly one half; a member declared on RunResult
+// itself would escape results_identical, so it fails to compile instead.
+static_assert(sizeof(RunResult) == sizeof(RunPhysics) + sizeof(RunTelemetry));
+
+/// Exact (no tolerance) equality of every physics member — the standard the
+/// parallel runner, the engines and the observe modes are held to.
+[[nodiscard]] inline bool results_identical(const RunResult& a,
+                                            const RunResult& b) {
+  return static_cast<const RunPhysics&>(a) == static_cast<const RunPhysics&>(b);
+}
 
 /// A constructed system ready to run; exposes the simulator for tests that
 /// need finer control than run() provides.
@@ -442,8 +460,8 @@ class Experiment {
 /// algo != kWelchLynch, averaging, k_exchanges, stagger, amortize,
 /// measure_gradient and stabilize_threshold off their defaults,
 /// engine = kFastpath / kPdes, a two-faced or liar fault (kStartup) and
-/// any fault at all (kReintegration).  wall_seconds is measured here for
-/// every mode.
+/// any fault at all (kReintegration).  wall_seconds is measured here, and
+/// RunResult::observe filled when RunSpec::observe is set, for every mode.
 [[nodiscard]] RunResult run(const RunSpec& spec);
 
 }  // namespace wlsync::analysis

@@ -197,12 +197,4 @@ GradientSummary summarize_gradient(const GradientSeries& series) {
   return summary;
 }
 
-bool gradient_summaries_identical(const GradientSummary& a,
-                                  const GradientSummary& b) {
-  return a.distances == b.distances && a.max_skew == b.max_skew &&
-         a.mean_skew == b.mean_skew && a.p99_skew == b.p99_skew &&
-         a.frontier == b.frontier && a.pair_count == b.pair_count &&
-         a.slope == b.slope && a.diameter == b.diameter;
-}
-
 }  // namespace wlsync::analysis

@@ -128,11 +128,10 @@ struct GradientSummary {
   [[nodiscard]] double far_skew() const noexcept {
     return frontier.empty() ? 0.0 : frontier.back();
   }
+
+  bool operator==(const GradientSummary&) const = default;
 };
 
 [[nodiscard]] GradientSummary summarize_gradient(const GradientSeries& series);
-
-[[nodiscard]] bool gradient_summaries_identical(const GradientSummary& a,
-                                                const GradientSummary& b);
 
 }  // namespace wlsync::analysis

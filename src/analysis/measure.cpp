@@ -73,11 +73,4 @@ NicSummary summarize_nic(const sim::Simulator& sim) {
   return summary;
 }
 
-bool nic_summaries_identical(const NicSummary& a, const NicSummary& b) {
-  return a.arrivals == b.arrivals && a.served == b.served &&
-         a.dropped == b.dropped && a.service_events == b.service_events &&
-         a.worst_dropped == b.worst_dropped && a.peak_queue == b.peak_queue &&
-         a.max_burst == b.max_burst;
-}
-
 }  // namespace wlsync::analysis

@@ -63,7 +63,7 @@ struct LocalTimeGrid {
 /// Aggregated Section 9.3 ingress accounting for a finished run: the
 /// per-process sim::NicStats summed, plus the worst single process on each
 /// axis.  All zeros when the NIC model is off; every field is a
-/// deterministic function of the run (results_identical compares them).
+/// deterministic function of the run (physics, see RunPhysics).
 struct NicSummary {
   std::uint64_t arrivals = 0;
   std::uint64_t served = 0;
@@ -79,11 +79,10 @@ struct NicSummary {
                ? 0.0
                : static_cast<double>(dropped) / static_cast<double>(arrivals);
   }
+
+  bool operator==(const NicSummary&) const = default;
 };
 
 [[nodiscard]] NicSummary summarize_nic(const sim::Simulator& sim);
-
-[[nodiscard]] bool nic_summaries_identical(const NicSummary& a,
-                                           const NicSummary& b);
 
 }  // namespace wlsync::analysis

@@ -87,10 +87,9 @@ struct ObserveSpec {
   double skew_hist_max = 0.0;
 };
 
-/// Observation telemetry.  Deterministic for a fixed spec, but NOT part of
-/// results_identical (like RunResult::wall_seconds): the history numbers
-/// intentionally differ between retained and bounded runs of the same
-/// physics.
+/// Observation telemetry (RunTelemetry::observe).  Deterministic for a
+/// fixed spec, but not physics: the history numbers intentionally differ
+/// between retained and bounded runs of the same physics.
 struct ObserveStats {
   bool enabled = false;
   bool bounded = false;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
-#include <optional>
 #include <thread>
 
 #include "util/parallel.h"
@@ -196,65 +195,6 @@ std::vector<RunSpec> seed_sweep(const RunSpec& base, std::uint64_t first_seed,
     specs.back().seed = first_seed + static_cast<std::uint64_t>(i);
   }
   return specs;
-}
-
-namespace {
-
-// Physics fields of the mode payloads; their ObserveStats telemetry is
-// excluded like RunResult::observe.
-bool payloads_identical(const StartupResult& a, const StartupResult& b) {
-  return a.b_series == b.b_series && a.round_slack == b.round_slack &&
-         a.limit == b.limit && a.final_b == b.final_b &&
-         a.handoff_done == b.handoff_done &&
-         a.post_handoff_skew == b.post_handoff_skew;
-}
-
-bool payloads_identical(const ReintegrationResult& a,
-                        const ReintegrationResult& b) {
-  return a.rejoined == b.rejoined && a.join_time == b.join_time &&
-         a.join_round == b.join_round &&
-         a.spread_with_joiner == b.spread_with_joiner && a.beta == b.beta &&
-         a.skew_after == b.skew_after && a.gamma_bound == b.gamma_bound;
-}
-
-template <typename T>
-bool payloads_identical(const std::optional<T>& a, const std::optional<T>& b) {
-  if (a.has_value() != b.has_value()) return false;
-  return !a.has_value() || payloads_identical(*a, *b);
-}
-
-}  // namespace
-
-bool results_identical(const RunResult& a, const RunResult& b) {
-  return a.honest == b.honest && a.gamma_bound == b.gamma_bound &&
-         a.gamma_measured == b.gamma_measured && a.adj_bound == b.adj_bound &&
-         a.max_abs_adj == b.max_abs_adj && a.begin_spread == b.begin_spread &&
-         a.skew_at_round == b.skew_at_round &&
-         a.validity.holds == b.validity.holds &&
-         a.validity.max_upper_violation == b.validity.max_upper_violation &&
-         a.validity.max_lower_violation == b.validity.max_lower_violation &&
-         a.validity.measured_hi_slope == b.validity.measured_hi_slope &&
-         a.validity.measured_lo_slope == b.validity.measured_lo_slope &&
-         a.final_skew == b.final_skew && a.diverged == b.diverged &&
-         a.messages == b.messages && a.nic_dropped == b.nic_dropped &&
-         a.starved_updates == b.starved_updates &&
-         nic_summaries_identical(a.nic, b.nic) &&
-         a.tmin0 == b.tmin0 && a.tmax0 == b.tmax0 && a.t_end == b.t_end &&
-         a.completed_rounds == b.completed_rounds &&
-         a.stabilized_round == b.stabilized_round &&
-         a.stabilization_time == b.stabilization_time &&
-         a.dynamics_applied == b.dynamics_applied &&
-         gradient_summaries_identical(a.gradient, b.gradient) &&
-         payloads_identical(a.startup, b.startup) &&
-         payloads_identical(a.reintegration, b.reintegration);
-  // wall_seconds, the ObserveStats telemetry, the fast-path telemetry
-  // (fastpath_engaged / fastpath_exchanges / fastpath_rearms), and the PDES
-  // telemetry (pdes_epochs / pdes_stalls) are deliberately excluded: they
-  // describe how the run was computed and measured (timing, history
-  // footprint, engine selection, shard-protocol windows), not what it
-  // measured — retained and bounded observe runs, and event-engine,
-  // fast-path, and sharded-PDES runs, of identical physics intentionally
-  // differ there.
 }
 
 }  // namespace wlsync::analysis

@@ -69,9 +69,4 @@ class ParallelRunner {
                                               std::uint64_t first_seed,
                                               std::int32_t count);
 
-/// Exact (bitwise, no tolerance) equality of every measured field,
-/// including the physics of the kStartup / kReintegration payloads — the
-/// standard the parallel runner and the scheduler policies are held to.
-[[nodiscard]] bool results_identical(const RunResult& a, const RunResult& b);
-
 }  // namespace wlsync::analysis

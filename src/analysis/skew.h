@@ -54,6 +54,8 @@ struct ValidityReport {
   /// Measured extremes of (L_p(t) - T0)/(t - tmin0) resp. (t - tmax0).
   double measured_hi_slope = 0.0;
   double measured_lo_slope = 0.0;
+
+  bool operator==(const ValidityReport&) const = default;
 };
 
 [[nodiscard]] ValidityReport check_validity(

@@ -112,9 +112,9 @@ inline constexpr std::uint64_t kFastpathShardThreshold = std::uint64_t{1} << 16;
 class WelchLynchProcess;
 class FastPathContext;
 
-/// Telemetry for one RoundFastPath::run.  NOT part of results_identical —
-/// like RunResult::wall_seconds it describes how the run was computed, not
-/// what it measured.
+/// Telemetry for one RoundFastPath::run, copied into the RunTelemetry half
+/// of the result: it describes how the run was computed, not what it
+/// measured.
 struct FastPathStats {
   bool engaged = false;          ///< entry validation passed; exchanges ran
   std::int64_t exchanges = 0;    ///< exchanges advanced past the event queue

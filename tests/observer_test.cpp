@@ -108,7 +108,7 @@ TEST(Observer, StreamedSeriesMatchesExplicitPostHocOnSameWindow) {
   const GradientSummary gradient = summarize_gradient(
       gradient_series(experiment.simulator(), result.honest,
                       experiment.topology(), t0, result.t_end, dt));
-  EXPECT_TRUE(gradient_summaries_identical(result.gradient, gradient));
+  EXPECT_TRUE(result.gradient == gradient);
   EXPECT_EQ(result.gamma_measured, gradient.far_skew());
   EXPECT_EQ(series.max_skew, skew_series(experiment.simulator(), result.honest,
                                          t0, result.t_end, dt)

@@ -6,8 +6,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/parallel_runner.h"
@@ -70,6 +72,143 @@ TEST(ParallelRunner, IdentityComparesModePayloads) {
   EXPECT_TRUE(results_identical(rejoin, run(reintegration_spec(1))));
   EXPECT_FALSE(results_identical(rejoin, run(reintegration_spec(2))));
   EXPECT_FALSE(results_identical(startup, rejoin));
+}
+
+// One step away from any value, per member type.
+void change(bool& x) { x = !x; }
+void change(double& x) { x += 1.0; }
+template <typename Int>
+void change(Int& x) {
+  ++x;
+}
+template <typename T>
+void change(std::vector<T>& v) {
+  v.push_back(T{1});
+}
+
+TEST(ParallelRunner, IdentitySeesEveryPhysicsFieldAndNoTelemetry) {
+  RunSpec maintenance = cheap_spec();
+  maintenance.measure_gradient = true;
+  const RunResult base_maintenance = run(maintenance);
+  const RunResult base_startup = run(startup_spec(1));
+  const RunResult base_rejoin = run(reintegration_spec(1));
+  ASSERT_TRUE(base_maintenance.gradient.measured());
+  ASSERT_TRUE(base_startup.startup.has_value());
+  ASSERT_TRUE(base_rejoin.reintegration.has_value());
+
+  // Every telemetry member off its default: identity must not notice.
+  RunTelemetry busy;
+  busy.wall_seconds = 1.0;
+  busy.engine_seconds = 1.0;
+  busy.observe.enabled = true;
+  busy.observe.peak_history_bytes = 1;
+  busy.fastpath_engaged = true;
+  busy.fastpath_fast_count = 1;
+  busy.fastpath_exchanges = 1;
+  busy.fastpath_rearms = 1;
+  busy.fastpath_region_events = 1;
+  busy.fastpath_threads = 1;
+  busy.pdes_workers_used = 1;
+  busy.fastpath_refusal = "refused";
+  busy.pdes_refusal = "refused";
+  busy.pdes_epochs = 1;
+  busy.pdes_stalls = 1;
+
+  using Perturbation = std::pair<const char*, std::function<void(RunResult&)>>;
+#define PHYSICS_FIELD(path) \
+  Perturbation { #path, [](RunResult& r) { change(r.path); } }
+  const std::vector<Perturbation> common = {
+      PHYSICS_FIELD(honest),
+      PHYSICS_FIELD(gamma_bound),
+      PHYSICS_FIELD(gamma_measured),
+      PHYSICS_FIELD(adj_bound),
+      PHYSICS_FIELD(max_abs_adj),
+      PHYSICS_FIELD(begin_spread),
+      PHYSICS_FIELD(skew_at_round),
+      PHYSICS_FIELD(validity.holds),
+      PHYSICS_FIELD(validity.max_upper_violation),
+      PHYSICS_FIELD(validity.max_lower_violation),
+      PHYSICS_FIELD(validity.measured_hi_slope),
+      PHYSICS_FIELD(validity.measured_lo_slope),
+      PHYSICS_FIELD(gradient.distances),
+      PHYSICS_FIELD(gradient.max_skew),
+      PHYSICS_FIELD(gradient.mean_skew),
+      PHYSICS_FIELD(gradient.p99_skew),
+      PHYSICS_FIELD(gradient.frontier),
+      PHYSICS_FIELD(gradient.pair_count),
+      PHYSICS_FIELD(gradient.slope),
+      PHYSICS_FIELD(gradient.diameter),
+      PHYSICS_FIELD(final_skew),
+      PHYSICS_FIELD(diverged),
+      PHYSICS_FIELD(messages),
+      PHYSICS_FIELD(nic_dropped),
+      PHYSICS_FIELD(starved_updates),
+      PHYSICS_FIELD(nic.arrivals),
+      PHYSICS_FIELD(nic.served),
+      PHYSICS_FIELD(nic.dropped),
+      PHYSICS_FIELD(nic.service_events),
+      PHYSICS_FIELD(nic.worst_dropped),
+      PHYSICS_FIELD(nic.peak_queue),
+      PHYSICS_FIELD(nic.max_burst),
+      PHYSICS_FIELD(tmin0),
+      PHYSICS_FIELD(tmax0),
+      PHYSICS_FIELD(t_end),
+      PHYSICS_FIELD(completed_rounds),
+      PHYSICS_FIELD(stabilized_round),
+      PHYSICS_FIELD(stabilization_time),
+      PHYSICS_FIELD(dynamics_applied),
+  };
+  const std::vector<Perturbation> startup = {
+      PHYSICS_FIELD(startup->b_series),
+      PHYSICS_FIELD(startup->round_slack),
+      PHYSICS_FIELD(startup->limit),
+      PHYSICS_FIELD(startup->final_b),
+      PHYSICS_FIELD(startup->handoff_done),
+      PHYSICS_FIELD(startup->post_handoff_skew),
+  };
+  const std::vector<Perturbation> rejoin = {
+      PHYSICS_FIELD(reintegration->rejoined),
+      PHYSICS_FIELD(reintegration->join_time),
+      PHYSICS_FIELD(reintegration->join_round),
+      PHYSICS_FIELD(reintegration->spread_with_joiner),
+      PHYSICS_FIELD(reintegration->beta),
+      PHYSICS_FIELD(reintegration->skew_after),
+      PHYSICS_FIELD(reintegration->gamma_bound),
+  };
+#undef PHYSICS_FIELD
+
+  const auto check = [&](const RunResult& base, const char* mode,
+                         const std::vector<Perturbation>& payload) {
+    ASSERT_TRUE(results_identical(base, base)) << mode;
+    RunResult relabeled = base;
+    static_cast<RunTelemetry&>(relabeled) = busy;
+    EXPECT_TRUE(results_identical(relabeled, base)) << mode;
+    for (const auto* fields : {&common, &payload}) {
+      for (const auto& [name, perturb] : *fields) {
+        RunResult moved = base;
+        perturb(moved);
+        EXPECT_FALSE(results_identical(moved, base)) << mode << ": " << name;
+      }
+    }
+    // Engaging or dropping a payload is a physics change too.
+    RunResult toggled = base;
+    if (toggled.startup) {
+      toggled.startup.reset();
+    } else {
+      toggled.startup.emplace();
+    }
+    EXPECT_FALSE(results_identical(toggled, base)) << mode << ": startup";
+    toggled = base;
+    if (toggled.reintegration) {
+      toggled.reintegration.reset();
+    } else {
+      toggled.reintegration.emplace();
+    }
+    EXPECT_FALSE(results_identical(toggled, base)) << mode << ": reintegration";
+  };
+  check(base_maintenance, "maintenance", {});
+  check(base_startup, "startup", startup);
+  check(base_rejoin, "rejoin", rejoin);
 }
 
 TEST(ParallelRunner, MatchesSerialUnderBothSchedulers) {
