@@ -1,0 +1,698 @@
+// bench_claims — regenerates every quantitative claim of the paper on the
+// simulated substrate and checks it.  One entry per claim: an id, the
+// paper section, the statement, and a function that runs the claim's grid
+// and returns one row per measured value.  A row with a bound is checked;
+// a row whose bound is "-" only reports.  Prints one table per claim and a
+// summary; exits 1 naming every claim with a failing row.  Takes no flags
+// (bench_sweep is the grid-exploration tool).
+
+#include <algorithm>
+#include <cmath>
+
+#include "bench_common.h"
+#include "multiset/multiset_ops.h"
+#include "util/rng.h"
+
+using namespace wlsync;
+using analysis::FaultKind;
+
+namespace {
+
+struct Row {
+  std::string cell;
+  std::string measured;
+  std::string bound;  // "-" on report-only rows
+  bool holds = true;
+};
+
+struct Claim {
+  const char* id;
+  const char* section;
+  const char* statement;
+  std::vector<Row> (*run)();
+};
+
+Row report(std::string cell, std::string measured) {
+  return {std::move(cell), std::move(measured), "-", true};
+}
+
+/// The shape of most of the paper's bounds: measured <= bound * slack.
+Row at_most(std::string cell, double measured, double bound,
+            double slack = 1 + 1e-9) {
+  return {std::move(cell), util::fmt(measured), util::fmt(bound),
+          measured <= bound * slack};
+}
+
+analysis::RunSpec spec_for(const core::Params& params, FaultKind fault,
+                           std::int32_t fault_count, std::int32_t rounds,
+                           std::uint64_t seed) {
+  analysis::RunSpec spec;
+  spec.params = params;
+  spec.fault = fault;
+  spec.fault_count = fault == FaultKind::kNone ? 0 : fault_count;
+  spec.rounds = rounds;
+  spec.seed = seed;
+  return spec;
+}
+
+/// The Section 7 / 10 runs' round length rule: beta from the feasibility
+/// algebra at P = 10 s, plus 5%.
+core::Params feasible_params(std::int32_t n, std::int32_t f) {
+  core::Params p;
+  p.n = n;
+  p.f = f;
+  p.rho = 1e-5;
+  p.delta = 0.01;
+  p.eps = 1e-3;
+  p.P = 10.0;
+  p.beta = core::beta_for_round_length(p.P, p.rho, p.delta, p.eps) * 1.05;
+  return p;
+}
+
+constexpr FaultKind kAllFaults[] = {FaultKind::kNone, FaultKind::kSilent,
+                                    FaultKind::kSpam, FaultKind::kTwoFaced,
+                                    FaultKind::kLiar};
+
+std::vector<Row> theorem4() {
+  const core::Params params = bench::default_params(7, 2);
+  const core::Derived derived = core::derive(params);
+  std::vector<Row> rows;
+  for (FaultKind fault : kAllFaults) {
+    for (auto delay :
+         {analysis::DelayKind::kUniform, analysis::DelayKind::kFast,
+          analysis::DelayKind::kSlow, analysis::DelayKind::kSplit}) {
+      analysis::RunSpec spec = spec_for(params, fault, 2, 15, 1);
+      spec.delay = delay;
+      const analysis::RunResult result = analysis::run(spec);
+      double max_spread = 0.0;
+      for (double spread : result.begin_spread) {
+        max_spread = std::max(max_spread, spread);
+      }
+      const std::string cell = std::string(bench::fault_name(fault)) + ", " +
+                               bench::delay_name(delay) + ": ";
+      rows.push_back(at_most(cell + "max |ADJ|", result.max_abs_adj,
+                             derived.adj_bound));
+      rows.push_back(at_most(cell + "max begin spread", max_spread,
+                             params.beta));
+      Row skew = at_most(cell + "skew", result.gamma_measured, derived.gamma);
+      skew.holds = skew.holds && !result.diverged;
+      rows.push_back(skew);
+    }
+  }
+  return rows;
+}
+
+std::vector<Row> agreement() {
+  std::vector<Row> rows;
+  for (double eps : {2e-4, 5e-4, 1e-3, 2e-3, 5e-3}) {
+    for (double rho : {1e-6, 1e-5, 1e-4}) {
+      const core::Params params = core::make_params(7, 2, rho, 0.02, eps, 10.0);
+      double worst = 0.0;
+      for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+        worst = std::max(worst, analysis::run(spec_for(params,
+                                                       FaultKind::kTwoFaced,
+                                                       2, 16, seed))
+                                    .gamma_measured);
+      }
+      Row row = at_most("eps " + util::fmt(eps) + ", rho " + util::fmt(rho) +
+                            ", beta " + util::fmt(params.beta),
+                        worst, core::derive(params).gamma);
+      row.measured += " (" + util::fmt(worst / eps, 3) + " eps)";
+      rows.push_back(row);
+    }
+  }
+  return rows;
+}
+
+std::vector<Row> validity() {
+  const core::Params params = bench::default_params(7, 2);
+  const core::Derived d = core::derive(params);
+  const std::string envelope = "a1 " + util::fmt(d.alpha1, 10) + ", a2 " +
+                               util::fmt(d.alpha2, 10) + ", a3 " +
+                               util::fmt(d.alpha3) + " (lambda " +
+                               util::fmt(d.lambda) + ")";
+  std::vector<Row> rows;
+  for (FaultKind fault : kAllFaults) {
+    const analysis::RunResult result =
+        analysis::run(spec_for(params, fault, 2, 40, 3));
+    // Slack: how far inside the envelope the worst sample sat.
+    rows.push_back({std::string(bench::fault_name(fault)) +
+                        ": upper / lower slack",
+                    util::fmt(-result.validity.max_upper_violation) + " / " +
+                        util::fmt(-result.validity.max_lower_violation),
+                    envelope, result.validity.holds});
+  }
+  return rows;
+}
+
+std::vector<Row> adjustment() {
+  std::vector<Row> rows;
+  for (double eps : {5e-4, 1e-3, 2e-3}) {
+    const core::Params params = core::make_params(7, 2, 1e-5, 0.02, eps, 10.0);
+    auto worst_adj = [&](analysis::Algo algo) {
+      double worst = 0.0;
+      for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+        analysis::RunSpec spec =
+            spec_for(params, FaultKind::kTwoFaced, 2, 14, seed);
+        spec.algo = algo;
+        worst = std::max(worst, analysis::run(spec).max_abs_adj);
+      }
+      return worst;
+    };
+    const double wl = worst_adj(analysis::Algo::kWelchLynch);
+    const std::string cell = "eps " + util::fmt(eps) + ": ";
+    Row row = at_most(cell + "WL max |ADJ|", wl, core::derive(params).adj_bound);
+    row.measured += " (" + util::fmt(wl / eps, 3) + " eps)";
+    rows.push_back(row);
+    rows.push_back(report(cell + "ST max |ADJ|",
+                          util::fmt(worst_adj(analysis::Algo::kST))));
+  }
+  return rows;
+}
+
+std::vector<Row> beta_fixpoint() {
+  const double rho = 1e-4, delta = 0.01, eps = 1e-3;
+  std::vector<Row> rows;
+  for (double P : {2.0, 5.0, 10.0, 20.0, 40.0}) {
+    const core::Params params = core::make_params(4, 1, rho, delta, eps, P);
+    analysis::RunSpec spec = spec_for(params, FaultKind::kTwoFaced, 1, 16, 7);
+    spec.drift = analysis::DriftKind::kExtremal;
+    spec.drift_period = 1000.0;  // persistent divergence pressure
+    const analysis::RunResult result = analysis::run(spec);
+    double steady = 0.0;
+    for (std::size_t r = result.begin_spread.size() / 2;
+         r < result.begin_spread.size(); ++r) {
+      steady = std::max(steady, result.begin_spread[r]);
+    }
+    rows.push_back(at_most("P " + util::fmt(P) + " (4eps+4rhoP " +
+                               util::fmt(4 * eps + 4 * rho * P) + ")",
+                           steady, params.beta));
+  }
+  return rows;
+}
+
+std::vector<Row> convergence() {
+  core::Params p;
+  p.n = 4;
+  p.f = 1;
+  p.rho = 1e-7;
+  p.delta = 0.01;
+  p.eps = 1e-7;
+  p.P = 1.0;
+  p.beta = 0.004;
+  auto series = [&](FaultKind fault) {
+    analysis::RunSpec spec = spec_for(p, fault, 1, 12, 5);
+    spec.delay = analysis::DelayKind::kSlow;  // jitter-free
+    spec.drift = analysis::DriftKind::kNone;
+    spec.initial_spread = 0.95 * p.beta;
+    return analysis::run(spec).begin_spread;
+  };
+  const auto adversarial = series(FaultKind::kTwoFaced);
+  const auto benign = series(FaultKind::kNone);
+
+  std::vector<Row> rows;
+  for (std::size_t r = 0; r < adversarial.size(); ++r) {
+    std::string measured = "splitter " + util::fmt_sci(adversarial[r]);
+    if (r > 0) {
+      measured +=
+          " (ratio " + util::fmt(adversarial[r] / adversarial[r - 1], 3) + ")";
+    }
+    if (r < benign.size()) measured += ", benign " + util::fmt_sci(benign[r]);
+    rows.push_back(report("round " + std::to_string(r) + " spread", measured));
+  }
+  const double contraction = util::mean_contraction(
+      std::span<const double>(adversarial.data(),
+                              std::min<std::size_t>(adversarial.size(), 8)),
+      2e-4);
+  rows.push_back({"mean contraction, splitter (worst case 0.5)",
+                  util::fmt(contraction, 3), "< 0.62", contraction < 0.62});
+  const bool collapsed = benign.size() > 1 && benign[1] < 0.01 * benign[0];
+  rows.push_back({"benign round-1 spread",
+                  benign.size() > 1 ? util::fmt_sci(benign[1]) : "-",
+                  "< 1% of round 0", collapsed});
+  return rows;
+}
+
+std::vector<Row> k_exchange() {
+  core::Params p;
+  p.n = 4;
+  p.f = 1;
+  p.rho = 1e-4;
+  p.delta = 0.01;
+  p.eps = 1e-5;
+  p.P = 10.0;
+  p.beta = 8e-3;
+  std::vector<Row> rows;
+  double s1 = 0.0;
+  for (std::int32_t k = 1; k <= 4; ++k) {
+    analysis::RunSpec spec = spec_for(p, FaultKind::kTwoFaced, 1, 14, 21);
+    spec.k_exchanges = k;
+    spec.delay = analysis::DelayKind::kSlow;
+    spec.drift = analysis::DriftKind::kExtremal;
+    spec.drift_period = 1000.0;
+    const analysis::RunResult result = analysis::run(spec);
+    double sum = 0.0;
+    int count = 0;
+    for (std::size_t r = result.begin_spread.size() - 5;
+         r < result.begin_spread.size(); ++r) {
+      sum += result.begin_spread[r];
+      ++count;
+    }
+    const double steady = sum / std::max(count, 1);
+    if (k == 1) s1 = steady;
+    const double factor = std::pow(2.0, k) / (std::pow(2.0, k) - 1.0);
+    Row row = report("k " + std::to_string(k) + " (prediction " +
+                         util::fmt(2.0 * p.rho * p.P * factor + 4 * p.eps) +
+                         ")",
+                     util::fmt(steady) + " (" + util::fmt(steady / s1, 3) +
+                         " of k=1)");
+    if (k == 2) {
+      row.bound = "< 0.85 of k=1";
+      row.holds = steady < 0.85 * s1;
+    } else if (k >= 3) {
+      row.bound = "< 0.8 of k=1";
+      row.holds = steady < 0.8 * s1;
+    }
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+std::vector<Row> stagger() {
+  const core::Params params = bench::default_params(10, 3);
+  const double gamma = core::derive(params).gamma;
+  std::vector<Row> rows;
+  for (std::size_t capacity : {2, 4, 8}) {
+    for (double sigma : {0.0, 0.002, 0.005}) {
+      analysis::RunSpec spec = spec_for(params, FaultKind::kNone, 0, 12, 4);
+      spec.stagger = sigma;
+      spec.nic = sim::NicConfig{capacity, /*service_time=*/1e-3};
+      const analysis::RunResult result = analysis::run(spec);
+      // "Punished": datagrams lost outright, or the service backlog pushed
+      // arrivals past the collection window and the round structure
+      // collapsed (both happen on real datagram NICs).
+      const bool punished =
+          result.nic_dropped > 0 || result.completed_rounds < spec.rounds;
+      const bool healthy =
+          !punished && result.gamma_measured <= gamma * (1 + 1e-9);
+      Row row = report(
+          std::to_string(capacity) + " slots, sigma " + util::fmt(sigma),
+          std::to_string(result.nic_dropped) + " dropped, " +
+              std::to_string(result.completed_rounds) + " rounds, skew " +
+              (healthy ? util::fmt(result.gamma_measured) : "broken"));
+      if (sigma == 0.0) {
+        row.bound = "punished";  // simultaneity hurts
+        row.holds = punished;
+      } else if (sigma >= 0.005) {
+        row.bound = "healthy, skew <= " + util::fmt(gamma);  // stagger heals
+        row.holds = healthy;
+      }
+      rows.push_back(row);
+    }
+  }
+  return rows;
+}
+
+std::vector<Row> amortized() {
+  const core::Params params = bench::default_params(4, 1, 5.0);
+  const core::Derived derived = core::derive(params);
+  std::vector<Row> rows;
+  for (double amortize : {0.0, 0.25, 0.5}) {
+    analysis::RunSpec spec = spec_for(params, FaultKind::kNone, 0, 12, 8);
+    spec.amortize = amortize;
+    spec.initial_spread = params.beta * 0.9;
+    spec.delay = analysis::DelayKind::kSlow;
+    analysis::Experiment experiment(spec);
+    const analysis::RunResult result = experiment.run();
+    // Backward steps of displayed local time, sampled every 0.5 ms.
+    std::int64_t backward = 0;
+    for (std::int32_t id : result.honest) {
+      double prev = -1e300;
+      for (double t = result.tmax0; t <= result.tmax0 + 3 * params.P;
+           t += 5e-4) {
+        const double current = experiment.simulator().local_time(id, t);
+        if (current < prev - 1e-12) ++backward;
+        prev = current;
+      }
+    }
+    const bool stepped = amortize == 0.0;
+    const std::string mode =
+        stepped ? "stepped" : "slewed " + util::fmt(amortize) + "s";
+    rows.push_back({mode + ": backward steps", std::to_string(backward),
+                    stepped ? "> 0" : "0", stepped == (backward > 0)});
+    rows.push_back(at_most(mode + ": steady skew", result.gamma_measured,
+                           derived.gamma + (stepped ? 0 : derived.adj_bound),
+                           1.0));
+  }
+  return rows;
+}
+
+std::vector<Row> comparison() {
+  const core::Params params = bench::default_params(7, 2);
+  std::vector<Row> rows;
+  // Head-to-head under each fault class (report only).
+  for (auto algo : {analysis::Algo::kWelchLynch, analysis::Algo::kLM,
+                    analysis::Algo::kST, analysis::Algo::kMS,
+                    analysis::Algo::kPlainMean}) {
+    for (auto fault :
+         {FaultKind::kNone, FaultKind::kTwoFaced, FaultKind::kLiar}) {
+      analysis::RunSpec spec = spec_for(params, fault, 2, 14, 5);
+      spec.algo = algo;
+      const analysis::RunResult result = analysis::run(spec);
+      rows.push_back(report(
+          std::string(bench::algo_name(algo)) + ", " + bench::fault_name(fault),
+          "skew " + util::fmt(result.gamma_measured) + ", max |ADJ| " +
+              util::fmt(result.max_abs_adj) + ", validity " +
+              bench::verdict(result.validity.holds) + ", msgs/round " +
+              std::to_string(result.messages /
+                             std::max(1, result.completed_rounds))));
+    }
+  }
+
+  // The WL/ST crossover: WL's gamma ~ 4-5 eps against ST's ~ delta + eps;
+  // the bounds cross at delta ~ 3 eps.  Benign measurements sit below both
+  // and do not separate the algorithms.
+  bool saw_wl_win = false, saw_st_win = false;
+  for (double ratio : {1.5, 2.0, 3.0, 5.0, 10.0, 20.0}) {
+    const core::Params p = core::make_params(7, 2, 1e-5, ratio * 1e-3, 1e-3,
+                                             10.0);
+    double measured[2];
+    for (int i = 0; i < 2; ++i) {
+      analysis::RunSpec spec = spec_for(p, FaultKind::kSilent, 2, 14, 6);
+      spec.algo = i == 0 ? analysis::Algo::kWelchLynch : analysis::Algo::kST;
+      measured[i] = analysis::run(spec).gamma_measured;
+    }
+    const double wl_bound = core::derive(p).gamma;
+    const double st_bound = p.delta + p.eps;
+    const bool wl_wins = wl_bound < st_bound;
+    saw_wl_win = saw_wl_win || wl_wins;
+    saw_st_win = saw_st_win || !wl_wins;
+    rows.push_back({"delta/eps " + util::fmt(ratio) + ": WL / ST skew",
+                    util::fmt(measured[0]) + " / " + util::fmt(measured[1]),
+                    util::fmt(wl_bound) + " / " + util::fmt(st_bound) +
+                        (wl_wins ? " (WL wins)" : " (ST wins)"),
+                    measured[0] <= wl_bound && measured[1] <= st_bound});
+  }
+  rows.push_back({"bound winner across delta/eps",
+                  std::string(saw_wl_win ? "WL " : "") +
+                      (saw_st_win ? "ST" : ""),
+                  "both WL and ST", saw_wl_win && saw_st_win});
+
+  // HSSD: signatures buy tolerance of f = n/2 omission faults (2 silent of
+  // 4, beyond the signature-free n >= 3f+1 bound).  Report only.
+  core::Params small = params;
+  small.n = 4;
+  for (auto algo : {analysis::Algo::kHSSD, analysis::Algo::kWelchLynch}) {
+    analysis::RunSpec spec = spec_for(small, FaultKind::kSilent, 2, 14, 8);
+    spec.algo = algo;
+    const std::string cell =
+        std::string(bench::algo_name(algo)) + ", n=4 f=2 silent";
+    try {
+      const analysis::RunResult result = analysis::run(spec);
+      const bool survives =
+          !result.diverged && result.completed_rounds >= spec.rounds - 1;
+      rows.push_back(report(
+          cell, std::to_string(result.completed_rounds) + " rounds, skew " +
+                    (survives ? util::fmt(result.gamma_measured) : "broken")));
+    } catch (const std::invalid_argument&) {
+      // The averaging algorithms refuse n < 2f+1 up front.
+      rows.push_back(report(cell, "rejected (n < 2f+1)"));
+    }
+  }
+
+  // Mahaney-Schneider degrades gracefully past its design point f = 3.
+  for (std::int32_t faults : {2, 3, 4, 5}) {
+    analysis::RunSpec spec = spec_for(bench::default_params(10, 3),
+                                      FaultKind::kSilent, faults, 14, 7);
+    spec.algo = analysis::Algo::kMS;
+    const analysis::RunResult result = analysis::run(spec);
+    rows.push_back(report(
+        "Mahaney-Schneider, n=10 f=3, " + std::to_string(faults) + " silent",
+        "skew " + util::fmt(result.gamma_measured) + ", diverged " +
+            bench::verdict(result.diverged)));
+  }
+  return rows;
+}
+
+std::vector<Row> fault_tolerance() {
+  const std::vector<std::pair<std::int32_t, std::int32_t>> grid{
+      {4, 1}, {3, 1}, {7, 2}, {6, 2}, {5, 2}, {10, 3}, {8, 3}, {7, 3},
+      {13, 4}, {9, 4}};
+  std::vector<Row> rows;
+  for (const auto& [n, f] : grid) {
+    double worst = 0.0;
+    for (std::uint64_t seed : {11ull, 22ull, 33ull}) {
+      const analysis::RunResult result = analysis::run(
+          spec_for(feasible_params(n, f), FaultKind::kTwoFaced, f, 30, seed));
+      worst = std::max(worst, result.gamma_measured / result.gamma_bound);
+    }
+    const bool at_threshold = n >= 3 * f + 1;
+    const std::string cell = "n " + std::to_string(n) + ", f " +
+                             std::to_string(f) +
+                             (at_threshold ? "" : " (below 3f+1)");
+    rows.push_back(at_threshold
+                       ? Row{cell, util::fmt(worst, 3), "1", worst <= 1.0}
+                       : report(cell, util::fmt(worst, 3)));
+  }
+  return rows;
+}
+
+std::vector<Row> mean_vs_midpoint() {
+  std::vector<Row> rows;
+  // (a) Multiset level: worst adversarial steering gap between two
+  // processes' averages, as a fraction of the honest spread.  Report only.
+  for (auto [n, f] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {4, 1}, {7, 2}, {10, 3}, {16, 2}, {16, 5}, {25, 2}}) {
+    util::Rng rng(99);
+    double worst_mid = 0.0;
+    double worst_mean = 0.0;
+    for (int trial = 0; trial < 400; ++trial) {
+      // Honest values with spread 1; each process sees them exactly (x = 0)
+      // plus f adversarial values anywhere inside the honest range.
+      ms::Multiset honest;
+      honest.push_back(0.0);
+      honest.push_back(1.0);
+      for (std::size_t i = 2; i + f < n; ++i) honest.push_back(rng.uniform());
+      ms::Multiset u(honest), v(honest);
+      for (std::size_t i = 0; i < f; ++i) {
+        u.push_back(rng.uniform());  // face shown to process "u"
+        v.push_back(rng.uniform());  // face shown to process "v"
+      }
+      worst_mid = std::max(worst_mid,
+                           std::abs(ms::fault_tolerant_midpoint(u, f) -
+                                    ms::fault_tolerant_midpoint(v, f)));
+      worst_mean = std::max(worst_mean,
+                            std::abs(ms::fault_tolerant_mean(u, f) -
+                                     ms::fault_tolerant_mean(v, f)));
+    }
+    rows.push_back(report(
+        "multiset n " + std::to_string(n) + ", f " + std::to_string(f) +
+            ": midpoint / mean gap",
+        util::fmt(worst_mid, 3) + " (worst case 0.5) / " +
+            util::fmt(worst_mean, 3) + " (worst case f/(n-2f) = " +
+            util::fmt(static_cast<double>(f) / static_cast<double>(n - 2 * f),
+                      3) +
+            ")"));
+  }
+  // (b) System level: both averaging functions under the splitter, f = 2.
+  for (std::int32_t n : {7, 10, 16}) {
+    for (auto averaging :
+         {core::Averaging::kMidpoint, core::Averaging::kReducedMean}) {
+      const core::Params p = feasible_params(n, 2);
+      analysis::RunSpec spec = spec_for(p, FaultKind::kTwoFaced, 2, 14, 31);
+      spec.averaging = averaging;
+      spec.initial_spread = 0.9 * p.beta;
+      const analysis::RunResult result = analysis::run(spec);
+      const double contraction =
+          result.begin_spread.size() > 1 && result.begin_spread[0] > 0
+              ? result.begin_spread[1] / result.begin_spread[0]
+              : 1.0;
+      Row row = at_most(
+          "n " + std::to_string(n) + ", " +
+              (averaging == core::Averaging::kMidpoint ? "midpoint" : "mean") +
+              ": skew",
+          result.gamma_measured, result.gamma_bound);
+      row.measured += " (round-1 contraction " + util::fmt(contraction, 3) + ")";
+      rows.push_back(row);
+    }
+  }
+  return rows;
+}
+
+std::vector<Row> startup() {
+  const core::Params params = bench::default_params(7, 2);
+  const double spread0 = 5.0;
+  analysis::RunSpec spec;
+  spec.mode = analysis::RunMode::kStartup;
+  spec.params = params;
+  spec.rounds = 14;
+  spec.initial_clock_spread = spread0;
+  spec.seed = 2;
+  const analysis::StartupResult result = *analysis::run(spec).startup;
+
+  std::vector<Row> rows;
+  const auto& b = result.b_series;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    Row row = report("B^" + std::to_string(i), util::fmt_sci(b[i]));
+    if (i > 0) {
+      // B^i <= B^{i-1}/2 + slack, until B is within 3x of the limit.
+      const double limit = b[i - 1] / 2 + result.round_slack + 2 * params.eps;
+      row.bound = util::fmt_sci(limit);
+      row.holds = b[i] <= limit || b[i - 1] < 3 * result.limit;
+    }
+    rows.push_back(row);
+  }
+  rows.push_back({"final B (slack " + util::fmt(result.round_slack) +
+                      ", limit 2*slack " + util::fmt_sci(result.limit) + ")",
+                  util::fmt_sci(result.final_b),
+                  "< " + util::fmt_sci(spread0 / 100),
+                  result.final_b < spread0 / 100});
+
+  // Hand off to maintenance and check gamma.
+  spec.startup_handoff = true;
+  spec.fault = FaultKind::kSilent;
+  spec.fault_count = 2;
+  const analysis::StartupResult h = *analysis::run(spec).startup;
+  const double gamma = core::derive(params).gamma;
+  rows.push_back({"handoff with 2 silent faults: post-handoff skew",
+                  h.handoff_done ? util::fmt_sci(h.post_handoff_skew)
+                                 : "no handoff",
+                  util::fmt_sci(gamma),
+                  h.handoff_done && h.post_handoff_skew <= gamma});
+  return rows;
+}
+
+std::vector<Row> reintegration() {
+  const core::Params params = bench::default_params(4, 1);
+  std::vector<Row> rows;
+  for (auto [crash, wake] : std::vector<std::pair<double, double>>{
+           {25.0, 95.0}, {22.0, 90.3}, {15.0, 60.0}, {33.0, 105.7}}) {
+    for (std::uint64_t seed : {1ull, 2ull}) {
+      analysis::RunSpec spec = spec_for(params, FaultKind::kNone, 0, 20, seed);
+      spec.mode = analysis::RunMode::kReintegration;
+      spec.crash_at = crash;
+      spec.wake_at = wake;
+      const analysis::ReintegrationResult result =
+          *analysis::run(spec).reintegration;
+      const std::string cell = "crash " + util::fmt(crash) + ", wake " +
+                               util::fmt(wake) + ", seed " +
+                               std::to_string(seed) + ": ";
+      Row spread = at_most(cell + "join spread", result.spread_with_joiner,
+                           result.beta);
+      Row skew = at_most(cell + "skew after", result.skew_after,
+                         result.gamma_bound, 1.0);
+      if (!result.rejoined) spread.measured = skew.measured = "not rejoined";
+      spread.holds = spread.holds && result.rejoined;
+      skew.holds = skew.holds && result.rejoined;
+      rows.push_back(spread);
+      rows.push_back(skew);
+    }
+  }
+  return rows;
+}
+
+const Claim kClaims[] = {
+    {"EXP-T4", "Theorem 4(a), 4(c), Theorem 16",
+     "n=7, f=2, every fault x delay: |ADJ| <= (1+rho)(beta+eps)+rho*delta, "
+     "round-begin spread <= beta, skew <= gamma, no divergence.",
+     theorem4},
+    {"EXP-AGREE", "Theorem 16, Section 10",
+     "Worst skew over 3 seeds under the two-faced splitter stays within "
+     "gamma = beta + eps + O(rho) across eps x rho; it tracks ~4-5 eps, not "
+     "delta.",
+     agreement},
+    {"EXP-VALID", "Theorem 19",
+     "Every nonfaulty L(t) stays in the envelope a1(t - tmax0) - a3 <= "
+     "L(t) - T0 <= a2(t - tmin0) + a3, for every fault class.",
+     validity},
+    {"EXP-ADJ", "Theorem 4(a), Section 10",
+     "WL's worst per-round adjustment under the splitter is ~5 eps and "
+     "within the Theorem 4(a) bound; ST's is delta-scale (report).",
+     adjustment},
+    {"EXP-BETA", "Section 5.2",
+     "The feasibility-driven beta(P) tracks 4 eps + 4 rho P and bounds the "
+     "measured steady begin spread (splitter, extremal drift).",
+     beta_fixpoint},
+    {"EXP-CONV", "Sections 4.1, 7",
+     "The fault-tolerant midpoint at worst halves the spread per round under "
+     "the splitter; benign executions collapse it in one round.",
+     convergence},
+    {"EXP-KEX", "Section 7",
+     "k exchanges per round shrink the drift term by 2^k/(2^k - 1): steady "
+     "spread vs k=1 ~ 1, 0.667, 0.571, 0.536.",
+     k_exchange},
+    {"EXP-STAGGER", "Section 9.3",
+     "10 processes, bounded NIC (1 ms service): simultaneous broadcasts are "
+     "punished; sigma = 5 ms stagger heals the system within gamma.",
+     stagger},
+    {"EXP-AMORT", "Section 4.1",
+     "Slewed corrections remove backward steps of displayed local time at a "
+     "bounded agreement cost (gamma + adjustment bound).",
+     amortized},
+    {"EXP-COMPARE", "Section 10",
+     "All algorithms on one substrate (report); the WL/ST bound winner flips "
+     "at delta ~ 3 eps and both stay within their bounds; HSSD at f = n/2 "
+     "and MS past f (report).",
+     comparison},
+    {"EXP-FAULT", "A2, Section 10",
+     "Worst gamma_measured / gamma_bound over 3 seeds under the splitter "
+     "with f active faults is <= 1 whenever n >= 3f+1 (below: report).",
+     fault_tolerance},
+    {"EXP-MEAN", "Section 7",
+     "Multiset steering gap of midpoint vs mean (report); under the splitter "
+     "both averaging functions hold gamma at every n.",
+     mean_vs_midpoint},
+    {"EXP-START", "Section 9.2, Lemma 20",
+     "From clocks up to 5 s apart, B^{i+1} <= B^i/2 + 2 eps + slack until B "
+     "nears its limit; the handoff to maintenance then holds gamma.",
+     startup},
+    {"EXP-REJOIN", "Section 9.1",
+     "A repaired process begins its first full round within beta of the "
+     "others, and the whole system stays within gamma after.",
+     reintegration},
+};
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    for (int i = 1; i < argc; ++i) {
+      std::cerr << "bench_claims: unexpected argument '" << argv[i] << "'\n";
+    }
+    std::cerr << "bench_claims takes no arguments (bench_sweep explores "
+                 "grids)\n";
+    return 2;
+  }
+  util::Table summary({"claim", "section", "checked rows", "holds"});
+  std::vector<std::string> failed;
+  for (const Claim& claim : kClaims) {
+    const std::vector<Row> rows = claim.run();
+    std::cout << "\n=== " << claim.id << " (" << claim.section << ") ===\n"
+              << claim.statement << "\n\n";
+    util::Table table({"cell", "measured", "bound", "holds"});
+    bool holds = true;
+    int checked = 0;
+    for (const Row& row : rows) {
+      const bool report_only = row.bound == "-";
+      checked += report_only ? 0 : 1;
+      holds = holds && row.holds;
+      table.add_row({row.cell, row.measured, row.bound,
+                     report_only ? "-" : bench::verdict(row.holds)});
+    }
+    table.print(std::cout);
+    std::cout << "\n" << claim.id << ": " << (holds ? "PASS" : "FAIL") << "\n";
+    summary.add_row({claim.id, claim.section, std::to_string(checked),
+                     bench::verdict(holds)});
+    if (!holds) failed.push_back(claim.id);
+  }
+  std::cout << "\n=== summary ===\n\n";
+  summary.print(std::cout);
+  if (failed.empty()) {
+    std::cout << "\nall " << std::size(kClaims) << " claims hold\n";
+    return 0;
+  }
+  std::cout << "\nFAILED:";
+  for (const std::string& id : failed) std::cout << " " << id;
+  std::cout << "\n";
+  return 1;
+}

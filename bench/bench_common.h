@@ -1,7 +1,7 @@
 #pragma once
-// Shared scaffolding for the experiment harness binaries.  Each binary
-// regenerates one of the paper's quantitative claims (see DESIGN.md's
-// experiment index and EXPERIMENTS.md for paper-vs-measured records).
+// Shared scaffolding for the bench binaries: default parameters, enum
+// names, the axis parsers of bench_sweep and bench_gradient, and the
+// speedup gates.  bench_claims regenerates the paper's quantitative claims.
 
 #include <fstream>
 #include <iostream>

@@ -175,6 +175,13 @@ void Experiment::build() {
         "Experiment: only RunMode::kMaintenance builds a maintenance "
         "system; dispatch kStartup / kReintegration through analysis::run");
   }
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(
+        std::string("RunSpec: mode = kMaintenance does not support ") + what);
+  };
+  if (spec_.startup_handoff) reject("startup_handoff");
+  if (spec_.crash_at != 0.0) reject("crash_at");
+  if (spec_.wake_at != 0.0) reject("wake_at");
   const bool dynamic = !spec_.dynamics.empty();
   if (dynamic) {
     if (spec_.algo != Algo::kWelchLynch) {
@@ -1065,12 +1072,23 @@ void reject_unsupported(const RunSpec& spec) {
       spec.engine == EngineMode::kPdes) {
     reject("engine = kFastpath / kPdes");
   }
+  // Both bodies observe on fixed grids and never truncate history.
+  if (!spec.retain_history) reject("retain_history = false");
+  if (spec.observe_dt != 0.0) reject("observe_dt");
   if (startup) {
     if (spec.fault == FaultKind::kTwoFaced || spec.fault == FaultKind::kLiar) {
       reject("two-faced or liar faults (only kSilent / kSpam)");
     }
-  } else if (spec.fault != FaultKind::kNone) {
-    reject("fault (the victim is the only fault)");
+    // Start-up STARTs are uniform(0, delta); there is no victim.
+    if (spec.initial_spread >= 0.0) reject("initial_spread");
+    if (spec.crash_at != 0.0) reject("crash_at");
+    if (spec.wake_at != 0.0) reject("wake_at");
+  } else {
+    if (spec.fault != FaultKind::kNone) {
+      reject("fault (the victim is the only fault)");
+    }
+    if (spec.startup_handoff) reject("startup_handoff");
+    if (spec.initial_clock_spread != 0.0) reject("initial_clock_spread");
   }
 }
 

@@ -160,9 +160,10 @@ struct RunSpec : ScenarioSpec {
   /// kReintegration reads crash_at / wake_at and fills
   /// RunResult::reintegration.  Both also read params, rounds, seed,
   /// delay, drift, drift_period and observe (kStartup also fault /
-  /// fault_count, kReintegration also initial_spread); run() rejects the
-  /// scenario knobs they cannot honour.  Experiment itself accepts only
-  /// kMaintenance.
+  /// fault_count, kReintegration also initial_spread); run() rejects, by
+  /// name, each other knob they cannot honour.  Experiment itself
+  /// accepts only kMaintenance, and rejects startup_handoff, crash_at and
+  /// wake_at there.
   RunMode mode = RunMode::kMaintenance;
   /// kStartup: switch to maintenance after `rounds`.
   bool startup_handoff = false;

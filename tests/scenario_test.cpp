@@ -250,6 +250,79 @@ TEST(ModeValidation, ReintegrationRejectsFaults) {
   EXPECT_NE(rejection(spec).find("fault"), std::string::npos);
 }
 
+// The knobs below used to be ignored silently by the mode that did not
+// read them.
+
+TEST(ModeValidation, RejectsRetainHistoryFalse) {
+  expect_both_modes_reject(
+      [](RunSpec& s) {
+        s.observe = true;
+        s.retain_history = false;
+      },
+      "retain_history");
+}
+
+TEST(ModeValidation, RejectsObserveDt) {
+  expect_both_modes_reject(
+      [](RunSpec& s) {
+        s.observe = true;
+        s.observe_dt = 0.5;
+      },
+      "observe_dt");
+}
+
+TEST(ModeValidation, StartupRejectsInitialSpread) {
+  RunSpec spec = startup_spec();
+  spec.initial_spread = 0.0;
+  EXPECT_NE(rejection(spec).find("initial_spread"), std::string::npos);
+}
+
+TEST(ModeValidation, StartupRejectsCrashAt) {
+  RunSpec spec = startup_spec();
+  spec.crash_at = 25.0;
+  EXPECT_NE(rejection(spec).find("crash_at"), std::string::npos);
+}
+
+TEST(ModeValidation, StartupRejectsWakeAt) {
+  RunSpec spec = startup_spec();
+  spec.wake_at = 95.0;
+  EXPECT_NE(rejection(spec).find("wake_at"), std::string::npos);
+}
+
+TEST(ModeValidation, ReintegrationRejectsStartupHandoff) {
+  RunSpec spec = rejoin_spec();
+  spec.startup_handoff = true;
+  EXPECT_NE(rejection(spec).find("startup_handoff"), std::string::npos);
+}
+
+TEST(ModeValidation, ReintegrationRejectsInitialClockSpread) {
+  RunSpec spec = rejoin_spec();
+  spec.initial_clock_spread = 1.0;
+  EXPECT_NE(rejection(spec).find("initial_clock_spread"), std::string::npos);
+}
+
+TEST(ModeValidation, MaintenanceRejectsStartupHandoff) {
+  RunSpec spec = small_spec();
+  spec.startup_handoff = true;
+  EXPECT_NE(rejection(spec).find("kMaintenance does not support "
+                                 "startup_handoff"),
+            std::string::npos);
+}
+
+TEST(ModeValidation, MaintenanceRejectsCrashAt) {
+  RunSpec spec = small_spec();
+  spec.crash_at = 25.0;
+  EXPECT_NE(rejection(spec).find("kMaintenance does not support crash_at"),
+            std::string::npos);
+}
+
+TEST(ModeValidation, MaintenanceRejectsWakeAt) {
+  RunSpec spec = small_spec();
+  spec.wake_at = 95.0;
+  EXPECT_NE(rejection(spec).find("kMaintenance does not support wake_at"),
+            std::string::npos);
+}
+
 TEST(ModeValidation, ReintegrationRejectsRoundsShortOfTheJoin) {
   // Six rounds end before the joiner's first full round: this schedule
   // used to report rejoined = true with a NaN spread.

@@ -28,7 +28,8 @@ struct Theorem4Case {
 
 std::string case_name(const ::testing::TestParamInfo<Theorem4Case>& info) {
   const auto& c = info.param;
-  std::string name = "s" + std::to_string(c.seed);
+  std::string name = "s";
+  name += std::to_string(c.seed);
   name += "_fault" + std::to_string(static_cast<int>(c.fault));
   name += "_delay" + std::to_string(static_cast<int>(c.delay));
   name += "_drift" + std::to_string(static_cast<int>(c.drift));
@@ -133,7 +134,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, Theorem4, ::testing::ValuesIn(theorem4_cases()),
 // kept range.  (Outright divergence at n = 3f is shown impossible to
 // *prevent* by [DHS] via an indistinguishability argument; that adversary
 // is not a constructive message strategy, so what a concrete attack shows
-// is degradation, not explosion — see EXPERIMENTS.md.)
+// is degradation, not explosion.)
 TEST(FaultBoundary, GuaranteeDegradesBelowThreeFPlusOne) {
   auto worst_ratio = [&](std::int32_t n, std::int32_t f) {
     core::Params p;
