@@ -94,7 +94,9 @@ int run_smoke() {
     const analysis::RunResult a = analysis::run(spec);
     const analysis::RunResult b = analysis::run(spec);
     gate("churn rerun identical", analysis::results_identical(a, b));
-    gate("churn schedule applied", a.dynamics_applied == 2 && !a.diverged);
+    gate("churn schedule applied", a.dynamics_applied == 2 && !a.diverged &&
+                                       a.rejoins.size() == 1 &&
+                                       a.rejoins[0].pid == 3);
   }
 
   // 3. An adversary-env episode reproduces exactly under the same actions.

@@ -30,9 +30,10 @@
 //               pure function of (c, P), reproducible row for row.  Churn
 //               requires the Welch-Lynch round structure and the event
 //               engine (the fast path and PDES refuse dynamic schedules by
-//               name), so churn > 0 cells with --algo != wl or
-//               --engine=fastpath/pdes are skipped with a note.  Echoed in
-//               the `churn` CSV column.
+//               name), so churn > 0 cells with --algo != wl,
+//               --engine=fastpath/pdes or --observe=bounded (the rejoin
+//               report reads retained history) are skipped with a note.
+//               Echoed in the `churn` CSV column.
 //   --f         explicit list, or auto = (n-1)/3 per cell
 //   --nic       Section 9.3 ingress-queue axis: off, inf (unbounded), or a
 //               capacity in datagrams (--nic-service seconds per datagram).
@@ -525,17 +526,19 @@ int main(int argc, char** argv) {
                     // Deterministic wave: ids 0..c-1 leave at 2P staggered
                     // by P/2, rejoin 3P later (>= the 2P reintegration
                     // minimum).  Trailing fault placement keeps the
-                    // Byzantine roster disjoint from the churned ids.
+                    // Byzantine roster disjoint from the churned ids, and
+                    // the rejoin reports read retained history.
                     if (base.algo != analysis::Algo::kWelchLynch ||
                         base.engine == analysis::EngineMode::kFastpath ||
                         base.engine == analysis::EngineMode::kPdes ||
                         base.placement != proc::PlacementKind::kTrailing ||
-                        !base.placement_ids.empty()) {
+                        !base.placement_ids.empty() || !base.retain_history) {
                       std::cerr << "bench_sweep: skipping churn=" << churn
                                 << " cell (" << algo << "/" << engine << "/"
-                                << placement
+                                << placement << "/" << observe
                                 << "): churn needs wl + event-capable engine"
-                                   " + trailing placement\n";
+                                   " + trailing placement + retained "
+                                   "history\n";
                       continue;
                     }
                     base.dynamics.churn_wave(2.0 * P,

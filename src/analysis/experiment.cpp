@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -155,6 +154,38 @@ class ScopedObserver {
   std::unique_ptr<StreamingObserver> observer_;
 };
 
+/// Section 9.1 for every join a churn run recorded, over the never-left
+/// processes plus the joiner: the begin spread of the joiner's first full
+/// round, and the max skew from join + 2P until its next leave (or t_end).
+/// A join whose first full round some id never began — it missed the
+/// horizon — has no spread, so it gets no report.
+std::vector<RejoinReport> measure_rejoins(
+    const sim::Simulator& sim, const RoundTrace& trace,
+    const std::vector<std::int32_t>& honest, const net::DynamicsSpec& dynamics,
+    double P, double t_end) {
+  const auto churn = net::churn_intervals(dynamics);
+  std::vector<RejoinReport> reports;
+  for (const RoundEvent& join : trace.joins()) {
+    std::vector<std::int32_t> ids = honest;
+    ids.insert(std::upper_bound(ids.begin(), ids.end(), join.pid), join.pid);
+    const double spread = trace.begin_spread(join.round, ids);
+    if (std::isnan(spread)) continue;
+    double end = t_end;
+    for (const net::ChurnInterval& w : churn.at(join.pid)) {
+      if (w.leave > join.real_time) {
+        end = std::min(w.leave, t_end);
+        break;
+      }
+    }
+    const double t_check = join.real_time + 2.0 * P;
+    const double skew =
+        t_check < end ? skew_series(sim, ids, t_check, end, P / 25.0).max_skew
+                      : skew_at(sim, ids, end);
+    reports.push_back({join.pid, join.real_time, join.round, spread, skew});
+  }
+  return reports;
+}
+
 }  // namespace
 
 Experiment::Experiment(RunSpec spec) : spec_(std::move(spec)) { build(); }
@@ -173,15 +204,13 @@ void Experiment::build() {
   if (spec_.mode != RunMode::kMaintenance) {
     throw std::invalid_argument(
         "Experiment: only RunMode::kMaintenance builds a maintenance "
-        "system; dispatch kStartup / kReintegration through analysis::run");
+        "system; dispatch kStartup through analysis::run");
   }
   const auto reject = [](const char* what) {
     throw std::invalid_argument(
         std::string("RunSpec: mode = kMaintenance does not support ") + what);
   };
   if (spec_.startup_handoff) reject("startup_handoff");
-  if (spec_.crash_at != 0.0) reject("crash_at");
-  if (spec_.wake_at != 0.0) reject("wake_at");
   const bool dynamic = !spec_.dynamics.empty();
   if (dynamic) {
     if (spec_.algo != Algo::kWelchLynch) {
@@ -190,7 +219,7 @@ void Experiment::build() {
           "algorithm with dynamic neighbor-view resync)");
     }
     // Churn needs a dead window of 2P so stale WL timers expire before the
-    // reintegration procedure wakes (the bound kReintegration enforces).
+    // reintegration procedure wakes.
     spec_.dynamics.validate(p.n, 2.0 * p.P);
   }
   util::Rng rng(spec_.seed);
@@ -490,6 +519,15 @@ RunResult Experiment::run() {
         "neither the streaming accumulators nor the post-hoc history, "
         "nothing could measure the run)");
   }
+  if (!spec_.retain_history &&
+      std::any_of(spec_.dynamics.events.begin(), spec_.dynamics.events.end(),
+                  [](const net::DynamicsEvent& e) {
+                    return e.kind == net::DynamicsKind::kRejoin;
+                  })) {
+    throw std::invalid_argument(
+        "RunSpec: retain_history = false does not support a dynamics rejoin "
+        "(RunResult::rejoins reads the retained history)");
+  }
 
   RunResult result;
   result.honest = honest_;
@@ -699,6 +737,10 @@ RunResult Experiment::run() {
                                      tmax0_ + d.window, result.t_end,
                                      p.P / 10.0);
   }
+  if (!trace_.joins().empty()) {
+    result.rejoins = measure_rejoins(*sim_, trace_, honest_, spec_.dynamics,
+                                     p.P, result.t_end);
+  }
   result.diverged = !(result.gamma_measured <
                       std::max(100.0 * d.gamma, 1.0)) ||
                     result.completed_rounds < spec_.rounds / 2;
@@ -836,222 +878,12 @@ StartupResult run_startup_impl(const RunSpec& spec, ObserveStats& observe) {
   return result;
 }
 
-}  // namespace
-
-// -------------------------------------------------------- reintegration ---
-
-namespace {
-
-/// Composite for the crash/repair lifecycle: honest Welch-Lynch until
-/// crash_at, dead until woken by a second START, then the Section 9.1
-/// reintegration procedure.
-class CrashRejoinProcess final : public proc::Process {
- public:
-  CrashRejoinProcess(core::WelchLynchConfig config, double crash_at)
-      : crash_at_(crash_at), wl_(config), rejoin_(config) {}
-
-  void on_start(proc::Context& ctx) override {
-    const double now = proc::AdversaryContext::from(ctx).real_time();
-    if (now < crash_at_) {
-      wl_.on_start(ctx);
-    } else if (!woken_) {
-      woken_ = true;
-      rejoin_.on_start(ctx);
-    }
-  }
-  void on_timer(proc::Context& ctx, std::int32_t tag) override {
-    if (route(ctx) == Route::kWl) {
-      wl_.on_timer(ctx, tag);
-    } else if (route(ctx) == Route::kRejoin) {
-      rejoin_.on_timer(ctx, tag);
-    }
-  }
-  void on_message(proc::Context& ctx, const sim::Message& m) override {
-    if (route(ctx) == Route::kWl) {
-      wl_.on_message(ctx, m);
-    } else if (route(ctx) == Route::kRejoin) {
-      rejoin_.on_message(ctx, m);
-    }
-  }
-
-  [[nodiscard]] const core::ReintegrationProcess& rejoin() const noexcept {
-    return rejoin_;
-  }
-
- private:
-  enum class Route : std::uint8_t { kWl, kDead, kRejoin };
-  [[nodiscard]] Route route(proc::Context& ctx) const {
-    const double now = proc::AdversaryContext::from(ctx).real_time();
-    if (now < crash_at_) return Route::kWl;
-    return woken_ ? Route::kRejoin : Route::kDead;
-  }
-
-  double crash_at_;
-  bool woken_ = false;
-  core::WelchLynchProcess wl_;
-  core::ReintegrationProcess rejoin_;
-};
-
-ReintegrationResult run_reintegration_impl(const RunSpec& spec,
-                                           ObserveStats& observe) {
-  const core::Params& p = spec.params;
-  const core::Derived d = core::derive(p);
-  if (spec.wake_at < spec.crash_at + 2.0 * p.P) {
-    throw std::invalid_argument(
-        "RunSpec: kReintegration needs wake_at >= crash_at + 2P so stale "
-        "timers die");
-  }
-  const auto horizon_after = [&](double tmax0) {
-    return tmax0 +
-           static_cast<double>(spec.rounds + 1) * p.P * (1.0 + 2.0 * p.rho) +
-           2.0 * d.window + 1.0;
-  };
-  // The joiner's first full round begins by wake_at + 2P (one round to
-  // orient, one to collect).  A horizon short of that would report a
-  // rejoin whose round never completed — so reject it up front, using the
-  // earliest horizon any seed can draw (tmax0 = 0).
-  if (horizon_after(0.0) < spec.wake_at + 2.0 * p.P) {
-    throw std::invalid_argument(
-        "RunSpec: kReintegration rounds too few: the horizon ends before "
-        "wake_at + 2P, the joiner's first full round");
-  }
-  util::Rng rng(spec.seed);
-  RoundTrace trace;
-  const std::unique_ptr<sim::Simulator> owned =
-      make_simulator(spec, rng, trace, nullptr);
-  sim::Simulator& sim = *owned;
-
-  core::WelchLynchConfig wl_config;
-  wl_config.params = p;
-
-  // Process 0 is the crash/rejoin victim (registered faulty: from the
-  // model's viewpoint it is one of the f faults until it rejoins); the
-  // measurements after the rejoin cover everyone.
-  std::vector<std::int32_t> everyone(static_cast<std::size_t>(p.n));
-  std::iota(everyone.begin(), everyone.end(), 0);
-  util::Rng clock_rng = rng.fork(4);
-  util::Rng start_rng = rng.fork(3);
-  const double spread =
-      spec.initial_spread < 0.0 ? 0.9 * p.beta : spec.initial_spread;
-  double tmax0 = 0.0;
-  for (std::int32_t id = 0; id < p.n; ++id) {
-    auto clock = std::make_unique<clk::PhysicalClock>(
-        build_drift(spec.drift, p, spec.drift_period, id, clock_rng),
-        clock_rng.uniform(0.0, 100.0), p.rho);
-    const double s = id == 0 ? 0.0 : start_rng.uniform(0.0, spread);
-    tmax0 = std::max(tmax0, s);
-    const double corr0 = p.T0 - clock->now(s);
-    if (id == 0) {
-      sim.add_process(
-          std::make_unique<CrashRejoinProcess>(wl_config, spec.crash_at),
-          std::move(clock), corr0, /*faulty=*/true, /*start=*/s);
-    } else {
-      sim.add_process(std::make_unique<core::WelchLynchProcess>(wl_config),
-                      std::move(clock), corr0, false, s);
-    }
-  }
-  sim.schedule_start(0, spec.wake_at);
-
-  const double horizon = horizon_after(tmax0);
-
-  // Streaming mode: the measurement window ([join + 2P, t_end]) is only
-  // known once the victim rejoins, so step the run in P-sized chunks until
-  // the join annotation lands in the trace, then attach an observer whose
-  // skew window opens unconditionally at that instant (ObserveSpec::
-  // skew_t0) and let the rest of the run stream through it.  Chunked
-  // run_until is the same event sequence as one call, and every observer
-  // query targets t >= join + 2P > attach time, so the mid-run attach is
-  // exact (pinned bitwise by tests/reintegration_test.cpp).
-  ScopedObserver observer;
-  if (spec.observe) {
-    double join_time = -1.0;
-    double next = std::min(spec.wake_at, horizon);
-    for (;;) {
-      sim.run_until(next);
-      for (const RoundEvent& join : trace.joins()) {
-        if (join.pid == 0) {
-          join_time = join.real_time;
-          break;
-        }
-      }
-      if (join_time >= 0.0 || next >= horizon) break;
-      next = std::min(next + p.P, horizon);
-    }
-    if (join_time >= 0.0) {
-      ObserveSpec ospec;
-      ospec.ids = everyone;
-      ospec.params = p;
-      ospec.horizon = horizon;
-      ospec.skew_t0 = join_time + 2.0 * p.P;
-      ospec.max_rounds = spec.rounds;
-      ospec.skew_dt = p.P / 25.0;
-      ospec.validity_dt = p.P / 10.0;
-      ospec.validity_t0 = horizon + 1.0;  // never samples
-      ospec.skew_hist_max = 4.0 * d.gamma;
-      observer.attach(sim, std::move(ospec));
-    }
-  }
-
-  sim.run_until(horizon);
-
-  ReintegrationResult result;
-  result.beta = p.beta;
-  result.gamma_bound = d.gamma;
-
-  for (const RoundEvent& join : trace.joins()) {
-    if (join.pid == 0) {
-      result.rejoined = true;
-      result.join_time = join.real_time;
-      result.join_round = join.round;
-      break;
-    }
-  }
-  if (!result.rejoined) return result;
-
-  // The joiner's first full round: every process (victim included) should
-  // begin within beta of each other (the Section 9.1 claim).
-  result.spread_with_joiner =
-      trace.begin_spread(result.join_round, everyone);
-  if (std::isnan(result.spread_with_joiner)) {
-    // The up-front horizon check makes this unreachable; fail loudly
-    // rather than report a rejoin without its spread.
-    throw std::logic_error(
-        "kReintegration: the joiner's first full round did not complete "
-        "before the horizon");
-  }
-
-  // Steady skew including the joiner, from join + 2P to the end of the
-  // run.  The streaming accumulators produce the identical doubles: the
-  // drained grid is the same [t_check, t_end) walk plus the same endpoint
-  // sample, folded over the same ids, and when the window degenerates to
-  // the endpoint, final_skew IS skew_at(t_end).
-  const double t_check = result.join_time + 2.0 * p.P;
-  if (observer) {
-    const StreamingSummary streamed = observer->finalize(sim.current_time());
-    observe = streamed.stats;
-    result.skew_after = t_check < sim.current_time() ? streamed.skew.max_skew
-                                                     : streamed.final_skew;
-  } else if (t_check < sim.current_time()) {
-    result.skew_after = skew_series(sim, everyone, t_check, sim.current_time(),
-                                    p.P / 25.0)
-                            .max_skew;
-  } else {
-    result.skew_after = skew_at(sim, everyone, sim.current_time());
-  }
-  return result;
-}
-
-// ---------------------------------------------------- unified entry point ---
-
-/// The knobs the start-up and rejoin bodies cannot honour, rejected by name
-/// instead of silently ignored.
+/// The knobs the start-up body cannot honour, rejected by name instead of
+/// silently ignored.
 void reject_unsupported(const RunSpec& spec) {
-  const bool startup = spec.mode == RunMode::kStartup;
-  const auto reject = [&](const char* what) {
+  const auto reject = [](const char* what) {
     throw std::invalid_argument(
-        std::string("RunSpec: mode = ") +
-        (startup ? "kStartup" : "kReintegration") + " does not support " +
-        what);
+        std::string("RunSpec: mode = kStartup does not support ") + what);
   };
   if (!spec.fault_mix.empty()) reject("fault_mix");
   if (spec.placement != proc::PlacementKind::kTrailing) reject("placement");
@@ -1072,27 +904,19 @@ void reject_unsupported(const RunSpec& spec) {
       spec.engine == EngineMode::kPdes) {
     reject("engine = kFastpath / kPdes");
   }
-  // Both bodies observe on fixed grids and never truncate history.
+  // The start-up body observes on fixed grids and never truncates history.
   if (!spec.retain_history) reject("retain_history = false");
   if (spec.observe_dt != 0.0) reject("observe_dt");
-  if (startup) {
-    if (spec.fault == FaultKind::kTwoFaced || spec.fault == FaultKind::kLiar) {
-      reject("two-faced or liar faults (only kSilent / kSpam)");
-    }
-    // Start-up STARTs are uniform(0, delta); there is no victim.
-    if (spec.initial_spread >= 0.0) reject("initial_spread");
-    if (spec.crash_at != 0.0) reject("crash_at");
-    if (spec.wake_at != 0.0) reject("wake_at");
-  } else {
-    if (spec.fault != FaultKind::kNone) {
-      reject("fault (the victim is the only fault)");
-    }
-    if (spec.startup_handoff) reject("startup_handoff");
-    if (spec.initial_clock_spread != 0.0) reject("initial_clock_spread");
+  if (spec.fault == FaultKind::kTwoFaced || spec.fault == FaultKind::kLiar) {
+    reject("two-faced or liar faults (only kSilent / kSpam)");
   }
+  // Start-up STARTs are uniform(0, delta).
+  if (spec.initial_spread >= 0.0) reject("initial_spread");
 }
 
 }  // namespace
+
+// ---------------------------------------------------- unified entry point ---
 
 RunResult run(const RunSpec& spec) {
   const auto wall_start = std::chrono::steady_clock::now();
@@ -1106,10 +930,6 @@ RunResult run(const RunSpec& spec) {
     case RunMode::kStartup:
       reject_unsupported(spec);
       result.startup = run_startup_impl(spec, result.observe);
-      break;
-    case RunMode::kReintegration:
-      reject_unsupported(spec);
-      result.reintegration = run_reintegration_impl(spec, result.observe);
       break;
   }
   result.wall_seconds =

@@ -82,11 +82,12 @@ enum class EngineMode : std::uint8_t {
   kPdes = 3,
 };
 
-/// Which experiment family run() executes for a RunSpec.
+/// Which experiment family run() executes for a RunSpec.  A Section 9.1
+/// rejoin is a kMaintenance run with a leave/rejoin schedule
+/// (ScenarioSpec::dynamics); RunResult::rejoins reports it.
 enum class RunMode : std::uint8_t {
-  kMaintenance = 0,    ///< Section 4.2 steady state (Experiment::run)
-  kStartup = 1,        ///< Section 9.2 start-up; fills RunResult::startup
-  kReintegration = 2,  ///< Section 9.1 rejoin; fills RunResult::reintegration
+  kMaintenance = 0,  ///< Section 4.2 steady state (Experiment::run)
+  kStartup = 1,      ///< Section 9.2 start-up; fills RunResult::startup
 };
 
 /// The scenario-facing slice of a RunSpec: WHO misbehaves, WHERE they sit,
@@ -137,7 +138,8 @@ struct ScenarioSpec {
   /// silent static-graph execution), and — for topology-changing events on
   /// kFullMesh — materializes the mesh explicitly so it can be mutated.
   /// Leave/rejoin churn routes through core/reintegration's ChurnProcess;
-  /// churned ids must be disjoint from the Byzantine roster.
+  /// churned ids must be disjoint from the Byzantine roster, and each
+  /// completed rejoin lands in RunResult::rejoins.
   net::DynamicsSpec dynamics;
 };
 
@@ -156,14 +158,11 @@ struct RunSpec : ScenarioSpec {
   [[nodiscard]] const ScenarioSpec& scenario() const noexcept { return *this; }
 
   /// Which experiment family run() executes.  kStartup reads
-  /// startup_handoff / initial_clock_spread and fills RunResult::startup;
-  /// kReintegration reads crash_at / wake_at and fills
-  /// RunResult::reintegration.  Both also read params, rounds, seed,
-  /// delay, drift, drift_period and observe (kStartup also fault /
-  /// fault_count, kReintegration also initial_spread); run() rejects, by
-  /// name, each other knob they cannot honour.  Experiment itself
-  /// accepts only kMaintenance, and rejects startup_handoff, crash_at and
-  /// wake_at there.
+  /// startup_handoff / initial_clock_spread, params, rounds, seed, delay,
+  /// drift, drift_period, observe, fault and fault_count, and fills
+  /// RunResult::startup; run() rejects, by name, each other knob it cannot
+  /// honour.  Experiment itself accepts only kMaintenance, and rejects
+  /// startup_handoff there.
   RunMode mode = RunMode::kMaintenance;
   /// kStartup: switch to maintenance after `rounds`.
   bool startup_handoff = false;
@@ -175,11 +174,6 @@ struct RunSpec : ScenarioSpec {
   /// measures RunResult::stabilized_round / stabilization_time.  0
   /// (default) is the historical aligned start.
   double initial_clock_spread = 0.0;
-  /// kReintegration: real time the victim (process 0) stops / is repaired.
-  /// run() requires wake_at >= crash_at + 2P, and enough rounds that the
-  /// horizon reaches wake_at + 2P (the joiner's first full round).
-  double crash_at = 0.0;
-  double wake_at = 0.0;
   /// Stabilization threshold for the arbitrary-initial-state workload:
   /// the run counts as stabilized from the first round whose entire skew
   /// suffix stays <= this.  0 = 2 * gamma_bound.
@@ -243,7 +237,9 @@ struct RunSpec : ScenarioSpec {
   /// segment list and CORR log behind the observation frontier while the
   /// run progresses.  Measured results are bit-identical to the retained
   /// observe run (pinned by tests/observer_test.cpp); post-hoc probes on
-  /// the simulator afterwards are no longer possible.
+  /// the simulator afterwards are no longer possible — so a dynamics
+  /// rejoin, whose RunResult::rejoins report reads that history, rejects
+  /// it.
   bool retain_history = true;
   /// Skew/gradient sample step for observe mode; 0 = P/25, the post-hoc
   /// grid.  Coarser steps make very long windows cheaper to observe.
@@ -273,19 +269,20 @@ struct StartupResult {
   bool operator==(const StartupResult&) const = default;
 };
 
-/// RunMode::kReintegration (Section 9.1).
-struct ReintegrationResult {
-  bool rejoined = false;
+/// One completed rejoin of a churn schedule (Section 9.1), measured over
+/// the never-left processes plus the joiner.
+struct RejoinReport {
+  std::int32_t pid = 0;
   double join_time = 0.0;
   std::int32_t join_round = 0;
-  /// Begin spread of the first round that includes the rejoined process;
-  /// Section 9.1 claims it is within beta.
+  /// Begin spread of the joiner's first full round; Section 9.1 claims it
+  /// is within beta.
   double spread_with_joiner = 0.0;
-  double beta = 0.0;
-  double skew_after = 0.0;  ///< steady skew including the joiner
-  double gamma_bound = 0.0;
+  /// Max skew from join + 2P until the joiner's next leave (or t_end);
+  /// Section 9.1 claims it stays within gamma.
+  double skew_after = 0.0;
 
-  bool operator==(const ReintegrationResult&) const = default;
+  bool operator==(const RejoinReport&) const = default;
 };
 
 /// What a run measured: a deterministic function of the RunSpec, identical
@@ -329,10 +326,11 @@ struct RunPhysics {
   /// dynamics_applied); 0 on static runs.  Pins that every engine saw the
   /// same schedule.
   std::int64_t dynamics_applied = 0;
-  /// Mode-specific payloads of run(): engaged exactly when RunSpec::mode is
-  /// kStartup / kReintegration.
+  /// Every churn rejoin whose first full round began before the horizon,
+  /// in join order; empty on runs without a dynamics rejoin.
+  std::vector<RejoinReport> rejoins;
+  /// Engaged exactly when RunSpec::mode is kStartup.
   std::optional<StartupResult> startup;
-  std::optional<ReintegrationResult> reintegration;
 
   bool operator==(const RunPhysics&) const = default;
 };
@@ -449,20 +447,19 @@ class Experiment {
 };
 
 /// THE experiment entry point: dispatches on RunSpec::mode.
-///   kMaintenance   — Experiment::run (plus the stabilization measurement
-///                    when initial_clock_spread > 0);
-///   kStartup       — the Section 9.2 start-up experiment; the result lands
-///                    in RunResult::startup;
-///   kReintegration — the Section 9.1 rejoin experiment; the result lands
-///                    in RunResult::reintegration.
-/// The two non-maintenance modes throw std::invalid_argument, naming the
-/// field, for any knob they would otherwise silently ignore: fault_mix,
-/// placement, placement_ids, dynamics, nic, a non-mesh topology,
-/// algo != kWelchLynch, averaging, k_exchanges, stagger, amortize,
-/// measure_gradient and stabilize_threshold off their defaults,
-/// engine = kFastpath / kPdes, a two-faced or liar fault (kStartup) and
-/// any fault at all (kReintegration).  wall_seconds is measured here, and
-/// RunResult::observe filled when RunSpec::observe is set, for every mode.
+///   kMaintenance — Experiment::run (plus the stabilization measurement
+///                  when initial_clock_spread > 0, and RunResult::rejoins
+///                  when the dynamics schedule rejoins a process);
+///   kStartup     — the Section 9.2 start-up experiment; the result lands
+///                  in RunResult::startup.
+/// kStartup throws std::invalid_argument, naming the field, for any knob it
+/// would otherwise silently ignore: fault_mix, placement, placement_ids,
+/// dynamics, nic, a non-mesh topology, algo != kWelchLynch, averaging,
+/// k_exchanges, stagger, amortize, measure_gradient, stabilize_threshold,
+/// retain_history, observe_dt and initial_spread off their defaults,
+/// engine = kFastpath / kPdes, and a two-faced or liar fault.  wall_seconds
+/// is measured here, and RunResult::observe filled when RunSpec::observe is
+/// set, for every mode.
 [[nodiscard]] RunResult run(const RunSpec& spec);
 
 }  // namespace wlsync::analysis

@@ -62,15 +62,6 @@ StreamingObserver::StreamingObserver(sim::Simulator& sim, ObserveSpec spec)
     gradient_rows_.assign(axis_.distances.size() * gradient_capacity_, 0.0);
   }
 
-  // An explicit window-open instant bypasses the anchor-round trigger (the
-  // on_round_begin anchor block is guarded on skew_open_).
-  if (spec_.skew_t0 >= 0.0) {
-    skew_open_ = true;
-    t_steady_ = spec_.skew_t0;
-    skew_next_ = spec_.skew_t0;
-    stats_.t_steady = spec_.skew_t0;
-  }
-
   // Validity folds start exactly where check_validity starts them.
   validity_next_ = spec_.validity_t0;
   max_upper_ = -std::numeric_limits<double>::infinity();

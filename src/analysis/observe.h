@@ -60,14 +60,6 @@ struct ObserveSpec {
   /// round (the steady-state anchor).  If the round never completes the
   /// window collapses to the single endpoint sample at t_end.
   std::int32_t anchor_round = 0;
-  /// When >= 0, the skew/gradient window opens unconditionally at this
-  /// real time instead of waiting for the anchor round — for harnesses
-  /// whose measurement window is an explicit instant rather than a round
-  /// boundary (RunMode::kReintegration opens at join_time + 2P).  The grid
-  /// then samples skew_t0, skew_t0 + skew_dt, ... exactly like the post-hoc
-  /// skew_series on [skew_t0, t_end].  A skew_t0 past t_end degenerates to
-  /// the endpoint sample, matching the post-hoc skew_at fallback.
-  double skew_t0 = -1.0;
   /// Configured round count (presizes the skew_at_round stream).
   std::int32_t max_rounds = 0;
   double skew_dt = 0.0;      ///< skew/gradient grid step (P/25 post-hoc grid)

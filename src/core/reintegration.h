@@ -86,8 +86,7 @@ class ReintegrationProcess final : public proc::Process {
 /// "repaired process wakes with arbitrary clock" premise).  The driver
 /// (analysis::Experiment) schedules one START per rejoin; intervals must be
 /// sorted, non-overlapping, and >= 2P apart from their rejoin to the next
-/// leave so the fresh procedure's timers cannot collide with stale ones
-/// (the same margin RunMode::kReintegration has always required).
+/// leave so the fresh procedure's timers cannot collide with stale ones.
 class ChurnProcess final : public proc::Process {
  public:
   struct Downtime {

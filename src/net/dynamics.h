@@ -3,8 +3,7 @@
 // membership changes the Simulator applies at exact simulated instants.
 //
 // Everything before this layer ran on a static graph: the Topology was
-// materialized once, adversaries were placed once, and the only dynamism
-// was a single scripted crash (RunMode::kReintegration).  A DynamicsSpec is
+// materialized once and adversaries were placed once.  A DynamicsSpec is
 // the scenario-facing answer — an ordered list of events
 //
 //   * kLinkFail / kLinkHeal  — one undirected edge leaves / re-enters the

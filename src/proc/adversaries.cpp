@@ -9,30 +9,6 @@ constexpr std::int32_t kSpamTimerTag = 9001;
 constexpr std::int32_t kFaceTimerTag = 9002;
 }  // namespace
 
-// ---------------------------------------------------------------- Crash ---
-
-CrashAdversary::CrashAdversary(ProcessPtr inner, double crash_at)
-    : inner_(std::move(inner)), crash_at_(crash_at) {}
-
-bool CrashAdversary::alive(Context& ctx) {
-  if (!crashed_ && AdversaryContext::from(ctx).real_time() >= crash_at_) {
-    crashed_ = true;
-  }
-  return !crashed_;
-}
-
-void CrashAdversary::on_start(Context& ctx) {
-  if (alive(ctx)) inner_->on_start(ctx);
-}
-
-void CrashAdversary::on_timer(Context& ctx, std::int32_t tag) {
-  if (alive(ctx)) inner_->on_timer(ctx, tag);
-}
-
-void CrashAdversary::on_message(Context& ctx, const sim::Message& m) {
-  if (alive(ctx)) inner_->on_message(ctx, m);
-}
-
 // ----------------------------------------------------------------- Spam ---
 
 void SpamAdversary::schedule_next(AdversaryContext& ctx) {

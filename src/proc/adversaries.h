@@ -10,8 +10,6 @@
 //
 //   Silent     — sends nothing, ever (crashed from the start).  Exercises
 //                the "missing entry falls to reduce()" path.
-//   Crash      — runs a wrapped honest process until a real time, then stops
-//                (used by the reintegration experiments).
 //   Spam       — floods everyone with junk messages at random times; since
 //                the Section 4.2 algorithm records the arrival time of *any*
 //                message, spam directly attacks the ARR array.
@@ -40,28 +38,6 @@ class SilentAdversary final : public Process {
   void on_start(Context&) override {}
   void on_timer(Context&, std::int32_t) override {}
   void on_message(Context&, const sim::Message&) override {}
-};
-
-/// Runs `inner` honestly until real time `crash_at`, then goes silent.
-/// The wrapped process must be registered as faulty (the wrapper reads real
-/// time through the adversary context).
-class CrashAdversary final : public Process {
- public:
-  CrashAdversary(ProcessPtr inner, double crash_at);
-
-  void on_start(Context& ctx) override;
-  void on_timer(Context& ctx, std::int32_t tag) override;
-  void on_message(Context& ctx, const sim::Message& m) override;
-
-  [[nodiscard]] bool crashed() const noexcept { return crashed_; }
-  [[nodiscard]] Process& inner() noexcept { return *inner_; }
-
- private:
-  [[nodiscard]] bool alive(Context& ctx);
-
-  ProcessPtr inner_;
-  double crash_at_;
-  bool crashed_ = false;
 };
 
 /// Sends `burst` junk messages to random recipients every ~`period` real

@@ -96,9 +96,8 @@ void AdversaryEnv::advance_rounds(std::int32_t count) {
   const double P = config_.spec.params.P;
   const std::int32_t target = last_measured_round(observer_->round_skews()) +
                               count;
-  // P-sized chunks, like the kReintegration rejoin poll: enough progress
-  // per run_until to be cheap, fine-grained enough to stop on the target
-  // round promptly.
+  // P-sized chunks: enough progress per run_until to be cheap,
+  // fine-grained enough to stop on the target round promptly.
   while (last_measured_round(observer_->round_skews()) < target &&
          sim.current_time() < horizon_) {
     sim.run_until(std::min(sim.current_time() + P, horizon_));

@@ -114,7 +114,8 @@ class Simulator {
                            double initial_corr, bool faulty,
                            double start_real_time);
 
-  /// Buffers a START for `id` at a later real time (reintegration wake-up).
+  /// Buffers a START for `id` at a later real time (a churn rejoin's
+  /// reintegration wake-up).
   void schedule_start(std::int32_t id, double real_time);
 
   /// Installs a dynamics schedule (net/dynamics.h): every event becomes a

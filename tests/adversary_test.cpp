@@ -179,36 +179,5 @@ TEST(SparseFaults, SilentAndSpamRespectLocalQuorums) {
   }
 }
 
-TEST(CrashAdversary, StopsAtCrashTime) {
-  sim::SimConfig config;
-  sim::Simulator sim(config, nullptr);
-
-  /// Inner process that broadcasts on every timer tick.
-  class Ticker : public Process {
-   public:
-    void on_start(Context& ctx) override {
-      ctx.set_timer(ctx.local_time() + 0.1, 1);
-    }
-    void on_timer(Context& ctx, std::int32_t) override {
-      ctx.broadcast(0, 0.0, 0);
-      ctx.set_timer(ctx.local_time() + 0.1, 1);
-    }
-    void on_message(Context&, const sim::Message&) override {}
-  };
-
-  sim.add_process(
-      std::make_unique<CrashAdversary>(std::make_unique<Ticker>(), 0.55),
-      perfect_clock(), 0.0, true, 0.0);
-  sim.add_process(std::make_unique<Counter>(), perfect_clock(), 0.0, false,
-                  -1.0);
-  sim.run_until(2.0);
-  auto& counter = dynamic_cast<Counter&>(sim.process(1));
-  // Ticks at 0.1..0.5 broadcast (5 messages to each of 2 recipients); the
-  // 0.6 tick is past the crash.
-  EXPECT_EQ(counter.count, 5);
-  EXPECT_TRUE(
-      dynamic_cast<CrashAdversary&>(sim.process(0)).crashed());
-}
-
 }  // namespace
 }  // namespace wlsync::proc

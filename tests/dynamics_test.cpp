@@ -157,6 +157,12 @@ TEST(Dynamics, ChurnRoutesThroughReintegrationDeterministically) {
   EXPECT_FALSE(a.diverged);
   // The never-left processes keep agreement throughout.
   EXPECT_LT(a.gamma_measured, a.gamma_bound);
+  // No rejoin is reported: the reintegration procedure closes its
+  // collection window only after hearing n - f = 15 distinct senders, and
+  // process 3 hears only its 7 clique peers, so it keeps re-targeting and
+  // never joins.  (Full-mesh rejoins are reported; see
+  // tests/reintegration_test.cpp.)
+  EXPECT_TRUE(a.rejoins.empty());
 }
 
 // ---------------------------------------------------------- split / heal ---

@@ -29,21 +29,24 @@ TEST(Integration, ColdStartToMaintenanceUnderFaults) {
 }
 
 TEST(Integration, CrashRejoinWithConcurrentByzantineLoad) {
-  // Seven processes: one crash/rejoin victim plus six healthy — the victim
-  // occupies the f = 2 budget along with message-delay adversity.
+  // Seven processes: process 0 crashes and is repaired while the highest id
+  // runs the two-faced splitter — together they fill the f = 2 budget,
+  // under per-link delay asymmetry and random-walk drift.
   RunSpec spec;
-  spec.mode = RunMode::kReintegration;
   spec.params = standard(7, 2);
-  spec.crash_at = 15.0;
-  spec.wake_at = 80.0;
+  spec.dynamics.leave(15.0, 0).rejoin(80.0, 0);
+  spec.fault = FaultKind::kTwoFaced;
+  spec.fault_count = 1;
   spec.rounds = 18;
   spec.delay = DelayKind::kPerLink;
   spec.drift = DriftKind::kRandomWalk;
   spec.seed = 12;
-  const ReintegrationResult result = *run(spec).reintegration;
-  ASSERT_TRUE(result.rejoined);
-  EXPECT_LE(result.spread_with_joiner, result.beta * (1 + 1e-9));
-  EXPECT_LE(result.skew_after, result.gamma_bound * (1 + 1e-9));
+  const RunResult result = run(spec);
+  ASSERT_EQ(result.rejoins.size(), 1u);
+  const RejoinReport& rejoin = result.rejoins[0];
+  EXPECT_EQ(rejoin.pid, 0);
+  EXPECT_LE(rejoin.spread_with_joiner, spec.params.beta * (1 + 1e-9));
+  EXPECT_LE(rejoin.skew_after, result.gamma_bound * (1 + 1e-9));
 }
 
 TEST(Integration, WholePipelineIsDeterministic) {

@@ -37,12 +37,10 @@ RunSpec startup_spec(std::uint64_t seed) {
   return spec;
 }
 
-RunSpec reintegration_spec(std::uint64_t seed) {
+RunSpec rejoin_spec(std::uint64_t seed) {
   RunSpec spec;
-  spec.mode = RunMode::kReintegration;
   spec.params = core::make_params(4, 1, 1e-5, 0.01, 1e-3, 10.0);
-  spec.crash_at = 25.0;
-  spec.wake_at = 95.0;
+  spec.dynamics.leave(25.0, 0).rejoin(95.0, 0);
   spec.rounds = 30;
   spec.seed = seed;
   return spec;
@@ -51,7 +49,7 @@ RunSpec reintegration_spec(std::uint64_t seed) {
 TEST(ParallelRunner, MatchesSerialBitForBit) {
   std::vector<RunSpec> specs = seed_sweep(cheap_spec(), 100, 12);
   specs.push_back(startup_spec(3));
-  specs.push_back(reintegration_spec(3));
+  specs.push_back(rejoin_spec(3));
   const std::vector<RunResult> serial = ParallelRunner(1).run_adaptive(specs);
   const std::vector<RunResult> sharded = ParallelRunner(4).run_adaptive(specs);
   ASSERT_EQ(serial.size(), sharded.size());
@@ -63,14 +61,14 @@ TEST(ParallelRunner, MatchesSerialBitForBit) {
 }
 
 TEST(ParallelRunner, IdentityComparesModePayloads) {
-  // The flat maintenance fields stay at their defaults in both modes, so
-  // only the payload physics can tell two such runs apart.
+  // The flat maintenance fields stay at their defaults in start-up mode,
+  // so only the payload physics can tell two such runs apart.
   const RunResult startup = run(startup_spec(1));
   EXPECT_TRUE(results_identical(startup, run(startup_spec(1))));
   EXPECT_FALSE(results_identical(startup, run(startup_spec(2))));
-  const RunResult rejoin = run(reintegration_spec(1));
-  EXPECT_TRUE(results_identical(rejoin, run(reintegration_spec(1))));
-  EXPECT_FALSE(results_identical(rejoin, run(reintegration_spec(2))));
+  const RunResult rejoin = run(rejoin_spec(1));
+  EXPECT_TRUE(results_identical(rejoin, run(rejoin_spec(1))));
+  EXPECT_FALSE(results_identical(rejoin, run(rejoin_spec(2))));
   EXPECT_FALSE(results_identical(startup, rejoin));
 }
 
@@ -91,10 +89,10 @@ TEST(ParallelRunner, IdentitySeesEveryPhysicsFieldAndNoTelemetry) {
   maintenance.measure_gradient = true;
   const RunResult base_maintenance = run(maintenance);
   const RunResult base_startup = run(startup_spec(1));
-  const RunResult base_rejoin = run(reintegration_spec(1));
+  const RunResult base_rejoin = run(rejoin_spec(1));
   ASSERT_TRUE(base_maintenance.gradient.measured());
   ASSERT_TRUE(base_startup.startup.has_value());
-  ASSERT_TRUE(base_rejoin.reintegration.has_value());
+  ASSERT_EQ(base_rejoin.rejoins.size(), 1u);
 
   // Every telemetry member off its default: identity must not notice.
   RunTelemetry busy;
@@ -157,6 +155,7 @@ TEST(ParallelRunner, IdentitySeesEveryPhysicsFieldAndNoTelemetry) {
       PHYSICS_FIELD(stabilized_round),
       PHYSICS_FIELD(stabilization_time),
       PHYSICS_FIELD(dynamics_applied),
+      PHYSICS_FIELD(rejoins),
   };
   const std::vector<Perturbation> startup = {
       PHYSICS_FIELD(startup->b_series),
@@ -167,13 +166,11 @@ TEST(ParallelRunner, IdentitySeesEveryPhysicsFieldAndNoTelemetry) {
       PHYSICS_FIELD(startup->post_handoff_skew),
   };
   const std::vector<Perturbation> rejoin = {
-      PHYSICS_FIELD(reintegration->rejoined),
-      PHYSICS_FIELD(reintegration->join_time),
-      PHYSICS_FIELD(reintegration->join_round),
-      PHYSICS_FIELD(reintegration->spread_with_joiner),
-      PHYSICS_FIELD(reintegration->beta),
-      PHYSICS_FIELD(reintegration->skew_after),
-      PHYSICS_FIELD(reintegration->gamma_bound),
+      PHYSICS_FIELD(rejoins[0].pid),
+      PHYSICS_FIELD(rejoins[0].join_time),
+      PHYSICS_FIELD(rejoins[0].join_round),
+      PHYSICS_FIELD(rejoins[0].spread_with_joiner),
+      PHYSICS_FIELD(rejoins[0].skew_after),
   };
 #undef PHYSICS_FIELD
 
@@ -198,13 +195,6 @@ TEST(ParallelRunner, IdentitySeesEveryPhysicsFieldAndNoTelemetry) {
       toggled.startup.emplace();
     }
     EXPECT_FALSE(results_identical(toggled, base)) << mode << ": startup";
-    toggled = base;
-    if (toggled.reintegration) {
-      toggled.reintegration.reset();
-    } else {
-      toggled.reintegration.emplace();
-    }
-    EXPECT_FALSE(results_identical(toggled, base)) << mode << ": reintegration";
   };
   check(base_maintenance, "maintenance", {});
   check(base_startup, "startup", startup);

@@ -1,7 +1,7 @@
 // Pins for the composable scenario API:
 //   - ScenarioSpec is the RunSpec's base subobject (aliasing, not a copy);
-//   - analysis::run() dispatches on RunSpec::mode, and the start-up and
-//     rejoin modes reject every knob they cannot honour by name;
+//   - analysis::run() dispatches on RunSpec::mode, and the start-up mode
+//     rejects every knob it cannot honour by name;
 //   - the arbitrary-initial-state (self-stabilization) workload measures a
 //     deterministic stabilization round / time;
 //   - the adaptive-adversary env reproduces bit for bit under the same
@@ -82,12 +82,12 @@ TEST(UnifiedRun, MaintenanceModeIsDeterministicWithoutPayloads) {
   const RunResult second = analysis::run(spec);
   EXPECT_TRUE(analysis::results_identical(first, second));
   EXPECT_FALSE(first.startup.has_value());
-  EXPECT_FALSE(first.reintegration.has_value());
+  EXPECT_TRUE(first.rejoins.empty());
   EXPECT_GT(first.wall_seconds, 0.0);
 }
 
 // ------------------------------------------------------------------------
-// kStartup / kReintegration reject what their bodies would ignore.
+// kStartup rejects what its body would ignore.
 
 RunSpec startup_spec() {
   RunSpec spec;
@@ -98,13 +98,13 @@ RunSpec startup_spec() {
   return spec;
 }
 
-RunSpec rejoin_spec() {
+/// A maintenance run whose process 0 crashes at `crash` and is repaired at
+/// `wake` (Section 9.1).
+RunSpec rejoin_spec(double crash, double wake, std::int32_t rounds) {
   RunSpec spec;
-  spec.mode = analysis::RunMode::kReintegration;
   spec.params = core::make_params(4, 1, 1e-5, 0.01, 1e-3, 10.0);
-  spec.crash_at = 25.0;
-  spec.wake_at = 95.0;
-  spec.rounds = 30;
+  spec.dynamics.leave(crash, 0).rejoin(wake, 0);
+  spec.rounds = rounds;
   return spec;
 }
 
@@ -119,21 +119,18 @@ std::string rejection(const RunSpec& spec) {
   return "";
 }
 
-/// Applies `mutate` to a valid spec of each non-maintenance mode and
-/// expects run() to reject both, naming `field`.
+/// Applies `mutate` to a valid start-up spec and expects run() to reject
+/// it, naming `field`.
 template <typename Mutate>
-void expect_both_modes_reject(Mutate mutate, const std::string& field) {
-  for (RunSpec spec : {startup_spec(), rejoin_spec()}) {
-    mutate(spec);
-    EXPECT_NE(rejection(spec).find(field), std::string::npos)
-        << "mode " << static_cast<int>(spec.mode) << ": \"" << rejection(spec)
-        << "\" does not name " << field;
-  }
+void expect_startup_rejects(Mutate mutate, const std::string& field) {
+  RunSpec spec = startup_spec();
+  mutate(spec);
+  EXPECT_NE(rejection(spec).find(field), std::string::npos)
+      << "\"" << rejection(spec) << "\" does not name " << field;
 }
 
 TEST(ModeValidation, BaseSpecsRun) {
   EXPECT_EQ(rejection(startup_spec()), "");
-  EXPECT_EQ(rejection(rejoin_spec()), "");
   RunSpec spam = startup_spec();
   spam.fault = analysis::FaultKind::kSpam;
   spam.fault_count = 2;
@@ -142,34 +139,34 @@ TEST(ModeValidation, BaseSpecsRun) {
 }
 
 TEST(ModeValidation, RejectsFaultMix) {
-  expect_both_modes_reject(
+  expect_startup_rejects(
       [](RunSpec& s) { s.fault_mix = {{analysis::FaultKind::kSilent, 1}}; },
       "fault_mix");
 }
 
 TEST(ModeValidation, RejectsPlacement) {
-  expect_both_modes_reject(
+  expect_startup_rejects(
       [](RunSpec& s) { s.placement = proc::PlacementKind::kRandom; },
       "placement");
 }
 
 TEST(ModeValidation, RejectsPlacementIds) {
-  expect_both_modes_reject([](RunSpec& s) { s.placement_ids = {0}; },
+  expect_startup_rejects([](RunSpec& s) { s.placement_ids = {0}; },
                            "placement_ids");
 }
 
 TEST(ModeValidation, RejectsDynamics) {
-  expect_both_modes_reject([](RunSpec& s) { s.dynamics.fail_link(5.0, 0, 1); },
+  expect_startup_rejects([](RunSpec& s) { s.dynamics.fail_link(5.0, 0, 1); },
                            "dynamics");
 }
 
 TEST(ModeValidation, RejectsNic) {
-  expect_both_modes_reject([](RunSpec& s) { s.nic = sim::NicConfig{}; },
+  expect_startup_rejects([](RunSpec& s) { s.nic = sim::NicConfig{}; },
                            "nic");
 }
 
 TEST(ModeValidation, RejectsNonMeshTopology) {
-  expect_both_modes_reject(
+  expect_startup_rejects(
       [](RunSpec& s) {
         s.topology.kind = net::TopologyKind::kKRegular;
         s.topology.degree = 2;
@@ -178,7 +175,7 @@ TEST(ModeValidation, RejectsNonMeshTopology) {
 }
 
 TEST(ModeValidation, RejectsNonWelchLynchAlgo) {
-  expect_both_modes_reject([](RunSpec& s) { s.algo = analysis::Algo::kLM; },
+  expect_startup_rejects([](RunSpec& s) { s.algo = analysis::Algo::kLM; },
                            "algo");
 }
 
@@ -186,47 +183,46 @@ TEST(ModeValidation, RejectsNonWelchLynchAlgo) {
 // results identical to the base spec.
 
 TEST(ModeValidation, RejectsAveraging) {
-  expect_both_modes_reject(
+  expect_startup_rejects(
       [](RunSpec& s) { s.averaging = core::Averaging::kReducedMean; },
       "averaging");
 }
 
 TEST(ModeValidation, RejectsKExchanges) {
-  expect_both_modes_reject([](RunSpec& s) { s.k_exchanges = 2; },
+  expect_startup_rejects([](RunSpec& s) { s.k_exchanges = 2; },
                            "k_exchanges");
 }
 
 TEST(ModeValidation, RejectsStagger) {
-  expect_both_modes_reject([](RunSpec& s) { s.stagger = 0.05; }, "stagger");
+  expect_startup_rejects([](RunSpec& s) { s.stagger = 0.05; }, "stagger");
 }
 
 TEST(ModeValidation, RejectsAmortize) {
-  expect_both_modes_reject([](RunSpec& s) { s.amortize = 0.5; }, "amortize");
+  expect_startup_rejects([](RunSpec& s) { s.amortize = 0.5; }, "amortize");
 }
 
 TEST(ModeValidation, RejectsMeasureGradient) {
-  expect_both_modes_reject([](RunSpec& s) { s.measure_gradient = true; },
+  expect_startup_rejects([](RunSpec& s) { s.measure_gradient = true; },
                            "measure_gradient");
 }
 
 TEST(ModeValidation, RejectsStabilizeThreshold) {
-  expect_both_modes_reject([](RunSpec& s) { s.stabilize_threshold = 1.0; },
+  expect_startup_rejects([](RunSpec& s) { s.stabilize_threshold = 1.0; },
                            "stabilize_threshold");
 }
 
 TEST(ModeValidation, AcceptsPerformanceKnobs) {
-  for (RunSpec spec : {startup_spec(), rejoin_spec()}) {
-    spec.pdes_workers = 2;
-    spec.scheduler = engine::SchedulerKind::kCalendar;
-    spec.max_events = 100'000'000;
-    EXPECT_EQ(rejection(spec), "") << "mode " << static_cast<int>(spec.mode);
-  }
+  RunSpec spec = startup_spec();
+  spec.pdes_workers = 2;
+  spec.scheduler = engine::SchedulerKind::kCalendar;
+  spec.max_events = 100'000'000;
+  EXPECT_EQ(rejection(spec), "");
 }
 
 TEST(ModeValidation, RejectsFastpathAndPdesEngines) {
   for (const auto engine :
        {analysis::EngineMode::kFastpath, analysis::EngineMode::kPdes}) {
-    expect_both_modes_reject([&](RunSpec& s) { s.engine = engine; },
+    expect_startup_rejects([&](RunSpec& s) { s.engine = engine; },
                              "engine");
   }
 }
@@ -243,18 +239,11 @@ TEST(ModeValidation, StartupRejectsTwoFacedAndLiarFaults) {
   }
 }
 
-TEST(ModeValidation, ReintegrationRejectsFaults) {
-  RunSpec spec = rejoin_spec();
-  spec.fault = analysis::FaultKind::kSilent;
-  spec.fault_count = 1;
-  EXPECT_NE(rejection(spec).find("fault"), std::string::npos);
-}
-
 // The knobs below used to be ignored silently by the mode that did not
 // read them.
 
 TEST(ModeValidation, RejectsRetainHistoryFalse) {
-  expect_both_modes_reject(
+  expect_startup_rejects(
       [](RunSpec& s) {
         s.observe = true;
         s.retain_history = false;
@@ -263,7 +252,7 @@ TEST(ModeValidation, RejectsRetainHistoryFalse) {
 }
 
 TEST(ModeValidation, RejectsObserveDt) {
-  expect_both_modes_reject(
+  expect_startup_rejects(
       [](RunSpec& s) {
         s.observe = true;
         s.observe_dt = 0.5;
@@ -277,30 +266,6 @@ TEST(ModeValidation, StartupRejectsInitialSpread) {
   EXPECT_NE(rejection(spec).find("initial_spread"), std::string::npos);
 }
 
-TEST(ModeValidation, StartupRejectsCrashAt) {
-  RunSpec spec = startup_spec();
-  spec.crash_at = 25.0;
-  EXPECT_NE(rejection(spec).find("crash_at"), std::string::npos);
-}
-
-TEST(ModeValidation, StartupRejectsWakeAt) {
-  RunSpec spec = startup_spec();
-  spec.wake_at = 95.0;
-  EXPECT_NE(rejection(spec).find("wake_at"), std::string::npos);
-}
-
-TEST(ModeValidation, ReintegrationRejectsStartupHandoff) {
-  RunSpec spec = rejoin_spec();
-  spec.startup_handoff = true;
-  EXPECT_NE(rejection(spec).find("startup_handoff"), std::string::npos);
-}
-
-TEST(ModeValidation, ReintegrationRejectsInitialClockSpread) {
-  RunSpec spec = rejoin_spec();
-  spec.initial_clock_spread = 1.0;
-  EXPECT_NE(rejection(spec).find("initial_clock_spread"), std::string::npos);
-}
-
 TEST(ModeValidation, MaintenanceRejectsStartupHandoff) {
   RunSpec spec = small_spec();
   spec.startup_handoff = true;
@@ -309,34 +274,31 @@ TEST(ModeValidation, MaintenanceRejectsStartupHandoff) {
             std::string::npos);
 }
 
-TEST(ModeValidation, MaintenanceRejectsCrashAt) {
-  RunSpec spec = small_spec();
-  spec.crash_at = 25.0;
-  EXPECT_NE(rejection(spec).find("kMaintenance does not support crash_at"),
+TEST(ModeValidation, RejectsBoundedHistoryWithARejoin) {
+  // RunResult::rejoins reads the retained history bounded observe drops.
+  RunSpec spec = rejoin_spec(25.0, 95.0, 20);
+  spec.observe = true;
+  spec.retain_history = false;
+  EXPECT_NE(rejection(spec).find("retain_history = false does not support a "
+                                 "dynamics rejoin"),
             std::string::npos);
+  // A final leave has nothing to report, so bounded history stays allowed.
+  spec.dynamics = {};
+  spec.dynamics.leave(25.0, 0);
+  EXPECT_EQ(rejection(spec), "");
 }
 
-TEST(ModeValidation, MaintenanceRejectsWakeAt) {
-  RunSpec spec = small_spec();
-  spec.wake_at = 95.0;
-  EXPECT_NE(rejection(spec).find("kMaintenance does not support wake_at"),
-            std::string::npos);
-}
-
-TEST(ModeValidation, ReintegrationRejectsRoundsShortOfTheJoin) {
-  // Six rounds end before the joiner's first full round: this schedule
-  // used to report rejoined = true with a NaN spread.
-  RunSpec spec = rejoin_spec();
-  spec.crash_at = 15.0;
-  spec.wake_at = 60.0;
-  spec.rounds = 6;
-  EXPECT_NE(rejection(spec).find("rounds too few"), std::string::npos);
+TEST(ModeValidation, RejoinShortOfTheHorizonIsNotReported) {
+  // Six rounds end before the joiner's first full round (~70 s): the run
+  // reports no rejoin rather than one with a NaN spread.  Seven reach it.
+  RunSpec spec = rejoin_spec(15.0, 60.0, 6);
+  EXPECT_TRUE(analysis::run(spec).rejoins.empty());
   spec.rounds = 7;
   const RunResult r = analysis::run(spec);
-  ASSERT_TRUE(r.reintegration.has_value());
-  EXPECT_TRUE(r.reintegration->rejoined);
-  EXPECT_FALSE(std::isnan(r.reintegration->spread_with_joiner));
-  EXPECT_LE(r.reintegration->spread_with_joiner, r.reintegration->beta);
+  ASSERT_EQ(r.rejoins.size(), 1u);
+  EXPECT_EQ(r.rejoins[0].pid, 0);
+  EXPECT_FALSE(std::isnan(r.rejoins[0].spread_with_joiner));
+  EXPECT_LE(r.rejoins[0].spread_with_joiner, spec.params.beta);
 }
 
 TEST(Stabilization, AlignedStartIsStableFromTheFirstRound) {
