@@ -74,6 +74,7 @@ inline const char* algo_name(analysis::Algo algo) {
     case analysis::Algo::kMS: return "Mahaney-Schneider";
     case analysis::Algo::kPlainMean: return "plain-mean";
     case analysis::Algo::kHSSD: return "HSSD (signed)";
+    case analysis::Algo::kStartup: return "start-up";
   }
   return "?";
 }
@@ -131,7 +132,8 @@ inline analysis::Algo parse_algo(const std::string& name) {
        {"st", analysis::Algo::kST},
        {"ms", analysis::Algo::kMS},
        {"mean", analysis::Algo::kPlainMean},
-       {"hssd", analysis::Algo::kHSSD}},
+       {"hssd", analysis::Algo::kHSSD},
+       {"startup", analysis::Algo::kStartup}},
       "algo");
 }
 

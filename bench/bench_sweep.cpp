@@ -11,7 +11,8 @@
 //               --algo=wl,st --trials=20 --rounds=12 --out=grid.csv
 //
 // Axis values:
-//   --algo      wl, lm, st, ms, mean, hssd
+//   --algo      wl, lm, st, ms, mean, hssd, startup (Section 9.2, full
+//               mesh only)
 //   --delay     uniform, fast, slow, perlink, split
 //   --drift     none, extremal, piecewise, randomwalk
 //   --fault     none, silent, spam, twofaced, liar   (with --faults=count;

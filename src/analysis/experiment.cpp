@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -62,8 +61,8 @@ std::unique_ptr<clk::DriftModel> build_drift(DriftKind kind,
 }
 
 /// The Welch-Lynch configuration a spec resolves to — shared between
-/// build_algorithm and the churn routing (ChurnProcess wraps the same
-/// algorithm the static processes run).
+/// build_algorithm, the start-up handoff and the churn routing (ChurnProcess
+/// wraps the same algorithm the static processes run).
 core::WelchLynchConfig make_wl_config(const RunSpec& spec) {
   core::WelchLynchConfig config;
   config.params = spec.params;
@@ -100,14 +99,47 @@ proc::ProcessPtr build_algorithm(const RunSpec& spec) {
       return std::make_unique<baselines::PlainMeanProcess>(spec.params);
     case Algo::kHSSD:
       return std::make_unique<baselines::HssdProcess>(spec.params);
+    case Algo::kStartup: {
+      core::StartupConfig config;
+      config.maintenance = make_wl_config(spec);
+      config.handoff_rounds = spec.startup_handoff ? spec.rounds : 0;
+      return std::make_unique<core::StartupProcess>(std::move(config));
+    }
   }
   throw std::logic_error("unknown Algo");
 }
 
-/// The simulator every mode runs on: the spec's SimConfig (with an explicit
+/// The run terms that scale with the algorithm's round length.  A Section
+/// 9.2 start-up round is a READY exchange a few delta long, not a P-long
+/// maintenance round: at the maintenance cadence spam would hit about one
+/// start-up round in 30.
+struct RoundScale {
+  double span;  ///< real time the run simulates past tmax0
+  double spam_period;
+  std::int32_t spam_burst;
+};
+
+RoundScale round_scale(const RunSpec& spec) {
+  const core::Params& p = spec.params;
+  const auto rounds = static_cast<double>(spec.rounds);
+  if (spec.algo == Algo::kStartup) {
+    // Each start-up round takes at most ~2 delta + a few eps plus the READY
+    // exchange; budget generously.
+    const double round_budget =
+        4.0 * (2.0 * p.delta + 8.0 * p.eps) + 6.0 * p.delta;
+    return {(rounds + 2.0) * round_budget +
+                (spec.startup_handoff ? 3.0 * p.P : 0.0) + 1.0,
+            p.delta, 2};
+  }
+  // The configured rounds plus one extra round and measurement slack.
+  return {(rounds + 1.0) * p.P * (1.0 + 2.0 * p.rho) +
+              2.0 * core::derive(p).window + 10.0 * p.delta,
+          p.P / 10.0, 3};
+}
+
+/// The simulator a run executes on: the spec's SimConfig (with an explicit
 /// exchange graph when `topology` is non-null), its delay model and the
-/// round-trace sink.  Draws rng.fork(1) then rng.fork(2), so every mode
-/// consumes the seed's stream identically up to here.
+/// round-trace sink.  Draws rng.fork(1) then rng.fork(2).
 std::unique_ptr<sim::Simulator> make_simulator(const RunSpec& spec,
                                                util::Rng& rng,
                                                RoundTrace& trace,
@@ -158,7 +190,8 @@ class ScopedObserver {
 /// processes plus the joiner: the begin spread of the joiner's first full
 /// round, and the max skew from join + 2P until its next leave (or t_end).
 /// A join whose first full round some id never began — it missed the
-/// horizon — has no spread, so it gets no report.
+/// horizon — has no spread, so it gets no report.  Only churned pids
+/// rejoin: a start-up handoff also records a join, and is not one.
 std::vector<RejoinReport> measure_rejoins(
     const sim::Simulator& sim, const RoundTrace& trace,
     const std::vector<std::int32_t>& honest, const net::DynamicsSpec& dynamics,
@@ -166,12 +199,14 @@ std::vector<RejoinReport> measure_rejoins(
   const auto churn = net::churn_intervals(dynamics);
   std::vector<RejoinReport> reports;
   for (const RoundEvent& join : trace.joins()) {
+    const auto windows = churn.find(join.pid);
+    if (windows == churn.end()) continue;
     std::vector<std::int32_t> ids = honest;
     ids.insert(std::upper_bound(ids.begin(), ids.end(), join.pid), join.pid);
     const double spread = trace.begin_spread(join.round, ids);
     if (std::isnan(spread)) continue;
     double end = t_end;
-    for (const net::ChurnInterval& w : churn.at(join.pid)) {
+    for (const net::ChurnInterval& w : windows->second) {
       if (w.leave > join.real_time) {
         end = std::min(w.leave, t_end);
         break;
@@ -201,16 +236,17 @@ const net::Topology& Experiment::topology() {
 
 void Experiment::build() {
   const core::Params& p = spec_.params;
-  if (spec_.mode != RunMode::kMaintenance) {
+  const bool startup = spec_.algo == Algo::kStartup;
+  if (spec_.startup_handoff && !startup) {
     throw std::invalid_argument(
-        "Experiment: only RunMode::kMaintenance builds a maintenance "
-        "system; dispatch kStartup through analysis::run");
+        "RunSpec: startup_handoff requires Algo::kStartup");
   }
-  const auto reject = [](const char* what) {
+  if (startup && spec_.topology.kind != net::TopologyKind::kFullMesh) {
     throw std::invalid_argument(
-        std::string("RunSpec: mode = kMaintenance does not support ") + what);
-  };
-  if (spec_.startup_handoff) reject("startup_handoff");
+        "RunSpec: Algo::kStartup requires the full-mesh topology "
+        "(StartupProcess waits for n - f READYs, which a sparse neighbourhood "
+        "never delivers; a local quorum rule is not implemented)");
+  }
   const bool dynamic = !spec_.dynamics.empty();
   if (dynamic) {
     if (spec_.algo != Algo::kWelchLynch) {
@@ -257,6 +293,13 @@ void Experiment::build() {
     }
   } else if (spec_.fault != FaultKind::kNone) {
     roster.assign(static_cast<std::size_t>(spec_.fault_count), spec_.fault);
+  }
+  if (startup && std::any_of(roster.begin(), roster.end(), [](FaultKind k) {
+        return k == FaultKind::kTwoFaced || k == FaultKind::kLiar;
+      })) {
+    throw std::invalid_argument(
+        "RunSpec: Algo::kStartup does not support two-faced or liar faults "
+        "(their schedules assume A4's synchronized start)");
   }
   const auto fault_count = static_cast<std::int32_t>(roster.size());
   const std::int32_t honest_count = p.n - fault_count;
@@ -327,9 +370,10 @@ void Experiment::build() {
   if (starts.size() > 1) starts[1] = spread;
 
   util::Rng clock_rng = rng.fork(4);
-  // Self-stabilization workload (Khanchandani–Lenzen overlay): honest
-  // processes start from ARBITRARY logical-clock state — CORR offset
-  // uniform in [0, spread) on top of the aligned value.  The fork is taken
+  // Arbitrary initial state (Section 9.2 start-up's premise, and the
+  // Khanchandani–Lenzen self-stabilization workload): honest processes
+  // start from ARBITRARY logical-clock state — CORR offset uniform in
+  // [0, spread) on top of the aligned value.  The fork is taken
   // only when engaged, so every spread = 0 run draws exactly the
   // historical stream (bit-identity preserved).
   std::optional<util::Rng> arb_rng;
@@ -387,9 +431,10 @@ void Experiment::build() {
                           std::move(clock), 0.0, true, /*start=*/-1.0);
         break;
       case FaultKind::kSpam: {
+        const RoundScale scale = round_scale(spec_);
         proc::SpamAdversary::Config config;
-        config.period = p.P / 10.0;
-        config.burst = 3;
+        config.period = scale.spam_period;
+        config.burst = scale.spam_burst;
         config.tag = core::kTimeTag;
         config.seed = rng.fork(500 + static_cast<std::uint64_t>(id))();
         sim_->add_process(std::make_unique<proc::SpamAdversary>(config),
@@ -478,11 +523,7 @@ void Experiment::build() {
 }
 
 double Experiment::horizon() const {
-  const core::Params& p = spec_.params;
-  const core::Derived d = core::derive(p);
-  return tmax0_ +
-         static_cast<double>(spec_.rounds + 1) * p.P * (1.0 + 2.0 * p.rho) +
-         2.0 * d.window + 10.0 * p.delta;
+  return tmax0_ + round_scale(spec_).span;
 }
 
 ObserveSpec Experiment::make_observe_spec() {
@@ -495,9 +536,10 @@ ObserveSpec Experiment::make_observe_spec() {
   ospec.tmax0 = tmax0_;
   ospec.horizon = horizon();
   // The steady-state anchor the post-hoc path lands on when the run
-  // completes its configured rounds: the horizon affords one extra full
-  // round past spec.rounds, so last_complete_round = rounds + 1 and the
-  // post-hoc midpoint is (rounds + 1) / 2.
+  // completes at least its configured rounds: the maintenance horizon
+  // affords one extra full round past spec.rounds, so last_complete_round
+  // = rounds + 1, and the post-hoc midpoint is capped at (rounds + 1) / 2
+  // for runs that complete more.
   ospec.anchor_round = (spec_.rounds + 1) / 2;
   ospec.max_rounds = spec_.rounds;
   ospec.skew_dt = spec_.observe_dt > 0.0 ? spec_.observe_dt : p.P / 25.0;
@@ -520,13 +562,15 @@ RunResult Experiment::run() {
         "nothing could measure the run)");
   }
   if (!spec_.retain_history &&
-      std::any_of(spec_.dynamics.events.begin(), spec_.dynamics.events.end(),
-                  [](const net::DynamicsEvent& e) {
-                    return e.kind == net::DynamicsKind::kRejoin;
-                  })) {
+      (spec_.startup_handoff ||
+       std::any_of(spec_.dynamics.events.begin(), spec_.dynamics.events.end(),
+                   [](const net::DynamicsEvent& e) {
+                     return e.kind == net::DynamicsKind::kRejoin;
+                   }))) {
     throw std::invalid_argument(
         "RunSpec: retain_history = false does not support a dynamics rejoin "
-        "(RunResult::rejoins reads the retained history)");
+        "or a start-up handoff (RunResult::rejoins and "
+        "StartupResult::post_handoff_skew read the retained history)");
   }
 
   RunResult result;
@@ -707,10 +751,15 @@ RunResult Experiment::run() {
     result.validity = streamed.validity;
     result.observe = streamed.stats;
   } else {
-    // Steady-state agreement: sample from the midpoint round onward.
+    // Steady-state agreement: sample from the midpoint round onward.  The
+    // midpoint is capped at the streaming anchor, (rounds + 1) / 2, so runs
+    // that complete more rounds than the horizon budgets for (start-up
+    // completes several per configured one) measure the same window
+    // either way.
     double t_steady = tmax0_ + d.window;
     if (last_round >= 0) {
-      const auto mid_times = trace_.begin_times(last_round / 2, honest_);
+      const auto mid_times = trace_.begin_times(
+          std::min(last_round, spec_.rounds + 1) / 2, honest_);
       if (!mid_times.empty()) {
         t_steady = *std::max_element(mid_times.begin(), mid_times.end());
       }
@@ -741,197 +790,33 @@ RunResult Experiment::run() {
     result.rejoins = measure_rejoins(*sim_, trace_, honest_, spec_.dynamics,
                                      p.P, result.t_end);
   }
+  if (spec_.algo == Algo::kStartup) {
+    StartupResult& startup = result.startup.emplace();
+    if (spec_.startup_handoff) {
+      startup.handoff_done =
+          std::all_of(honest_.begin(), honest_.end(), [this](std::int32_t id) {
+            return dynamic_cast<const core::StartupProcess&>(
+                       sim_->process(id))
+                .handed_off();
+          });
+      if (startup.handoff_done) {
+        startup.post_handoff_skew =
+            skew_series(*sim_, honest_, result.t_end - p.P, result.t_end,
+                        p.P / 25.0)
+                .max_skew;
+      }
+    }
+  }
   result.diverged = !(result.gamma_measured <
                       std::max(100.0 * d.gamma, 1.0)) ||
                     result.completed_rounds < spec_.rounds / 2;
   return result;
 }
 
-// ------------------------------------------------------------- start-up ---
-
-namespace {
-
-StartupResult run_startup_impl(const RunSpec& spec, ObserveStats& observe) {
-  const core::Params& p = spec.params;
-  util::Rng rng(spec.seed);
-  RoundTrace trace;
-  const std::unique_ptr<sim::Simulator> owned =
-      make_simulator(spec, rng, trace, nullptr);
-  sim::Simulator& sim = *owned;
-
-  const std::int32_t fault_count =
-      spec.fault == FaultKind::kNone ? 0 : spec.fault_count;
-  const std::int32_t honest_count = p.n - fault_count;
-  std::vector<std::int32_t> honest;
-
-  util::Rng clock_rng = rng.fork(4);
-  for (std::int32_t id = 0; id < p.n; ++id) {
-    const bool faulty = id >= honest_count;
-    auto clock = std::make_unique<clk::PhysicalClock>(
-        build_drift(spec.drift, p, spec.drift_period, id, clock_rng),
-        clock_rng.uniform(0.0, 100.0), p.rho);
-    if (!faulty) {
-      core::StartupConfig config;
-      config.params = p;
-      config.handoff_rounds = spec.startup_handoff ? spec.rounds : 0;
-      // Clocks are NOT initially synchronized: CORR is arbitrary.
-      const double corr0 =
-          clock_rng.uniform(0.0, spec.initial_clock_spread) - clock->now(0.0);
-      honest.push_back(id);
-      sim.add_process(std::make_unique<core::StartupProcess>(config),
-                      std::move(clock), corr0, false,
-                      /*start=*/clock_rng.uniform(0.0, p.delta));
-    } else if (spec.fault == FaultKind::kSilent) {
-      sim.add_process(std::make_unique<proc::SilentAdversary>(),
-                      std::move(clock), 0.0, true, -1.0);
-    } else {  // kSpam (run() rejects every other fault kind here)
-      proc::SpamAdversary::Config config;
-      config.period = p.delta;
-      config.burst = 2;
-      config.tag = core::kTimeTag;
-      config.seed = rng.fork(600 + static_cast<std::uint64_t>(id))();
-      sim.add_process(std::make_unique<proc::SpamAdversary>(config),
-                      std::move(clock), 0.0, true, 0.0);
-    }
-  }
-
-  // Each start-up round takes at most ~2 delta + a few eps plus the READY
-  // exchange; budget generously.
-  const double round_budget = 4.0 * (2.0 * p.delta + 8.0 * p.eps) + 6.0 * p.delta;
-  const double horizon =
-      static_cast<double>(spec.rounds + 2) * round_budget +
-      (spec.startup_handoff ? 3.0 * p.P : 0.0) + 1.0;
-
-  // Streaming mode: only the round-boundary stream is consumed (it feeds
-  // b_series below).  The anchor round sits past anything the run can
-  // complete, so the skew grid collapses to finalize's endpoint sample,
-  // and the validity window opens past the horizon so it never samples.
-  ScopedObserver observer;
-  if (spec.observe) {
-    ObserveSpec ospec;
-    ospec.ids = honest;
-    ospec.params = p;
-    ospec.horizon = horizon;
-    ospec.anchor_round = std::numeric_limits<std::int32_t>::max();
-    ospec.max_rounds = spec.rounds;
-    ospec.skew_dt = round_budget;
-    ospec.validity_dt = round_budget;
-    ospec.validity_t0 = horizon + 1.0;
-    ospec.skew_hist_max = 1.0;
-    observer.attach(sim, std::move(ospec));
-  }
-
-  sim.run_until(horizon);
-
-  StreamingSummary streamed;
-  if (observer) {
-    streamed = observer->finalize(sim.current_time());
-    observe = streamed.stats;
-  }
-
-  StartupResult result;
-  result.round_slack = core::startup_round_slack(p.rho, p.delta, p.eps);
-  result.limit = core::startup_limit(p.rho, p.delta, p.eps);
-
-  // Per-round closing skews B(r), evaluated at each round's last honest
-  // begin — from the streaming round-boundary accumulator in observe mode,
-  // from the post-hoc scan otherwise.  Identical doubles either way (the
-  // observer's eval_round_skew folds the same walkers in the same id order
-  // at the same instant; pinned by tests/startup_test.cpp).
-  const std::int32_t last = trace.last_complete_round(honest);
-  for (std::int32_t r = 0; r <= last && r < spec.rounds; ++r) {
-    const auto times = trace.begin_times(r, honest);
-    if (times.empty()) break;
-    if (observer) {
-      const auto idx = static_cast<std::size_t>(r);
-      if (idx >= streamed.skew_at_round.size() ||
-          std::isnan(streamed.skew_at_round[idx])) {
-        // Both consumers read the same kRoundBegin annotations; a round the
-        // trace completed but the observer never saw means they
-        // desynchronized — fail loudly rather than fabricate a measurement.
-        throw std::logic_error(
-            "kStartup: streaming observer missed a round the trace "
-            "completed (round " + std::to_string(r) + ")");
-      }
-      result.b_series.push_back(streamed.skew_at_round[idx]);
-    } else {
-      const double at = *std::max_element(times.begin(), times.end());
-      result.b_series.push_back(skew_at(sim, honest, at));
-    }
-  }
-  result.final_b = result.b_series.empty() ? 1e300 : result.b_series.back();
-
-  if (spec.startup_handoff) {
-    bool all = true;
-    for (std::int32_t id : honest) {
-      auto& process = dynamic_cast<core::StartupProcess&>(sim.process(id));
-      all = all && process.handed_off();
-    }
-    result.handoff_done = all;
-    if (all) {
-      result.post_handoff_skew =
-          skew_series(sim, honest, sim.current_time() - p.P, sim.current_time(),
-                      p.P / 25.0)
-              .max_skew;
-    }
-  }
-  return result;
-}
-
-/// The knobs the start-up body cannot honour, rejected by name instead of
-/// silently ignored.
-void reject_unsupported(const RunSpec& spec) {
-  const auto reject = [](const char* what) {
-    throw std::invalid_argument(
-        std::string("RunSpec: mode = kStartup does not support ") + what);
-  };
-  if (!spec.fault_mix.empty()) reject("fault_mix");
-  if (spec.placement != proc::PlacementKind::kTrailing) reject("placement");
-  if (!spec.placement_ids.empty()) reject("placement_ids");
-  if (!spec.dynamics.empty()) reject("dynamics");
-  if (spec.nic.has_value()) reject("nic");
-  if (spec.topology.kind != net::TopologyKind::kFullMesh) {
-    reject("a non-mesh topology");
-  }
-  if (spec.algo != Algo::kWelchLynch) reject("algo != kWelchLynch");
-  if (spec.averaging != core::Averaging::kMidpoint) reject("averaging");
-  if (spec.k_exchanges != 1) reject("k_exchanges");
-  if (spec.stagger != 0.0) reject("stagger");
-  if (spec.amortize != 0.0) reject("amortize");
-  if (spec.measure_gradient) reject("measure_gradient");
-  if (spec.stabilize_threshold != 0.0) reject("stabilize_threshold");
-  if (spec.engine == EngineMode::kFastpath ||
-      spec.engine == EngineMode::kPdes) {
-    reject("engine = kFastpath / kPdes");
-  }
-  // The start-up body observes on fixed grids and never truncates history.
-  if (!spec.retain_history) reject("retain_history = false");
-  if (spec.observe_dt != 0.0) reject("observe_dt");
-  if (spec.fault == FaultKind::kTwoFaced || spec.fault == FaultKind::kLiar) {
-    reject("two-faced or liar faults (only kSilent / kSpam)");
-  }
-  // Start-up STARTs are uniform(0, delta).
-  if (spec.initial_spread >= 0.0) reject("initial_spread");
-}
-
-}  // namespace
-
-// ---------------------------------------------------- unified entry point ---
-
 RunResult run(const RunSpec& spec) {
   const auto wall_start = std::chrono::steady_clock::now();
-  RunResult result;
-  switch (spec.mode) {
-    case RunMode::kMaintenance: {
-      Experiment experiment(spec);
-      result = experiment.run();
-      break;
-    }
-    case RunMode::kStartup:
-      reject_unsupported(spec);
-      result.startup = run_startup_impl(spec, result.observe);
-      break;
-  }
+  Experiment experiment(spec);
+  RunResult result = experiment.run();
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)

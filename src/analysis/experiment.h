@@ -38,6 +38,10 @@ enum class Algo : std::uint8_t {
   kPlainMean = 4,    ///< unguarded mean (ablation)
   kHSSD = 5,         ///< Halpern-Simons-Strong-Dolev (signatures; only
                      ///< omission faults are meaningful — see hssd.h)
+  /// Section 9.2 start-up (core/startup.h): rounds of clock values and
+  /// READYs from arbitrary clock state, optionally handing off to
+  /// Section 4.2 maintenance; fills RunResult::startup.
+  kStartup = 6,
 };
 
 enum class FaultKind : std::uint8_t {
@@ -80,14 +84,6 @@ enum class EngineMode : std::uint8_t {
   /// Require the conservative PDES engine (engine/pdes.h); throws if the
   /// spec is ineligible.  Bit-identical to kEvent like the other engines.
   kPdes = 3,
-};
-
-/// Which experiment family run() executes for a RunSpec.  A Section 9.1
-/// rejoin is a kMaintenance run with a leave/rejoin schedule
-/// (ScenarioSpec::dynamics); RunResult::rejoins reports it.
-enum class RunMode : std::uint8_t {
-  kMaintenance = 0,  ///< Section 4.2 steady state (Experiment::run)
-  kStartup = 1,      ///< Section 9.2 start-up; fills RunResult::startup
 };
 
 /// The scenario-facing slice of a RunSpec: WHO misbehaves, WHERE they sit,
@@ -157,22 +153,17 @@ struct RunSpec : ScenarioSpec {
   [[nodiscard]] ScenarioSpec& scenario() noexcept { return *this; }
   [[nodiscard]] const ScenarioSpec& scenario() const noexcept { return *this; }
 
-  /// Which experiment family run() executes.  kStartup reads
-  /// startup_handoff / initial_clock_spread, params, rounds, seed, delay,
-  /// drift, drift_period, observe, fault and fault_count, and fills
-  /// RunResult::startup; run() rejects, by name, each other knob it cannot
-  /// honour.  Experiment itself accepts only kMaintenance, and rejects
-  /// startup_handoff there.
-  RunMode mode = RunMode::kMaintenance;
-  /// kStartup: switch to maintenance after `rounds`.
+  /// Algo::kStartup's one algorithm knob: after `rounds` start-up rounds,
+  /// hand off to the Section 4.2 maintenance algorithm, which the
+  /// averaging / k_exchanges / stagger / amortize knobs configure.  build()
+  /// rejects it under any other algo.
   bool startup_handoff = false;
-  /// kStartup: initial local-time disagreement (clock values are
-  /// "arbitrary"; the Section 9.2 runs use 1.0).  kMaintenance: > 0
-  /// engages the Khanchandani–Lenzen-style self-stabilization workload —
-  /// every honest process additionally starts with CORR offset uniform in
-  /// [0, spread), i.e. from arbitrary logical-clock state — and run()
-  /// measures RunResult::stabilized_round / stabilization_time.  0
-  /// (default) is the historical aligned start.
+  /// > 0 starts every honest process from arbitrary logical-clock state:
+  /// CORR offset uniform in [0, spread) on top of the aligned value.  The
+  /// Section 9.2 start-up runs use 1.0-5.0; under kWelchLynch it is the
+  /// Khanchandani–Lenzen-style self-stabilization workload, measured by
+  /// RunResult::stabilized_round / stabilization_time.  0 (default) is the
+  /// historical aligned start.
   double initial_clock_spread = 0.0;
   /// Stabilization threshold for the arbitrary-initial-state workload:
   /// the run counts as stabilized from the first round whose entire skew
@@ -238,8 +229,8 @@ struct RunSpec : ScenarioSpec {
   /// run progresses.  Measured results are bit-identical to the retained
   /// observe run (pinned by tests/observer_test.cpp); post-hoc probes on
   /// the simulator afterwards are no longer possible — so a dynamics
-  /// rejoin, whose RunResult::rejoins report reads that history, rejects
-  /// it.
+  /// rejoin and a start-up handoff, whose RunResult::rejoins and
+  /// StartupResult::post_handoff_skew read that history, reject it.
   bool retain_history = true;
   /// Skew/gradient sample step for observe mode; 0 = P/25, the post-hoc
   /// grid.  Coarser steps make very long windows cheaper to observe.
@@ -252,19 +243,18 @@ struct RunSpec : ScenarioSpec {
 };
 
 // ------------------------------------------------------------------------
-// Mode payloads of run().  Declared before RunResult, which embeds them
+// Payloads of run().  Declared before RunResult, which embeds them
 // (std::optional needs the complete type).
 
-/// RunMode::kStartup (Section 9.2).
+/// What an Algo::kStartup run measures beyond the shared fields.  Its
+/// Lemma 20 series B^i is RunPhysics::skew_at_round: the skew at round i's
+/// last honest begin.
 struct StartupResult {
-  /// B^i: max difference between nonfaulty clock values at the latest real
-  /// time a nonfaulty process begins round i (Lemma 20's quantity).
-  std::vector<double> b_series;
-  double round_slack = 0.0;  ///< 2 eps + 2 rho (11 delta + 39 eps)
-  double limit = 0.0;        ///< 2 * round_slack
-  double final_b = 0.0;
+  /// Every honest process switched to maintenance (RunSpec::startup_handoff).
   bool handoff_done = false;
-  double post_handoff_skew = 0.0;  ///< steady skew under maintenance
+  /// Max skew over the last P of the run, under maintenance; 0 unless
+  /// handoff_done.
+  double post_handoff_skew = 0.0;
 
   bool operator==(const StartupResult&) const = default;
 };
@@ -313,13 +303,12 @@ struct RunPhysics {
   double tmax0 = 0.0;
   double t_end = 0.0;
   std::int32_t completed_rounds = 0;
-  /// Self-stabilization measurement (RunSpec::initial_clock_spread > 0 in
-  /// kMaintenance mode, but computed for every maintenance run): the first
-  /// round index whose ENTIRE skew_at_round suffix stays within the
-  /// stabilization threshold (RunSpec::stabilize_threshold; default
-  /// 2 * gamma_bound), and the real time of that round's last honest begin
-  /// minus tmax0.  -1 when the run never stabilizes (or completed no
-  /// rounds).
+  /// Self-stabilization measurement (RunSpec::initial_clock_spread > 0, but
+  /// computed for every run): the first round index whose ENTIRE
+  /// skew_at_round suffix stays within the stabilization threshold
+  /// (RunSpec::stabilize_threshold; default 2 * gamma_bound), and the real
+  /// time of that round's last honest begin minus tmax0.  -1 when the run
+  /// never stabilizes (or completed no rounds).
   std::int32_t stabilized_round = -1;
   double stabilization_time = -1.0;
   /// Scenario events the simulator applied (sim::Simulator::
@@ -329,7 +318,7 @@ struct RunPhysics {
   /// Every churn rejoin whose first full round began before the horizon,
   /// in join order; empty on runs without a dynamics rejoin.
   std::vector<RejoinReport> rejoins;
-  /// Engaged exactly when RunSpec::mode is kStartup.
+  /// Engaged exactly when RunSpec::algo is kStartup.
   std::optional<StartupResult> startup;
 
   bool operator==(const RunPhysics&) const = default;
@@ -342,8 +331,8 @@ struct RunPhysics {
 /// straight to RunResult then always grows it (see the static_assert
 /// below).
 struct RunTelemetry {
-  /// Wall-clock seconds this trial took (run() measures it for every mode;
-  /// the ParallelRunner streams it to sweep CSVs).
+  /// Wall-clock seconds this trial took (run() measures it; the
+  /// ParallelRunner streams it to sweep CSVs).
   double wall_seconds = 0.0;
   /// Wall-clock seconds of the engine span alone: the fastpath / PDES /
   /// event-loop execution between setup (topology, simulator, partition)
@@ -352,8 +341,8 @@ struct RunTelemetry {
   /// per-spec costs every engine pays identically, which dilutes any
   /// speedup toward 1.
   double engine_seconds = 0.0;
-  /// Streaming-observation telemetry of every mode (all defaults when
-  /// RunSpec::observe is off).
+  /// Streaming-observation telemetry (all defaults when RunSpec::observe is
+  /// off).
   ObserveStats observe;
   /// Round-fast-path telemetry (core/fastpath.h).
   bool fastpath_engaged = false;
@@ -416,8 +405,9 @@ class Experiment {
   [[nodiscard]] RunResult run();
 
   [[nodiscard]] sim::Simulator& simulator() noexcept { return *sim_; }
-  /// The real-time horizon run() simulates to (the A4 schedule plus one
-  /// extra round and measurement slack).
+  /// The real-time horizon run() simulates to: tmax0 plus the configured
+  /// rounds, one extra round and measurement slack, at the algorithm's
+  /// round length (a start-up round is a few delta, not P).
   [[nodiscard]] double horizon() const;
   /// The ObserveSpec run() attaches when RunSpec::observe is set — exposed
   /// so external harnesses (bench_micro --smoke) gate the exact
@@ -446,20 +436,13 @@ class Experiment {
   double tmax0_ = 0.0;
 };
 
-/// THE experiment entry point: dispatches on RunSpec::mode.
-///   kMaintenance — Experiment::run (plus the stabilization measurement
-///                  when initial_clock_spread > 0, and RunResult::rejoins
-///                  when the dynamics schedule rejoins a process);
-///   kStartup     — the Section 9.2 start-up experiment; the result lands
-///                  in RunResult::startup.
-/// kStartup throws std::invalid_argument, naming the field, for any knob it
-/// would otherwise silently ignore: fault_mix, placement, placement_ids,
-/// dynamics, nic, a non-mesh topology, algo != kWelchLynch, averaging,
-/// k_exchanges, stagger, amortize, measure_gradient, stabilize_threshold,
-/// retain_history, observe_dt and initial_spread off their defaults,
-/// engine = kFastpath / kPdes, and a two-faced or liar fault.  wall_seconds
-/// is measured here, and RunResult::observe filled when RunSpec::observe is
-/// set, for every mode.
+/// THE experiment entry point: builds an Experiment for `spec`, runs it and
+/// measures wall_seconds.  Every algorithm, Section 9.2 start-up included,
+/// shares the one build and measurement path; RunResult::rejoins reports a
+/// dynamics rejoin and RunResult::startup an Algo::kStartup run.  A spec
+/// the build cannot honour throws std::invalid_argument naming the knob;
+/// a forced engine (kFastpath / kPdes) that refuses the spec throws its
+/// ineligible_reason.
 [[nodiscard]] RunResult run(const RunSpec& spec);
 
 }  // namespace wlsync::analysis

@@ -260,14 +260,12 @@ void StreamingObserver::on_round_begin(std::int32_t pid, std::int32_t round,
     pending_round_ = round;
     pending_instant_ = t;
   } else {
-    // Begin for an earlier round number — a regime change restarted the
-    // numbering (the startup handoff resumes maintenance at its own round
-    // index) or a straggler landed after its round flushed.  The pending
-    // round must be evaluated first: its instant precedes this one, and
-    // the round walkers only move forward.  Then re-evaluate the earlier
-    // round at the new (chronologically later, hence larger) instant —
-    // the post-hoc loop evaluates at the max begin over ALL begins that
-    // carry the round number, whichever regime produced them.
+    // Begin for an earlier round number — a straggler landed after its
+    // round flushed.  The pending round must be evaluated first: its
+    // instant precedes this one, and the round walkers only move forward.
+    // Then re-evaluate the earlier round at the new (chronologically
+    // later, hence larger) instant — the post-hoc loop evaluates at the
+    // max begin over ALL begins that carry the round number.
     if (pending_round_ >= 0) {
       eval_round_skew(pending_round_, pending_instant_);
       pending_round_ = -1;

@@ -12,11 +12,12 @@ constexpr std::int32_t kVTimer = 12;
 }  // namespace
 
 StartupProcess::StartupProcess(StartupConfig config) : config_(std::move(config)) {
-  diff_.assign(static_cast<std::size_t>(config_.params.n), kNeverArrived);
+  diff_.assign(static_cast<std::size_t>(config_.maintenance.params.n),
+               kNeverArrived);
 }
 
 void StartupProcess::begin_round(proc::Context& ctx) {
-  const Params& p = config_.params;
+  const Params& p = config_.maintenance.params;
   // begin-round macro of Section 9.2.
   t_ = ctx.local_time();
   ctx.annotate({proc::Annotation::Type::kRoundBegin, round_, t_, 0.0});
@@ -40,7 +41,7 @@ void StartupProcess::on_message(proc::Context& ctx, const sim::Message& m) {
   if (m.tag == kTimeTag) {
     // receive(T) from q.
     diff_[static_cast<std::size_t>(m.from)] =
-        m.value + config_.params.delta - ctx.local_time();
+        m.value + config_.maintenance.params.delta - ctx.local_time();
     if (asleep_) {
       asleep_ = false;
       begin_round(ctx);
@@ -52,7 +53,7 @@ void StartupProcess::on_message(proc::Context& ctx, const sim::Message& m) {
 
 void StartupProcess::on_timer(proc::Context& ctx, std::int32_t tag) {
   if (wl_) return wl_->on_timer(ctx, tag);
-  const Params& p = config_.params;
+  const Params& p = config_.maintenance.params;
   // The Section 9.2 clusters are guarded by "local-time() = U" (resp. V):
   // a timer left over from a round that ended early fires at a stale value
   // and must match no cluster.  Timers fire exactly at their set logical
@@ -82,7 +83,7 @@ void StartupProcess::on_timer(proc::Context& ctx, std::int32_t tag) {
 }
 
 void StartupProcess::on_ready(proc::Context& ctx, std::int32_t from) {
-  const Params& p = config_.params;
+  const Params& p = config_.maintenance.params;
   rcvd_ready_.insert(from);
   const auto count = static_cast<std::int32_t>(rcvd_ready_.size());
   if (count == p.f + 1 && v_ >= 0.0 && ctx.local_time() < v_ && !early_end_) {
@@ -110,15 +111,16 @@ void StartupProcess::handoff(proc::Context& ctx) {
   // Concretized [Lu1] switch: pick the first maintenance label at least half
   // a round ahead.  Post-startup spread (~4 eps) is far below P/2, so all
   // nonfaulty processes compute the same label.
-  const Params& p = config_.params;
+  const Params& p = config_.maintenance.params;
   const double now = ctx.local_time();
   const double steps = std::ceil((now + 0.5 * p.P - p.T0) / p.P);
   const double label = p.T0 + steps * p.P;
-  const auto round_index = static_cast<std::int32_t>(steps);
-  WelchLynchConfig wl_config;
-  wl_config.params = p;
-  wl_ = std::make_unique<WelchLynchProcess>(wl_config);
-  wl_->resume(ctx, label, round_index);
+  // Maintenance rounds are numbered on from round_, not by grid index:
+  // the grid index restarts near 1 when T0 = 0, and its begins would
+  // overwrite start-up rounds 1, 2, ... in the round trace.  WL reads its
+  // round number only to annotate, so the physics are the same.
+  wl_ = std::make_unique<WelchLynchProcess>(config_.maintenance);
+  wl_->resume(ctx, label, round_);
   ctx.annotate({proc::Annotation::Type::kJoined, round_, label, 0.0});
 }
 

@@ -17,7 +17,8 @@
 // An optional handoff switches to the maintenance algorithm after
 // `handoff_rounds` rounds: the process picks the first label T on the
 // maintenance grid (T0 + iP) at least half a round ahead of its local time
-// and schedules a WelchLynchProcess to resume there.  With the spread
+// and schedules a WelchLynchProcess to resume there, numbering its rounds on
+// from the start-up's own.  With the spread
 // already down to ~4 eps << P, every nonfaulty process picks the same label
 // (the [Lu1] switch protocol, concretized).
 
@@ -35,7 +36,10 @@ namespace wlsync::core {
 inline constexpr std::int32_t kReadyTag = 2;
 
 struct StartupConfig {
-  Params params;             ///< n, f, rho, delta, eps (beta/P used on handoff)
+  /// The maintenance algorithm the handoff resumes.  Its params (n, f, rho,
+  /// delta, eps) also drive the start-up rounds; beta and P matter only
+  /// after the handoff.
+  WelchLynchConfig maintenance;
   std::int32_t handoff_rounds = 0;  ///< 0 = run the start-up algorithm forever
 };
 

@@ -46,11 +46,6 @@ std::int32_t last_measured_round(const std::vector<double>& skews) {
 }  // namespace
 
 AdversaryEnv::AdversaryEnv(Config config) : config_(std::move(config)) {
-  if (config_.spec.mode != analysis::RunMode::kMaintenance) {
-    throw std::invalid_argument(
-        "AdversaryEnv: only kMaintenance scenarios have a round loop to "
-        "adapt against");
-  }
   if (!has_twofaced(config_.spec)) {
     throw std::invalid_argument(
         "AdversaryEnv: the spec has no two-faced adversary to re-tune");

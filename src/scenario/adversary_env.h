@@ -53,8 +53,8 @@ struct AdversaryObservation {
 class AdversaryEnv {
  public:
   struct Config {
-    /// The scenario under attack.  Must be kMaintenance with at least one
-    /// kTwoFaced fault; the env drives the reference event engine directly
+    /// The scenario under attack.  Must have at least one kTwoFaced
+    /// fault; the env drives the reference event engine directly
     /// (the fast path batches whole rounds and never yields mid-episode).
     analysis::RunSpec spec;
     /// Rounds to run before the first step() (lets the system settle so

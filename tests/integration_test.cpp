@@ -14,7 +14,7 @@ core::Params standard(std::int32_t n, std::int32_t f) {
 
 TEST(Integration, ColdStartToMaintenanceUnderFaults) {
   RunSpec spec;
-  spec.mode = RunMode::kStartup;
+  spec.algo = Algo::kStartup;
   spec.params = standard(7, 2);
   spec.rounds = 12;
   spec.startup_handoff = true;

@@ -29,7 +29,7 @@ RunSpec cheap_spec() {
 
 RunSpec startup_spec(std::uint64_t seed) {
   RunSpec spec;
-  spec.mode = RunMode::kStartup;
+  spec.algo = Algo::kStartup;
   spec.params = core::make_params(5, 1, 1e-5, 0.01, 1e-3, 10.0);
   spec.rounds = 12;
   spec.initial_clock_spread = 1.0;
@@ -61,8 +61,8 @@ TEST(ParallelRunner, MatchesSerialBitForBit) {
 }
 
 TEST(ParallelRunner, IdentityComparesModePayloads) {
-  // The flat maintenance fields stay at their defaults in start-up mode,
-  // so only the payload physics can tell two such runs apart.
+  // Start-up and rejoin runs carry a payload beside the shared fields;
+  // identity must separate seeds of each and the two kinds of run.
   const RunResult startup = run(startup_spec(1));
   EXPECT_TRUE(results_identical(startup, run(startup_spec(1))));
   EXPECT_FALSE(results_identical(startup, run(startup_spec(2))));
@@ -158,10 +158,6 @@ TEST(ParallelRunner, IdentitySeesEveryPhysicsFieldAndNoTelemetry) {
       PHYSICS_FIELD(rejoins),
   };
   const std::vector<Perturbation> startup = {
-      PHYSICS_FIELD(startup->b_series),
-      PHYSICS_FIELD(startup->round_slack),
-      PHYSICS_FIELD(startup->limit),
-      PHYSICS_FIELD(startup->final_b),
       PHYSICS_FIELD(startup->handoff_done),
       PHYSICS_FIELD(startup->post_handoff_skew),
   };

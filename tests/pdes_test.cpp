@@ -82,6 +82,18 @@ TEST(PdesPin, Topologies) {
   expect_pdes_identical(expander_spec(24, 7), "WL on k-regular expander");
 }
 
+TEST(PdesPin, Startup) {
+  // Section 9.2 start-up from arbitrary clock state: a different process
+  // class with its own READY exchange, built like every other algorithm.
+  RunSpec startup = base_spec(7, 2);
+  startup.algo = Algo::kStartup;
+  startup.initial_clock_spread = 1.0;
+  expect_pdes_identical(startup, "start-up");
+  startup.fault = FaultKind::kSilent;
+  startup.fault_count = 2;
+  expect_pdes_identical(startup, "start-up, 2 silent faults");
+}
+
 TEST(PdesPin, DelayModels) {
   // Each model contributes a different conservative lookahead floor
   // (delta - eps for the stochastic ones, the exact value for the extremal

@@ -1,13 +1,16 @@
 // Pins for the composable scenario API:
 //   - ScenarioSpec is the RunSpec's base subobject (aliasing, not a copy);
-//   - analysis::run() dispatches on RunSpec::mode, and the start-up mode
-//     rejects every knob it cannot honour by name;
+//   - analysis::run() builds every algorithm, Section 9.2 start-up
+//     included, through one path: start-up honours the shared knobs and
+//     build() rejects by name the few it cannot;
 //   - the arbitrary-initial-state (self-stabilization) workload measures a
 //     deterministic stabilization round / time;
 //   - the adaptive-adversary env reproduces bit for bit under the same
 //     action sequence, and different actions change the physics.
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -87,11 +90,12 @@ TEST(UnifiedRun, MaintenanceModeIsDeterministicWithoutPayloads) {
 }
 
 // ------------------------------------------------------------------------
-// kStartup rejects what its body would ignore.
+// Start-up is one more algorithm: it honours the shared knobs, and build()
+// rejects by name the few combinations it cannot run.
 
 RunSpec startup_spec() {
   RunSpec spec;
-  spec.mode = analysis::RunMode::kStartup;
+  spec.algo = analysis::Algo::kStartup;
   spec.params = core::make_params(7, 2, 1e-5, 0.01, 1e-3, 10.0);
   spec.rounds = 12;
   spec.initial_clock_spread = 1.0;
@@ -120,13 +124,13 @@ std::string rejection(const RunSpec& spec) {
 }
 
 /// Applies `mutate` to a valid start-up spec and expects run() to reject
-/// it, naming `field`.
+/// it with a message containing `message`.
 template <typename Mutate>
-void expect_startup_rejects(Mutate mutate, const std::string& field) {
+void expect_startup_rejects(Mutate mutate, const std::string& message) {
   RunSpec spec = startup_spec();
   mutate(spec);
-  EXPECT_NE(rejection(spec).find(field), std::string::npos)
-      << "\"" << rejection(spec) << "\" does not name " << field;
+  EXPECT_NE(rejection(spec).find(message), std::string::npos)
+      << "\"" << rejection(spec) << "\" does not contain " << message;
 }
 
 TEST(ModeValidation, BaseSpecsRun) {
@@ -138,31 +142,9 @@ TEST(ModeValidation, BaseSpecsRun) {
   EXPECT_EQ(rejection(spam), "");
 }
 
-TEST(ModeValidation, RejectsFaultMix) {
-  expect_startup_rejects(
-      [](RunSpec& s) { s.fault_mix = {{analysis::FaultKind::kSilent, 1}}; },
-      "fault_mix");
-}
-
-TEST(ModeValidation, RejectsPlacement) {
-  expect_startup_rejects(
-      [](RunSpec& s) { s.placement = proc::PlacementKind::kRandom; },
-      "placement");
-}
-
-TEST(ModeValidation, RejectsPlacementIds) {
-  expect_startup_rejects([](RunSpec& s) { s.placement_ids = {0}; },
-                           "placement_ids");
-}
-
 TEST(ModeValidation, RejectsDynamics) {
   expect_startup_rejects([](RunSpec& s) { s.dynamics.fail_link(5.0, 0, 1); },
-                           "dynamics");
-}
-
-TEST(ModeValidation, RejectsNic) {
-  expect_startup_rejects([](RunSpec& s) { s.nic = sim::NicConfig{}; },
-                           "nic");
+                         "dynamics schedules require Algo::kWelchLynch");
 }
 
 TEST(ModeValidation, RejectsNonMeshTopology) {
@@ -171,44 +153,105 @@ TEST(ModeValidation, RejectsNonMeshTopology) {
         s.topology.kind = net::TopologyKind::kKRegular;
         s.topology.degree = 2;
       },
-      "topology");
+      "Algo::kStartup requires the full-mesh topology");
 }
 
-TEST(ModeValidation, RejectsNonWelchLynchAlgo) {
-  expect_startup_rejects([](RunSpec& s) { s.algo = analysis::Algo::kLM; },
-                           "algo");
-}
+TEST(ModeValidation, StartupHonoursSharedKnobs) {
+  // Each row sets one knob on a start-up spec and checks that it reaches
+  // the result.  The algorithm knobs configure the maintenance algorithm
+  // the handoff resumes, so those rows must leave the start-up rounds
+  // before the switch untouched.  Two silent faults make every honest
+  // READY count, so no straggler misses the handoff.
+  using analysis::FaultKind;
+  RunSpec base = startup_spec();
+  base.startup_handoff = true;
+  base.fault = FaultKind::kSilent;
+  base.fault_count = 2;
+  const RunResult plain = analysis::run(base);
+  ASSERT_TRUE(plain.startup->handoff_done);
+  RunSpec observed_spec = base;
+  observed_spec.observe = true;
+  const RunResult observed = analysis::run(observed_spec);
+  const auto same_startup_rounds = [&](auto&, const RunResult& r) {
+    const auto before = static_cast<std::size_t>(base.rounds - 1);
+    return r.startup->handoff_done && r.skew_at_round.size() >= before &&
+           std::equal(r.skew_at_round.begin(),
+                      r.skew_at_round.begin() +
+                          static_cast<std::ptrdiff_t>(before),
+                      plain.skew_at_round.begin()) &&
+           !analysis::results_identical(r, plain);
+  };
 
-// The six algorithm and measurement knobs below used to run silently with
-// results identical to the base spec.
-
-TEST(ModeValidation, RejectsAveraging) {
-  expect_startup_rejects(
-      [](RunSpec& s) { s.averaging = core::Averaging::kReducedMean; },
-      "averaging");
-}
-
-TEST(ModeValidation, RejectsKExchanges) {
-  expect_startup_rejects([](RunSpec& s) { s.k_exchanges = 2; },
-                           "k_exchanges");
-}
-
-TEST(ModeValidation, RejectsStagger) {
-  expect_startup_rejects([](RunSpec& s) { s.stagger = 0.05; }, "stagger");
-}
-
-TEST(ModeValidation, RejectsAmortize) {
-  expect_startup_rejects([](RunSpec& s) { s.amortize = 0.5; }, "amortize");
-}
-
-TEST(ModeValidation, RejectsMeasureGradient) {
-  expect_startup_rejects([](RunSpec& s) { s.measure_gradient = true; },
-                           "measure_gradient");
-}
-
-TEST(ModeValidation, RejectsStabilizeThreshold) {
-  expect_startup_rejects([](RunSpec& s) { s.stabilize_threshold = 1.0; },
-                           "stabilize_threshold");
+  struct Row {
+    const char* knob;
+    std::function<void(RunSpec&)> set;
+    std::function<bool(analysis::Experiment&, const RunResult&)> reached;
+  };
+  const std::vector<Row> rows = {
+      {"fault_mix",
+       [](RunSpec& s) {
+         s.fault = FaultKind::kNone;
+         s.fault_count = 0;
+         s.fault_mix = {{FaultKind::kSilent, 2}};
+       },
+       [&](auto&, const RunResult& r) {
+         return analysis::results_identical(r, plain);
+       }},
+      {"placement",
+       [](RunSpec& s) { s.placement = proc::PlacementKind::kRandom; },
+       [&](auto&, const RunResult& r) { return r.honest != plain.honest; }},
+      {"placement_ids", [](RunSpec& s) { s.placement_ids = {0, 1}; },
+       [](auto&, const RunResult& r) {
+         return r.honest == std::vector<std::int32_t>{2, 3, 4, 5, 6};
+       }},
+      {"nic", [](RunSpec& s) { s.nic = sim::NicConfig{}; },
+       [](auto&, const RunResult& r) { return r.nic.arrivals > 0; }},
+      {"measure_gradient", [](RunSpec& s) { s.measure_gradient = true; },
+       [](auto&, const RunResult& r) { return r.gradient.measured(); }},
+      {"stabilize_threshold",
+       [](RunSpec& s) { s.stabilize_threshold = 1e9; },
+       [&](auto&, const RunResult& r) {
+         return plain.stabilized_round > 0 && r.stabilized_round == 0;
+       }},
+      {"observe_dt",
+       [](RunSpec& s) {
+         s.observe = true;
+         s.observe_dt = 0.05;
+       },
+       [&](auto&, const RunResult& r) {
+         return r.observe.samples > observed.observe.samples;
+       }},
+      {"initial_spread", [](RunSpec& s) { s.initial_spread = 0.001; },
+       [](auto&, const RunResult& r) { return r.tmax0 == 0.001; }},
+      {"averaging",
+       [](RunSpec& s) { s.averaging = core::Averaging::kReducedMean; },
+       same_startup_rounds},
+      {"k_exchanges", [](RunSpec& s) { s.k_exchanges = 2; },
+       same_startup_rounds},
+      {"stagger", [](RunSpec& s) { s.stagger = 0.05; }, same_startup_rounds},
+      // A slew moves no measured maximum here, so look at the displayed
+      // clock mid-slew after the first maintenance update.
+      {"amortize", [](RunSpec& s) { s.amortize = 0.5; },
+       [&](analysis::Experiment& ex, const RunResult& r) {
+         const auto& updates = ex.trace().updates();
+         const auto first = std::find_if(
+             updates.begin(), updates.end(), [&](const auto& u) {
+               return u.round == base.rounds;
+             });
+         if (first == updates.end()) return false;
+         const sim::CorrLog& corr = ex.simulator().corr_log(first->pid);
+         const double mid = first->real_time + 0.25;
+         return r.startup->handoff_done &&
+                corr.displayed_at(mid) != corr.target_at(mid);
+       }},
+  };
+  for (const Row& row : rows) {
+    RunSpec spec = base;
+    row.set(spec);
+    analysis::Experiment experiment(spec);
+    const RunResult r = experiment.run();
+    EXPECT_TRUE(row.reached(experiment, r)) << row.knob;
+  }
 }
 
 TEST(ModeValidation, AcceptsPerformanceKnobs) {
@@ -219,16 +262,9 @@ TEST(ModeValidation, AcceptsPerformanceKnobs) {
   EXPECT_EQ(rejection(spec), "");
 }
 
-TEST(ModeValidation, RejectsFastpathAndPdesEngines) {
-  for (const auto engine :
-       {analysis::EngineMode::kFastpath, analysis::EngineMode::kPdes}) {
-    expect_startup_rejects([&](RunSpec& s) { s.engine = engine; },
-                             "engine");
-  }
-}
-
 TEST(ModeValidation, StartupRejectsTwoFacedAndLiarFaults) {
-  // These used to run silently as spam adversaries.
+  // Their schedules assume A4's synchronized start.  The rule reads the
+  // resolved roster, so a fault_mix entry is refused like fault.
   for (const auto fault :
        {analysis::FaultKind::kTwoFaced, analysis::FaultKind::kLiar}) {
     RunSpec spec = startup_spec();
@@ -236,41 +272,18 @@ TEST(ModeValidation, StartupRejectsTwoFacedAndLiarFaults) {
     spec.fault_count = 2;
     EXPECT_NE(rejection(spec).find("two-faced or liar"), std::string::npos)
         << static_cast<int>(fault);
+    spec.fault = analysis::FaultKind::kNone;
+    spec.fault_count = 0;
+    spec.fault_mix = {{analysis::FaultKind::kSilent, 1}, {fault, 1}};
+    EXPECT_NE(rejection(spec).find("two-faced or liar"), std::string::npos)
+        << "fault_mix " << static_cast<int>(fault);
   }
-}
-
-// The knobs below used to be ignored silently by the mode that did not
-// read them.
-
-TEST(ModeValidation, RejectsRetainHistoryFalse) {
-  expect_startup_rejects(
-      [](RunSpec& s) {
-        s.observe = true;
-        s.retain_history = false;
-      },
-      "retain_history");
-}
-
-TEST(ModeValidation, RejectsObserveDt) {
-  expect_startup_rejects(
-      [](RunSpec& s) {
-        s.observe = true;
-        s.observe_dt = 0.5;
-      },
-      "observe_dt");
-}
-
-TEST(ModeValidation, StartupRejectsInitialSpread) {
-  RunSpec spec = startup_spec();
-  spec.initial_spread = 0.0;
-  EXPECT_NE(rejection(spec).find("initial_spread"), std::string::npos);
 }
 
 TEST(ModeValidation, MaintenanceRejectsStartupHandoff) {
   RunSpec spec = small_spec();
   spec.startup_handoff = true;
-  EXPECT_NE(rejection(spec).find("kMaintenance does not support "
-                                 "startup_handoff"),
+  EXPECT_NE(rejection(spec).find("startup_handoff requires Algo::kStartup"),
             std::string::npos);
 }
 
@@ -286,6 +299,21 @@ TEST(ModeValidation, RejectsBoundedHistoryWithARejoin) {
   spec.dynamics = {};
   spec.dynamics.leave(25.0, 0);
   EXPECT_EQ(rejection(spec), "");
+
+  // StartupResult::post_handoff_skew reads it too; start-up without a
+  // handoff runs bounded, measuring what the retained run measures.
+  RunSpec startup = startup_spec();
+  startup.observe = true;
+  const RunResult retained = analysis::run(startup);
+  startup.retain_history = false;
+  const RunResult bounded = analysis::run(startup);
+  EXPECT_TRUE(bounded.observe.bounded);
+  EXPECT_TRUE(analysis::results_identical(bounded, retained));
+  startup.startup_handoff = true;
+  EXPECT_NE(rejection(startup).find("retain_history = false does not "
+                                    "support a dynamics rejoin or a start-up "
+                                    "handoff"),
+            std::string::npos);
 }
 
 TEST(ModeValidation, RejoinShortOfTheHorizonIsNotReported) {
@@ -422,10 +450,12 @@ TEST(AdversaryEnv, RejectsSpecsWithoutATwoFacedAdversary) {
   config.spec.fault = analysis::FaultKind::kSilent;
   EXPECT_THROW(scenario::AdversaryEnv env(config), std::invalid_argument);
 
+  // Start-up refuses the two-faced adversary when the episode builds.
   scenario::AdversaryEnv::Config startup;
   startup.spec = small_spec();
-  startup.spec.mode = analysis::RunMode::kStartup;
-  EXPECT_THROW(scenario::AdversaryEnv env2(startup), std::invalid_argument);
+  startup.spec.algo = analysis::Algo::kStartup;
+  scenario::AdversaryEnv env2(startup);
+  EXPECT_THROW((void)env2.reset(), std::invalid_argument);
 }
 
 TEST(AdversaryEnv, GreedyBaselineIsDeterministic) {
