@@ -520,6 +520,38 @@ void smoke_queue_ops(std::vector<SmokeRow>& rows) {
                   kQueueOpsPerRoundLimit, per_round <= kQueueOpsPerRoundLimit});
 }
 
+/// Theorem 16's two-faced mesh (n = 80, f = 26 = (n - 2) / 3, 4 rounds,
+/// seed 31, trailing layout, event engine): every adversary sends each
+/// group face as one multicast, so a face keeps one scheduler entry
+/// pending rather than one per victim.  Measured 2026-10 at 16713.5 queue
+/// ops per round and 209 peak pending entries; both limits carry ~10%
+/// headroom.  Per-victim face scheduling measured 17322 ops per round and
+/// 1356 peak pending: the peak row is the one that catches it (queue ops
+/// barely move, since a batched entry re-arms once per delivery).
+constexpr double kTwoFacedQueueOpsPerRoundLimit = 18400.0;
+constexpr double kTwoFacedPeakPendingLimit = 230.0;
+
+void smoke_two_faced_mesh(std::vector<SmokeRow>& rows) {
+  analysis::RunSpec spec;
+  spec.params = core::make_params(80, 26, 1e-5, 0.01, 1e-3, 10.0);
+  spec.fault = analysis::FaultKind::kTwoFaced;
+  spec.fault_count = 26;
+  spec.rounds = 4;
+  spec.seed = 31;
+  spec.engine = analysis::EngineMode::kEvent;
+  analysis::Experiment experiment(spec);
+  (void)experiment.run();
+  const double per_round =
+      static_cast<double>(experiment.simulator().queue_ops()) / spec.rounds;
+  const auto peak =
+      static_cast<double>(experiment.simulator().peak_pending());
+  rows.push_back({"queue_ops_per_round_two_faced_n80", per_round,
+                  kTwoFacedQueueOpsPerRoundLimit,
+                  per_round <= kTwoFacedQueueOpsPerRoundLimit});
+  rows.push_back({"peak_pending_two_faced_n80", peak, kTwoFacedPeakPendingLimit,
+                  peak <= kTwoFacedPeakPendingLimit});
+}
+
 /// NIC overflow conservation on the clustered-broadcast worst case
 /// (n = 64 mesh, capacity 8): every arrival is served, dropped, or still
 /// queued; the largest same-instant burst is exactly n (every sender's
@@ -909,6 +941,7 @@ int run_smoke(const util::Flags& flags) {
   std::vector<SmokeRow> rows;
   smoke_alloc_rounds(rows);
   smoke_queue_ops(rows);
+  smoke_two_faced_mesh(rows);
   smoke_nic_overflow(rows);
   smoke_observer_counters(rows);
   smoke_observer_history(rows);

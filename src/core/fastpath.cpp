@@ -188,13 +188,13 @@ void RoundFastPath::on_annotate(std::int32_t pid,
 
 void RoundFastPath::on_broadcast(std::int32_t from, std::int32_t tag,
                                  double value, std::int32_t aux) {
-  // Mirror of do_broadcast's observable effects: per recipient in neighbor
-  // order, draw the A3-validated delay from the sender's private stream,
-  // count the message and consume one seq (the engine stamps one per
-  // delivery).  The payload matters only for kRegion's scheduled entries:
-  // the fast-side algorithm records arrival TIMES, and the bail protocol
-  // never needs to re-inject a kernel delivery (every bail point precedes
-  // the first draw of its exchange).
+  // Mirror of do_fanout's observable effects for a broadcast: per recipient
+  // in neighbor order, draw the A3-validated delay from the sender's
+  // private stream, count the message and consume one seq (the engine
+  // stamps one per delivery).  The payload matters only for kRegion's
+  // scheduled entries: the fast-side algorithm records arrival TIMES, and
+  // the bail protocol never needs to re-inject a kernel delivery (every
+  // bail point precedes the first draw of its exchange).
   const std::span<const std::int32_t> recipients = sim_.neighbors_of(from);
   ++broadcasts_recorded_;
   if (mode_ != Mode::kRegion) {
@@ -571,7 +571,7 @@ bool RoundFastPath::try_rearm(double horizon) {
     // would reproduce the bail forever.  Only after the event engine has
     // consumed at least one event can a genuinely new boundary emerge.
     if (lane.scheduler->empty()) return false;
-    if (lane.pool[lane.scheduler->peek()].time > horizon) return false;
+    if (lane.scheduler->peek_key().time > horizon) return false;
     bool attempt = false;
     if (mode_ == Mode::kRegion) {
       // While disengaged the fast pids run on the engine like everyone
@@ -652,20 +652,15 @@ void RoundFastPath::advance_engine_to(double time, std::int32_t tier,
   // extension (dispatch_fanout requeues past the limit), so nothing leaks
   // beyond the boundary key.
   sim::Simulator::Lane& lane = sim_.main_;
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(tier)) << 62) | seq;
-  if (engine_head_valid_ &&
-      !(engine_head_time_ < time ||
-        (engine_head_time_ == time && engine_head_key_ < key))) {
+  const sim::EventKey key{
+      time,
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(tier)) << 62) |
+          seq};
+  if (engine_head_valid_ && !(engine_head_ < key)) {
     return;  // head unchanged since last look and not yet due
   }
-  while (!lane.scheduler->empty()) {
+  while (!lane.scheduler->empty() && lane.scheduler->peek_key() < key) {
     const sim::Event& head = lane.pool[lane.scheduler->peek()];
-    const std::uint64_t head_key =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(head.tier))
-         << 62) |
-        head.seq;
-    if (!(head.time < time || (head.time == time && head_key < key))) break;
     if (head.engine_kind == sim::EngineKind::kDeliver &&
         head.msg.kind == sim::Kind::kTimer && head.to >= 0 && head.to < n_ &&
         fast_[static_cast<std::size_t>(head.to)] != 0) {
@@ -679,17 +674,10 @@ void RoundFastPath::advance_engine_to(double time, std::int32_t tier,
     ++stats_.region_events;
     sim_.dispatch(lane, lane.scheduler->pop(), time);
   }
-  if (lane.scheduler->empty()) {
-    engine_head_time_ = std::numeric_limits<double>::infinity();
-    engine_head_key_ = ~std::uint64_t{0};
-  } else {
-    const sim::Event& head = lane.pool[lane.scheduler->peek()];
-    engine_head_time_ = head.time;
-    engine_head_key_ =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(head.tier))
-         << 62) |
-        head.seq;
-  }
+  engine_head_ = lane.scheduler->empty()
+                     ? sim::EventKey{std::numeric_limits<double>::infinity(),
+                                     ~std::uint64_t{0}}
+                     : lane.scheduler->peek_key();
   engine_head_valid_ = true;
 }
 

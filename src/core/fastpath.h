@@ -96,6 +96,7 @@
 #include <vector>
 
 #include "proc/context.h"
+#include "sim/event.h"
 
 namespace wlsync::sim {
 class Simulator;
@@ -297,8 +298,7 @@ class RoundFastPath {
   /// head only moves when the merged loop dispatches or a region send is
   /// scheduled, so consecutive fast events between engine events skip the
   /// peek entirely.  Invalidated on every queue mutation outside dispatch.
-  double engine_head_time_ = 0.0;
-  std::uint64_t engine_head_key_ = 0;
+  sim::EventKey engine_head_;
   bool engine_head_valid_ = false;
   std::uint64_t broadcasts_recorded_ = 0;
   double deliver_min_ = 0.0;

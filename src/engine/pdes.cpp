@@ -595,9 +595,8 @@ void PdesEngine::worker(std::int32_t wi, double horizon) {
       // including the remaining deliveries of a batched fan-out, whose
       // queue entry is keyed by its FIRST remaining delivery) — prune them
       // lazily here.
-      const double peek = lane.scheduler->empty()
-                              ? kInf
-                              : lane.pool[lane.scheduler->peek()].time;
+      const double peek =
+          lane.scheduler->empty() ? kInf : lane.scheduler->peek_key().time;
       auto& bh = lane.boundary_heap;
       while (!bh.empty() && bh.front() < peek) {
         std::pop_heap(bh.begin(), bh.end(), std::greater<>{});

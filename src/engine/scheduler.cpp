@@ -28,6 +28,9 @@ class DAryHeapScheduler final : public SchedulerPolicy {
         [time](const EventKey& key) { return key.time <= time; });
   }
   [[nodiscard]] EventHandle peek() const override { return queue_.top(); }
+  [[nodiscard]] EventKey peek_key() const override {
+    return queue_.head_key();
+  }
   [[nodiscard]] std::size_t size() const noexcept override {
     return queue_.size();
   }
@@ -93,6 +96,11 @@ class CalendarQueueScheduler final : public SchedulerPolicy {
   [[nodiscard]] EventHandle peek() const override {
     if (!cache_valid_) locate_min();
     return buckets_[cache_bucket_][cache_pos_].handle;
+  }
+
+  [[nodiscard]] EventKey peek_key() const override {
+    if (!cache_valid_) locate_min();
+    return buckets_[cache_bucket_][cache_pos_].key;
   }
 
   [[nodiscard]] std::size_t size() const noexcept override { return size_; }

@@ -21,11 +21,14 @@
 // width from the span of *all* pending times, and that span includes the
 // round timers up to a period P = 10 s ahead, while the bulk of the
 // pending set (deliveries) clusters within delta +- eps of now.  On the
-// n = 512, f = 170 two-faced mesh the rebuilt width averages 11 ms against
-// a delivery spread of 2 * eps = 2 ms (mean pending span 4.3 s), so one
-// cell holds a whole wave of deliveries and locate_min() scans ~390
-// entries per pop.  Under gprof the calendar's pop/peek take 96% of that
-// run, which is ~4x slower than on the heap.
+// n = 512, f = 170 two-faced mesh, whose faces go out as batched fan-outs
+// (net/fanout.h), the pending set holds ~1.1k entries and after warm-up
+// never crosses a resize threshold: the queue rebuilds 7 times in 12
+// rounds and keeps a cell width of 29 ms against a delivery spread of
+// 2 * eps = 2 ms.  One cell holds a whole wave of deliveries, so
+// locate_min() scans ~616 entries per pop, and the engine span is ~10x
+// the heap's (8.0 s vs 0.75 s, bench/e2e engine.serial_calendar_s vs
+// engine.serial_dary_s on one run).
 
 #include <cstdint>
 #include <memory>
@@ -63,6 +66,12 @@ class SchedulerPolicy {
 
   /// Returns the minimal handle without removing it; undefined when empty.
   [[nodiscard]] virtual sim::EventHandle peek() const = 0;
+
+  /// The minimal entry's (time, tier, seq) key, answered from the policy's
+  /// cached keys without dereferencing the pool; undefined when empty.
+  /// What head reads that only compare keys (fan-out run extension, the
+  /// PDES epoch fold) use instead of peek().
+  [[nodiscard]] virtual sim::EventKey peek_key() const = 0;
 
   [[nodiscard]] virtual std::size_t size() const noexcept = 0;
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }

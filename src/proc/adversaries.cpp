@@ -1,6 +1,7 @@
 #include "proc/adversaries.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace wlsync::proc {
 
@@ -76,24 +77,27 @@ void TwoFacedAdversary::fire_due_faces(Context& ctx) {
     pending_.erase(pending_.begin());
     if (face.victim >= 0) {
       ctx.send(face.victim, config_.tag, face.value, /*aux=*/0);
-    } else if (scoped()) {
-      const std::vector<std::int32_t>& group =
-          face.early ? config_.early_targets : config_.late_targets;
-      for (std::int32_t to : group) {
-        ctx.send(to, config_.tag, face.value, /*aux=*/0);
-      }
-    } else if (face.early) {
-      for (std::int32_t to = 0; to < config_.pivot && to < ctx.process_count();
-           ++to) {
-        ctx.send(to, config_.tag, face.value, /*aux=*/0);
-      }
     } else {
-      const std::int32_t end = std::min(config_.honest_end, ctx.process_count());
-      for (std::int32_t to = config_.pivot; to < end; ++to) {
-        ctx.send(to, config_.tag, face.value, /*aux=*/0);
-      }
+      actx.multicast(face_group(face.early, ctx.process_count()), config_.tag,
+                     face.value, /*aux=*/0);
     }
   }
+}
+
+std::span<const std::int32_t> TwoFacedAdversary::face_group(bool early,
+                                                            std::int32_t n) {
+  if (scoped()) return early ? config_.early_targets : config_.late_targets;
+  if (ids_.size() != static_cast<std::size_t>(n)) {
+    ids_.resize(static_cast<std::size_t>(n));
+    std::iota(ids_.begin(), ids_.end(), 0);
+  }
+  // Early face: ids [0, pivot); late face: ids [pivot, honest_end); both
+  // clipped to the registered ids.
+  const std::int32_t lo = early ? 0 : std::clamp(config_.pivot, 0, n);
+  const std::int32_t hi =
+      std::clamp(early ? config_.pivot : config_.honest_end, lo, n);
+  return std::span<const std::int32_t>(ids_).subspan(
+      static_cast<std::size_t>(lo), static_cast<std::size_t>(hi - lo));
 }
 
 void TwoFacedAdversary::retune(double early_frac, double late_frac) {

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -87,6 +88,12 @@ class SpamAdversary final : public Process {
 /// With targets empty and per_target_spread off, the send schedule is
 /// byte-identical to the historical pivot-mode adversary
 /// (tests/placement_test.cpp pins an equivalent-list configuration to it).
+///
+/// A whole-group face (an id range or a target list) goes out as ONE
+/// AdversaryContext::multicast — one batched fan-out entry in the
+/// scheduler, observably identical to a send() per victim — so a mesh of
+/// f splitters keeps O(f) face entries pending instead of O(f * n).
+/// per_target_spread faces are single sends.
 class TwoFacedAdversary final : public Process {
  public:
   struct Config {
@@ -147,8 +154,13 @@ class TwoFacedAdversary final : public Process {
 
   void schedule_attack(AdversaryContext& ctx, double tmin, double value);
   void fire_due_faces(Context& ctx);
+  /// The victims of a whole-group face among the `n` registered ids: the
+  /// scoped list, or the pivot range.
+  [[nodiscard]] std::span<const std::int32_t> face_group(bool early,
+                                                         std::int32_t n);
 
   Config config_;
+  std::vector<std::int32_t> ids_;       ///< 0..n-1, the pivot ranges' ids
   double last_value_ = -1e300;          ///< largest label already handled
   std::multimap<double, Face> pending_; ///< fire real-time -> face
 };

@@ -48,7 +48,7 @@ class SimContext final : public proc::AdversaryContext {
     return sim_.neighbors_of(pid_);
   }
   void broadcast(std::int32_t tag, double value, std::int32_t aux) override {
-    sim_.do_broadcast(lane_, pid_, tag, value, aux);
+    sim_.do_fanout(lane_, pid_, sim_.neighbors_of(pid_), tag, value, aux);
   }
   void send(std::int32_t to, std::int32_t tag, double value,
             std::int32_t aux) override {
@@ -82,6 +82,12 @@ class SimContext final : public proc::AdversaryContext {
   void set_timer_real(double real_time, std::int32_t tag) override {
     require_faulty();
     sim_.do_set_timer_real(lane_, pid_, real_time, tag);
+  }
+  void multicast(std::span<const std::int32_t> ids, std::int32_t tag,
+                 double value, std::int32_t aux) override {
+    require_faulty();
+    for (const std::int32_t to : ids) (void)sim_.idx(to);
+    sim_.do_fanout(lane_, pid_, ids, tag, value, aux);
   }
 
  private:
@@ -411,14 +417,14 @@ void Simulator::do_send(Lane& lane, std::int32_t from, std::int32_t to,
   }
 }
 
-void Simulator::do_broadcast(Lane& lane, std::int32_t from, std::int32_t tag,
-                             double value, std::int32_t aux) {
-  const std::span<const std::int32_t> recipients = neighbors_of(from);
+void Simulator::do_fanout(Lane& lane, std::int32_t from,
+                          std::span<const std::int32_t> recipients,
+                          std::int32_t tag, double value, std::int32_t aux) {
   if (recipients.empty()) return;
 
   // Everything observable happens exactly as for one do_send per
-  // recipient, in the same order: delays are drawn per link in neighbor
-  // order from the same RNG stream, seq numbers are the block a
+  // recipient, in the same order: delays are drawn per link in list order
+  // from the same RNG stream, seq numbers are the block a
   // per-recipient loop would have consumed, and on_send fires per
   // recipient at send time.  Only the scheduler sees a difference — one
   // entry, keyed by the earliest remaining delivery.  Cross-lane
@@ -627,13 +633,12 @@ void Simulator::dispatch_fanout(Lane& lane, EventHandle handle, double limit) {
 
     const net::FanoutDelivery& next = record.next();
     bool requeue = next.time > limit;
-    if (!requeue && lane.scheduler->size() > 0) {
+    if (!requeue && !lane.scheduler->empty()) {
       // Run extension: deliver the next recipient without a queue
       // round-trip only while its key still precedes every pending event
       // (the handler above may have scheduled earlier ones).
-      const EventKey head = EventKeyOf{}(lane.pool[lane.scheduler->peek()]);
       const EventKey ours{next.time, next.seq};  // tier 0: top bits clear
-      requeue = !(ours < head);
+      requeue = !(ours < lane.scheduler->peek_key());
     }
     if (requeue) {
       Event& event = lane.pool[handle];

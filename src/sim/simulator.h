@@ -4,8 +4,9 @@
 // A Simulator owns the processes, their physical clocks, the message buffer
 // (a slab-pooled EventPool ordered by a pluggable engine::SchedulerPolicy),
 // the network layer (an optional net::Topology exchange graph plus batched
-// fan-out delivery — one scheduler entry per in-flight broadcast instead of
-// one per recipient) and the delay model, and produces executions that
+// fan-out delivery — one scheduler entry per in-flight broadcast or
+// Byzantine multicast instead of one per recipient) and the delay model,
+// and produces executions that
 // satisfy the six execution properties of the model:
 //   1/5. events fire exactly at their buffered delivery times, finitely many
 //        before any fixed time (the priority queue);
@@ -401,15 +402,21 @@ class Simulator {
 
   void do_send(Lane& lane, std::int32_t from, std::int32_t to, std::int32_t tag,
                double value, std::int32_t aux);
-  /// Fan-out to the sender's exchange-graph neighborhood, batched into a
-  /// single scheduler entry that re-arms per recipient.  Per-link delays
-  /// are drawn in neighbor order and deliveries run in the (time, seq)
-  /// order one entry per recipient would have produced — checked against
-  /// an order oracle by tests/topology_test.cpp.  Cross-lane
+  /// Sends one message from `from` to every id in `recipients`, batched
+  /// into a single scheduler entry that re-arms per recipient: the engine
+  /// of broadcast (recipients = neighbors_of(from)) and of an adversary's
+  /// multicast (any valid ids, repeats allowed; the caller validates).
+  /// Per-link delays are drawn in list order, seqs are the block one
+  /// do_send per recipient would have consumed, and deliveries run in the
+  /// (time, seq) order one entry per recipient would have produced —
+  /// checked against an order oracle by tests/topology_test.cpp and
+  /// against per-id sends by tests/adversary_test.cpp.  Cross-lane
   /// recipients are split into RemoteEvents (their seqs come out of the
   /// same per-sender allocation order, so the serial tie-break survives).
-  void do_broadcast(Lane& lane, std::int32_t from, std::int32_t tag,
-                    double value, std::int32_t aux);
+  /// `recipients` is read only before the call returns.
+  void do_fanout(Lane& lane, std::int32_t from,
+                 std::span<const std::int32_t> recipients, std::int32_t tag,
+                 double value, std::int32_t aux);
   /// Draws the A3-validated per-link delay for a message `from` sends to
   /// `to` at `send_time`.  Touches only the sender's delay_rng, so draws for
   /// distinct senders may run concurrently (the PDES lanes and the round

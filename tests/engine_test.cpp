@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 #include <tuple>
 #include <vector>
@@ -100,6 +101,184 @@ TEST(IndexedEventQueue, PopsInSortedKeyOrder) {
   EXPECT_TRUE(queue.empty());
 }
 
+/// Sorted-vector oracle for the indexed queue: the pending keys kept
+/// ascending, so the minimum is front().  The queue's pop() leaves its root
+/// slot as a hole for the next push(); the oracle has no such state, so
+/// every answer the queue gives — top, head_key, size, what pop and pop_if
+/// remove — must match it whether or not a hole is pending.  The oracle
+/// also tracks when the queue holds a hole (after a pop, until the next
+/// push or pop) so a test can prove it exercised both states.
+class HeapOracle {
+ public:
+  void push(const Key& key) {
+    keys_.insert(std::upper_bound(keys_.begin(), keys_.end(), key), key);
+    hole_ = false;
+  }
+  Key pop() {
+    const Key key = keys_.front();
+    keys_.erase(keys_.begin());
+    hole_ = true;
+    return key;
+  }
+  [[nodiscard]] const Key& min() const { return keys_.front(); }
+  [[nodiscard]] std::size_t size() const { return keys_.size(); }
+  [[nodiscard]] bool hole() const { return hole_; }
+
+ private:
+  std::vector<Key> keys_;
+  bool hole_ = false;
+};
+
+/// Every read the queue offers, checked against the oracle.
+void expect_reads_match(const sim::IndexedEventQueue& queue,
+                        const EventPool& pool, const HeapOracle& oracle) {
+  ASSERT_EQ(queue.size(), oracle.size());
+  ASSERT_EQ(queue.empty(), oracle.size() == 0);
+  if (oracle.size() == 0) return;
+  const Event& top = pool[queue.top()];
+  ASSERT_EQ(key_of(top), oracle.min());
+  const sim::EventKey cached = queue.head_key();
+  const sim::EventKey want = sim::EventKeyOf{}(top);
+  ASSERT_EQ(cached.time, want.time);
+  ASSERT_EQ(cached.tier_seq, want.tier_seq);
+}
+
+TEST(IndexedEventQueue, RandomInterleavingsMatchTheSortedOracle) {
+  for (const std::uint64_t seed : {3u, 17u, 2024u}) {
+    EventPool pool;
+    sim::IndexedEventQueue queue(pool);
+    HeapOracle oracle;
+    util::Rng rng(seed);
+    std::uint64_t next_seq = 0;
+    double base = 0.0;
+    std::size_t reads_with_hole = 0;
+    std::size_t pushes_into_hole = 0;
+    std::size_t pops_from_hole = 0;
+    std::size_t drained_to_empty = 0;
+    // Phases alternate a growing bias with a draining one, so the queue
+    // repeatedly runs deep and then pops all the way down to empty.
+    for (int op = 0; op < 40000; ++op) {
+      const bool grow = (op / 2000) % 2 == 0;
+      ASSERT_NO_FATAL_FAILURE(expect_reads_match(queue, pool, oracle));
+      if (oracle.hole()) ++reads_with_hole;
+      const std::uint64_t action = rng.below(8);
+      if (oracle.size() == 0 || action < (grow ? 5u : 1u)) {
+        // Clustered, tied and occasionally earlier-than-base times: the
+        // pushed entry may belong anywhere from the root to a leaf.
+        Event event;
+        event.time = base + static_cast<double>(rng.below(32)) * 0.0625 -
+                     (rng.chance(0.1) ? 0.5 : 0.0);
+        event.tier = static_cast<std::int32_t>(rng.below(2));
+        event.seq = next_seq++;
+        const EventHandle handle = pool.acquire();
+        pool[handle] = event;
+        if (oracle.hole()) ++pushes_into_hole;
+        queue.push(handle);
+        oracle.push(key_of(event));
+        if (rng.chance(0.05)) base += rng.uniform(0.0, 1.0);
+      } else if (action < 7) {
+        if (oracle.hole()) ++pops_from_hole;
+        const EventHandle handle = queue.pop();
+        ASSERT_EQ(key_of(pool[handle]), oracle.pop());
+        pool.release(handle);
+        if (oracle.size() == 0) ++drained_to_empty;
+      } else {
+        // pop_if gated on the cached key: a threshold just below the
+        // minimum must refuse, one at the minimum must pop it.
+        const double head = std::get<0>(oracle.min());
+        const bool refuse = rng.chance(0.5);
+        const double limit = refuse ? std::nextafter(head, -1e300) : head;
+        const EventHandle handle = queue.pop_if(
+            [limit](const sim::EventKey& key) { return key.time <= limit; });
+        if (refuse) {
+          ASSERT_EQ(handle, EventPool::kInvalidHandle);
+        } else {
+          ASSERT_NE(handle, EventPool::kInvalidHandle);
+          ASSERT_EQ(key_of(pool[handle]), oracle.pop());
+          pool.release(handle);
+        }
+      }
+    }
+    while (oracle.size() > 0) {
+      ASSERT_NO_FATAL_FAILURE(expect_reads_match(queue, pool, oracle));
+      const EventHandle handle = queue.pop();
+      ASSERT_EQ(key_of(pool[handle]), oracle.pop());
+      pool.release(handle);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_reads_match(queue, pool, oracle));
+    EXPECT_GT(reads_with_hole, 1000u);
+    EXPECT_GT(pushes_into_hole, 1000u);
+    EXPECT_GT(pops_from_hole, 1000u);
+    EXPECT_GT(drained_to_empty, 2u);
+  }
+}
+
+TEST(IndexedEventQueue, HoleEdgeCases) {
+  EventPool pool;
+  sim::IndexedEventQueue queue(pool);
+  const auto push = [&](double time, std::uint64_t seq) {
+    const EventHandle handle = pool.acquire();
+    pool[handle] = Event{time, 0, seq, 0, sim::EngineKind::kDeliver, {}, {}};
+    queue.push(handle);
+  };
+  const auto pop_time = [&] {
+    const EventHandle handle = queue.pop();
+    const double time = pool[handle].time;
+    pool.release(handle);
+    return time;
+  };
+
+  // Pop down to empty: the last pop leaves only the hole behind.
+  push(1.0, 0);
+  EXPECT_EQ(pop_time(), 1.0);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.size(), 0u);
+  EXPECT_EQ(queue.pop_if([](const sim::EventKey&) { return true; }),
+            EventPool::kInvalidHandle);
+  // A push into that hole is the whole queue again.
+  push(2.0, 1);
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.head_key().time, 2.0);
+  EXPECT_EQ(pop_time(), 2.0);
+
+  // Head read on a single child: after the pop the hole's only child is
+  // the minimum, on the queue and on the d-ary policy alike.
+  push(3.0, 2);
+  push(4.0, 3);
+  EXPECT_EQ(pop_time(), 3.0);
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.head_key().time, 4.0);
+  EXPECT_EQ(pool[queue.top()].time, 4.0);
+  {
+    EventPool policy_pool;
+    const auto policy =
+        engine::make_scheduler(SchedulerKind::kDaryHeap, policy_pool);
+    for (const double time : {5.0, 6.0}) {
+      const EventHandle handle = policy_pool.acquire();
+      policy_pool[handle] =
+          Event{time, 1, 9, 0, sim::EngineKind::kDeliver, {}, {}};
+      policy->push(handle);
+    }
+    policy_pool.release(policy->pop());
+    EXPECT_EQ(policy->size(), 1u);
+    EXPECT_EQ(policy->peek_key().time, 6.0);
+    EXPECT_EQ(policy->peek_key().tier_seq, (std::uint64_t{1} << 62) | 9u);
+    EXPECT_EQ(policy_pool[policy->peek()].time, 6.0);
+  }
+
+  // Push while a hole is pending, earlier than everything: it takes the
+  // root directly.  Later than everything: it sifts down past the rest.
+  push(0.5, 4);
+  EXPECT_EQ(queue.head_key().time, 0.5);
+  EXPECT_EQ(pop_time(), 0.5);
+  push(9.0, 5);
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_EQ(pop_time(), 4.0);
+  // Pop while a hole is pending: the last leaf fills it first.
+  EXPECT_EQ(pop_time(), 9.0);
+  EXPECT_TRUE(queue.empty());
+}
+
 /// Drives a policy and a reference std::priority_queue through an identical
 /// random interleaving of pushes and pops; every pop must agree.
 void check_policy_against_reference(SchedulerKind kind, std::uint64_t seed) {
@@ -128,6 +307,10 @@ void check_policy_against_reference(SchedulerKind kind, std::uint64_t seed) {
       if (rng.chance(0.02)) drift += rng.uniform(0.0, 3.0);
     } else {
       ASSERT_EQ(key_of(pool[policy->peek()]), key_of(reference.top()));
+      const sim::EventKey head = policy->peek_key();
+      const sim::EventKey want = sim::EventKeyOf{}(reference.top());
+      ASSERT_EQ(head.time, want.time);
+      ASSERT_EQ(head.tier_seq, want.tier_seq);
       const EventHandle handle = policy->pop();
       ASSERT_EQ(key_of(pool[handle]), key_of(reference.top()));
       pool.release(handle);
@@ -230,13 +413,17 @@ TEST(SchedulerDeterminism, PoliciesProduceIdenticalExecutions) {
 }
 
 TEST(SchedulerDeterminism, PoliciesAgreeOnADeepTwoFacedMesh) {
-  // Theorem 16's n = 3f + 2 two-faced mesh: the adversaries' per-victim
-  // sends push the pending set past 1024 entries, the depth where the
+  // Theorem 16's n = 3f + 2 two-faced mesh with the faults at random
+  // positions: each positional adversary forges one face per honest
+  // neighbor (per_target_spread), and those single sends — one scheduler
+  // entry per victim, unlike the batched group faces of the trailing
+  // layout — push the pending set past 1024 entries, the depth where the
   // calendar queue's crowded cells and the heap's sifts part ways most.
   analysis::RunSpec heap_spec;
   heap_spec.params = core::make_params(80, 26, 1e-5, 0.01, 1e-3, 10.0);
   heap_spec.fault = analysis::FaultKind::kTwoFaced;
   heap_spec.fault_count = 26;
+  heap_spec.placement = proc::PlacementKind::kRandom;
   heap_spec.rounds = 4;
   heap_spec.seed = 31;
   heap_spec.engine = analysis::EngineMode::kEvent;

@@ -223,6 +223,20 @@ TEST(FastpathPin, FaultIsolatingRegions) {
   bridge.placement = proc::PlacementKind::kBridge;
   expect_region_identical(bridge, "two-faced fault on a bridge endpoint");
 
+  // Trailing two-faced faults attack by id range, not by neighborhood:
+  // each group face is one multicast whose recipients reach into the fast
+  // set, so batched face deliveries cross the merged loop into the fast
+  // arenas.  The constant-delay run lands a whole face at one instant.
+  for (const DelayKind delay : {DelayKind::kUniform, DelayKind::kFast}) {
+    RunSpec trailing = base_spec(24, 7);
+    trailing.topology.kind = net::TopologyKind::kRingOfCliques;
+    trailing.topology.clique_size = 6;
+    trailing.fault = FaultKind::kTwoFaced;
+    trailing.fault_count = 2;
+    trailing.delay = delay;
+    expect_region_identical(trailing, "two-faced faults, trailing id ranges");
+  }
+
   // Spam floods junk mid-window from inside the region; every flood
   // message crosses the merged loop at its exact key.
   RunSpec spam = base_spec(24, 7);
