@@ -307,6 +307,33 @@ inline proc::PlacementKind parse_placement(const std::string& name) {
       "placement");
 }
 
+/// Interleaved best-of-N timing, the one measurement loop of both JSON
+/// compare gates (bench_micro --fastpath-json, bench_sweep --pdes-json).
+/// Each of `reps` passes runs every configuration once, in order, so a slow
+/// stretch of the host lands on all of them rather than on one side of a
+/// ratio.  `run(c)` runs configuration c once and returns its timed sample
+/// in seconds, or nullopt when c cannot run (it is then left out of later
+/// passes).  A configuration whose best sample already reaches
+/// `repeat_below_s` is not run again: long cells are stable after one
+/// sample.  Callers keep their own per-configuration records.
+template <typename Run>
+void time_interleaved(std::size_t configs, std::int32_t reps,
+                      double repeat_below_s, Run&& run) {
+  std::vector<std::optional<double>> best(configs);
+  std::vector<char> dropped(configs, 0);
+  for (std::int32_t rep = 0; rep < reps; ++rep) {
+    for (std::size_t c = 0; c < configs; ++c) {
+      if (dropped[c] != 0 || (best[c] && *best[c] >= repeat_below_s)) continue;
+      const std::optional<double> sample = run(c);
+      if (!sample) {
+        dropped[c] = 1;
+      } else if (!best[c] || *sample < *best[c]) {
+        best[c] = sample;
+      }
+    }
+  }
+}
+
 /// Minimal extraction of the `"speedup": { "key": value, ... }` object from
 /// a prior perf-trajectory artifact (BENCH_fastpath.json / BENCH_pdes.json).
 /// Not a JSON parser — the artifacts are machine-written by the emit loops,

@@ -39,6 +39,7 @@
 #include "core/welch_lynch.h"
 #include "engine/pdes.h"
 #include "engine/scheduler.h"
+#include "net/fanout.h"
 #include "net/partition.h"
 #include "multiset/multiset_ops.h"
 #include "proc/arrival.h"
@@ -284,6 +285,47 @@ BENCHMARK(BM_BroadcastFanoutQueueOps)
     ->Arg(static_cast<int>(analysis::DelayKind::kSlow))
     ->Arg(static_cast<int>(analysis::DelayKind::kUniform))
     ->Unit(benchmark::kMillisecond);
+
+/// Ordering one fan-out's delivery list by (time, seq): the lane's
+/// net::FanoutSorter (bucket scatter over the A3 window) against the
+/// comparison std::sort it replaced.  arg0: list size (17 = a deg-16
+/// expander broadcast, 512 = a mesh_byzantine broadcast); arg1: 0 = sorter,
+/// 1 = std::sort.  Times are uniform over the window, as kUniform draws
+/// them; both sides pay the same copy of the unsorted list per iteration.
+void BM_FanoutOrder(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const bool reference = state.range(1) != 0;
+  constexpr double kNow = 100.0;
+  const double lo = kNow + (0.01 - 1e-3 - 1e-12);
+  const double hi = kNow + (0.01 + 1e-3 + 1e-12);
+  util::Rng rng(5);
+  std::vector<net::FanoutDelivery> unsorted;
+  for (std::size_t i = 0; i < m; ++i) {
+    unsorted.push_back({kNow + 0.009 + 0.002 * rng.uniform(), i,
+                        static_cast<std::int32_t>(i)});
+  }
+  net::FanoutSorter sorter;
+  std::vector<net::FanoutDelivery> work;
+  for (auto _ : state) {
+    work.assign(unsorted.begin(), unsorted.end());
+    if (reference) {
+      std::sort(work.begin(), work.end(),
+                [](const net::FanoutDelivery& a, const net::FanoutDelivery& b) {
+                  if (a.time != b.time) return a.time < b.time;
+                  return a.seq < b.seq;
+                });
+    } else {
+      sorter.sort(work, lo, hi);
+    }
+    benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(reference ? "std::sort" : "FanoutSorter");
+}
+BENCHMARK(BM_FanoutOrder)
+    ->Args({17, 0})->Args({17, 1})
+    ->Args({512, 0})->Args({512, 1})
+    ->Args({2048, 0})->Args({2048, 1});
 
 // ---------------------------------------------------------------------------
 // ARR-ingestion hot path: per-delivery cost of on_message + the amortized
@@ -550,6 +592,36 @@ void smoke_two_faced_mesh(std::vector<SmokeRow>& rows) {
                   per_round <= kTwoFacedQueueOpsPerRoundLimit});
   rows.push_back({"peak_pending_two_faced_n80", peak, kTwoFacedPeakPendingLimit,
                   peak <= kTwoFacedPeakPendingLimit});
+}
+
+/// Heap allocations per steady-state round of the same two-faced mesh,
+/// counted over run_until(4P -> 8P) after four warm-up rounds (the spec
+/// runs 8 rounds so that the window ends inside the run).  Measured
+/// 2026-10 at 120.5: the TwoFacedAdversary's pending-face multimap nodes
+/// and RoundTrace::begin_index_'s hash nodes.  Pinned exactly: fan-outs
+/// reuse their pooled records and the lane's FanoutSorter scratch, and a
+/// FanoutSorter built per fan-out instead measured 451.75 per round.
+constexpr double kTwoFacedAllocsPerRoundLimit = 120.5;
+
+void smoke_two_faced_allocs(std::vector<SmokeRow>& rows) {
+  analysis::RunSpec spec;
+  spec.params = core::make_params(80, 26, 1e-5, 0.01, 1e-3, 10.0);
+  spec.fault = analysis::FaultKind::kTwoFaced;
+  spec.fault_count = 26;
+  spec.rounds = 8;  // the measured window ends inside the run
+  spec.seed = 31;
+  spec.engine = analysis::EngineMode::kEvent;
+  analysis::Experiment experiment(spec);
+  sim::Simulator& sim = experiment.simulator();
+  sim.run_until(4 * spec.params.P);
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  sim.run_until(8 * spec.params.P);
+  g_count_allocs.store(false);
+  const double per_round = static_cast<double>(g_alloc_count.load()) / 4.0;
+  rows.push_back({"allocs_per_round_two_faced_n80", per_round,
+                  kTwoFacedAllocsPerRoundLimit,
+                  per_round <= kTwoFacedAllocsPerRoundLimit});
 }
 
 /// NIC overflow conservation on the clustered-broadcast worst case
@@ -942,6 +1014,7 @@ int run_smoke(const util::Flags& flags) {
   smoke_alloc_rounds(rows);
   smoke_queue_ops(rows);
   smoke_two_faced_mesh(rows);
+  smoke_two_faced_allocs(rows);
   smoke_nic_overflow(rows);
   smoke_observer_counters(rows);
   smoke_observer_history(rows);
@@ -1069,8 +1142,7 @@ std::vector<FastpathCell> measure_fastpath_cells(std::int32_t max_n) {
   // a sub-second cell swings +-30% with host load, enough to trip the
   // 0.8x compare gate on its own.  Cells slower than kRepeatBelowSeconds
   // are stable already and keep their first sample.  The reps interleave
-  // a workload's three configurations, so a slow stretch of the host
-  // lands on all of them rather than skewing one side of a ratio.
+  // a workload's three configurations (bench::time_interleaved).
   constexpr std::int32_t kReps = 3;
   constexpr double kRepeatBelowSeconds = 10.0;
   struct Config {
@@ -1086,31 +1158,33 @@ std::vector<FastpathCell> measure_fastpath_cells(std::int32_t max_n) {
   constexpr std::size_t kConfigCount = std::size(kConfigs);
   std::vector<FastpathCell> cells;
   for (const Workload& w : workloads) {
-    FastpathCell best[kConfigCount];
-    for (std::int32_t rep = 0; rep < kReps; ++rep) {
-      for (std::size_t c = 0; c < kConfigCount; ++c) {
-        if (rep > 0 && best[c].wall_s >= kRepeatBelowSeconds) continue;
-        analysis::RunSpec spec = w.spec;
-        spec.engine = kConfigs[c].engine;
-        std::optional<util::WorkerScope> serial;
-        if (kConfigs[c].serial) serial.emplace();
-        const auto start = std::chrono::steady_clock::now();
-        const analysis::RunResult result = analysis::run(spec);
-        const double sample =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count();
-        if (rep == 0) {
-          best[c] = {w.key, w.variant, w.spec.params.n, kConfigs[c].name,
-                     result.completed_rounds, result.fastpath_engaged,
-                     result.fastpath_threads, sample, result.engine_seconds};
-        } else {
-          best[c].wall_s = std::min(best[c].wall_s, sample);
-          best[c].engine_s = std::min(best[c].engine_s, result.engine_seconds);
-        }
-      }
-    }
-    for (const FastpathCell& cell : best) {
+    std::optional<FastpathCell> best[kConfigCount];
+    bench::time_interleaved(
+        kConfigCount, kReps, kRepeatBelowSeconds,
+        [&](std::size_t c) -> std::optional<double> {
+          analysis::RunSpec spec = w.spec;
+          spec.engine = kConfigs[c].engine;
+          std::optional<util::WorkerScope> serial;
+          if (kConfigs[c].serial) serial.emplace();
+          const auto start = std::chrono::steady_clock::now();
+          const analysis::RunResult result = analysis::run(spec);
+          const double sample =
+              std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+          if (!best[c]) {
+            best[c] = {w.key, w.variant, w.spec.params.n, kConfigs[c].name,
+                       result.completed_rounds, result.fastpath_engaged,
+                       result.fastpath_threads, sample, result.engine_seconds};
+          } else {
+            best[c]->wall_s = std::min(best[c]->wall_s, sample);
+            best[c]->engine_s =
+                std::min(best[c]->engine_s, result.engine_seconds);
+          }
+          return sample;
+        });
+    for (const std::optional<FastpathCell>& timed : best) {
+      const FastpathCell& cell = *timed;  // fast-path runs never skip
       cells.push_back(cell);
       std::cerr << "  " << w.key << " engine=" << cell.engine << " "
                 << cell.rounds << " rounds in " << cell.wall_s << " s ("

@@ -98,11 +98,13 @@
 // unreproducible across reruns (w=4 beat w=2 in 4/4 repetitions;
 // epochs/stalls, which ARE deterministic, were unchanged), i.e. pure
 // single-sample noise, not a partition or stall pathology.  The serial
-// reference of an expander or cliques (topology, n) divides every speedup
-// of its group, so it is timed as the best of 3 passes of those reps,
-// spread around the group's PDES rows (before, midway, after).  Timing rows
-// are telemetry, not gates (bit-identity is gated by ctest's pdes_test;
-// the deterministic stall-rate ceiling by bench_micro --smoke) — EXCEPT
+// reference of a (topology, n) divides every speedup of its group, so the
+// group's reps are interleaved (bench::time_interleaved, the loop
+// bench_micro --fastpath-json uses too): every pass runs the reference
+// and then each PDES row once, and one slow stretch of the host lands on
+// both sides of every ratio.  Timing rows are telemetry, not gates
+// (bit-identity is gated by ctest's pdes_test; the deterministic
+// stall-rate ceiling by bench_micro --smoke) — EXCEPT
 // under --pdes-compare=OLD.json, which re-parses a prior artifact's
 // speedup map and fails (exit 1) if any shared key regressed below 0.8x
 // its baseline, the same regression gate bench_micro --fastpath-compare
@@ -118,6 +120,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -186,14 +189,13 @@ int run_pdes_json(const util::Flags& flags) {
   };
   std::vector<Cell> cells;
 
-  // One measured cell: best engine span (and best wall) over `cell_reps`
-  // repetitions.  The run itself is deterministic (epochs/stalls are
-  // identical every repetition), so the repetitions only filter host
-  // scheduler noise out of the clock.  Returns nothing for a skipped cell.
-  const auto measure = [&](const std::string& topo, std::int32_t n,
-                           std::int32_t workers, std::int32_t rounds,
-                           std::int32_t cell_reps, std::uint64_t max_events,
-                           const std::string& key) -> std::optional<Cell> {
+  // One timed run of a cell.  The run is deterministic (epochs/stalls are
+  // identical every repetition), so repetitions only filter host scheduler
+  // noise out of the clock.  Returns nothing for a cell that cannot run.
+  const auto run_cell = [&](const std::string& topo, std::int32_t n,
+                            std::int32_t workers, std::int32_t rounds,
+                            std::uint64_t max_events,
+                            const std::string& key) -> std::optional<Cell> {
     analysis::RunSpec spec;
     spec.params = core::make_params(n, (n - 1) / 3, 1e-5, 0.01, 1e-3, 10.0);
     spec.rounds = rounds;
@@ -215,34 +217,61 @@ int run_pdes_json(const util::Flags& flags) {
                                : analysis::EngineMode::kPdes;
     spec.pdes_workers = workers < 0 ? 0 : workers;
     analysis::RunResult result;
-    double wall = 0.0;
-    double engine = 0.0;
-    for (std::int32_t rep = 0; rep < cell_reps; ++rep) {
-      try {
-        result = analysis::run(spec);
-      } catch (const std::exception& e) {
-        // An auto row the tuner declines (or a partition collapse) is a
-        // skipped cell, not a dead artifact.
-        std::cerr << "  " << topo << " n=" << n << " workers=" << workers
-                  << ": skipped (" << e.what() << ")\n";
-        return std::nullopt;
-      }
-      if (rep == 0 || result.wall_seconds < wall) wall = result.wall_seconds;
-      if (rep == 0 || result.engine_seconds < engine) {
-        engine = result.engine_seconds;
-      }
+    try {
+      result = analysis::run(spec);
+    } catch (const std::exception& e) {
+      // An auto row the tuner declines (or a partition collapse) is a
+      // skipped cell, not a dead artifact.
+      std::cerr << "  " << topo << " n=" << n << " workers=" << workers
+                << ": skipped (" << e.what() << ")\n";
+      return std::nullopt;
     }
-    std::cerr << "  " << topo << " n=" << n << " workers="
-              << (workers < 0 ? std::string("auto(") +
-                                    std::to_string(result.pdes_workers_used) +
-                                    ")"
-                              : std::to_string(workers))
-              << " " << result.completed_rounds << " rounds in " << engine
-              << " s engine / " << wall << " s total (best of " << cell_reps
-              << ")\n";
     return Cell{key, topo, n, workers, result.pdes_workers_used,
                 result.completed_rounds, result.pdes_epochs,
-                result.pdes_stalls, wall, engine};
+                result.pdes_stalls, result.wall_seconds,
+                result.engine_seconds};
+  };
+
+  // One (topology, n) group: the serial reference (workers 0) and its PDES
+  // rows, timed through bench::time_interleaved so every row's reps
+  // alternate with the reference's.  Each cell keeps its best engine span
+  // and best wall over `cell_reps` runs.
+  const auto measure_group = [&](const std::string& topo, std::int32_t n,
+                                 const std::vector<std::int32_t>& workers,
+                                 std::int32_t rounds, std::int32_t cell_reps,
+                                 std::uint64_t max_events,
+                                 const std::string& prefix) {
+    std::vector<std::optional<Cell>> best(workers.size());
+    bench::time_interleaved(
+        workers.size(), cell_reps, std::numeric_limits<double>::infinity(),
+        [&](std::size_t c) -> std::optional<double> {
+          const std::string key =
+              workers[c] == 0
+                  ? ""
+                  : prefix + "n" + std::to_string(n) + "_w" +
+                        (workers[c] < 0 ? "auto" : std::to_string(workers[c]));
+          const std::optional<Cell> cell =
+              run_cell(topo, n, workers[c], rounds, max_events, key);
+          if (!cell) return std::nullopt;
+          if (!best[c]) {
+            best[c] = cell;
+          } else {
+            best[c]->wall_s = std::min(best[c]->wall_s, cell->wall_s);
+            best[c]->engine_s = std::min(best[c]->engine_s, cell->engine_s);
+          }
+          return cell->engine_s;
+        });
+    for (const std::optional<Cell>& cell : best) {
+      if (!cell) continue;
+      std::cerr << "  " << topo << " n=" << n << " workers="
+                << (cell->workers < 0
+                        ? "auto(" + std::to_string(cell->workers_used) + ")"
+                        : std::to_string(cell->workers))
+                << " " << cell->rounds << " rounds in " << cell->engine_s
+                << " s engine / " << cell->wall_s << " s total (best of "
+                << cell_reps << ")\n";
+      cells.push_back(*cell);
+    }
   };
 
   for (const std::string& topo : topos) {
@@ -261,61 +290,24 @@ int run_pdes_json(const util::Flags& flags) {
       // ~n^2-messages-per-round cell in budget, and the event budget needs
       // lifting past the 50M default.
       if (max_n < 4096) continue;
-      const std::int32_t n = 4096;
-      for (const std::int32_t workers : {0, 8}) {
-        const std::string key =
-            workers == 0 ? "" : prefix + "n" + std::to_string(n) + "_w" +
-                                    std::to_string(workers);
-        if (std::optional<Cell> cell =
-                measure(topo, n, workers, /*rounds=*/2, std::min(reps, 2),
-                        /*max_events=*/400'000'000, key)) {
-          cells.push_back(*cell);
-        }
-      }
+      measure_group(topo, 4096, {0, 8}, /*rounds=*/2, std::min(reps, 2),
+                    /*max_events=*/400'000'000, prefix);
       continue;
     }
     for (std::int32_t n = 512; n <= max_n; n *= 2) {
       const std::int32_t rounds = n >= 2048 ? 6 : 10;
       // Small cells are tens of milliseconds — the noisiest relative to
       // their size, and the ones the --pdes-compare gate trips on first
-      // when a best-of-3 minimum fails to converge.  Double the
+      // when a best-of-reps minimum fails to converge.  Double the
       // repetitions there so both the baseline artifact and the fresh CI
       // measurement carry converged minima.
       const std::int32_t cell_reps = n <= 1024 ? reps * 2 : reps;
-      // The serial reference is the denominator of every speedup at this
-      // (topology, n), so it is timed as the best of kRefPasses passes of
-      // cell_reps runs each, spread around the PDES rows (before them,
-      // midway, after them): one slow stretch of the host can then no
-      // longer inflate or deflate every ratio of the group at once.
-      constexpr int kRefPasses = 3;
-      std::optional<Cell> ref =
-          measure(topo, n, 0, rounds, cell_reps, /*max_events=*/0, "");
-      const auto retime_ref = [&]() {
-        if (!ref) return;
-        if (const std::optional<Cell> again =
-                measure(topo, n, 0, rounds, cell_reps, /*max_events=*/0, "")) {
-          ref->engine_s = std::min(ref->engine_s, again->engine_s);
-          ref->wall_s = std::min(ref->wall_s, again->wall_s);
-        }
-      };
-      std::vector<Cell> rows;
-      const std::vector<std::int32_t> pdes_workers = {2, 4, 8, 16, -1};
-      for (std::size_t w = 0; w < pdes_workers.size(); ++w) {
-        const std::int32_t workers = pdes_workers[w];
-        if (workers == 16 && n < 1024) continue;  // 64-process lane floor
-        const std::string key =
-            prefix + "n" + std::to_string(n) + "_w" +
-            (workers < 0 ? "auto" : std::to_string(workers));
-        if (std::optional<Cell> cell = measure(topo, n, workers, rounds,
-                                               cell_reps, /*max_events=*/0,
-                                               key)) {
-          rows.push_back(*cell);
-        }
-        if (w == pdes_workers.size() / 2) retime_ref();
+      std::vector<std::int32_t> workers = {0, 2, 4, 8, 16, -1};
+      if (n < 1024) {  // 64-process lane floor
+        workers.erase(std::find(workers.begin(), workers.end(), 16));
       }
-      for (int pass = 2; pass < kRefPasses; ++pass) retime_ref();
-      if (ref) cells.push_back(*ref);
-      cells.insert(cells.end(), rows.begin(), rows.end());
+      measure_group(topo, n, workers, rounds, cell_reps, /*max_events=*/0,
+                    prefix);
     }
   }
 
@@ -329,8 +321,9 @@ int run_pdes_json(const util::Flags& flags) {
   };
   json << "{\n  \"workload\": \"expander=k-regular/16, cliques=ring of "
           "64-cliques, mesh=full; P=10, seed 9, best of "
-       << reps << " reps (engine span; doubled at n <= 1024; expander and "
-          "cliques serial references best of 3 such passes)\",\n"
+       << reps << " reps (engine span; doubled at n <= 1024), each "
+          "(topology, n) group's reps interleaved with its serial "
+          "reference's\",\n"
        << "  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];

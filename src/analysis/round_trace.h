@@ -77,10 +77,10 @@ class RoundTrace final : public sim::TraceSink {
  private:
   /// (round, pid) packed into one key: rounds and pids are non-negative
   /// 31-bit values, so the pair fits a single 64-bit word and the index
-  /// can be a flat hash map — round-begin insertion happens once per
-  /// process per round inside the measured engine span, and absorb()
-  /// re-indexes whole lane traces, so it matters that this is not a
-  /// node-allocating ordered map.
+  /// is a hash map over it rather than an ordered map over pairs.  It still
+  /// allocates: std::unordered_map takes one node per insert, i.e. one per
+  /// process per round inside the measured engine span (bench_micro
+  /// --smoke's allocs_per_round_two_faced_n80 counts them).
   [[nodiscard]] static std::uint64_t begin_key(std::int32_t round,
                                                std::int32_t pid) noexcept {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(round))

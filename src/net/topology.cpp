@@ -154,6 +154,11 @@ void Topology::ensure_distance_row(std::int32_t p) const {
   }
   std::vector<std::int32_t>& row = dist_cache_[static_cast<std::size_t>(p)];
   if (!row.empty()) return;
+  if (is_full_mesh()) {  // every node is one hop away: O(n), no BFS
+    row.assign(static_cast<std::size_t>(n()), 1);
+    row[static_cast<std::size_t>(p)] = 0;
+    return;
+  }
   row.assign(static_cast<std::size_t>(n()), -1);
   row[static_cast<std::size_t>(p)] = 0;
   std::vector<std::int32_t> frontier{p};

@@ -91,7 +91,8 @@ class Topology {
   //
   // Gradient clock synchronization (Bund/Lenzen/Rosenbaum) bounds skew as a
   // function of hop distance d(i, j), so the analysis layer needs BFS rows
-  // and the diameter.  Rows are computed lazily and cached per source;
+  // and the diameter.  Rows are computed lazily and cached per source (on
+  // the full mesh in O(n) without a BFS, so diameter() is O(n^2) there);
   // first computation mutates the cache, so warm every row you need (or
   // call diameter(), which warms all of them) BEFORE sharing one Topology
   // across measurement threads.  Reads of warmed rows are const and safe.

@@ -469,11 +469,12 @@ void Simulator::do_fanout(Lane& lane, std::int32_t from,
     lane.fanouts.release(record_handle);
     return;
   }
-  std::sort(record.deliveries.begin(), record.deliveries.end(),
-            [](const net::FanoutDelivery& a, const net::FanoutDelivery& b) {
-              if (a.time != b.time) return a.time < b.time;
-              return a.seq < b.seq;  // equal-time order of the seed engine
-            });
+  // draw_delay keeps every delay inside A3's band, which is the sorter's
+  // bucket window; the block's seqs increase along the list.
+  lane.fanout_sorter.sort(
+      record.deliveries,
+      lane.current_time + (config_.delta - config_.eps - kDelayTolerance),
+      lane.current_time + (config_.delta + config_.eps + kDelayTolerance));
 
   const net::FanoutDelivery& first = record.deliveries.front();
   const EventHandle handle = lane.pool.acquire();

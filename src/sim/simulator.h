@@ -298,6 +298,10 @@ class Simulator {
     EventPool pool;
     std::unique_ptr<engine::SchedulerPolicy> scheduler;
     net::FanoutPool fanouts;
+    /// Orders each fan-out's deliveries (do_fanout); its scratch is
+    /// per-lane, so lanes stay disjoint and steady-state fan-outs allocate
+    /// nothing.
+    net::FanoutSorter fanout_sorter;
     /// Passive observers of this lane's events.  The serial engine's public
     /// add_trace_sink appends to main_'s list; the PDES engine hands each
     /// lane its own (mergeable) sinks.
@@ -407,8 +411,11 @@ class Simulator {
   /// of broadcast (recipients = neighbors_of(from)) and of an adversary's
   /// multicast (any valid ids, repeats allowed; the caller validates).
   /// Per-link delays are drawn in list order, seqs are the block one
-  /// do_send per recipient would have consumed, and deliveries run in the
-  /// (time, seq) order one entry per recipient would have produced —
+  /// do_send per recipient would have consumed, and the lane's
+  /// net::FanoutSorter orders the deliveries by (time, seq) in linear time
+  /// over the A3 window [now + delta - eps, now + delta + eps] (widened by
+  /// the delay tolerance), so they run in the order one entry per recipient
+  /// would have produced —
   /// checked against an order oracle by tests/topology_test.cpp and
   /// against per-id sends by tests/adversary_test.cpp.  Cross-lane
   /// recipients are split into RemoteEvents (their seqs come out of the

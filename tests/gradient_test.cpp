@@ -54,6 +54,45 @@ TEST(Distances, FullMeshIsDiameterOne) {
   }
 }
 
+TEST(Distances, FullMeshRowsWithoutBfs) {
+  // The mesh fills a row in O(n) (1 everywhere, 0 at the source); a custom
+  // complete graph takes the same path, and removing one edge falls back
+  // to the BFS and finds the 2-hop detour.
+  for (const std::int32_t n : {1, 2, 64}) {
+    SCOPED_TRACE(n);
+    std::vector<std::vector<std::int32_t>> lists(static_cast<std::size_t>(n));
+    for (std::int32_t p = 0; p < n; ++p) {
+      for (std::int32_t q = 0; q < n; ++q) {
+        lists[static_cast<std::size_t>(p)].push_back(q);
+      }
+    }
+    for (const Topology& topo :
+         {Topology::full_mesh(n), Topology::from_adjacency(lists)}) {
+      ASSERT_TRUE(topo.is_full_mesh());
+      EXPECT_EQ(topo.diameter(), n == 1 ? 0 : 1);
+      for (std::int32_t p = 0; p < n; ++p) {
+        const std::vector<std::int32_t>& row = topo.distances_from(p);
+        ASSERT_EQ(row.size(), static_cast<std::size_t>(n));
+        for (std::int32_t q = 0; q < n; ++q) {
+          EXPECT_EQ(row[static_cast<std::size_t>(q)], p == q ? 0 : 1);
+        }
+      }
+    }
+    if (n < 3) continue;
+    auto& first = lists.front();
+    first.erase(std::find(first.begin(), first.end(), n - 1));
+    auto& last = lists.back();
+    last.erase(std::find(last.begin(), last.end(), 0));
+    const Topology missing_edge = Topology::from_adjacency(lists);
+    ASSERT_FALSE(missing_edge.is_full_mesh());
+    EXPECT_EQ(missing_edge.distances_from(0)[static_cast<std::size_t>(n - 1)],
+              2);
+    EXPECT_EQ(missing_edge.distances_from(1)[static_cast<std::size_t>(n - 1)],
+              1);
+    EXPECT_EQ(missing_edge.diameter(), 2);
+  }
+}
+
 TEST(Distances, RingOfCliquesPinned) {
   // Four triangles {0,1,2} {3,4,5} {6,7,8} {9,10,11}, bridged 2-3, 5-6,
   // 8-9, 11-0 into a ring.

@@ -16,6 +16,7 @@
 #include "analysis/measure.h"
 #include "analysis/parallel_runner.h"
 #include "analysis/round_trace.h"
+#include "net/fanout.h"
 #include "net/topology.h"
 #include "sim/trace.h"
 #include "util/rng.h"
@@ -328,14 +329,155 @@ void check_fanout_order(RunSpec spec) {
 
 TEST(FanoutOracle, DeliveryOrderAcrossDelayModels) {
   // kFast/kSlow produce exact delivery-time ties across a whole broadcast —
-  // the seq-block reservation is what keeps those ordered by sender.
-  for (const DelayKind delay :
-       {DelayKind::kUniform, DelayKind::kFast, DelayKind::kSlow,
-        DelayKind::kPerLink, DelayKind::kSplit}) {
-    RunSpec spec = fanout_spec();
-    spec.delay = delay;
-    check_fanout_order(spec);
+  // the seq-block reservation is what keeps those ordered by sender.  The
+  // n = 64, f = 21 mesh sends broadcasts of 64 and face lists of ~21-43
+  // ids, so the sorter's buckets, insertion pass and clustered-bucket sorts
+  // all run on lists well above the n = 7 sizes.
+  for (const std::int32_t n : {7, 64}) {
+    for (const DelayKind delay :
+         {DelayKind::kUniform, DelayKind::kFast, DelayKind::kSlow,
+          DelayKind::kPerLink, DelayKind::kSplit, DelayKind::kExpTrunc}) {
+      SCOPED_TRACE("n = " + std::to_string(n) + ", delay " +
+                   std::to_string(static_cast<int>(delay)));
+      RunSpec spec = fanout_spec();
+      if (n == 64) {
+        spec.params = core::make_params(64, 21, 1e-5, 0.01, 1e-3, 10.0);
+        spec.fault_count = 21;
+        spec.rounds = 4;
+      }
+      spec.delay = delay;
+      check_fanout_order(spec);
+    }
   }
+}
+
+// ------------------------------------------------------- fan-out sorter ---
+
+/// A fan-out list with the given delivery times and seqs strictly
+/// increasing along it (the sorter's precondition), sorted by the sorter
+/// and compared against std::sort by (time, seq).
+void expect_sorted_like_std_sort(net::FanoutSorter& sorter,
+                                 const std::vector<double>& times, double lo,
+                                 double hi) {
+  std::vector<net::FanoutDelivery> deliveries;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    deliveries.push_back({times[i], (std::uint64_t{5} << 40) | (3 * i + 1),
+                          static_cast<std::int32_t>(i)});
+  }
+  std::vector<net::FanoutDelivery> expected = deliveries;
+  std::sort(expected.begin(), expected.end(),
+            [](const net::FanoutDelivery& a, const net::FanoutDelivery& b) {
+              if (a.time != b.time) return a.time < b.time;
+              return a.seq < b.seq;
+            });
+  sorter.sort(deliveries, lo, hi);
+  ASSERT_EQ(deliveries.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(deliveries[i].time, expected[i].time) << "slot " << i;
+    ASSERT_EQ(deliveries[i].seq, expected[i].seq) << "slot " << i;
+    ASSERT_EQ(deliveries[i].to, expected[i].to) << "slot " << i;
+  }
+}
+
+// The A3 window of a send at t = 100 with delta = 10 ms, eps = 1 ms.
+constexpr double kSendTime = 100.0;
+constexpr double kLo = kSendTime + (0.01 - 1e-3 - 1e-12);
+constexpr double kHi = kSendTime + (0.01 + 1e-3 + 1e-12);
+
+std::vector<double> uniform_times(std::size_t m, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<double> times;
+  for (std::size_t i = 0; i < m; ++i) {
+    times.push_back(kSendTime + 0.009 + 0.002 * rng.uniform());
+  }
+  return times;
+}
+
+TEST(FanoutSorter, MatchesStdSortOnSpreadLists) {
+  net::FanoutSorter sorter;  // one sorter throughout: scratch is reused
+  for (const std::size_t m : {1u, 2u, 3u, 17u, 64u, 512u, 2048u}) {
+    SCOPED_TRACE(m);
+    expect_sorted_like_std_sort(sorter, uniform_times(m, 7 + m), kLo, kHi);
+  }
+  expect_sorted_like_std_sort(sorter, {}, kLo, kHi);
+  expect_sorted_like_std_sort(sorter, {kHi - 1e-4, kLo + 1e-4}, kLo, kHi);
+}
+
+TEST(FanoutSorter, OneBucketInReverseSeqOrder) {
+  // Every time inside one bucket's width, descending along the list: the
+  // finishing pass does all the work — an insertion pass at or below
+  // kInsertionCap, the std::sort fallback above it.
+  net::FanoutSorter sorter;
+  constexpr std::size_t kCap = net::FanoutSorter::kInsertionCap;
+  for (const std::size_t m : {std::size_t{2}, std::size_t{9}, kCap, kCap + 1,
+                              std::size_t{2048}}) {
+    SCOPED_TRACE(m);
+    const double bucket_width = (kHi - kLo) / static_cast<double>(m);
+    std::vector<double> times;
+    for (std::size_t i = 0; i < m; ++i) {
+      times.push_back(kLo + 0.5 * bucket_width *
+                                (1.0 - static_cast<double>(i) /
+                                           static_cast<double>(m)));
+    }
+    expect_sorted_like_std_sort(sorter, times, kLo, kHi);
+  }
+}
+
+TEST(FanoutSorter, ExactTiesKeepSeqOrder) {
+  net::FanoutSorter sorter;
+  // A few distinct instants, each repeated, in shuffled list order: ties
+  // share a bucket and must come out in seq (= list) order.
+  for (const std::size_t m : {2u, 6u, 40u, 2048u}) {
+    SCOPED_TRACE(m);
+    util::Rng rng(m);
+    std::vector<double> times;
+    for (std::size_t i = 0; i < m; ++i) {
+      times.push_back(kSendTime + 0.009 +
+                      0.0005 * static_cast<double>(rng.uniform() * 4.0));
+    }
+    for (double& t : times) t = std::floor(t * 1e4) / 1e4;
+    expect_sorted_like_std_sort(sorter, times, kLo, kHi);
+  }
+  // Pairs of ties among otherwise spread times (buckets of size 2-3).
+  std::vector<double> paired = uniform_times(100, 3);
+  for (std::size_t i = 0; i + 1 < paired.size(); i += 3) {
+    paired[i + 1] = paired[i];
+  }
+  expect_sorted_like_std_sort(sorter, paired, kLo, kHi);
+}
+
+TEST(FanoutSorter, ZeroEpsWindow) {
+  // eps = 0 (and the kFast / kSlow models): every delivery at one instant,
+  // inside a window only 2e-12 wide.
+  net::FanoutSorter sorter;
+  const double at = kSendTime + 0.01;
+  for (const std::size_t m : {1u, 2u, 5u, 64u, 2048u}) {
+    SCOPED_TRACE(m);
+    expect_sorted_like_std_sort(sorter, std::vector<double>(m, at),
+                                at - 1e-12, at + 1e-12);
+  }
+  // A window that rounds to zero width puts everything in one bucket.
+  expect_sorted_like_std_sort(sorter, uniform_times(50, 11), kLo, kLo);
+  expect_sorted_like_std_sort(sorter, uniform_times(50, 12), kHi, kLo);
+}
+
+TEST(FanoutSorter, TimesOutsideTheWindowAreClamped) {
+  // Rounding (or a caller's window that is simply wrong) may put times
+  // below lo or above hi; they clamp to the end buckets and still sort.
+  net::FanoutSorter sorter;
+  for (const std::size_t m : {2u, 8u, 33u, 2048u}) {
+    SCOPED_TRACE(m);
+    std::vector<double> times = uniform_times(m, 21 + m);
+    for (std::size_t i = 0; i < m; i += 4) {
+      times[i] = std::nextafter(kLo, 0.0);
+      if (i + 1 < m) times[i + 1] = std::nextafter(kHi, 1e9);
+      if (i + 2 < m) times[i + 2] = i % 8 == 0 ? kLo - 5.0 : kHi + 5.0;
+    }
+    expect_sorted_like_std_sort(sorter, times, kLo, kHi);
+  }
+  // A window wholly below every time: all of them land in the last bucket.
+  expect_sorted_like_std_sort(sorter, uniform_times(40, 5), kLo - 1.0,
+                              kLo - 0.5);
 }
 
 TEST(FanoutOracle, DeliveryOrderWithStaggerAndKExchanges) {
