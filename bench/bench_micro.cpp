@@ -7,7 +7,7 @@
 // instead checks the *deterministic* ingestion counters CI can gate on
 // without flaky wall-clock thresholds: heap allocations per steady-state
 // round on the arena path (pinned at zero), scheduler queue operations per
-// round under batched fan-out, and the NIC overflow conservation laws.
+// round with the delivery ring, and the NIC overflow conservation laws.
 // Results are written as a CSV artifact either way; any exceeded limit
 // makes the process exit nonzero, failing the CI perf-smoke step.
 
@@ -245,13 +245,12 @@ BENCHMARK(BM_SimulatorStepSchedulerBound)
     ->Arg(static_cast<int>(engine::SchedulerKind::kDaryHeap))
     ->Arg(static_cast<int>(engine::SchedulerKind::kCalendar));
 
-/// Queue pressure of the batched fan-out path, n = 128 full mesh.  Reported
+/// Queue pressure of the delivery ring, n = 128 full mesh.  Reported
 /// counters are per simulated round: scheduler push+pop operations, the
 /// pending-entry high-water mark, and direct (queue-bypassing) deliveries.
-/// arg0: DelayKind (kSlow clusters a broadcast's deliveries at one instant
-/// — the regime batching wins outright; kUniform spreads them, where the
-/// win is depth, not op count).  One entry per recipient would cost a push
-/// and a pop per message, ~33k ops/round here.
+/// arg0: DelayKind (kSlow clusters a broadcast's deliveries at one
+/// instant; kUniform spreads them).  One entry per recipient would cost a
+/// push and a pop per message, ~33k ops/round here.
 void BM_BroadcastFanoutQueueOps(benchmark::State& state) {
   const auto delay = static_cast<analysis::DelayKind>(state.range(0));
   constexpr std::int32_t kRounds = 3;
@@ -286,43 +285,59 @@ BENCHMARK(BM_BroadcastFanoutQueueOps)
     ->Arg(static_cast<int>(analysis::DelayKind::kUniform))
     ->Unit(benchmark::kMillisecond);
 
-/// Ordering one fan-out's delivery list by (time, seq): the lane's
-/// net::FanoutSorter (bucket scatter over the A3 window) against the
-/// comparison std::sort it replaced.  arg0: list size (17 = a deg-16
-/// expander broadcast, 512 = a mesh_byzantine broadcast); arg1: 0 = sorter,
-/// 1 = std::sort.  Times are uniform over the window, as kUniform draws
-/// them; both sides pay the same copy of the unsorted list per iteration.
-void BM_FanoutOrder(benchmark::State& state) {
+/// Sealing one delivery-ring cell: m deliveries appended to one cell in
+/// send order (seqs from 8 interleaved senders, times uniform over the
+/// cell), then ordered by (time, seq) and run out — against std::sort of
+/// the same list.  arg0: deliveries per cell (17 = a deg-16 expander
+/// broadcast; a mesh_byzantine cell averages ~220); arg1: 0 = ring,
+/// 1 = std::sort.  Both sides pay the append of every delivery per
+/// iteration; the ring side also its payload and pop.
+void BM_CellSeal(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const bool reference = state.range(1) != 0;
-  constexpr double kNow = 100.0;
-  const double lo = kNow + (0.01 - 1e-3 - 1e-12);
-  const double hi = kNow + (0.01 + 1e-3 + 1e-12);
+  const net::RingGeometry geometry =
+      net::RingGeometry::for_band(0.01 - 1e-3 - 1e-12, 0.01 + 1e-3 + 1e-12);
   util::Rng rng(5);
-  std::vector<net::FanoutDelivery> unsorted;
+  std::vector<net::RingItem> items;
   for (std::size_t i = 0; i < m; ++i) {
-    unsorted.push_back({kNow + 0.009 + 0.002 * rng.uniform(), i,
-                        static_cast<std::int32_t>(i)});
+    items.push_back({geometry.width * (1.0 + rng.uniform()),
+                     (rng.below(8) << 40) | i, static_cast<std::int32_t>(i),
+                     0});
   }
-  net::FanoutSorter sorter;
-  std::vector<net::FanoutDelivery> work;
+  net::DeliveryRing ring;
+  ring.configure(geometry);
+  std::vector<net::RingItem> work;
+  double shift = 0.0;  // each iteration one second later: a fresh cell
   for (auto _ : state) {
-    work.assign(unsorted.begin(), unsorted.end());
+    shift += 1.0;
     if (reference) {
+      work.clear();
+      for (const net::RingItem& item : items) {
+        work.push_back({item.time + shift, item.seq, item.to, 0});
+      }
       std::sort(work.begin(), work.end(),
-                [](const net::FanoutDelivery& a, const net::FanoutDelivery& b) {
+                [](const net::RingItem& a, const net::RingItem& b) {
                   if (a.time != b.time) return a.time < b.time;
                   return a.seq < b.seq;
                 });
+      benchmark::DoNotOptimize(work.data());
     } else {
-      sorter.sort(work, lo, hi);
+      const std::uint32_t payload = ring.open_payload(sim::make_app(0, 0, 0.0));
+      for (const net::RingItem& item : items) {
+        ring.push(shift - 0.009, item.time + shift, item.seq, item.to, payload);
+      }
+      while (!ring.empty()) {
+        benchmark::DoNotOptimize(ring.next_key(1e300));
+        benchmark::DoNotOptimize(ring.pop_front());
+      }
     }
-    benchmark::DoNotOptimize(work.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel(reference ? "std::sort" : "FanoutSorter");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(m));
+  state.SetLabel(reference ? "std::sort" : "ring seal");
 }
-BENCHMARK(BM_FanoutOrder)
+BENCHMARK(BM_CellSeal)
     ->Args({17, 0})->Args({17, 1})
     ->Args({512, 0})->Args({512, 1})
     ->Args({2048, 0})->Args({2048, 1});
@@ -521,13 +536,12 @@ struct SmokeRow {
   bool pass = true;
 };
 
-/// Measured 2026-07 on the batched engine and re-confirmed 2026-08 after
-/// the per-lane scheduler refactor (engine/pdes.h): ~1323 scheduler
-/// ops/round for the n = 128 clustered-delay mesh (timers + one entry per
-/// broadcast; one entry per recipient would need ~33k).  Ratcheted from the
-/// original 1460 to ~5% headroom; a real regression re-queues per
-/// recipient and lands ~25x over this.
-constexpr double kQueueOpsPerRoundLimit = 1390.0;
+/// Measured 2026-10 with the delivery ring: 900 scheduler ops/round for
+/// the n = 128 clustered-delay mesh (timers plus the ring's one entry; one
+/// entry per broadcast measured ~1323, one per recipient would need ~33k).
+/// The limit carries ~10% headroom, so a return to a re-armed entry per
+/// fan-out fails it.
+constexpr double kQueueOpsPerRoundLimit = 990.0;
 
 /// Heap allocations per steady-state ingestion round (n = 512 full mesh,
 /// 10 measured rounds after warm-up), pinned at ZERO.
@@ -543,11 +557,11 @@ void smoke_alloc_rounds(std::vector<SmokeRow>& rows) {
   rows.push_back({"allocs_per_round_arena", per_round, 0.0, per_round <= 0.0});
 }
 
-/// Scheduler queue operations per round, batched fan-out, n = 128 full mesh
-/// under clustered (all-slow) delays — the PR 2 acceptance scenario.  The
-/// count is deterministic (fixed seed, integer event ordering); the limit
-/// carries ~10% headroom over the measured 2026-07 value so only a real
-/// regression (a path that starts re-queueing per recipient again) trips it.
+/// Scheduler queue operations per round, n = 128 full mesh under clustered
+/// (all-slow) delays.  The count is deterministic (fixed seed, integer
+/// event ordering); the limit carries ~10% headroom over the measured
+/// value so only a real regression (a path that queues per fan-out or per
+/// recipient again) trips it.
 void smoke_queue_ops(std::vector<SmokeRow>& rows) {
   analysis::RunSpec spec;
   spec.params = core::make_params(128, 42, 1e-5, 0.01, 1e-3, 10.0);
@@ -563,15 +577,14 @@ void smoke_queue_ops(std::vector<SmokeRow>& rows) {
 }
 
 /// Theorem 16's two-faced mesh (n = 80, f = 26 = (n - 2) / 3, 4 rounds,
-/// seed 31, trailing layout, event engine): every adversary sends each
-/// group face as one multicast, so a face keeps one scheduler entry
-/// pending rather than one per victim.  Measured 2026-10 at 16713.5 queue
-/// ops per round and 209 peak pending entries; both limits carry ~10%
-/// headroom.  Per-victim face scheduling measured 17322 ops per round and
-/// 1356 peak pending: the peak row is the one that catches it (queue ops
-/// barely move, since a batched entry re-arms once per delivery).
-constexpr double kTwoFacedQueueOpsPerRoundLimit = 18400.0;
-constexpr double kTwoFacedPeakPendingLimit = 230.0;
+/// seed 31, trailing layout, event engine).  With every delivery in the
+/// delivery ring, the scheduler sees timers and one ring entry: measured
+/// 2026-10 at 680 queue ops per round and 112 peak pending entries, and
+/// both limits carry ~10% headroom.  One entry per fan-out, re-armed per
+/// delivery, measured 16713.5 ops per round and 209 peak pending; one entry
+/// per victim 17322 and 1356.
+constexpr double kTwoFacedQueueOpsPerRoundLimit = 750.0;
+constexpr double kTwoFacedPeakPendingLimit = 123.0;
 
 void smoke_two_faced_mesh(std::vector<SmokeRow>& rows) {
   analysis::RunSpec spec;
@@ -597,11 +610,12 @@ void smoke_two_faced_mesh(std::vector<SmokeRow>& rows) {
 /// Heap allocations per steady-state round of the same two-faced mesh,
 /// counted over run_until(4P -> 8P) after four warm-up rounds (the spec
 /// runs 8 rounds so that the window ends inside the run).  Measured
-/// 2026-10 at 120.5: the TwoFacedAdversary's pending-face multimap nodes
-/// and RoundTrace::begin_index_'s hash nodes.  Pinned exactly: fan-outs
-/// reuse their pooled records and the lane's FanoutSorter scratch, and a
-/// FanoutSorter built per fan-out instead measured 451.75 per round.
-constexpr double kTwoFacedAllocsPerRoundLimit = 120.5;
+/// 2026-10 at 14.25: 13.5 per round are per-process clock breakpoint
+/// vectors doubling to 64 entries, plus one doubling of the ring's sort
+/// buffer and two of the RoundTrace storage in the window.  Pinned
+/// exactly: faces sit in a flat vector and round begins in a flat table
+/// (a multimap node per face and a hash node per begin measured 120.5).
+constexpr double kTwoFacedAllocsPerRoundLimit = 14.25;
 
 void smoke_two_faced_allocs(std::vector<SmokeRow>& rows) {
   analysis::RunSpec spec;
@@ -622,6 +636,30 @@ void smoke_two_faced_allocs(std::vector<SmokeRow>& rows) {
   rows.push_back({"allocs_per_round_two_faced_n80", per_round,
                   kTwoFacedAllocsPerRoundLimit,
                   per_round <= kTwoFacedAllocsPerRoundLimit});
+}
+
+/// Delivery-ring chunk allocations per steady-state round of the same
+/// two-faced mesh and window, pinned at ZERO: once the chunk pool has
+/// reached its high-water mark, sealed cells hand their chunks back and
+/// new sends reuse them.  A ring that allocated storage per send or per
+/// cell would count here.
+void smoke_ring_chunks(std::vector<SmokeRow>& rows) {
+  analysis::RunSpec spec;
+  spec.params = core::make_params(80, 26, 1e-5, 0.01, 1e-3, 10.0);
+  spec.fault = analysis::FaultKind::kTwoFaced;
+  spec.fault_count = 26;
+  spec.rounds = 8;
+  spec.seed = 31;
+  spec.engine = analysis::EngineMode::kEvent;
+  analysis::Experiment experiment(spec);
+  sim::Simulator& sim = experiment.simulator();
+  sim.run_until(4 * spec.params.P);
+  const std::uint64_t before = sim.ring_chunk_allocs();
+  sim.run_until(8 * spec.params.P);
+  const double per_round =
+      static_cast<double>(sim.ring_chunk_allocs() - before) / 4.0;
+  rows.push_back({"ring_chunk_allocs_per_round_two_faced_n80", per_round, 0.0,
+                  per_round <= 0.0});
 }
 
 /// NIC overflow conservation on the clustered-broadcast worst case
@@ -1015,6 +1053,7 @@ int run_smoke(const util::Flags& flags) {
   smoke_queue_ops(rows);
   smoke_two_faced_mesh(rows);
   smoke_two_faced_allocs(rows);
+  smoke_ring_chunks(rows);
   smoke_nic_overflow(rows);
   smoke_observer_counters(rows);
   smoke_observer_history(rows);

@@ -3,7 +3,7 @@
 // Scales the Welch-Lynch maintenance algorithm across n (default up to 512,
 // --max-n to change) on the paper's full mesh and on the sparse graphs of
 // the net layer (k-regular expander, ring of cliques), and reports the
-// engine-pressure counters the batched fan-out refactor targets: messages
+// engine-pressure counters the delivery ring targets: messages
 // per round, scheduler push+pop operations per round, the pending-entry
 // high-water mark, and wall time per round — plus the measured steady skew,
 // since sparse graphs trade agreement quality for O(degree * n) traffic.
@@ -115,8 +115,8 @@ int main(int argc, char** argv) {
       "Large-n scaling of one Welch-Lynch round across exchange graphs.\n"
       "Full mesh sends n^2 messages/round; sparse graphs send degree*n —\n"
       "the route to n >= 512 the ROADMAP calls for.  queue-ops and peak\n"
-      "pending show the batched fan-out keeping scheduler pressure at\n"
-      "O(n) entries instead of O(n^2).");
+      "pending show the delivery ring keeping scheduler pressure to the\n"
+      "timers plus one entry, instead of one entry per message.");
   std::cout << "nic: " << bench::nic_name(nic)
             << "; observe: " << bench::observe_name(observe)
             << "; engine: " << bench::engine_name(engine)

@@ -353,8 +353,8 @@ struct RunTelemetry {
   /// Times the fast path re-armed after a clean handoff to the event
   /// engine mid-run (core/fastpath.h).
   std::int64_t fastpath_rearms = 0;
-  /// Merged-loop engine dispatches (FastPathStats::region_events); zero
-  /// unless the fast path ran.
+  /// Merged-loop engine events (FastPathStats::region_events); zero unless
+  /// the fast path ran.
   std::int64_t fastpath_region_events = 0;
   /// Threads the fast path's per-exchange kernels ran on
   /// (FastPathStats::threads): 1 = serial; 0 unless the fast path engaged.

@@ -13,7 +13,7 @@ void RoundTrace::on_annotation(std::int32_t pid, double time,
   switch (annotation.type) {
     case proc::Annotation::Type::kRoundBegin:
       begins_.push_back(event);
-      begin_index_[begin_key(annotation.round, pid)] = time;
+      index_begin(annotation.round, pid, time);
       break;
     case proc::Annotation::Type::kUpdate:
       updates_.push_back(event);
@@ -26,14 +26,59 @@ void RoundTrace::on_annotation(std::int32_t pid, double time,
   }
 }
 
+void RoundTrace::index_begin(std::int32_t round, std::int32_t pid,
+                             double time) {
+  if (pid < 0) return;  // no process has a negative id
+  const auto at = [](std::int32_t row, std::int32_t stride, std::int32_t col) {
+    return static_cast<std::size_t>(row) * static_cast<std::size_t>(stride) +
+           static_cast<std::size_t>(col);
+  };
+  const std::int32_t first = rounds_ == 0 ? round : std::min(first_round_, round);
+  const std::int32_t end = rounds_ == 0
+                               ? round + 1
+                               : std::max(first_round_ + rounds_, round + 1);
+  const std::int32_t stride = std::max(stride_, pid + 1);
+  if (first != first_round_ || stride != stride_) {
+    // Re-layout: a round below the first row or a pid wider than the rows
+    // (both happen only while the first rounds fill in).
+    std::vector<double> table(at(end - first, stride, 0),
+                              std::numeric_limits<double>::quiet_NaN());
+    for (std::int32_t r = 0; r < rounds_; ++r) {
+      for (std::int32_t p = 0; p < stride_; ++p) {
+        table[at(r + first_round_ - first, stride, p)] =
+            begin_table_[at(r, stride_, p)];
+      }
+    }
+    begin_table_ = std::move(table);
+    first_round_ = first;
+    stride_ = stride;
+  } else if (end - first != rounds_) {
+    begin_table_.resize(at(end - first, stride, 0),
+                        std::numeric_limits<double>::quiet_NaN());
+  }
+  rounds_ = end - first;
+  begin_table_[at(round - first_round_, stride_, pid)] = time;
+}
+
+double RoundTrace::indexed_begin(std::int32_t round,
+                                 std::int32_t pid) const noexcept {
+  if (pid < 0 || pid >= stride_ || round < first_round_ ||
+      round - first_round_ >= rounds_) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  return begin_table_[static_cast<std::size_t>(round - first_round_) *
+                          static_cast<std::size_t>(stride_) +
+                      static_cast<std::size_t>(pid)];
+}
+
 std::vector<double> RoundTrace::begin_times(
     std::int32_t round, const std::vector<std::int32_t>& ids) const {
   std::vector<double> times;
   times.reserve(ids.size());
   for (std::int32_t id : ids) {
-    const auto it = begin_index_.find(begin_key(round, id));
-    if (it == begin_index_.end()) return {};
-    times.push_back(it->second);
+    const double time = indexed_begin(round, id);
+    if (std::isnan(time)) return {};
+    times.push_back(time);
   }
   return times;
 }
@@ -81,9 +126,8 @@ void RoundTrace::absorb(const RoundTrace& other) {
   merge_into(begins_, other.begins_);
   merge_into(updates_, other.updates_);
   merge_into(joins_, other.joins_);
-  begin_index_.reserve(begin_index_.size() + other.begins_.size());
   for (const RoundEvent& begin : other.begins_) {
-    begin_index_[begin_key(begin.round, begin.pid)] = begin.real_time;
+    index_begin(begin.round, begin.pid, begin.real_time);
   }
 }
 
@@ -127,12 +171,9 @@ void RoundTrace::absorb_all(const std::vector<RoundTrace>& others) {
   merge_all(&RoundTrace::updates_);
   merge_all(&RoundTrace::joins_);
 
-  std::size_t new_begins = 0;
-  for (const RoundTrace& other : others) new_begins += other.begins_.size();
-  begin_index_.reserve(begin_index_.size() + new_begins);
   for (const RoundTrace& other : others) {
     for (const RoundEvent& begin : other.begins_) {
-      begin_index_[begin_key(begin.round, begin.pid)] = begin.real_time;
+      index_begin(begin.round, begin.pid, begin.real_time);
     }
   }
 }

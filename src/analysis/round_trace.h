@@ -8,7 +8,6 @@
 // magnitudes (Theorem 4(a)), and the per-round convergence series B^i.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/trace.h"
@@ -69,29 +68,31 @@ class RoundTrace final : public sim::TraceSink {
 
   /// absorb() for a whole lane set at once: one k-way merge into a single
   /// preallocated buffer instead of k incremental inplace_merge passes
-  /// (each of which re-acquires a temporary buffer), and one reserved
-  /// re-index.  Equivalent to absorbing each trace in order; the PDES
-  /// engine folds its per-lane traces through this.
+  /// (each of which re-acquires a temporary buffer).  Equivalent to
+  /// absorbing each trace in order; the PDES engine folds its per-lane
+  /// traces through this.
   void absorb_all(const std::vector<RoundTrace>& others);
 
  private:
-  /// (round, pid) packed into one key: rounds and pids are non-negative
-  /// 31-bit values, so the pair fits a single 64-bit word and the index
-  /// is a hash map over it rather than an ordered map over pairs.  It still
-  /// allocates: std::unordered_map takes one node per insert, i.e. one per
-  /// process per round inside the measured engine span (bench_micro
-  /// --smoke's allocs_per_round_two_faced_n80 counts them).
-  [[nodiscard]] static std::uint64_t begin_key(std::int32_t round,
-                                               std::int32_t pid) noexcept {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(round))
-            << 32) |
-           static_cast<std::uint32_t>(pid);
-  }
+  /// Records `pid`'s begin of `round` at `time` (last write wins).  A
+  /// negative pid names no process and is not indexed.
+  void index_begin(std::int32_t round, std::int32_t pid, double time);
+  /// The recorded begin time, or NaN when there is none.
+  [[nodiscard]] double indexed_begin(std::int32_t round,
+                                     std::int32_t pid) const noexcept;
 
   std::vector<RoundEvent> begins_;
   std::vector<RoundEvent> updates_;
   std::vector<RoundEvent> joins_;
-  std::unordered_map<std::uint64_t, double> begin_index_;
+  /// Begin times as a flat (round, pid) table: row r - first_round_ holds
+  /// round r, `stride_` pids wide, NaN where no begin was recorded.  Rounds
+  /// and pids are small dense counters, so the table stays compact; a new
+  /// round appends one row to a vector that keeps its capacity, so steady
+  /// state allocates only when the table doubles.
+  std::vector<double> begin_table_;
+  std::int32_t first_round_ = 0;
+  std::int32_t rounds_ = 0;
+  std::int32_t stride_ = 0;
 };
 
 }  // namespace wlsync::analysis

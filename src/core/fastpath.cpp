@@ -210,8 +210,8 @@ void RoundFastPath::on_broadcast(std::int32_t from, std::int32_t tag,
     return;
   }
   // kRegion: recipients inside the tainted region get a real scheduler
-  // entry carrying the pre-drawn delay and pre-allocated seq — exactly the
-  // kDeliver event the serial engine's fan-out would have keyed — and the
+  // entry carrying the pre-drawn delay and pre-allocated seq — a delivery
+  // keyed exactly as the serial engine's ring would run it — and the
   // merged loop may dispatch it before the next fast replay step, so the
   // draws happen here, in replay order.
   double* row = times_.data() + row_offset_[static_cast<std::size_t>(from)];
@@ -635,7 +635,6 @@ void RoundFastPath::inject_pending(const char* reason) {
     ev.seq = e.seq;
     ev.to = e.pid;
     ev.engine_kind = sim::EngineKind::kDeliver;
-    ev.link = 0xFFFFFFFFu;
     ev.msg = e.kind == Kind::kStart ? sim::make_start() : sim::make_timer(e.tag);
     sim_.push_handle(sim_.main_, h);
   }
@@ -648,8 +647,8 @@ void RoundFastPath::advance_engine_to(double time, std::int32_t tier,
   // fast event's (time, tier, seq) key runs through the regular engine
   // first — region timers and fan-outs, deliveries into the fast arenas,
   // adversary sends — so observable state at the fast replay instant is
-  // exactly the serial engine's.  The fast event's time caps fan-out run
-  // extension (dispatch_fanout requeues past the limit), so nothing leaks
+  // exactly the serial engine's.  The fast event's time caps the ring's run
+  // extension (dispatch_ring re-arms past the limit), so nothing leaks
   // beyond the boundary key.
   sim::Simulator::Lane& lane = sim_.main_;
   const sim::EventKey key{
@@ -671,8 +670,10 @@ void RoundFastPath::advance_engine_to(double time, std::int32_t tier,
           "RoundFastPath: fast-region timer escaped to the scheduler");
     }
     ++lane.queue_pops;
-    ++stats_.region_events;
+    const std::uint64_t before = lane.events_processed;
     sim_.dispatch(lane, lane.scheduler->pop(), time);
+    stats_.region_events +=
+        static_cast<std::int64_t>(lane.events_processed - before);
   }
   engine_head_ = lane.scheduler->empty()
                      ? sim::EventKey{std::numeric_limits<double>::infinity(),
@@ -886,7 +887,7 @@ bool RoundFastPath::run_exchange(double horizon) {
     //   1. Overwrite proof.  Every stale slot's sender is honest (faulty
     //      pids have no fast neighbors — the region is their closed
     //      neighborhood) and engine-run, so its current-window activity is
-    //      still queued: a fan-out mid-delivery, an undelivered unicast,
+    //      still queued: a delivery in the ring, an undelivered unicast,
     //      or a broadcast timer / START yet to fire.  One drain of the
     //      scheduler bounds when the last such write can land; if that
     //      precedes every fast update, every stale slot is overwritten —
@@ -910,17 +911,17 @@ bool RoundFastPath::run_exchange(double horizon) {
         const sim::EventHandle h = lane.scheduler->pop();
         scan_handles_.push_back(h);
         const sim::Event& e = lane.pool[h];
-        if (e.engine_kind == sim::EngineKind::kFanout) {
-          // Remaining deliveries are [cursor, end), sorted ascending; only
-          // the ones landing on fast pids write fast arenas.  (A faulty
-          // sender's fan-out has no fast recipients at all.)
-          const net::FanoutRecord& rec = lane.fanouts[e.link];
-          for (std::size_t d = rec.cursor; d < rec.deliveries.size(); ++d) {
-            const std::int32_t to = rec.deliveries[d].to;
-            if (to >= 0 && to < n_ && fast_[static_cast<std::size_t>(to)]) {
-              writes_by = std::max(writes_by, rec.deliveries[d].time);
-            }
-          }
+        if (e.engine_kind == sim::EngineKind::kRing) {
+          // Every delivery still in the ring; only the ones landing on fast
+          // pids write fast arenas.  (A faulty sender's sends have no fast
+          // recipients at all.)
+          lane.ring.for_each(
+              [&](const net::RingItem& item, const sim::Message&) {
+                if (item.to >= 0 && item.to < n_ &&
+                    fast_[static_cast<std::size_t>(item.to)]) {
+                  writes_by = std::max(writes_by, item.time);
+                }
+              });
         } else if (e.engine_kind != sim::EngineKind::kDeliver) {
           writes_by = std::numeric_limits<double>::infinity();
         } else if (e.msg.kind == sim::Kind::kApp) {

@@ -129,9 +129,9 @@ struct FastPathStats {
   /// Size of the fast set: n in kPlain/kStaggered, the honest pids outside
   /// the adversary's closed neighborhood in kRegion.
   std::int32_t fast_count = 0;
-  /// kRegion only: scheduler entries the merged loop dispatched through the
-  /// event engine while engaged (region timers, region fan-outs, deliveries
-  /// crossing the region boundary).
+  /// kRegion only: events the merged loop ran through the event engine
+  /// while engaged (region timers, region deliveries, deliveries crossing
+  /// the region boundary).
   std::int64_t region_events = 0;
   /// Threads the per-exchange kernels ran on: 1 = serial, else
   /// util::hardware_threads() (see kFastpathShardThreshold).

@@ -534,6 +534,7 @@ void PdesEngine::setup(const net::Partition& partition,
   for (std::size_t i = 0; i < k; ++i) {
     auto lane = std::make_unique<Lane>();
     lane->scheduler = make_scheduler(sim_.config_.scheduler, lane->pool);
+    lane->ring.configure(sim_.main_.ring.geometry());
     lane->shard = static_cast<std::int32_t>(i);
     lane->current_time = sim_.main_.current_time;
     // Direct SPSC channels to every other lane, the engine boundary set
@@ -554,9 +555,9 @@ void PdesEngine::setup(const net::Partition& partition,
   }
   sim_.lane_of_ = partition.shard_of;
 
-  // Migrate main_'s pending events to their owner lanes, seqs intact.  An
-  // in-flight batched fan-out may span shards: split it back into
-  // per-recipient events (batching is observable-identical to per-recipient
+  // Migrate main_'s pending events to their owner lanes, seqs intact.  The
+  // ring's in-flight deliveries may span shards: un-batch them into
+  // per-recipient events (the ring is observable-identical to per-recipient
   // scheduling, so the split cannot change the execution).
   const sim::EngineKind arrive_kind = sim_.config_.nic.has_value()
                                           ? sim::EngineKind::kNicArrive
@@ -565,18 +566,16 @@ void PdesEngine::setup(const net::Partition& partition,
     const sim::EventHandle handle = sim_.main_.scheduler->pop();
     ++sim_.main_.queue_pops;
     const sim::Event& event = sim_.main_.pool[handle];
-    if (event.engine_kind == sim::EngineKind::kFanout) {
-      const net::FanoutRecord& record = sim_.main_.fanouts[event.link];
-      for (std::uint32_t d = record.cursor; d < record.deliveries.size(); ++d) {
-        const net::FanoutDelivery& del = record.deliveries[d];
-        sim_.schedule_raw(sim_.owner_lane(del.to), del.time, /*tier=*/0,
-                          del.seq, del.to, arrive_kind, record.msg);
-      }
-      sim_.main_.fanouts.release(event.link);
-    } else {
-      sim_.schedule_raw(sim_.owner_lane(event.to), event.time, event.tier,
-                        event.seq, event.to, event.engine_kind, event.msg);
+    if (event.engine_kind == sim::EngineKind::kRing) {
+      sim_.unbatch_ring(sim_.main_, [&](const net::RingItem& item,
+                                        const sim::Message& msg) {
+        sim_.schedule_raw(sim_.owner_lane(item.to), item.time, /*tier=*/0,
+                          item.seq, item.to, arrive_kind, msg);
+      });
+      continue;
     }
+    sim_.schedule_raw(sim_.owner_lane(event.to), event.time, event.tier,
+                      event.seq, event.to, event.engine_kind, event.msg);
     sim_.main_.pool.release(handle);
   }
 }
@@ -589,14 +588,13 @@ void PdesEngine::worker(std::int32_t wi, double horizon) {
   const auto w = static_cast<std::size_t>(wi);
   for (;;) {
     try {
-      // Report phase: scheduler head I_j and boundary-heap top A_j.  Heap
-      // entries below the scheduler head belong to events that already
-      // executed (the head is a lower bound on everything still pending,
-      // including the remaining deliveries of a batched fan-out, whose
-      // queue entry is keyed by its FIRST remaining delivery) — prune them
-      // lazily here.
-      const double peek =
-          lane.scheduler->empty() ? kInf : lane.scheduler->peek_key().time;
+      // Report phase: next event I_j and boundary-heap top A_j.  Heap
+      // entries below the next event belong to events that already
+      // executed (it is a lower bound on everything still pending,
+      // including the ring's deliveries: next_event_time looks past a seal
+      // entry to the delivery it stands in front of) — prune them lazily
+      // here.
+      const double peek = sim_.next_event_time(lane);
       auto& bh = lane.boundary_heap;
       while (!bh.empty() && bh.front() < peek) {
         std::pop_heap(bh.begin(), bh.end(), std::greater<>{});
@@ -696,21 +694,18 @@ void PdesEngine::dissolve() {
     while (!lane.scheduler->empty()) {
       const sim::EventHandle handle = lane.scheduler->pop();
       const sim::Event& event = lane.pool[handle];
-      if (event.engine_kind == sim::EngineKind::kFanout) {
-        // Un-batch the remaining deliveries; the recorded seqs/times make
+      if (event.engine_kind == sim::EngineKind::kRing) {
+        // Un-batch the remaining deliveries; their recorded seqs/times make
         // the expansion indistinguishable from per-recipient scheduling.
-        const net::FanoutRecord& record = lane.fanouts[event.link];
-        for (std::uint32_t d = record.cursor; d < record.deliveries.size();
-             ++d) {
-          const net::FanoutDelivery& del = record.deliveries[d];
-          sim_.schedule_raw(sim_.main_, del.time, /*tier=*/0, del.seq, del.to,
-                            arrive_kind, record.msg);
-        }
-        lane.fanouts.release(event.link);
-      } else {
-        sim_.schedule_raw(sim_.main_, event.time, event.tier, event.seq,
-                          event.to, event.engine_kind, event.msg);
+        sim_.unbatch_ring(lane, [&](const net::RingItem& item,
+                                    const sim::Message& msg) {
+          sim_.schedule_raw(sim_.main_, item.time, /*tier=*/0, item.seq,
+                            item.to, arrive_kind, msg);
+        });
+        continue;
       }
+      sim_.schedule_raw(sim_.main_, event.time, event.tier, event.seq,
+                        event.to, event.engine_kind, event.msg);
       lane.pool.release(handle);
     }
     sim_.main_.messages_sent += lane.messages_sent;
@@ -719,6 +714,7 @@ void PdesEngine::dissolve() {
     sim_.main_.queue_pushes += lane.queue_pushes;
     sim_.main_.queue_pops += lane.queue_pops;
     sim_.main_.fanout_direct += lane.fanout_direct;
+    sim_.retired_ring_chunks_ += lane.ring.chunk_allocs();
     sim_.main_.peak_pending = std::max(sim_.main_.peak_pending, lane.peak_pending);
     sim_.main_.current_time = std::max(sim_.main_.current_time, lane.current_time);
   }

@@ -3,8 +3,8 @@
 //
 // The serial engine dispatches one global (time, tier, seq) order.  This
 // engine partitions the process set into K shards (net/partition.h), gives
-// each shard a private Simulator::Lane — event pool, scheduler, fan-out
-// pool, clock — and a worker thread, and advances all lanes concurrently
+// each shard a private Simulator::Lane — event pool, scheduler, delivery
+// ring, clock — and a worker thread, and advances all lanes concurrently
 // under the classic conservative-synchronization guarantee: a message
 // crossing the cut, sent at time >= T, arrives at >= T + L for the cut's
 // delay floor L, so everything strictly below the folded bound is safe to

@@ -17,18 +17,17 @@
 //                kept so the end-to-end benchmark's engine split can time
 //                it against the heap.
 //
-// Why the calendar queue loses on this model: rebuild() sizes the cell
-// width from the span of *all* pending times, and that span includes the
-// round timers up to a period P = 10 s ahead, while the bulk of the
-// pending set (deliveries) clusters within delta +- eps of now.  On the
-// n = 512, f = 170 two-faced mesh, whose faces go out as batched fan-outs
-// (net/fanout.h), the pending set holds ~1.1k entries and after warm-up
-// never crosses a resize threshold: the queue rebuilds 7 times in 12
-// rounds and keeps a cell width of 29 ms against a delivery spread of
-// 2 * eps = 2 ms.  One cell holds a whole wave of deliveries, so
-// locate_min() scans ~616 entries per pop, and the engine span is ~10x
-// the heap's (8.0 s vs 0.75 s, bench/e2e engine.serial_calendar_s vs
-// engine.serial_dary_s on one run).
+// Why the calendar queue used to lose on this model: rebuild() sizes the
+// cell width from the span of *all* pending times, and that span includes
+// the round timers up to a period P = 10 s ahead, while the bulk of the
+// pending set was deliveries clustered within delta +- eps of now.  On
+// the n = 512, f = 170 two-faced mesh one 29 ms cell held a whole wave of
+// deliveries, locate_min() scanned ~616 entries per pop, and the engine
+// span was ~10x the heap's.  Deliveries now wait in each lane's delivery
+// ring (net/fanout.h) behind one entry, so the scheduler holds timers and
+// ring entries only, and the two policies time level there (0.39-0.49 s
+// vs 0.41-0.48 s, bench/e2e engine.serial_calendar_s vs
+// engine.serial_dary_s on two traced runs).
 
 #include <cstdint>
 #include <memory>

@@ -21,11 +21,11 @@
 // The Simulator installs the schedule as tier-2 scenario events in its
 // deterministic (time, tier, seq) order (sim/event.h), so the live graph —
 // and with it Topology neighbor views, the (deg-1)/3 local-f clamps in
-// core/welch_lynch, and the batched fan-out — tracks the schedule
-// bit-reproducibly in seed.  Messages already in flight when an edge fails
-// still deliver (they are on the wire; A3 constrains channels going
-// forward, not retroactively), exactly as FanoutRecord snapshots already
-// behave.
+// core/welch_lynch, and every broadcast's recipient list — tracks the
+// schedule bit-reproducibly in seed.  Messages already in flight when an
+// edge fails still deliver (they are on the wire; A3 constrains channels
+// going forward, not retroactively): each delivery-ring item carries its
+// recipient.
 
 #include <cstdint>
 #include <map>

@@ -12,7 +12,7 @@
 // Invariants every constructor establishes (and from_adjacency repairs):
 //   * each node's neighbor list contains the node itself (a process always
 //     hears its own broadcast, as in the paper);
-//   * lists are sorted ascending and duplicate-free — the batched fan-out
+//   * lists are sorted ascending and duplicate-free — a broadcast
 //     draws per-link delays and allocates seqs in neighbor order, so this
 //     ordering fixes every broadcast's delivery order;
 //   * the graph is symmetric (p hears q iff q hears p), matching the

@@ -54,7 +54,7 @@ void TwoFacedAdversary::schedule_attack(AdversaryContext& ctx, double tmin,
       for (std::int32_t to : *group) {
         const double frac = config_.early_frac + static_cast<double>(k) * step;
         const double t = tmin + frac * span;
-        pending_.emplace(t, Face{value, /*early=*/true, to});
+        add_face({t, value, /*early=*/true, to});
         ctx.set_timer_real(t, kFaceTimerTag);
         ++k;
       }
@@ -63,18 +63,28 @@ void TwoFacedAdversary::schedule_attack(AdversaryContext& ctx, double tmin,
   }
   const double t_early = tmin + config_.early_frac * span;
   const double t_late = tmin + config_.late_frac * span;
-  pending_.emplace(t_early, Face{value, /*early=*/true, /*victim=*/-1});
-  pending_.emplace(t_late, Face{value, /*early=*/false, /*victim=*/-1});
+  add_face({t_early, value, /*early=*/true, /*victim=*/-1});
+  add_face({t_late, value, /*early=*/false, /*victim=*/-1});
   ctx.set_timer_real(t_early, kFaceTimerTag);
   ctx.set_timer_real(t_late, kFaceTimerTag);
+}
+
+void TwoFacedAdversary::add_face(const Face& face) {
+  const auto at = std::upper_bound(
+      pending_.begin(), pending_.end(), face.at,
+      [](double t, const Face& other) { return t < other.at; });
+  pending_.insert(at, face);
 }
 
 void TwoFacedAdversary::fire_due_faces(Context& ctx) {
   auto& actx = AdversaryContext::from(ctx);
   const double now = actx.real_time();
-  while (!pending_.empty() && pending_.begin()->first <= now + 1e-12) {
-    const Face face = pending_.begin()->second;
-    pending_.erase(pending_.begin());
+  std::size_t due = 0;
+  while (due < pending_.size() && pending_[due].at <= now + 1e-12) ++due;
+  // A send never re-enters this process (deliveries are events), so
+  // pending_ is stable while the due prefix goes out.
+  for (std::size_t i = 0; i < due; ++i) {
+    const Face& face = pending_[i];
     if (face.victim >= 0) {
       ctx.send(face.victim, config_.tag, face.value, /*aux=*/0);
     } else {
@@ -82,6 +92,8 @@ void TwoFacedAdversary::fire_due_faces(Context& ctx) {
                      face.value, /*aux=*/0);
     }
   }
+  pending_.erase(pending_.begin(),
+                 pending_.begin() + static_cast<std::ptrdiff_t>(due));
 }
 
 std::span<const std::int32_t> TwoFacedAdversary::face_group(bool early,

@@ -24,7 +24,6 @@
 // analysis/experiment.h).
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <utility>
 #include <vector>
@@ -90,10 +89,10 @@ class SpamAdversary final : public Process {
 /// (tests/placement_test.cpp pins an equivalent-list configuration to it).
 ///
 /// A whole-group face (an id range or a target list) goes out as ONE
-/// AdversaryContext::multicast — one batched fan-out entry in the
-/// scheduler, observably identical to a send() per victim — so a mesh of
-/// f splitters keeps O(f) face entries pending instead of O(f * n).
-/// per_target_spread faces are single sends.
+/// AdversaryContext::multicast, observably identical to a send() per
+/// victim; per_target_spread faces are single sends.  Either way the
+/// deliveries wait in the engine's delivery ring (net/fanout.h), not in
+/// the scheduler.
 class TwoFacedAdversary final : public Process {
  public:
   struct Config {
@@ -141,6 +140,7 @@ class TwoFacedAdversary final : public Process {
 
  private:
   struct Face {
+    double at;     ///< real time the face fires
     double value;  ///< label to forge
     bool early;    ///< early face (group A) or late face (group B)
     /// Per-target face: send to exactly this id (per_target_spread mode);
@@ -153,6 +153,8 @@ class TwoFacedAdversary final : public Process {
   }
 
   void schedule_attack(AdversaryContext& ctx, double tmin, double value);
+  /// Files a face in pending_ after every face due no later.
+  void add_face(const Face& face);
   void fire_due_faces(Context& ctx);
   /// The victims of a whole-group face among the `n` registered ids: the
   /// scoped list, or the pivot range.
@@ -162,7 +164,10 @@ class TwoFacedAdversary final : public Process {
   Config config_;
   std::vector<std::int32_t> ids_;       ///< 0..n-1, the pivot ranges' ids
   double last_value_ = -1e300;          ///< largest label already handled
-  std::multimap<double, Face> pending_; ///< fire real-time -> face
+  /// Committed faces by fire time, equal times in the order they were
+  /// scheduled.  A flat vector that keeps its capacity: a steady-state
+  /// round files and fires its faces without allocating.
+  std::vector<Face> pending_;
 };
 
 }  // namespace wlsync::proc

@@ -115,8 +115,8 @@ class AdversaryContext : public Context {
   /// Sends one message to each id in `ids` (any ids, in list order, repeats
   /// allowed): observably exactly one send() per id — delays drawn in list
   /// order, seqs from the same per-sender block, on_send per recipient —
-  /// but scheduled as one batched fan-out entry, like broadcast().  Every
-  /// id is validated before any delay is drawn or seq allocated.
+  /// in one call, like broadcast().  Every id is validated before any delay
+  /// is drawn or seq allocated.
   virtual void multicast(std::span<const std::int32_t> ids, std::int32_t tag,
                          double value, std::int32_t aux) = 0;
 

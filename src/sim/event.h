@@ -27,7 +27,10 @@ enum class EngineKind : std::uint8_t {
   kDeliver = 0,     ///< hand the message to the recipient process
   kNicArrive = 1,   ///< message reaches the recipient's bounded NIC buffer
   kNicService = 2,  ///< NIC hands the next buffered message to the process
-  kFanout = 3,      ///< batched broadcast: next delivery of a FanoutRecord
+  /// The lane's delivery ring (net/fanout.h): its next sealed delivery,
+  /// or a seal entry, which is not an event.  `to` is -1 and the message
+  /// is empty; the ring holds the deliveries.
+  kRing = 3,
   /// Apply a net::DynamicsEvent to the live graph.  `to` is the index into
   /// the installed DynamicsSpec, NOT a process id; the message is empty.
   /// Scheduled at tier 2, so at its exact instant it fires after every
@@ -49,10 +52,6 @@ struct Event {
   std::uint64_t seq = 0;
   std::int32_t to = -1;
   EngineKind engine_kind = EngineKind::kDeliver;
-  /// kFanout only: handle of the broadcast's net::FanoutRecord.  The event
-  /// is keyed (time, seq, to) by the record's *next* delivery and re-armed
-  /// in place after each one, so one queue entry serves the whole fan-out.
-  std::uint32_t link = 0xFFFFFFFFu;
   Message msg;
 };
 

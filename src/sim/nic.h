@@ -4,7 +4,7 @@
 // The paper's Ethernet study observes that when the system behaves well —
 // every process broadcasting at the same logical instant — receive buffers
 // overflow: "if too many arrive at once, the old ones are overwritten."
-// Under the batched fan-out engine this clustering is the common case at
+// Under extremal delay models this clustering is the common case at
 // n >= 128 (one broadcast delivers its whole neighborhood in a burst), so
 // the NIC is modeled explicitly: each process owns a bounded ingress queue;
 // arrivals enqueue, a service loop hands one datagram to the process every

@@ -112,6 +112,10 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<DelayModel> delay)
     throw std::invalid_argument("Simulator: require delta >= eps >= 0 (A3)");
   }
   main_.scheduler = engine::make_scheduler(config_.scheduler, main_.pool);
+  // The ring's cells are cut from the same A3 band draw_delay enforces.
+  main_.ring.configure(net::RingGeometry::for_band(
+      config_.delta - config_.eps - kDelayTolerance,
+      config_.delta + config_.eps + kDelayTolerance));
 }
 
 Simulator::~Simulator() = default;
@@ -392,29 +396,9 @@ double Simulator::draw_delay(std::int32_t from, std::int32_t to,
 
 void Simulator::do_send(Lane& lane, std::int32_t from, std::int32_t to,
                         std::int32_t tag, double value, std::int32_t aux) {
-  (void)idx(to);  // validates the recipient id
-  const double deliver_time =
-      lane.current_time + draw_delay(from, to, lane.current_time);
-  const Message msg = make_app(from, tag, value, aux);
-  ++lane.messages_sent;
-  for (TraceSink* sink : lane.sinks) {
-    sink->on_send(from, to, msg, lane.current_time, deliver_time);
-  }
-  const EngineKind kind = config_.nic.has_value() ? EngineKind::kNicArrive
-                                                  : EngineKind::kDeliver;
-  const std::int32_t dest = lane_index(to);
-  if (!lane_of_.empty() && dest != lane.shard) {
-    // Cross-cut: the delay and seq are already drawn/allocated from the
-    // sender's streams, so the receiving lane schedules exactly the event
-    // the serial engine would have.  The push is immediately visible to the
-    // receiver's mid-epoch polls (conservative lookahead keeps it beyond
-    // the receiver's current window).
-    lane.channels_out[static_cast<std::size_t>(dest)]->push(
-        {deliver_time, alloc_seq(from), to, kind, msg});
-  } else {
-    schedule_event(lane, deliver_time, /*tier=*/0, /*origin=*/from, to, kind,
-                   msg);
-  }
+  (void)idx(to);  // validates the recipient id before anything is drawn
+  do_fanout(lane, from, std::span<const std::int32_t>(&to, 1), tag, value,
+            aux);
 }
 
 void Simulator::do_fanout(Lane& lane, std::int32_t from,
@@ -422,42 +406,41 @@ void Simulator::do_fanout(Lane& lane, std::int32_t from,
                           std::int32_t tag, double value, std::int32_t aux) {
   if (recipients.empty()) return;
 
-  // Everything observable happens exactly as for one do_send per
+  // Everything observable happens exactly as for one scheduler entry per
   // recipient, in the same order: delays are drawn per link in list order
-  // from the same RNG stream, seq numbers are the block a
-  // per-recipient loop would have consumed, and on_send fires per
-  // recipient at send time.  Only the scheduler sees a difference — one
-  // entry, keyed by the earliest remaining delivery.  Cross-lane
-  // recipients leave the batch as RemoteEvents carrying their pre-drawn
-  // delay and pre-allocated seq; splitting a batch is invisible because
-  // batching itself is observable-identical to per-recipient sends.
+  // from the sender's stream, seq numbers are the block a per-recipient
+  // loop would have consumed, and on_send fires per recipient at send
+  // time.  Only the scheduler sees a difference: in-lane deliveries join
+  // the ring behind its one entry.  Cross-lane recipients leave as
+  // RemoteEvents carrying their pre-drawn delay and pre-allocated seq.
   const Message msg = make_app(from, tag, value, aux);
-  const net::FanoutHandle record_handle = lane.fanouts.acquire();
-  net::FanoutRecord& record = lane.fanouts[record_handle];
-  record.msg = msg;
-  record.deliveries.clear();
-  record.cursor = 0;
-  record.deliveries.reserve(recipients.size());
   const bool sharded = !lane_of_.empty();
-  const EngineKind remote_kind = config_.nic.has_value()
+  const EngineKind arrive_kind = config_.nic.has_value()
                                      ? EngineKind::kNicArrive
                                      : EngineKind::kDeliver;
-  for (std::int32_t to : recipients) {
+  std::uint32_t payload = net::DeliveryRing::kNone;
+  for (const std::int32_t to : recipients) {
     const double deliver_time =
         lane.current_time + draw_delay(from, to, lane.current_time);
     ++lane.messages_sent;
     for (TraceSink* sink : lane.sinks) {
       sink->on_send(from, to, msg, lane.current_time, deliver_time);
     }
+    const std::uint64_t seq = alloc_seq(from);
     const std::int32_t dest = sharded ? lane_of_[idx(to)] : -1;
     if (sharded && dest != lane.shard) {
       lane.channels_out[static_cast<std::size_t>(dest)]->push(
-          {deliver_time, alloc_seq(from), to, remote_kind, msg});
+          {deliver_time, seq, to, arrive_kind, msg});
+    } else if (!lane.ring.enabled()) {
+      schedule_raw(lane, deliver_time, /*tier=*/0, seq, to, arrive_kind, msg);
     } else {
-      record.deliveries.push_back({deliver_time, alloc_seq(from), to});
+      if (payload == net::DeliveryRing::kNone) {
+        payload = lane.ring.open_payload(msg);
+      }
+      lane.ring.push(lane.current_time, deliver_time, seq, to, payload);
       // In-lane boundary recipients enter the adaptive-lookahead horizon
-      // here: the batched kFanout entry only exposes its first delivery to
-      // the scheduler, so each recipient's time is tracked individually.
+      // here: the ring exposes only its head to the scheduler, so each
+      // recipient's time is tracked individually.
       if (lane.boundary != nullptr && (*lane.boundary)[idx(to)] != 0) {
         lane.boundary_heap.push_back(deliver_time);
         std::push_heap(lane.boundary_heap.begin(), lane.boundary_heap.end(),
@@ -465,27 +448,56 @@ void Simulator::do_fanout(Lane& lane, std::int32_t from,
       }
     }
   }
-  if (record.deliveries.empty()) {  // every recipient was remote
-    lane.fanouts.release(record_handle);
+  // An armed ring needs no re-key: its sealed head precedes every new
+  // delivery, and a seal entry is never later than ref + D - w (see
+  // net/fanout.h).  While dispatch_ring runs, it re-arms on the way out.
+  if (payload != net::DeliveryRing::kNone &&
+      lane.ring_entry == EventPool::kInvalidHandle) {
+    arm_ring(lane, lane.current_time);
+  }
+}
+
+void Simulator::arm_ring(Lane& lane, double ref) {
+  if (lane.ring_queued) {
+    throw std::logic_error("Simulator: delivery ring armed twice");
+  }
+  if (lane.ring.empty()) {
+    if (lane.ring_entry != EventPool::kInvalidHandle) {
+      lane.pool.release(lane.ring_entry);
+      lane.ring_entry = EventPool::kInvalidHandle;
+    }
     return;
   }
-  // draw_delay keeps every delay inside A3's band, which is the sorter's
-  // bucket window; the block's seqs increase along the list.
-  lane.fanout_sorter.sort(
-      record.deliveries,
-      lane.current_time + (config_.delta - config_.eps - kDelayTolerance),
-      lane.current_time + (config_.delta + config_.eps + kDelayTolerance));
-
-  const net::FanoutDelivery& first = record.deliveries.front();
-  const EventHandle handle = lane.pool.acquire();
-  Event& event = lane.pool[handle];
-  event.time = first.time;
+  const net::DeliveryRing::Key key = lane.ring.next_key(ref);
+  if (lane.ring_entry == EventPool::kInvalidHandle) {
+    lane.ring_entry = lane.pool.acquire();
+  }
+  Event& event = lane.pool[lane.ring_entry];
+  event.time = key.time;
   event.tier = 0;
-  event.seq = first.seq;
-  event.to = first.to;
-  event.engine_kind = EngineKind::kFanout;
-  event.link = record_handle;
+  event.seq = key.seq;
+  event.to = -1;
+  event.engine_kind = EngineKind::kRing;
+  event.msg = Message{};
+  lane.ring_sealing = key.seal;
+  lane.ring_queued = true;
+  push_handle(lane, lane.ring_entry);
+}
+
+double Simulator::next_event_time(Lane& lane) {
+  if (lane.scheduler->empty()) return std::numeric_limits<double>::infinity();
+  if (!lane.ring_sealing || lane.scheduler->peek() != lane.ring_entry) {
+    return lane.scheduler->peek_key().time;
+  }
+  // The head is a seal entry, up to D ahead of the delivery it stands in
+  // front of: read the entry behind it, then put it back.
+  const EventHandle handle = lane.scheduler->pop();
+  ++lane.queue_pops;
+  const double behind = lane.scheduler->empty()
+                            ? std::numeric_limits<double>::infinity()
+                            : lane.scheduler->peek_key().time;
   push_handle(lane, handle);
+  return std::min(behind, lane.ring.min_time());
 }
 
 void Simulator::do_set_timer_logical(Lane& lane, std::int32_t pid,
@@ -550,16 +562,19 @@ void Simulator::deliver(Lane& lane, std::int32_t pid, const Message& msg) {
 }
 
 bool Simulator::step() {
-  if (main_.scheduler->empty()) return false;
-  ++main_.queue_pops;
-  dispatch(main_, main_.scheduler->pop(),
-           std::numeric_limits<double>::infinity());
-  return true;
+  // A seal entry is not an event: keep going until one was processed.
+  const std::uint64_t before = main_.events_processed;
+  while (!main_.scheduler->empty()) {
+    ++main_.queue_pops;
+    dispatch(main_, main_.scheduler->pop(),
+             std::numeric_limits<double>::infinity());
+    if (main_.events_processed != before) return true;
+  }
+  return false;
 }
 
-void Simulator::count_event(Lane& lane, EventHandle handle) {
+void Simulator::count_event(Lane& lane) {
   if (++lane.events_processed > config_.max_events) {
-    lane.pool.release(handle);
     throw std::runtime_error("Simulator: max_events exceeded (runaway execution?)");
   }
 }
@@ -568,9 +583,9 @@ void Simulator::nic_arrive(Lane& lane, std::int32_t pid, const Message& msg) {
   Nic& nic = nodes_[idx(pid)].nic;
   const NicConfig& cfg = *config_.nic;
   ++nic.stats.arrivals;
-  // Burst clustering: under batched fan-out a broadcast's whole delivery
-  // list can land on one recipient set at a single instant (extremal
-  // delays), the Section 9.3 "punished for behaving well" regime.
+  // Burst clustering: a broadcast's whole delivery list can land on one
+  // recipient set at a single instant (extremal delays), the Section 9.3
+  // "punished for behaving well" regime.
   if (lane.current_time == nic.last_arrival) {
     ++nic.burst;
   } else {
@@ -619,40 +634,50 @@ void Simulator::arrive(Lane& lane, std::int32_t pid, const Message& msg) {
   }
 }
 
-void Simulator::dispatch_fanout(Lane& lane, EventHandle handle, double limit) {
-  // Slab storage keeps both references valid while handlers broadcast into
-  // the same pools.
-  net::FanoutRecord& record = lane.fanouts[lane.pool[handle].link];
-  for (;;) {
-    const net::FanoutDelivery due = record.next();
-    count_event(lane, handle);
-    lane.current_time = due.time;
-    observe_advance(lane);
-    arrive(lane, due.to, record.msg);
-    ++record.cursor;
-    if (record.done()) break;
-
-    const net::FanoutDelivery& next = record.next();
-    bool requeue = next.time > limit;
-    if (!requeue && !lane.scheduler->empty()) {
-      // Run extension: deliver the next recipient without a queue
-      // round-trip only while its key still precedes every pending event
-      // (the handler above may have scheduled earlier ones).
-      const EventKey ours{next.time, next.seq};  // tier 0: top bits clear
-      requeue = !(ours < lane.scheduler->peek_key());
+void Simulator::dispatch_ring(Lane& lane, EventHandle handle, double limit) {
+  // No event is pending before the entry's key, and none will be sent
+  // before it: the seal reference starts there, and follows the lane clock
+  // from the first delivery on.
+  double ref = std::max(lane.pool[handle].time, lane.current_time);
+  net::DeliveryRing& ring = lane.ring;
+  lane.ring_queued = false;
+  try {
+    bool first = true;
+    // The scheduler head, re-read only after a push: nothing pops while the
+    // ring runs.
+    EventKey head;
+    std::uint64_t pushes = lane.queue_pushes - 1;
+    while (!ring.empty()) {
+      const net::DeliveryRing::Key key = ring.next_key(ref);
+      if (key.seal || key.time > limit) break;
+      // Run extension: deliver without a queue round-trip only while the
+      // item still precedes every pending event (the handlers may have
+      // scheduled earlier ones).
+      if (pushes != lane.queue_pushes) {
+        pushes = lane.queue_pushes;
+        head = lane.scheduler->empty()
+                   ? EventKey{std::numeric_limits<double>::infinity(), 0}
+                   : lane.scheduler->peek_key();
+      }
+      if (!(EventKey{key.time, key.seq} < head)) {
+        break;  // tier 0: the key's top bits are clear
+      }
+      count_event(lane);
+      lane.current_time = key.time;
+      ref = key.time;
+      observe_advance(lane);
+      const std::int32_t to = ring.front().to;
+      const Message msg = ring.pop_front();
+      if (!first) ++lane.fanout_direct;
+      first = false;
+      arrive(lane, to, msg);
+      poll_lane(lane);
     }
-    if (requeue) {
-      Event& event = lane.pool[handle];
-      event.time = next.time;
-      event.seq = next.seq;
-      event.to = next.to;
-      push_handle(lane, handle);
-      return;  // the entry stays live, re-armed for the next recipient
-    }
-    ++lane.fanout_direct;
+  } catch (...) {
+    arm_ring(lane, ref);
+    throw;
   }
-  lane.fanouts.release(lane.pool[handle].link);
-  lane.pool.release(handle);
+  arm_ring(lane, ref);
 }
 
 void Simulator::dispatch(Lane& lane, EventHandle handle, double limit) {
@@ -663,11 +688,16 @@ void Simulator::dispatch(Lane& lane, EventHandle handle, double limit) {
     lane.pool.release(handle);
     throw std::logic_error("Simulator: event scheduled in the past");
   }
-  if (event.engine_kind == EngineKind::kFanout) {
-    dispatch_fanout(lane, handle, limit);
+  if (event.engine_kind == EngineKind::kRing) {
+    dispatch_ring(lane, handle, limit);
     return;
   }
-  count_event(lane, handle);
+  try {
+    count_event(lane);
+  } catch (...) {
+    lane.pool.release(handle);
+    throw;
+  }
   lane.current_time = event.time;
   observe_advance(lane);
   switch (event.engine_kind) {
@@ -697,7 +727,7 @@ void Simulator::dispatch(Lane& lane, EventHandle handle, double limit) {
       // event.to indexes the installed dynamics schedule, not a process.
       apply_dynamics(event.to);
       break;
-    case EngineKind::kFanout:
+    case EngineKind::kRing:
       break;  // handled above
   }
   lane.pool.release(handle);
@@ -709,12 +739,7 @@ void Simulator::run_lane(Lane& lane, double limit) {
     if (handle == EventPool::kInvalidHandle) break;
     ++lane.queue_pops;
     dispatch(lane, handle, limit);
-    // Overlapped channel drain (PDES lanes only): ingest cross-shard
-    // arrivals every 64 dispatches.  Everything drained lands strictly
-    // beyond `limit`, so the current window's pop order is unaffected.
-    if (lane.poller != nullptr && (++lane.poll_tick & 63u) == 0) {
-      lane.poller->poll();
-    }
+    poll_lane(lane);
   }
 }
 

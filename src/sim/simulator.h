@@ -2,11 +2,11 @@
 // The execution engine of Section 2.3.
 //
 // A Simulator owns the processes, their physical clocks, the message buffer
-// (a slab-pooled EventPool ordered by a pluggable engine::SchedulerPolicy),
-// the network layer (an optional net::Topology exchange graph plus batched
-// fan-out delivery — one scheduler entry per in-flight broadcast or
-// Byzantine multicast instead of one per recipient) and the delay model,
-// and produces executions that
+// (a slab-pooled EventPool ordered by a pluggable engine::SchedulerPolicy,
+// plus one net::DeliveryRing per engine lane that holds every in-flight
+// message behind a single scheduler entry), the network layer (an optional
+// net::Topology exchange graph) and the delay model, and produces
+// executions that
 // satisfy the six execution properties of the model:
 //   1/5. events fire exactly at their buffered delivery times, finitely many
 //        before any fixed time (the priority queue);
@@ -125,9 +125,10 @@ class Simulator {
   /// schedules require config.topology to be set (the analysis layer
   /// materializes the full mesh when needed) and rebuild it live via
   /// Topology::from_adjacency, so neighbor views, local-f clamps and
-  /// batched fan-out all track the change from the next broadcast on.
-  /// Messages already in flight still deliver (FanoutRecords snapshot
-  /// their delivery lists), and point-to-point send stays unrestricted.
+  /// broadcast recipient lists all track the change from the next
+  /// broadcast on.
+  /// Messages already in flight still deliver (each ring item carries its
+  /// recipient), and point-to-point send stays unrestricted.
   /// Call after every process is registered and before running; an empty
   /// spec is a no-op.  The fast path and PDES engine refuse simulators
   /// with dynamics installed (see has_dynamics).
@@ -240,10 +241,17 @@ class Simulator {
     }
     return peak;
   }
-  /// Fan-out deliveries made directly (no queue round-trip) because the
-  /// next recipient still preceded every pending event.
+  /// Ring deliveries made directly (no queue round-trip) because the next
+  /// delivery still preceded every pending event.
   [[nodiscard]] std::uint64_t fanout_direct() const noexcept {
     return sum_lanes(&Lane::fanout_direct);
+  }
+  /// Delivery-ring item chunks allocated so far, over all lanes (each
+  /// ring's pool high-water mark; a steady state allocates none).
+  [[nodiscard]] std::uint64_t ring_chunk_allocs() const noexcept {
+    std::uint64_t total = main_.ring.chunk_allocs() + retired_ring_chunks_;
+    for (const auto& lane : shard_lanes_) total += lane->ring.chunk_allocs();
+    return total;
   }
   /// Number of attached trace sinks (the analysis layer uses this to decide
   /// whether a run's sinks are the mergeable set the PDES engine supports).
@@ -289,7 +297,7 @@ class Simulator {
   };
 
   /// One independent slice of the event flow: an event pool + scheduler +
-  /// fan-out pool + clock + pressure counters.  The serial engine is
+  /// delivery ring + clock + pressure counters.  The serial engine is
   /// exactly one lane (main_); the PDES engine adds one lane per topology
   /// shard, each driven by its own worker thread.  Everything a dispatch
   /// touches that is not per-process Node state lives here, so two lanes
@@ -297,11 +305,18 @@ class Simulator {
   struct Lane {
     EventPool pool;
     std::unique_ptr<engine::SchedulerPolicy> scheduler;
-    net::FanoutPool fanouts;
-    /// Orders each fan-out's deliveries (do_fanout); its scratch is
-    /// per-lane, so lanes stay disjoint and steady-state fan-outs allocate
-    /// nothing.
-    net::FanoutSorter fanout_sorter;
+    /// Every in-lane message in flight (net/fanout.h).  It owns at most one
+    /// scheduler entry, ring_entry (kInvalidHandle when the ring is empty),
+    /// kept in the scheduler except while dispatch_ring runs it.  The slot
+    /// stays acquired during that run, so a handler's send finds the ring
+    /// armed and leaves the re-keying to dispatch_ring.
+    net::DeliveryRing ring;
+    EventHandle ring_entry = EventPool::kInvalidHandle;
+    /// Whether ring_entry is in the scheduler (false while dispatch_ring
+    /// runs it); arming a queued entry again is a logic error.
+    bool ring_queued = false;
+    /// Whether ring_entry is a seal entry (keyed in front of its cell).
+    bool ring_sealing = false;
     /// Passive observers of this lane's events.  The serial engine's public
     /// add_trace_sink appends to main_'s list; the PDES engine hands each
     /// lane its own (mergeable) sinks.
@@ -390,36 +405,66 @@ class Simulator {
 
   /// Executes one popped event: advances the lane clock, routes by engine
   /// kind, recycles the slot.  The handle must have just been popped from
-  /// this lane.  Events after `limit` must not execute: a fan-out whose
-  /// next delivery lies beyond it is re-armed instead (run_until passes its
+  /// this lane.  Events after `limit` must not execute: a ring whose next
+  /// delivery lies beyond it is re-armed instead (run_until passes its
   /// horizon; step passes +infinity).
   void dispatch(Lane& lane, EventHandle handle, double limit);
-  /// Batched fan-out dispatch (EngineKind::kFanout).
-  void dispatch_fanout(Lane& lane, EventHandle handle, double limit);
+  /// Runs the lane's ring entry (EngineKind::kRing): seals what a seal
+  /// entry stood in front of, then delivers sealed items while each is due
+  /// by `limit` and still precedes every pending scheduler entry, and
+  /// re-arms the entry (or releases it once the ring is empty).
+  void dispatch_ring(Lane& lane, EventHandle handle, double limit);
+  /// Keys the ring's scheduler entry by DeliveryRing::next_key(ref) and
+  /// pushes it, acquiring a slot if the ring had none; releases the slot
+  /// instead when the ring is empty.  The entry must not be in the
+  /// scheduler.
+  void arm_ring(Lane& lane, double ref);
+  /// Removes the lane's ring entry from the scheduler (it must have just
+  /// been popped) and hands every pending delivery to fn(item, message),
+  /// emptying the ring: how the PDES engine un-batches a lane.
+  template <typename Fn>
+  void unbatch_ring(Lane& lane, Fn&& fn) {
+    lane.pool.release(lane.ring_entry);
+    lane.ring_entry = EventPool::kInvalidHandle;
+    lane.ring_queued = false;
+    lane.ring_sealing = false;
+    lane.ring.drain(fn);
+  }
+  /// The time of the lane's next real event (+inf when none): the
+  /// scheduler head, looking past a seal entry to the first delivery it
+  /// stands in front of.
+  [[nodiscard]] double next_event_time(Lane& lane);
   /// Pops and dispatches every event with time <= limit (inclusive, like
   /// pop_if_not_after).  Does NOT advance the lane clock to limit.
   void run_lane(Lane& lane, double limit);
+  /// Overlapped channel drain (PDES lanes only): ingests cross-shard
+  /// arrivals every 64 dispatches or ring deliveries.  Everything drained
+  /// lands strictly beyond the current window, so its order is unaffected.
+  void poll_lane(Lane& lane) {
+    if (lane.poller != nullptr && (++lane.poll_tick & 63u) == 0) {
+      lane.poller->poll();
+    }
+  }
 
   /// Per-delivery slice of the max_events runaway guard (lane-local; the
   /// PDES engine additionally checks the cross-lane sum at each barrier).
-  void count_event(Lane& lane, EventHandle handle);
+  void count_event(Lane& lane);
 
+  /// A one-recipient fan-out (validates `to` first).
   void do_send(Lane& lane, std::int32_t from, std::int32_t to, std::int32_t tag,
                double value, std::int32_t aux);
-  /// Sends one message from `from` to every id in `recipients`, batched
-  /// into a single scheduler entry that re-arms per recipient: the engine
-  /// of broadcast (recipients = neighbors_of(from)) and of an adversary's
-  /// multicast (any valid ids, repeats allowed; the caller validates).
-  /// Per-link delays are drawn in list order, seqs are the block one
-  /// do_send per recipient would have consumed, and the lane's
-  /// net::FanoutSorter orders the deliveries by (time, seq) in linear time
-  /// over the A3 window [now + delta - eps, now + delta + eps] (widened by
-  /// the delay tolerance), so they run in the order one entry per recipient
-  /// would have produced —
-  /// checked against an order oracle by tests/topology_test.cpp and
-  /// against per-id sends by tests/adversary_test.cpp.  Cross-lane
-  /// recipients are split into RemoteEvents (their seqs come out of the
-  /// same per-sender allocation order, so the serial tie-break survives).
+  /// Sends one message from `from` to every id in `recipients`: the engine
+  /// of broadcast (recipients = neighbors_of(from)), of an adversary's
+  /// multicast (any valid ids, repeats allowed; the caller validates) and
+  /// of send.  Per-link delays are drawn in list order and seqs are the
+  /// block one event per recipient would have consumed; in-lane deliveries
+  /// join the lane's delivery ring, which runs them in the order one entry
+  /// per recipient would have produced — checked against an order oracle
+  /// by tests/topology_test.cpp and against per-id sends by
+  /// tests/adversary_test.cpp.  Cross-lane recipients are split into
+  /// RemoteEvents (their seqs come out of the same per-sender allocation
+  /// order, so the serial tie-break survives); a lane whose ring is
+  /// disabled (net::RingGeometry) schedules one event per recipient.
   /// `recipients` is read only before the call returns.
   void do_fanout(Lane& lane, std::int32_t from,
                  std::span<const std::int32_t> recipients, std::int32_t tag,
@@ -439,8 +484,8 @@ class Simulator {
   void do_add_corr(Lane& lane, std::int32_t pid, double adj,
                    double amortize_duration);
   /// Message reaches `pid` at the lane's current time: NIC buffering when
-  /// configured, direct delivery otherwise (the shared arrival path of the
-  /// per-recipient and batched engines).
+  /// configured, direct delivery otherwise (the shared arrival path of ring
+  /// and per-recipient deliveries).
   void arrive(Lane& lane, std::int32_t pid, const Message& msg);
   void nic_arrive(Lane& lane, std::int32_t pid, const Message& msg);
   void deliver(Lane& lane, std::int32_t pid, const Message& msg);
@@ -476,6 +521,8 @@ class Simulator {
   /// lane addresses stay stable (schedulers hold pool references).  Empty
   /// on the serial path.
   std::vector<std::unique_ptr<Lane>> shard_lanes_;
+  /// Ring chunks allocated by shard lanes that have since dissolved.
+  std::uint64_t retired_ring_chunks_ = 0;
   /// pid -> shard index while shard_lanes_ is live; empty otherwise.
   std::vector<std::int32_t> lane_of_;
   /// Installed dynamics schedule (empty unless set_dynamics was called

@@ -218,7 +218,7 @@ TEST(IndexedEventQueue, HoleEdgeCases) {
   sim::IndexedEventQueue queue(pool);
   const auto push = [&](double time, std::uint64_t seq) {
     const EventHandle handle = pool.acquire();
-    pool[handle] = Event{time, 0, seq, 0, sim::EngineKind::kDeliver, {}, {}};
+    pool[handle] = Event{time, 0, seq, 0, sim::EngineKind::kDeliver, {}};
     queue.push(handle);
   };
   const auto pop_time = [&] {
@@ -256,7 +256,7 @@ TEST(IndexedEventQueue, HoleEdgeCases) {
     for (const double time : {5.0, 6.0}) {
       const EventHandle handle = policy_pool.acquire();
       policy_pool[handle] =
-          Event{time, 1, 9, 0, sim::EngineKind::kDeliver, {}, {}};
+          Event{time, 1, 9, 0, sim::EngineKind::kDeliver, {}};
       policy->push(handle);
     }
     policy_pool.release(policy->pop());
@@ -353,7 +353,7 @@ TEST(SchedulerPolicy, CalendarHandlesSparseTimes) {
   std::vector<double> times{0.0, 5000.0, 5000.0, 12000.0, 0.5};
   for (std::size_t i = 0; i < times.size(); ++i) {
     const EventHandle handle = pool.acquire();
-    pool[handle] = Event{times[i], 0, i, 0, sim::EngineKind::kDeliver, {}, {}};
+    pool[handle] = Event{times[i], 0, i, 0, sim::EngineKind::kDeliver, {}};
     policy->push(handle);
   }
   std::vector<double> sorted = times;

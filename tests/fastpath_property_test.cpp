@@ -217,7 +217,7 @@ TEST(FastpathProperty, ExactCountsRegion) {
   // but the overlap guard's queue scan proves every such slot is
   // overwritten before any reduction reads it, so the run batches every
   // exchange with zero re-arms — the same shape as the plain mesh, plus
-  // 326 region events replayed through the engine at their exact keys.
+  // 384 region events replayed through the engine at their exact keys.
   // The frozen accounting a hand-off-policy or guard change would move.
   RunSpec spec = pinned_base(24, 7);
   spec.topology.kind = net::TopologyKind::kRingOfCliques;
@@ -229,7 +229,7 @@ TEST(FastpathProperty, ExactCountsRegion) {
   EXPECT_EQ(r.fastpath_exchanges, 8);
   EXPECT_EQ(r.fastpath_rearms, 0);
   EXPECT_EQ(r.fastpath_fast_count, 17);
-  EXPECT_EQ(r.fastpath_region_events, 326);
+  EXPECT_EQ(r.fastpath_region_events, 384);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
-// Network layer: exchange-graph construction invariants, the batched
-// fan-out engine's delivery order against a per-recipient order oracle
-// (the guarantee that makes batching a pure performance detail), sparse-graph
-// determinism under the parallel runner, and the sharded measurement
-// pipeline's 1e-12 regression against the per-sample scan.
+// Network layer: exchange-graph construction invariants, the delivery
+// ring's order against per-recipient order oracles (the guarantee that
+// makes the ring a pure performance detail) and its cell-seal rules,
+// sparse-graph determinism under the parallel runner, and the sharded
+// measurement pipeline's 1e-12 regression against the per-sample scan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,8 +18,14 @@
 #include "analysis/measure.h"
 #include "analysis/parallel_runner.h"
 #include "analysis/round_trace.h"
+#include "clock/drift.h"
+#include "engine/pdes.h"
 #include "net/fanout.h"
+#include "net/partition.h"
 #include "net/topology.h"
+#include "proc/adversaries.h"
+#include "proc/placement.h"
+#include "sim/simulator.h"
 #include "sim/trace.h"
 #include "util/rng.h"
 
@@ -229,10 +237,10 @@ bool traces_identical(const analysis::RoundTrace& a,
          same(a.joins(), b.joins());
 }
 
-/// Delivery-order oracle for the batched fan-out engine (NIC off).  One
-/// scheduler entry per recipient, keyed (deliver_time, tier 0, seq =
-/// sender << 40 | sender's send index), is the engine the batching must be
-/// indistinguishable from; that order is reconstructible from on_send
+/// Delivery-order oracle for the delivery ring (NIC off).  One scheduler
+/// entry per recipient, keyed (deliver_time, tier 0, seq = sender << 40 |
+/// sender's send index), is the engine the ring must be indistinguishable
+/// from; that order is reconstructible from on_send
 /// alone.  The oracle records every send with its per-sender index and
 /// every application-message receive, and check() requires the receives
 /// to be exactly the sends sorted by (deliver_time, sender, send index),
@@ -351,133 +359,402 @@ TEST(FanoutOracle, DeliveryOrderAcrossDelayModels) {
   }
 }
 
-// ------------------------------------------------------- fan-out sorter ---
+// --------------------------------------------------------- cell seals ---
 
-/// A fan-out list with the given delivery times and seqs strictly
-/// increasing along it (the sorter's precondition), sorted by the sorter
-/// and compared against std::sort by (time, seq).
-void expect_sorted_like_std_sort(net::FanoutSorter& sorter,
-                                 const std::vector<double>& times, double lo,
-                                 double hi) {
-  std::vector<net::FanoutDelivery> deliveries;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    deliveries.push_back({times[i], (std::uint64_t{5} << 40) | (3 * i + 1),
-                          static_cast<std::int32_t>(i)});
-  }
-  std::vector<net::FanoutDelivery> expected = deliveries;
-  std::sort(expected.begin(), expected.end(),
-            [](const net::FanoutDelivery& a, const net::FanoutDelivery& b) {
-              if (a.time != b.time) return a.time < b.time;
-              return a.seq < b.seq;
-            });
-  sorter.sort(deliveries, lo, hi);
-  ASSERT_EQ(deliveries.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(deliveries[i].time, expected[i].time) << "slot " << i;
-    ASSERT_EQ(deliveries[i].seq, expected[i].seq) << "slot " << i;
-    ASSERT_EQ(deliveries[i].to, expected[i].to) << "slot " << i;
-  }
+// The A3 band of delta = 10 ms, eps = 1 ms, widened by the engine's delay
+// tolerance: D = 9 ms - tol, w = D / 64, R = 128 cells.
+constexpr double kDelta = 0.01;
+constexpr double kEps = 1e-3;
+constexpr double kTol = 1e-12;
+constexpr double kFloor = kDelta - kEps - kTol;
+constexpr double kCeil = kDelta + kEps + kTol;
+
+net::RingGeometry band_geometry() {
+  return net::RingGeometry::for_band(kFloor, kCeil);
 }
 
-// The A3 window of a send at t = 100 with delta = 10 ms, eps = 1 ms.
-constexpr double kSendTime = 100.0;
-constexpr double kLo = kSendTime + (0.01 - 1e-3 - 1e-12);
-constexpr double kHi = kSendTime + (0.01 + 1e-3 + 1e-12);
+/// (time, seq) order, the order one scheduler entry per delivery runs in.
+bool before(const net::RingItem& a, const net::RingItem& b) {
+  if (a.time != b.time) return a.time < b.time;
+  return a.seq < b.seq;
+}
 
-std::vector<double> uniform_times(std::size_t m, std::uint64_t seed) {
+/// Runs every delivery out of `ring`, sealing each cell as soon as
+/// next_key allows at `ref` (+inf: any cell), and returns them in order.
+std::vector<net::RingItem> run_out(net::DeliveryRing& ring, double ref) {
+  std::vector<net::RingItem> out;
+  while (!ring.empty()) {
+    const net::DeliveryRing::Key key = ring.next_key(ref);
+    EXPECT_FALSE(key.seal);
+    if (key.seal) break;
+    EXPECT_EQ(key.time, ring.front().time);
+    EXPECT_EQ(key.seq, ring.front().seq);
+    out.push_back(ring.front());
+    (void)ring.pop_front();
+  }
+  return out;
+}
+
+/// Pushes deliveries with the given times, sent at `now`, with seqs that
+/// do NOT follow insertion order (a cell mixes senders), and requires the
+/// ring to hand them back exactly as std::sort by (time, seq) orders them.
+void expect_ring_order(net::DeliveryRing& ring, double now,
+                       const std::vector<double>& times, std::uint64_t seed) {
   util::Rng rng(seed);
-  std::vector<double> times;
-  for (std::size_t i = 0; i < m; ++i) {
-    times.push_back(kSendTime + 0.009 + 0.002 * rng.uniform());
+  const std::uint32_t payload = ring.open_payload(sim::make_app(5, 1, 2.0));
+  std::vector<net::RingItem> expected;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    const std::uint64_t sender = rng.below(8);
+    const net::RingItem item{times[i], (sender << 40) | (3 * i + 1),
+                             static_cast<std::int32_t>(i), payload};
+    ring.push(now, item.time, item.seq, item.to, payload);
+    expected.push_back(item);
   }
-  return times;
+  std::sort(expected.begin(), expected.end(), before);
+  const std::vector<net::RingItem> got =
+      run_out(ring, std::numeric_limits<double>::infinity());
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(got[i].time, expected[i].time) << "slot " << i;
+    ASSERT_EQ(got[i].seq, expected[i].seq) << "slot " << i;
+    ASSERT_EQ(got[i].to, expected[i].to) << "slot " << i;
+  }
 }
 
-TEST(FanoutSorter, MatchesStdSortOnSpreadLists) {
-  net::FanoutSorter sorter;  // one sorter throughout: scratch is reused
-  for (const std::size_t m : {1u, 2u, 3u, 17u, 64u, 512u, 2048u}) {
-    SCOPED_TRACE(m);
-    expect_sorted_like_std_sort(sorter, uniform_times(m, 7 + m), kLo, kHi);
-  }
-  expect_sorted_like_std_sort(sorter, {}, kLo, kHi);
-  expect_sorted_like_std_sort(sorter, {kHi - 1e-4, kLo + 1e-4}, kLo, kHi);
+TEST(RingGeometry, CellsCoverTheBandOrDisableTheRing) {
+  const net::RingGeometry geometry = band_geometry();
+  ASSERT_TRUE(geometry.enabled());
+  EXPECT_EQ(geometry.width, kFloor / 64.0);
+  EXPECT_EQ(geometry.cells, 128u);
+  EXPECT_GE(geometry.cells, kCeil / geometry.width + 4.0);
+  // delta = eps: no lookahead at all.
+  EXPECT_FALSE(net::RingGeometry::for_band(-kTol, 2 * kDelta + kTol).enabled());
+  // A band so wide that R would exceed 2^13 cells.
+  EXPECT_FALSE(net::RingGeometry::for_band(1e-4 - kTol, 0.0199 + kTol).enabled());
+  // Just inside the cap.
+  const net::RingGeometry wide = net::RingGeometry::for_band(1e-3, 0.12);
+  ASSERT_TRUE(wide.enabled());
+  EXPECT_EQ(wide.cells, 8192u);
 }
 
-TEST(FanoutSorter, OneBucketInReverseSeqOrder) {
-  // Every time inside one bucket's width, descending along the list: the
-  // finishing pass does all the work — an insertion pass at or below
-  // kInsertionCap, the std::sort fallback above it.
-  net::FanoutSorter sorter;
-  constexpr std::size_t kCap = net::FanoutSorter::kInsertionCap;
-  for (const std::size_t m : {std::size_t{2}, std::size_t{9}, kCap, kCap + 1,
-                              std::size_t{2048}}) {
+TEST(DeliveryRing, SealOrdersCellsLikeStdSort) {
+  net::DeliveryRing ring;  // one ring throughout: chunks and scratch reused
+  ring.configure(band_geometry());
+  double now = 100.0;
+  for (const std::size_t m : {1u, 2u, 3u, 17u, 64u, 129u, 512u, 2048u}) {
     SCOPED_TRACE(m);
-    const double bucket_width = (kHi - kLo) / static_cast<double>(m);
+    util::Rng rng(7 + m);
     std::vector<double> times;
     for (std::size_t i = 0; i < m; ++i) {
-      times.push_back(kLo + 0.5 * bucket_width *
-                                (1.0 - static_cast<double>(i) /
-                                           static_cast<double>(m)));
+      times.push_back(now + kDelta - kEps + 2 * kEps * rng.uniform());
     }
-    expect_sorted_like_std_sort(sorter, times, kLo, kHi);
+    expect_ring_order(ring, now, times, m);
+    now += 1.0;
+  }
+  // Every delivery inside one cell, in descending time along the list: the
+  // insertion pass does the work at or below 16 per bucket, the clustered
+  // sort above it.
+  for (const std::size_t m : {2u, 9u, 16u, 17u, 2048u}) {
+    SCOPED_TRACE(m);
+    const std::int64_t cell = ring.cell_of(now + kDelta);
+    const double lo = static_cast<double>(cell) * band_geometry().width;
+    std::vector<double> times;
+    for (std::size_t i = 0; i < m; ++i) {
+      times.push_back(lo + 0.5 * band_geometry().width *
+                               (1.0 - static_cast<double>(i) /
+                                          static_cast<double>(m)));
+    }
+    expect_ring_order(ring, now, times, 100 + m);
+    now += 1.0;
   }
 }
 
-TEST(FanoutSorter, ExactTiesKeepSeqOrder) {
-  net::FanoutSorter sorter;
-  // A few distinct instants, each repeated, in shuffled list order: ties
-  // share a bucket and must come out in seq (= list) order.
-  for (const std::size_t m : {2u, 6u, 40u, 2048u}) {
+TEST(DeliveryRing, ExactTiesAcrossSendersRunInSeqOrder) {
+  // eps = 0 and the kFast / kSlow models put whole broadcasts, and the
+  // broadcasts of processes that sent at the same instant, on one time.
+  net::DeliveryRing ring;
+  ring.configure(band_geometry());
+  double now = 50.0;
+  for (const std::size_t m : {2u, 6u, 40u, 300u, 2048u}) {
     SCOPED_TRACE(m);
+    expect_ring_order(ring, now, std::vector<double>(m, now + kDelta), m);
+    now += 1.0;
     util::Rng rng(m);
-    std::vector<double> times;
+    std::vector<double> few;
     for (std::size_t i = 0; i < m; ++i) {
-      times.push_back(kSendTime + 0.009 +
-                      0.0005 * static_cast<double>(rng.uniform() * 4.0));
+      few.push_back(now + kDelta + 1e-4 * static_cast<double>(rng.below(4)));
     }
-    for (double& t : times) t = std::floor(t * 1e4) / 1e4;
-    expect_sorted_like_std_sort(sorter, times, kLo, kHi);
+    expect_ring_order(ring, now, few, 2 * m);
+    now += 1.0;
   }
-  // Pairs of ties among otherwise spread times (buckets of size 2-3).
-  std::vector<double> paired = uniform_times(100, 3);
-  for (std::size_t i = 0; i + 1 < paired.size(); i += 3) {
-    paired[i + 1] = paired[i];
-  }
-  expect_sorted_like_std_sort(sorter, paired, kLo, kHi);
 }
 
-TEST(FanoutSorter, ZeroEpsWindow) {
-  // eps = 0 (and the kFast / kSlow models): every delivery at one instant,
-  // inside a window only 2e-12 wide.
-  net::FanoutSorter sorter;
-  const double at = kSendTime + 0.01;
-  for (const std::size_t m : {1u, 2u, 5u, 64u, 2048u}) {
-    SCOPED_TRACE(m);
-    expect_sorted_like_std_sort(sorter, std::vector<double>(m, at),
-                                at - 1e-12, at + 1e-12);
+TEST(DeliveryRing, ItemsOnCellBoundaries) {
+  // Times exactly on cell edges (the representable k * w nearest each
+  // edge, and one ulp either side) interleaved with spread ones: the cell
+  // map is monotone in time, so every edge case still sorts.
+  net::DeliveryRing ring;
+  ring.configure(band_geometry());
+  const double w = band_geometry().width;
+  const double now = 3.0;
+  const std::int64_t first = ring.cell_of(now + kFloor) + 1;
+  std::vector<double> times;
+  util::Rng rng(3);
+  for (std::int64_t k = first; k < first + 12; ++k) {
+    const double edge = static_cast<double>(k) * w;
+    times.push_back(edge);
+    times.push_back(std::nextafter(edge, 0.0));
+    times.push_back(std::nextafter(edge, 1e9));
+    times.push_back(edge + w * rng.uniform());
+    times.push_back(edge);  // an exact tie on the edge
   }
-  // A window that rounds to zero width puts everything in one bucket.
-  expect_sorted_like_std_sort(sorter, uniform_times(50, 11), kLo, kLo);
-  expect_sorted_like_std_sort(sorter, uniform_times(50, 12), kHi, kLo);
+  expect_ring_order(ring, now, times, 11);
 }
 
-TEST(FanoutSorter, TimesOutsideTheWindowAreClamped) {
-  // Rounding (or a caller's window that is simply wrong) may put times
-  // below lo or above hi; they clamp to the end buckets and still sort.
-  net::FanoutSorter sorter;
-  for (const std::size_t m : {2u, 8u, 33u, 2048u}) {
-    SCOPED_TRACE(m);
-    std::vector<double> times = uniform_times(m, 21 + m);
-    for (std::size_t i = 0; i < m; i += 4) {
-      times[i] = std::nextafter(kLo, 0.0);
-      if (i + 1 < m) times[i + 1] = std::nextafter(kHi, 1e9);
-      if (i + 2 < m) times[i + 2] = i % 8 == 0 ? kLo - 5.0 : kHi + 5.0;
+TEST(DeliveryRing, SendAtTheFloorAfterASealLandsBeyondTheCell) {
+  // Seal cell c at the first clock allowed, t_ref = seal_time(c), then send
+  // at t_ref with the smallest delays the engine admits (delta - eps, and
+  // delta - eps - tol): the delivery lies a full cell past c before
+  // rounding, and the one-cell guard band keeps it out of the sealed cell
+  // however floor() and the sums round.  Without the guard it would land
+  // in cell c about half the time.
+  util::Rng rng(20261018);
+  for (int trial = 0; trial < 2000; ++trial) {
+    net::DeliveryRing ring;
+    ring.configure(band_geometry());
+    const std::uint32_t payload = ring.open_payload(sim::make_app(1, 0, 0.0));
+    const double anchor = 1.0 + 500.0 * rng.uniform();
+    const std::int64_t cell = ring.cell_of(anchor + kFloor) + 2;
+    const double w = band_geometry().width;
+    const double inside = (static_cast<double>(cell) + 0.5) * w;
+    ring.push(anchor, inside, 1, 0, payload);
+    const double t_ref = ring.seal_time(cell);
+    ASSERT_GT(t_ref, anchor);
+    // Sealable exactly at t_ref, not an ulp before.
+    const net::DeliveryRing::Key early =
+        ring.next_key(std::nextafter(t_ref, 0.0));
+    ASSERT_TRUE(early.seal);
+    ASSERT_LE(early.time, t_ref);
+    const net::DeliveryRing::Key key = ring.next_key(t_ref);
+    ASSERT_FALSE(key.seal);
+    ASSERT_EQ(key.time, inside);
+    for (const double delay : {kDelta - kEps, kFloor}) {
+      const double t = t_ref + delay;
+      ASSERT_GT(ring.cell_of(t), cell) << "trial " << trial;
+      ASSERT_NO_THROW(ring.push(t_ref, t, 2, 1, payload)) << "trial " << trial;
     }
-    expect_sorted_like_std_sort(sorter, times, kLo, kHi);
+    const std::vector<net::RingItem> out = run_out(ring, t_ref + kFloor);
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_EQ(out[0].time, inside);
   }
-  // A window wholly below every time: all of them land in the last bucket.
-  expect_sorted_like_std_sort(sorter, uniform_times(40, 5), kLo - 1.0,
-                              kLo - 0.5);
+}
+
+TEST(DeliveryRing, SealEntryNeverLetsAnItemRunEarly) {
+  // A miniature of the engine loop: senders fire at random instants and
+  // send fan-outs with delays anywhere in the band (exact floor and ceiling
+  // included); the ring keeps one entry, re-keyed only when it runs, never
+  // by a send while it is armed.  Every key must sit at or before the
+  // earliest pending delivery (exactly on it when not a seal entry), and
+  // deliveries must come out in the oracle's (time, seq) order.  Bands
+  // with eps > delta / 3 are where a later send can land before the cell a
+  // seal entry waits for, so the entry's ref + D - w cap must hold.
+  for (const double eps : {kEps, 0.006, 0.009}) {
+    const double floor_delay = kDelta - eps - kTol;
+    const double ceil_delay = kDelta + eps + kTol;
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "eps " << eps << " seed " << seed);
+      net::DeliveryRing ring;
+      ring.configure(net::RingGeometry::for_band(floor_delay, ceil_delay));
+      ASSERT_TRUE(ring.enabled());
+      util::Rng rng(seed);
+      std::vector<net::RingItem> pending;  // the oracle
+      std::vector<double> sends;           // pending send instants (min-heap)
+      double clock = 0.0;
+      std::uint64_t next_seq = 0;
+      bool armed = false;
+      bool dispatching = false;
+      net::DeliveryRing::Key key;
+      const auto oracle_min = [&]() {
+        return *std::min_element(pending.begin(), pending.end(), before);
+      };
+      const auto send = [&](double now) {
+        const std::uint32_t payload = ring.open_payload(sim::make_app(0, 0, 0.0));
+        // A third of the sends are unicasts, so a seal entry often waits
+        // for a single slow delivery while faster sends follow.
+        const auto count = rng.uniform() < 0.33 ? 1 : 1 + rng.below(40);
+        for (std::uint64_t i = 0; i < count; ++i) {
+          const double u = rng.uniform();
+          const double delay =
+              u < 0.1   ? floor_delay
+              : u < 0.2 ? ceil_delay
+                        : floor_delay + (ceil_delay - floor_delay) * rng.uniform();
+          const net::RingItem item{now + delay, next_seq++,
+                                   static_cast<std::int32_t>(i), payload};
+          ring.push(now, item.time, item.seq, item.to, payload);
+          pending.push_back(item);
+        }
+        if (!armed && !dispatching) {  // a send arms only an idle ring
+          key = ring.next_key(now);
+          armed = true;
+        }
+      };
+      for (int i = 0; i < 400; ++i) sends.push_back(0.5 * rng.uniform());
+      std::make_heap(sends.begin(), sends.end(), std::greater<>{});
+      std::size_t delivered = 0;
+      std::size_t seal_entries = 0;
+      while (!sends.empty() || armed) {
+        if (armed) {
+          const net::RingItem head = oracle_min();
+          ASSERT_LE(key.time, head.time);
+          if (!key.seal) {
+            ASSERT_EQ(key.time, head.time);
+            ASSERT_EQ(key.seq, head.seq);
+          }
+        }
+        const bool ring_next = armed && (sends.empty() || key.time < sends.front());
+        if (!ring_next) {
+          std::pop_heap(sends.begin(), sends.end(), std::greater<>{});
+          clock = sends.back();
+          sends.pop_back();
+          send(clock);
+          continue;
+        }
+        double ref = std::max(key.time, clock);
+        if (key.seal) ++seal_entries;
+        armed = false;
+        dispatching = true;
+        // Run extension, as dispatch_ring does: deliver while the head
+        // still precedes the next send.
+        for (;;) {
+          if (ring.empty()) break;
+          const net::DeliveryRing::Key next = ring.next_key(ref);
+          if (next.seal || (!sends.empty() && !(next.time < sends.front()))) break;
+          const net::RingItem want = oracle_min();
+          ASSERT_EQ(next.time, want.time);
+          ASSERT_EQ(next.seq, want.seq);
+          ASSERT_GE(next.time, clock);
+          clock = next.time;
+          ref = clock;
+          (void)ring.pop_front();
+          pending.erase(std::find_if(pending.begin(), pending.end(),
+                                     [&](const net::RingItem& it) {
+                                       return it.seq == want.seq;
+                                     }));
+          ++delivered;
+          // Some deliveries answer at once, while the ring is running: that
+          // send must not arm it.
+          if (clock < 0.5 && rng.uniform() < 0.01) send(clock);
+        }
+        dispatching = false;
+        armed = !ring.empty();
+        if (armed) key = ring.next_key(ref);
+      }
+      EXPECT_TRUE(pending.empty());
+      EXPECT_GT(delivered, 400u);
+      EXPECT_GT(seal_entries, 0u);
+    }
+  }
+}
+
+TEST(DeliveryRing, SealEntryWaitsNoLongerThanTheFloor) {
+  // eps = 0.9 delta: a lone slow delivery's cell seals ~2 eps after its
+  // send, but a fast send a moment later lands long before that.  The seal
+  // entry keyed after the first send must already sit in front of it.
+  const double eps = 0.009;
+  const double lo = kDelta - eps - kTol;
+  const double hi = kDelta + eps + kTol;
+  net::DeliveryRing ring;
+  ring.configure(net::RingGeometry::for_band(lo, hi));
+  ASSERT_TRUE(ring.enabled());
+  const std::uint32_t slow = ring.open_payload(sim::make_app(0, 0, 0.0));
+  ring.push(1.0, 1.0 + hi, 1, 0, slow);
+  const net::DeliveryRing::Key key = ring.next_key(1.0);
+  ASSERT_TRUE(key.seal);
+  const double w = ring.geometry().width;
+  EXPECT_LE(key.time, 1.0 + lo - w);
+  EXPECT_LT(key.time, ring.seal_time(ring.cell_of(1.0 + hi)));
+  const double later = 1.0 + 0.5 * lo;
+  const std::uint32_t fast = ring.open_payload(sim::make_app(1, 0, 0.0));
+  ring.push(later, later + lo, 2, 1, fast);
+  EXPECT_LT(key.time, later + lo);
+  // Run the ring from the key on, as the engine would: the fast delivery
+  // comes first.
+  double ref = key.time;
+  std::vector<std::uint64_t> order;
+  while (!ring.empty()) {
+    const net::DeliveryRing::Key next = ring.next_key(ref);
+    if (next.seal) {
+      ASSERT_GT(next.time, ref);
+      ref = next.time;
+      continue;
+    }
+    order.push_back(next.seq);
+    ref = next.time;
+    (void)ring.pop_front();
+  }
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{2, 1}));
+}
+
+TEST(DeliveryRing, MinTimeAndChunkReuse) {
+  net::DeliveryRing ring;
+  ring.configure(band_geometry());
+  EXPECT_EQ(ring.min_time(), std::numeric_limits<double>::infinity());
+  const double w = band_geometry().width;
+  util::Rng rng(9);
+  // 1500 deliveries in one cell and 900 in the next: 12 + 8 chunks of
+  // 128, two slabs of 16; per-cell minima kept at insertion.
+  const auto load = [&](double now) {
+    const std::uint32_t payload =
+        ring.open_payload(sim::make_app(2, 7, 1.5, 3));
+    const std::int64_t cell = ring.cell_of(now + kDelta);
+    double lowest = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < 2400; ++i) {
+      const double t =
+          (static_cast<double>(cell + (i < 1500 ? 0 : 1)) + 0.1 +
+           0.8 * rng.uniform()) *
+          w;
+      lowest = std::min(lowest, t);
+      ring.push(now, t, static_cast<std::uint64_t>(i), i, payload);
+    }
+    return lowest;
+  };
+  const double lowest = load(10.0);
+  EXPECT_EQ(ring.min_time(), lowest);
+  const net::DeliveryRing::Key key = ring.next_key(10.0);
+  EXPECT_TRUE(key.seal);  // nothing is sealable at the send instant
+  EXPECT_LT(key.time, lowest);
+  EXPECT_EQ(ring.min_time(), lowest);
+  const std::uint64_t chunks = ring.chunk_allocs();
+  EXPECT_EQ(chunks, 2u);
+  std::size_t seen = 0;
+  ring.drain([&](const net::RingItem&, const sim::Message& msg) {
+    EXPECT_EQ(msg.from, 2);
+    EXPECT_EQ(msg.tag, 7);
+    EXPECT_EQ(msg.aux, 3);
+    ++seen;
+  });
+  EXPECT_EQ(seen, 2400u);
+  EXPECT_TRUE(ring.empty());
+  // The same load again reuses the returned chunks, and a sealed cell
+  // returns its chunks at once.
+  (void)load(20.0);
+  EXPECT_EQ(ring.chunk_allocs(), chunks);
+  EXPECT_EQ(run_out(ring, 1e9).size(), 2400u);
+  (void)load(30.0);
+  EXPECT_EQ(ring.chunk_allocs(), chunks);
+  EXPECT_EQ(run_out(ring, 1e9).size(), 2400u);
+}
+
+TEST(DeliveryRing, RefusesADeliveryIntoASealedCell) {
+  net::DeliveryRing ring;
+  ring.configure(band_geometry());
+  const std::uint32_t payload = ring.open_payload(sim::make_app(0, 0, 0.0));
+  ring.push(1.0, 1.0 + kDelta, 1, 0, payload);
+  const double t_ref = ring.seal_time(ring.cell_of(1.0 + kDelta));
+  EXPECT_FALSE(ring.next_key(t_ref).seal);
+  // A "delay" below the floor from a send at t_ref: the A3 violation the
+  // guard cannot absorb.
+  EXPECT_THROW(ring.push(t_ref, 1.0 + kDelta, 2, 0, payload), std::logic_error);
 }
 
 TEST(FanoutOracle, DeliveryOrderWithStaggerAndKExchanges) {
@@ -507,6 +784,360 @@ TEST(FanoutOracle, DeliveryOrderOnTheCalendarQueue) {
   RunSpec spec = fanout_spec();
   spec.scheduler = engine::SchedulerKind::kCalendar;
   check_fanout_order(spec);
+}
+
+TEST(FanoutOracle, ExactTiesAcrossSendersAtZeroEps) {
+  // eps = 0, no drift and no initial spread: every honest process begins
+  // each round at the same instant and every delay is exactly delta, so
+  // whole rounds of deliveries from different senders tie exactly — the
+  // ring's cells must order them by seq across senders.
+  for (const std::int32_t n : {7, 64}) {
+    SCOPED_TRACE(n);
+    RunSpec spec = fanout_spec();
+    spec.params = core::make_params(n, (n - 1) / 3, 1e-5, 0.01, 0.0, 10.0);
+    spec.fault_count = (n - 1) / 3;
+    spec.rounds = n == 7 ? 8 : 4;
+    spec.drift = analysis::DriftKind::kNone;
+    spec.initial_spread = 0.0;
+    check_fanout_order(spec);
+  }
+}
+
+TEST(FanoutOracle, PerVictimFacesAndSpamUseTheSendPath) {
+  // Positional two-faced faults forge one face per victim with send(), and
+  // spam sends junk to random ids: both one-recipient fan-outs.
+  RunSpec faces = fanout_spec();
+  faces.params = core::make_params(20, 6, 1e-5, 0.01, 1e-3, 10.0);
+  faces.fault_count = 6;
+  faces.placement = proc::PlacementKind::kRandom;
+  faces.rounds = 5;
+  check_fanout_order(faces);
+
+  RunSpec spam = fanout_spec();
+  spam.fault = analysis::FaultKind::kSpam;
+  check_fanout_order(spam);
+}
+
+// ------------------------------------------ engine-level ring oracles ---
+
+std::unique_ptr<clk::PhysicalClock> perfect_clock() {
+  return std::make_unique<clk::PhysicalClock>(clk::make_constant(1.0), 0.0,
+                                              1e-4);
+}
+
+/// Broadcasts `count` times, every `gap` of local time.
+class Ticker final : public proc::Process {
+ public:
+  Ticker(double gap, std::int32_t count) : gap_(gap), count_(count) {}
+  void on_start(proc::Context& ctx) override { on_timer(ctx, 0); }
+  void on_timer(proc::Context& ctx, std::int32_t tag) override {
+    ctx.broadcast(/*tag=*/1, ctx.local_time(), tag);
+    if (tag + 1 < count_) ctx.set_timer(ctx.local_time() + gap_, tag + 1);
+  }
+  void on_message(proc::Context&, const sim::Message&) override {}
+
+ private:
+  double gap_;
+  std::int32_t count_;
+};
+
+/// Faulty: every `gap` of real time, sends one message per id of a
+/// pseudo-random list with send() and multicasts the same list once —
+/// ids outside the sender's neighborhood and across any shard cut.
+class Scatterer final : public proc::Process {
+ public:
+  Scatterer(std::uint64_t seed, double gap, std::int32_t count)
+      : rng_(seed), gap_(gap), count_(count) {}
+  void on_start(proc::Context& ctx) override { on_timer(ctx, 0); }
+  void on_timer(proc::Context& ctx, std::int32_t tag) override {
+    auto& actx = proc::AdversaryContext::from(ctx);
+    std::vector<std::int32_t> ids;
+    for (int i = 0; i < 5; ++i) {
+      ids.push_back(static_cast<std::int32_t>(
+          rng_.below(static_cast<std::uint64_t>(ctx.process_count()))));
+    }
+    for (const std::int32_t to : ids) ctx.send(to, 2, rng_.uniform(), tag);
+    actx.multicast(ids, 3, rng_.uniform(), tag);
+    if (tag + 1 < count_) {
+      actx.set_timer_real(actx.real_time() + gap_, tag + 1);
+    }
+  }
+  void on_message(proc::Context&, const sim::Message&) override {}
+
+ private:
+  util::Rng rng_;
+  double gap_;
+  std::int32_t count_;
+};
+
+/// Populates `sim` with ten-to-one Tickers and Scatterers, starting within
+/// the first few milliseconds.
+void add_traffic(sim::Simulator& sim, std::int32_t n) {
+  for (std::int32_t id = 0; id < n; ++id) {
+    const double start = 0.0004 * static_cast<double>(id % 7);
+    if (id % 10 == 9) {
+      sim.add_process(std::make_unique<Scatterer>(id, 0.0023, 20),
+                      perfect_clock(), 0.0, /*faulty=*/true, start);
+    } else {
+      sim.add_process(std::make_unique<Ticker>(0.0017, 24), perfect_clock(),
+                      0.0, /*faulty=*/false, start);
+    }
+  }
+}
+
+/// Answers every message it receives with a send back to its sender, up
+/// to `hops` hops, and process 0 opens with a broadcast: every send after
+/// the first comes from a handler the delivery ring is running.
+class Echo final : public proc::Process {
+ public:
+  explicit Echo(std::int32_t hops) : hops_(hops) {}
+  void on_start(proc::Context& ctx) override { ctx.broadcast(0, 0.0, 0); }
+  void on_timer(proc::Context&, std::int32_t) override {}
+  void on_message(proc::Context& ctx, const sim::Message& msg) override {
+    if (msg.aux < hops_) ctx.send(msg.from, 0, msg.value + 1.0, msg.aux + 1);
+  }
+
+ private:
+  std::int32_t hops_;
+};
+
+TEST(FanoutOracle, OneRingEntryWhileHandlersSend) {
+  // The only scheduler entries are process 0's START and then the ring's
+  // own: a handler that sends while the ring runs must find it armed, not
+  // arm a second entry.
+  for (const double eps : {1e-3, 0.0}) {
+    SCOPED_TRACE(eps);
+    sim::SimConfig config;
+    config.eps = eps;
+    config.seed = 3;
+    config.max_events = 100'000;
+    sim::Simulator sim(config, nullptr);
+    for (std::int32_t id = 0; id < 8; ++id) {
+      sim.add_process(std::make_unique<Echo>(40), perfect_clock(), 0.0, false,
+                      id == 0 ? 0.0 : -1.0);
+    }
+    FanoutOracle oracle;
+    sim.add_trace_sink(&oracle);
+    sim.run_until(1.0);
+    EXPECT_EQ(oracle.check(sim.current_time()), "");
+    EXPECT_EQ(oracle.deliveries(), 8u * 41u);
+    EXPECT_EQ(sim.peak_pending(), 1u);
+  }
+}
+
+TEST(FanoutOracle, WideBandsAndThePerRecipientFallback) {
+  // delta = eps (no lookahead at all) and eps / delta = 0.99 (a ring of
+  // more than 2^13 cells) disable the ring: every delivery is its own
+  // scheduler entry, still in the per-recipient order.  eps / delta = 0.6
+  // keeps the ring on a band where seal entries must be capped at
+  // ref + D - w, and 0.1 is the default shape.
+  for (const double eps : {0.01, 0.0099, 0.006, 0.001}) {
+    SCOPED_TRACE(eps);
+    sim::SimConfig config;
+    config.delta = 0.01;
+    config.eps = eps;
+    config.seed = 17;
+    sim::Simulator sim(config, nullptr);
+    add_traffic(sim, 20);
+    FanoutOracle oracle;
+    sim.add_trace_sink(&oracle);
+    sim.run_until(0.1);
+    EXPECT_EQ(oracle.check(sim.current_time()), "");
+    EXPECT_GT(oracle.deliveries(), 1000u);
+    if (eps < 0.009) {
+      EXPECT_GT(sim.ring_chunk_allocs(), 0u);
+      EXPECT_LT(sim.queue_ops(), sim.messages_sent());
+    } else {
+      EXPECT_EQ(sim.ring_chunk_allocs(), 0u);
+      EXPECT_GT(sim.queue_ops(), 2 * sim.messages_sent());
+    }
+  }
+}
+
+/// Per-recipient delivery-order oracle for runs where no global order is
+/// observable: NIC ingress (processes see messages at service time) and
+/// PDES lanes (each lane sees only its shard).  Every recipient must see
+/// its application messages in (arrival time, sender, send index) order,
+/// never before their arrival.  Send indices come from a counter shared by
+/// every sink of the run (one slot per sender, touched only by the lane
+/// that runs the sender).
+class RecipientOracle final : public sim::TraceSink {
+ public:
+  explicit RecipientOracle(std::vector<std::uint64_t>* next_index)
+      : next_index_(next_index) {}
+
+  void on_send(std::int32_t from, std::int32_t to, const sim::Message& msg,
+               double, double deliver_time) override {
+    sends.push_back({deliver_time, from,
+                     (*next_index_)[static_cast<std::size_t>(from)]++, to,
+                     msg.value});
+  }
+  void on_receive(std::int32_t pid, const sim::Message& msg,
+                  double time) override {
+    if (msg.kind == sim::Kind::kApp) {
+      receives.push_back({time, msg.from, 0, pid, msg.value});
+    }
+  }
+
+  struct Entry {
+    double time;
+    std::int32_t from;
+    std::uint64_t index;
+    std::int32_t to;
+    double value;
+  };
+  std::vector<Entry> sends;
+  std::vector<Entry> receives;
+
+ private:
+  std::vector<std::uint64_t>* next_index_;
+};
+
+/// Checks `receives` (the whole run's, in execution order per recipient)
+/// against `sends`: per recipient, a prefix of the sends to it sorted by
+/// (time, sender, index), each received at or after its arrival, and every
+/// send that arrived before `settled` received.
+std::string check_per_recipient(std::vector<RecipientOracle::Entry> sends,
+                                const std::vector<RecipientOracle::Entry>& receives,
+                                std::int32_t n, double settled) {
+  std::sort(sends.begin(), sends.end(),
+            [](const RecipientOracle::Entry& a, const RecipientOracle::Entry& b) {
+              if (a.time != b.time) return a.time < b.time;
+              if (a.from != b.from) return a.from < b.from;
+              return a.index < b.index;
+            });
+  for (std::int32_t r = 0; r < n; ++r) {
+    std::vector<RecipientOracle::Entry> want;
+    for (const auto& e : sends) {
+      if (e.to == r) want.push_back(e);
+    }
+    std::size_t k = 0;
+    for (const auto& got : receives) {
+      if (got.to != r) continue;
+      if (k >= want.size()) return "recipient " + std::to_string(r) + ": extra receive";
+      const auto& w = want[k++];
+      if (got.from != w.from || got.value != w.value || got.time < w.time) {
+        return "recipient " + std::to_string(r) + ", receive " +
+               std::to_string(k - 1) + ": expected " + std::to_string(w.from) +
+               " arriving " + std::to_string(w.time) + ", saw " +
+               std::to_string(got.from) + " at " + std::to_string(got.time);
+      }
+    }
+    for (; k < want.size(); ++k) {
+      if (want[k].time <= settled) {
+        return "recipient " + std::to_string(r) + ": missing a delivery at " +
+               std::to_string(want[k].time);
+      }
+    }
+  }
+  return "";
+}
+
+TEST(FanoutOracle, NicIngressKeepsPerRecipientOrder) {
+  // An unbounded NIC queues every arrival: each process must be handed its
+  // datagrams in arrival order, after they arrive.
+  for (const bool expander : {false, true}) {
+    SCOPED_TRACE(expander);
+    sim::SimConfig config;
+    config.seed = 23;
+    config.nic = sim::NicConfig{/*capacity=*/0, /*service_time=*/2e-4};
+    if (expander) config.topology = net::Topology::k_regular(30, 6, 4);
+    sim::Simulator sim(config, nullptr);
+    add_traffic(sim, 30);
+    std::vector<std::uint64_t> next_index(30, 0);
+    RecipientOracle oracle(&next_index);
+    sim.add_trace_sink(&oracle);
+    sim.run_until(0.2);
+    EXPECT_EQ(check_per_recipient(oracle.sends, oracle.receives, 30, 0.15), "");
+    EXPECT_GT(oracle.receives.size(), 1000u);
+  }
+}
+
+TEST(FanoutOracle, PdesLanesUnbatchAtStartAndDissolve) {
+  // A serial stretch, a PDES stretch and a serial stretch again, each
+  // boundary crossed with messages in flight: the main lane's ring
+  // un-batches into the shard lanes at PDES start, each shard lane's ring
+  // un-batches into the main lane's scheduler at dissolve.  Per-recipient
+  // order must hold throughout, and match a serial run exactly.
+  constexpr std::int32_t kN = 40;
+  constexpr double kT0 = 0.0113;
+  constexpr double kT1 = 0.0317;
+  constexpr double kEnd = 0.08;
+  sim::SimConfig config;
+  config.seed = 29;
+  config.topology = net::Topology::k_regular(kN, 6, 8);
+
+  // The serial reference.
+  std::vector<std::uint64_t> serial_index(kN, 0);
+  RecipientOracle serial(&serial_index);
+  {
+    sim::Simulator sim(config, nullptr);
+    add_traffic(sim, kN);
+    sim.add_trace_sink(&serial);
+    sim.run_until(kEnd);
+  }
+
+  std::vector<std::uint64_t> next_index(kN, 0);
+  RecipientOracle main_lane(&next_index);
+  std::vector<RecipientOracle> lanes(2, RecipientOracle(&next_index));
+  sim::Simulator sim(config, nullptr);
+  add_traffic(sim, kN);
+  sim.add_trace_sink(&main_lane);
+  sim.run_until(kT0);
+  const auto in_flight_at = [&](double t) {
+    std::size_t count = 0;
+    for (const auto* oracle : {&main_lane, &lanes[0], &lanes[1]}) {
+      for (const auto& e : oracle->sends) count += e.time > t ? 1 : 0;
+    }
+    return count;
+  };
+  EXPECT_GT(in_flight_at(kT0), 0u);
+  {
+    const net::Partition partition =
+        net::partition_topology(*config.topology, 2, 1);
+    ASSERT_EQ(partition.k, 2);
+    engine::PdesEngine pdes(sim, partition, {&lanes[0], &lanes[1]});
+    pdes.run_until(kT1);
+    EXPECT_GE(pdes.stats().epochs, 2);
+    EXPECT_GT(pdes.stats().cross_messages, 0);
+  }
+  EXPECT_GT(in_flight_at(kT1), 0u);
+  sim.run_until(kEnd);
+
+  // Execution order per recipient: main lane up to kT0, the lanes, then
+  // the main lane again.
+  std::vector<RecipientOracle::Entry> sends = main_lane.sends;
+  std::vector<RecipientOracle::Entry> receives;
+  for (const auto& e : main_lane.receives) {
+    if (e.time <= kT0) receives.push_back(e);
+  }
+  for (const auto& lane : lanes) {
+    sends.insert(sends.end(), lane.sends.begin(), lane.sends.end());
+    receives.insert(receives.end(), lane.receives.begin(), lane.receives.end());
+  }
+  for (const auto& e : main_lane.receives) {
+    if (e.time > kT0) receives.push_back(e);
+  }
+  EXPECT_EQ(check_per_recipient(sends, receives, kN, kEnd), "");
+  EXPECT_EQ(check_per_recipient(serial.sends, serial.receives, kN, kEnd), "");
+  // Bit-identical to the serial run, recipient by recipient.
+  ASSERT_EQ(receives.size(), serial.receives.size());
+  for (std::int32_t r = 0; r < kN; ++r) {
+    std::vector<RecipientOracle::Entry> a;
+    std::vector<RecipientOracle::Entry> b;
+    for (const auto& e : receives) {
+      if (e.to == r) a.push_back(e);
+    }
+    for (const auto& e : serial.receives) {
+      if (e.to == r) b.push_back(e);
+    }
+    ASSERT_EQ(a.size(), b.size()) << "recipient " << r;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].time, b[i].time) << "recipient " << r << " #" << i;
+      ASSERT_EQ(a[i].from, b[i].from) << "recipient " << r << " #" << i;
+      ASSERT_EQ(a[i].value, b[i].value) << "recipient " << r << " #" << i;
+    }
+  }
 }
 
 TEST(FanoutDeterminism, SchedulerPoliciesAgreeUnderNicBuffering) {
