@@ -1,10 +1,13 @@
 #pragma once
 // Shared scaffolding for the bench binaries: default parameters, enum
-// names, the axis parsers of bench_sweep and bench_gradient, and the
-// speedup gates.  bench_claims regenerates the paper's quantitative claims.
+// names, the axis parsers of bench_sweep, and the speedup gates.
+// bench_claims regenerates the paper's quantitative claims.
 
+#include <cerrno>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -84,9 +87,9 @@ inline std::string verdict(bool ok) { return ok ? "yes" : "NO"; }
 
 // ------------------------------------------------------ CSV grid axes ---
 //
-// The sweep drivers (bench_sweep, bench_gradient) share one flag
-// vocabulary: comma-separated axis lists mapped through these tables.
-// Adding an enum value means extending exactly one table here.
+// bench_sweep's flag vocabulary: comma-separated axis lists mapped
+// through these tables.  Adding an enum value means extending exactly one
+// table here.
 
 inline std::vector<std::string> split_list(const std::string& value) {
   std::vector<std::string> items;
@@ -98,18 +101,43 @@ inline std::vector<std::string> split_list(const std::string& value) {
   return items;
 }
 
-inline std::vector<std::int64_t> split_ints(const std::string& value) {
-  std::vector<std::int64_t> items;
+/// One integer list entry of flag `flag`, parsed in full and inside the
+/// int32 range every axis is stored in; anything else throws naming the
+/// flag, as util::Flags::get_int does.
+inline std::int32_t parse_int(const std::string& item,
+                              const std::string& flag) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(item.c_str(), &end, 10);
+  if (end == item.c_str() || *end != '\0' || errno == ERANGE ||
+      value < std::numeric_limits<std::int32_t>::min() ||
+      value > std::numeric_limits<std::int32_t>::max()) {
+    throw std::invalid_argument("--" + flag + ": entry '" + item +
+                                "' is not a 32-bit integer");
+  }
+  return static_cast<std::int32_t>(value);
+}
+
+inline std::vector<std::int32_t> split_ints(const std::string& value,
+                                            const std::string& flag) {
+  std::vector<std::int32_t> items;
   for (const std::string& item : split_list(value)) {
-    items.push_back(std::stoll(item));
+    items.push_back(parse_int(item, flag));
   }
   return items;
 }
 
-inline std::vector<double> split_doubles(const std::string& value) {
+inline std::vector<double> split_doubles(const std::string& value,
+                                         const std::string& flag) {
   std::vector<double> items;
   for (const std::string& item : split_list(value)) {
-    items.push_back(std::stod(item));
+    char* end = nullptr;
+    errno = 0;
+    items.push_back(std::strtod(item.c_str(), &end));
+    if (end == item.c_str() || *end != '\0' || errno == ERANGE) {
+      throw std::invalid_argument("--" + flag + ": entry '" + item +
+                                  "' is not a number");
+    }
   }
   return items;
 }

@@ -68,20 +68,28 @@ void note_alloc() noexcept {
 }
 }  // namespace
 
-void* operator new(std::size_t size) {
+// None of the replacements is ever inlined: at an inlined call site GCC
+// pairs malloc() with operator delete, or operator new with free(), and
+// reports a mismatch (-Wmismatched-new-delete) although both sides share
+// malloc.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   note_alloc();
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   note_alloc();
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace wlsync {
 namespace {

@@ -17,7 +17,8 @@
 //   --drift     none, extremal, piecewise, randomwalk
 //   --fault     none, silent, spam, twofaced, liar   (with --faults=count;
 //               count < 0 means f, the tolerated maximum)
-//   --topology  mesh, cliques, kregular   (--degree, --clique as needed)
+//   --topology  mesh, cliques, kregular   (--degree, --clique as needed;
+//               the topo_param column echoes the one that applies)
 //   --placement trailing, random, maxdeg, articulation, bridge, antipodal —
 //               which topology positions the faulty roster occupies
 //               (proc/placement.h; non-trailing switches the two-faced
@@ -35,7 +36,9 @@
 //               --engine=fastpath/pdes or --observe=bounded (the rejoin
 //               report reads retained history) are skipped with a note.
 //               Echoed in the `churn` CSV column.
-//   --f         explicit list, or auto = (n-1)/3 per cell
+//   --f         comma list of counts, auto = (n-1)/3, or local = the local
+//               A2 budget min_v (deg(v) - 1) / 3 of the cell's exchange
+//               graph (deg counts the self-loop; equals auto on the mesh)
 //   --nic       Section 9.3 ingress-queue axis: off, inf (unbounded), or a
 //               capacity in datagrams (--nic-service seconds per datagram).
 //               Fills the nic_* overflow columns; "off" rows stay zero.
@@ -63,7 +66,9 @@
 //   --workers   PDES shard/worker-count axis (comma list).  0 (the
 //               default) hands the shard count to the stall-aware
 //               auto-tuner (engine::choose_pdes_workers; it may decline
-//               back to serial — the pdes_refusal column says why), 1
+//               back to serial — the pdes_refusal column says why; it
+//               declines inside a runner worker thread, so only
+//               --threads=1 or a one-trial grid consults it), 1
 //               forces serial, >= 2 pins the count.  Crossed with
 //               --engine=pdes it maps wall-clock vs shard count.
 //   --observe   measurement-engine axis: off (post-hoc grids), on
@@ -71,13 +76,39 @@
 //               history truncation; analysis/observe.h).  on == bounded
 //               always; both == off bitwise on cells that complete their
 //               rounds (degraded cells measure observe-mode's collapsed
-//               window — see bench_common.h).  wall_s and hist_peak_mb
-//               move.
+//               window — see bench_common.h).  wall_s, hist_peak_mb and
+//               history_mb move.
 //   --P         round length; --trials seeds per cell from --seed0
-//   --gradient  also measure skew-vs-distance (analysis/gradient.h); fills
-//               the gradient_slope / gradient_diameter / gradient_far_skew
-//               columns (blank-zero when off)
+//   --gradient  measure skew-vs-distance (analysis/gradient.h) and write
+//               one row PER DISTANCE BUCKET per trial, so a
+//               skew-vs-distance curve is the set of rows sharing a spec
+//               index.  distance / pairs / max_skew / mean_skew / p99_skew
+//               / frontier describe the bucket (frontier = max_skew folded
+//               over all distances <= d, monotone by construction); the
+//               per-trial gradient_slope / gradient_diameter /
+//               gradient_far_skew columns repeat on every row.  Without
+//               --gradient every bucket column reads 0.
+//   --threads   runner worker count (0 = hardware threads; 1 runs the
+//               trials one after another on the calling thread, as does a
+//               one-trial grid).  Physics
+//               columns are bit-identical for any count
+//               (parallel_runner_test), so --threads=1 vs --threads=8 on
+//               one grid is the runner's throughput A/B.
 //   --smoke     tiny fixed grid for CI driver smoke tests
+//
+// Every row also carries the engine-pressure telemetry of its trial
+// (RunTelemetry): queue_ops (scheduler push + pop), peak_pending (pending
+// entry high-water mark), fanout_direct (ring deliveries without a queue
+// round-trip), history_mb (clock/CORR history retained at the end of the
+// run) and hist_peak_mb (its peak, observe rows only), plus wall_s, the
+// trial's wall-clock seconds as measured inside analysis::run.  The
+// large-n topology family is a grid like any other, e.g.
+//
+//   bench_sweep --n=64,128,256,512 --topology=mesh,kregular,cliques
+//               --degree=16 --clique=16 --rounds=4 --trials=1 --threads=1
+//               --nic=8
+//
+// (per-round figures are these columns over completed_rounds).
 //
 // --pdes-json=PATH bypasses the grid entirely and emits the PDES
 // perf-trajectory artifact (BENCH_pdes.json, the engine/pdes.h acceptance
@@ -113,16 +144,14 @@
 // best-of-reps minimum itself swings +-30% with machine state between
 // runs, so their ratios measure the host, not the engine.
 //
-// Every row also carries wall_s, the trial's wall-clock seconds as measured
-// inside analysis::run (per-trial telemetry from the streaming runner),
-// and hist_peak_mb, the peak retained clock/CORR history on observe rows.
+// A malformed flag or axis value exits 2 with the flag named.
 
 #include <algorithm>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -144,16 +173,152 @@ using bench::parse_topology;
 using bench::split_ints;
 using bench::split_list;
 
+// ---------------------------------------------------------- CSV schema ---
+//
+// One row of the CSV: a trial's spec and result, and which of its distance
+// buckets the bucket columns describe (always 0 without --gradient, where
+// the bucket columns read 0).
+struct Row {
+  std::size_t index;
+  const analysis::RunSpec& spec;
+  const analysis::RunResult& result;
+  std::size_t bucket;
+};
+
+// The bucket column `v` of a row; 0 when the trial measured no gradient.
+template <typename T>
+T bucket_value(const Row& row, const std::vector<T>& v) {
+  return row.bucket < v.size() ? v[row.bucket] : T{};
+}
+
+std::int32_t topo_param(const net::TopologySpec& topology) {
+  switch (topology.kind) {
+    case net::TopologyKind::kRingOfCliques: return topology.clique_size;
+    case net::TopologyKind::kKRegular: return topology.degree;
+    default: return 0;
+  }
+}
+
+double megabytes(std::size_t bytes) {
+  return static_cast<double>(bytes) / (1024.0 * 1024.0);
+}
+
+// The one column list: the header and every row are written from it, so a
+// column cannot be in one and missing from the other.
+struct Column {
+  const char* name;
+  void (*write)(std::ostream&, const Row&);
+};
+
+#define COLUMN(name, expr) \
+  Column { name, [](std::ostream& out, const Row& r) { out << (expr); } }
+const Column kColumns[] = {
+    COLUMN("spec", r.index),
+    COLUMN("n", r.spec.params.n),
+    COLUMN("f", r.spec.params.f),
+    COLUMN("algo", bench::algo_name(r.spec.algo)),
+    COLUMN("delay", bench::delay_name(r.spec.delay)),
+    COLUMN("drift", bench::drift_name(r.spec.drift)),
+    COLUMN("fault", bench::fault_name(r.spec.fault)),
+    COLUMN("faults", r.spec.fault_count),
+    COLUMN("topology", net::topology_name(r.spec.topology.kind)),
+    COLUMN("topo_param", topo_param(r.spec.topology)),
+    COLUMN("placement", proc::placement_name(r.spec.placement)),
+    COLUMN("churn", net::churn_intervals(r.spec.dynamics).size()),
+    COLUMN("engine", bench::engine_name(r.spec.engine)),
+    COLUMN("workers", r.spec.pdes_workers),
+    COLUMN("nic", bench::nic_name(r.spec.nic)),
+    COLUMN("nic_drop", r.spec.nic.has_value()
+                           ? bench::nic_drop_name(r.spec.nic->drop)
+                           : "-"),
+    COLUMN("stagger", r.spec.stagger),
+    COLUMN("observe", bench::observe_name(
+                          {r.spec.observe, r.spec.retain_history})),
+    COLUMN("rounds", r.spec.rounds),
+    COLUMN("seed", r.spec.seed),
+    COLUMN("completed_rounds", r.result.completed_rounds),
+    COLUMN("messages", r.result.messages),
+    COLUMN("gamma_bound", r.result.gamma_bound),
+    COLUMN("gamma_measured", r.result.gamma_measured),
+    COLUMN("adj_bound", r.result.adj_bound),
+    COLUMN("max_abs_adj", r.result.max_abs_adj),
+    COLUMN("final_skew", r.result.final_skew),
+    COLUMN("validity_holds", r.result.validity.holds ? 1 : 0),
+    COLUMN("diverged", r.result.diverged ? 1 : 0),
+    COLUMN("gradient_slope", r.result.gradient.slope),
+    COLUMN("gradient_diameter", r.result.gradient.diameter),
+    COLUMN("gradient_far_skew", r.result.gradient.far_skew()),
+    COLUMN("distance", bucket_value(r, r.result.gradient.distances)),
+    COLUMN("pairs", bucket_value(r, r.result.gradient.pair_count)),
+    COLUMN("max_skew", bucket_value(r, r.result.gradient.max_skew)),
+    COLUMN("mean_skew", bucket_value(r, r.result.gradient.mean_skew)),
+    COLUMN("p99_skew", bucket_value(r, r.result.gradient.p99_skew)),
+    COLUMN("frontier", bucket_value(r, r.result.gradient.frontier)),
+    COLUMN("nic_dropped", r.result.nic.dropped),
+    COLUMN("nic_drop_rate", r.result.nic.drop_rate()),
+    COLUMN("nic_peak_queue", r.result.nic.peak_queue),
+    COLUMN("nic_max_burst", r.result.nic.max_burst),
+    COLUMN("hist_peak_mb", megabytes(r.result.observe.peak_history_bytes)),
+    COLUMN("history_mb", megabytes(r.result.history_bytes)),
+    COLUMN("queue_ops", r.result.queue_ops),
+    COLUMN("peak_pending", r.result.peak_pending),
+    COLUMN("fanout_direct", r.result.fanout_direct),
+    COLUMN("fastpath", r.result.fastpath_engaged ? 1 : 0),
+    COLUMN("fastpath_refusal", bench::refusal_csv(r.result.fastpath_refusal)),
+    COLUMN("pdes_epochs", r.result.pdes_epochs),
+    COLUMN("pdes_stalls", r.result.pdes_stalls),
+    COLUMN("pdes_refusal", bench::refusal_csv(r.result.pdes_refusal)),
+    COLUMN("wall_s", r.result.wall_seconds),
+    COLUMN("rounds_per_sec", r.result.wall_seconds > 0.0
+                                 ? r.result.completed_rounds /
+                                       r.result.wall_seconds
+                                 : 0.0),
+};
+#undef COLUMN
+
 void write_csv_header(std::ostream& out) {
-  out << "spec,n,f,algo,delay,drift,fault,faults,topology,placement,churn,"
-         "engine,workers,"
-         "nic,nic_drop,stagger,observe,rounds,seed,completed_rounds,messages,"
-         "gamma_bound,"
-         "gamma_measured,adj_bound,max_abs_adj,final_skew,validity_holds,"
-         "diverged,gradient_slope,gradient_diameter,gradient_far_skew,"
-         "nic_dropped,nic_drop_rate,nic_peak_queue,nic_max_burst,"
-         "hist_peak_mb,fastpath,fastpath_refusal,pdes_epochs,pdes_stalls,"
-         "pdes_refusal,wall_s,rounds_per_sec\n";
+  for (const Column& column : kColumns) {
+    if (&column != kColumns) out << ',';
+    out << column.name;
+  }
+  out << '\n';
+}
+
+void write_csv_row(std::ostream& out, const Row& row) {
+  for (const Column& column : kColumns) {
+    if (&column != kColumns) out << ',';
+    column.write(out, row);
+  }
+  out << '\n';
+}
+
+/// The --f=local value: the largest f no honest neighborhood of the
+/// cell's exchange graph overruns, min_v (deg(v) - 1) / 3 with deg
+/// counting the self-loop (the quorum view welch_lynch.cpp clamps
+/// against).
+std::int32_t local_fault_cap(const net::TopologySpec& spec, std::int32_t n) {
+  const net::Topology topo = net::build_topology(spec, n);
+  std::int32_t cap = topo.n();
+  for (std::int32_t v = 0; v < topo.n(); ++v) {
+    cap = std::min(cap, (topo.degree(v) - 1) / 3);
+  }
+  return std::max(cap, std::int32_t{0});
+}
+
+/// Replaces every spec by one copy per axis value, `set` applying the
+/// value to the copy.
+template <typename T, typename Set>
+void cross(std::vector<analysis::RunSpec>& specs, const std::vector<T>& values,
+           Set set) {
+  std::vector<analysis::RunSpec> out;
+  out.reserve(specs.size() * values.size());
+  for (const analysis::RunSpec& spec : specs) {
+    for (const T& value : values) {
+      out.push_back(spec);
+      set(out.back(), value);
+    }
+  }
+  specs = std::move(out);
 }
 
 // --pdes-json: the PDES perf-trajectory artifact (BENCH_pdes.json).  The
@@ -412,17 +577,18 @@ int run_pdes_json(const util::Flags& flags) {
 }  // namespace
 }  // namespace wlsync
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_sweep(const wlsync::util::Flags& flags) {
   using namespace wlsync;
-  const util::Flags flags(argc, argv);
   if (!flags.get_string("pdes-json", "").empty()) {
     return run_pdes_json(flags);
   }
   const bool smoke = flags.get_bool("smoke", false);
 
-  const std::vector<std::int64_t> ns =
-      split_ints(flags.get_string("n", smoke ? "16" : "7"));
-  const std::string f_flag = flags.get_string("f", "auto");
+  const std::vector<std::int32_t> ns =
+      split_ints(flags.get_string("n", smoke ? "16" : "7"), "n");
+  const std::vector<std::string> fs = split_list(flags.get_string("f", "auto"));
   const std::vector<std::string> algos =
       split_list(flags.get_string("algo", "wl"));
   const std::vector<std::string> delays =
@@ -435,23 +601,25 @@ int main(int argc, char** argv) {
       split_list(flags.get_string("topology", smoke ? "mesh,cliques" : "mesh"));
   const std::vector<std::string> placements =
       split_list(flags.get_string("placement", "trailing"));
-  const std::vector<std::int64_t> churns =
-      split_ints(flags.get_string("churn", "0"));
+  const std::vector<std::int32_t> churns =
+      split_ints(flags.get_string("churn", "0"), "churn");
   const std::vector<std::string> nics =
       split_list(flags.get_string("nic", smoke ? "off,8" : "off"));
   const double nic_service = flags.get_double("nic-service", 50e-6);
   const std::vector<std::string> nic_drops =
       split_list(flags.get_string("nic-drop", "oldest"));
   const std::vector<double> staggers =
-      bench::split_doubles(flags.get_string("stagger", "0"));
+      bench::split_doubles(flags.get_string("stagger", "0"), "stagger");
   const std::vector<std::string> engines =
       split_list(flags.get_string("engine", smoke ? "event,auto" : "auto"));
-  const std::vector<std::int64_t> workers_axis =
-      split_ints(flags.get_string("workers", "0"));
+  const std::vector<std::int32_t> workers_axis =
+      split_ints(flags.get_string("workers", "0"), "workers");
   const std::vector<std::string> observes =
       split_list(flags.get_string("observe", smoke ? "off,bounded" : "off"));
   const bool gradient = flags.get_bool("gradient", smoke);
   const auto fault_count = flags.get_int("faults", -1);
+  const auto degree = static_cast<std::int32_t>(flags.get_int("degree", 8));
+  const auto clique = static_cast<std::int32_t>(flags.get_int("clique", 8));
   const auto trials =
       static_cast<std::int32_t>(flags.get_int("trials", smoke ? 2 : 5));
   const auto rounds =
@@ -462,103 +630,97 @@ int main(int argc, char** argv) {
   const std::string out_path = flags.get_string("out", "");
 
   // ------------------------------------------------------------- grid ---
-  std::vector<analysis::RunSpec> specs;
-  for (const std::int64_t n : ns) {
-    const std::vector<std::int64_t> fs =
-        f_flag == "auto" ? std::vector<std::int64_t>{(n - 1) / 3}
-                         : split_ints(f_flag);
-    for (const std::int64_t f : fs) {
-      for (const std::string& algo : algos) {
-        for (const std::string& delay : delays) {
-          for (const std::string& drift : drifts) {
-            for (const std::string& fault : faults) {
-              for (const std::string& topology : topologies) {
-                for (const std::string& placement : placements) {
-                 for (const std::int64_t churn : churns) {
-                 for (const std::string& nic : nics) {
-                  for (const std::string& nic_drop : nic_drops) {
-                  for (const double stagger : staggers) {
-                  for (const std::string& observe : observes) {
-                  for (const std::string& engine : engines) {
-                  for (const std::int64_t workers : workers_axis) {
-                  analysis::RunSpec base;
-                  base.params = core::make_params(
-                      static_cast<std::int32_t>(n), static_cast<std::int32_t>(f),
-                      1e-5, 0.01, 1e-3, P);
-                  base.algo = parse_algo(algo);
-                  base.delay = parse_delay(delay);
-                  base.drift = parse_drift(drift);
-                  base.fault = parse_fault(fault);
-                  base.fault_count =
-                      base.fault == analysis::FaultKind::kNone
-                          ? 0
-                          : static_cast<std::int32_t>(
-                                fault_count < 0 ? f : fault_count);
-                  base.topology.kind = parse_topology(topology);
-                  base.topology.degree =
-                      static_cast<std::int32_t>(flags.get_int("degree", 8));
-                  base.topology.clique_size =
-                      static_cast<std::int32_t>(flags.get_int("clique", 8));
-                  base.placement = parse_placement(placement);
-                  base.nic = bench::parse_nic(nic, nic_service);
-                  if (base.nic.has_value()) {
-                    base.nic->drop = bench::parse_nic_drop(nic_drop);
-                  }
-                  base.stagger = stagger;
-                  const bench::ObserveMode omode = bench::parse_observe(observe);
-                  base.observe = omode.observe;
-                  base.retain_history = omode.retain;
-                  base.engine = bench::parse_engine(engine);
-                  // 0 under --engine=pdes is the auto-tuner (the kAuto
-                  // default): engine::choose_pdes_workers picks the shard
-                  // count and the row's pdes_workers column echoes the
-                  // request, not the pick.
-                  base.pdes_workers = static_cast<std::int32_t>(workers);
-                  base.measure_gradient = gradient;
-                  base.rounds = rounds;
-                  if (churn > 0) {
-                    // Deterministic wave: ids 0..c-1 leave at 2P staggered
-                    // by P/2, rejoin 3P later (>= the 2P reintegration
-                    // minimum).  Trailing fault placement keeps the
-                    // Byzantine roster disjoint from the churned ids, and
-                    // the rejoin reports read retained history.
-                    if (base.algo != analysis::Algo::kWelchLynch ||
-                        base.engine == analysis::EngineMode::kFastpath ||
-                        base.engine == analysis::EngineMode::kPdes ||
-                        base.placement != proc::PlacementKind::kTrailing ||
-                        !base.placement_ids.empty() || !base.retain_history) {
-                      std::cerr << "bench_sweep: skipping churn=" << churn
-                                << " cell (" << algo << "/" << engine << "/"
-                                << placement << "/" << observe
-                                << "): churn needs wl + event-capable engine"
-                                   " + trailing placement + retained "
-                                   "history\n";
-                      continue;
-                    }
-                    base.dynamics.churn_wave(2.0 * P,
-                                             /*first=*/0,
-                                             static_cast<std::int32_t>(churn),
-                                             /*downtime=*/3.0 * P,
-                                             /*stagger=*/0.5 * P);
-                  }
-                  const std::vector<analysis::RunSpec> seeded =
-                      analysis::seed_sweep(base, seed0, trials);
-                  specs.insert(specs.end(), seeded.begin(), seeded.end());
-                  }
-                  }
-                  }
-                  }
-                  }
-                 }
-                 }
-                }
-              }
-            }
-          }
-        }
-      }
+  // Each cross() multiplies the grid by one axis, so the first axis varies
+  // slowest and the seeds fastest.
+  using analysis::RunSpec;
+  RunSpec base;
+  base.rounds = rounds;
+  base.measure_gradient = gradient;
+  std::vector<RunSpec> specs{base};
+  cross(specs, ns, [](auto& s, std::int32_t v) { s.params.n = v; });
+  cross(specs, topologies, [&](RunSpec& s, const std::string& topology) {
+    s.topology.kind = parse_topology(topology);
+    s.topology.degree = degree;
+    s.topology.clique_size = clique;
+  });
+  cross(specs, fs, [&](RunSpec& s, const std::string& entry) {
+    const std::int32_t n = s.params.n;
+    const std::int32_t f = entry == "auto"    ? (n - 1) / 3
+                           : entry == "local" ? local_fault_cap(s.topology, n)
+                                              : bench::parse_int(entry, "f");
+    s.params = core::make_params(n, f, 1e-5, 0.01, 1e-3, P);
+  });
+  cross(specs, algos, [](auto& s, const auto& v) { s.algo = parse_algo(v); });
+  cross(specs, delays,
+        [](auto& s, const auto& v) { s.delay = parse_delay(v); });
+  cross(specs, drifts,
+        [](auto& s, const auto& v) { s.drift = parse_drift(v); });
+  cross(specs, faults, [&](RunSpec& s, const std::string& fault) {
+    s.fault = parse_fault(fault);
+    s.fault_count =
+        s.fault == analysis::FaultKind::kNone
+            ? 0
+            : static_cast<std::int32_t>(fault_count < 0 ? s.params.f
+                                                        : fault_count);
+  });
+  cross(specs, placements,
+        [](auto& s, const auto& v) { s.placement = parse_placement(v); });
+  cross(specs, churns, [&](RunSpec& s, std::int32_t churn) {
+    // Deterministic wave: ids 0..c-1 leave at 2P staggered by P/2, rejoin
+    // 3P later (>= the 2P reintegration minimum).
+    if (churn > 0) {
+      s.dynamics.churn_wave(2.0 * P, /*first=*/0, churn, /*downtime=*/3.0 * P,
+                            /*stagger=*/0.5 * P);
     }
+  });
+  cross(specs, nics, [&](auto& s, const auto& v) {
+    s.nic = bench::parse_nic(v, nic_service);
+  });
+  cross(specs, nic_drops, [](RunSpec& s, const std::string& nic_drop) {
+    const sim::NicDropPolicy drop = bench::parse_nic_drop(nic_drop);
+    if (s.nic.has_value()) s.nic->drop = drop;
+  });
+  cross(specs, staggers, [](auto& s, double v) { s.stagger = v; });
+  cross(specs, observes, [](RunSpec& s, const std::string& observe) {
+    const bench::ObserveMode mode = bench::parse_observe(observe);
+    s.observe = mode.observe;
+    s.retain_history = mode.retain;
+  });
+  cross(specs, engines,
+        [](auto& s, const auto& v) { s.engine = bench::parse_engine(v); });
+  // 0 under --engine=pdes is the auto-tuner (the kAuto default):
+  // engine::choose_pdes_workers picks the shard count and the row's
+  // workers column echoes the request, not the pick.
+  cross(specs, workers_axis,
+        [](auto& s, std::int32_t v) { s.pdes_workers = v; });
+  // Churn needs the Welch-Lynch round structure and the event engine (the
+  // fast path and PDES refuse dynamic schedules by name); trailing fault
+  // placement keeps the Byzantine roster disjoint from the churned ids, and
+  // the rejoin reports read retained history.
+  std::erase_if(specs, [](const RunSpec& s) {
+    const bool skip = !s.dynamics.events.empty() &&
+                      (s.algo != analysis::Algo::kWelchLynch ||
+                       s.engine == analysis::EngineMode::kFastpath ||
+                       s.engine == analysis::EngineMode::kPdes ||
+                       s.placement != proc::PlacementKind::kTrailing ||
+                       !s.retain_history);
+    if (skip) {
+      std::cerr << "bench_sweep: skipping churn="
+                << net::churn_intervals(s.dynamics).size() << " cell ("
+                << bench::algo_name(s.algo) << "/"
+                << bench::engine_name(s.engine) << "/"
+                << proc::placement_name(s.placement) << "/"
+                << bench::observe_name({s.observe, s.retain_history})
+                << "): churn needs wl + event-capable engine + trailing "
+                   "placement + retained history\n";
+    }
+    return skip;
+  });
+  std::vector<std::uint64_t> seeds;
+  for (std::int32_t t = 0; t < trials; ++t) {
+    seeds.push_back(seed0 + static_cast<std::uint64_t>(t));
   }
+  cross(specs, seeds, [](auto& s, std::uint64_t v) { s.seed = v; });
 
   // ----------------------------------------------------------- stream ---
   std::ofstream file;
@@ -576,42 +738,30 @@ int main(int argc, char** argv) {
   const analysis::ParallelRunner runner(threads);
   std::cerr << "bench_sweep: " << specs.size() << " trials on "
             << runner.threads() << " threads\n";
-  const auto write_row = [&](std::size_t i, const analysis::RunResult& r) {
-    const analysis::RunSpec& s = specs[i];
-    const bench::ObserveMode omode{s.observe, s.retain_history};
-    csv << i << ',' << s.params.n << ',' << s.params.f << ','
-        << bench::algo_name(s.algo) << ',' << bench::delay_name(s.delay)
-        << ',' << bench::drift_name(s.drift) << ','
-        << bench::fault_name(s.fault) << ',' << s.fault_count << ','
-        << net::topology_name(s.topology.kind) << ','
-        << proc::placement_name(s.placement) << ','
-        << net::churn_intervals(s.dynamics).size() << ','
-        << bench::engine_name(s.engine) << ',' << s.pdes_workers << ','
-        << bench::nic_name(s.nic) << ','
-        << (s.nic.has_value() ? bench::nic_drop_name(s.nic->drop) : "-") << ','
-        << s.stagger << ',' << bench::observe_name(omode) << ','
-        << s.rounds << ','
-        << s.seed << ',' << r.completed_rounds << ',' << r.messages << ','
-        << r.gamma_bound << ',' << r.gamma_measured << ',' << r.adj_bound
-        << ',' << r.max_abs_adj << ',' << r.final_skew << ','
-        << (r.validity.holds ? 1 : 0) << ',' << (r.diverged ? 1 : 0) << ','
-        << r.gradient.slope << ',' << r.gradient.diameter << ','
-        << r.gradient.far_skew() << ',' << r.nic.dropped << ','
-        << r.nic.drop_rate() << ',' << r.nic.peak_queue << ','
-        << r.nic.max_burst << ','
-        << static_cast<double>(r.observe.peak_history_bytes) / (1024.0 * 1024.0)
-        << ',' << (r.fastpath_engaged ? 1 : 0) << ','
-        << bench::refusal_csv(r.fastpath_refusal) << ',' << r.pdes_epochs
-        << ',' << r.pdes_stalls << ','
-        << bench::refusal_csv(r.pdes_refusal) << ',' << r.wall_seconds << ','
-        << (r.wall_seconds > 0.0 ? r.completed_rounds / r.wall_seconds : 0.0)
-        << '\n';
-    if (++done % 50 == 0) {
-      std::cerr << "  " << done << "/" << specs.size() << " trials\n";
-    }
-  };
-  (void)runner.run_adaptive(specs, write_row);
+  (void)runner.run_adaptive(
+      specs, [&](std::size_t i, const analysis::RunResult& r) {
+        // One row per distance bucket under --gradient, else one per trial.
+        const std::size_t rows =
+            std::max<std::size_t>(r.gradient.distances.size(), 1);
+        for (std::size_t b = 0; b < rows; ++b) {
+          write_csv_row(csv, Row{i, specs[i], r, b});
+        }
+        if (++done % 50 == 0) {
+          std::cerr << "  " << done << "/" << specs.size() << " trials\n";
+        }
+      });
   csv.flush();
   std::cerr << "bench_sweep: done (" << done << " trials)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_sweep(wlsync::util::Flags(argc, argv));
+  } catch (const std::exception& e) {
+    std::cerr << "bench_sweep: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -810,6 +810,10 @@ RunResult Experiment::run() {
   result.diverged = !(result.gamma_measured <
                       std::max(100.0 * d.gamma, 1.0)) ||
                     result.completed_rounds < spec_.rounds / 2;
+  result.queue_ops = sim_->queue_ops();
+  result.peak_pending = sim_->peak_pending();
+  result.fanout_direct = sim_->fanout_direct();
+  result.history_bytes = sim_->history_bytes();
   return result;
 }
 

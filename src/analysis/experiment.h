@@ -126,7 +126,7 @@ struct ScenarioSpec {
 
   /// Exchange graph (net layer).  kFullMesh is the paper's model and runs
   /// the implicit-mesh fast path; sparse kinds open the large-n workload
-  /// family (bench_topology).
+  /// family (bench_sweep --topology).
   net::TopologySpec topology;
   /// Time-varying topology / churn schedule (net/dynamics.h).  Empty = the
   /// historical static graph.  Non-empty requires Algo::kWelchLynch, makes
@@ -374,6 +374,14 @@ struct RunTelemetry {
   /// run.
   std::int64_t pdes_epochs = 0;
   std::int64_t pdes_stalls = 0;
+  /// Engine pressure, copied from the Simulator at the end of the run
+  /// (after PDES folded its lanes back): scheduler push + pop operations,
+  /// the pending-entry high-water mark, ring deliveries made without a
+  /// queue round-trip, and the clock/CORR history bytes still retained.
+  std::uint64_t queue_ops = 0;
+  std::size_t peak_pending = 0;
+  std::uint64_t fanout_direct = 0;
+  std::size_t history_bytes = 0;
 };
 
 /// One run's result.  Both halves are inherited, so every member keeps its

@@ -16,7 +16,7 @@
 // overflow a measurable axis — drops, served datagrams, the queue
 // high-water mark, and the largest same-instant arrival burst — surfaced
 // through analysis/measure (NicSummary) into RunResult and the
-// bench_sweep / bench_topology CSV columns.
+// bench_sweep CSV columns.
 //
 // The queue itself is a flat ring over pooled Message slots (the seed used
 // a std::deque): contiguous storage for the burst-drain hot path, capacity

@@ -228,7 +228,7 @@ class Simulator {
   [[nodiscard]] double delta() const noexcept { return config_.delta; }
   [[nodiscard]] double eps() const noexcept { return config_.eps; }
 
-  // Engine pressure counters (bench_micro / bench_topology):
+  // Engine pressure counters (bench_micro; copied into RunTelemetry):
   /// Scheduler push + pop operations performed so far.
   [[nodiscard]] std::uint64_t queue_ops() const noexcept {
     return sum_lanes(&Lane::queue_pushes) + sum_lanes(&Lane::queue_pops);

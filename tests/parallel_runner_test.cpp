@@ -111,6 +111,10 @@ TEST(ParallelRunner, IdentitySeesEveryPhysicsFieldAndNoTelemetry) {
   busy.pdes_refusal = "refused";
   busy.pdes_epochs = 1;
   busy.pdes_stalls = 1;
+  busy.queue_ops = 1;
+  busy.peak_pending = 1;
+  busy.fanout_direct = 1;
+  busy.history_bytes = 1;
 
   using Perturbation = std::pair<const char*, std::function<void(RunResult&)>>;
 #define PHYSICS_FIELD(path) \

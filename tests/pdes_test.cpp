@@ -187,6 +187,30 @@ TEST(PdesPin, DeterministicUnderParallelRunner) {
 
 // --------------------------------------------------- dispatch & telemetry ---
 
+TEST(PdesDispatch, TelemetryCopiesTheSimulatorCounters) {
+  // RunTelemetry's engine-pressure counters are the simulator's own, read
+  // once after the engines finish: on a PDES run the lanes have already
+  // folded their counters back into the serial lane.
+  for (const std::int32_t workers : {0, 4}) {
+    RunSpec spec = cliques_spec(24, 7);
+    spec.engine = workers == 0 ? EngineMode::kEvent : EngineMode::kPdes;
+    spec.pdes_workers = workers;
+    Experiment experiment(spec);
+    const RunResult result = experiment.run();
+    const sim::Simulator& sim = experiment.simulator();
+    EXPECT_EQ(result.pdes_workers_used, workers);
+    EXPECT_GT(result.queue_ops, 0u) << "workers " << workers;
+    EXPECT_GT(result.fanout_direct, 0u) << "workers " << workers;
+    EXPECT_GT(result.history_bytes, 0u) << "workers " << workers;
+    EXPECT_EQ(result.queue_ops, sim.queue_ops()) << "workers " << workers;
+    EXPECT_EQ(result.peak_pending, sim.peak_pending()) << "workers " << workers;
+    EXPECT_EQ(result.fanout_direct, sim.fanout_direct())
+        << "workers " << workers;
+    EXPECT_EQ(result.history_bytes, sim.history_bytes())
+        << "workers " << workers;
+  }
+}
+
 TEST(PdesDispatch, AutoPrefersTheFastPath) {
   // A fault-free full-mesh WL spec is fast-path eligible; kAuto must pick
   // the fast path even when the spec also opted into PDES.
