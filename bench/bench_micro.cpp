@@ -25,6 +25,7 @@
 #include <new>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -618,12 +619,13 @@ void smoke_two_faced_mesh(std::vector<SmokeRow>& rows) {
 /// Heap allocations per steady-state round of the same two-faced mesh,
 /// counted over run_until(4P -> 8P) after four warm-up rounds (the spec
 /// runs 8 rounds so that the window ends inside the run).  Measured
-/// 2026-10 at 14.25: 13.5 per round are per-process clock breakpoint
-/// vectors doubling to 64 entries, plus one doubling of the ring's sort
-/// buffer and two of the RoundTrace storage in the window.  Pinned
-/// exactly: faces sit in a flat vector and round begins in a flat table
-/// (a multimap node per face and a hash node per begin measured 120.5).
-constexpr double kTwoFacedAllocsPerRoundLimit = 14.25;
+/// 2026-10 at 0.75: one doubling of the ring's sort buffer and two of the
+/// RoundTrace storage in the window.  Pinned exactly: faces sit in a flat
+/// vector, round begins in a flat table and clock breakpoints are
+/// reserved for the horizon by Simulator::reserve_history (a multimap node
+/// per face and a hash node per begin measured 120.5; breakpoint vectors
+/// doubling to 64 entries added 13.5 per round).
+constexpr double kTwoFacedAllocsPerRoundLimit = 0.75;
 
 void smoke_two_faced_allocs(std::vector<SmokeRow>& rows) {
   analysis::RunSpec spec;
@@ -709,7 +711,8 @@ void smoke_nic_overflow(std::vector<SmokeRow>& rows) {
 /// unobserved runs is exactly the observer's own in-run allocation count —
 /// pinned at zero in retained mode (every accumulator is preallocated
 /// against the horizon; in bounded mode truncation keeps CorrLog/segment
-/// vectors from ever growing, so the delta goes negative and is gated <= 0).
+/// vectors from ever growing, so the delta is gated <= 0; it reads 0, as
+/// the unobserved run's clocks never reallocate either).
 void smoke_observer_counters(std::vector<SmokeRow>& rows) {
   analysis::RunSpec spec;
   spec.params = core::make_params(24, 7, 1e-5, 0.01, 1e-3, 10.0);
@@ -1056,6 +1059,9 @@ void smoke_pdes_drain_allocs(std::vector<SmokeRow>& rows) {
 }
 
 int run_smoke(const util::Flags& flags) {
+  const std::string out_path = flags.get_string("out", "micro-smoke.csv");
+  (void)flags.has("smoke");  // the mode flag main dispatched on
+  flags.reject_unread();
   std::vector<SmokeRow> rows;
   smoke_alloc_rounds(rows);
   smoke_queue_ops(rows);
@@ -1070,7 +1076,6 @@ int run_smoke(const util::Flags& flags) {
   smoke_pdes_stalls(rows);
   smoke_pdes_drain_allocs(rows);
 
-  const std::string out_path = flags.get_string("out", "micro-smoke.csv");
   std::ofstream csv(out_path);
   csv << "metric,value,limit,pass\n";
   bool all_pass = true;
@@ -1268,6 +1273,7 @@ int run_fastpath_json(const util::Flags& flags) {
   const std::string compare_path = flags.get_string("fastpath-compare", "");
   const auto max_n =
       static_cast<std::int32_t>(flags.get_int("max-n", 4096));
+  flags.reject_unread();
 
   const std::vector<FastpathCell> cells = measure_fastpath_cells(max_n);
 
@@ -1343,14 +1349,18 @@ int run_fastpath_json(const util::Flags& flags) {
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg(argv[i]);
-    if (arg == "--smoke" || arg.rfind("--smoke=", 0) == 0) {
-      const wlsync::util::Flags flags(argc, argv);
-      return wlsync::run_smoke(flags);
-    }
-    if (arg == "--fastpath-json" || arg.rfind("--fastpath-json=", 0) == 0 ||
+    const bool smoke = arg == "--smoke" || arg.rfind("--smoke=", 0) == 0;
+    if (smoke || arg == "--fastpath-json" ||
+        arg.rfind("--fastpath-json=", 0) == 0 ||
         arg.rfind("--fastpath-compare=", 0) == 0) {
-      const wlsync::util::Flags flags(argc, argv);
-      return wlsync::run_fastpath_json(flags);
+      try {
+        const wlsync::util::Flags flags(argc, argv);
+        return smoke ? wlsync::run_smoke(flags)
+                     : wlsync::run_fastpath_json(flags);
+      } catch (const std::invalid_argument& e) {
+        std::cerr << "bench_micro: " << e.what() << "\n";
+        return 2;
+      }
     }
   }
   benchmark::Initialize(&argc, argv);

@@ -33,6 +33,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -133,6 +134,7 @@ int run_stabilize(const util::Flags& flags) {
   const auto trials =
       static_cast<std::int32_t>(flags.get_int("trials", 5));
   const std::string out_path = flags.get_string("out", "");
+  flags.reject_unread();
 
   bench::print_header(
       "EXP-SCENARIO/stabilize",
@@ -201,6 +203,7 @@ int run_adversary(const util::Flags& flags) {
   const auto rounds = static_cast<std::int32_t>(flags.get_int("rounds", 20));
   const auto fault_count =
       static_cast<std::int32_t>(flags.get_int("faults", 2));
+  flags.reject_unread();
 
   bench::print_header(
       "EXP-SCENARIO/adversary",
@@ -255,10 +258,18 @@ int run_adversary(const util::Flags& flags) {
 
 int main(int argc, char** argv) {
   using namespace wlsync;
-  const util::Flags flags(argc, argv);
-  if (flags.get_bool("smoke", false)) return run_smoke();
-  if (flags.get_bool("adversary", false)) return run_adversary(flags);
-  if (flags.get_bool("stabilize", false)) return run_stabilize(flags);
+  try {
+    const util::Flags flags(argc, argv);
+    if (flags.get_bool("smoke", false)) {
+      flags.reject_unread();
+      return run_smoke();
+    }
+    if (flags.get_bool("adversary", false)) return run_adversary(flags);
+    if (flags.get_bool("stabilize", false)) return run_stabilize(flags);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "bench_scenario: " << e.what() << "\n";
+    return 2;
+  }
   std::cerr << "bench_scenario: pick a mode: --smoke | --stabilize | "
                "--adversary (see the header comment)\n";
   return 2;

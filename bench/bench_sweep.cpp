@@ -2,10 +2,10 @@
 // without editing mains").
 //
 // Builds the cross product of comma-separated axis lists, runs every cell
-// times every seed through the work-stealing ParallelRunner, and streams
-// one CSV row per trial the moment it completes (rows carry their spec
-// index; completion order is nondeterministic, sort by the first column for
-// a stable view).  Example:
+// times every seed through ParallelRunner, and streams one CSV row per
+// trial the moment it completes (rows carry their spec index; completion
+// order is nondeterministic, sort by the first column for a stable view).
+// Example:
 //
 //   bench_sweep --n=8,16,32 --delay=uniform,slow --drift=extremal
 //               --algo=wl,st --trials=20 --rounds=12 --out=grid.csv
@@ -64,13 +64,13 @@
 //               pdes_epochs / pdes_stalls record the conservative
 //               protocol's windows and empty windows per trial.
 //   --workers   PDES shard/worker-count axis (comma list).  0 (the
-//               default) hands the shard count to the stall-aware
-//               auto-tuner (engine::choose_pdes_workers; it may decline
-//               back to serial — the pdes_refusal column says why; it
-//               declines inside a runner worker thread, so only
-//               --threads=1 or a one-trial grid consults it), 1
-//               forces serial, >= 2 pins the count.  Crossed with
-//               --engine=pdes it maps wall-clock vs shard count.
+//               default) hands the shard count to the auto-tuner
+//               (engine::choose_pdes_workers, capped by the core count;
+//               it may decline back to serial — the pdes_refusal column
+//               says why; under --engine=auto it declines inside the
+//               runner's workers at any --threads), 1 forces serial,
+//               >= 2 pins the count.  Crossed with --engine=pdes it maps
+//               wall-clock vs shard count.
 //   --observe   measurement-engine axis: off (post-hoc grids), on
 //               (streaming in-run observation), bounded (streaming +
 //               history truncation; analysis/observe.h).  on == bounded
@@ -90,8 +90,8 @@
 //               --gradient every bucket column reads 0.
 //   --threads   runner worker count (0 = hardware threads; 1 runs the
 //               trials one after another on the calling thread, as does a
-//               one-trial grid).  Physics
-//               columns are bit-identical for any count
+//               one-trial grid).  Every column but wall_s and
+//               rounds_per_sec is identical for any count
 //               (parallel_runner_test), so --threads=1 vs --threads=8 on
 //               one grid is the runner's throughput A/B.
 //   --smoke     tiny fixed grid for CI driver smoke tests
@@ -120,8 +120,8 @@
 // mesh cells only materialize at --max-n >= 4096, the size where the
 // memory-bound serial baseline makes sharding pay off), and workers
 // rows include 16 (from n=1024, the lane-size floor) plus an `auto` row
-// (pdes_workers=0, the kAuto default) recording what the stall-aware
-// tuner picked.  Each cell is timed --reps times (default 3) and the
+// (pdes_workers=0, the kAuto default) recording what the auto-tuner
+// picked.  Each cell is timed --reps times (default 3) and the
 // BEST engine span (RunResult::engine_seconds — setup and measurement
 // excluded, see analysis/experiment.h) feeds the speedup map: a single
 // sample is at the mercy of the host scheduler — the ISSUE 8 audit of an
@@ -144,7 +144,8 @@
 // best-of-reps minimum itself swings +-30% with machine state between
 // runs, so their ratios measure the host, not the engine.
 //
-// A malformed flag or axis value exits 2 with the flag named.
+// A malformed flag or axis value, or a flag the driver does not know
+// (`--nn=5`), exits 2 with the flag named.
 
 #include <algorithm>
 #include <exception>
@@ -339,6 +340,7 @@ int run_pdes_json(const util::Flags& flags) {
   const std::vector<std::string> topos =
       split_list(flags.get_string("pdes-topos", "expander,cliques,mesh"));
   const std::string compare_path = flags.get_string("pdes-compare", "");
+  flags.reject_unread();
 
   struct Cell {
     std::string key;       // speedup-map key ("" for serial reference rows)
@@ -376,8 +378,8 @@ int run_pdes_json(const util::Flags& flags) {
     }
     if (max_events > 0) spec.max_events = max_events;
     // workers = -1 is the auto row: kPdes with pdes_workers=0 hands the
-    // shard count to the stall-aware tuner (engine::choose_pdes_workers)
-    // and the cell records what it picked in workers_used.
+    // shard count to the tuner (engine::choose_pdes_workers, capped by the
+    // core count) and the cell records what it picked in workers_used.
     spec.engine = workers == 0 ? analysis::EngineMode::kEvent
                                : analysis::EngineMode::kPdes;
     spec.pdes_workers = workers < 0 ? 0 : workers;
@@ -628,6 +630,7 @@ int run_sweep(const wlsync::util::Flags& flags) {
   const auto seed0 = static_cast<std::uint64_t>(flags.get_int("seed0", 1));
   const auto threads = static_cast<int>(flags.get_int("threads", 0));
   const std::string out_path = flags.get_string("out", "");
+  flags.reject_unread();
 
   // ------------------------------------------------------------- grid ---
   // Each cross() multiplies the grid by one axis, so the first axis varies
@@ -689,8 +692,8 @@ int run_sweep(const wlsync::util::Flags& flags) {
   cross(specs, engines,
         [](auto& s, const auto& v) { s.engine = bench::parse_engine(v); });
   // 0 under --engine=pdes is the auto-tuner (the kAuto default):
-  // engine::choose_pdes_workers picks the shard count and the row's
-  // workers column echoes the request, not the pick.
+  // engine::choose_pdes_workers picks the shard count, capped by the core
+  // count, and the row's workers column echoes the request, not the pick.
   cross(specs, workers_axis,
         [](auto& s, std::int32_t v) { s.pdes_workers = v; });
   // Churn needs the Welch-Lynch round structure and the event engine (the

@@ -517,9 +517,23 @@ void Experiment::build() {
   // Pre-size the CORR logs for the configured run length (one adjustment
   // per exchange, plus slack for the partial round the horizon affords):
   // steady-state recording then never reallocates, so the fast path's
-  // round loop stays allocation-free (bench_micro gates on this).
+  // round loop stays allocation-free (bench_micro gates on this).  When
+  // the whole history is kept, size each clock's breakpoint list too:
+  // every periodic drift model cuts drift_period-long segments, and a
+  // clock is read up to a round past the horizon (the next round's timer)
+  // plus extend_clock's overshoot, which 2P covers.  Bounded runs
+  // truncate, so they keep growing on demand.
+  std::size_t breakpoints = 0;
+  if (spec_.retain_history && spec_.drift != DriftKind::kNone &&
+      spec_.drift_period > 0.0) {
+    breakpoints =
+        static_cast<std::size_t>(
+            std::ceil((horizon() + 2.0 * p.P) / spec_.drift_period)) +
+        2;
+  }
   sim_->reserve_history(static_cast<std::size_t>(spec_.rounds + 2) *
-                        static_cast<std::size_t>(spec_.k_exchanges));
+                            static_cast<std::size_t>(spec_.k_exchanges),
+                        breakpoints);
 }
 
 double Experiment::horizon() const {
@@ -632,13 +646,15 @@ RunResult Experiment::run() {
     engine::PdesPlan plan;
     if (const char* reason = engine::PdesEngine::ineligible_reason(*sim_)) {
       plan.refusal = reason;
-    } else if (spec_.pdes_workers <= 0 && util::in_worker()) {
+    } else if (spec_.engine == EngineMode::kAuto && spec_.pdes_workers <= 0 &&
+               util::in_worker()) {
       // The sweep already claims the cores; nested shards would
-      // oversubscribe them (the same guard measure.cpp applies).
+      // oversubscribe them (the same guard measure.cpp applies).  An
+      // explicit kPdes still tunes, capped by the core count.
       plan.refusal = "auto-tune declined: inside a ParallelRunner worker";
     } else {
       plan = engine::plan_pdes(*sim_, topology(), spec_.pdes_workers,
-                               spec_.seed);
+                               spec_.seed, util::hardware_threads());
     }
     if (!plan.refusal.empty()) {
       refuse(plan.refusal, result.pdes_refusal);

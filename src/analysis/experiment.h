@@ -191,14 +191,16 @@ struct RunSpec : ScenarioSpec {
   /// Shard/worker count for the PDES engine (engine/pdes.h): the topology
   /// is cut into this many shards (net/partition.h), one thread each.
   /// <= 0 (the default) auto-tunes: engine::choose_pdes_workers scores
-  /// candidate shard counts from partition cut statistics and live stall
-  /// telemetry, and the run stays serial (pdes_refusal says why) when no
-  /// candidate scores or the run is a ParallelRunner trial (the sweep
-  /// already owns the cores).  engine = kPdes accepts any explicit value
-  /// >= 1 (1 = single-shard, one epoch — useful for pinning the protocol
-  /// without concurrency) and throws when auto-tune declines.  Performance
-  /// only: executions are bit-identical at results_identical strictness
-  /// for any worker count (tests/pdes_test.cpp).
+  /// candidate shard counts from partition cut statistics, capped by
+  /// util::hardware_threads(), and the run stays serial (pdes_refusal says
+  /// why) when no candidate scores or, under kAuto, the run is a
+  /// ParallelRunner trial (the sweep already owns the cores).  The pick is
+  /// a pure function of the spec and the core count.  engine = kPdes
+  /// accepts any explicit value >= 1 (1 = single-shard, one epoch — useful
+  /// for pinning the protocol without concurrency), tunes inside a sweep
+  /// worker too, and throws when auto-tune declines.  Performance only:
+  /// executions are bit-identical at results_identical strictness for any
+  /// worker count (tests/pdes_test.cpp).
   std::int32_t pdes_workers = 0;
 
   double lm_delta_max = 0.0;  ///< 0 = auto
@@ -382,6 +384,8 @@ struct RunTelemetry {
   std::size_t peak_pending = 0;
   std::uint64_t fanout_direct = 0;
   std::size_t history_bytes = 0;
+
+  bool operator==(const RunTelemetry&) const = default;
 };
 
 /// One run's result.  Both halves are inherited, so every member keeps its

@@ -97,6 +97,8 @@ struct ObserveStats {
   /// Streaming extras over the skew series (no post-hoc counterpart):
   double skew_mean = 0.0;  ///< mean of the per-sample global skew
   double skew_p99 = 0.0;   ///< histogram p99 (upper bucket edge)
+
+  bool operator==(const ObserveStats&) const = default;
 };
 
 /// Everything the observer measured, in the same shapes the post-hoc

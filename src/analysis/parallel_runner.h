@@ -11,15 +11,15 @@
 // analysis::run(specs[i]) produces, whatever the thread count or
 // interleaving (pinned by tests/parallel_runner_test.cpp).
 //
-// Scheduling is work-stealing over contiguous chunks that equalize
-// *estimated* trial cost, so a grid mixing n = 4 with n = 512 keeps every
-// core busy to the end; steal decisions are guided by the per-trial
-// wall_seconds telemetry of already-completed trials, and an optional
-// callback surfaces each result the moment it completes, for CSV writers
-// and progress meters over long grids.  Its workers run under
-// util::WorkerScope, so the auto-parallel paths inside a trial (measurement,
-// the fast path's kernels, the PDES auto-tuner) stay serial; callers that
-// shard something other than trials use util::parallel_for.
+// Scheduling is util::parallel_for over the trials ranked by
+// estimate_cost and dealt round-robin into the pool's equal-count chunks,
+// so each worker starts on one of the costliest trials and the pool's own
+// stealing balances the tail.  An optional callback surfaces each result
+// the moment it completes, for CSV writers and progress meters over long
+// grids.  Every trial runs under util::WorkerScope, the inline one-thread
+// case included, so the auto-parallel paths inside a trial (measurement,
+// the fast path's kernels, kAuto's PDES auto-tune) stay serial and the
+// engine a trial runs never depends on the thread count.
 
 #include <cstdint>
 #include <functional>
@@ -38,16 +38,12 @@ class ParallelRunner {
 
   /// Runs analysis::run once per spec; result[i] corresponds to specs[i]
   /// and is bit-identical to a serial run, whatever the thread count
-  /// (pinned by tests/parallel_runner_test.cpp).  The initial contiguous
-  /// chunks equalize *estimated* cost (estimate_cost) rather than trial
-  /// count, and a worker that drains its chunk steals from the chunk with
-  /// the most estimated work remaining — with estimates refined online
-  /// from the per-trial wall_seconds telemetry of completed trials (the
-  /// measured mean wall per distinct n replaces the static prior as cells
-  /// finish).  on_result(i, result), when set, is invoked as each trial
-  /// finishes — completion order, not spec order; calls are serialized, so
-  /// the callback may write to shared sinks (CSV, progress bars) without
-  /// its own locking.
+  /// (pinned by tests/parallel_runner_test.cpp).  Trials run on
+  /// util::parallel_for, the costliest (estimate_cost) dealt first.
+  /// on_result(i, result), when set, is invoked as each trial finishes —
+  /// completion order, not spec order; calls are serialized, so the
+  /// callback may write to shared sinks (CSV, progress bars) without its
+  /// own locking.  The first exception any trial throws is rethrown.
   std::vector<RunResult> run_adaptive(
       const std::vector<RunSpec>& specs,
       const std::function<void(std::size_t, const RunResult&)>& on_result = {})
@@ -55,7 +51,7 @@ class ParallelRunner {
 
   /// Static relative cost prior for one trial (message volume over the
   /// run, plus the pair-scan term when the gradient is measured).  Units
-  /// are arbitrary; run_adaptive only uses ratios.
+  /// are arbitrary; run_adaptive only uses the order.
   [[nodiscard]] static double estimate_cost(const RunSpec& spec);
 
  private:

@@ -31,6 +31,10 @@ void PhysicalClock::extend_real(double real_time) const {
         seg.rate > 1.0 + rho_ + kRateTolerance) {
       throw std::logic_error("drift rate violates rho bound");
     }
+    if (breaks_.size() == breaks_.capacity() &&
+        breaks_.size() < expected_breaks_) {
+      breaks_.reserve(expected_breaks_);
+    }
     Breakpoint& last = breaks_.back();
     last.rate = seg.rate;
     breaks_.push_back(

@@ -72,6 +72,13 @@ class PhysicalClock {
   /// breakpoints removed; front-erase, no allocation, capacity retained.
   std::size_t truncate_before(double real_time);
 
+  /// Sizes the segment list for a run whose breakpoint count is known up
+  /// front: the first growth past the construction-time breakpoints takes
+  /// room for `count` breakpoints at once instead of doubling, so
+  /// extension then never reallocates.  Nothing is allocated until the
+  /// clock grows.
+  void reserve_on_growth(std::size_t count) noexcept { expected_breaks_ = count; }
+
   /// Breakpoints discarded by truncate_before so far.
   [[nodiscard]] std::size_t trimmed() const noexcept { return trimmed_; }
 
@@ -126,6 +133,7 @@ class PhysicalClock {
   double rho_;
   double offset0_ = 0.0;     ///< clock reading at real time 0
   std::size_t trimmed_ = 0;  ///< breakpoints dropped from the front so far
+  std::size_t expected_breaks_ = 0;  ///< reserve_on_growth's; 0 = double
   // Lazily extended; mutable because extension does not change the abstract
   // (infinite) function the clock denotes.
   mutable std::vector<Breakpoint> breaks_;

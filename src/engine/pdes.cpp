@@ -6,7 +6,6 @@
 #include <cmath>
 #include <exception>
 #include <limits>
-#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -27,62 +26,37 @@ constexpr std::int32_t kMinLaneSize = 64;  ///< processes per shard floor
 /// traffic dominates the lane work.  A full mesh blows through it at any
 /// interesting n; constant-degree expanders never reach it.
 constexpr double kMaxCutDegree = 64.0;
-/// Stall-rate ceiling above which the tuner demotes a (n, k) pair — the
-/// same ceiling bench_micro --smoke gates the canonical spec on.
-constexpr double kStallDemotionCeiling = 0.25;
+/// Lanes never outnumber the cores, except on two or more cores once
+/// each core's share of the processes is at least this thick: there up to
+/// kMaxLanesPerCore lanes per core run.  That is where thinner lanes stop
+/// losing to w = cores on the deg-16 expander (and gain a third on the
+/// ring of 64-cliques); on one core, lanes lose to or tie with the serial
+/// engine.  Measured with bench_sweep --pdes-json (README, PDES section).
+constexpr std::int64_t kOversubscribeMinPerCore = 2048;
+constexpr std::int32_t kMaxLanesPerCore = 4;
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Stall telemetry registry
-
-struct PdesTuner::Impl {
-  std::mutex mutex;
-  std::map<std::pair<std::int32_t, std::int32_t>, double> rates;
-
-  static Impl& get() {
-    static Impl impl;
-    return impl;
-  }
-};
-
-PdesTuner& PdesTuner::instance() {
-  static PdesTuner tuner;
-  return tuner;
-}
-
-void PdesTuner::record(std::int32_t n, std::int32_t shards, double stall_rate) {
-  Impl& impl = Impl::get();
-  const std::lock_guard<std::mutex> lock(impl.mutex);
-  auto [it, fresh] = impl.rates.try_emplace({n, shards}, stall_rate);
-  if (!fresh) it->second = 0.5 * it->second + 0.5 * stall_rate;
-}
-
-double PdesTuner::stall_rate(std::int32_t n, std::int32_t shards) const {
-  Impl& impl = Impl::get();
-  const std::lock_guard<std::mutex> lock(impl.mutex);
-  const auto it = impl.rates.find({n, shards});
-  return it == impl.rates.end() ? -1.0 : it->second;
-}
-
-void PdesTuner::reset() {
-  Impl& impl = Impl::get();
-  const std::lock_guard<std::mutex> lock(impl.mutex);
-  impl.rates.clear();
-}
 
 // ---------------------------------------------------------------------------
 // Worker auto-tuning
 
-PdesAutoChoice choose_pdes_workers(const net::Topology& topo,
-                                   std::uint64_t seed) {
+PdesPlan choose_pdes_workers(const net::Topology& topo, std::uint64_t seed,
+                             std::int32_t cores) {
   const std::int32_t n = topo.n();
-  PdesAutoChoice choice;
+  const std::int32_t max_lanes =
+      cores >= 2 && n >= kOversubscribeMinPerCore * cores
+          ? kMaxLanesPerCore * cores
+          : cores;
   std::string reason = "no processes";
   for (const std::int32_t k : {16, 8, 4, 2}) {
     if (n < k * kMinLaneSize) {
       reason = "n=" + std::to_string(n) + " leaves lanes thinner than " +
                std::to_string(kMinLaneSize) + " processes at k=" +
                std::to_string(k);
+      continue;
+    }
+    if (k > max_lanes) {
+      reason = "cores=" + std::to_string(cores) + " cannot host k=" +
+               std::to_string(k) + " lanes";
       continue;
     }
     // Cheap density shortcut: a balanced k-partition of a graph with
@@ -100,7 +74,7 @@ PdesAutoChoice choose_pdes_workers(const net::Topology& topo,
                "): any k=" + std::to_string(k) + " cut would drown the lanes";
       continue;
     }
-    const net::Partition part = net::partition_topology(topo, k, seed);
+    net::Partition part = net::partition_topology(topo, k, seed);
     if (part.k < k) {
       reason = "partition collapsed to " + std::to_string(part.k) +
                " shards at k=" + std::to_string(k);
@@ -117,18 +91,9 @@ PdesAutoChoice choose_pdes_workers(const net::Topology& topo,
                " at k=" + std::to_string(k);
       continue;
     }
-    const double rate = PdesTuner::instance().stall_rate(n, k);
-    if (rate > kStallDemotionCeiling) {
-      reason = "stall telemetry demoted k=" + std::to_string(k) +
-               " (observed rate " + std::to_string(rate) + ")";
-      continue;
-    }
-    choice.workers = k;
-    return choice;
+    return {std::move(part), {}};
   }
-  choice.workers = 1;
-  choice.reason = std::move(reason);
-  return choice;
+  return {{}, "auto-tune declined: " + reason};
 }
 
 // ---------------------------------------------------------------------------
@@ -499,17 +464,13 @@ const char* PdesEngine::ineligible_reason(const sim::Simulator& sim,
 }
 
 PdesPlan plan_pdes(const sim::Simulator& sim, const net::Topology& topo,
-                   std::int32_t workers, std::uint64_t seed) {
-  PdesPlan plan;
-  if (workers <= 0) {
-    const PdesAutoChoice choice = choose_pdes_workers(topo, seed);
-    if (choice.workers < 2) {
-      plan.refusal = "auto-tune declined: " + choice.reason;
-      return plan;
-    }
-    workers = choice.workers;
-  }
-  plan.partition = net::partition_topology(topo, workers, seed);
+                   std::int32_t workers, std::uint64_t seed,
+                   std::int32_t cores) {
+  PdesPlan plan =
+      workers <= 0
+          ? choose_pdes_workers(topo, seed, cores)
+          : PdesPlan{net::partition_topology(topo, workers, seed), {}};
+  if (!plan.refusal.empty()) return plan;
   if (workers >= 2 && plan.partition.k < 2) {
     // Running it would silently serialize (and under-report) the run.
     plan.refusal = "partition collapsed to 1 shard";
@@ -648,21 +609,10 @@ void PdesEngine::run_until(double horizon) {
 
   stats_.epochs += sh.epochs;
   stats_.window_sum += sh.window_sum;
-  std::int64_t stalls = 0;
   for (std::int32_t wi = 0; wi < sh.k; ++wi) {
-    stalls += sh.lane_stalls[static_cast<std::size_t>(wi)];
+    stats_.stalls += sh.lane_stalls[static_cast<std::size_t>(wi)];
     stats_.cross_messages += sh.lane_cross[static_cast<std::size_t>(wi)];
     stats_.inline_drained += sh.lane_inline[static_cast<std::size_t>(wi)];
-  }
-  stats_.stalls += stalls;
-
-  // Feed the auto-tuner: stall rate over lane-epochs, from runs long enough
-  // to mean something.
-  if (sh.error == nullptr && sh.epochs >= 4) {
-    PdesTuner::instance().record(
-        sim_.process_count(), sh.k,
-        static_cast<double>(stalls) /
-            static_cast<double>(sh.epochs * sh.k));
   }
 
   std::exception_ptr err = sh.error;

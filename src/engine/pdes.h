@@ -91,54 +91,34 @@ struct PdesStats {
   std::int32_t shards = 0;
 };
 
-/// Deterministic auto-tune outcome for pdes_workers <= 0.
-struct PdesAutoChoice {
-  std::int32_t workers = 1;  ///< < 2 means "stay serial"
-  std::string reason;        ///< why it declined (empty when workers >= 2)
-};
-
-/// Picks a shard/worker count for `topo` from partition cut statistics
-/// (cut fraction, lane thickness) plus the live stall telemetry recorded
-/// by completed PDES runs (PdesTuner).  Deterministic given the tuner
-/// state; candidates descend {16, 8, 4, 2}.
-[[nodiscard]] PdesAutoChoice choose_pdes_workers(const net::Topology& topo,
-                                                 std::uint64_t seed);
-
 /// The shard layout a PDES run over `sim` uses, or why it cannot run.
 struct PdesPlan {
   net::Partition partition;  ///< valid iff refusal is empty
   std::string refusal;
 };
 
+/// The auto-tune for pdes_workers <= 0: picks a shard count for `topo`
+/// from partition cut statistics (cut degree, lane thickness), never
+/// above `cores` (up to 4·cores on two or more cores once n >= 2048·cores,
+/// where the measured thinner lanes win), and returns the partition it
+/// accepted — or a refusal
+/// ("auto-tune declined: ...") when no candidate qualifies.  A pure
+/// function of (topo, seed, cores); candidates descend {16, 8, 4, 2}.
+[[nodiscard]] PdesPlan choose_pdes_workers(const net::Topology& topo,
+                                           std::uint64_t seed,
+                                           std::int32_t cores);
+
 /// Plans a PDES run over `sim`, whose exchange graph is `topo`: `workers`
 /// >= 2 pins the shard count, exactly 1 runs one shard, and <= 0 asks
-/// choose_pdes_workers (refused when it declines).  Refused as well when
-/// the partitioner collapses a pinned count to one shard, or by either
-/// PdesEngine::ineligible_reason.  Callers check the partition-free
-/// PdesEngine::ineligible_reason(sim) first, so a run refused for one of
-/// those reasons never tunes or partitions.
+/// choose_pdes_workers with `cores` (refused when it declines).  Refused
+/// as well when the partitioner collapses a pinned count to one shard, or
+/// by either PdesEngine::ineligible_reason.  Callers check the
+/// partition-free PdesEngine::ineligible_reason(sim) first, so a run
+/// refused for one of those reasons never tunes or partitions.
 [[nodiscard]] PdesPlan plan_pdes(const sim::Simulator& sim,
                                  const net::Topology& topo,
-                                 std::int32_t workers, std::uint64_t seed);
-
-/// Process-wide stall telemetry: every completed PDES run records its
-/// stall rate keyed by (n, shards); choose_pdes_workers demotes candidates
-/// whose observed EWMA rate exceeds the smoke-gate ceiling (0.25).  This
-/// is what fixes nonmonotonic worker cells *live*: one stall-heavy run at
-/// (n, 8) steers the next auto-tuned run at that size to 4.  Thread-safe
-/// (ParallelRunner trials record concurrently).
-class PdesTuner {
- public:
-  static PdesTuner& instance();
-  void record(std::int32_t n, std::int32_t shards, double stall_rate);
-  /// EWMA stall rate for the key, or -1 when nothing was recorded.
-  [[nodiscard]] double stall_rate(std::int32_t n, std::int32_t shards) const;
-  void reset();  ///< tests only
-
- private:
-  PdesTuner() = default;
-  struct Impl;
-};
+                                 std::int32_t workers, std::uint64_t seed,
+                                 std::int32_t cores);
 
 /// One parallel run over an existing Simulator.  Construction shards the
 /// simulator's pending events into per-shard lanes; run_until drives the
@@ -181,7 +161,6 @@ class PdesEngine {
   /// Runs every event with time <= horizon, in parallel, then dissolves the
   /// lanes.  Throws (after restoring the serial lane) on causality
   /// violations, runaway executions, or anything a process handler threw.
-  /// Feeds the run's stall rate into PdesTuner on completion.
   void run_until(double horizon);
 
   [[nodiscard]] const PdesStats& stats() const noexcept { return stats_; }

@@ -312,8 +312,6 @@ Partition partition_topology(const Topology& topo, std::int32_t k,
         part.shard_cuts[static_cast<std::size_t>(sv)].push_back(e);
         part.boundary[static_cast<std::size_t>(u)] = 1;
         part.boundary[static_cast<std::size_t>(v)] = 1;
-      } else {
-        ++part.internal_edges;
       }
     }
   }

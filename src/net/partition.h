@@ -54,10 +54,6 @@ struct Partition {
   /// honest processes whose events can produce cross-shard traffic in one
   /// hop (honest sends follow the topology).  Size n, all zero when k == 1.
   std::vector<char> boundary;
-  /// Undirected non-cut edges (both endpoints in one shard).  Together with
-  /// cut_edges.size() this is the cut fraction the worker auto-tuner scores
-  /// candidate shard counts by.  0 when k == 1 (no edge scan happens).
-  std::int64_t internal_edges = 0;
 
   [[nodiscard]] std::int32_t n() const noexcept {
     return static_cast<std::int32_t>(shard_of.size());

@@ -363,8 +363,12 @@ std::size_t Simulator::truncate_history_before(double t) {
   return removed;
 }
 
-void Simulator::reserve_history(std::size_t changes_per_process) {
-  for (Node& node : nodes_) node.corr.reserve(changes_per_process);
+void Simulator::reserve_history(std::size_t changes_per_process,
+                                std::size_t breakpoints_per_clock) {
+  for (Node& node : nodes_) {
+    node.corr.reserve(changes_per_process);
+    node.clock->reserve_on_growth(breakpoints_per_clock);
+  }
 }
 
 std::size_t Simulator::history_bytes() const noexcept {

@@ -164,10 +164,13 @@ class Simulator {
   std::size_t truncate_history_before(double t);
 
   /// Pre-sizes every process' CORR log for a run whose adjustment count is
-  /// known up front (rounds * k_exchanges + slack): steady-state recording
-  /// then never reallocates, which keeps the fast path's round loop
-  /// allocation-free (bench_micro gates on this).
-  void reserve_history(std::size_t changes_per_process);
+  /// known up front (rounds * k_exchanges + slack), and sizes every
+  /// clock's segment list for `breakpoints_per_clock` breakpoints
+  /// (PhysicalClock::reserve_on_growth): steady-state recording then never
+  /// reallocates, which keeps the fast path's round loop allocation-free
+  /// (bench_micro gates on this).
+  void reserve_history(std::size_t changes_per_process,
+                       std::size_t breakpoints_per_clock = 0);
 
   /// Approximate heap footprint of all retained measurement history
   /// (CORR logs + clock segment lists, capacity-based).

@@ -3,18 +3,19 @@
 //
 // parallel_for(count, threads, fn) invokes fn(0) ... fn(count - 1), each
 // exactly once, on up to `threads` freshly spawned workers and returns when
-// all of them have finished.  Each worker drains a contiguous chunk of the
-// index range through an atomic cursor, then steals from the other chunks,
-// so skewed per-index costs still keep every worker busy to the end.  With
-// one worker (or one index) it runs inline on the calling thread, with no
-// thread, lock or allocation.
+// all of them have finished.  Worker w of W drains the w-th of W contiguous
+// chunks of the index range (equal counts, the first count % W one index
+// longer) front to back through an atomic cursor, then steals from the
+// fronts of the other chunks in ring order, so skewed per-index costs
+// still keep every worker busy to the end.  With one worker (or one index)
+// it runs inline on the calling thread, with no thread, lock or allocation.
 //
 // in_worker() is true on a pool thread.  Code that shards on its own (the
 // measurement sample grid, the gradient pair scan, the round fast path's
-// per-exchange kernels, the PDES auto-tuner) checks it and stays serial
+// per-exchange kernels, kAuto's PDES auto-tune) checks it and stays serial
 // inside an outer pool rather than oversubscribing the cores that pool
-// already claims.  ParallelRunner::run_adaptive's trial workers set the
-// same flag through WorkerScope.
+// already claims.  ParallelRunner::run_adaptive is parallel_for over trials
+// under a WorkerScope, so its inline one-thread case is marked as well.
 
 #include <algorithm>
 #include <cstddef>

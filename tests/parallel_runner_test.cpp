@@ -8,6 +8,7 @@
 #include <chrono>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -212,25 +213,38 @@ TEST(ParallelRunner, MatchesSerialUnderBothSchedulers) {
   }
 }
 
+RunSpec lm_mesh_spec() {
+  // A default-pdes_workers LM trial on the n = 128 mesh: one the auto-tuner
+  // shards (k = 2) when it runs alone on two or more cores.
+  RunSpec spec;
+  spec.params = core::make_params(128, 42, 1e-5, 0.01, 1e-3, 10.0);
+  spec.algo = Algo::kLM;
+  spec.rounds = 4;
+  return spec;
+}
+
 TEST(ParallelRunner, PdesAutoTuneDeclinesInsideWorkers) {
-  // A default-pdes_workers LM trial on the n = 128 mesh is one the
-  // auto-tuner shards when run alone; inside a sweep worker it must stay
-  // serial, since the sweep already claims the cores.
-  RunSpec base;
-  base.params = core::make_params(128, 42, 1e-5, 0.01, 1e-3, 10.0);
-  base.algo = Algo::kLM;
-  base.rounds = 4;
-  const std::vector<RunSpec> specs = seed_sweep(base, 21, 4);
-  const std::vector<RunResult> serial = ParallelRunner(1).run_adaptive(specs);
-  const std::vector<RunResult> sharded = ParallelRunner(4).run_adaptive(specs);
-  ASSERT_EQ(serial.size(), sharded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_GE(serial[i].pdes_workers_used, 2) << "trial " << i;
-    EXPECT_EQ(sharded[i].pdes_workers_used, 0) << "trial " << i;
-    EXPECT_EQ(sharded[i].pdes_refusal,
-              "auto-tune declined: inside a ParallelRunner worker")
-        << "trial " << i;
-    EXPECT_TRUE(results_identical(serial[i], sharded[i])) << "trial " << i;
+  // Inside a sweep the trial stays serial at every thread count, the
+  // inline one-thread sweep included: the sweep already claims the cores,
+  // and the engine must not depend on how many it claims.
+  const std::vector<RunSpec> specs = seed_sweep(lm_mesh_spec(), 21, 4);
+  for (const int threads : {1, 4}) {
+    const std::vector<RunResult> swept =
+        ParallelRunner(threads).run_adaptive(specs);
+    ASSERT_EQ(swept.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const RunResult alone = run(specs[i]);
+      if (util::hardware_threads() >= 2) {
+        EXPECT_GE(alone.pdes_workers_used, 2) << "trial " << i;
+      }
+      EXPECT_EQ(swept[i].pdes_workers_used, 0)
+          << threads << " threads, trial " << i;
+      EXPECT_EQ(swept[i].pdes_refusal,
+                "auto-tune declined: inside a ParallelRunner worker")
+          << threads << " threads, trial " << i;
+      EXPECT_TRUE(results_identical(alone, swept[i]))
+          << threads << " threads, trial " << i;
+    }
   }
 }
 
@@ -304,7 +318,7 @@ TEST(ParallelRunner, HandlesEmptyAndDefaults) {
 std::vector<RunSpec> skewed_grid() {
   // A grid deliberately mixing cheap and expensive trials: small and
   // mid-size n, mesh and sparse graphs, with and without the gradient
-  // pair scan.
+  // pair scan, plus a trial the PDES auto-tuner shards when run alone.
   std::vector<RunSpec> specs;
   for (const std::int32_t n : {4, 10, 25}) {
     RunSpec spec;
@@ -318,21 +332,41 @@ std::vector<RunSpec> skewed_grid() {
     const std::vector<RunSpec> seeded = seed_sweep(spec, 40, 4);
     specs.insert(specs.end(), seeded.begin(), seeded.end());
   }
+  specs.push_back(lm_mesh_spec());
   return specs;
 }
 
+/// Every telemetry member but the two wall clocks.
+RunTelemetry telemetry_sans_wall(const RunResult& result) {
+  RunTelemetry telemetry = result;
+  telemetry.wall_seconds = 0.0;
+  telemetry.engine_seconds = 0.0;
+  return telemetry;
+}
+
 TEST(ParallelRunner, AdaptiveIsThreadCountInvariant) {
+  // Bit-identical physics and the same engine choices (pdes_refusal,
+  // pdes_workers_used, fastpath_threads, ...) at any thread count and in
+  // any trial order.
   const std::vector<RunSpec> specs = skewed_grid();
   const std::vector<RunResult> serial = ParallelRunner(1).run_adaptive(specs);
-  for (const int threads : {4, 8}) {
-    const std::vector<RunResult> wide =
-        ParallelRunner(threads).run_adaptive(specs);
-    ASSERT_EQ(serial.size(), wide.size());
+  const auto expect_same = [&](const std::vector<RunResult>& other,
+                               bool reversed, const std::string& what) {
+    ASSERT_EQ(serial.size(), other.size()) << what;
     for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_TRUE(results_identical(serial[i], wide[i]))
-          << threads << " threads, trial " << i;
+      const RunResult& mine = other[reversed ? other.size() - 1 - i : i];
+      EXPECT_TRUE(results_identical(serial[i], mine)) << what << ", trial " << i;
+      EXPECT_TRUE(telemetry_sans_wall(serial[i]) == telemetry_sans_wall(mine))
+          << what << ", trial " << i;
     }
+  };
+  for (const int threads : {4, 8}) {
+    expect_same(ParallelRunner(threads).run_adaptive(specs), false,
+                std::to_string(threads) + " threads");
   }
+  const std::vector<RunSpec> backwards(specs.rbegin(), specs.rend());
+  expect_same(ParallelRunner(4).run_adaptive(backwards), true,
+              "reversed, 4 threads");
 }
 
 TEST(ParallelRunner, AdaptiveStreamsEveryResultExactlyOnce) {

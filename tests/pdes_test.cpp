@@ -16,9 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "analysis/parallel_runner.h"
 #include "engine/pdes.h"
+#include "util/parallel.h"
 
 namespace wlsync::analysis {
 namespace {
@@ -275,33 +278,48 @@ TEST(PdesDispatch, AutoTuneDeclinesAndSaysWhy) {
 TEST(PdesDispatch, AutoTuneEngagesWhereLanesAreThickEnough) {
   // 512 processes in a ring of 6-cliques: candidate k = 8 keeps exactly 64
   // per lane and the cut is a few dozen bridge edges — the auto-tuner's
-  // easiest yes.  Identical physics to the serial reference, workers_used
-  // reported.
-  engine::PdesTuner::instance().reset();
+  // easiest yes, capped at this machine's core count.  Identical physics
+  // to the serial reference, workers_used reported.
   RunSpec spec = cliques_spec(512, 64);
   block_fastpath(spec);
+  const std::int32_t cores = util::hardware_threads();
+  const std::int32_t expected = cores >= 8   ? 8
+                                : cores >= 4 ? 4
+                                : cores >= 2 ? 2
+                                             : 0;
   const RunResult serial = run_engine(spec, EngineMode::kEvent);
   const RunResult autod = run_engine(spec, EngineMode::kAuto);
   EXPECT_FALSE(autod.fastpath_engaged);
-  EXPECT_EQ(autod.pdes_refusal, "") << autod.pdes_refusal;
-  EXPECT_GE(autod.pdes_epochs, 1);
-  EXPECT_EQ(autod.pdes_workers_used, 8);
+  EXPECT_EQ(autod.pdes_workers_used, expected);
+  if (expected > 0) {
+    EXPECT_EQ(autod.pdes_refusal, "") << autod.pdes_refusal;
+    EXPECT_GE(autod.pdes_epochs, 1);
+  }
   EXPECT_TRUE(results_identical(serial, autod));
 }
 
-TEST(PdesDispatch, StallTelemetryDemotesAWorkerCount) {
-  // A recorded stall rate above the demotion ceiling steers the next
-  // auto-tuned run at that (n, k) to the next candidate down.
-  engine::PdesTuner::instance().reset();
-  engine::PdesTuner::instance().record(512, 8, 0.9);
-  RunSpec spec = cliques_spec(512, 64);
-  block_fastpath(spec);
-  const RunResult demoted = run_engine(spec, EngineMode::kAuto);
-  EXPECT_EQ(demoted.pdes_refusal, "") << demoted.pdes_refusal;
-  EXPECT_EQ(demoted.pdes_workers_used, 4);
-  EXPECT_EQ(engine::PdesTuner::instance().stall_rate(512, 8), 0.9);
-  engine::PdesTuner::instance().reset();
-  EXPECT_LT(engine::PdesTuner::instance().stall_rate(512, 8), 0.0);
+TEST(PdesDispatch, AutoTuneIsCappedAtTheCoreCount) {
+  // The pick is a function of (topology, seed, cores) alone: on the same
+  // 512-node cliques, one core declines and says so, four cores pick 4,
+  // and sixteen pick 8 (k = 16 would leave 32-process lanes).  The
+  // accepted partition comes back with the pick.  Only from n = 2048·cores
+  // on two or more cores may lanes outnumber the cores (up to 4 per core).
+  const net::Topology big = net::Topology::ring_of_cliques(4096, 64);
+  EXPECT_EQ(engine::choose_pdes_workers(big, 11, 2).partition.k, 8);
+  EXPECT_EQ(engine::choose_pdes_workers(big, 11, 4).partition.k, 4);
+  EXPECT_EQ(engine::choose_pdes_workers(big, 11, 1).refusal,
+            "auto-tune declined: cores=1 cannot host k=2 lanes");
+  const net::Topology topo = net::Topology::ring_of_cliques(512, 6);
+  const engine::PdesPlan one = engine::choose_pdes_workers(topo, 11, 1);
+  EXPECT_EQ(one.refusal, "auto-tune declined: cores=1 cannot host k=2 lanes");
+  for (const auto& [cores, pick] : {std::pair{4, 4}, std::pair{16, 8}}) {
+    const engine::PdesPlan plan = engine::choose_pdes_workers(topo, 11, cores);
+    EXPECT_EQ(plan.refusal, "") << cores << " cores";
+    EXPECT_EQ(plan.partition.k, pick) << cores << " cores";
+    EXPECT_EQ(plan.partition.n(), 512);
+    EXPECT_EQ(engine::choose_pdes_workers(topo, 11, cores).partition.shard_of,
+              plan.partition.shard_of);
+  }
 }
 
 TEST(PdesDispatch, ForcedPdesRefusesIneligibleSpecs) {

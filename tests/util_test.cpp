@@ -152,6 +152,19 @@ TEST(Flags, ParsesForms) {
   EXPECT_EQ(flags.get_int("missing", 42), 42);
   EXPECT_TRUE(flags.has("n"));
   EXPECT_FALSE(flags.has("missing"));
+  EXPECT_NO_THROW(flags.reject_unread());  // every given flag was read
+
+  // A typo is never read, so it fails by name instead of running a default.
+  const char* typo_argv[] = {"prog", "--nn=5", "--out=x.csv"};
+  const Flags typo(3, const_cast<char**>(typo_argv));
+  EXPECT_EQ(typo.get_int("n", 7), 7);
+  EXPECT_EQ(typo.get_string("out", ""), "x.csv");
+  try {
+    typo.reject_unread();
+    ADD_FAILURE() << "--nn was never read";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "flags: unknown flag --nn");
+  }
 }
 
 TEST(Flags, RejectsMalformedValues) {
