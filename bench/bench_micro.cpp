@@ -60,11 +60,13 @@
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 std::atomic<bool> g_count_allocs{false};
 
-void note_alloc() noexcept {
+void note_alloc(std::size_t size) noexcept {
   if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   }
 }
 }  // namespace
@@ -74,12 +76,12 @@ void note_alloc() noexcept {
 // reports a mismatch (-Wmismatched-new-delete) although both sides share
 // malloc.
 [[gnu::noinline]] void* operator new(std::size_t size) {
-  note_alloc();
+  note_alloc(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 [[gnu::noinline]] void* operator new[](std::size_t size) {
-  note_alloc();
+  note_alloc(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -566,6 +568,53 @@ void smoke_alloc_rounds(std::vector<SmokeRow>& rows) {
   rows.push_back({"allocs_per_round_arena", per_round, 0.0, per_round <= 0.0});
 }
 
+/// Heap doubles one process' ArrivalArena holds (n = 512 full mesh): the
+/// bytes its bind() and one midpoint plus one mean reduction allocate,
+/// minus what binding its NeighborIndex alone allocates, over
+/// sizeof(double).  Measured after another arena of the same size has
+/// reduced on this thread, so the thread's reduce scratch is already grown:
+/// that buffer is per thread, not per process.  The slots are m doubles;
+/// anything above m is per-process reduction state (two private m-double
+/// scratch vectors per arena measured 3m: 64 MiB more on the n = 2048
+/// mesh).
+void smoke_arena_footprint(std::vector<SmokeRow>& rows) {
+  constexpr std::size_t kM = 512;
+  constexpr std::size_t kF = (kM - 1) / 3;
+  std::vector<std::int32_t> ids(kM);
+  for (std::size_t i = 0; i < kM; ++i) ids[i] = static_cast<std::int32_t>(i);
+  const auto bind_and_reduce = [&](proc::ArrivalArena& arena) {
+    arena.bind({ids.data(), ids.size()}, static_cast<std::int32_t>(kM), 0.0);
+    for (std::size_t i = 0; i < kM; ++i) {
+      arena.set_slot(i, static_cast<double>((i * 7919) % kM));
+    }
+    benchmark::DoNotOptimize(arena.midpoint_reduced(kF));
+    benchmark::DoNotOptimize(arena.mean_reduced(kF));
+  };
+  {
+    proc::ArrivalArena warm;
+    bind_and_reduce(warm);
+  }
+  const auto bytes_during = [](const auto& body) {
+    g_alloc_bytes.store(0);
+    g_count_allocs.store(true);
+    body();
+    g_count_allocs.store(false);
+    return static_cast<double>(g_alloc_bytes.load());
+  };
+  const double index_bytes = bytes_during([&] {
+    proc::NeighborIndex index;
+    index.bind({ids.data(), ids.size()}, static_cast<std::int32_t>(kM));
+  });
+  const double arena_bytes = bytes_during([&] {
+    proc::ArrivalArena arena;
+    bind_and_reduce(arena);
+  });
+  const double doubles = (arena_bytes - index_bytes) / sizeof(double);
+  constexpr auto kLimit = static_cast<double>(kM);
+  rows.push_back({"arena_reserved_doubles_per_process", doubles, kLimit,
+                  doubles <= kLimit});
+}
+
 /// Scheduler queue operations per round, n = 128 full mesh under clustered
 /// (all-slow) delays.  The count is deterministic (fixed seed, integer
 /// event ordering); the limit carries ~10% headroom over the measured
@@ -793,16 +842,33 @@ void smoke_observer_history(std::vector<SmokeRow>& rows) {
 
 /// SIMD-kernel value-exactness gates (proc/reduce_kernels.h).  The sorting
 /// networks and the dual-rank select are pinned BITWISE against std::sort /
-/// std::nth_element on randomized AND tie-heavy inputs — the tie-heavy set
-/// (values quantized to a handful of levels) exercises the three-way
-/// partition's tie band, where an off-by-one returns a neighbor rank that
-/// no uniform-random input would ever catch.  Every mismatch count gates
-/// at zero: these kernels sit under every fault-tolerant reduction.
+/// std::nth_element on three input shapes, in turn: uniform; tie-heavy
+/// (values quantized to a handful of levels, where an off-by-one returns a
+/// neighbor rank that no uniform-random input would ever catch); and the
+/// two-faced mesh's ARR — one tight cluster holding most values, with
+/// kNeverArrived sentinels and two-faced extremes far on either side, so
+/// the select's first histogram level puts both ranks in one bucket of
+/// more than m/2 values.  Every mismatch count gates at zero: these
+/// kernels sit under every fault-tolerant reduction.
 void smoke_simd_kernels(std::vector<SmokeRow>& rows) {
   util::Rng rng(29);
-  const auto fill = [&](std::vector<double>& v, bool ties) {
+  const auto fill = [&](std::vector<double>& v, int shape) {
     for (double& x : v) {
-      x = ties ? std::floor(rng.uniform() * 5.0) / 4.0 : rng.uniform();
+      const double u = rng.uniform();
+      switch (shape) {
+        case 0:
+          x = u;
+          break;
+        case 1:
+          x = std::floor(u * 5.0) / 4.0;
+          break;
+        default:
+          x = u < 0.15   ? core::kNeverArrived
+              : u < 0.25 ? 1e3 + rng.uniform(-50.0, 50.0)
+              : u < 0.30 ? -1e6
+                         : 100.0 + rng.uniform() * 1e-6;
+          break;
+      }
     }
   };
 
@@ -810,7 +876,7 @@ void smoke_simd_kernels(std::vector<SmokeRow>& rows) {
   for (std::size_t m = 1; m <= proc::kernels::kMaxNetworkSize; ++m) {
     std::vector<double> a(m), b(m);
     for (int trial = 0; trial < 200; ++trial) {
-      fill(a, trial % 2 == 1);
+      fill(a, trial % 3);
       b = a;
       proc::kernels::small_sort_network(a.data(), m);
       std::sort(b.begin(), b.end());
@@ -821,8 +887,8 @@ void smoke_simd_kernels(std::vector<SmokeRow>& rows) {
                   network_mismatches == 0.0});
 
   double select_mismatches = 0.0;
-  std::vector<double> tmp;
-  for (const std::size_t m : {17u, 64u, 423u, 1024u}) {
+  std::vector<std::uint64_t> keys;
+  for (const std::size_t m : {17u, 64u, 97u, 423u, 1024u, 2048u}) {
     std::vector<double> a(m), b(m);
     const std::size_t f = (m - 1) / 3;
     const std::pair<std::size_t, std::size_t> ranks[] = {
@@ -831,12 +897,12 @@ void smoke_simd_kernels(std::vector<SmokeRow>& rows) {
         {m / 2, m / 2},          // equal ranks (the midpoint's degenerate k)
         {f, f + 1},              // adjacent ranks straddling a tie band
     };
-    for (int trial = 0; trial < 50; ++trial) {
+    for (int trial = 0; trial < 51; ++trial) {
       for (const auto& [lo, hi] : ranks) {
-        fill(a, trial % 2 == 1);
+        fill(a, trial % 3);
         b = a;
         const auto got =
-            proc::kernels::dual_rank_select(a.data(), m, lo, hi, tmp);
+            proc::kernels::dual_rank_select(a.data(), m, lo, hi, keys);
         std::nth_element(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(lo),
                          b.end());
         const double want_lo = b[lo];
@@ -954,7 +1020,9 @@ void smoke_fastpath_round(std::vector<SmokeRow>& rows) {
   // Report-only: at n = 256 an exchange reaches
   // core::kFastpathShardThreshold and the kernels shard across the cores;
   // util::parallel_for spawns its threads per phase, so those rounds
-  // allocate.  The n = 128 gate above is the serial path.
+  // allocate: thread start-up, and each fresh worker growing its own
+  // reduce scratch (proc::thread_reduce_scratch).  The n = 128 gate above
+  // is the serial path.
   constexpr std::int32_t kShardedN = 256;
   const auto [sharded_short, sharded_stats_short] = run_counted(kShardedN, 6);
   const auto [sharded_long, sharded_stats_long] = run_counted(kShardedN, 12);
@@ -1064,6 +1132,7 @@ int run_smoke(const util::Flags& flags) {
   flags.reject_unread();
   std::vector<SmokeRow> rows;
   smoke_alloc_rounds(rows);
+  smoke_arena_footprint(rows);
   smoke_queue_ops(rows);
   smoke_two_faced_mesh(rows);
   smoke_two_faced_allocs(rows);

@@ -517,12 +517,15 @@ void Experiment::build() {
   // Pre-size the CORR logs for the configured run length (one adjustment
   // per exchange, plus slack for the partial round the horizon affords):
   // steady-state recording then never reallocates, so the fast path's
-  // round loop stays allocation-free (bench_micro gates on this).  When
-  // the whole history is kept, size each clock's breakpoint list too:
-  // every periodic drift model cuts drift_period-long segments, and a
-  // clock is read up to a round past the horizon (the next round's timer)
-  // plus extend_clock's overshoot, which 2P covers.  Bounded runs
-  // truncate, so they keep growing on demand.
+  // round loop stays allocation-free (bench_micro gates on this).  A
+  // bounded run truncates every log behind the observer's frontier once a
+  // round, so it holds at most the rounds of its truncation window:
+  // sizing it for the whole run would make its history grow with the run
+  // length.  When the whole history is kept, size each clock's breakpoint
+  // list too: every periodic drift model cuts drift_period-long segments,
+  // and a clock is read up to a round past the horizon (the next round's
+  // timer) plus extend_clock's overshoot, which 2P covers.  Bounded runs
+  // keep growing those on demand.
   std::size_t breakpoints = 0;
   if (spec_.retain_history && spec_.drift != DriftKind::kNone &&
       spec_.drift_period > 0.0) {
@@ -531,7 +534,11 @@ void Experiment::build() {
             std::ceil((horizon() + 2.0 * p.P) / spec_.drift_period)) +
         2;
   }
-  sim_->reserve_history(static_cast<std::size_t>(spec_.rounds + 2) *
+  constexpr std::int32_t kTruncationWindowRounds = 2;
+  const std::int32_t corr_rounds =
+      spec_.retain_history ? spec_.rounds
+                           : std::min(spec_.rounds, kTruncationWindowRounds);
+  sim_->reserve_history(static_cast<std::size_t>(corr_rounds + 2) *
                             static_cast<std::size_t>(spec_.k_exchanges),
                         breakpoints);
 }

@@ -1,6 +1,11 @@
 #include "baselines/averaging_rounds.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
+
+#include "proc/arrival.h"
 
 namespace wlsync::baselines {
 
@@ -100,21 +105,45 @@ double MahaneySchneiderProcess::compute_adjustment(
   // one supporter (the value itself).
   const auto f = static_cast<std::size_t>(params().f);
   const std::size_t needed = n > f ? n - f : 1;
+  std::size_t present = 0;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (const double v : diffs) {
+    if (v == core::kNeverArrived) continue;
+    ++present;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  // The sum runs in neighbor order over v-or-0.0 terms either way, so the
+  // adjustment is the same double the pairwise count produces.
   double sum = 0.0;
-  for (std::size_t q = 0; q < n; ++q) {
-    double v = diffs[q];
-    if (v == core::kNeverArrived) {
-      sum += 0.0;
-      continue;
+  if (present == 0 || hi - lo <= tau_) {
+    // Every pair lies within tau (fl(d - v) <= fl(hi - lo) by monotone
+    // rounding): each present value's support is `present`.
+    const bool accept = present >= needed;
+    for (const double v : diffs) {
+      sum += accept && v != core::kNeverArrived ? v : 0.0;
     }
-    std::size_t close = 0;
-    for (std::size_t r = 0; r < n; ++r) {
-      if (diffs[r] != core::kNeverArrived && std::abs(diffs[r] - v) <= tau_) {
-        ++close;
-      }
+    return sum / static_cast<double>(n);
+  }
+  // Sorted, the values within tau of v are one contiguous run: d - v is
+  // monotone in d, so the run starts at the first d with d - v >= -tau and
+  // ends before the first d with d - v > tau.
+  const std::span<double> sorted = proc::thread_reduce_scratch(present);
+  std::copy_if(diffs.begin(), diffs.end(), sorted.begin(),
+               [](double v) { return v != core::kNeverArrived; });
+  std::sort(sorted.begin(), sorted.end());
+  for (const double v : diffs) {
+    bool keep = false;
+    if (v != core::kNeverArrived) {
+      const auto first = std::partition_point(
+          sorted.begin(), sorted.end(),
+          [&](double d) { return d - v < -tau_; });
+      const auto last = std::partition_point(
+          first, sorted.end(), [&](double d) { return d - v <= tau_; });
+      keep = static_cast<std::size_t>(last - first) >= needed;
     }
-    if (close < needed) v = 0.0;
-    sum += v;
+    sum += keep ? v : 0.0;
   }
   return sum / static_cast<double>(n);
 }

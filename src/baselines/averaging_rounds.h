@@ -31,15 +31,17 @@ class RoundExchangeProcess : public proc::Process {
   [[nodiscard]] std::int32_t round() const noexcept { return round_; }
   [[nodiscard]] double last_adjustment() const noexcept { return last_adj_; }
 
- protected:
   /// Combines this round's difference estimates into a clock adjustment.
   /// `diffs` holds one entry per *neighbor* (the caller's exchange-graph
   /// view, which is every process on the paper's full mesh), in neighbor
   /// order: the estimate for that neighbor, core::kNeverArrived if no
-  /// message arrived, and exactly 0.0 for the caller's own slot.
+  /// message arrived, and exactly 0.0 for the caller's own slot.  A pure
+  /// function of `diffs` and the constructor's parameters, so tests can
+  /// pin each rule against a reference.
   [[nodiscard]] virtual double compute_adjustment(
       const std::vector<double>& diffs) const = 0;
 
+ protected:
   [[nodiscard]] const core::Params& params() const noexcept { return params_; }
 
  private:
@@ -70,7 +72,6 @@ class InteractiveConvergenceProcess final : public RoundExchangeProcess {
   InteractiveConvergenceProcess(core::Params params, double delta_max)
       : RoundExchangeProcess(params), delta_max_(delta_max) {}
 
- protected:
   [[nodiscard]] double compute_adjustment(
       const std::vector<double>& diffs) const override;
 
@@ -82,12 +83,18 @@ class InteractiveConvergenceProcess final : public RoundExchangeProcess {
 /// if at least n-f of the values lie within tau of it; unacceptable or
 /// missing values are replaced by the caller's own (0); the mean of the
 /// result is the adjustment.  Degrades gracefully past f faults.
+///
+/// Cost per round: one min/max pass, O(m) — when the present values span
+/// at most tau, every one of them is supported by all the others.  Past
+/// that (an outlier, e.g. a two-faced process), the present values are
+/// sorted into the thread's reduce scratch (proc/arrival.h) and each
+/// value's support is the contiguous run within tau of it, found by two
+/// binary searches: O(m log m), where counting every pair is O(m^2).
 class MahaneySchneiderProcess final : public RoundExchangeProcess {
  public:
   MahaneySchneiderProcess(core::Params params, double tau)
       : RoundExchangeProcess(params), tau_(tau) {}
 
- protected:
   [[nodiscard]] double compute_adjustment(
       const std::vector<double>& diffs) const override;
 
@@ -103,7 +110,6 @@ class PlainMeanProcess final : public RoundExchangeProcess {
   explicit PlainMeanProcess(core::Params params)
       : RoundExchangeProcess(params) {}
 
- protected:
   [[nodiscard]] double compute_adjustment(
       const std::vector<double>& diffs) const override;
 };

@@ -7,6 +7,32 @@
 
 namespace wlsync::proc {
 
+namespace {
+
+/// One reduction workspace per executing thread: a serial run, each PDES
+/// lane and each fast-path kernel worker reduce on their own copy, so no
+/// two threads ever share one.
+struct ReduceScratch {
+  std::vector<double> values;         ///< the multiset a reduction clobbers
+  std::vector<std::uint64_t> select;  ///< kernels::dual_rank_select's keys
+};
+thread_local ReduceScratch t_scratch;
+
+/// The thread's scratch holding a copy of `values`, ready to be clobbered.
+std::span<double> load_scratch(const std::vector<double>& values) {
+  const std::span<double> a = thread_reduce_scratch(values.size());
+  std::copy(values.begin(), values.end(), a.begin());
+  return a;
+}
+
+}  // namespace
+
+std::span<double> thread_reduce_scratch(std::size_t m) {
+  std::vector<double>& buf = t_scratch.values;
+  if (buf.size() < m) buf.resize(m);
+  return {buf.data(), m};
+}
+
 void NeighborIndex::bind(std::span<const std::int32_t> neighbors,
                          std::int32_t n) {
   if (n < 1) throw std::invalid_argument("NeighborIndex: need n >= 1");
@@ -28,8 +54,6 @@ void ArrivalArena::bind(std::span<const std::int32_t> neighbors,
                         std::int32_t n, double initial) {
   index_.bind(neighbors, n);
   values_.assign(neighbors.size(), initial);
-  scratch_.reserve(neighbors.size());
-  select_tmp_.reserve(neighbors.size());
   bound_ = true;
   memo_valid_ = false;
   ++rebinds_;
@@ -38,12 +62,6 @@ void ArrivalArena::bind(std::span<const std::int32_t> neighbors,
 void ArrivalArena::fill(double value) {
   memo_valid_ = false;
   std::fill(values_.begin(), values_.end(), value);
-}
-
-void ArrivalArena::load_scratch() {
-  // assign() into retained capacity: no allocation once scratch_ has grown
-  // to the (fixed) neighborhood size.
-  scratch_.assign(values_.begin(), values_.end());
 }
 
 void ArrivalArena::precompute(Reduction kind, std::size_t f) {
@@ -79,22 +97,22 @@ double ArrivalArena::compute_midpoint(std::size_t f) {
   if (m < 2 * f + 1) {
     throw std::invalid_argument("ArrivalArena: reduce needs |U| >= 2f+1");
   }
-  load_scratch();
   // reduce() keeps the sorted slice [f, m-f); its min is the f-th order
-  // statistic and its max the (m-1-f)-th.  Small neighborhoods sort with
-  // the branchless network and read both ranks directly; larger ones run
-  // the vectorized dual-rank select — either route yields the identical
-  // order-statistic doubles (ties included) in O(m)-ish work with no
-  // allocation past the first round.
+  // statistic and its max the (m-1-f)-th.  Small neighborhoods sort a copy
+  // with the branchless network and read both ranks directly; larger ones
+  // run the radix dual-rank select straight off the slots — either route
+  // yields the identical order-statistic doubles (ties included) in O(m)
+  // work with no allocation once the thread's scratch has grown.
   double lo;
   double hi;
   if (m <= kernels::kMaxNetworkSize) {
-    kernels::small_sort_network(scratch_.data(), m);
-    lo = scratch_[f];
-    hi = scratch_[m - 1 - f];
+    const std::span<double> a = load_scratch(values_);
+    kernels::small_sort_network(a.data(), m);
+    lo = a[f];
+    hi = a[m - 1 - f];
   } else {
     const auto [sel_lo, sel_hi] = kernels::dual_rank_select(
-        scratch_.data(), m, f, m - 1 - f, select_tmp_);
+        values_.data(), m, f, m - 1 - f, t_scratch.select);
     lo = sel_lo;
     hi = sel_hi;
   }
@@ -107,16 +125,16 @@ double ArrivalArena::compute_mean(std::size_t f) {
   if (m < 2 * f + 1) {
     throw std::invalid_argument("ArrivalArena: reduce needs |U| >= 2f+1");
   }
-  load_scratch();
+  const std::span<double> a = load_scratch(values_);
   if (m <= kernels::kMaxNetworkSize) {
-    kernels::small_sort_network(scratch_.data(), m);
+    kernels::small_sort_network(a.data(), m);
   } else {
-    std::sort(scratch_.begin(), scratch_.end());
+    std::sort(a.begin(), a.end());
   }
   // ms::mean over the reduce() slice accumulates ascending; do the same so
   // the floating-point sum is bit-identical.
   double sum = 0.0;
-  for (std::size_t i = f; i < m - f; ++i) sum += scratch_[i];
+  for (std::size_t i = f; i < m - f; ++i) sum += a[i];
   return sum / static_cast<double>(m - 2 * f);
 }
 

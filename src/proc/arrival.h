@@ -16,12 +16,16 @@
 //     degree-d process touches d contiguous doubles, not n sparse ones, and
 //     the reduction reads the multiset straight out of the arena with no
 //     gather;
-//   * reductions run over a reusable scratch buffer owned by the arena —
-//     mid(reduce(.)) needs only the f-th smallest and f-th largest
-//     surviving elements, found with two std::nth_element passes (O(m)
-//     instead of O(m log m)), and mean(reduce(.)) sorts the scratch in
-//     place.  Steady-state rounds perform zero heap allocations; the
-//     counters below let benchmarks and the CI perf-smoke gate pin that.
+//   * reductions run over one workspace per executing thread
+//     (thread_reduce_scratch below), not one per process — mid(reduce(.))
+//     needs only the f-th smallest and f-th largest surviving elements,
+//     found with one radix dual-rank select straight off the slots (O(m)
+//     instead of O(m log m), proc/reduce_kernels.h), and mean(reduce(.))
+//     sorts a scratch copy in place.  An arena owns only its slots and
+//     slot map: on the n = 2048 full mesh that is n x n doubles, where two
+//     private scratch vectors per arena used to add 2 n x n more.
+//     Steady-state rounds perform zero heap allocations; the counters
+//     below let benchmarks and the CI perf-smoke gate pin that.
 //
 // Bit-identity: the reductions produce exactly the doubles
 // ms::fault_tolerant_midpoint / ms::fault_tolerant_mean produce on the same
@@ -73,6 +77,16 @@ class NeighborIndex {
   bool bound_ = false;
   bool identity_ = false;
 };
+
+/// The calling thread's reduction workspace, viewed as `m` doubles: one
+/// buffer per executing thread, shared by ArrivalArena's reductions (the
+/// radix select keeps its keys in a second per-thread buffer beside it)
+/// and the Section 10 [MS] acceptance rule (baselines/averaging_rounds.h).
+/// It grows to the largest multiset the thread has reduced and is reused
+/// from then on.  The contents are clobbered by the next reduction on the
+/// same thread, so a caller must finish with the view before reducing
+/// again.
+[[nodiscard]] std::span<double> thread_reduce_scratch(std::size_t m);
 
 class ArrivalArena {
  public:
@@ -138,16 +152,18 @@ class ArrivalArena {
   }
 
   /// == ms::fault_tolerant_midpoint(values(), f), allocation-free.  Small
-  /// neighborhoods (<= 16) sort the scratch with a branchless network;
-  /// larger ones run the vectorized dual-rank select (proc/reduce_kernels.h)
-  /// to find the f-th smallest and f-th largest survivors in O(m).  Order
-  /// statistics are value-exact under every route, ties included.
+  /// neighborhoods (<= 16) sort the thread's scratch with a branchless
+  /// network; larger ones run the radix dual-rank select
+  /// (proc/reduce_kernels.h) to find the f-th smallest and f-th largest
+  /// survivors in O(m).  Order statistics are value-exact under every
+  /// route, ties included.
   /// Precondition: size() >= 2f + 1.
   [[nodiscard]] double midpoint_reduced(std::size_t f);
 
   /// == ms::fault_tolerant_mean(values(), f), allocation-free: sorts the
-  /// scratch (network for <= 16 elements, std::sort above) and accumulates
-  /// the survivors in the same ascending order as the ms::reduce() slice.
+  /// thread's scratch (network for <= 16 elements, std::sort above) and
+  /// accumulates the survivors in the same ascending order as the
+  /// ms::reduce() slice.
   /// Precondition: size() >= 2f + 1.
   [[nodiscard]] double mean_reduced(std::size_t f);
 
@@ -171,7 +187,6 @@ class ArrivalArena {
   [[nodiscard]] std::uint64_t reductions() const noexcept { return reductions_; }
 
  private:
-  void load_scratch();
   /// The memo when it matches (kind, f), else a fresh reduction; counted.
   [[nodiscard]] double reduced(Reduction kind, std::size_t f);
   [[nodiscard]] double compute(Reduction kind, std::size_t f);
@@ -179,9 +194,7 @@ class ArrivalArena {
   [[nodiscard]] double compute_mean(std::size_t f);
 
   NeighborIndex index_;
-  std::vector<double> values_;   ///< dense, neighbor order
-  std::vector<double> scratch_;  ///< reusable reduction workspace
-  std::vector<double> select_tmp_;  ///< dual_rank_select partition buffer
+  std::vector<double> values_;  ///< dense, neighbor order
   bool bound_ = false;
   std::uint64_t rebinds_ = 0;
   std::uint64_t reductions_ = 0;

@@ -13,10 +13,12 @@
 //   * small_sort_network: branchless sorting networks (Batcher-style
 //     compare-exchange as std::min/std::max pairs) for m <= 16, the degree
 //     range of every sparse-topology cell and the k-regular default;
-//   * dual_rank_select: an out-of-place two-rank quickselect whose
-//     partition pass is a predicated copy — no data-dependent branches in
-//     the loop body, so the compare and both cursor advances vectorize —
-//     replacing the in-place Hoare walk for large m;
+//   * dual_rank_select: an exact radix select for two ranks — values map
+//     to order-preserving 64-bit keys, one L1-resident histogram over the
+//     key range finds the one or two buckets holding the ranks, and only
+//     those are gathered (predicated copies) and refined.  Linear in m
+//     with no data-dependent branch in the per-value passes, where a
+//     comparison select pays a misprediction per partition step;
 //   * affine_arrival_eval: the fast-path delivery kernel — evaluates a
 //     receiver's local time (one affine clock segment + constant CORR) over
 //     a batch of delivery instants with exactly the scalar expression
@@ -26,17 +28,20 @@
 // multiset, so ANY correct selection or sort yields the identical doubles
 // the scalar std::nth_element / std::sort paths yield, including under
 // heavy ties (duplicated arrival times); bench_micro --smoke gates this
-// against randomized and tie-heavy inputs, and tests/arrival_test.cpp pins
-// the reductions that consume these kernels against ms:: bit-for-bit.
+// against randomized, tie-heavy and outlier-clustered inputs, and
+// tests/arrival_test.cpp pins the select against std::sort and the
+// reductions that consume these kernels against ms:: bit-for-bit.
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 namespace wlsync::proc::kernels {
 
 /// Largest m small_sort_network accepts (covers every sorting network we
-/// instantiate; larger multisets go through dual_rank_select / std::sort).
+/// instantiate; larger multisets go through dual_rank_select / std::sort,
+/// and dual_rank_select finishes its small buckets here).
 inline constexpr std::size_t kMaxNetworkSize = 16;
 
 /// Sorts a[0..m) ascending with a branchless compare-exchange network.
@@ -45,18 +50,20 @@ inline constexpr std::size_t kMaxNetworkSize = 16;
 /// unique, ties included).
 void small_sort_network(double* a, std::size_t m);
 
-/// Places order statistics `lo` and `hi` (absolute ranks, lo <= hi < m)
-/// and returns {a-sorted[lo], a-sorted[hi]} for the multiset a[0..m).
-/// `tmp` is caller-owned scratch of capacity >= m (reused across calls so
-/// steady-state rounds allocate nothing).  a[] is clobbered.  Partitions
-/// are predicated copies a -> tmp -> a (branchless bodies, vectorizable);
-/// the doubles returned equal the std::nth_element results on the same
-/// input, value for value.
-[[nodiscard]] std::pair<double, double> dual_rank_select(double* a,
-                                                         std::size_t m,
-                                                         std::size_t lo,
-                                                         std::size_t hi,
-                                                         std::vector<double>& tmp);
+/// Returns {a-sorted[lo], a-sorted[hi]} for the multiset a[0..m) (absolute
+/// ranks, lo <= hi < m); a[] is only read.  The values map to
+/// order-preserving 64-bit keys in `keys`, then each level splits
+/// [min key, max key] into at most min(m, 2048) equal-width buckets, counts
+/// them, and gathers the one or two buckets holding the ranks; a bucket of
+/// more than 16 keys goes another level down on its own, narrower key
+/// range, and smaller ones finish in small_sort_network.  `keys` is
+/// caller-owned scratch, grown to 2m + 1 keys (reused across calls so
+/// steady-state rounds allocate nothing).  The doubles returned equal
+/// std::sort's at those ranks, value for value: the keys order -0.0 before
+/// +0.0, which compare equal, and NaNs past the infinity of their sign.
+[[nodiscard]] std::pair<double, double> dual_rank_select(
+    const double* a, std::size_t m, std::size_t lo, std::size_t hi,
+    std::vector<std::uint64_t>& keys);
 
 /// The round fast path's delivery kernel: for each i,
 ///   dst[i] = (seg_clock + (t[i] - seg_real) * seg_rate) + corr

@@ -1,13 +1,19 @@
 // The dense arrival arena (proc/arrival.h): slot mapping, allocation-free
-// reductions pinned value-exact against multiset/multiset_ops.h, and the
-// counters the CI perf-smoke gate relies on.
+// reductions pinned value-exact against multiset/multiset_ops.h, the
+// dual-rank select kernel (proc/reduce_kernels.h) pinned against std::sort,
+// and the counters the CI perf-smoke gate relies on.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "multiset/multiset_ops.h"
 #include "proc/arrival.h"
+#include "proc/reduce_kernels.h"
 #include "util/rng.h"
 
 namespace wlsync::proc {
@@ -200,6 +206,100 @@ TEST(ArrivalArena, PrecomputedReductionIsOneShotAndDroppedByEveryWrite) {
   // Too few slots for f: precompute is a no-op and the call still throws.
   arena.precompute(ArrivalArena::Reduction::kMidpoint, 5);
   EXPECT_THROW((void)arena.midpoint_reduced(5), std::invalid_argument);
+}
+
+// --- kernels::dual_rank_select against std::sort ------------------------
+
+/// Multiset shapes the select must get right.  The cluster shape is the
+/// two-faced full mesh's ARR: most values in one tight cluster, plus
+/// kNeverArrived sentinels and two-faced extremes far on either side, so
+/// the first histogram level puts more than half the values, and often
+/// both wanted ranks, in one bucket.
+enum class Shape { kUniform, kCluster, kAllEqual, kTwoLevels };
+
+std::vector<double> make_shape(Shape shape, std::size_t m, util::Rng& rng) {
+  std::vector<double> v(m);
+  for (double& x : v) {
+    switch (shape) {
+      case Shape::kUniform:
+        x = rng.uniform(-1.0, 1.0);
+        break;
+      case Shape::kCluster: {
+        const double u = rng.uniform();
+        if (u < 0.15) {
+          x = core_sentinel();
+        } else if (u < 0.25) {
+          x = 1e3 + rng.uniform(-1.0, 1.0) * 50.0;  // two-faced, early/late
+        } else if (u < 0.30) {
+          x = -1e6;
+        } else {
+          x = 100.0 + rng.uniform() * 1e-6;  // the honest cluster
+        }
+        break;
+      }
+      case Shape::kAllEqual:
+        x = 42.5;
+        break;
+      case Shape::kTwoLevels:
+        x = rng.uniform() < 0.7 ? 3.0 : -7.25;
+        break;
+    }
+  }
+  return v;
+}
+
+TEST(DualRankSelect, MatchesStdSortOnEveryShapeAndRankPair) {
+  // Guard cells past the end of the key workspace: the select may write
+  // keys[0..2m], nothing beyond.
+  constexpr std::size_t kGuard = 8;
+  constexpr std::uint64_t kGuardKey = 0x5a5a5a5a5a5a5a5aull;
+  util::Rng rng(2027);
+  for (const std::size_t m : {17u, 65u, 97u, 512u, 2048u, 4096u}) {
+    const std::size_t f = (m - 1) / 3;
+    const std::vector<std::pair<std::size_t, std::size_t>> ranks = {
+        {f, m - 1 - f},        // the reduce's clip ranks
+        {0, m - 1},            // the extremes
+        {m / 2, m / 2},        // one rank
+        {f, f},                // one rank at the clip
+        {f, f + 1},            // adjacent ranks
+        {m - 2, m - 1},        // adjacent ranks at the top
+        {m / 2 - 1, m / 2},    // adjacent ranks in the middle
+    };
+    for (const Shape shape : {Shape::kUniform, Shape::kCluster,
+                              Shape::kAllEqual, Shape::kTwoLevels}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const std::vector<double> values = make_shape(shape, m, rng);
+        std::vector<double> sorted = values;
+        std::sort(sorted.begin(), sorted.end());
+        for (const auto& [lo, hi] : ranks) {
+          std::vector<std::uint64_t> keys(2 * m + 1 + kGuard, kGuardKey);
+          const auto got =
+              kernels::dual_rank_select(values.data(), m, lo, hi, keys);
+          const std::string where = "m=" + std::to_string(m) +
+                                    " shape=" +
+                                    std::to_string(static_cast<int>(shape)) +
+                                    " ranks=" + std::to_string(lo) + "," +
+                                    std::to_string(hi);
+          ASSERT_EQ(got.first, sorted[lo]) << where;
+          ASSERT_EQ(got.second, sorted[hi]) << where;
+          for (std::size_t g = 0; g < kGuard; ++g) {
+            ASSERT_EQ(keys[2 * m + 1 + g], kGuardKey) << where << " guard " << g;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DualRankSelect, RejectsBadRanks) {
+  const std::vector<double> a = {1.0, 2.0, 3.0};
+  std::vector<std::uint64_t> keys;
+  EXPECT_THROW((void)kernels::dual_rank_select(a.data(), 3, 2, 1, keys),
+               std::invalid_argument);
+  EXPECT_THROW((void)kernels::dual_rank_select(a.data(), 3, 0, 3, keys),
+               std::invalid_argument);
+  EXPECT_THROW((void)kernels::dual_rank_select(a.data(), 0, 0, 0, keys),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,11 +1,19 @@
 // Section 10 comparators on the shared substrate: each baseline synchronizes
 // fault-free; the ablation (plain mean) breaks under one Byzantine process
 // while Welch-Lynch shrugs; the comparative shapes (LM ~ 2 n eps growth,
-// ST ~ delta + eps) hold.
+// ST ~ delta + eps) hold; the [MS] acceptance rule equals the naive
+// pairwise count bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "analysis/experiment.h"
+#include "baselines/averaging_rounds.h"
+#include "ms_reference.h"
+#include "util/rng.h"
 
 namespace wlsync::analysis {
 namespace {
@@ -129,6 +137,95 @@ TEST(Comparison, WelchLynchBeatsLMUnderAttackAndStaysFlatWithScale) {
   EXPECT_GT(lm_large, wl_large);
   // WL stays flat as (n, f) scale 2.3x; LM's residual is the one that moves.
   EXPECT_LT(wl_large, 1.5 * wl_small + 1e-3);
+}
+
+// --- [MS] acceptance against the naive O(n^2) rule -----------------------
+
+/// The rule under test for a given f and tau (the neighbor view's size is
+/// the n the rule uses; params().n does not enter).
+double ms_rule(const std::vector<double>& diffs, std::int32_t f, double tau) {
+  core::Params params = standard(4, 1);
+  params.f = f;
+  const baselines::MahaneySchneiderProcess process(params, tau);
+  return process.compute_adjustment(diffs);
+}
+
+void expect_ms_matches(const std::vector<double>& diffs, std::int32_t f,
+                       double tau, const std::string& what) {
+  EXPECT_EQ(ms_rule(diffs, f, tau), reference::ms_adjustment(diffs, f, tau))
+      << what << " (n=" << diffs.size() << " f=" << f << " tau=" << tau
+      << ")";
+}
+
+TEST(MahaneySchneider, AcceptanceMatchesPairwiseCountOnEdgeCases) {
+  constexpr double kTau = 0.0009765625;  // 2^-10: 1 + tau is exact
+  constexpr double kNever = core::kNeverArrived;
+  const double up = std::nextafter(1.0 + kTau, 2.0);
+  const double down = std::nextafter(1.0 + kTau, 1.0);
+
+  // Pairs exactly tau apart, and one ulp either side of tau.  Each view
+  // needs exactly two supporters (n - f = 2), so one pair at the boundary
+  // decides whether its two values are kept.
+  expect_ms_matches({0.0, kTau, 1.0, 1.0 + kTau, -1.0}, 3, kTau,
+                    "exactly tau apart");
+  expect_ms_matches({0.0, kTau, 1.0, up}, 2, kTau, "one ulp past tau");
+  expect_ms_matches({0.0, kTau, 1.0, down}, 2, kTau, "one ulp inside tau");
+  expect_ms_matches({0.0, -kTau, 3.0}, 1, kTau, "exactly -tau apart");
+  // The whole view spans exactly tau (the spread check accepts all), and
+  // one ulp more (every value has only itself).
+  expect_ms_matches({0.0, kTau}, 0, kTau, "spread exactly tau");
+  expect_ms_matches({0.0, std::nextafter(kTau, 1.0)}, 0, kTau,
+                    "spread one ulp past tau");
+  expect_ms_matches({std::nextafter(-kTau, -1.0), 0.0}, 0, kTau,
+                    "spread one ulp past tau, below");
+  // Missing slots take no part in any count.
+  expect_ms_matches({kNever, 0.0, 1e-4, kNever, -2e-4, 5.0}, 2, kTau,
+                    "kNeverArrived slots");
+  // Fewer present values than n - f: nothing can be accepted, every term
+  // is 0 — once with a spread above tau, once within it (the fast exit
+  // with present < needed).
+  expect_ms_matches({kNever, kNever, kNever, 0.0, 3e-4, 9.0}, 1, kTau,
+                    "too few present, wide spread");
+  expect_ms_matches({kNever, kNever, kNever, 0.0, 3e-4, 1e-4}, 1, kTau,
+                    "too few present, within tau");
+  // n <= f: needed falls back to one supporter, the value itself.
+  expect_ms_matches({0.0, 7.0, -3.0}, 3, kTau, "n == f");
+  expect_ms_matches({0.0, 7.0}, 5, kTau, "n < f");
+  expect_ms_matches({kNever, kNever}, 5, kTau, "n < f, nothing present");
+  // Everything within tau and present: all accepted through the fast exit.
+  expect_ms_matches({0.0, 1e-4, -3e-4, 2e-4}, 1, kTau, "within tau");
+  // Two-faced outliers around an honest cluster, on both sides, plus one
+  // outlier pair close enough to support each other.
+  expect_ms_matches({0.0, 1e-4, -1e-4, 2e-4, 1e3, -1e3, 5e2, 5e2 + 1e-4,
+                     kNever, 3e-4},
+                    3, kTau, "two-faced outliers");
+}
+
+TEST(MahaneySchneider, AcceptanceMatchesPairwiseCountOnRandomViews) {
+  util::Rng rng(77);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto n = static_cast<std::size_t>(1 + rng.uniform() * 150);
+    const auto f = static_cast<std::int32_t>(rng.uniform() *
+                                             static_cast<double>(n + 2));
+    const double tau = trial % 3 == 0 ? 0.0009765625 : rng.uniform(1e-5, 1e-2);
+    std::vector<double> diffs(n);
+    for (double& v : diffs) {
+      const double u = rng.uniform();
+      if (u < 0.1) {
+        v = core::kNeverArrived;
+      } else if (u < 0.2) {
+        v = rng.uniform(-1e3, 1e3);  // two-faced extreme
+      } else if (u < 0.5) {
+        // Snapped to quarter-tau steps: many pairs exactly tau apart.
+        v = std::round(rng.uniform(-2.0, 2.0) * 4.0) * tau / 4.0;
+      } else {
+        v = rng.uniform(-1.5, 1.5) * tau;
+      }
+    }
+    diffs[static_cast<std::size_t>(rng.uniform() * static_cast<double>(n))] =
+        0.0;  // the caller's own slot
+    expect_ms_matches(diffs, f, tau, "trial " + std::to_string(trial));
+  }
 }
 
 }  // namespace

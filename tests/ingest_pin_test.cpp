@@ -42,12 +42,16 @@
 #include "baselines/averaging_rounds.h"
 #include "baselines/srikanth_toueg.h"
 #include "multiset/multiset_ops.h"
+#include "ms_reference.h"
 
 namespace wlsync::analysis {
 namespace {
 
-// Test-local copies of the Section 10 adjustment rules.  `diffs` is the
-// neighbor view in neighbor order, own slot 0.0, kNeverArrived = missing.
+using reference::ms_adjustment;
+
+// Test-local copies of the Section 10 adjustment rules ([MS]'s lives in
+// ms_reference.h, shared with baselines_test).  `diffs` is the neighbor
+// view in neighbor order, own slot 0.0, kNeverArrived = missing.
 double lm_adjustment(const std::vector<double>& diffs, double delta_max) {
   double sum = 0.0;
   for (double v : diffs) {
@@ -55,23 +59,6 @@ double lm_adjustment(const std::vector<double>& diffs, double delta_max) {
     sum += v;
   }
   return sum / static_cast<double>(diffs.size());
-}
-
-double ms_adjustment(const std::vector<double>& diffs, std::int32_t f,
-                     double tau) {
-  const std::size_t n = diffs.size();
-  const auto ff = static_cast<std::size_t>(f);
-  const std::size_t needed = n > ff ? n - ff : 1;
-  double sum = 0.0;
-  for (const double v : diffs) {
-    if (v == core::kNeverArrived) continue;
-    std::size_t close = 0;
-    for (const double w : diffs) {
-      if (w != core::kNeverArrived && std::abs(w - v) <= tau) ++close;
-    }
-    sum += close < needed ? 0.0 : v;
-  }
-  return sum / static_cast<double>(n);
 }
 
 double mean_adjustment(const std::vector<double>& diffs) {
