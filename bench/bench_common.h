@@ -255,31 +255,24 @@ inline const char* nic_drop_name(sim::NicDropPolicy policy) {
   return policy == sim::NicDropPolicy::kDropOldest ? "oldest" : "newest";
 }
 
-/// The measurement-engine axis: "off" = post-hoc grids (the seed path),
-/// "on" = streaming observation with retained history, "bounded" =
-/// streaming observation with history truncated behind the observation
-/// frontier (analysis/observe.h).  "on" and "bounded" are always
-/// bit-identical to each other, and both match "off" bitwise for runs
-/// that complete their configured rounds (every healthy cell).  A
-/// degraded run that never completes round (rounds+1)/2 measures
-/// observe-mode's own collapsed window instead of the post-hoc anchor —
-/// ObserveStats::t_steady == t_end marks such rows.
-struct ObserveMode {
-  bool observe = false;
-  bool retain = true;
-};
-
-inline ObserveMode parse_observe(const std::string& name) {
-  if (name == "off") return {false, true};
-  if (name == "on") return {true, true};
-  if (name == "bounded") return {true, false};
+/// The history axis, which picks the measurement driver: "off" keeps the
+/// whole clock/CORR history and measures post hoc on the sample grids;
+/// "bounded" drops history behind the streaming observer's frontier
+/// (RunSpec::retain_history = false; analysis/observe.h), so the run is
+/// measured while it executes.  The two match bitwise on cells that
+/// complete their configured rounds (every healthy cell).  A degraded run
+/// that never completes round (rounds+1)/2 measures the stream's own
+/// collapsed window instead of the post-hoc anchor — ObserveStats::t_steady
+/// == t_end marks such rows.  Returns retain_history.
+inline bool parse_observe(const std::string& name) {
+  if (name == "off") return true;
+  if (name == "bounded") return false;
   throw std::invalid_argument("unknown observe '" + name +
-                              "' (use off, on, or bounded)");
+                              "' (use off or bounded)");
 }
 
-inline const char* observe_name(const ObserveMode& mode) {
-  if (!mode.observe) return "off";
-  return mode.retain ? "on" : "bounded";
+inline const char* observe_name(bool retain_history) {
+  return retain_history ? "off" : "bounded";
 }
 
 /// The execution-engine axis (core/fastpath.h, engine/pdes.h): "event" =

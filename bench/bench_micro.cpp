@@ -770,7 +770,7 @@ void smoke_observer_counters(std::vector<SmokeRow>& rows) {
   spec.rounds = 8;
   spec.seed = 9;
 
-  std::uint64_t adjustments = 0;
+  std::uint64_t samples = 0;
   const auto run_counted = [&](int mode /*0 none, 1 retained, 2 bounded*/) {
     analysis::Experiment experiment(spec);
     const double horizon = experiment.horizon();
@@ -791,7 +791,7 @@ void smoke_observer_counters(std::vector<SmokeRow>& rows) {
     experiment.simulator().run_until(horizon);
     g_count_allocs.store(false);
     experiment.simulator().set_observer(nullptr);
-    if (observer) adjustments = observer->stats().adjustments;
+    if (observer) samples = observer->stats().samples;
     return g_alloc_count.load();
   };
 
@@ -804,25 +804,25 @@ void smoke_observer_counters(std::vector<SmokeRow>& rows) {
                   retained_delta <= 0.0});
   rows.push_back({"observer_run_alloc_delta_bounded", bounded_delta, 0.0,
                   bounded_delta <= 0.0});
-  rows.push_back({"observer_adjustment_events", static_cast<double>(adjustments),
+  rows.push_back({"observer_samples_drained", static_cast<double>(samples),
                   -1.0, true});
-  // Sanity companion: zero adjustments would mean the hook never fired and
-  // the two deltas above gated nothing.
-  rows.push_back({"observer_no_adjustments_seen", adjustments == 0 ? 1.0 : 0.0,
-                  0.0, adjustments > 0});
+  // Sanity companion: an observer that drained no sample during the run
+  // allocated nothing because it did nothing, and the two deltas above
+  // gated nothing.
+  rows.push_back({"observer_no_samples_drained", samples == 0 ? 1.0 : 0.0,
+                  0.0, samples > 0});
 }
 
-/// Bounded-memory ceiling: the n = 64 mesh observe+bounded run must keep
-/// its retained clock/CORR history under a fixed byte ceiling however long
-/// the run is — truncation caps it at the per-round high water, ~64 KiB
-/// here (measured 2026-07: ~40 KiB), while the retained-history run grows
+/// Bounded-memory ceiling: the n = 64 mesh bounded run must keep its
+/// retained clock/CORR history under a fixed byte ceiling however long the
+/// run is — truncation caps it at the per-round high water, ~64 KiB here
+/// (measured 2026-07: ~40 KiB), while the retained-history run grows
 /// O(rounds * n) past 400 KiB.
 void smoke_observer_history(std::vector<SmokeRow>& rows) {
   analysis::RunSpec spec;
   spec.params = core::make_params(64, 21, 1e-5, 0.01, 1e-3, 10.0);
   spec.rounds = 12;
   spec.seed = 9;
-  spec.observe = true;
   spec.retain_history = false;
   const analysis::RunResult bounded = analysis::run(spec);
   spec.retain_history = true;
@@ -831,10 +831,11 @@ void smoke_observer_history(std::vector<SmokeRow>& rows) {
   const auto peak = static_cast<double>(bounded.observe.peak_history_bytes);
   rows.push_back({"observer_bounded_history_peak_bytes", peak, kHistoryCeiling,
                   peak <= kHistoryCeiling});
-  rows.push_back(
-      {"observer_retained_history_peak_bytes",
-       static_cast<double>(retained.observe.peak_history_bytes), -1.0, true});
-  // The two modes must measure identical physics.
+  // A retained run's history only grows, so its final size is its peak.
+  rows.push_back({"observer_retained_history_bytes",
+                  static_cast<double>(retained.history_bytes), -1.0, true});
+  // The two drivers (stream vs post-hoc grids) must measure identical
+  // physics.
   rows.push_back({"observer_bounded_results_differ",
                   analysis::results_identical(bounded, retained) ? 0.0 : 1.0,
                   0.0, analysis::results_identical(bounded, retained)});

@@ -266,6 +266,7 @@ int main(int argc, char** argv) {
     }
     if (flags.get_bool("adversary", false)) return run_adversary(flags);
     if (flags.get_bool("stabilize", false)) return run_stabilize(flags);
+    flags.reject_unread();
   } catch (const std::invalid_argument& e) {
     std::cerr << "bench_scenario: " << e.what() << "\n";
     return 2;

@@ -71,12 +71,14 @@
 //               runner's workers at any --threads), 1 forces serial,
 //               >= 2 pins the count.  Crossed with --engine=pdes it maps
 //               wall-clock vs shard count.
-//   --observe   measurement-engine axis: off (post-hoc grids), on
-//               (streaming in-run observation), bounded (streaming +
-//               history truncation; analysis/observe.h).  on == bounded
-//               always; both == off bitwise on cells that complete their
-//               rounds (degraded cells measure observe-mode's collapsed
-//               window — see bench_common.h).  wall_s, hist_peak_mb and
+//   --observe   history axis: off (history retained, measured post hoc
+//               on the sample grids) or bounded (history truncated behind
+//               the streaming observer, which measures the run as it
+//               executes; analysis/observe.h).  bounded == off bitwise on
+//               cells that complete their rounds (degraded cells measure
+//               the stream's collapsed window — see bench_common.h).
+//               Bounded cells run on the event engine (the fast path and
+//               PDES refuse an observer); wall_s, hist_peak_mb and
 //               history_mb move.
 //   --P         round length; --trials seeds per cell from --seed0
 //   --gradient  measure skew-vs-distance (analysis/gradient.h) and write
@@ -100,7 +102,7 @@
 // (RunTelemetry): queue_ops (scheduler push + pop), peak_pending (pending
 // entry high-water mark), fanout_direct (ring deliveries without a queue
 // round-trip), history_mb (clock/CORR history retained at the end of the
-// run) and hist_peak_mb (its peak, observe rows only), plus wall_s, the
+// run) and hist_peak_mb (its peak, bounded rows only), plus wall_s, the
 // trial's wall-clock seconds as measured inside analysis::run.  The
 // large-n topology family is a grid like any other, e.g.
 //
@@ -233,8 +235,7 @@ const Column kColumns[] = {
                            ? bench::nic_drop_name(r.spec.nic->drop)
                            : "-"),
     COLUMN("stagger", r.spec.stagger),
-    COLUMN("observe", bench::observe_name(
-                          {r.spec.observe, r.spec.retain_history})),
+    COLUMN("observe", bench::observe_name(r.spec.retain_history)),
     COLUMN("rounds", r.spec.rounds),
     COLUMN("seed", r.spec.seed),
     COLUMN("completed_rounds", r.result.completed_rounds),
@@ -685,9 +686,7 @@ int run_sweep(const wlsync::util::Flags& flags) {
   });
   cross(specs, staggers, [](auto& s, double v) { s.stagger = v; });
   cross(specs, observes, [](RunSpec& s, const std::string& observe) {
-    const bench::ObserveMode mode = bench::parse_observe(observe);
-    s.observe = mode.observe;
-    s.retain_history = mode.retain;
+    s.retain_history = bench::parse_observe(observe);
   });
   cross(specs, engines,
         [](auto& s, const auto& v) { s.engine = bench::parse_engine(v); });
@@ -713,7 +712,7 @@ int run_sweep(const wlsync::util::Flags& flags) {
                 << bench::algo_name(s.algo) << "/"
                 << bench::engine_name(s.engine) << "/"
                 << proc::placement_name(s.placement) << "/"
-                << bench::observe_name({s.observe, s.retain_history})
+                << bench::observe_name(s.retain_history)
                 << "): churn needs wl + event-capable engine + trailing "
                    "placement + retained history\n";
     }

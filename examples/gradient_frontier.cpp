@@ -76,13 +76,12 @@ int main() {
                     : "\nboth runs stay convergent: the local quorums clip "
                       "the joint-placed liars\n");
 
-  // Long-window variant: the streaming observer (analysis/observe.h)
-  // measures the identical curves event-driven during the run, truncating
-  // clock/CORR history behind its frontier — 4x the window in bounded
-  // memory, the mode that scales to the n = 512 drift-regime study.
+  // Long-window variant: a run that drops its history behind the
+  // streaming observer (analysis/observe.h), which measures the identical
+  // curves event-driven during the run — 4x the window in bounded memory,
+  // the mode that scales to the n = 512 drift-regime study.
   analysis::RunSpec longrun = attacked;
   longrun.rounds = 4 * attacked.rounds;
-  longrun.observe = true;
   longrun.retain_history = false;
   const analysis::RunResult streamed = analysis::run(longrun);
   std::cout << "\nstreaming bounded-memory run, " << longrun.rounds

@@ -563,25 +563,18 @@ ObserveSpec Experiment::make_observe_spec() {
   // for runs that complete more.
   ospec.anchor_round = (spec_.rounds + 1) / 2;
   ospec.max_rounds = spec_.rounds;
-  ospec.skew_dt = spec_.observe_dt > 0.0 ? spec_.observe_dt : p.P / 25.0;
+  ospec.skew_dt = p.P / 25.0;
   ospec.validity_dt = p.P / 10.0;
   ospec.validity_t0 = tmax0_ + d.window;
   ospec.gradient = spec_.measure_gradient;
   if (spec_.measure_gradient) ospec.topology = &topology();
   ospec.truncate = !spec_.retain_history;
-  ospec.skew_hist_max = 4.0 * d.gamma;
   return ospec;
 }
 
 RunResult Experiment::run() {
   const core::Params& p = spec_.params;
   const core::Derived d = core::derive(p);
-  if (!spec_.retain_history && !spec_.observe) {
-    throw std::invalid_argument(
-        "RunSpec: retain_history = false requires observe = true (with "
-        "neither the streaming accumulators nor the post-hoc history, "
-        "nothing could measure the run)");
-  }
   if (!spec_.retain_history &&
       (spec_.startup_handoff ||
        std::any_of(spec_.dynamics.events.begin(), spec_.dynamics.events.end(),
@@ -603,9 +596,11 @@ RunResult Experiment::run() {
 
   const double horizon = this->horizon();
 
-  // Streaming mode: attach the in-run observer before any event fires.
+  // The one measurement rule: a run that drops its history streams its
+  // measurement (the observer attaches before any event fires); a run
+  // that keeps it measures post hoc below.
   ScopedObserver observer;
-  if (spec_.observe) observer.attach(*sim_, make_observe_spec());
+  if (!spec_.retain_history) observer.attach(*sim_, make_observe_spec());
 
   const auto engine_start = std::chrono::steady_clock::now();
 
@@ -626,8 +621,7 @@ RunResult Experiment::run() {
   };
   if (spec_.engine == EngineMode::kFastpath ||
       spec_.engine == EngineMode::kAuto) {
-    if (const char* reason = core::RoundFastPath::ineligible_reason(
-            *sim_, /*truncates_history=*/!spec_.retain_history)) {
+    if (const char* reason = core::RoundFastPath::ineligible_reason(*sim_)) {
       refuse(reason, result.fastpath_refusal);
     } else {
       core::RoundFastPath fastpath(*sim_);
@@ -704,7 +698,7 @@ RunResult Experiment::run() {
 
   // Per-round begin spreads and skews at round begins.  Spreads come from
   // the (always retained) round trace; the skew at each round's last begin
-  // comes from the streaming round-boundary accumulator in observe mode
+  // comes from the streaming round-boundary accumulator in a bounded run
   // and from the post-hoc scan otherwise — identical doubles either way.
   const std::int32_t last_round = trace_.last_complete_round(honest_);
   result.completed_rounds = last_round + 1;

@@ -211,32 +211,20 @@ struct RunSpec : ScenarioSpec {
   /// full mesh every pair sits at distance 1).
   bool measure_gradient = false;
 
-  /// Streaming in-run observation (analysis/observe.h): attach a
-  /// StreamingObserver for the run and fill the measured RunResult fields
-  /// (gamma_measured, validity, gradient, skew_at_round, final_skew) from
-  /// its event-driven accumulators instead of the post-hoc grids.  Values
-  /// are bit-identical to the post-hoc pipeline on the same windows
-  /// (tests/observer_test.cpp); the steady-state window anchors at the
-  /// last honest begin of round (rounds + 1) / 2 — the post-hoc anchor
-  /// for runs that complete their rounds — so on healthy runs observe
-  /// on/off is a measurement-engine A/B, not a physics change.  A
-  /// degraded run that never completes the anchor round collapses the
-  /// window to the endpoint sample (the post-hoc anchor is
-  /// retrospective and cannot be sampled in one pass);
-  /// ObserveStats::t_steady == t_end marks that case.  RunResult::observe
-  /// carries the telemetry.
-  bool observe = false;
-  /// Bounded-memory mode (requires observe): truncate every clock's
-  /// segment list and CORR log behind the observation frontier while the
-  /// run progresses.  Measured results are bit-identical to the retained
-  /// observe run (pinned by tests/observer_test.cpp); post-hoc probes on
-  /// the simulator afterwards are no longer possible — so a dynamics
-  /// rejoin and a start-up handoff, whose RunResult::rejoins and
-  /// StartupResult::post_handoff_skew read that history, reject it.
+  /// false = bounded memory: the run streams its measurement through a
+  /// StreamingObserver (analysis/observe.h) that truncates every clock's
+  /// segment list and CORR log behind the observation frontier; true
+  /// keeps the whole history and measures post hoc on the sample grids.
+  /// That is the one measurement rule.  Both drivers share every fold and
+  /// are results_identical on runs that complete round (rounds + 1) / 2
+  /// (tests/observer_test.cpp); a degraded run that never completes it
+  /// collapses the streaming window to the endpoint sample
+  /// (ObserveStats::t_steady == t_end).  The fast path and PDES refuse an
+  /// observed run, so bounded runs take the event engine.  No post-hoc
+  /// probe can follow a bounded run, so a dynamics rejoin and a start-up
+  /// handoff (RunResult::rejoins, StartupResult::post_handoff_skew)
+  /// reject it.
   bool retain_history = true;
-  /// Skew/gradient sample step for observe mode; 0 = P/25, the post-hoc
-  /// grid.  Coarser steps make very long windows cheaper to observe.
-  double observe_dt = 0.0;
   /// Runaway-execution guard override; 0 keeps SimConfig's default
   /// (50M events).  Large-n meshes need it: one n = 4096 full-mesh
   /// exchange is ~16.8M deliveries, so a handful of rounds legitimately
@@ -279,7 +267,8 @@ struct RejoinReport {
 
 /// What a run measured: a deterministic function of the RunSpec, identical
 /// bit for bit across engines, scheduler policies, worker counts and
-/// observe modes.  results_identical compares exactly these members.
+/// retained vs bounded history.  results_identical compares exactly these
+/// members.
 struct RunPhysics {
   std::vector<std::int32_t> honest;
   double gamma_bound = 0.0;
@@ -328,7 +317,7 @@ struct RunPhysics {
 
 /// How a run was computed and measured: timing, engine selection and the
 /// observation footprint.  Runs of identical physics intentionally differ
-/// here (retained vs bounded observe, event engine vs fast path vs PDES).
+/// here (retained vs bounded history, event engine vs fast path vs PDES).
 /// Members are ordered so the struct has no tail padding: a member added
 /// straight to RunResult then always grows it (see the static_assert
 /// below).
@@ -343,8 +332,8 @@ struct RunTelemetry {
   /// per-spec costs every engine pays identically, which dilutes any
   /// speedup toward 1.
   double engine_seconds = 0.0;
-  /// Streaming-observation telemetry (all defaults when RunSpec::observe is
-  /// off).
+  /// Streaming-observation telemetry (all defaults unless
+  /// RunSpec::retain_history is false).
   ObserveStats observe;
   /// Round-fast-path telemetry (core/fastpath.h).
   bool fastpath_engaged = false;
@@ -397,7 +386,8 @@ struct RunResult : RunPhysics, RunTelemetry {};
 static_assert(sizeof(RunResult) == sizeof(RunPhysics) + sizeof(RunTelemetry));
 
 /// Exact (no tolerance) equality of every physics member — the standard the
-/// parallel runner, the engines and the observe modes are held to.
+/// parallel runner, the engines and the two measurement drivers are held
+/// to.
 [[nodiscard]] inline bool results_identical(const RunResult& a,
                                             const RunResult& b) {
   return static_cast<const RunPhysics&>(a) == static_cast<const RunPhysics&>(b);
@@ -421,9 +411,10 @@ class Experiment {
   /// rounds, one extra round and measurement slack, at the algorithm's
   /// round length (a start-up round is a few delta, not P).
   [[nodiscard]] double horizon() const;
-  /// The ObserveSpec run() attaches when RunSpec::observe is set — exposed
-  /// so external harnesses (bench_micro --smoke) gate the exact
-  /// configuration production runs use, not a hand-rolled copy.
+  /// The ObserveSpec run() attaches when RunSpec::retain_history is false
+  /// (with truncate = false on a retained spec) — exposed so hand-driven
+  /// harnesses (scenario::AdversaryEnv, bench_micro --smoke, tests) attach
+  /// the exact configuration production runs use.
   [[nodiscard]] ObserveSpec make_observe_spec();
   /// The materialized exchange graph (built on demand; full mesh when the
   /// spec leaves the topology at its default).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "analysis/measure.h"
@@ -13,7 +14,7 @@ namespace wlsync::analysis {
 GradientAxis build_gradient_axis(const net::Topology& topo,
                                  const std::vector<std::int32_t>& ids) {
   GradientAxis axis;
-  axis.diameter = topo.diameter();  // warms every BFS row of the cache
+  axis.diameter = topo.diameter();  // warms every distance row
   if (axis.diameter < 0) {
     // Skew across disconnected components is unbounded and the distance
     // buckets below are sized by the diameter; reject rather than measure
@@ -27,7 +28,7 @@ GradientAxis build_gradient_axis(const net::Topology& topo,
       axis.diameter > 0 ? static_cast<std::size_t>(axis.diameter) : 0;
   std::vector<std::int64_t> count_by_raw(max_d + 1, 0);
   for (std::size_t i = 0; i + 1 < m; ++i) {
-    const std::vector<std::int32_t>& row = topo.distances_from(ids[i]);
+    const std::span<const std::int32_t> row = topo.distances_from(ids[i]);
     for (std::size_t j = i + 1; j < m; ++j) {
       const std::int32_t d = row[static_cast<std::size_t>(ids[j])];
       if (d >= 1) count_by_raw[static_cast<std::size_t>(d)] += 1;
@@ -79,7 +80,6 @@ GradientSeries gradient_series(const sim::Simulator& sim,
   series.diameter = axis.diameter;
   series.distances = std::move(axis.distances);
   series.pair_count = std::move(axis.pair_count);
-  const std::vector<std::int32_t>& bucket_of = axis.bucket_of;
   const LocalTimeGrid grid = sample_local_times(
       sim, ids, sample_times_with_endpoint(t0, t1, dt), threads);
   series.times = grid.times;
@@ -90,43 +90,26 @@ GradientSeries gradient_series(const sim::Simulator& sim,
   series.skew_by_sample.assign(buckets * cols, 0.0);
   if (buckets == 0 || cols == 0) return series;
 
-  // Pair scan, sharded: shard s owns the strided rows i = s, s + shards,
-  // ... (the pair count per row shrinks with i, so striding balances the
-  // load).  Each shard folds |L_i - L_j| into a private bucket x sample
-  // matrix with max; the serial max-merge afterwards makes the result
-  // independent of shard count and interleaving — max is order-insensitive,
-  // so this is bit-identical to the naive per-sample reference scan.
-  const auto scan_rows = [&](double* matrix, std::size_t first,
-                             std::size_t stride) {
-    for (std::size_t i = first; i + 1 < m; i += stride) {
-      const std::vector<std::int32_t>& dist = topo.distances_from(ids[i]);
-      const double* row_i = grid.values.data() + i * cols;
-      for (std::size_t j = i + 1; j < m; ++j) {
-        const std::int32_t d = dist[static_cast<std::size_t>(ids[j])];
-        if (d < 1) continue;
-        const std::int32_t b = bucket_of[static_cast<std::size_t>(d)];
-        double* bucket_row = matrix + static_cast<std::size_t>(b) * cols;
-        const double* row_j = grid.values.data() + j * cols;
-        for (std::size_t k = 0; k < cols; ++k) {
-          const double skew = std::abs(row_i[k] - row_j[k]);
-          if (skew > bucket_row[k]) bucket_row[k] = skew;
-        }
-      }
-    }
-  };
-
   bool parallel = threads > 1;
   if (threads == 0) {
     parallel = m >= 4 && (m * (m - 1) / 2) * cols >= kMeasureShardThreshold &&
                util::hardware_threads() > 1 && !util::in_worker();
   }
   if (parallel) {
+    // Shard s owns the strided rows i = s, s + shards, ... (the pair count
+    // per row shrinks with i, so striding balances the load) and folds
+    // them into a private bucket x sample matrix; the serial max-merge
+    // afterwards makes the result independent of shard count and
+    // interleaving — max is order-insensitive, so it is bit-identical to
+    // the serial pass.
     const int workers = threads > 0 ? threads : util::hardware_threads();
     const std::size_t shards =
         std::min<std::size_t>(static_cast<std::size_t>(workers), m);
     std::vector<double> partial(shards * buckets * cols, 0.0);
     util::parallel_for(shards, workers, [&](std::size_t s) {
-      scan_rows(partial.data() + s * buckets * cols, s, shards);
+      fold_pair_buckets(topo, ids, axis.bucket_of, grid.values.data(), cols,
+                        cols, partial.data() + s * buckets * cols, cols, s,
+                        shards);
     });
     for (std::size_t s = 0; s < shards; ++s) {
       const double* matrix = partial.data() + s * buckets * cols;
@@ -137,42 +120,38 @@ GradientSeries gradient_series(const sim::Simulator& sim,
       }
     }
   } else {
-    scan_rows(series.skew_by_sample.data(), 0, 1);
+    fold_pair_buckets(topo, ids, axis.bucket_of, grid.values.data(), cols,
+                      cols, series.skew_by_sample.data(), cols);
   }
 
   finish_gradient_window_summaries(series);
   return series;
 }
 
-std::vector<double> gradient_at(const sim::Simulator& sim,
-                                const std::vector<std::int32_t>& ids,
-                                const net::Topology& topo,
-                                const std::vector<std::int32_t>& distances,
-                                double t) {
-  std::vector<std::int32_t> bucket_of;
-  for (std::size_t b = 0; b < distances.size(); ++b) {
-    const auto d = static_cast<std::size_t>(distances[b]);
-    if (bucket_of.size() <= d) bucket_of.resize(d + 1, -1);
-    bucket_of[d] = static_cast<std::int32_t>(b);
-  }
-  std::vector<double> locals(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    locals[i] = sim.local_time(ids[i], t);
-  }
-  std::vector<double> buckets(distances.size(), 0.0);
-  for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
-    const std::vector<std::int32_t>& row = topo.distances_from(ids[i]);
-    for (std::size_t j = i + 1; j < ids.size(); ++j) {
-      const std::int32_t d = row[static_cast<std::size_t>(ids[j])];
-      if (d < 1 || static_cast<std::size_t>(d) >= bucket_of.size()) continue;
-      const std::int32_t b = bucket_of[static_cast<std::size_t>(d)];
-      if (b < 0) continue;
-      buckets[static_cast<std::size_t>(b)] =
-          std::max(buckets[static_cast<std::size_t>(b)],
-                   std::abs(locals[i] - locals[j]));
+void fold_pair_buckets(const net::Topology& topo,
+                       const std::vector<std::int32_t>& ids,
+                       const std::vector<std::int32_t>& bucket_of,
+                       const double* locals, std::size_t id_stride,
+                       std::size_t cols, double* buckets,
+                       std::size_t bucket_stride, std::size_t first_row,
+                       std::size_t row_stride) {
+  const std::size_t m = ids.size();
+  for (std::size_t i = first_row; i + 1 < m; i += row_stride) {
+    const std::span<const std::int32_t> dist = topo.distances_from(ids[i]);
+    const double* row_i = locals + i * id_stride;
+    for (std::size_t j = i + 1; j < m; ++j) {
+      const std::int32_t d = dist[static_cast<std::size_t>(ids[j])];
+      if (d < 1) continue;
+      const auto b =
+          static_cast<std::size_t>(bucket_of[static_cast<std::size_t>(d)]);
+      double* cell = buckets + b * bucket_stride;
+      const double* row_j = locals + j * id_stride;
+      for (std::size_t k = 0; k < cols; ++k) {
+        const double skew = std::abs(row_i[k] - row_j[k]);
+        if (skew > cell[k]) cell[k] = skew;
+      }
     }
   }
-  return buckets;
 }
 
 double gradient_slope(const GradientSeries& series) {

@@ -12,12 +12,15 @@
 //
 // gradient_series rides the sharded measurement pipeline of
 // analysis/measure.h: local times come from one cursor walk per clock, and
-// the O(m^2) pair-bucketing shards over node pairs across threads.  Every
-// reduction is a max (order-insensitive over doubles), so any thread count
-// produces bit-identical buckets — gradient_at is the naive per-sample
-// reference scan the sharded path is regression-pinned against
-// (tests/gradient_test.cpp, 1e-12).
+// the pair fold shards over node pairs across threads.  Every reduction is
+// a max (order-insensitive over doubles), so any thread count produces
+// bit-identical buckets — tests/gradient_test.cpp pins the sharded path
+// against a naive per-sample reference scan at 1e-12.  fold_pair_buckets
+// is the one home of the pair fold: gradient_series folds strided rows of
+// the whole grid through it and the streaming observer (analysis/observe.h)
+// one drained sample.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -67,10 +70,26 @@ struct GradientAxis {
 };
 
 /// Builds the bucket axis with one O(m^2) integer pass; warms the
-/// topology's BFS distance cache.  Throws std::invalid_argument on a
-/// disconnected topology (cross-component skew has no distance bucket).
+/// topology's distance rows (so the pair fold may run on many threads).
+/// Throws std::invalid_argument on a disconnected topology (cross-component
+/// skew has no distance bucket).
 [[nodiscard]] GradientAxis build_gradient_axis(
     const net::Topology& topo, const std::vector<std::int32_t>& ids);
+
+/// Folds max |L_i - L_j| of every measured pair into its distance bucket,
+/// for `cols` adjacent sample instants.  Measured id ids[r]'s local times
+/// sit at locals[r * id_stride + k], k < cols; bucket b's cells at
+/// buckets[b * bucket_stride + k] (max-folded, so they accumulate across
+/// calls).  `bucket_of` is build_gradient_axis(topo, ids).bucket_of.
+/// Only the pairs (i, j > i) with i = first_row, first_row + row_stride,
+/// ... are folded, so row shards cover every pair exactly once.
+void fold_pair_buckets(const net::Topology& topo,
+                       const std::vector<std::int32_t>& ids,
+                       const std::vector<std::int32_t>& bucket_of,
+                       const double* locals, std::size_t id_stride,
+                       std::size_t cols, double* buckets,
+                       std::size_t bucket_stride, std::size_t first_row = 0,
+                       std::size_t row_stride = 1);
 
 /// Fills the per-distance window summaries (max / mean / p99 / frontier)
 /// from an already-populated skew_by_sample matrix.  Shared by the
@@ -88,7 +107,7 @@ void finish_gradient_window_summaries(GradientSeries& series,
 /// (the same endpoint-closed grid as skew_series).  threads = 0 auto-shards
 /// the pair scan for large workloads and stays serial inside an outer
 /// ParallelRunner sweep; any thread count yields bit-identical values.
-/// Warms the topology's distance cache (so the Topology may be shared
+/// Warms the topology's distance rows (so the Topology may be shared
 /// read-only afterwards).  Throws std::invalid_argument on a disconnected
 /// topology (cross-component skew has no distance to bucket by).
 [[nodiscard]] GradientSeries gradient_series(const sim::Simulator& sim,
@@ -96,14 +115,6 @@ void finish_gradient_window_summaries(GradientSeries& series,
                                              const net::Topology& topo,
                                              double t0, double t1, double dt,
                                              int threads = 0);
-
-/// Naive reference scan: max |L_i - L_j| per distance bucket at one instant
-/// via O(m^2) Simulator::local_time calls.  `distances` must be the bucket
-/// axis of the series under test; returns one value per bucket.
-[[nodiscard]] std::vector<double> gradient_at(
-    const sim::Simulator& sim, const std::vector<std::int32_t>& ids,
-    const net::Topology& topo, const std::vector<std::int32_t>& distances,
-    double t);
 
 /// Least-squares slope of per-distance max skew against distance — the
 /// one-number gradient summary (0 for a flat curve, e.g. identical clocks).

@@ -11,7 +11,9 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 }
 
 StreamingObserver::StreamingObserver(sim::Simulator& sim, ObserveSpec spec)
-    : sim_(sim), spec_(std::move(spec)), derived_(core::derive(spec_.params)) {
+    : sim_(sim),
+      spec_(std::move(spec)),
+      validity_(spec_.params, spec_.tmin0, spec_.tmax0) {
   if (spec_.ids.empty()) {
     throw std::invalid_argument("StreamingObserver: no ids to measure");
   }
@@ -53,21 +55,13 @@ StreamingObserver::StreamingObserver(sim::Simulator& sim, ObserveSpec spec)
   skew_times_.reserve(gradient_capacity_);
   skew_values_.reserve(gradient_capacity_);
 
-  skew_hist_.assign(kSkewHistBuckets, 0);
-  hist_bucket_width_ = std::max(spec_.skew_hist_max, 1e-12) /
-                       static_cast<double>(kSkewHistBuckets);
-
   if (spec_.gradient) {
     axis_ = build_gradient_axis(*spec_.topology, spec_.ids);
     gradient_rows_.assign(axis_.distances.size() * gradient_capacity_, 0.0);
   }
 
-  // Validity folds start exactly where check_validity starts them.
+  // The validity grid starts exactly where check_validity starts it.
   validity_next_ = spec_.validity_t0;
-  max_upper_ = -std::numeric_limits<double>::infinity();
-  max_lower_ = -std::numeric_limits<double>::infinity();
-  hi_slope_ = -std::numeric_limits<double>::infinity();
-  lo_slope_ = std::numeric_limits<double>::infinity();
 }
 
 void StreamingObserver::sample_locals(double t) {
@@ -80,28 +74,13 @@ void StreamingObserver::sample_locals(double t) {
 }
 
 void StreamingObserver::apply_skew_sample(double t) {
-  // Column fold in id order — identical to skew_series' per-column spread.
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (const double local : locals_) {
-    lo = std::min(lo, local);
-    hi = std::max(hi, local);
-  }
-  const double skew = hi - lo;
+  SpreadFold fold;
+  for (double local : locals_) fold.add(local);
+  const double skew = fold.spread();
   const std::size_t k = skew_times_.size();
   skew_times_.push_back(t);
   skew_values_.push_back(skew);
   skew_max_ = std::max(skew_max_, skew);
-  skew_sum_ += skew;
-  // Clamp in double space BEFORE the integer cast: diverged runs produce
-  // skew samples (~1e300) whose quotient exceeds the size_t range, and an
-  // out-of-range float-to-integer conversion is UB.
-  const double raw_bucket = std::max(skew, 0.0) / hist_bucket_width_;
-  const std::size_t bucket =
-      raw_bucket >= static_cast<double>(kSkewHistBuckets - 1)
-          ? kSkewHistBuckets - 1
-          : static_cast<std::size_t>(raw_bucket);
-  ++skew_hist_[bucket];
 
   if (spec_.gradient && !axis_.distances.empty()) {
     if (k >= gradient_capacity_) {
@@ -109,43 +88,9 @@ void StreamingObserver::apply_skew_sample(double t) {
           "StreamingObserver: sample count exceeded the horizon-derived "
           "capacity (ObserveSpec::horizon too small)");
     }
-    // The post-hoc pair scan, one column at a time: fold |L_i - L_j| into
-    // the pair's distance bucket with max (order-insensitive, so this is
-    // bit-identical to the sharded gradient_series matrix).
-    const std::vector<std::int32_t>& ids = spec_.ids;
-    const std::size_t m = ids.size();
-    for (std::size_t i = 0; i + 1 < m; ++i) {
-      const std::vector<std::int32_t>& dist =
-          spec_.topology->distances_from(ids[i]);
-      const double local_i = locals_[i];
-      for (std::size_t j = i + 1; j < m; ++j) {
-        const std::int32_t d = dist[static_cast<std::size_t>(ids[j])];
-        if (d < 1) continue;
-        const std::int32_t b = axis_.bucket_of[static_cast<std::size_t>(d)];
-        double& cell =
-            gradient_rows_[static_cast<std::size_t>(b) * gradient_capacity_ + k];
-        const double pair_skew = std::abs(local_i - locals_[j]);
-        if (pair_skew > cell) cell = pair_skew;
-      }
-    }
-  }
-}
-
-void StreamingObserver::apply_validity_sample(double t) {
-  // check_validity's inner loop, verbatim (same fold order: this instant,
-  // then ids in order).
-  const double upper = derived_.alpha2 * (t - spec_.tmin0) + derived_.alpha3;
-  const double lower = derived_.alpha1 * (t - spec_.tmax0) - derived_.alpha3;
-  for (const double local : locals_) {
-    const double elapsed = local - spec_.params.T0;
-    max_upper_ = std::max(max_upper_, elapsed - upper);
-    max_lower_ = std::max(max_lower_, lower - elapsed);
-    if (t - spec_.tmin0 > 0.0) {
-      hi_slope_ = std::max(hi_slope_, elapsed / (t - spec_.tmin0));
-    }
-    if (t - spec_.tmax0 > 0.0) {
-      lo_slope_ = std::min(lo_slope_, elapsed / (t - spec_.tmax0));
-    }
+    fold_pair_buckets(*spec_.topology, spec_.ids, axis_.bucket_of,
+                      locals_.data(), /*id_stride=*/1, /*cols=*/1,
+                      gradient_rows_.data() + k, gradient_capacity_);
   }
 }
 
@@ -167,7 +112,7 @@ void StreamingObserver::drain(double limit, bool closed) {
       skew_next_ += spec_.skew_dt;  // the grids' t += dt accumulation walk
     }
     if (take_validity) {
-      apply_validity_sample(t);
+      validity_.add(t, locals_.data(), locals_.size());
       validity_next_ += spec_.validity_dt;
     }
   }
@@ -176,16 +121,6 @@ void StreamingObserver::drain(double limit, bool closed) {
 double StreamingObserver::on_advance(double now) {
   drain(now, /*closed=*/false);
   return next_interest();
-}
-
-void StreamingObserver::on_adjustment(std::int32_t /*pid*/, double /*t*/,
-                                      double /*old_target*/,
-                                      double /*new_target*/) {
-  ++stats_.adjustments;
-}
-
-void StreamingObserver::on_nic_drop(std::int32_t /*pid*/, double /*t*/) {
-  ++stats_.nic_drops;
 }
 
 void StreamingObserver::eval_round_skew(std::int32_t round, double t) {
@@ -197,14 +132,11 @@ void StreamingObserver::eval_round_skew(std::int32_t round, double t) {
   // round already flushed (diverged runs), keeping the walkers monotone.
   const double q = std::max(t, last_round_query_);
   last_round_query_ = q;
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
+  SpreadFold fold;
   for (std::size_t i = 0; i < round_clock_.size(); ++i) {
-    const double local = round_clock_[i].now(q) + round_corr_[i].displayed_at(q);
-    lo = std::min(lo, local);
-    hi = std::max(hi, local);
+    fold.add(round_clock_[i].now(q) + round_corr_[i].displayed_at(q));
   }
-  round_skew_[r] = hi - lo;
+  round_skew_[r] = fold.spread();
 }
 
 void StreamingObserver::note_history() {
@@ -302,14 +234,8 @@ StreamingSummary StreamingObserver::finalize(double t_end) {
   StreamingSummary summary;
   summary.final_skew = skew_values_.back();
   summary.skew.max_skew = skew_max_;
-  stats_.skew_mean = skew_sum_ / static_cast<double>(skew_values_.size());
   const std::size_t cols = skew_times_.size();
-
-  summary.validity.max_upper_violation = max_upper_;
-  summary.validity.max_lower_violation = max_lower_;
-  summary.validity.holds = max_upper_ <= 0.0 && max_lower_ <= 0.0;
-  summary.validity.measured_hi_slope = hi_slope_;
-  summary.validity.measured_lo_slope = lo_slope_;
+  summary.validity = validity_.report();
 
   if (spec_.gradient) {
     // Summarize the capacity-strided accumulation matrix in place (no
@@ -338,22 +264,6 @@ StreamingSummary StreamingObserver::finalize(double t_end) {
 
   note_history();
   stats_.final_history_bytes = sim_.history_bytes();
-  // Histogram p99: the upper edge of the first bucket whose cumulative
-  // count reaches 99% of the skew samples (cols counts the grid plus the
-  // endpoint sample pushed above).
-  const auto total = static_cast<std::uint64_t>(cols);
-  if (total > 0) {
-    const auto threshold = static_cast<std::uint64_t>(
-        std::ceil(0.99 * static_cast<double>(total)));
-    std::uint64_t seen = 0;
-    for (std::size_t b = 0; b < skew_hist_.size(); ++b) {
-      seen += skew_hist_[b];
-      if (seen >= threshold) {
-        stats_.skew_p99 = hist_bucket_width_ * static_cast<double>(b + 1);
-        break;
-      }
-    }
-  }
   summary.stats = stats_;
   return summary;
 }

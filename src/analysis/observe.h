@@ -5,15 +5,20 @@
 // The post-hoc pipeline (analysis/measure.h, skew.h, gradient.h) re-walks
 // every clock's segment list and CORR log over dense sample grids after
 // the run ends, which requires retaining the complete O(rounds * n)
-// history in memory and makes the measurement pass the dominant large-n
-// cost (ROADMAP).  The StreamingObserver inverts this: it attaches to the
-// simulator through the sim::Observer hook and evaluates the *same* sample
-// grids incrementally, event-driven, while the run advances — each sample
-// instant t is drained as soon as simulated time passes it, at which point
-// every CORR entry and clock segment governing t is final.  Values are
-// bit-identical to the post-hoc pipeline on the same windows (the same
-// Walker cursors, the same fold orders; pinned by tests/observer_test.cpp
-// at 1e-12), so streaming and post-hoc results are interchangeable.
+// history in memory.  The StreamingObserver inverts this: it attaches to
+// the simulator through the sim::Observer hook and evaluates the *same*
+// sample grids incrementally, event-driven, while the run advances — each
+// sample instant t is drained as soon as simulated time passes it, at
+// which point every CORR entry and clock segment governing t is final.
+// Each drained sample goes through the post-hoc drivers' own folds
+// (SpreadFold, ValidityFold, fold_pair_buckets) with the same Walker
+// cursors, so streaming and post-hoc results are bit-identical
+// (tests/observer_test.cpp).
+//
+// Experiment::run streams exactly when RunSpec::retain_history is false
+// and measures post-hoc otherwise; hand-driven simulations
+// (scenario::AdversaryEnv) attach one directly.  The round fast path and
+// PDES refuse any attached observer (Simulator::observer_refusal).
 //
 // Three sample streams share the run:
 //   * the skew/gradient grid — opens at the steady-state anchor (the last
@@ -73,10 +78,6 @@ struct ObserveSpec {
   /// Bounded-memory mode: truncate clock/CORR history behind the
   /// observation frontier as the run progresses.
   bool truncate = false;
-  /// Fixed-bucket histogram for the streaming skew p99 (kSkewHistBuckets
-  /// equal-width buckets on [0, skew_hist_max), last bucket catches
-  /// overflow).
-  double skew_hist_max = 0.0;
 };
 
 /// Observation telemetry (RunTelemetry::observe).  Deterministic for a
@@ -87,16 +88,11 @@ struct ObserveStats {
   bool bounded = false;
   double t_steady = 0.0;  ///< where the skew/gradient window actually opened
   std::uint64_t samples = 0;       ///< grid instants evaluated
-  std::uint64_t adjustments = 0;   ///< CORR appends observed
   std::uint64_t round_marks = 0;   ///< measured round-begin boundaries seen
-  std::uint64_t nic_drops = 0;     ///< NIC overflow drops observed
   std::uint64_t truncations = 0;   ///< truncate_history_before calls
   std::uint64_t truncated_entries = 0;  ///< history entries discarded
   std::size_t peak_history_bytes = 0;   ///< high-water retained history
   std::size_t final_history_bytes = 0;  ///< retained history at finalize
-  /// Streaming extras over the skew series (no post-hoc counterpart):
-  double skew_mean = 0.0;  ///< mean of the per-sample global skew
-  double skew_p99 = 0.0;   ///< histogram p99 (upper bucket edge)
 
   bool operator==(const ObserveStats&) const = default;
 };
@@ -116,21 +112,16 @@ struct StreamingSummary {
 
 class StreamingObserver final : public sim::Observer {
  public:
-  static constexpr std::size_t kSkewHistBuckets = 128;
-
   /// Preallocates every accumulator (walkers, sample storage, gradient
-  /// matrix, histogram) against spec.horizon; with `gradient` set, builds
-  /// the distance-bucket axis (one O(m^2) pass, warms the BFS cache).
+  /// matrix) against spec.horizon; with `gradient` set, builds the
+  /// distance-bucket axis (one O(m^2) pass, warms the distance rows).
   /// The simulator must outlive the observer; attach with
   /// sim.set_observer(&observer).
   StreamingObserver(sim::Simulator& sim, ObserveSpec spec);
 
   // sim::Observer:
   double on_advance(double now) override;
-  void on_adjustment(std::int32_t pid, double t, double old_target,
-                     double new_target) override;
   void on_round_begin(std::int32_t pid, std::int32_t round, double t) override;
-  void on_nic_drop(std::int32_t pid, double t) override;
   [[nodiscard]] double next_interest() const override {
     return skew_next_ < validity_next_ ? skew_next_ : validity_next_;
   }
@@ -157,8 +148,6 @@ class StreamingObserver final : public sim::Observer {
   void sample_locals(double t);
   /// One skew/gradient grid instant (locals_ already sampled at t).
   void apply_skew_sample(double t);
-  /// One validity grid instant (locals_ already sampled at t).
-  void apply_validity_sample(double t);
   /// Drains all pending grid instants strictly before `limit` (or, with
   /// `closed`, validity instants <= limit — the closed-grid endpoint).
   void drain(double limit, bool closed);
@@ -172,7 +161,6 @@ class StreamingObserver final : public sim::Observer {
 
   sim::Simulator& sim_;
   ObserveSpec spec_;
-  core::Derived derived_;
 
   // Grid walkers (skew/gradient + validity streams, merged monotone) and
   // round walkers (round-boundary stream) — separate cursor sets because
@@ -193,9 +181,6 @@ class StreamingObserver final : public sim::Observer {
   std::vector<double> skew_times_;
   std::vector<double> skew_values_;
   double skew_max_ = 0.0;
-  double skew_sum_ = 0.0;
-  std::vector<std::uint64_t> skew_hist_;
-  double hist_bucket_width_ = 0.0;
 
   // Gradient stream (rides the skew grid).
   GradientAxis axis_;
@@ -206,10 +191,7 @@ class StreamingObserver final : public sim::Observer {
 
   // Validity stream.
   double validity_next_ = kNever;
-  double max_upper_ = 0.0;
-  double max_lower_ = 0.0;
-  double hi_slope_ = 0.0;
-  double lo_slope_ = 0.0;
+  ValidityFold validity_;
 
   // Round-boundary stream.
   std::vector<char> measured_;        ///< pid -> is measured

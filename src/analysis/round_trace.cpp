@@ -100,10 +100,20 @@ std::int32_t RoundTrace::last_complete_round(
 
 double RoundTrace::max_abs_adjustment(const std::vector<std::int32_t>& ids,
                                       std::int32_t from_round) const {
+  // One membership bitmap keeps this O(updates + ids), not O(updates * ids).
+  std::int32_t top = -1;
+  for (const std::int32_t id : ids) top = std::max(top, id);
+  std::vector<char> member(static_cast<std::size_t>(top + 1), 0);
+  for (const std::int32_t id : ids) {
+    if (id >= 0) member[static_cast<std::size_t>(id)] = 1;
+  }
   double worst = 0.0;
   for (const RoundEvent& update : updates_) {
-    if (update.round < from_round) continue;
-    if (std::find(ids.begin(), ids.end(), update.pid) == ids.end()) continue;
+    if (update.round < from_round || update.pid < 0 ||
+        static_cast<std::size_t>(update.pid) >= member.size() ||
+        member[static_cast<std::size_t>(update.pid)] == 0) {
+      continue;
+    }
     worst = std::max(worst, std::abs(update.value));
   }
   return worst;

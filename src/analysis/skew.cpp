@@ -11,14 +11,9 @@ namespace wlsync::analysis {
 
 double skew_at(const sim::Simulator& sim, const std::vector<std::int32_t>& ids,
                double t) {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (std::int32_t id : ids) {
-    const double local = sim.local_time(id, t);
-    lo = std::min(lo, local);
-    hi = std::max(hi, local);
-  }
-  return hi - lo;
+  SpreadFold fold;
+  for (std::int32_t id : ids) fold.add(sim.local_time(id, t));
+  return fold.spread();
 }
 
 SkewSeries skew_series(const sim::Simulator& sim,
@@ -33,14 +28,9 @@ SkewSeries skew_series(const sim::Simulator& sim,
   series.times = grid.times;
   series.skews.reserve(grid.cols);
   for (std::size_t k = 0; k < grid.cols; ++k) {
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < grid.rows; ++r) {
-      const double local = grid.at(r, k);
-      lo = std::min(lo, local);
-      hi = std::max(hi, local);
-    }
-    const double skew = hi - lo;
+    SpreadFold fold;
+    for (std::size_t r = 0; r < grid.rows; ++r) fold.add(grid.at(r, k));
+    const double skew = fold.spread();
     series.skews.push_back(skew);
     series.max_skew = std::max(series.max_skew, skew);
   }
@@ -79,15 +69,43 @@ double crossing_time(const sim::Simulator& sim, std::int32_t id, double label,
 double label_spread(const sim::Simulator& sim,
                     const std::vector<std::int32_t>& ids, double label,
                     double t_lo, double t_hi) {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
+  SpreadFold fold;
   for (std::int32_t id : ids) {
     const double cross = crossing_time(sim, id, label, t_lo, t_hi);
     if (std::isnan(cross)) return std::numeric_limits<double>::quiet_NaN();
-    lo = std::min(lo, cross);
-    hi = std::max(hi, cross);
+    fold.add(cross);
   }
-  return hi - lo;
+  return fold.spread();
+}
+
+ValidityFold::ValidityFold(const core::Params& params, double tmin0,
+                           double tmax0)
+    : derived_(core::derive(params)),
+      T0_(params.T0),
+      tmin0_(tmin0),
+      tmax0_(tmax0) {}
+
+void ValidityFold::add(double t, const double* column, std::size_t count,
+                       std::size_t stride) {
+  const double upper = derived_.alpha2 * (t - tmin0_) + derived_.alpha3;
+  const double lower = derived_.alpha1 * (t - tmax0_) - derived_.alpha3;
+  for (std::size_t r = 0; r < count; ++r) {
+    const double elapsed = column[r * stride] - T0_;
+    max_upper_ = std::max(max_upper_, elapsed - upper);
+    max_lower_ = std::max(max_lower_, lower - elapsed);
+    if (t - tmin0_ > 0.0) hi_slope_ = std::max(hi_slope_, elapsed / (t - tmin0_));
+    if (t - tmax0_ > 0.0) lo_slope_ = std::min(lo_slope_, elapsed / (t - tmax0_));
+  }
+}
+
+ValidityReport ValidityFold::report() const {
+  ValidityReport report;
+  report.max_upper_violation = max_upper_;
+  report.max_lower_violation = max_lower_;
+  report.holds = max_upper_ <= 0.0 && max_lower_ <= 0.0;
+  report.measured_hi_slope = hi_slope_;
+  report.measured_lo_slope = lo_slope_;
+  return report;
 }
 
 ValidityReport check_validity(const sim::Simulator& sim,
@@ -95,36 +113,14 @@ ValidityReport check_validity(const sim::Simulator& sim,
                               const core::Params& params, double tmin0,
                               double tmax0, double t_start, double t_end,
                               double dt) {
-  const core::Derived derived = core::derive(params);
-  ValidityReport report;
-  report.max_upper_violation = -std::numeric_limits<double>::infinity();
-  report.max_lower_violation = -std::numeric_limits<double>::infinity();
-  double hi_slope = -std::numeric_limits<double>::infinity();
-  double lo_slope = std::numeric_limits<double>::infinity();
-  // Same single-pass pipeline as skew_series; the envelope folds are
-  // order-insensitive (max/min), evaluated in the historical t-outer,
-  // id-inner order regardless.
+  // Same single-pass pipeline as skew_series, folded column by column.
   const LocalTimeGrid grid =
       sample_local_times(sim, ids, sample_times_closed(t_start, t_end, dt));
+  ValidityFold fold(params, tmin0, tmax0);
   for (std::size_t k = 0; k < grid.cols; ++k) {
-    const double t = grid.times[k];
-    const double upper = derived.alpha2 * (t - tmin0) + derived.alpha3;
-    const double lower = derived.alpha1 * (t - tmax0) - derived.alpha3;
-    for (std::size_t r = 0; r < grid.rows; ++r) {
-      const double elapsed = grid.at(r, k) - params.T0;
-      report.max_upper_violation =
-          std::max(report.max_upper_violation, elapsed - upper);
-      report.max_lower_violation =
-          std::max(report.max_lower_violation, lower - elapsed);
-      if (t - tmin0 > 0.0) hi_slope = std::max(hi_slope, elapsed / (t - tmin0));
-      if (t - tmax0 > 0.0) lo_slope = std::min(lo_slope, elapsed / (t - tmax0));
-    }
+    fold.add(grid.times[k], grid.values.data() + k, grid.rows, grid.cols);
   }
-  report.holds =
-      report.max_upper_violation <= 0.0 && report.max_lower_violation <= 0.0;
-  report.measured_hi_slope = hi_slope;
-  report.measured_lo_slope = lo_slope;
-  return report;
+  return fold.report();
 }
 
 }  // namespace wlsync::analysis

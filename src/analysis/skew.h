@@ -11,14 +11,35 @@
 // skew_series and check_validity run on the sharded single-pass pipeline of
 // analysis/measure.h (each clock walked once per window); skew_at is the
 // per-sample reference scan the pipeline is regression-pinned against.
+//
+// SpreadFold and ValidityFold are the one home of the two reductions: the
+// post-hoc drivers here fold grid columns through them, and the streaming
+// observer (analysis/observe.h) folds each drained sample through the same
+// code, so both drivers produce identical doubles by construction.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/params.h"
 #include "sim/simulator.h"
 
 namespace wlsync::analysis {
+
+/// The agreement spread max |L_p - L_q| = max L - min L, folded one local
+/// time at a time (in id order).
+struct SpreadFold {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+
+  void add(double local) noexcept {
+    lo = std::min(lo, local);
+    hi = std::max(hi, local);
+  }
+  [[nodiscard]] double spread() const noexcept { return hi - lo; }
+};
 
 /// max over p, q in ids of |L_p(t) - L_q(t)|.
 [[nodiscard]] double skew_at(const sim::Simulator& sim,
@@ -58,6 +79,30 @@ struct ValidityReport {
   bool operator==(const ValidityReport&) const = default;
 };
 
+/// The Theorem 19 envelope folded over sample instants, in instant order
+/// and id order within an instant.
+class ValidityFold {
+ public:
+  ValidityFold(const core::Params& params, double tmin0, double tmax0);
+
+  /// Folds the `count` local times at instant `t`, spaced `stride` apart.
+  void add(double t, const double* column, std::size_t count,
+           std::size_t stride = 1);
+
+  [[nodiscard]] ValidityReport report() const;
+
+ private:
+  core::Derived derived_;
+  double T0_;
+  double tmin0_;
+  double tmax0_;
+  double max_upper_ = -std::numeric_limits<double>::infinity();
+  double max_lower_ = -std::numeric_limits<double>::infinity();
+  double hi_slope_ = -std::numeric_limits<double>::infinity();
+  double lo_slope_ = std::numeric_limits<double>::infinity();
+};
+
+/// The envelope over the closed grid {t_start, t_start + dt, ...} <= t_end.
 [[nodiscard]] ValidityReport check_validity(
     const sim::Simulator& sim, const std::vector<std::int32_t>& ids,
     const core::Params& params, double tmin0, double tmax0, double t_start,

@@ -95,8 +95,7 @@ std::span<const std::int32_t> FastPathContext::neighbors() const {
 RoundFastPath::RoundFastPath(sim::Simulator& sim) : sim_(sim) {}
 RoundFastPath::~RoundFastPath() = default;
 
-const char* RoundFastPath::ineligible_reason(sim::Simulator& sim,
-                                             bool truncates_history) {
+const char* RoundFastPath::ineligible_reason(sim::Simulator& sim) {
   const std::int32_t n = sim.process_count();
   if (n == 0) return "no processes registered";
   // The round loop batches whole exchanges against a FIXED neighbor
@@ -133,11 +132,9 @@ const char* RoundFastPath::ineligible_reason(sim::Simulator& sim,
     }
   }
   if (sim.nic_enabled()) return "Section 9.3 NIC ingress model engaged";
-  if (truncates_history) {
-    // The batched delivery kernel reads clock segments at delivery times
-    // that can precede a truncating observer's drained frontier.
-    return "bounded-memory observation (retain_history = false)";
-  }
+  // The replay drains no observer, and the batched delivery kernel reads
+  // clock segments a truncating observer may already have discarded.
+  if (const char* reason = sim.observer_refusal()) return reason;
   // The fast set is the honest remainder outside the adversaries' closed
   // neighborhood (the sorted, deduplicated tainted region); it must be
   // nonempty.
@@ -167,22 +164,17 @@ double RoundFastPath::ctx_corr(std::int32_t pid) const {
 }
 
 void RoundFastPath::ctx_add_corr(std::int32_t pid, double adj, double duration) {
-  // do_add_corr fires on_corr_change sinks and Observer::on_adjustment at
-  // sim_.main_.current_time, which phase 3 has set to the update's exact instant.
+  // do_add_corr fires on_corr_change sinks at sim_.main_.current_time,
+  // which phase 3 has set to the update's exact instant.
   sim_.do_add_corr(sim_.main_, pid, adj, duration);
 }
 
 void RoundFastPath::on_annotate(std::int32_t pid,
                                 const proc::Annotation& annotation) {
-  // Verbatim SimContext::annotate: sinks in attachment order, then the
-  // round-begin hook and the next-interest re-read.
+  // SimContext::annotate without the observer hook (no observer runs
+  // under the fast path): sinks in attachment order.
   for (sim::TraceSink* sink : sim_.main_.sinks) {
     sink->on_annotation(pid, sim_.main_.current_time, annotation);
-  }
-  if (sim_.observer_ != nullptr &&
-      annotation.type == proc::Annotation::Type::kRoundBegin) {
-    sim_.observer_->on_round_begin(pid, annotation.round, sim_.main_.current_time);
-    sim_.observer_next_ = sim_.observer_->next_interest();
   }
 }
 
@@ -840,7 +832,6 @@ bool RoundFastPath::run_exchange(double horizon) {
     if (mode_ == Mode::kRegion) advance_engine_to(e.time, e.tier, e.seq);
     ++sim_.main_.events_processed;
     sim_.main_.current_time = e.time;
-    sim_.observe_advance(sim_.main_);
     FastPathContext ctx(*this, e.pid);
     if (e.kind == Kind::kStart) {
       wl_[static_cast<std::size_t>(e.pid)]->on_start(ctx);
@@ -1029,7 +1020,6 @@ bool RoundFastPath::run_exchange(double horizon) {
     if (mode_ == Mode::kRegion) advance_engine_to(t.time, 1, t.seq);
     ++sim_.main_.events_processed;
     sim_.main_.current_time = t.time;
-    sim_.observe_advance(sim_.main_);
     FastPathContext ctx(*this, t.pid);
     wl_[static_cast<std::size_t>(t.pid)]->on_timer(ctx, t.tag);
   }

@@ -32,10 +32,7 @@
 //            seg.rate) + CORR — the exact expression of now() + corr, so
 //            the stored doubles are bit-identical (proc/reduce_kernels.h);
 //            windows split by a drift breakpoint fall back to per-point
-//            now().  No events, no observer work: arrivals allocate no
-//            seqs and the streaming observer's drains are idempotent, so
-//            draining in bigger steps at broadcast/update instants leaves
-//            identical observer state at every interaction point.
+//            now().  No events: arrivals allocate no seqs.
 //            Then, per receiver, the arena minimum the round-overlap
 //            guard needs and the update's reduction mid/mean(reduce(ARR)),
 //            primed in the arena's one-shot memo (proc/arrival.h).
@@ -53,9 +50,9 @@
 // kFastpathShardThreshold deliveries, the machine has more than one
 // hardware thread, and the caller is not itself a pool worker (a
 // ParallelRunner trial stays serial).  Each task touches disjoint state, so
-// any thread count produces the same doubles.  Process code, trace
-// callbacks and the observer stay on the calling thread in exact (time,
-// tier, seq) order.  kRegion always runs serially.
+// any thread count produces the same doubles.  Process code and trace
+// callbacks stay on the calling thread in exact (time, tier, seq) order.
+// kRegion always runs serially.
 //
 // Three operating modes widen the eligible region (ISSUE 8):
 //
@@ -150,15 +147,13 @@ class RoundFastPath {
   /// nullptr when the registered system can run on the fast path, else the
   /// reason.  In check order: no dynamics schedule; every nonfaulty process
   /// a WelchLynchProcess with one consistent stagger; when faults are
-  /// registered, no stagger and an explicit topology; no NIC; no truncating
-  /// observer (`truncates_history`, which the caller knows and the
-  /// simulator does not: analysis::RunSpec::retain_history = false); when
-  /// faults are registered, an adversary closed neighborhood that leaves a
-  /// nonempty honest remainder; no trace sink consuming per-message events.
-  /// Dynamic conditions (queue shape, phase separation, budgets) are
-  /// handled by run()'s bail protocol, not here.
-  [[nodiscard]] static const char* ineligible_reason(
-      sim::Simulator& sim, bool truncates_history = false);
+  /// registered, no stagger and an explicit topology; no NIC; no attached
+  /// observer (sim::Simulator::observer_refusal, the rule PDES shares);
+  /// when faults are registered, an adversary closed neighborhood that
+  /// leaves a nonempty honest remainder; no trace sink consuming
+  /// per-message events.  Dynamic conditions (queue shape, phase
+  /// separation, budgets) are handled by run()'s bail protocol, not here.
+  [[nodiscard]] static const char* ineligible_reason(sim::Simulator& sim);
 
   /// Advances exchanges until a precondition breaks or `horizon` is
   /// reached, then re-injects the pending stratum; the caller finishes with

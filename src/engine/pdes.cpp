@@ -443,12 +443,8 @@ const char* PdesEngine::ineligible_reason(const sim::Simulator& sim) {
     return "dynamic-topology schedule present (net/dynamics.h)";
   }
   if (!sim.shard_lanes_.empty()) return "shard lanes already live";
-  // The streaming observer is a single-threaded accumulator wired to the
-  // one global event order; lanes advance time independently.
-  if (sim.observer_ != nullptr) {
-    return "streaming observation (single-threaded API)";
-  }
-  return nullptr;
+  // Lanes advance time independently; the observer needs one global order.
+  return sim.observer_refusal();
 }
 
 const char* PdesEngine::ineligible_reason(const sim::Simulator& sim,

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <deque>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -17,7 +18,7 @@ constexpr std::int32_t kInf = std::numeric_limits<std::int32_t>::max();
 /// BFS hop distance treated as "infinitely far" for unreachable nodes, so
 /// farthest-point sampling lands one seed in each component before it starts
 /// subdividing any single one.
-[[nodiscard]] std::int32_t hop(const std::vector<std::int32_t>& row,
+[[nodiscard]] std::int32_t hop(std::span<const std::int32_t> row,
                                std::int32_t v) {
   const std::int32_t d = row[static_cast<std::size_t>(v)];
   return d < 0 ? kInf : d;
@@ -55,7 +56,7 @@ constexpr std::int32_t kInf = std::numeric_limits<std::int32_t>::max();
   // min hop distance from each node to the seed set, updated incrementally.
   std::vector<std::int32_t> nearest(static_cast<std::size_t>(n));
   {
-    const auto& row = topo.distances_from(seeds.back());
+    const auto row = topo.distances_from(seeds.back());
     for (std::int32_t v = 0; v < n; ++v) nearest[v] = hop(row, v);
   }
   while (static_cast<std::int32_t>(seeds.size()) < k) {
@@ -87,7 +88,7 @@ constexpr std::int32_t kInf = std::numeric_limits<std::int32_t>::max();
       break;
     }
     seeds.push_back(best);
-    const auto& row = topo.distances_from(best);
+    const auto row = topo.distances_from(best);
     for (std::int32_t v = 0; v < n; ++v) {
       nearest[v] = std::min(nearest[v], hop(row, v));
     }

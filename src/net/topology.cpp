@@ -154,11 +154,6 @@ void Topology::ensure_distance_row(std::int32_t p) const {
   }
   std::vector<std::int32_t>& row = dist_cache_[static_cast<std::size_t>(p)];
   if (!row.empty()) return;
-  if (is_full_mesh()) {  // every node is one hop away: O(n), no BFS
-    row.assign(static_cast<std::size_t>(n()), 1);
-    row[static_cast<std::size_t>(p)] = 0;
-    return;
-  }
   row.assign(static_cast<std::size_t>(n()), -1);
   row[static_cast<std::size_t>(p)] = 0;
   std::vector<std::int32_t> frontier{p};
@@ -177,9 +172,18 @@ void Topology::ensure_distance_row(std::int32_t p) const {
   }
 }
 
-const std::vector<std::int32_t>& Topology::distances_from(std::int32_t p) const {
+std::span<const std::int32_t> Topology::distances_from(std::int32_t p) const {
   if (p < 0 || p >= n()) {
     throw std::invalid_argument("Topology::distances_from: id out of range");
+  }
+  const auto count = static_cast<std::size_t>(n());
+  if (is_full_mesh()) {  // every node is one hop away: no BFS, no row
+    if (mesh_strip_.empty()) {
+      mesh_strip_.assign(2 * count - 1, 1);
+      mesh_strip_[count - 1] = 0;
+    }
+    return {mesh_strip_.data() + (count - 1 - static_cast<std::size_t>(p)),
+            count};
   }
   ensure_distance_row(p);
   return dist_cache_[static_cast<std::size_t>(p)];
@@ -195,6 +199,10 @@ std::int32_t Topology::eccentricity(std::int32_t p) const {
 }
 
 std::int32_t Topology::diameter() const {
+  if (is_full_mesh()) {
+    (void)distances_from(0);  // builds the strip every row is a window of
+    return n() > 1 ? 1 : 0;
+  }
   std::int32_t diam = 0;
   for (std::int32_t p = 0; p < n(); ++p) {
     const std::int32_t ecc = eccentricity(p);

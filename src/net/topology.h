@@ -90,22 +90,24 @@ class Topology {
   // --- distance queries (the gradient-skew subsystem's graph metric) ---
   //
   // Gradient clock synchronization (Bund/Lenzen/Rosenbaum) bounds skew as a
-  // function of hop distance d(i, j), so the analysis layer needs BFS rows
-  // and the diameter.  Rows are computed lazily and cached per source (on
-  // the full mesh in O(n) without a BFS, so diameter() is O(n^2) there);
-  // first computation mutates the cache, so warm every row you need (or
-  // call diameter(), which warms all of them) BEFORE sharing one Topology
+  // function of hop distance d(i, j), so the analysis layer needs distance
+  // rows and the diameter.  The full mesh answers both without a table:
+  // every row is a window of one shared 2n-1 strip (ones around a single
+  // zero), and the diameter is 1 for n > 1.  Other graphs compute BFS rows
+  // lazily and cache them per source.  A first query mutates the cache (or
+  // builds the mesh strip), so warm every row you need (or call
+  // diameter(), which warms all of them) BEFORE sharing one Topology
   // across measurement threads.  Reads of warmed rows are const and safe.
 
-  /// BFS hop distances from p to every node (self-loops ignored; d(p,p) =
-  /// 0).  Unreachable nodes hold -1.  The reference stays valid for the
-  /// lifetime of this Topology (cache row, never evicted).
-  [[nodiscard]] const std::vector<std::int32_t>& distances_from(std::int32_t p) const;
+  /// Hop distances from p to every node (self-loops ignored; d(p,p) = 0).
+  /// Unreachable nodes hold -1.  The view stays valid for the lifetime of
+  /// this Topology (cache rows are never evicted).
+  [[nodiscard]] std::span<const std::int32_t> distances_from(std::int32_t p) const;
 
   /// max_q d(p, q); -1 when some node is unreachable from p.
   [[nodiscard]] std::int32_t eccentricity(std::int32_t p) const;
 
-  /// max_p eccentricity(p); -1 when disconnected.  Warms every cache row.
+  /// max_p eccentricity(p); -1 when disconnected.  Warms every row.
   [[nodiscard]] std::int32_t diameter() const;
 
   // --- structural queries (positional adversary placement) ---
@@ -151,6 +153,9 @@ class Topology {
   /// Lazy per-source BFS rows; an empty row means "not yet computed".
   /// Purely derived data, so copies carrying it stay consistent.
   mutable std::vector<std::vector<std::int32_t>> dist_cache_;
+  /// Full mesh only: 2n-1 entries, ones around a zero at index n-1; row p
+  /// is the window starting at n-1-p.  Built on the first query.
+  mutable std::vector<std::int32_t> mesh_strip_;
 };
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "proc/placement.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -42,7 +43,8 @@ std::vector<std::int32_t> antipodal_set(const net::Topology& topo,
     }
   }
   std::vector<std::int32_t> chosen{first};
-  std::vector<std::int32_t> min_dist = topo.distances_from(first);
+  const std::span<const std::int32_t> first_row = topo.distances_from(first);
+  std::vector<std::int32_t> min_dist(first_row.begin(), first_row.end());
   while (static_cast<std::int32_t>(chosen.size()) < count) {
     std::int32_t best = -1;
     std::int32_t best_dist = -1;
@@ -53,7 +55,7 @@ std::vector<std::int32_t> antipodal_set(const net::Topology& topo,
       }
     }
     chosen.push_back(best);
-    const std::vector<std::int32_t>& row = topo.distances_from(best);
+    const std::span<const std::int32_t> row = topo.distances_from(best);
     for (std::int32_t p = 0; p < n; ++p) {
       min_dist[static_cast<std::size_t>(p)] =
           std::min(min_dist[static_cast<std::size_t>(p)],

@@ -3,10 +3,12 @@
 //
 // TraceSinks receive every raw action of the execution; the Observer is the
 // narrower, measurement-oriented hook the streaming analysis layer
-// (analysis/observe.h) attaches: it is fired on clock adjustments (CORR
-// appends), on round boundaries (kRoundBegin annotations), on NIC drops,
-// and — through a time-of-interest contract — whenever simulated time
-// advances past an instant the observer asked to see.
+// (analysis/observe.h) attaches: it is fired on round boundaries
+// (kRoundBegin annotations) and — through a time-of-interest contract —
+// whenever simulated time advances past an instant the observer asked to
+// see.  Only the serial event engine fires it: the round fast path and
+// PDES refuse a simulator with an observer attached
+// (Simulator::observer_refusal).
 //
 // The time contract keeps the no-observer and idle-observer hot paths flat:
 // the simulator caches the observer's next time of interest and performs a
@@ -21,8 +23,8 @@
 //     the event at `now` is delivered, so every CORR entry with time < now
 //     is final — sampling local times at instants strictly before `now` is
 //     exact and can never be invalidated by later events.
-//   * on_adjustment / on_round_begin / on_nic_drop fire at the instant the
-//     underlying action happens (current simulated time).
+//   * on_round_begin fires at the instant of the annotation (current
+//     simulated time).
 //   * all hooks are called on the simulation thread; observers need no
 //     locking and must not mutate the execution (measurement is passive,
 //     like TraceSink — with the one sanctioned exception of history
@@ -42,19 +44,11 @@ class Observer {
   /// will not call again before that time is reached.
   virtual double on_advance(double now) = 0;
 
-  /// Process `pid`'s CORR log gained an entry (step or ramp start) at real
-  /// time `t`; the target moved old_target -> new_target.
-  virtual void on_adjustment(std::int32_t pid, double t, double old_target,
-                             double new_target) = 0;
-
   /// Process `pid` annotated a round begin (round boundary) at real time
   /// `t`.  May change the observer's next time of interest: the simulator
   /// re-reads next_interest() after this hook.
   virtual void on_round_begin(std::int32_t pid, std::int32_t round,
                               double t) = 0;
-
-  /// A datagram was dropped by `pid`'s NIC ingress queue at real time `t`.
-  virtual void on_nic_drop(std::int32_t pid, double t) = 0;
 
   /// The next real time on_advance should fire at (+infinity = never).
   [[nodiscard]] virtual double next_interest() const = 0;

@@ -354,6 +354,11 @@ void Simulator::set_observer(Observer* observer) {
                        : std::numeric_limits<double>::infinity();
 }
 
+const char* Simulator::observer_refusal() const noexcept {
+  return observer_ != nullptr ? "streaming observation (single-threaded API)"
+                              : nullptr;
+}
+
 std::size_t Simulator::truncate_history_before(double t) {
   std::size_t removed = 0;
   for (Node& node : nodes_) {
@@ -541,9 +546,6 @@ void Simulator::do_add_corr(Lane& lane, std::int32_t pid, double adj,
   for (TraceSink* sink : lane.sinks) {
     sink->on_corr_change(pid, lane.current_time, old_target, new_target);
   }
-  if (observer_ != nullptr) {
-    observer_->on_adjustment(pid, lane.current_time, old_target, new_target);
-  }
 }
 
 void Simulator::deliver(Lane& lane, std::int32_t pid, const Message& msg) {
@@ -602,7 +604,6 @@ void Simulator::nic_arrive(Lane& lane, std::int32_t pid, const Message& msg) {
     ++nic.stats.dropped;
     ++lane.nic_dropped;
     for (TraceSink* sink : lane.sinks) sink->on_nic_drop(pid, lane.current_time);
-    if (observer_ != nullptr) observer_->on_nic_drop(pid, lane.current_time);
     if (cfg.drop == NicDropPolicy::kDropNewest) {
       // Tail drop: the arriving datagram is lost.  The queue is non-empty,
       // so a service event is already in flight.

@@ -157,6 +157,13 @@ class Simulator {
   /// compare per event and nothing else.
   void set_observer(Observer* observer);
 
+  /// The accelerated engines' one rule about observers: the round fast
+  /// path and PDES both refuse a simulator with an Observer attached, since
+  /// the observer is a single-threaded accumulator wired to the serial
+  /// engine's one global event order.  Returns that refusal, or nullptr
+  /// when no observer is attached.
+  [[nodiscard]] const char* observer_refusal() const noexcept;
+
   /// Bounded-memory mode: truncates every clock's segment list and CORR
   /// log behind `t` (see CorrLog::truncate_before).  Queries at times >= t
   /// are unaffected; the caller (the streaming observer) guarantees no
@@ -501,8 +508,8 @@ class Simulator {
   /// next-interest instant.  Called right after the lane clock moves and
   /// BEFORE the event at that time is delivered, so the observer sees
   /// every instant strictly before the lane's time as final.  observer_next_
-  /// is +inf with no observer attached (always, for shard lanes — the PDES
-  /// engine requires no observer): the whole idle cost is one compare.
+  /// is +inf with no observer attached (always under the fast path and
+  /// PDES, which refuse an observer): the whole idle cost is one compare.
   void observe_advance(Lane& lane) {
     if (lane.current_time >= observer_next_) {
       observer_next_ = observer_->on_advance(lane.current_time);

@@ -118,5 +118,23 @@ TEST(RoundTrace, MaxAdjRespectsFromRound) {
   EXPECT_DOUBLE_EQ(trace.max_abs_adjustment({0}, 1), 0.1);
 }
 
+TEST(RoundTrace, MaxAdjSkipsNonMembersFromLaterRounds) {
+  // Pids 3 and 7 (the largest updates in counted rounds) are outside the
+  // id set, 3 between member ids and 7 and 9 beyond them; pid 2's round-0
+  // update precedes from_round.  Only pid 2's and pid 4's later updates
+  // count.
+  RoundTrace trace;
+  trace.on_annotation(2, 1.0, {proc::Annotation::Type::kUpdate, 0, -9.0, 0});
+  trace.on_annotation(7, 2.0, {proc::Annotation::Type::kUpdate, 1, 8.0, 0});
+  trace.on_annotation(3, 2.2, {proc::Annotation::Type::kUpdate, 1, 7.0, 0});
+  trace.on_annotation(9, 2.5, {proc::Annotation::Type::kUpdate, 2, 6.0, 0});
+  trace.on_annotation(2, 3.0, {proc::Annotation::Type::kUpdate, 1, -0.3, 0});
+  trace.on_annotation(4, 4.0, {proc::Annotation::Type::kUpdate, 2, 0.2, 0});
+  EXPECT_DOUBLE_EQ(trace.max_abs_adjustment({4, 2}, 1), 0.3);
+  EXPECT_DOUBLE_EQ(trace.max_abs_adjustment({4, 2, 7}, 1), 8.0);
+  EXPECT_DOUBLE_EQ(trace.max_abs_adjustment({4, 2}, 0), 9.0);
+  EXPECT_DOUBLE_EQ(trace.max_abs_adjustment({}, 0), 0.0);
+}
+
 }  // namespace
 }  // namespace wlsync::analysis

@@ -94,18 +94,10 @@ std::vector<Row> refusal_table() {
         s.pdes_workers = 2;
       },
       kNicRefusal, "");
-  add("observe", [](RunSpec& s) {
-        s.observe = true;
-        s.fault = FaultKind::kSilent;
-        s.fault_count = 2;
-      },
-      kMeshRefusal, kObserverRefusal);
-  add("observe with retain_history = false", [](RunSpec& s) {
-        s.observe = true;
-        s.retain_history = false;
-      },
-      "bounded-memory observation (retain_history = false)",
-      kObserverRefusal);
+  // A bounded run streams its measurement through an observer, which both
+  // accelerated engines refuse by the one shared rule.
+  add("retain_history = false", [](RunSpec& s) { s.retain_history = false; },
+      kObserverRefusal, kObserverRefusal);
   add("dynamics", [](RunSpec& s) { s.dynamics.fail_link(15.0, 0, 1); },
       kDynamicsRefusal, kDynamicsRefusal);
   add("auto-tune declining at n = 16", [](RunSpec& s) {

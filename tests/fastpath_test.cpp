@@ -118,12 +118,17 @@ TEST(FastpathPin, DelayModels) {
 }
 
 TEST(FastpathPin, MeasurementAndEngineKnobs) {
-  // Streaming observation attends every round boundary the fast path
-  // replays; the gradient walk reads the clock histories it preserved.
-  RunSpec observed = base_spec(13, 4);
-  observed.observe = true;
-  expect_engines_identical(observed, "streaming observer attached");
+  // A bounded run streams its measurement on the event engine; it must
+  // match the fast path's retained run measured on the grids.
+  RunSpec bounded = base_spec(13, 4);
+  bounded.retain_history = false;
+  const RunResult streamed = run_engine(bounded, EngineMode::kAuto);
+  EXPECT_FALSE(streamed.fastpath_engaged);
+  const RunResult fast = run_engine(base_spec(13, 4), EngineMode::kFastpath);
+  EXPECT_TRUE(fast.fastpath_engaged);
+  EXPECT_TRUE(results_identical(streamed, fast));
 
+  // The gradient walk reads the clock histories the fast path preserved.
   RunSpec gradient = base_spec(13, 4);
   gradient.measure_gradient = true;
   expect_engines_identical(gradient, "gradient measurement");
@@ -342,12 +347,12 @@ TEST(FastpathFallback, NicForcesTheEventEngine) {
 }
 
 TEST(FastpathFallback, BoundedHistoryForcesTheEventEngine) {
-  // The batched delivery kernel reads clock segments for the whole
-  // collection window; a truncating observer could discard them mid-round.
+  // A bounded run streams through an observer, which the fast path
+  // refuses: its replay drains none, and the batched delivery kernel reads
+  // clock segments a truncating observer could discard mid-round.
   RunSpec bounded = base_spec(13, 4);
-  bounded.observe = true;
   bounded.retain_history = false;
-  expect_event_fallback(bounded, "bounded-memory observation");
+  expect_event_fallback(bounded, "bounded history");
 }
 
 TEST(FastpathFallback, OtherAlgorithmsForceTheEventEngine) {

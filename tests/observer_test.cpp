@@ -1,10 +1,12 @@
-// The streaming observation layer (analysis/observe.h): streaming ==
-// post-hoc pins across algos x topologies x fault mixes, bounded-memory
-// truncation (values identical, history shrunk), history-truncation unit
-// tests on CorrLog and PhysicalClock, and observer counter cross-checks.
+// The streaming observation layer (analysis/observe.h): bounded (streamed)
+// == retained (post-hoc grids) pins across algos x topologies x fault
+// mixes, a hand-attached observer against explicit grid calls on its own
+// window, history-truncation unit tests on CorrLog and PhysicalClock, and
+// observer counter cross-checks.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "clock/drift.h"
 #include "clock/physical_clock.h"
 #include "sim/corr_log.h"
+#include "stream_pin.h"
 #include "util/rng.h"
 
 namespace wlsync::analysis {
@@ -42,9 +45,11 @@ std::string label(const RunSpec& spec) {
 }
 
 // ------------------------------------------------------------------------
-// The headline pin: for runs that complete their configured rounds, the
-// streaming engine lands on the identical steady-state window, so observe
-// on/off (and bounded/retained) are results_identical — bitwise, not 1e-12.
+// The headline pin: a run that drops its history is measured by the
+// stream, one that keeps it by the grids.  For runs that complete their
+// configured rounds both drivers land on the identical steady-state
+// window, so bounded and retained runs are results_identical — bitwise,
+// not 1e-12.
 
 TEST(Observer, StreamingMatchesPostHocAcrossConfigs) {
   std::vector<RunSpec> grid;
@@ -68,69 +73,76 @@ TEST(Observer, StreamingMatchesPostHocAcrossConfigs) {
   grid.push_back(gradient_mesh);
 
   for (const RunSpec& spec : grid) {
-    const RunResult legacy = run(spec);
-    // The bitwise pin holds when both engines anchor at the same round:
+    const RunResult retained = run(spec);
+    // The bitwise pin holds when both drivers anchor at the same round:
     // post-hoc uses last_complete_round / 2, streaming (rounds + 1) / 2.
-    ASSERT_EQ((legacy.completed_rounds - 1) / 2, (spec.rounds + 1) / 2)
-        << label(spec) << " completed=" << legacy.completed_rounds;
-    RunSpec observed = spec;
-    observed.observe = true;
-    const RunResult streamed = run(observed);
-    EXPECT_TRUE(results_identical(legacy, streamed)) << label(spec);
-    observed.retain_history = false;
-    const RunResult bounded = run(observed);
-    EXPECT_TRUE(results_identical(streamed, bounded)) << label(spec);
+    ASSERT_EQ((retained.completed_rounds - 1) / 2, (spec.rounds + 1) / 2)
+        << label(spec) << " completed=" << retained.completed_rounds;
+    EXPECT_FALSE(retained.observe.enabled) << label(spec);
+    RunSpec bounded_spec = spec;
+    bounded_spec.retain_history = false;
+    const RunResult bounded = run(bounded_spec);
+    EXPECT_TRUE(results_identical(retained, bounded)) << label(spec);
+    EXPECT_TRUE(bounded.observe.bounded) << label(spec);
     EXPECT_GT(bounded.observe.truncated_entries, 0u) << label(spec);
-    EXPECT_LT(bounded.observe.peak_history_bytes,
-              streamed.observe.peak_history_bytes)
+    EXPECT_LT(bounded.observe.peak_history_bytes, retained.history_bytes)
         << label(spec);
   }
 }
 
-// Window-explicit pin: recompute the post-hoc pipeline on the exact window
-// the observer reports and compare value-for-value (this holds even when a
-// run would not complete all rounds).
+// Window-explicit pin: a hand-attached observer that truncates nothing,
+// against the post-hoc calls on the exact window it reports (this holds
+// even when a run would not complete all rounds).
 TEST(Observer, StreamedSeriesMatchesExplicitPostHocOnSameWindow) {
   RunSpec spec = base_spec(Algo::kWelchLynch, net::TopologyKind::kRingOfCliques,
                            FaultKind::kTwoFaced, 2);
   spec.placement = proc::PlacementKind::kArticulation;
   spec.measure_gradient = true;
-  spec.observe = true;  // retained: the post-hoc history stays available
 
   Experiment experiment(spec);
-  const RunResult result = experiment.run();
-  ASSERT_TRUE(result.observe.enabled);
-  const double t0 = result.observe.t_steady;
+  sim::Simulator& sim = experiment.simulator();
+  StreamingObserver observer(sim, experiment.make_observe_spec());
+  sim.set_observer(&observer);
+  sim.run_until(experiment.horizon());
+  sim.set_observer(nullptr);
+  const double t_end = sim.current_time();
+  const StreamingSummary streamed = observer.finalize(t_end);
+  ASSERT_TRUE(streamed.stats.enabled);
+  EXPECT_FALSE(streamed.stats.bounded);
+  const std::vector<std::int32_t>& honest = experiment.honest();
+  const double t0 = streamed.stats.t_steady;
   const double dt = spec.params.P / 25.0;
 
-  const SkewSeries series = skew_series(experiment.simulator(), result.honest,
-                                        t0, result.t_end, dt);
+  const SkewSeries series = skew_series(sim, honest, t0, t_end, dt);
+  EXPECT_EQ(streamed.skew.times, series.times);
+  EXPECT_EQ(streamed.skew.skews, series.skews);
+  EXPECT_EQ(streamed.skew.max_skew, series.max_skew);
   const GradientSummary gradient = summarize_gradient(
-      gradient_series(experiment.simulator(), result.honest,
-                      experiment.topology(), t0, result.t_end, dt));
-  EXPECT_TRUE(result.gradient == gradient);
-  EXPECT_EQ(result.gamma_measured, gradient.far_skew());
-  EXPECT_EQ(series.max_skew, skew_series(experiment.simulator(), result.honest,
-                                         t0, result.t_end, dt)
-                                 .max_skew);
+      gradient_series(sim, honest, experiment.topology(), t0, t_end, dt));
+  EXPECT_TRUE(streamed.gradient == gradient);
+  EXPECT_EQ(streamed.skew.max_skew, gradient.far_skew());
 
   const core::Derived d = core::derive(spec.params);
   const ValidityReport validity = check_validity(
-      experiment.simulator(), result.honest, spec.params, result.tmin0,
-      result.tmax0, result.tmax0 + d.window, result.t_end, spec.params.P / 10.0);
-  EXPECT_EQ(result.validity.max_upper_violation, validity.max_upper_violation);
-  EXPECT_EQ(result.validity.max_lower_violation, validity.max_lower_violation);
-  EXPECT_EQ(result.validity.measured_hi_slope, validity.measured_hi_slope);
-  EXPECT_EQ(result.validity.measured_lo_slope, validity.measured_lo_slope);
-  EXPECT_EQ(result.final_skew,
-            skew_at(experiment.simulator(), result.honest, result.t_end));
+      sim, honest, spec.params, experiment.tmin0(), experiment.tmax0(),
+      experiment.tmax0() + d.window, t_end, spec.params.P / 10.0);
+  EXPECT_TRUE(streamed.validity == validity);
+  EXPECT_EQ(streamed.final_skew, skew_at(sim, honest, t_end));
+  for (std::int32_t r = 0; r <= experiment.trace().last_complete_round(honest);
+       ++r) {
+    const std::vector<double> begins = experiment.trace().begin_times(r, honest);
+    ASSERT_LT(static_cast<std::size_t>(r), streamed.skew_at_round.size());
+    EXPECT_EQ(streamed.skew_at_round[static_cast<std::size_t>(r)],
+              skew_at(sim, honest, *std::max_element(begins.begin(),
+                                                     begins.end())))
+        << "round " << r;
+  }
 }
 
 TEST(Observer, BoundedModeIsDeterministicAcrossEnginesAndSchedulers) {
   RunSpec spec = base_spec(Algo::kWelchLynch, net::TopologyKind::kKRegular,
                            FaultKind::kTwoFaced, 1);
   spec.measure_gradient = true;
-  spec.observe = true;
   spec.retain_history = false;
 
   const RunResult reference = run(spec);
@@ -145,67 +157,58 @@ TEST(Observer, BoundedModeIsDeterministicAcrossEnginesAndSchedulers) {
 TEST(Observer, CountersCrossCheckAgainstSimulatorState) {
   RunSpec spec = base_spec(Algo::kWelchLynch, net::TopologyKind::kFullMesh,
                            FaultKind::kNone, 0);
-  spec.observe = true;
-  Experiment experiment(spec);
-  const RunResult result = experiment.run();
-  ASSERT_TRUE(result.observe.enabled);
-  EXPECT_FALSE(result.observe.bounded);
-  EXPECT_GT(result.observe.samples, 0u);
-  EXPECT_GT(result.observe.round_marks, 0u);
-  EXPECT_EQ(result.observe.nic_drops, 0u);
-  EXPECT_EQ(result.observe.truncations, 0u);
-  // Every CORR append in the run fires on_adjustment exactly once.
-  std::size_t total_changes = 0;
-  for (std::int32_t id = 0; id < spec.params.n; ++id) {
-    total_changes += experiment.simulator().corr_log(id).changes();
-  }
-  EXPECT_EQ(result.observe.adjustments, total_changes);
-  // Streaming skew extras stay close to the exact series statistics.
-  EXPECT_GT(result.observe.skew_mean, 0.0);
-  EXPECT_LE(result.observe.skew_mean, result.gamma_measured);
-  EXPECT_GE(result.observe.skew_p99, 0.0);
-}
-
-TEST(Observer, NicDropCounterMatchesSummary) {
-  RunSpec spec = base_spec(Algo::kWelchLynch, net::TopologyKind::kFullMesh,
-                           FaultKind::kNone, 0);
-  spec.delay = DelayKind::kSlow;
-  spec.drift = DriftKind::kNone;
-  spec.initial_spread = 0.0;
-  spec.nic = sim::NicConfig{/*capacity=*/4, /*service_time=*/50e-6};
-  spec.observe = true;
+  spec.retain_history = false;
   const RunResult result = run(spec);
-  EXPECT_GT(result.nic.dropped, 0u);
-  EXPECT_EQ(result.observe.nic_drops, result.nic.dropped);
+  ASSERT_TRUE(result.observe.enabled);
+  EXPECT_TRUE(result.observe.bounded);
+  EXPECT_GT(result.observe.samples, 0u);
+  // Every honest process begins every completed round.
+  EXPECT_GE(result.observe.round_marks,
+            static_cast<std::uint64_t>(result.completed_rounds) *
+                result.honest.size());
+  EXPECT_GT(result.observe.truncations, 0u);
+  EXPECT_LE(result.observe.final_history_bytes,
+            result.observe.peak_history_bytes);
+  EXPECT_EQ(result.observe.final_history_bytes, result.history_bytes);
 }
 
 TEST(Observer, DegradedRunCollapsesWindowDeterministically) {
   // NIC starvation (service time ~ the collection window) empties whole
-  // rounds: the run degrades, skew samples blow up (~1e300, exercising
-  // the histogram's double-space clamp), and the anchor round may never
-  // complete — the streaming window then collapses to the endpoint
-  // sample, marked by t_steady == t_end.  The degraded regime must stay
-  // deterministic in both retention modes.
+  // rounds: the run degrades, skew samples blow up (~1e300), and the anchor
+  // round may never complete — the streaming window then collapses to the
+  // endpoint sample, marked by t_steady == t_end.  The degraded regime
+  // must stay deterministic in both retention modes, and truncation must
+  // stay invisible: a non-truncating observer on the retained run streams
+  // exactly what the bounded run reports.
   RunSpec spec = base_spec(Algo::kWelchLynch, net::TopologyKind::kFullMesh,
                            FaultKind::kNone, 0);
   spec.params = core::make_params(8, 2, 1e-5, 0.01, 1e-3, 10.0);
   spec.rounds = 12;
   spec.nic = sim::NicConfig{/*capacity=*/4, /*service_time=*/1e-3};
-  spec.observe = true;
-  const RunResult streamed = run(spec);
-  EXPECT_TRUE(streamed.diverged);
-  EXPECT_LT(streamed.completed_rounds, spec.rounds);
-  EXPECT_EQ(streamed.observe.t_steady, streamed.t_end);  // collapsed window
-  EXPECT_TRUE(results_identical(streamed, run(spec)));
   spec.retain_history = false;
-  EXPECT_TRUE(results_identical(streamed, run(spec)));
-}
+  const RunResult bounded = run(spec);
+  EXPECT_TRUE(bounded.diverged);
+  EXPECT_LT(bounded.completed_rounds, spec.rounds);
+  EXPECT_EQ(bounded.observe.t_steady, bounded.t_end);  // collapsed window
+  EXPECT_GT(bounded.observe.truncated_entries, 0u);
+  EXPECT_TRUE(results_identical(bounded, run(spec)));
 
-TEST(Observer, RetainHistoryWithoutObserveThrows) {
-  RunSpec spec = base_spec(Algo::kWelchLynch, net::TopologyKind::kFullMesh,
-                           FaultKind::kNone, 0);
-  spec.retain_history = false;
-  EXPECT_THROW((void)run(spec), std::invalid_argument);
+  spec.retain_history = true;
+  const ObservedRun observed = run_observed(spec);
+  const StreamingSummary& streamed = observed.streamed;
+  EXPECT_TRUE(observed.result.diverged);
+  EXPECT_FALSE(streamed.stats.bounded);
+  EXPECT_EQ(observed.result.t_end, bounded.t_end);
+  ASSERT_GE(streamed.skew_at_round.size(), bounded.skew_at_round.size());
+  for (std::size_t r = 0; r < bounded.skew_at_round.size(); ++r) {
+    EXPECT_EQ(streamed.skew_at_round[r], bounded.skew_at_round[r]) << "round "
+                                                                   << r;
+  }
+  EXPECT_EQ(streamed.final_skew, bounded.final_skew);
+  EXPECT_TRUE(streamed.validity == bounded.validity);
+  EXPECT_EQ(streamed.skew.max_skew, bounded.gamma_measured);
+  EXPECT_EQ(streamed.stats.t_steady, bounded.observe.t_steady);
+  EXPECT_TRUE(results_identical(observed.result, run(spec)));
 }
 
 // ------------------------------------------------------------------------

@@ -328,11 +328,12 @@ TEST(PdesDispatch, ForcedPdesRefusesIneligibleSpecs) {
   EXPECT_THROW((void)run_engine(cliques_spec(24, 7), EngineMode::kPdes),
                std::invalid_argument);
 
-  // Streaming observation is a single-threaded API (one observer, one
-  // monotone drain cursor) — the sharded engine must refuse it.
-  RunSpec observed = cliques_spec(24, 7);
-  observed.observe = true;
-  EXPECT_THROW((void)run_engine(observed, EngineMode::kPdes, /*workers=*/4),
+  // A bounded run streams through an observer, a single-threaded API
+  // (one observer, one monotone drain cursor) — the sharded engine must
+  // refuse it.
+  RunSpec bounded = cliques_spec(24, 7);
+  bounded.retain_history = false;
+  EXPECT_THROW((void)run_engine(bounded, EngineMode::kPdes, /*workers=*/4),
                std::invalid_argument);
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/experiment.h"
+#include "stream_pin.h"
 
 namespace wlsync::analysis {
 namespace {
@@ -66,19 +67,18 @@ TEST(Reintegration, LargerSystemWithSevenProcesses) {
 }
 
 TEST(Reintegration, StreamingObservationIsBitIdentical) {
-  // The rejoin report is measured post hoc from the retained history, so
-  // observe on/off must agree on it like on every other physics field.
+  // The rejoin report is measured post hoc from the retained history, so a
+  // rejoin run cannot drop it; a hand-attached observer beside it must
+  // leave every physics field alone and measure what the grids measure.
   for (const std::uint64_t seed : {1ull, 12ull, 1234ull}) {
-    RunSpec spec = rejoin_spec(4, 1, 25.0, 95.0, 20, seed);
+    const RunSpec spec = rejoin_spec(4, 1, 25.0, 95.0, 20, seed);
     const RunResult plain = run(spec);
-    spec.observe = true;
-    const RunResult observed = run(spec);
+    const ObservedRun observed = run_observed(spec);
 
     EXPECT_FALSE(plain.observe.enabled);
-    EXPECT_TRUE(observed.observe.enabled);
-    EXPECT_GT(observed.observe.samples, 0u);
-    EXPECT_EQ(observed.rejoins.size(), 1u) << "seed " << seed;
-    EXPECT_TRUE(results_identical(plain, observed)) << "seed " << seed;
+    EXPECT_EQ(observed.result.rejoins.size(), 1u) << "seed " << seed;
+    EXPECT_TRUE(results_identical(plain, observed.result)) << "seed " << seed;
+    expect_stream_matches_grids(observed);
   }
 }
 

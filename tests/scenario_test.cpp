@@ -169,9 +169,6 @@ TEST(ModeValidation, StartupHonoursSharedKnobs) {
   base.fault_count = 2;
   const RunResult plain = analysis::run(base);
   ASSERT_TRUE(plain.startup->handoff_done);
-  RunSpec observed_spec = base;
-  observed_spec.observe = true;
-  const RunResult observed = analysis::run(observed_spec);
   const auto same_startup_rounds = [&](auto&, const RunResult& r) {
     const auto before = static_cast<std::size_t>(base.rounds - 1);
     return r.startup->handoff_done && r.skew_at_round.size() >= before &&
@@ -212,14 +209,6 @@ TEST(ModeValidation, StartupHonoursSharedKnobs) {
        [](RunSpec& s) { s.stabilize_threshold = 1e9; },
        [&](auto&, const RunResult& r) {
          return plain.stabilized_round > 0 && r.stabilized_round == 0;
-       }},
-      {"observe_dt",
-       [](RunSpec& s) {
-         s.observe = true;
-         s.observe_dt = 0.05;
-       },
-       [&](auto&, const RunResult& r) {
-         return r.observe.samples > observed.observe.samples;
        }},
       {"initial_spread", [](RunSpec& s) { s.initial_spread = 0.001; },
        [](auto&, const RunResult& r) { return r.tmax0 == 0.001; }},
@@ -288,9 +277,8 @@ TEST(ModeValidation, MaintenanceRejectsStartupHandoff) {
 }
 
 TEST(ModeValidation, RejectsBoundedHistoryWithARejoin) {
-  // RunResult::rejoins reads the retained history bounded observe drops.
+  // RunResult::rejoins reads the retained history a bounded run drops.
   RunSpec spec = rejoin_spec(25.0, 95.0, 20);
-  spec.observe = true;
   spec.retain_history = false;
   EXPECT_NE(rejection(spec).find("retain_history = false does not support a "
                                  "dynamics rejoin"),
@@ -303,7 +291,6 @@ TEST(ModeValidation, RejectsBoundedHistoryWithARejoin) {
   // StartupResult::post_handoff_skew reads it too; start-up without a
   // handoff runs bounded, measuring what the retained run measures.
   RunSpec startup = startup_spec();
-  startup.observe = true;
   const RunResult retained = analysis::run(startup);
   startup.retain_history = false;
   const RunResult bounded = analysis::run(startup);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "analysis/experiment.h"
+#include "stream_pin.h"
 
 namespace wlsync::analysis {
 namespace {
@@ -105,11 +106,11 @@ TEST(Startup, HugeInitialSpreadStillConverges) {
 }
 
 TEST(Startup, StreamingObservationIsBitIdentical) {
-  // RunSpec::observe switches the skew_at_round measurement to the
-  // streaming round-boundary accumulator.  The observer folds the same
-  // walkers in the same id order at the same instants as the post-hoc
-  // skew_at scans, so every measured double must be bitwise equal — across
-  // fault-free, faulty, and handoff runs.
+  // A handoff run keeps its history (post_handoff_skew reads it), so it is
+  // measured post hoc; a hand-attached observer beside it must fold the
+  // same walkers in the same id order at the same instants as the
+  // post-hoc skew_at scans, so every double both produce is bitwise
+  // equal — across fault-free and faulty runs.
   for (const bool faults : {false, true}) {
     RunSpec spec = startup_spec(7, 2);
     spec.rounds = 12;
@@ -121,15 +122,15 @@ TEST(Startup, StreamingObservationIsBitIdentical) {
       spec.fault_count = 2;
     }
     const RunResult plain = run(spec);
-    spec.observe = true;
-    const RunResult observed = run(spec);
+    const ObservedRun observed = run_observed(spec);
 
     EXPECT_FALSE(plain.observe.enabled);
-    EXPECT_TRUE(observed.observe.enabled);
-    EXPECT_GT(observed.observe.round_marks, 0u);
-    ASSERT_TRUE(observed.startup.has_value());
-    EXPECT_FALSE(observed.skew_at_round.empty()) << "faults " << faults;
-    EXPECT_TRUE(results_identical(plain, observed)) << "faults " << faults;
+    EXPECT_GT(observed.streamed.stats.round_marks, 0u);
+    ASSERT_TRUE(observed.result.startup.has_value());
+    EXPECT_FALSE(observed.result.skew_at_round.empty()) << "faults " << faults;
+    EXPECT_TRUE(results_identical(plain, observed.result))
+        << "faults " << faults;
+    expect_stream_matches_grids(observed);
   }
 }
 

@@ -11,6 +11,7 @@
 #include <functional>
 #include <limits>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -152,7 +153,7 @@ TEST(TopologyProperties, RandomGraphsNormalizedConnectedRoundTrip) {
     // connected() agrees with BFS reachability (the tree construction makes
     // every one of these graphs connected).
     EXPECT_TRUE(topo.connected());
-    const std::vector<std::int32_t>& from0 = topo.distances_from(0);
+    const std::span<const std::int32_t> from0 = topo.distances_from(0);
     for (std::int32_t v = 0; v < n; ++v) {
       EXPECT_GE(from0[static_cast<std::size_t>(v)], 0) << "trial " << trial;
     }
@@ -209,7 +210,7 @@ TEST(TopologyProperties, RandomExpandersSeededAndSane) {
     EXPECT_TRUE(topo.connected());
     // Distances are symmetric (spot-checked along a random row).
     const auto i = static_cast<std::int32_t>(rng.below(static_cast<std::uint64_t>(n)));
-    const std::vector<std::int32_t>& row = topo.distances_from(i);
+    const std::span<const std::int32_t> row = topo.distances_from(i);
     for (std::int32_t j = 0; j < n; ++j) {
       EXPECT_EQ(row[static_cast<std::size_t>(j)],
                 topo.distances_from(j)[static_cast<std::size_t>(i)]);
