@@ -1,7 +1,6 @@
 #include "net/topology.h"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -10,50 +9,63 @@ namespace wlsync::net {
 
 namespace {
 
-Topology from_sets(std::vector<std::set<std::int32_t>> adjacency);
-
 void require_positive_n(std::int32_t n) {
   if (n < 1) throw std::invalid_argument("Topology: need n >= 1");
 }
 
-/// Shared finishing step: self-loops, symmetry, CSR packing (std::set keeps
-/// the lists sorted and unique for free).
-Topology from_sets(std::vector<std::set<std::int32_t>> adjacency) {
-  const auto n = static_cast<std::int32_t>(adjacency.size());
-  for (std::int32_t p = 0; p < n; ++p) {
-    adjacency[static_cast<std::size_t>(p)].insert(p);
-    for (std::int32_t q : adjacency[static_cast<std::size_t>(p)]) {
-      if (q < 0 || q >= n) {
-        throw std::invalid_argument("Topology: neighbor id out of range");
-      }
-      adjacency[static_cast<std::size_t>(q)].insert(p);
-    }
-  }
-  return Topology::from_adjacency([&] {
-    std::vector<std::vector<std::int32_t>> lists(adjacency.size());
-    for (std::size_t p = 0; p < adjacency.size(); ++p) {
-      lists[p].assign(adjacency[p].begin(), adjacency[p].end());
-    }
-    return lists;
-  }());
-}
-
 }  // namespace
+
+template <class Emit>
+Topology Topology::pack(std::int32_t n, const Emit& emit) {
+  const auto count = static_cast<std::size_t>(n);
+  // Pass 1: row lengths before deduplication — both ends of every arc plus
+  // the self-loop — prefix-summed into row starts.
+  std::vector<std::size_t> start(count + 1, 0);
+  emit([&](std::int32_t p, std::int32_t q) {
+    ++start[static_cast<std::size_t>(p) + 1];
+    ++start[static_cast<std::size_t>(q) + 1];
+  });
+  for (std::size_t p = 0; p < count; ++p) start[p + 1] += start[p] + 1;
+  // Pass 2: scatter, then sort and deduplicate each row, compacting the
+  // rows toward the front as they shrink.
+  std::vector<std::int32_t> raw(start[count]);
+  std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
+  for (std::size_t p = 0; p < count; ++p) {
+    raw[cursor[p]++] = static_cast<std::int32_t>(p);
+  }
+  emit([&](std::int32_t p, std::int32_t q) {
+    raw[cursor[static_cast<std::size_t>(p)]++] = q;
+    raw[cursor[static_cast<std::size_t>(q)]++] = p;
+  });
+  Topology topo;
+  topo.n_ = n;
+  topo.offsets_.resize(count + 1);
+  std::size_t out = 0;
+  for (std::size_t p = 0; p < count; ++p) {
+    topo.offsets_[p] = static_cast<std::int32_t>(out);
+    const auto first = raw.begin() + static_cast<std::ptrdiff_t>(start[p]);
+    auto last = raw.begin() + static_cast<std::ptrdiff_t>(start[p + 1]);
+    std::sort(first, last);
+    last = std::unique(first, last);
+    const auto dest = raw.begin() + static_cast<std::ptrdiff_t>(out);
+    if (dest != first) std::copy(first, last, dest);
+    out += static_cast<std::size_t>(last - first);
+  }
+  if (out == count * count) return full_mesh(n);  // every row is 0..n-1
+  topo.offsets_[count] = static_cast<std::int32_t>(out);
+  topo.targets_.assign(raw.begin(),
+                       raw.begin() + static_cast<std::ptrdiff_t>(out));
+  return topo;
+}
 
 Topology Topology::full_mesh(std::int32_t n) {
   require_positive_n(n);
   Topology topo;
-  topo.offsets_.resize(static_cast<std::size_t>(n) + 1);
-  topo.targets_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-  for (std::int32_t p = 0; p <= n; ++p) {
-    topo.offsets_[static_cast<std::size_t>(p)] =
-        static_cast<std::int32_t>(p * n);
-  }
-  for (std::int32_t p = 0; p < n; ++p) {
-    for (std::int32_t q = 0; q < n; ++q) {
-      topo.targets_[static_cast<std::size_t>(p) * static_cast<std::size_t>(n) +
-                    static_cast<std::size_t>(q)] = q;
-    }
+  topo.n_ = n;
+  topo.mesh_ = true;
+  topo.targets_.resize(static_cast<std::size_t>(n));
+  for (std::int32_t q = 0; q < n; ++q) {
+    topo.targets_[static_cast<std::size_t>(q)] = q;
   }
   return topo;
 }
@@ -63,31 +75,27 @@ Topology Topology::ring_of_cliques(std::int32_t n, std::int32_t clique_size) {
   if (clique_size < 1) {
     throw std::invalid_argument("Topology: need clique_size >= 1");
   }
-  std::vector<std::set<std::int32_t>> adjacency(static_cast<std::size_t>(n));
   const std::int32_t cliques = (n + clique_size - 1) / clique_size;
-  for (std::int32_t c = 0; c < cliques; ++c) {
-    const std::int32_t lo = c * clique_size;
-    const std::int32_t hi = std::min(n, lo + clique_size);
-    for (std::int32_t p = lo; p < hi; ++p) {
-      for (std::int32_t q = lo; q < hi; ++q) {
-        adjacency[static_cast<std::size_t>(p)].insert(q);
+  return pack(n, [&](const auto& add) {
+    for (std::int32_t c = 0; c < cliques; ++c) {
+      const std::int32_t lo = c * clique_size;
+      const std::int32_t hi = std::min(n, lo + clique_size);
+      for (std::int32_t p = lo; p < hi; ++p) {
+        for (std::int32_t q = p + 1; q < hi; ++q) add(p, q);
+      }
+      if (cliques > 1) {
+        // Bridge: last node of this clique to the first node of the next.
+        add(hi - 1, ((c + 1) % cliques) * clique_size);
       }
     }
-    if (cliques > 1) {
-      // Bridge: last node of this clique to the first node of the next.
-      const std::int32_t next_lo = ((c + 1) % cliques) * clique_size;
-      adjacency[static_cast<std::size_t>(hi - 1)].insert(next_lo);
-    }
-  }
-  return from_sets(std::move(adjacency));
+  });
 }
 
 Topology Topology::k_regular(std::int32_t n, std::int32_t degree,
                              std::uint64_t seed) {
   require_positive_n(n);
   if (degree < 2) throw std::invalid_argument("Topology: need degree >= 2");
-  std::vector<std::set<std::int32_t>> adjacency(static_cast<std::size_t>(n));
-  std::set<std::int32_t> strides{1};  // the connectivity-guaranteeing ring
+  std::vector<std::int32_t> strides{1};  // the connectivity-guaranteeing ring
   util::Rng rng(seed);
   const std::int32_t wanted = std::max(1, degree / 2);
   // n/2 caps the number of distinct strides; stop when the id space is used up.
@@ -95,57 +103,38 @@ Topology Topology::k_regular(std::int32_t n, std::int32_t degree,
        static_cast<std::int32_t>(strides.size()) < wanted &&
        attempts < 64 * wanted && n > 4;
        ++attempts) {
-    strides.insert(2 + static_cast<std::int32_t>(rng.below(
-                           static_cast<std::uint64_t>(n / 2 - 1 > 0 ? n / 2 - 1
-                                                                    : 1))));
-  }
-  for (std::int32_t p = 0; p < n; ++p) {
-    for (std::int32_t s : strides) {
-      adjacency[static_cast<std::size_t>(p)].insert((p + s) % n);
-      adjacency[static_cast<std::size_t>(p)].insert(((p - s) % n + n) % n);
+    const std::int32_t stride =
+        2 + static_cast<std::int32_t>(rng.below(
+                static_cast<std::uint64_t>(n / 2 - 1 > 0 ? n / 2 - 1 : 1)));
+    if (std::find(strides.begin(), strides.end(), stride) == strides.end()) {
+      strides.push_back(stride);
     }
   }
-  return from_sets(std::move(adjacency));
+  // Edge p <-> p + s (mod n) per stride; the symmetric closure supplies
+  // p <-> p - s.
+  return pack(n, [&](const auto& add) {
+    for (std::int32_t p = 0; p < n; ++p) {
+      for (std::int32_t s : strides) add(p, (p + s) % n);
+    }
+  });
 }
 
 Topology Topology::from_adjacency(
     const std::vector<std::vector<std::int32_t>>& lists) {
   const auto n = static_cast<std::int32_t>(lists.size());
   require_positive_n(n);
-  // Normalize through sets unless the input already satisfies the
-  // invariants; from_sets calls back into this function with clean lists.
-  bool clean = true;
-  for (std::int32_t p = 0; p < n && clean; ++p) {
-    const auto& list = lists[static_cast<std::size_t>(p)];
-    clean = std::is_sorted(list.begin(), list.end()) &&
-            std::adjacent_find(list.begin(), list.end()) == list.end() &&
-            std::binary_search(list.begin(), list.end(), p);
+  for (const auto& list : lists) {
     for (std::int32_t q : list) {
       if (q < 0 || q >= n) {
         throw std::invalid_argument("Topology: neighbor id out of range");
       }
-      if (clean) {
-        const auto& back = lists[static_cast<std::size_t>(q)];
-        clean = std::binary_search(back.begin(), back.end(), p);
-      }
     }
   }
-  if (!clean) {
-    std::vector<std::set<std::int32_t>> adjacency(lists.size());
-    for (std::size_t p = 0; p < lists.size(); ++p) {
-      adjacency[p].insert(lists[p].begin(), lists[p].end());
+  return pack(n, [&](const auto& add) {
+    for (std::int32_t p = 0; p < n; ++p) {
+      for (std::int32_t q : lists[static_cast<std::size_t>(p)]) add(p, q);
     }
-    return from_sets(std::move(adjacency));
-  }
-
-  Topology topo;
-  topo.offsets_.reserve(static_cast<std::size_t>(n) + 1);
-  topo.offsets_.push_back(0);
-  for (const auto& list : lists) {
-    topo.targets_.insert(topo.targets_.end(), list.begin(), list.end());
-    topo.offsets_.push_back(static_cast<std::int32_t>(topo.targets_.size()));
-  }
-  return topo;
+  });
 }
 
 void Topology::ensure_distance_row(std::int32_t p) const {
@@ -222,7 +211,7 @@ Topology::CutStructure Topology::cut_structure() const {
   std::vector<std::int32_t> low(static_cast<std::size_t>(count), 0);
   std::vector<std::int32_t> parent(static_cast<std::size_t>(count), -1);
   std::vector<char> is_cut(static_cast<std::size_t>(count), 0);
-  std::set<std::int32_t> bridge_ends;
+  std::vector<char> is_bridge_end(static_cast<std::size_t>(count), 0);
   std::int32_t timer = 0;
 
   struct Frame {
@@ -259,8 +248,8 @@ Topology::CutStructure Topology::cut_structure() const {
       low[static_cast<std::size_t>(p)] =
           std::min(low[static_cast<std::size_t>(p)], low[static_cast<std::size_t>(v)]);
       if (low[static_cast<std::size_t>(v)] > disc[static_cast<std::size_t>(p)]) {
-        bridge_ends.insert(p);
-        bridge_ends.insert(v);
+        is_bridge_end[static_cast<std::size_t>(p)] = 1;
+        is_bridge_end[static_cast<std::size_t>(v)] = 1;
       }
       if (p != root && low[static_cast<std::size_t>(v)] >= disc[static_cast<std::size_t>(p)]) {
         is_cut[static_cast<std::size_t>(p)] = 1;
@@ -272,8 +261,8 @@ Topology::CutStructure Topology::cut_structure() const {
   CutStructure result;
   for (std::int32_t v = 0; v < count; ++v) {
     if (is_cut[static_cast<std::size_t>(v)]) result.articulation.push_back(v);
+    if (is_bridge_end[static_cast<std::size_t>(v)]) result.bridge_ends.push_back(v);
   }
-  result.bridge_ends.assign(bridge_ends.begin(), bridge_ends.end());
   return result;
 }
 

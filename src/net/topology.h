@@ -8,6 +8,8 @@
 // (Bund/Lenzen/Rosenbaum; Khanchandani/Lenzen) are the route to scale.  A
 // Topology is the pluggable answer: a symmetric adjacency, stored CSR for
 // cache-friendly fan-out walks, that Context::broadcast routes through.
+// The full mesh stores no adjacency at all: every row is one shared 0..n-1
+// strip, so an n = 2048 mesh costs 8 KB, not the 16.7 MB of n^2 targets.
 //
 // Invariants every constructor establishes (and from_adjacency repairs):
 //   * each node's neighbor list contains the node itself (a process always
@@ -51,18 +53,19 @@ class Topology {
 
   /// User-supplied adjacency (`lists[p]` = p's neighbors).  Ids are
   /// validated, the graph is symmetrized, self-loops are added, and lists
-  /// are sorted/deduplicated.
+  /// are sorted/deduplicated.  Out-of-range ids throw
+  /// std::invalid_argument.
   [[nodiscard]] static Topology from_adjacency(
       const std::vector<std::vector<std::int32_t>>& lists);
 
   Topology() = default;
 
-  [[nodiscard]] std::int32_t n() const noexcept {
-    return static_cast<std::int32_t>(offsets_.size()) - 1;
-  }
+  [[nodiscard]] std::int32_t n() const noexcept { return n_; }
 
-  /// Sorted neighbor ids of p, p itself included.
+  /// Sorted neighbor ids of p, p itself included.  On the full mesh every
+  /// row is the one shared 0..n-1 strip.
   [[nodiscard]] std::span<const std::int32_t> neighbors(std::int32_t p) const {
+    if (mesh_) return {targets_.data(), targets_.size()};
     const auto i = static_cast<std::size_t>(p);
     return {targets_.data() + offsets_[i],
             static_cast<std::size_t>(offsets_[i + 1] - offsets_[i])};
@@ -74,13 +77,12 @@ class Topology {
 
   /// Directed edge count (self-loops included); messages per broadcast sum.
   [[nodiscard]] std::size_t edge_count() const noexcept {
-    return targets_.size();
+    return mesh_ ? targets_.size() * targets_.size() : targets_.size();
   }
 
-  [[nodiscard]] bool is_full_mesh() const noexcept {
-    return edge_count() ==
-           static_cast<std::size_t>(n()) * static_cast<std::size_t>(n());
-  }
+  /// True when every process neighbors every other — whichever constructor
+  /// built the graph (a complete adjacency is stored as the mesh).
+  [[nodiscard]] bool is_full_mesh() const noexcept { return mesh_; }
 
   /// True when every process can reach every other (ignoring self-loops).
   /// Synchronization is hopeless across disconnected components, so the
@@ -145,10 +147,21 @@ class Topology {
       std::span<const std::int32_t> seeds) const;
 
  private:
+  /// The symmetric closure of the arcs `emit` yields (emit(add) calls
+  /// add(p, q) per arc, ids already validated), plus every self-loop,
+  /// packed as CSR with each row sorted and deduplicated — the complete
+  /// graph comes back as full_mesh(n).
+  template <class Emit>
+  [[nodiscard]] static Topology pack(std::int32_t n, const Emit& emit);
+
   void ensure_distance_row(std::int32_t p) const;
 
+  std::int32_t n_ = 0;
+  /// The full mesh: no CSR at all, targets_ is the 0..n-1 strip every
+  /// neighbors(p) returns.
+  bool mesh_ = false;
   /// CSR: neighbors of p are targets_[offsets_[p] .. offsets_[p+1]).
-  std::vector<std::int32_t> offsets_;  // size n + 1
+  std::vector<std::int32_t> offsets_;  // size n + 1; empty on the mesh
   std::vector<std::int32_t> targets_;
   /// Lazy per-source BFS rows; an empty row means "not yet computed".
   /// Purely derived data, so copies carrying it stay consistent.

@@ -36,15 +36,23 @@ std::span<double> thread_reduce_scratch(std::size_t m) {
 void NeighborIndex::bind(std::span<const std::int32_t> neighbors,
                          std::int32_t n) {
   if (n < 1) throw std::invalid_argument("NeighborIndex: need n >= 1");
-  slot_of_.assign(static_cast<std::size_t>(n), -1);
-  identity_ = neighbors.size() == static_cast<std::size_t>(n);
   for (std::size_t slot = 0; slot < neighbors.size(); ++slot) {
     const std::int32_t id = neighbors[slot];
     if (id < 0 || id >= n) {
       throw std::invalid_argument("NeighborIndex: neighbor id out of range");
     }
-    identity_ = identity_ && static_cast<std::size_t>(id) == slot;
-    slot_of_[static_cast<std::size_t>(id)] = static_cast<std::int32_t>(slot);
+    if (slot > 0 && id <= neighbors[slot - 1]) {
+      throw std::invalid_argument(
+          "NeighborIndex: neighbor list not strictly ascending");
+    }
+  }
+  // Strictly ascending ids in [0, n): n of them can only be 0..n-1.
+  identity_ = neighbors.size() == static_cast<std::size_t>(n);
+  if (identity_) {
+    ids_.clear();
+    ids_.shrink_to_fit();
+  } else {
+    ids_.assign(neighbors.begin(), neighbors.end());
   }
   size_ = neighbors.size();
   bound_ = true;

@@ -21,11 +21,14 @@
 //     needs only the f-th smallest and f-th largest surviving elements,
 //     found with one radix dual-rank select straight off the slots (O(m)
 //     instead of O(m log m), proc/reduce_kernels.h), and mean(reduce(.))
-//     sorts a scratch copy in place.  An arena owns only its slots and
-//     slot map: on the n = 2048 full mesh that is n x n doubles, where two
-//     private scratch vectors per arena used to add 2 n x n more.
-//     Steady-state rounds perform zero heap allocations; the counters
-//     below let benchmarks and the CI perf-smoke gate pin that.
+//     sorts a scratch copy in place.  An arena owns only its d slots and
+//     its d-entry neighbor list (none on the full mesh, where sender id
+//     is the slot): O(degree) per process, never O(n).  An n-entry
+//     sender -> slot table per process would cost n^2 int32 across a run
+//     (1 GiB at n = 16384) for a lookup a binary search over <= d sorted
+//     ids answers.  Steady-state rounds perform zero heap allocations;
+//     the counters below let benchmarks and the CI perf-smoke gate pin
+//     that.
 //
 // Bit-identity: the reductions produce exactly the doubles
 // ms::fault_tolerant_midpoint / ms::fault_tolerant_mean produce on the same
@@ -35,6 +38,7 @@
 // oracle that rebuilds the id-indexed ARR/DIFF arrays from the delivery
 // stream and reduces them with ms::reduce().
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -43,10 +47,16 @@ namespace wlsync::proc {
 
 /// Sender-id -> dense-slot map over a process' closed neighborhood.  The
 /// slot of a sender is its position in the sorted neighbor list; non-
-/// neighbors map to -1.  Shared by ArrivalArena (value slots) and the
-/// quorum-counting algorithms ([ST]'s per-round sender bitsets).
+/// neighbors and ids outside [0, n) map to -1.  Shared by ArrivalArena
+/// (value slots) and the quorum-counting algorithms ([ST]'s per-round
+/// sender bitsets).  Holds only the neighbor list itself — O(degree), and
+/// nothing at all when the map is the identity — and answers slot_of with
+/// a binary search over it.
 class NeighborIndex {
  public:
+  /// `neighbors` must be strictly ascending ids in [0, n); anything else
+  /// throws std::invalid_argument (an unsorted list would silently
+  /// mis-slot every lookup).
   void bind(std::span<const std::int32_t> neighbors, std::int32_t n);
 
   [[nodiscard]] bool bound() const noexcept { return bound_; }
@@ -54,25 +64,23 @@ class NeighborIndex {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   [[nodiscard]] std::int32_t slot_of(std::int32_t sender) const {
-    if (sender < 0 || static_cast<std::size_t>(sender) >= slot_of_.size()) {
-      return -1;
+    if (identity_) {
+      return sender >= 0 && static_cast<std::size_t>(sender) < size_ ? sender
+                                                                     : -1;
     }
-    return slot_of_[static_cast<std::size_t>(sender)];
-  }
-
-  /// slot_of without the range check, for callers that already know the id
-  /// is a registered process (the simulator validates every delivery).
-  [[nodiscard]] std::int32_t slot_of_valid(std::int32_t sender) const {
-    return slot_of_[static_cast<std::size_t>(sender)];
+    const auto it = std::lower_bound(ids_.begin(), ids_.end(), sender);
+    return it != ids_.end() && *it == sender
+               ? static_cast<std::int32_t>(it - ids_.begin())
+               : -1;
   }
 
   /// True when the slot map is the identity (the paper's full mesh, where
   /// the closed neighborhood is 0..n-1): sender id IS the dense slot, so
-  /// the per-delivery lookup can skip the table entirely.
+  /// the per-delivery lookup can skip the search entirely.
   [[nodiscard]] bool identity() const noexcept { return identity_; }
 
  private:
-  std::vector<std::int32_t> slot_of_;  ///< sender id -> dense slot, -1 = none
+  std::vector<std::int32_t> ids_;  ///< sorted neighborhood; empty if identity
   std::size_t size_ = 0;
   bool bound_ = false;
   bool identity_ = false;
@@ -113,16 +121,16 @@ class ArrivalArena {
   /// Records `value` for `sender`; non-neighbor senders are dropped (the
   /// reduction only reads neighbor slots, so an id-indexed array that kept
   /// them would reduce to the same value).
-  /// Precondition: sender is a registered process id in [0, n) — the
-  /// per-delivery hot path trusts the simulator's id validation and spends
-  /// exactly one load + one predicate on the slot lookup.
+  /// Precondition: sender is a registered process id in [0, n) — on the
+  /// full mesh the per-delivery hot path trusts the simulator's id
+  /// validation and stores straight to slot `sender`.
   void record(std::int32_t sender, double value) {
     memo_valid_ = false;
     if (index_.identity()) {  // full mesh: sender id IS the slot
       values_[static_cast<std::size_t>(sender)] = value;
       return;
     }
-    const std::int32_t slot = index_.slot_of_valid(sender);
+    const std::int32_t slot = index_.slot_of(sender);
     if (slot >= 0) values_[static_cast<std::size_t>(slot)] = value;
   }
 
@@ -181,7 +189,7 @@ class ArrivalArena {
   void precompute(Reduction kind, std::size_t f);
 
   // --- counters for the CI perf-smoke gate (bench_micro --smoke) ---
-  /// Times bind() rebuilt the slot table (should be 1 per run).
+  /// Times bind() rebuilt the slots (should be 1 per run).
   [[nodiscard]] std::uint64_t rebinds() const noexcept { return rebinds_; }
   /// Reductions performed since bind.
   [[nodiscard]] std::uint64_t reductions() const noexcept { return reductions_; }

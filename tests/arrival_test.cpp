@@ -1,12 +1,15 @@
-// The dense arrival arena (proc/arrival.h): slot mapping, allocation-free
-// reductions pinned value-exact against multiset/multiset_ops.h, the
-// dual-rank select kernel (proc/reduce_kernels.h) pinned against std::sort,
-// and the counters the CI perf-smoke gate relies on.
+// The dense arrival arena (proc/arrival.h): slot mapping pinned against an
+// n-entry sender -> slot table, allocation-free reductions pinned
+// value-exact against multiset/multiset_ops.h, the dual-rank select kernel
+// (proc/reduce_kernels.h) pinned against std::sort, and the counters the CI
+// perf-smoke gate relies on.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,6 +66,152 @@ TEST(NeighborIndex, RejectsBadBinds) {
   const std::vector<std::int32_t> bad = {0, 9};
   EXPECT_THROW(index.bind({bad.data(), bad.size()}, 4), std::invalid_argument);
   EXPECT_THROW(index.bind({bad.data(), bad.size()}, 0), std::invalid_argument);
+}
+
+/// Expects bind() to throw the named unsorted-list error for `ids`.
+void expect_unsorted_rejected(const std::vector<std::int32_t>& ids,
+                              std::int32_t n) {
+  NeighborIndex index;
+  try {
+    index.bind({ids.data(), ids.size()}, n);
+    ADD_FAILURE() << "bind accepted an unsorted list";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("not strictly ascending"),
+              std::string::npos)
+        << e.what();
+  }
+  ArrivalArena arena;
+  EXPECT_THROW(arena.bind({ids.data(), ids.size()}, n, 0.0),
+               std::invalid_argument);
+}
+
+TEST(NeighborIndex, RejectsUnsortedNeighborLists) {
+  // A binary search over an unsorted list would mis-slot senders silently;
+  // bind refuses it instead — descending, a late inversion, a duplicate,
+  // and a permutation of the full mesh all included.
+  expect_unsorted_rejected({5, 2, 7}, 8);
+  expect_unsorted_rejected({0, 1, 2, 4, 3}, 8);
+  expect_unsorted_rejected({1, 3, 3, 6}, 8);
+  expect_unsorted_rejected({1, 0, 2, 3}, 4);
+}
+
+// ----------------------------------------- n-entry slot-table oracle ---
+
+/// The n-entry sender -> slot table, restated locally as the oracle: -1
+/// everywhere except at the neighbors' own ids.
+std::vector<std::int32_t> slot_table(const std::vector<std::int32_t>& neighbors,
+                                     std::int32_t n) {
+  std::vector<std::int32_t> table(static_cast<std::size_t>(n), -1);
+  for (std::size_t slot = 0; slot < neighbors.size(); ++slot) {
+    table[static_cast<std::size_t>(neighbors[slot])] =
+        static_cast<std::int32_t>(slot);
+  }
+  return table;
+}
+
+std::int32_t oracle_slot(const std::vector<std::int32_t>& table,
+                         std::int32_t sender) {
+  if (sender < 0 || static_cast<std::size_t>(sender) >= table.size()) return -1;
+  return table[static_cast<std::size_t>(sender)];
+}
+
+/// Sorted random subset of 0..n-1 keeping each id with probability `keep`
+/// (never empty).
+std::vector<std::int32_t> random_neighborhood(util::Rng& rng, std::int32_t n,
+                                              double keep) {
+  std::vector<std::int32_t> ids;
+  for (std::int32_t q = 0; q < n; ++q) {
+    if (rng.uniform() < keep) ids.push_back(q);
+  }
+  if (ids.empty()) ids.push_back(static_cast<std::int32_t>(rng.below(
+      static_cast<std::uint64_t>(n))));
+  return ids;
+}
+
+/// The neighborhoods the oracle tests walk: random sparse ones over
+/// assorted n, plus the identity map and every-id-but-one maps.
+std::vector<std::pair<std::int32_t, std::vector<std::int32_t>>>
+oracle_neighborhoods() {
+  util::Rng rng(20261020);
+  std::vector<std::pair<std::int32_t, std::vector<std::int32_t>>> cases;
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto n = static_cast<std::int32_t>(1 + rng.below(400));
+    const double keep = trial % 3 == 0 ? 0.5 : 17.0 / static_cast<double>(n);
+    cases.emplace_back(n, random_neighborhood(rng, n, keep));
+  }
+  for (const std::int32_t n : {1, 2, 7, 64, 513}) {
+    cases.emplace_back(n, identity_ids(n));
+    if (n < 2) continue;
+    for (const std::int32_t missing : {0, n / 2, n - 1}) {
+      std::vector<std::int32_t> ids = identity_ids(n);
+      ids.erase(ids.begin() + missing);
+      cases.emplace_back(n, std::move(ids));
+    }
+  }
+  return cases;
+}
+
+TEST(NeighborIndexOracle, SlotOfMatchesAnNEntryTable) {
+  for (const auto& [n, neighbors] : oracle_neighborhoods()) {
+    NeighborIndex index;
+    index.bind({neighbors.data(), neighbors.size()}, n);
+    ASSERT_EQ(index.size(), neighbors.size());
+    EXPECT_EQ(index.identity(),
+              neighbors.size() == static_cast<std::size_t>(n));
+    const std::vector<std::int32_t> table = slot_table(neighbors, n);
+    // Every registered id (neighbors and non-neighbors alike), the ids just
+    // outside [0, n), and the extremes.
+    for (std::int32_t id = -2; id <= n + 1; ++id) {
+      ASSERT_EQ(index.slot_of(id), oracle_slot(table, id))
+          << "n=" << n << " degree=" << neighbors.size() << " id=" << id;
+    }
+    for (const std::int32_t id : {std::numeric_limits<std::int32_t>::max(),
+                                  std::numeric_limits<std::int32_t>::min()}) {
+      ASSERT_EQ(index.slot_of(id), -1) << "n=" << n << " id=" << id;
+    }
+  }
+}
+
+TEST(NeighborIndexOracle, RebindReplacesTheMap) {
+  // Under a dynamics schedule the same index rebinds: sparse -> identity
+  // -> sparse must each answer exactly like a fresh table.
+  NeighborIndex index;
+  const std::vector<std::int32_t> sparse = {1, 4, 6};
+  const std::vector<std::int32_t> other = {0, 2, 6, 7};
+  const std::vector<std::int32_t> all = identity_ids(8);
+  for (const auto* ids : {&sparse, &all, &other}) {
+    index.bind({ids->data(), ids->size()}, 8);
+    const std::vector<std::int32_t> table = slot_table(*ids, 8);
+    for (std::int32_t id = -1; id <= 8; ++id) {
+      ASSERT_EQ(index.slot_of(id), oracle_slot(table, id)) << "id=" << id;
+    }
+  }
+}
+
+TEST(ArrivalArenaOracle, RecordMatchesAnIdIndexedTable) {
+  util::Rng rng(77);
+  for (const auto& [n, neighbors] : oracle_neighborhoods()) {
+    ArrivalArena arena;
+    arena.bind({neighbors.data(), neighbors.size()}, n, core_sentinel());
+    const std::vector<std::int32_t> table = slot_table(neighbors, n);
+    std::vector<double> expected(neighbors.size(), core_sentinel());
+    // Random senders over all of 0..n-1: non-neighbors must be dropped.
+    for (int i = 0; i < 4 * n; ++i) {
+      const auto sender =
+          static_cast<std::int32_t>(rng.below(static_cast<std::uint64_t>(n)));
+      const double value = rng.uniform(-1.0, 1.0);
+      arena.record(sender, value);
+      const std::int32_t slot = oracle_slot(table, sender);
+      if (slot >= 0) expected[static_cast<std::size_t>(slot)] = value;
+      ASSERT_EQ(arena.slot_of(sender), slot) << "n=" << n << " id=" << sender;
+    }
+    ASSERT_EQ(arena.values(), expected) << "n=" << n;
+    if (neighbors.size() >= 3) {
+      const std::size_t f = (neighbors.size() - 1) / 3;
+      EXPECT_EQ(arena.midpoint_reduced(f),
+                ms::fault_tolerant_midpoint(expected, f));
+    }
+  }
 }
 
 TEST(ArrivalArena, RecordsByDenseSlotAndIgnoresNonNeighbors) {

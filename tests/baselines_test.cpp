@@ -2,16 +2,22 @@
 // fault-free; the ablation (plain mean) breaks under one Byzantine process
 // while Welch-Lynch shrugs; the comparative shapes (LM ~ 2 n eps growth,
 // ST ~ delta + eps) hold; the [MS] acceptance rule equals the naive
-// pairwise count bit for bit.
+// pairwise count bit for bit; [ST] counts a point-to-point sender from
+// outside its neighborhood once, however often it sends.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiment.h"
 #include "baselines/averaging_rounds.h"
+#include "baselines/srikanth_toueg.h"
+#include "proc/context.h"
+#include "sim/message.h"
 #include "ms_reference.h"
 #include "util/rng.h"
 
@@ -226,6 +232,67 @@ TEST(MahaneySchneider, AcceptanceMatchesPairwiseCountOnRandomViews) {
         0.0;  // the caller's own slot
     expect_ms_matches(diffs, f, tau, "trial " + std::to_string(trial));
   }
+}
+
+/// A process' window with a fixed neighborhood that records what the
+/// process does: broadcasts and CORR adjustments.  Time stands still.
+class RecordingContext final : public proc::Context {
+ public:
+  RecordingContext(std::int32_t id, std::int32_t n,
+                   std::vector<std::int32_t> neighbors)
+      : id_(id), n_(n), neighbors_(std::move(neighbors)) {}
+
+  [[nodiscard]] std::int32_t id() const override { return id_; }
+  [[nodiscard]] std::int32_t process_count() const override { return n_; }
+  [[nodiscard]] std::span<const std::int32_t> neighbors() const override {
+    return neighbors_;
+  }
+  [[nodiscard]] double physical_time() const override { return 10.0; }
+  [[nodiscard]] double local_time() const override { return 10.0 + corr_; }
+  [[nodiscard]] double corr() const override { return corr_; }
+  void add_corr(double adj) override {
+    corr_ += adj;
+    ++adjustments;
+  }
+  void add_corr_amortized(double adj, double) override { add_corr(adj); }
+  void broadcast(std::int32_t, double, std::int32_t) override { ++broadcasts; }
+  void send(std::int32_t, std::int32_t, double, std::int32_t) override {}
+  void set_timer(double, std::int32_t) override {}
+  void set_timer_physical(double, std::int32_t) override {}
+  void annotate(const proc::Annotation&) override {}
+
+  int broadcasts = 0;
+  int adjustments = 0;
+
+ private:
+  std::int32_t id_;
+  std::int32_t n_;
+  std::vector<std::int32_t> neighbors_;
+  double corr_ = 0.0;
+};
+
+TEST(SrikanthToueg, OutOfNeighborhoodSenderCountsOnce) {
+  // Process 2 of 8 hears {0, 2, 5}; with f = 1 the relay quorum is 2 and
+  // the accept quorum min(2f + 1, 3) = 3.  Id 7 is no neighbor, but a
+  // Byzantine point-to-point send from it is a distinct sender all the
+  // same — once, however often it repeats.
+  baselines::SrikanthTouegProcess process(standard(8, 1));
+  RecordingContext ctx(2, 8, {0, 2, 5});
+  const auto tick = [&](std::int32_t from) {
+    process.on_message(ctx, sim::make_app(from, baselines::kTickTag, 0.0, 1));
+  };
+  tick(7);
+  tick(7);
+  EXPECT_EQ(ctx.broadcasts, 0) << "a repeated non-neighbor counted twice";
+  tick(0);  // second distinct sender: relay
+  EXPECT_EQ(ctx.broadcasts, 1);
+  EXPECT_EQ(ctx.adjustments, 0);
+  tick(7);
+  tick(0);
+  EXPECT_EQ(ctx.adjustments, 0) << "a repeated sender reached the quorum";
+  tick(5);  // third distinct sender: accept round 1
+  EXPECT_EQ(ctx.adjustments, 1);
+  EXPECT_EQ(process.round(), 1);
 }
 
 }  // namespace

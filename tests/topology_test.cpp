@@ -1,4 +1,5 @@
-// Network layer: exchange-graph construction invariants, the delivery
+// Network layer: exchange-graph construction invariants (and exactly the
+// adjacency of the std::set builders the constructors replaced), the delivery
 // ring's order against per-recipient order oracles (the guarantee that
 // makes the ring a pure performance detail) and its cell-seal rules,
 // sparse-graph determinism under the parallel runner, and the sharded
@@ -109,6 +110,37 @@ TEST(Topology, CustomAdjacencyNormalized) {
   EXPECT_THROW(Topology::from_adjacency({{3}}), std::invalid_argument);
 }
 
+TEST(Topology, CompleteGraphsAreTheImplicitMesh) {
+  // However a complete graph is spelled, it is stored (and answers) as the
+  // mesh: one shared 0..n-1 row, n^2 edges, no cut structure from n = 3.
+  for (const std::int32_t n : {1, 2, 3, 9}) {
+    std::vector<std::vector<std::int32_t>> complete(static_cast<std::size_t>(n));
+    for (std::int32_t p = 0; p < n; ++p) {
+      for (std::int32_t q = n - 1; q >= 0; --q) {
+        if (q != p) complete[static_cast<std::size_t>(p)].push_back(q);
+      }
+    }
+    for (const Topology& topo :
+         {Topology::full_mesh(n), Topology::from_adjacency(complete),
+          Topology::ring_of_cliques(n, n)}) {
+      ASSERT_TRUE(topo.is_full_mesh()) << "n=" << n;
+      ASSERT_EQ(topo.edge_count(), static_cast<std::size_t>(n * n));
+      for (std::int32_t p = 0; p < n; ++p) {
+        ASSERT_EQ(topo.degree(p), n);
+        for (std::int32_t q = 0; q < n; ++q) {
+          ASSERT_EQ(topo.neighbors(p)[static_cast<std::size_t>(q)], q);
+        }
+      }
+      const Topology::CutStructure cuts = topo.cut_structure();
+      EXPECT_TRUE(cuts.articulation.empty());
+      const std::vector<std::int32_t> bridge_ends =
+          n == 2 ? std::vector<std::int32_t>{0, 1} : std::vector<std::int32_t>{};
+      EXPECT_EQ(cuts.bridge_ends, bridge_ends);
+      EXPECT_EQ(topo.diameter(), n > 1 ? 1 : 0);
+    }
+  }
+}
+
 TEST(Topology, BuildValidatesConnectivityAndSize) {
   net::TopologySpec spec;
   spec.kind = TopologyKind::kCustom;
@@ -214,6 +246,169 @@ TEST(TopologyProperties, RandomExpandersSeededAndSane) {
     for (std::int32_t j = 0; j < n; ++j) {
       EXPECT_EQ(row[static_cast<std::size_t>(j)],
                 topo.distances_from(j)[static_cast<std::size_t>(i)]);
+    }
+  }
+}
+
+// ------------------------------------------ std::set reference builders ---
+//
+// The constructors sort and deduplicate each row straight into CSR.  These
+// are the std::set builders they replaced, kept as the oracle: every
+// constructor must produce exactly their adjacency.
+
+using Rows = std::vector<std::vector<std::int32_t>>;
+
+/// Self-loops, symmetric closure, sorted unique rows.
+Rows set_close(std::vector<std::set<std::int32_t>> adjacency) {
+  const auto n = static_cast<std::int32_t>(adjacency.size());
+  for (std::int32_t p = 0; p < n; ++p) {
+    adjacency[static_cast<std::size_t>(p)].insert(p);
+    for (std::int32_t q : adjacency[static_cast<std::size_t>(p)]) {
+      if (q < 0 || q >= n) {
+        throw std::invalid_argument("Topology: neighbor id out of range");
+      }
+      adjacency[static_cast<std::size_t>(q)].insert(p);
+    }
+  }
+  Rows rows(adjacency.size());
+  for (std::size_t p = 0; p < adjacency.size(); ++p) {
+    rows[p].assign(adjacency[p].begin(), adjacency[p].end());
+  }
+  return rows;
+}
+
+Rows set_ring_of_cliques(std::int32_t n, std::int32_t clique_size) {
+  std::vector<std::set<std::int32_t>> adjacency(static_cast<std::size_t>(n));
+  const std::int32_t cliques = (n + clique_size - 1) / clique_size;
+  for (std::int32_t c = 0; c < cliques; ++c) {
+    const std::int32_t lo = c * clique_size;
+    const std::int32_t hi = std::min(n, lo + clique_size);
+    for (std::int32_t p = lo; p < hi; ++p) {
+      for (std::int32_t q = lo; q < hi; ++q) {
+        adjacency[static_cast<std::size_t>(p)].insert(q);
+      }
+    }
+    if (cliques > 1) {
+      adjacency[static_cast<std::size_t>(hi - 1)].insert(
+          ((c + 1) % cliques) * clique_size);
+    }
+  }
+  return set_close(std::move(adjacency));
+}
+
+Rows set_k_regular(std::int32_t n, std::int32_t degree, std::uint64_t seed) {
+  std::vector<std::set<std::int32_t>> adjacency(static_cast<std::size_t>(n));
+  std::set<std::int32_t> strides{1};
+  util::Rng rng(seed);
+  const std::int32_t wanted = std::max(1, degree / 2);
+  for (int attempts = 0;
+       static_cast<std::int32_t>(strides.size()) < wanted &&
+       attempts < 64 * wanted && n > 4;
+       ++attempts) {
+    strides.insert(2 + static_cast<std::int32_t>(rng.below(
+                           static_cast<std::uint64_t>(n / 2 - 1 > 0 ? n / 2 - 1
+                                                                    : 1))));
+  }
+  for (std::int32_t p = 0; p < n; ++p) {
+    for (std::int32_t s : strides) {
+      adjacency[static_cast<std::size_t>(p)].insert((p + s) % n);
+      adjacency[static_cast<std::size_t>(p)].insert(((p - s) % n + n) % n);
+    }
+  }
+  return set_close(std::move(adjacency));
+}
+
+Rows set_from_adjacency(const Rows& lists) {
+  std::vector<std::set<std::int32_t>> adjacency(lists.size());
+  for (std::size_t p = 0; p < lists.size(); ++p) {
+    adjacency[p].insert(lists[p].begin(), lists[p].end());
+  }
+  return set_close(std::move(adjacency));
+}
+
+void expect_rows(const Topology& topo, const Rows& rows,
+                 const std::string& what) {
+  ASSERT_EQ(topo.n(), static_cast<std::int32_t>(rows.size())) << what;
+  std::size_t edges = 0;
+  for (std::int32_t p = 0; p < topo.n(); ++p) {
+    const auto peers = topo.neighbors(p);
+    const auto& want = rows[static_cast<std::size_t>(p)];
+    ASSERT_TRUE(std::equal(peers.begin(), peers.end(), want.begin(), want.end()))
+        << what << " row " << p;
+    edges += want.size();
+  }
+  EXPECT_EQ(topo.edge_count(), edges) << what;
+  EXPECT_EQ(topo.is_full_mesh(), edges == rows.size() * rows.size()) << what;
+}
+
+TEST(TopologyReference, KRegularMatchesTheSetBuilder) {
+  for (const std::int32_t n : {1, 2, 3, 4, 5, 6, 7, 16, 33, 100, 257, 1000}) {
+    for (const std::int32_t degree : {2, 3, 4, 8, 16, 17, 40}) {
+      for (const std::uint64_t seed : {1ULL, 7ULL, 20261020ULL}) {
+        expect_rows(Topology::k_regular(n, degree, seed),
+                    set_k_regular(n, degree, seed),
+                    "k_regular n=" + std::to_string(n) +
+                        " degree=" + std::to_string(degree) +
+                        " seed=" + std::to_string(seed));
+      }
+    }
+  }
+}
+
+TEST(TopologyReference, RingOfCliquesMatchesTheSetBuilder) {
+  for (const std::int32_t n : {1, 2, 3, 5, 16, 24, 25, 100, 301}) {
+    for (const std::int32_t clique : {1, 2, 3, 6, 8, 24, 100, 400}) {
+      expect_rows(Topology::ring_of_cliques(n, clique),
+                  set_ring_of_cliques(n, clique),
+                  "ring_of_cliques n=" + std::to_string(n) +
+                      " clique=" + std::to_string(clique));
+    }
+  }
+}
+
+TEST(TopologyReference, CustomListsMatchTheSetBuilder) {
+  // Unclean on purpose: duplicates, missing and repeated self-loops,
+  // asymmetric edges, unsorted rows, empty rows.
+  const std::vector<Rows> fixed = {
+      {{1, 1, 1}, {2, 0, 2}, {}, {0, 3, 3}},
+      {{0, 0}, {1}, {0, 1, 2, 2, 1}},
+      {{}},
+      {{4, 3, 2, 1}, {}, {}, {}, {}},
+  };
+  for (std::size_t i = 0; i < fixed.size(); ++i) {
+    expect_rows(Topology::from_adjacency(fixed[i]), set_from_adjacency(fixed[i]),
+                "fixed case " + std::to_string(i));
+  }
+  util::Rng rng(1020);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<std::int32_t>(1 + rng.below(60));
+    Rows lists = random_adjacency(rng, n, static_cast<std::int32_t>(rng.below(
+                                              static_cast<std::uint64_t>(3 * n))));
+    // Repeat some entries and sprinkle self-loops into some rows.
+    for (auto& list : lists) {
+      if (!list.empty() && rng.uniform() < 0.3) list.push_back(list.front());
+    }
+    lists[static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(n)))]
+        .push_back(0);
+    expect_rows(Topology::from_adjacency(lists), set_from_adjacency(lists),
+                "random trial " + std::to_string(trial));
+  }
+}
+
+TEST(TopologyReference, OutOfRangeIdsThrowLikeTheSetBuilder) {
+  for (const Rows& lists : {Rows{{3}}, Rows{{0}, {-1}}, Rows{{1}, {0, 2}}}) {
+    std::string want;
+    try {
+      (void)set_from_adjacency(lists);
+    } catch (const std::invalid_argument& e) {
+      want = e.what();
+    }
+    ASSERT_FALSE(want.empty());
+    try {
+      (void)Topology::from_adjacency(lists);
+      ADD_FAILURE() << "from_adjacency accepted an out-of-range id";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), want);
     }
   }
 }
