@@ -11,8 +11,8 @@
 //               --algo=wl,st --trials=20 --rounds=12 --out=grid.csv
 //
 // Axis values:
-//   --algo      wl, lm, st, ms, mean, hssd, startup (Section 9.2, full
-//               mesh only)
+//   --algo      wl, lm, st, ms, mean, hssd, startup (Section 9.2, on its
+//               local quorum: deg - f_local READYs, core/startup.h)
 //   --delay     uniform, fast, slow, perlink, split
 //   --drift     none, extremal, piecewise, randomwalk
 //   --fault     none, silent, spam, twofaced, liar   (with --faults=count;
@@ -295,16 +295,17 @@ void write_csv_row(std::ostream& out, const Row& row) {
 }
 
 /// The --f=local value: the largest f no honest neighborhood of the
-/// cell's exchange graph overruns, min_v (deg(v) - 1) / 3 with deg
-/// counting the self-loop (the quorum view welch_lynch.cpp clamps
-/// against).
+/// cell's exchange graph overruns, min_v core::local_fault_budget(deg(v))
+/// with deg counting the self-loop (the quorum view every algorithm
+/// clamps against).
 std::int32_t local_fault_cap(const net::TopologySpec& spec, std::int32_t n) {
   const net::Topology topo = net::build_topology(spec, n);
-  std::int32_t cap = topo.n();
+  std::int32_t cap = (n - 1) / 3;
   for (std::int32_t v = 0; v < topo.n(); ++v) {
-    cap = std::min(cap, (topo.degree(v) - 1) / 3);
+    cap = core::local_fault_budget(static_cast<std::size_t>(topo.degree(v)),
+                                   n, cap);
   }
-  return std::max(cap, std::int32_t{0});
+  return cap;
 }
 
 /// Replaces every spec by one copy per axis value, `set` applying the

@@ -241,12 +241,6 @@ void Experiment::build() {
     throw std::invalid_argument(
         "RunSpec: startup_handoff requires Algo::kStartup");
   }
-  if (startup && spec_.topology.kind != net::TopologyKind::kFullMesh) {
-    throw std::invalid_argument(
-        "RunSpec: Algo::kStartup requires the full-mesh topology "
-        "(StartupProcess waits for n - f READYs, which a sparse neighbourhood "
-        "never delivers; a local quorum rule is not implemented)");
-  }
   const bool dynamic = !spec_.dynamics.empty();
   if (dynamic) {
     if (spec_.algo != Algo::kWelchLynch) {

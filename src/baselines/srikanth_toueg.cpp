@@ -46,7 +46,7 @@ SrikanthTouegProcess::RoundTally& SrikanthTouegProcess::tally_for(
   }
   fresh.round = k;
   fresh.count = 0;
-  fresh.seen.assign((index_.size() + 63) / 64, 0);
+  fresh.seen.reset(index_.size());
   fresh.extras.clear();
   return *active_.insert(it, std::move(fresh));
 }
@@ -58,13 +58,7 @@ std::int32_t SrikanthTouegProcess::note_sender(proc::Context& ctx,
   RoundTally& tally = tally_for(k);
   const std::int32_t slot = index_.slot_of(from);
   if (slot >= 0) {
-    const auto word = static_cast<std::size_t>(slot) / 64;
-    const std::uint64_t bit = std::uint64_t{1}
-                              << (static_cast<std::size_t>(slot) % 64);
-    if ((tally.seen[word] & bit) == 0) {
-      tally.seen[word] |= bit;
-      ++tally.count;
-    }
+    if (tally.seen.insert(slot)) ++tally.count;
   } else if (std::find(tally.extras.begin(), tally.extras.end(), from) ==
              tally.extras.end()) {
     // Point-to-point send from outside the neighborhood (an adversary

@@ -126,4 +126,10 @@ double startup_limit(double rho, double delta, double eps) {
   return 2.0 * startup_round_slack(rho, delta, eps);
 }
 
+std::int32_t local_fault_budget(std::size_t closed_degree, std::int32_t n,
+                                std::int32_t f) {
+  const auto deg = static_cast<std::int32_t>(closed_degree);
+  return deg == n ? f : std::min(f, (deg - 1) / 3);
+}
+
 }  // namespace wlsync::core

@@ -91,4 +91,10 @@ struct Derived {
 [[nodiscard]] double startup_round_slack(double rho, double delta, double eps);
 [[nodiscard]] double startup_limit(double rho, double delta, double eps);
 
+/// f_local: the faults a process with `closed_degree` neighbours (itself
+/// included) can clip — f, capped at (deg - 1) / 3 off the full mesh (A2
+/// applied to the neighbourhood).  Every local quorum derives from it.
+[[nodiscard]] std::int32_t local_fault_budget(std::size_t closed_degree,
+                                              std::int32_t n, std::int32_t f);
+
 }  // namespace wlsync::core

@@ -1,9 +1,8 @@
 #include "core/reintegration.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-
-#include "multiset/multiset_ops.h"
 
 namespace wlsync::core {
 
@@ -12,9 +11,7 @@ constexpr std::int32_t kCloseTimer = 21;
 }
 
 ReintegrationProcess::ReintegrationProcess(WelchLynchConfig config)
-    : config_(config), wl_(config) {
-  arr_.assign(static_cast<std::size_t>(config_.params.n), kNeverArrived);
-}
+    : config_(config), wl_(config) {}
 
 bool ReintegrationProcess::matches(double value, double label) const {
   // Round labels are exchanged as exact doubles, but tolerate rounding from
@@ -26,41 +23,47 @@ bool ReintegrationProcess::matches(double value, double label) const {
 void ReintegrationProcess::on_start(proc::Context& ctx) {
   if (joined_) return wl_.on_start(ctx);
   if (phase_ == Phase::kDormant) {
+    // Wake-up: the neighbour view p reintegrates against.
     phase_ = Phase::kOrienting;
-    seen_.clear();
+    arr_.bind(ctx.neighbors(), ctx.process_count(), kNeverArrived);
+    f_local_ = local_fault_budget(arr_.size(), ctx.process_count(),
+                                  config_.params.f);
   }
 }
 
-void ReintegrationProcess::begin_collection(proc::Context& ctx, double target) {
+void ReintegrationProcess::begin_collection(double target) {
   phase_ = Phase::kCollecting;
   target_ = target;
-  arr_.assign(static_cast<std::size_t>(config_.params.n), kNeverArrived);
-  target_senders_.clear();
+  arr_.fill(kNeverArrived);
+  target_senders_.reset(arr_.size());
   window_armed_ = false;
-  (void)ctx;
 }
 
 void ReintegrationProcess::on_message(proc::Context& ctx, const sim::Message& m) {
   if (joined_) return wl_.on_message(ctx, m);
-  if (m.tag != kTimeTag) return;
+  if (m.tag != kTimeTag || phase_ == Phase::kDormant) return;
+  // Only neighbours count: a sender without a slot (an adversary's
+  // point-to-point send) is dropped like a non-neighbour's arrival.
+  const std::int32_t slot = arr_.slot_of(m.from);
+  if (slot < 0) return;
 
   if (phase_ == Phase::kOrienting) {
-    auto& senders = seen_[m.value];
-    senders.insert(m.from);
-    if (static_cast<std::int32_t>(senders.size()) >= config_.params.f + 1) {
+    // ARR holds the label each neighbour sent last until a collection
+    // begins.
+    arr_.set_slot(static_cast<std::size_t>(slot), m.value);
+    const std::vector<double>& labels = arr_.values();
+    if (std::count(labels.begin(), labels.end(), m.value) >= f_local_ + 1) {
       // Round m.value is genuine (>= 1 nonfaulty sender) and may be only
       // partially observed; target the next one.
-      begin_collection(ctx, m.value + config_.params.P);
+      begin_collection(m.value + config_.params.P);
     }
     return;
   }
 
-  if (phase_ == Phase::kCollecting && matches(m.value, target_)) {
-    arr_[static_cast<std::size_t>(m.from)] = ctx.local_time();
-    target_senders_.insert(m.from);
-    if (!window_armed_ &&
-        static_cast<std::int32_t>(target_senders_.size()) >=
-            config_.params.f + 1) {
+  if (matches(m.value, target_)) {
+    arr_.set_slot(static_cast<std::size_t>(slot), ctx.local_time());
+    target_senders_.insert(slot);
+    if (!window_armed_ && target_senders_.count() >= f_local_ + 1) {
       // At least one nonfaulty broadcast has arrived; the rest arrive within
       // beta + 2 eps real time.  Close on our own physical clock.
       const Params& p = config_.params;
@@ -78,13 +81,13 @@ void ReintegrationProcess::on_timer(proc::Context& ctx, std::int32_t tag) {
 
 void ReintegrationProcess::close_window(proc::Context& ctx) {
   const Params& p = config_.params;
-  if (static_cast<std::int32_t>(target_senders_.size()) < p.n - p.f) {
+  if (target_senders_.count() <
+      static_cast<std::int32_t>(arr_.size()) - f_local_) {
     // Too few senders heard (heavy loss): re-target the next round.
-    begin_collection(ctx, target_ + p.P);
+    begin_collection(target_ + p.P);
     return;
   }
-  const double av =
-      ms::fault_tolerant_midpoint(arr_, static_cast<std::size_t>(p.f));
+  const double av = arr_.midpoint_reduced(static_cast<std::size_t>(f_local_));
   const double adj = target_ + p.delta - av;
   ctx.add_corr(adj);
   joined_ = true;
@@ -111,13 +114,13 @@ ChurnProcess::ChurnProcess(WelchLynchConfig config,
   }
 }
 
-ChurnProcess::Route ChurnProcess::route(proc::Context& ctx) {
+proc::Process* ChurnProcess::active(proc::Context& ctx) {
   const double now = proc::AdversaryContext::from(ctx).real_time();
   // k = number of leaves at or before now.
   std::size_t k = 0;
   while (k < down_.size() && down_[k].leave <= now) ++k;
-  if (k == 0) return Route::kWl;
-  if (now < down_[k - 1].rejoin) return Route::kDead;
+  if (k == 0) return &wl_;
+  if (now < down_[k - 1].rejoin) return nullptr;
   if (rejoin_segment_ != k) {
     // First event at or past this segment's rejoin instant: start a fresh
     // Section 9.1 procedure.  The previous one (if any) is discarded with
@@ -125,58 +128,19 @@ ChurnProcess::Route ChurnProcess::route(proc::Context& ctx) {
     rejoin_ = std::make_unique<ReintegrationProcess>(config_);
     rejoin_segment_ = k;
   }
-  return Route::kRejoin;
-}
-
-bool ChurnProcess::participating(proc::Context& ctx) {
-  switch (route(ctx)) {
-    case Route::kWl:
-      return true;
-    case Route::kDead:
-      return false;
-    case Route::kRejoin:
-      return rejoin_->joined();
-  }
-  return false;
+  return rejoin_.get();
 }
 
 void ChurnProcess::on_start(proc::Context& ctx) {
-  switch (route(ctx)) {
-    case Route::kWl:
-      wl_.on_start(ctx);
-      break;
-    case Route::kDead:
-      break;
-    case Route::kRejoin:
-      rejoin_->on_start(ctx);
-      break;
-  }
+  if (proc::Process* p = active(ctx)) p->on_start(ctx);
 }
 
 void ChurnProcess::on_timer(proc::Context& ctx, std::int32_t tag) {
-  switch (route(ctx)) {
-    case Route::kWl:
-      wl_.on_timer(ctx, tag);
-      break;
-    case Route::kDead:
-      break;
-    case Route::kRejoin:
-      rejoin_->on_timer(ctx, tag);
-      break;
-  }
+  if (proc::Process* p = active(ctx)) p->on_timer(ctx, tag);
 }
 
 void ChurnProcess::on_message(proc::Context& ctx, const sim::Message& m) {
-  switch (route(ctx)) {
-    case Route::kWl:
-      wl_.on_message(ctx, m);
-      break;
-    case Route::kDead:
-      break;
-    case Route::kRejoin:
-      rejoin_->on_message(ctx, m);
-      break;
-  }
+  if (proc::Process* p = active(ctx)) p->on_message(ctx, m);
 }
 
 }  // namespace wlsync::core

@@ -13,32 +13,34 @@
 //   * the adjustment is an additive constant, so applying it the moment the
 //     collection window closes (rather than at U^i) changes nothing.
 //
-// Concretization of the [Lu1] details (the paper defers them):
-//   orientation  — the first round label V0 confirmed by f+1 distinct
-//                  senders is treated as "the round in progress"; since f+1
-//                  senders include at least one nonfaulty process, V0 is a
-//                  real round.  p targets V1 = V0 + P, the first round it is
-//                  guaranteed to observe from its very first message.
+// Concretization of the [Lu1] details (the paper defers them).  p counts
+// only its closed neighbourhood at wake-up (deg processes, the dense slots
+// of one proc::ArrivalArena) and tolerates f_local = local_fault_budget
+// faulty neighbours; on the full mesh deg = n and f_local = f.
+//   orientation  — the first round label V0 that f_local+1 neighbours last
+//                  sent is "the round in progress"; f_local+1 senders
+//                  include a nonfaulty one, so V0 is a real round.  p
+//                  targets V1 = V0 + P, the first round it is guaranteed to
+//                  observe from its very first message.
 //   collection   — arrivals of V1-labelled messages are recorded per sender
-//                  (most recent wins, as in ARR).  When f+1 distinct senders
-//                  have been seen — i.e. at least one nonfaulty broadcast has
-//                  arrived — every other nonfaulty broadcast lands within
-//                  beta + 2 eps real time, so the window closes
+//                  (most recent wins, as in ARR).  When f_local+1 senders
+//                  have been seen — i.e. at least one nonfaulty broadcast
+//                  has arrived — every other nonfaulty broadcast lands
+//                  within beta + 2 eps real time, so the window closes
 //                  (1+rho)(beta + 2 eps) later on p's physical clock.
-//   join         — if at close n-f senders were heard, p applies
+//   join         — if at close deg - f_local senders were heard, p applies
 //                  ADJ = V1 + delta - mid(reduce(ARR)) and resumes the
 //                  maintenance algorithm at V1 + P; otherwise it re-targets
-//                  V1 + P and repeats (a Byzantine quorum cannot fake f+1
-//                  distinct senders, so this only happens under heavy loss).
+//                  V1 + P and repeats (f_local faulty neighbours cannot fake
+//                  f_local+1 senders, so this only happens under heavy loss).
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "core/params.h"
 #include "core/welch_lynch.h"
+#include "proc/arrival.h"
 #include "proc/process.h"
 
 namespace wlsync::core {
@@ -60,19 +62,18 @@ class ReintegrationProcess final : public proc::Process {
   enum class Phase : std::uint8_t { kDormant, kOrienting, kCollecting };
 
   [[nodiscard]] bool matches(double value, double label) const;
-  void begin_collection(proc::Context& ctx, double target);
+  void begin_collection(double target);
   void close_window(proc::Context& ctx);
 
   WelchLynchConfig config_;
   WelchLynchProcess wl_;  ///< delegate after joining
   Phase phase_ = Phase::kDormant;
   bool joined_ = false;
+  std::int32_t f_local_ = 0;  ///< core::local_fault_budget of the view
 
-  /// Orientation: distinct senders seen per round label since wake-up.
-  std::map<double, std::set<std::int32_t>> seen_;
   double target_ = 0.0;
-  std::vector<double> arr_;
-  std::set<std::int32_t> target_senders_;
+  proc::ArrivalArena arr_;        ///< ARR, one dense slot per neighbour
+  proc::SlotSet target_senders_;  ///< senders of the target label
   bool window_armed_ = false;
 };
 
@@ -107,16 +108,13 @@ class ChurnProcess final : public proc::Process {
   [[nodiscard]] const ReintegrationProcess* rejoin() const noexcept {
     return rejoin_.get();
   }
-  /// True while the process is participating (initial tenure, or rejoined
-  /// and past the Section 9.1 join).
-  [[nodiscard]] bool participating(proc::Context& ctx);
 
  private:
-  enum class Route : std::uint8_t { kWl, kDead, kRejoin };
   /// Routing by real time: before the first leave the original maintenance
-  /// instance runs; inside [leave, rejoin) everything is dropped; from the
-  /// k-th rejoin on, the k-th reintegration procedure owns the process.
-  [[nodiscard]] Route route(proc::Context& ctx);
+  /// instance runs; inside [leave, rejoin) everything is dropped (nullptr);
+  /// from the k-th rejoin on, the k-th reintegration procedure owns the
+  /// process.
+  [[nodiscard]] proc::Process* active(proc::Context& ctx);
 
   WelchLynchConfig config_;
   WelchLynchProcess wl_;  ///< the initial tenure's maintenance instance

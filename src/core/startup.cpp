@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "multiset/multiset_ops.h"
-
 namespace wlsync::core {
 
 namespace {
@@ -11,9 +9,14 @@ constexpr std::int32_t kUTimer = 11;
 constexpr std::int32_t kVTimer = 12;
 }  // namespace
 
-StartupProcess::StartupProcess(StartupConfig config) : config_(std::move(config)) {
-  diff_.assign(static_cast<std::size_t>(config_.maintenance.params.n),
-               kNeverArrived);
+StartupProcess::StartupProcess(StartupConfig config) : config_(std::move(config)) {}
+
+void StartupProcess::bind_view(const proc::Context& ctx) {
+  if (diff_.bound()) return;
+  diff_.bind(ctx.neighbors(), ctx.process_count(), kNeverArrived);
+  rcvd_ready_.reset(diff_.size());
+  f_local_ = local_fault_budget(diff_.size(), ctx.process_count(),
+                                config_.maintenance.params.f);
 }
 
 void StartupProcess::begin_round(proc::Context& ctx) {
@@ -25,11 +28,12 @@ void StartupProcess::begin_round(proc::Context& ctx) {
   u_ = t_ + (1.0 + p.rho) * (2.0 * p.delta + 4.0 * p.eps);
   ctx.set_timer(u_, kUTimer);
   early_end_ = false;
-  rcvd_ready_.clear();
+  rcvd_ready_.reset(diff_.size());
 }
 
 void StartupProcess::on_start(proc::Context& ctx) {
   if (wl_) return wl_->on_start(ctx);
+  bind_view(ctx);
   // receive(START) and ASLEEP.
   if (!asleep_) return;
   asleep_ = false;
@@ -38,10 +42,11 @@ void StartupProcess::on_start(proc::Context& ctx) {
 
 void StartupProcess::on_message(proc::Context& ctx, const sim::Message& m) {
   if (wl_) return wl_->on_message(ctx, m);
+  bind_view(ctx);
   if (m.tag == kTimeTag) {
     // receive(T) from q.
-    diff_[static_cast<std::size_t>(m.from)] =
-        m.value + config_.maintenance.params.delta - ctx.local_time();
+    diff_.record(m.from,
+                 m.value + config_.maintenance.params.delta - ctx.local_time());
     if (asleep_) {
       asleep_ = false;
       begin_round(ctx);
@@ -66,7 +71,7 @@ void StartupProcess::on_timer(proc::Context& ctx, std::int32_t tag) {
   switch (tag) {
     case kUTimer: {
       if (!matches(u_)) break;
-      a_ = ms::fault_tolerant_midpoint(diff_, static_cast<std::size_t>(p.f));
+      a_ = diff_.midpoint_reduced(static_cast<std::size_t>(f_local_));
       v_ = u_ + (1.0 + p.rho) *
                     (4.0 * p.eps + 4.0 * p.rho * (p.delta + 2.0 * p.eps) +
                      2.0 * p.rho * p.rho * (p.delta + 4.0 * p.eps));
@@ -83,18 +88,23 @@ void StartupProcess::on_timer(proc::Context& ctx, std::int32_t tag) {
 }
 
 void StartupProcess::on_ready(proc::Context& ctx, std::int32_t from) {
-  const Params& p = config_.maintenance.params;
-  rcvd_ready_.insert(from);
-  const auto count = static_cast<std::int32_t>(rcvd_ready_.size());
-  if (count == p.f + 1 && v_ >= 0.0 && ctx.local_time() < v_ && !early_end_) {
-    // Second interval ended early: f+1 processes are already READY.
+  // A READY from outside the neighbourhood (only an adversary's
+  // point-to-point send can be one) has no slot and counts toward nothing.
+  const std::int32_t slot = diff_.slot_of(from);
+  if (slot < 0) return;
+  rcvd_ready_.insert(slot);
+  const std::int32_t count = rcvd_ready_.count();
+  if (count == f_local_ + 1 && v_ >= 0.0 && ctx.local_time() < v_ &&
+      !early_end_) {
+    // Second interval ended early: f_local+1 neighbours are already READY.
     ctx.broadcast(kReadyTag, 0.0, round_);
     early_end_ = true;
   }
-  if (count == p.n - p.f) {
+  if (count == static_cast<std::int32_t>(diff_.size()) - f_local_) {
     // Apply the adjustment computed at U and begin the next round.
-    for (auto& d : diff_) {
-      if (d != kNeverArrived) d -= a_;
+    double* diff = diff_.slot_data();
+    for (std::size_t s = 0; s < diff_.size(); ++s) {
+      if (diff[s] != kNeverArrived) diff[s] -= a_;
     }
     ctx.add_corr(a_);
     ctx.annotate({proc::Annotation::Type::kUpdate, round_, a_, 0.0});

@@ -24,11 +24,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
-#include <vector>
 
 #include "core/params.h"
 #include "core/welch_lynch.h"
+#include "proc/arrival.h"
 #include "proc/process.h"
 
 namespace wlsync::core {
@@ -58,18 +57,21 @@ class StartupProcess final : public proc::Process {
   }
 
  private:
+  /// Binds DIFF and RCVD-READY on the first Context-bearing step.
+  void bind_view(const proc::Context& ctx);
   void begin_round(proc::Context& ctx);
   void on_ready(proc::Context& ctx, std::int32_t from);
   void handoff(proc::Context& ctx);
 
   StartupConfig config_;
+  std::int32_t f_local_ = 0;    ///< core::local_fault_budget of the view
   // Local variables of the Section 9.2 code.
-  double a_ = 0.0;                    ///< A: adjustment for the current round
-  bool asleep_ = true;                ///< ASLEEP
-  std::vector<double> diff_;          ///< DIFF[1..n]
-  bool early_end_ = false;            ///< EARLY-END
-  std::set<std::int32_t> rcvd_ready_; ///< RCVD-READY
-  double t_ = 0.0;                    ///< T: local time at round start
+  double a_ = 0.0;              ///< A: adjustment for the current round
+  bool asleep_ = true;          ///< ASLEEP
+  proc::ArrivalArena diff_;     ///< DIFF, one dense slot per neighbour
+  bool early_end_ = false;      ///< EARLY-END
+  proc::SlotSet rcvd_ready_;    ///< RCVD-READY, over the same slots
+  double t_ = 0.0;              ///< T: local time at round start
   double u_ = -1.0;                   ///< U: end of first waiting interval
   double v_ = -1.0;                   ///< V: time to broadcast READY
   std::int32_t round_ = 0;

@@ -1,6 +1,5 @@
 #include "core/welch_lynch.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace wlsync::core {
@@ -135,14 +134,8 @@ void WelchLynchProcess::on_message(proc::Context& ctx, const sim::Message& m) {
 }
 
 std::size_t WelchLynchProcess::reduce_f(std::int32_t process_count) const {
-  auto f = static_cast<std::size_t>(config_.params.f);
-  if (static_cast<std::int32_t>(arena_.size()) != process_count) {
-    // The A2 ratio applied to the neighborhood: a process can only clip
-    // the faults that can actually reach it, so the global budget f caps
-    // at (deg - 1) / 3 locally (deg >= 3 f_local + 1, as n >= 3f + 1).
-    f = std::min(f, (arena_.size() - 1) / 3);
-  }
-  return f;
+  return static_cast<std::size_t>(
+      local_fault_budget(arena_.size(), process_count, config_.params.f));
 }
 
 proc::ArrivalArena::Reduction WelchLynchProcess::reduction() const {

@@ -48,8 +48,7 @@ namespace wlsync::proc {
 /// Sender-id -> dense-slot map over a process' closed neighborhood.  The
 /// slot of a sender is its position in the sorted neighbor list; non-
 /// neighbors and ids outside [0, n) map to -1.  Shared by ArrivalArena
-/// (value slots) and the quorum-counting algorithms ([ST]'s per-round
-/// sender bitsets).  Holds only the neighbor list itself — O(degree), and
+/// (value slots) and the quorum-counting algorithms (SlotSet bitsets).  Holds only the neighbor list itself — O(degree), and
 /// nothing at all when the map is the identity — and answers slot_of with
 /// a binary search over it.
 class NeighborIndex {
@@ -84,6 +83,28 @@ class NeighborIndex {
   std::size_t size_ = 0;
   bool bound_ = false;
   bool identity_ = false;
+};
+
+/// A set of dense neighbour slots with its size: the distinct-sender
+/// tallies of the quorum rules, one bit per slot.
+class SlotSet {
+ public:
+  void reset(std::size_t slots) {
+    bits_.assign(slots, false);
+    count_ = 0;
+  }
+  /// Adds `slot`; false if it was already in.
+  bool insert(std::int32_t slot) {
+    if (bits_[static_cast<std::size_t>(slot)]) return false;
+    bits_[static_cast<std::size_t>(slot)] = true;
+    ++count_;
+    return true;
+  }
+  [[nodiscard]] std::int32_t count() const noexcept { return count_; }
+
+ private:
+  std::vector<bool> bits_;
+  std::int32_t count_ = 0;
 };
 
 /// The calling thread's reduction workspace, viewed as `m` doubles: one
@@ -145,9 +166,6 @@ class ArrivalArena {
   [[nodiscard]] double* slot_data() noexcept {
     memo_valid_ = false;
     return values_.data();
-  }
-  [[nodiscard]] double slot_value(std::size_t slot) const {
-    return values_[slot];
   }
 
   /// Per-round reset for the algorithms whose estimates expire (the

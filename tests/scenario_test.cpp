@@ -147,15 +147,6 @@ TEST(ModeValidation, RejectsDynamics) {
                          "dynamics schedules require Algo::kWelchLynch");
 }
 
-TEST(ModeValidation, RejectsNonMeshTopology) {
-  expect_startup_rejects(
-      [](RunSpec& s) {
-        s.topology.kind = net::TopologyKind::kKRegular;
-        s.topology.degree = 2;
-      },
-      "Algo::kStartup requires the full-mesh topology");
-}
-
 TEST(ModeValidation, StartupHonoursSharedKnobs) {
   // Each row sets one knob on a start-up spec and checks that it reaches
   // the result.  The algorithm knobs configure the maintenance algorithm
