@@ -1,6 +1,7 @@
 #include "core/startup.h"
 
 #include <cmath>
+#include <utility>
 
 namespace wlsync::core {
 
@@ -15,6 +16,7 @@ void StartupProcess::bind_view(const proc::Context& ctx) {
   if (diff_.bound()) return;
   diff_.bind(ctx.neighbors(), ctx.process_count(), kNeverArrived);
   rcvd_ready_.reset(diff_.size());
+  next_ready_.reset(diff_.size());
   f_local_ = local_fault_budget(diff_.size(), ctx.process_count(),
                                 config_.maintenance.params.f);
 }
@@ -27,8 +29,8 @@ void StartupProcess::begin_round(proc::Context& ctx) {
   ctx.broadcast(kTimeTag, t_, round_);
   u_ = t_ + (1.0 + p.rho) * (2.0 * p.delta + 4.0 * p.eps);
   ctx.set_timer(u_, kUTimer);
+  v_ = -1.0;  // no A yet; a stale V timer matches nothing
   early_end_ = false;
-  rcvd_ready_.reset(diff_.size());
 }
 
 void StartupProcess::on_start(proc::Context& ctx) {
@@ -52,7 +54,7 @@ void StartupProcess::on_message(proc::Context& ctx, const sim::Message& m) {
       begin_round(ctx);
     }
   } else if (m.tag == kReadyTag) {
-    on_ready(ctx, m.from);
+    on_ready(ctx, m.from, m.aux);
   }
 }
 
@@ -76,6 +78,7 @@ void StartupProcess::on_timer(proc::Context& ctx, std::int32_t tag) {
                     (4.0 * p.eps + 4.0 * p.rho * (p.delta + 2.0 * p.eps) +
                      2.0 * p.rho * p.rho * (p.delta + 4.0 * p.eps));
       ctx.set_timer(v_, kVTimer);
+      check_ready(ctx);
       break;
     }
     case kVTimer:
@@ -87,33 +90,44 @@ void StartupProcess::on_timer(proc::Context& ctx, std::int32_t tag) {
   }
 }
 
-void StartupProcess::on_ready(proc::Context& ctx, std::int32_t from) {
+void StartupProcess::on_ready(proc::Context& ctx, std::int32_t from,
+                              std::int32_t round) {
   // A READY from outside the neighbourhood (only an adversary's
   // point-to-point send can be one) has no slot and counts toward nothing.
   const std::int32_t slot = diff_.slot_of(from);
   if (slot < 0) return;
-  rcvd_ready_.insert(slot);
+  // A READY counts toward the round it names.  A faster neighbour's READY
+  // for the next round is kept for it: dropping it would strand this
+  // process one round behind once the faster ones stop sending.
+  if (round == round_ + 1) next_ready_.insert(slot);
+  if (round == round_ && rcvd_ready_.insert(slot)) check_ready(ctx);
+}
+
+void StartupProcess::check_ready(proc::Context& ctx) {
+  // READYs heard before U (carried over, or from faster neighbours) wait
+  // for this round's A; U re-runs the check.
+  if (v_ < 0.0) return;
   const std::int32_t count = rcvd_ready_.count();
-  if (count == f_local_ + 1 && v_ >= 0.0 && ctx.local_time() < v_ &&
-      !early_end_) {
+  if (count >= f_local_ + 1 && ctx.local_time() < v_ && !early_end_) {
     // Second interval ended early: f_local+1 neighbours are already READY.
     ctx.broadcast(kReadyTag, 0.0, round_);
     early_end_ = true;
   }
-  if (count == static_cast<std::int32_t>(diff_.size()) - f_local_) {
-    // Apply the adjustment computed at U and begin the next round.
-    double* diff = diff_.slot_data();
-    for (std::size_t s = 0; s < diff_.size(); ++s) {
-      if (diff[s] != kNeverArrived) diff[s] -= a_;
-    }
-    ctx.add_corr(a_);
-    ctx.annotate({proc::Annotation::Type::kUpdate, round_, a_, 0.0});
-    ++round_;
-    if (config_.handoff_rounds > 0 && round_ >= config_.handoff_rounds) {
-      handoff(ctx);
-    } else {
-      begin_round(ctx);
-    }
+  if (count < static_cast<std::int32_t>(diff_.size()) - f_local_) return;
+  // Apply the adjustment computed at U and begin the next round.
+  double* diff = diff_.slot_data();
+  for (std::size_t s = 0; s < diff_.size(); ++s) {
+    if (diff[s] != kNeverArrived) diff[s] -= a_;
+  }
+  ctx.add_corr(a_);
+  ctx.annotate({proc::Annotation::Type::kUpdate, round_, a_, 0.0});
+  ++round_;
+  std::swap(rcvd_ready_, next_ready_);
+  next_ready_.reset(diff_.size());
+  if (config_.handoff_rounds > 0 && round_ >= config_.handoff_rounds) {
+    handoff(ctx);
+  } else {
+    begin_round(ctx);
   }
 }
 

@@ -9,10 +9,19 @@
 //   2. computes A := mid(reduce(DIFF)) but does not apply it yet;
 //   3. waits a second interval so its next messages cannot arrive before
 //      slower processes finish their first interval, then broadcasts READY —
-//      early if it has already received f+1 READYs (the [DLS] trick);
-//   4. on receiving n-f READYs, applies A and begins the next round.
+//      early if it has already received f_local+1 READYs (the [DLS] trick);
+//   4. on receiving deg - f_local READYs for its round, applies A and begins
+//      the next round.  READYs for the next round that arrive early are
+//      kept for it, and READYs heard before U wait for A.
 // The fault-tolerant average halves the spread per round (Lemma 20):
 //   B^{i+1} <= B^i/2 + 2 eps + 2 rho (11 delta + 39 eps).
+//
+// The quorums are local: DIFF and RCVD-READY live on the deg dense slots of
+// the closed neighbourhood, and f_local = local_fault_budget(deg, n, f).  On
+// the full mesh that is the paper's n - f and f + 1.  On a ring of cliques
+// each clique clips its single bridge arrival, so the cliques agree
+// internally but the spread between them plateaus (Lemma 20 does not hold
+// there).
 //
 // An optional handoff switches to the maintenance algorithm after
 // `handoff_rounds` rounds: the process picks the first label T on the
@@ -60,7 +69,9 @@ class StartupProcess final : public proc::Process {
   /// Binds DIFF and RCVD-READY on the first Context-bearing step.
   void bind_view(const proc::Context& ctx);
   void begin_round(proc::Context& ctx);
-  void on_ready(proc::Context& ctx, std::int32_t from);
+  void on_ready(proc::Context& ctx, std::int32_t from, std::int32_t round);
+  /// The READY rules of the current round; ends it on deg - f_local.
+  void check_ready(proc::Context& ctx);
   void handoff(proc::Context& ctx);
 
   StartupConfig config_;
@@ -71,6 +82,7 @@ class StartupProcess final : public proc::Process {
   proc::ArrivalArena diff_;     ///< DIFF, one dense slot per neighbour
   bool early_end_ = false;      ///< EARLY-END
   proc::SlotSet rcvd_ready_;    ///< RCVD-READY, over the same slots
+  proc::SlotSet next_ready_;    ///< READYs already heard for round_ + 1
   double t_ = 0.0;              ///< T: local time at round start
   double u_ = -1.0;                   ///< U: end of first waiting interval
   double v_ = -1.0;                   ///< V: time to broadcast READY

@@ -167,6 +167,23 @@ TEST(Startup, HandoffToMaintenanceWorks) {
   EXPECT_LE(result.post_handoff_skew, d.gamma * (1 + 1e-9));
 }
 
+TEST(Startup, FaultFreeHandoffStrandsNoStraggler) {
+  // Without faults the deg - f fastest processes can run a round ahead of
+  // the rest.  Their READYs for that round must still count once a
+  // straggler gets there, or it never collects deg - f of them after they
+  // hand off (before the fix, 30 of these 40 seeds missed the handoff).
+  std::int32_t handoffs = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    RunSpec spec = startup_spec(7, 2);
+    spec.rounds = 12;
+    spec.initial_clock_spread = 1.0;
+    spec.startup_handoff = true;
+    spec.seed = seed;
+    handoffs += run(spec).startup->handoff_done ? 1 : 0;
+  }
+  EXPECT_EQ(handoffs, 40);
+}
+
 TEST(Startup, FastPathRefusesByName) {
   // The round fast path runs Welch-Lynch exchanges only; kAuto records the
   // refusal and a forced kFastpath throws it.
