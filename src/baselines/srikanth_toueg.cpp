@@ -45,7 +45,6 @@ SrikanthTouegProcess::RoundTally& SrikanthTouegProcess::tally_for(
     free_.pop_back();
   }
   fresh.round = k;
-  fresh.count = 0;
   fresh.seen.reset(index_.size());
   fresh.extras.clear();
   return *active_.insert(it, std::move(fresh));
@@ -58,15 +57,14 @@ std::int32_t SrikanthTouegProcess::note_sender(proc::Context& ctx,
   RoundTally& tally = tally_for(k);
   const std::int32_t slot = index_.slot_of(from);
   if (slot >= 0) {
-    if (tally.seen.insert(slot)) ++tally.count;
+    tally.seen.insert(slot);
   } else if (std::find(tally.extras.begin(), tally.extras.end(), from) ==
              tally.extras.end()) {
     // Point-to-point send from outside the neighborhood (an adversary
     // power): a distinct sender all the same, so it counts.
     tally.extras.push_back(from);
-    ++tally.count;
   }
-  return tally.count;
+  return tally.seen.count() + static_cast<std::int32_t>(tally.extras.size());
 }
 
 void SrikanthTouegProcess::drop_through(std::int32_t k) {

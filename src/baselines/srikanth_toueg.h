@@ -50,9 +50,8 @@ class SrikanthTouegProcess final : public proc::Process {
   /// Distinct senders heard for a pending (not yet accepted) round.
   struct RoundTally {
     std::int32_t round = 0;
-    std::int32_t count = 0;             ///< distinct senders so far
-    proc::SlotSet seen;                 ///< neighbor senders, by dense slot
-    std::vector<std::int32_t> extras;   ///< non-neighbor senders (rare)
+    proc::SlotSet seen;                ///< neighbor senders, by dense slot
+    std::vector<std::int32_t> extras;  ///< non-neighbor senders (rare)
   };
 
   void maybe_broadcast(proc::Context& ctx, std::int32_t k);

@@ -48,9 +48,10 @@ namespace wlsync::proc {
 /// Sender-id -> dense-slot map over a process' closed neighborhood.  The
 /// slot of a sender is its position in the sorted neighbor list; non-
 /// neighbors and ids outside [0, n) map to -1.  Shared by ArrivalArena
-/// (value slots) and the quorum-counting algorithms (SlotSet bitsets).  Holds only the neighbor list itself — O(degree), and
-/// nothing at all when the map is the identity — and answers slot_of with
-/// a binary search over it.
+/// (value slots) and the quorum-counting algorithms (SlotSet bitsets).
+/// Holds only the neighbor list itself — O(degree), and nothing at all
+/// when the map is the identity — and answers slot_of with a binary search
+/// over it.
 class NeighborIndex {
  public:
   /// `neighbors` must be strictly ascending ids in [0, n); anything else
