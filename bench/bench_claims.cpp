@@ -560,17 +560,45 @@ std::vector<Row> startup() {
                         std::to_string(result.stabilized_round) + " at " +
                             util::fmt_sci(result.stabilization_time) + " s"));
 
-  // Hand off to maintenance and check gamma.
+  // Hand off to maintenance and check gamma: with 2 silent faults n - f is
+  // exactly the honest set; fault-free, the n - f fastest can run a round
+  // ahead of the rest, and the stragglers must still hand off.
   spec.startup_handoff = true;
-  spec.fault = FaultKind::kSilent;
-  spec.fault_count = 2;
-  const analysis::StartupResult h = *analysis::run(spec).startup;
   const double gamma = core::derive(params).gamma;
-  rows.push_back({"handoff with 2 silent faults: post-handoff skew",
-                  h.handoff_done ? util::fmt_sci(h.post_handoff_skew)
-                                 : "no handoff",
-                  util::fmt_sci(gamma),
-                  h.handoff_done && h.post_handoff_skew <= gamma});
+  for (const std::int32_t silent : {2, 0}) {
+    spec.fault = silent > 0 ? FaultKind::kSilent : FaultKind::kNone;
+    spec.fault_count = silent;
+    const analysis::StartupResult h = *analysis::run(spec).startup;
+    rows.push_back({silent > 0 ? "handoff with 2 silent faults: post-handoff skew"
+                               : "fault-free handoff: post-handoff skew",
+                    h.handoff_done ? util::fmt_sci(h.post_handoff_skew)
+                                   : "no handoff",
+                    util::fmt_sci(gamma),
+                    h.handoff_done && h.post_handoff_skew <= gamma});
+  }
+
+  // Off the mesh each process ends its rounds on its local quorum of
+  // deg - f_local READYs (core::local_fault_budget).
+  analysis::RunSpec sparse;
+  sparse.algo = analysis::Algo::kStartup;
+  sparse.params = bench::default_params(64, 21);
+  sparse.topology.kind = net::TopologyKind::kKRegular;
+  sparse.topology.degree = 16;
+  sparse.rounds = spec.rounds;
+  sparse.initial_clock_spread = spread0;
+  sparse.startup_handoff = true;
+  sparse.seed = 1;
+  const analysis::RunResult expander = analysis::run(sparse);
+  const std::size_t rounds = static_cast<std::size_t>(sparse.rounds);
+  const double expander_b = expander.skew_at_round.size() >= rounds
+                                ? expander.skew_at_round[rounds - 1]
+                                : 1e300;
+  rows.push_back({"degree-16 expander, n 64: final B (handoff " +
+                      std::string(expander.startup->handoff_done ? "yes" : "no") +
+                      ")",
+                  util::fmt_sci(expander_b), "< " + util::fmt_sci(spread0 / 100),
+                  expander.startup->handoff_done &&
+                      expander_b < spread0 / 100});
   return rows;
 }
 

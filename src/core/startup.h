@@ -84,8 +84,8 @@ class StartupProcess final : public proc::Process {
   proc::SlotSet rcvd_ready_;    ///< RCVD-READY, over the same slots
   proc::SlotSet next_ready_;    ///< READYs already heard for round_ + 1
   double t_ = 0.0;              ///< T: local time at round start
-  double u_ = -1.0;                   ///< U: end of first waiting interval
-  double v_ = -1.0;                   ///< V: time to broadcast READY
+  double u_ = -1.0;             ///< U: end of first waiting interval
+  double v_ = -1.0;             ///< V: time to broadcast READY
   std::int32_t round_ = 0;
   std::unique_ptr<WelchLynchProcess> wl_;  ///< set after handoff
 };
