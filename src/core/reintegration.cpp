@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace wlsync::core {
@@ -23,9 +24,12 @@ bool ReintegrationProcess::matches(double value, double label) const {
 void ReintegrationProcess::on_start(proc::Context& ctx) {
   if (joined_) return wl_.on_start(ctx);
   if (phase_ == Phase::kDormant) {
-    // Wake-up: the neighbour view p reintegrates against.
+    // Wake-up: the neighbour view p reintegrates against.  Until a
+    // collection begins ARR holds the label each neighbour sent last; an
+    // unheard slot holds NaN, which equals no label, so only senders count.
     phase_ = Phase::kOrienting;
-    arr_.bind(ctx.neighbors(), ctx.process_count(), kNeverArrived);
+    arr_.bind(ctx.neighbors(), ctx.process_count(),
+              std::numeric_limits<double>::quiet_NaN());
     f_local_ = local_fault_budget(arr_.size(), ctx.process_count(),
                                   config_.params.f);
   }
@@ -48,8 +52,6 @@ void ReintegrationProcess::on_message(proc::Context& ctx, const sim::Message& m)
   if (slot < 0) return;
 
   if (phase_ == Phase::kOrienting) {
-    // ARR holds the label each neighbour sent last until a collection
-    // begins.
     arr_.set_slot(static_cast<std::size_t>(slot), m.value);
     const std::vector<double>& labels = arr_.values();
     if (std::count(labels.begin(), labels.end(), m.value) >= f_local_ + 1) {

@@ -103,12 +103,6 @@ class ChurnProcess final : public proc::Process {
   void on_timer(proc::Context& ctx, std::int32_t tag) override;
   void on_message(proc::Context& ctx, const sim::Message& m) override;
 
-  /// The reintegration procedure of the most recent rejoin; nullptr before
-  /// the first rejoin fires.
-  [[nodiscard]] const ReintegrationProcess* rejoin() const noexcept {
-    return rejoin_.get();
-  }
-
  private:
   /// Routing by real time: before the first leave the original maintenance
   /// instance runs; inside [leave, rejoin) everything is dropped (nullptr);

@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "analysis/experiment.h"
+#include "clock/drift.h"
+#include "core/reintegration.h"
+#include "sim/simulator.h"
 #include "stream_pin.h"
 
 namespace wlsync::analysis {
@@ -86,6 +93,55 @@ TEST(Reintegration, RejectsTooEarlyWake) {
   // A rejoin less than 2P after the leave could collide with stale timers.
   const RunSpec spec = rejoin_spec(4, 1, 25.0, 30.0, 30, 1);
   EXPECT_THROW((void)run(spec), std::invalid_argument);
+}
+
+/// A faulty process that broadcasts scripted round labels at fixed real
+/// times: (real time, label) pairs.
+class LabelScript final : public proc::Process {
+ public:
+  explicit LabelScript(std::vector<std::pair<double, double>> script)
+      : script_(std::move(script)) {}
+  void on_start(proc::Context& ctx) override {
+    for (std::size_t i = 0; i < script_.size(); ++i) {
+      proc::AdversaryContext::from(ctx).set_timer_real(
+          script_[i].first, static_cast<std::int32_t>(i));
+    }
+  }
+  void on_timer(proc::Context& ctx, std::int32_t tag) override {
+    ctx.broadcast(core::kTimeTag, script_[static_cast<std::size_t>(tag)].second,
+                  0);
+  }
+  void on_message(proc::Context&, const sim::Message&) override {}
+
+ private:
+  std::vector<std::pair<double, double>> script_;
+};
+
+TEST(Reintegration, OneSenderCannotOrientOnTheUnheardSentinel) {
+  // n = 4, f = 1: orientation needs f + 1 = 2 senders of one label.  Process
+  // 1 first sends the label kNeverArrived, the value no neighbour has sent
+  // yet; it is one sender and must not orient the joiner on it.  Then
+  // processes 1-3 send the real labels L and L + P, and the joiner joins.
+  const core::Params params = standard(4, 1);
+  const double label = params.T0 + 5 * params.P;
+  sim::Simulator sim(sim::SimConfig{}, nullptr);
+  auto joiner_owned = std::make_unique<core::ReintegrationProcess>(
+      core::WelchLynchConfig{params});
+  const core::ReintegrationProcess* joiner = joiner_owned.get();
+  auto clock = [&] {
+    return std::make_unique<clk::PhysicalClock>(clk::make_constant(1.0), 0.0,
+                                                params.rho);
+  };
+  sim.add_process(std::move(joiner_owned), clock(), 0.0, false, 0.0);
+  for (std::int32_t q = 1; q < 4; ++q) {
+    std::vector<std::pair<double, double>> script = {
+        {1.0, label}, {1.0 + params.P, label + params.P}};
+    if (q == 1) script.insert(script.begin(), {0.1, core::kNeverArrived});
+    sim.add_process(std::make_unique<LabelScript>(std::move(script)), clock(),
+                    0.0, true, 0.0);
+  }
+  sim.run_until(2.0 + params.P);
+  EXPECT_TRUE(joiner->joined());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiment.h"
@@ -203,8 +204,10 @@ TEST(Startup, ExpanderHandsOffAndContracts) {
   // On a degree-16 expander every process ends its rounds on its local
   // quorum of deg - f_local READYs, and the averaging still spreads
   // agreement across the graph: B^0 ~ 1 s falls below 0.026 s (n = 64)
-  // and 0.0024 s (n = 512) by B^13 on these seeds.
-  for (const std::int32_t n : {64, 512}) {
+  // and 0.0024 s (n = 512) by B^13 on these seeds; each bound below is
+  // about twice that.
+  for (const auto& [n, final_bound] :
+       {std::pair{64, 0.05}, std::pair{512, 0.005}}) {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
       const RunSpec spec =
           sparse_startup_spec(n, net::TopologyKind::kKRegular, seed);
@@ -213,8 +216,7 @@ TEST(Startup, ExpanderHandsOffAndContracts) {
       const std::vector<double> b = startup_rounds(result, spec.rounds);
       ASSERT_EQ(b.size(), static_cast<std::size_t>(spec.rounds));
       EXPECT_GT(b.front(), 0.5) << "n " << n << " seed " << seed;
-      EXPECT_LT(b.back(), spec.initial_clock_spread / 20)
-          << "n " << n << " seed " << seed;
+      EXPECT_LT(b.back(), final_bound) << "n " << n << " seed " << seed;
     }
   }
 }
