@@ -1,6 +1,7 @@
 #include "core/fastpath.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -193,9 +194,9 @@ void RoundFastPath::on_broadcast(std::int32_t from, std::int32_t tag,
     // Every recipient is a kernel delivery whose seq is never read, so
     // only the effects outlive the replay: the message count and the seq
     // block alloc_seq would hand out, one per recipient.  The delays are
-    // drawn after the replay, one sender per task (draw_rows) — each
-    // sender's stream is its own, so the draws are the ones this call
-    // would have made.
+    // drawn after the replay (draw_into_arenas on the mesh, draw_rows
+    // elsewhere), each sender's from its own stream in neighbor order — so
+    // the draws are the ones this call would have made.
     sim_.main_.messages_sent += recipients.size();
     sim_.nodes_[static_cast<std::size_t>(from)].next_seq += recipients.size();
     sends_.push_back({from, sim_.main_.current_time});
@@ -352,11 +353,13 @@ void RoundFastPath::init() {
     }
   }
 
-  row_offset_.assign(n + 1, 0);
+  // The delivery matrix exists only off the mesh: the full mesh draws
+  // straight into the arenas (draw_into_arenas).
+  if (!mesh_) row_offset_.assign(n + 1, 0);
   total_deg_ = 0;
   for (std::int32_t id = 0; id < n_; ++id) {
     const auto i = static_cast<std::size_t>(id);
-    row_offset_[i] = static_cast<std::size_t>(total_deg_);
+    if (!mesh_) row_offset_[i] = static_cast<std::size_t>(total_deg_);
     if (!fast_[i]) continue;
     if (mode_ == Mode::kRegion) {
       for (std::int32_t to : sim_.neighbors_of(id)) {
@@ -372,10 +375,13 @@ void RoundFastPath::init() {
       wl_[i]->arena_.bind(sim_.neighbors_of(id), n_, kNeverArrived);
     }
   }
-  row_offset_[n] = static_cast<std::size_t>(total_deg_);
-  times_.resize(static_cast<std::size_t>(total_deg_));
-
-  if (!mesh_) {
+  if (mesh_) {
+    send_at_.resize(n);
+    recv_.resize(n);
+    raw_ids_.reserve(n);
+  } else {
+    row_offset_[n] = static_cast<std::size_t>(total_deg_);
+    times_.resize(static_cast<std::size_t>(total_deg_));
     // Receiver-major view of the delivery matrix, built once: for each
     // kernel entry (s -> to), the receiving arena slot of s (plus s's
     // stagger offset when staggered).  Entries whose sender is not in the
@@ -853,12 +859,16 @@ bool RoundFastPath::run_exchange(double horizon) {
       throw std::logic_error("RoundFastPath: update timer diverged from prediction");
     }
   }
-  if (mode_ != Mode::kRegion) draw_rows();
 
   // --- phase 2: batched arrival evaluation ---
   sim_.main_.events_processed += total_deg_;
   stats_.deliveries += total_deg_;
-  do_batched_deliveries();
+  if (mesh_) {
+    draw_into_arenas();
+  } else {
+    if (mode_ != Mode::kRegion) draw_rows();
+    deliver_generic(deliver_min_, deliver_max_);
+  }
   if (mode_ != Mode::kRegion) prime_updates();
 
   // Round-overlap guard, BEFORE updates consume seqs: if any fast process'
@@ -1039,14 +1049,6 @@ bool RoundFastPath::run_exchange(double horizon) {
 
 // --- the batched delivery kernel -------------------------------------------
 
-void RoundFastPath::do_batched_deliveries() {
-  if (mesh_) {
-    deliver_mesh(deliver_min_, deliver_max_);
-  } else {
-    deliver_generic(deliver_min_, deliver_max_);
-  }
-}
-
 void RoundFastPath::prime_updates() {
   // Per fast receiver, after its window is complete: the arena minimum the
   // round-overlap guard bounds ADJ with, and the reduction do_update will
@@ -1122,83 +1124,106 @@ void RoundFastPath::deliver_generic(double t0, double t1) {
   });
 }
 
-void RoundFastPath::deliver_mesh(double t0, double t1) {
-  // Full mesh: sender s's row is contiguous in recipient id order and the
-  // arena slot of sender s at every receiver is s, so the matrix transposes
-  // with a receiver-blocked sweep — for each block of receivers, walk the
-  // sender rows once (contiguous loads) and append slot s to each
-  // receiver's arena (each arena advances sequentially, one cache line per
-  // eight senders).  The inner expression is affine_arrival_eval's, kept
-  // inline so the compiler vectorizes across the receiver block; the
-  // staggered variant appends the engine's receiver-side normalization
-  // (- s*sigma) as the last operation, exactly as on_message does.  Blocks
-  // are the unit of parallel work: each owns its receivers' clocks and
-  // arenas.
-  constexpr std::size_t kBlock = 64;
+void RoundFastPath::draw_into_arenas() {
+  // Full mesh, kPlain / kStaggered: draws every delay and writes its ARR
+  // straight into the receiving arena slot, with no delivery matrix.  The
+  // arena slot of sender s is s at every receiver, so a group of kGroup
+  // consecutive senders is one cache line of every receiver's arena: the
+  // group is the unit of parallel work, and no two threads write one line.
+  // Each sender's delays come from its own stream in neighbor (= receiver
+  // id) order, receivers walked in kChunk blocks, so the draws are exactly
+  // the ones on_broadcast would have made inline.
+  constexpr std::size_t kGroup = 8;
+  constexpr std::size_t kChunk = 256;
   const auto n = static_cast<std::size_t>(n_);
+  seen_.assign(n, 0);
+  double send_lo = std::numeric_limits<double>::infinity();
+  double send_hi = -std::numeric_limits<double>::infinity();
+  for (const Send& send : sends_) {
+    char& seen = seen_[static_cast<std::size_t>(send.from)];
+    if (seen != 0) {
+      throw std::logic_error("RoundFastPath: broadcast phase contract violated");
+    }
+    seen = 1;
+    send_at_[static_cast<std::size_t>(send.from)] = send.time;
+    send_lo = std::min(send_lo, send.time);
+    send_hi = std::max(send_hi, send.time);
+  }
+  // Every delivery lands in [t0, t1]: A3 bounds each delay, the slack
+  // covers the delay model's tolerance band, and its ulp term the rounding
+  // of send + delay at any clock magnitude.  So a clock with no breakpoint
+  // there evaluates local-time(t) with one affine segment:
+  // (a + (t - o) * r) + CORR, the exact expression of now() + corr
+  // (proc/reduce_kernels.h).  The rest get the raw delivery time and are
+  // fixed up below through now().  Serial: affine_span extends the clock
+  // and moves its lookup hint, and slot_data() drops the arena's memos, so
+  // the parallel section writes nothing but slot doubles.
+  const double slack =
+      kSeparationSlack +
+      4.0 * std::numeric_limits<double>::epsilon() * std::abs(send_hi);
+  const double t0 = send_lo + (sim_.config_.delta - sim_.config_.eps - slack);
+  const double t1 = send_hi + (sim_.config_.delta + sim_.config_.eps + slack);
+  raw_ids_.clear();
+  for (std::size_t r = 0; r < n; ++r) {
+    Receiver& rc = recv_[r];
+    rc.corr = sim_.nodes_[r].corr.current_target();
+    rc.slots = wl_[r]->arena_.slot_data();
+    clk::PhysicalClock::AffineSpan span;
+    rc.raw = !sim_.nodes_[r].clock->affine_span(t0, t1, span);
+    rc.clock = span.clock;
+    rc.real = span.real;
+    rc.rate = span.rate;
+    if (rc.raw) raw_ids_.push_back(r);
+  }
   const bool staggered = mode_ == Mode::kStaggered;
-  const std::size_t blocks = (n + kBlock - 1) / kBlock;
-  for_slices(blocks, [&](std::size_t first, std::size_t last, Slice&) {
-    double a_c[kBlock];   // segment clock reading
-    double o_c[kBlock];   // segment real start
-    double r_c[kBlock];   // segment rate
-    double c_c[kBlock];   // CORR target
-    double* dst[kBlock];  // arena slot base
-    bool affine[kBlock];
-    for (std::size_t b = first; b < last; ++b) {
-      const std::size_t rb = b * kBlock;
-      const std::size_t blk = std::min(kBlock, n - rb);
-      bool all_affine = true;
-      for (std::size_t i = 0; i < blk; ++i) {
-        const std::size_t r = rb + i;
-        c_c[i] = sim_.nodes_[r].corr.current_target();
-        dst[i] = wl_[r]->arena_.slot_data();
-        clk::PhysicalClock::AffineSpan span;
-        affine[i] = sim_.nodes_[r].clock->affine_span(t0, t1, span);
-        a_c[i] = span.clock;
-        o_c[i] = span.real;
-        r_c[i] = span.rate;
-        all_affine = all_affine && affine[i];
-      }
-      if (all_affine) {
-        if (staggered) {
-          for (std::size_t s = 0; s < n; ++s) {
-            const double* trow = times_.data() + s * n + rb;
-            const double off_s = off_[s];
-            for (std::size_t i = 0; i < blk; ++i) {
-              dst[i][s] =
-                  ((a_c[i] + (trow[i] - o_c[i]) * r_c[i]) + c_c[i]) - off_s;
-            }
+  const std::size_t groups = (n + kGroup - 1) / kGroup;
+  for_slices(groups, [&](std::size_t first, std::size_t last, Slice&) {
+    double t[kChunk][kGroup];  // delivery times, receiver-major
+    for (std::size_t g = first; g < last; ++g) {
+      const std::size_t s0 = g * kGroup;
+      const std::size_t k = std::min(kGroup, n - s0);
+      for (std::size_t r0 = 0; r0 < n; r0 += kChunk) {
+        const std::size_t m = std::min(kChunk, n - r0);
+        for (std::size_t j = 0; j < k; ++j) {
+          const auto s = static_cast<std::int32_t>(s0 + j);
+          const double send_time = send_at_[s0 + j];
+          for (std::size_t i = 0; i < m; ++i) {
+            t[i][j] = send_time +
+                      sim_.draw_delay(s, static_cast<std::int32_t>(r0 + i),
+                                      send_time);
           }
-        } else {
-          for (std::size_t s = 0; s < n; ++s) {
-            const double* trow = times_.data() + s * n + rb;
-            for (std::size_t i = 0; i < blk; ++i) {
-              dst[i][s] = (a_c[i] + (trow[i] - o_c[i]) * r_c[i]) + c_c[i];
+        }
+        for (std::size_t i = 0; i < m; ++i) {
+          const Receiver& rc = recv_[r0 + i];
+          double* dst = rc.slots + s0;
+          if (rc.raw) {
+            std::copy(t[i], t[i] + k, dst);
+          } else if (staggered) {
+            // The engine's receiver-side normalization, last: local - s*sigma.
+            for (std::size_t j = 0; j < k; ++j) {
+              dst[j] = ((rc.clock + (t[i][j] - rc.real) * rc.rate) + rc.corr) -
+                       off_[s0 + j];
+            }
+          } else {
+            for (std::size_t j = 0; j < k; ++j) {
+              dst[j] = (rc.clock + (t[i][j] - rc.real) * rc.rate) + rc.corr;
             }
           }
         }
-        continue;
       }
-      // A drift breakpoint inside the window for some receiver in the
-      // block: evaluate those receivers per point through now()
-      // (bit-identical on any window) and the rest with the affine
-      // expression.
-      for (std::size_t i = 0; i < blk; ++i) {
-        const std::size_t r = rb + i;
-        if (affine[i]) {
-          for (std::size_t s = 0; s < n; ++s) {
-            const double t = times_[s * n + r];
-            const double v = (a_c[i] + (t - o_c[i]) * r_c[i]) + c_c[i];
-            dst[i][s] = staggered ? v - off_[s] : v;
-          }
-        } else {
-          const clk::PhysicalClock& clock = *sim_.nodes_[r].clock;
-          for (std::size_t s = 0; s < n; ++s) {
-            const double v = clock.now(times_[s * n + r]) + c_c[i];
-            dst[i][s] = staggered ? v - off_[s] : v;
-          }
-        }
+    }
+  });
+  // A drift breakpoint inside the window: now() per point, exact on any
+  // window.  One receiver per task, so each clock's hint has one writer.
+  for_slices(raw_ids_.size(), [&](std::size_t first, std::size_t last,
+                                  Slice&) {
+    for (std::size_t k = first; k < last; ++k) {
+      const std::size_t r = raw_ids_[k];
+      const Receiver& rc = recv_[r];
+      const clk::PhysicalClock& clock = *sim_.nodes_[r].clock;
+      for (std::size_t s = 0; s < n; ++s) {
+        const double v = clock.now(rc.slots[s]) + rc.corr;
+        rc.slots[s] = staggered ? v - off_[s] : v;
       }
     }
   });

@@ -22,31 +22,39 @@
 //   phase 1  run the broadcast events in (time, tier, seq) order through
 //            the REAL WelchLynchProcess::on_start/on_timer with a mirrored
 //            Context; seq numbers and message counts advance exactly as the
-//            engine's fanout blocks would.  Delays are drawn per link from
-//            each sender's own stream, in neighbor order, into a flat
-//            delivery matrix instead of being scheduled — after the replay,
-//            one sender per task (kRegion draws inline, see below).
-//   phase 2  evaluate all arrivals with one batched kernel per receiver:
-//            a single affine clock segment covering the window turns
-//            ARR = local-time(t) into (seg.clock + (t - seg.real) *
-//            seg.rate) + CORR — the exact expression of now() + corr, so
-//            the stored doubles are bit-identical (proc/reduce_kernels.h);
-//            windows split by a drift breakpoint fall back to per-point
-//            now().  No events: arrivals allocate no seqs.
-//            Then, per receiver, the arena minimum the round-overlap
-//            guard needs and the update's reduction mid/mean(reduce(ARR)),
-//            primed in the arena's one-shot memo (proc/arrival.h).
+//            engine's fanout blocks would.  Broadcasts are recorded, not
+//            scheduled; their delays are drawn in phase 2 (kRegion draws
+//            inline, see below).
+//   phase 2  draw every link's delay from its sender's own stream, in
+//            neighbor order, and evaluate ARR = local-time(t): a single
+//            affine clock segment covering the window turns it into
+//            (seg.clock + (t - seg.real) * seg.rate) + CORR — the exact
+//            expression of now() + corr, so the stored doubles are
+//            bit-identical (proc/reduce_kernels.h); windows split by a
+//            drift breakpoint fall back to per-point now().  On the full
+//            mesh one fused kernel draws straight into the receivers'
+//            arena slots (a sender's slot is its id everywhere); sparse
+//            graphs draw into a flat n x deg delivery matrix first and
+//            gather each receiver's column from it.  No events: arrivals
+//            allocate no seqs.  Then, per receiver, the arena minimum the
+//            round-overlap guard needs, and the update's reduction
+//            mid/mean(reduce(ARR)) and starvation count, primed in the
+//            arena's memos (proc/arrival.h).
 //   phase 3  run the update events in order through the real process code
 //            (CORR steps, annotations and trace callbacks fire at their
-//            exact instants; do_update consumes the primed reduction); the
+//            exact instants; do_update reads the primed starvation count
+//            and consumes the primed reduction); the
 //            next broadcast timers they set become the next iteration's
 //            pending stratum.
 //
 // Parallelism.  Within one exchange the O(n^2) work has no ordering: a
-// sender's delay row depends only on its own stream, a receiver's arrivals
-// and reduction only on its own clock and arena.  So the delay rows (by
-// sender), the arrival kernel (by receiver block) and the reductions (by
-// receiver) run on util::parallel_for once an exchange carries
+// sender's delays depend only on its own stream, a receiver's arrivals
+// and reduction only on its own clock and arena.  On the full mesh the
+// fused kernel runs by group of 8 senders (one cache line of every arena),
+// with each receiver's clock segment looked up serially beforehand; on
+// sparse graphs the delay rows run by sender and the arrival kernel by
+// receiver.  Those kernels and the reductions (by receiver) run on
+// util::parallel_for once an exchange carries
 // kFastpathShardThreshold deliveries, the machine has more than one
 // hardware thread, and the caller is not itself a pool worker (a
 // ParallelRunner trial stays serial).  Each task touches disjoint state, so
@@ -66,7 +74,7 @@
 //     fire inside the same exchange, and the delivery kernel subtracts the
 //     receiver-side normalization off[s] = s * sigma with the engine's
 //     exact FP expression.  Only the phase-separation predicate and the
-//     predicted instants change; the matrix machinery is shared.
+//     predicted instants change; the kernels are shared.
 //   * kRegion — fault-isolating regions (faults present, stagger = 0, a
 //     sparse exchange graph).  The tainted region is the union of the
 //     adversaries' closed neighborhoods (Topology::closed_neighborhood);
@@ -214,8 +222,8 @@ class RoundFastPath {
     std::int32_t from = -1;
     double time = 0.0;
   };
-  /// Per-slice state of the sharded kernels: gather scratch for
-  /// deliver_generic and the delay rows' partial min/max.
+  /// Per-slice state of the sharded sparse-graph kernels: gather scratch
+  /// for deliver_generic and the delay rows' partial min/max.
   struct Slice {
     std::vector<double> gather_t;
     std::vector<double> gather_v;
@@ -228,11 +236,23 @@ class RoundFastPath {
   /// threads_ threads; inline when serial.
   template <typename Fn>
   void for_slices(std::size_t count, Fn&& fn);
-  /// kPlain / kStaggered: draws every recorded broadcast's delay row, one
-  /// sender per task, and sets deliver_min_ / deliver_max_.
+  /// A full-mesh receiver as the fused kernel sees it: the affine clock
+  /// segment covering the exchange's delivery window (or `raw` when a drift
+  /// breakpoint splits it), its CORR and its arena's slots.
+  struct Receiver {
+    double clock = 0.0;
+    double real = 0.0;
+    double rate = 0.0;
+    double corr = 0.0;
+    double* slots = nullptr;
+    bool raw = false;
+  };
+  /// Sparse kPlain / kStaggered: draws every recorded broadcast's delay
+  /// row, one sender per task, and sets deliver_min_ / deliver_max_.
   void draw_rows();
-  void do_batched_deliveries();
-  void deliver_mesh(double t0, double t1);
+  /// Full mesh, kPlain / kStaggered: phase 2's fused draw + arrival
+  /// kernel, one group of 8 senders per task, writing the arenas directly.
+  void draw_into_arenas();
   void deliver_generic(double t0, double t1);
   /// kPlain / kStaggered, after phase 2: each fast receiver's arena minimum
   /// (arr_min_) and its update's reduction, primed in the arena's memo.
@@ -260,8 +280,15 @@ class RoundFastPath {
   std::vector<char> fast_;               ///< pid -> in the fast set
   std::vector<std::int32_t> fast_ids_;   ///< ascending fast pids
   std::vector<double> off_;              ///< kStaggered: off[s] = s * sigma
-  std::vector<std::size_t> row_offset_;  ///< sender -> first flat index
-  std::vector<double> times_;            ///< flat deliver-time matrix
+  // Sparse graphs only (never allocated on the full mesh): sender s's
+  // delivery times, in neighbor order, start at times_[row_offset_[s]].
+  std::vector<std::size_t> row_offset_;
+  std::vector<double> times_;
+  // Full mesh only: send instant per sender, per-receiver kernel view, and
+  // the receivers whose window holds a drift breakpoint.
+  std::vector<double> send_at_;
+  std::vector<Receiver> recv_;
+  std::vector<std::size_t> raw_ids_;
   // Generic-topology receiver view: entries k in [recv_offset_[r],
   // recv_offset_[r+1]) give (flat position, dense arena slot, sender
   // stagger offset) of every kernel delivery receiver r collects, senders
@@ -284,7 +311,7 @@ class RoundFastPath {
   std::vector<double> pred_update_;  ///< exact predicted update instants
   std::vector<double> pred_wend_;    ///< window-end logical times (overlap guard)
   std::vector<double> arr_min_;      ///< per-pid arena minimum (overlap guard)
-  std::vector<Send> sends_;          ///< phase-1 broadcasts awaiting draw_rows
+  std::vector<Send> sends_;          ///< phase-1 broadcasts awaiting draws
   std::vector<Slice> slices_;        ///< one per parallel slice (1 when serial)
   std::int32_t threads_ = 1;         ///< kernel threads; see init()
   std::vector<char> seen_;           ///< pid-uniqueness scratch

@@ -156,15 +156,11 @@ double WelchLynchProcess::update_arena(const proc::Context& ctx) {
 }
 
 bool WelchLynchProcess::window_starved(const proc::Context& ctx) const {
-  const std::size_t f = reduce_f(ctx.process_count());
-  std::size_t sentinels = 0;
-  for (const double v : arena_.values()) {
-    sentinels += v == kNeverArrived ? 1 : 0;
-  }
+  // The arena is bound with kNeverArrived, so unheard() counts sentinels.
   // reduce() clips the f smallest entries; sentinels sort below every real
   // arrival, so the f-th order statistic is a sentinel iff more than f
   // slots hold one.
-  return sentinels > f;
+  return arena_.unheard() > reduce_f(ctx.process_count());
 }
 
 void WelchLynchProcess::do_update(proc::Context& ctx) {

@@ -133,6 +133,9 @@ class WelchLynchProcess final : public proc::Process {
   /// "average" would be ~ -0.5e300.  Happens only when NIC drops or
   /// serialization emptied the collection window (at most f honest slots
   /// can legitimately be stale); the update is skipped like a missed round.
+  /// The count is ArrivalArena::unheard(): under the event engine a scan of
+  /// the slots; under the round fast path the count primed beside the
+  /// reduction on the kernel threads, so the serial update reads it in O(1).
   [[nodiscard]] bool window_starved(const proc::Context& ctx) const;
   /// AV := mid / mean(reduce(ARR)) over the neighbor view.
   [[nodiscard]] double update_arena(const proc::Context& ctx);

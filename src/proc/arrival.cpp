@@ -62,17 +62,26 @@ void ArrivalArena::bind(std::span<const std::int32_t> neighbors,
                         std::int32_t n, double initial) {
   index_.bind(neighbors, n);
   values_.assign(neighbors.size(), initial);
+  fill_ = initial;
   bound_ = true;
-  memo_valid_ = false;
+  drop_memos();
   ++rebinds_;
 }
 
 void ArrivalArena::fill(double value) {
-  memo_valid_ = false;
+  drop_memos();
   std::fill(values_.begin(), values_.end(), value);
 }
 
+std::size_t ArrivalArena::count_unheard() const noexcept {
+  std::size_t count = 0;
+  for (const double v : values_) count += v == fill_ ? 1 : 0;
+  return count;
+}
+
 void ArrivalArena::precompute(Reduction kind, std::size_t f) {
+  unheard_ = count_unheard();
+  unheard_valid_ = true;
   if (values_.size() < 2 * f + 1) return;
   memo_value_ = compute(kind, f);
   memo_kind_ = kind;

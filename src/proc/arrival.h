@@ -147,7 +147,7 @@ class ArrivalArena {
   /// full mesh the per-delivery hot path trusts the simulator's id
   /// validation and stores straight to slot `sender`.
   void record(std::int32_t sender, double value) {
-    memo_valid_ = false;
+    drop_memos();
     if (index_.identity()) {  // full mesh: sender id IS the slot
       values_[static_cast<std::size_t>(sender)] = value;
       return;
@@ -157,7 +157,7 @@ class ArrivalArena {
   }
 
   void set_slot(std::size_t slot, double value) {
-    memo_valid_ = false;
+    drop_memos();
     values_[slot] = value;
   }
   /// Mutable base of the dense slot array — the round fast path's batched
@@ -165,7 +165,7 @@ class ArrivalArena {
   /// arrivals straight into the arena, one store per (sender, receiver)
   /// pair, instead of calling record() per simulated delivery event.
   [[nodiscard]] double* slot_data() noexcept {
-    memo_valid_ = false;
+    drop_memos();
     return values_.data();
   }
 
@@ -176,6 +176,15 @@ class ArrivalArena {
   /// The dense multiset, in neighbor order — ready to be reduced directly.
   [[nodiscard]] const std::vector<double>& values() const noexcept {
     return values_;
+  }
+
+  /// Slots still holding the value bind() filled them with: the peers not
+  /// heard from since the bind (or since a fill() with that value).  The
+  /// count precompute() memoized when no write has happened since, else a
+  /// scan.
+  [[nodiscard]] std::size_t unheard() const noexcept {
+    if (unheard_valid_) return unheard_;
+    return count_unheard();
   }
 
   /// == ms::fault_tolerant_midpoint(values(), f), allocation-free.  Small
@@ -198,13 +207,15 @@ class ArrivalArena {
   /// Computes the `kind` reduction of the current slots now and keeps it as
   /// a one-shot memo: the next midpoint_reduced / mean_reduced call with
   /// the same kind and f returns it instead of recomputing (any other
-  /// reduction call drops it).  Every write path — record, set_slot, fill,
-  /// bind, slot_data — drops it too, so a consumed memo is always the
-  /// double a fresh reduction of the same slots would produce.  The round
-  /// fast path (core/fastpath.h) primes every receiver's reduction on the
-  /// worker threads, then runs the updates serially through the real
-  /// process code.  Not counted in reductions() — the consuming call is.
-  /// A no-op when size() < 2f + 1 (the consuming call throws as usual).
+  /// reduction call drops it).  Beside it, memoizes unheard(), which
+  /// reductions leave valid.  Every write path — record, set_slot, fill,
+  /// bind, slot_data — drops both, so a consumed memo is always what a
+  /// fresh scan or reduction of the same slots would produce.  The round
+  /// fast path (core/fastpath.h) primes every receiver's reduction and
+  /// starvation count on the worker threads, then runs the updates serially
+  /// through the real process code.  Not counted in reductions() — the
+  /// consuming call is.  The reduction memo is skipped when size() < 2f + 1
+  /// (the consuming call throws as usual).
   void precompute(Reduction kind, std::size_t f);
 
   // --- counters for the CI perf-smoke gate (bench_micro --smoke) ---
@@ -219,9 +230,15 @@ class ArrivalArena {
   [[nodiscard]] double compute(Reduction kind, std::size_t f);
   [[nodiscard]] double compute_midpoint(std::size_t f);
   [[nodiscard]] double compute_mean(std::size_t f);
+  [[nodiscard]] std::size_t count_unheard() const noexcept;
+  void drop_memos() noexcept {
+    memo_valid_ = false;
+    unheard_valid_ = false;
+  }
 
   NeighborIndex index_;
   std::vector<double> values_;  ///< dense, neighbor order
+  double fill_ = 0.0;           ///< bind()'s initial value: "not heard"
   bool bound_ = false;
   std::uint64_t rebinds_ = 0;
   std::uint64_t reductions_ = 0;
@@ -229,6 +246,8 @@ class ArrivalArena {
   Reduction memo_kind_ = Reduction::kMidpoint;
   std::size_t memo_f_ = 0;
   double memo_value_ = 0.0;
+  bool unheard_valid_ = false;
+  std::size_t unheard_ = 0;
 };
 
 }  // namespace wlsync::proc

@@ -357,6 +357,117 @@ TEST(ArrivalArena, PrecomputedReductionIsOneShotAndDroppedByEveryWrite) {
   EXPECT_THROW((void)arena.midpoint_reduced(5), std::invalid_argument);
 }
 
+// --- unheard(): the starvation count ------------------------------------
+
+/// The oracle: slots holding the value the arena was last bound with.
+std::size_t scan_unheard(const ArrivalArena& arena, double fill) {
+  return static_cast<std::size_t>(
+      std::count(arena.values().begin(), arena.values().end(), fill));
+}
+
+TEST(ArrivalArenaOracle, UnheardMatchesAScanForTheBindValue) {
+  // Random interleavings of every write path with precompute() and the
+  // reductions that consume its memo, on sparse and identity maps: after
+  // every step, unheard() must be the scan — a memo surviving a write, or
+  // a reduction clobbering the count, shows up as a mismatch.
+  util::Rng rng(4242);
+  const std::vector<double> fills = {core_sentinel(), 0.0, -1.0};
+  for (const auto& [n, neighbors] : oracle_neighborhoods()) {
+    ArrivalArena arena;
+    double fill = fills[rng.below(fills.size())];
+    arena.bind({neighbors.data(), neighbors.size()}, n, fill);
+    const std::size_t m = neighbors.size();
+    const std::size_t f = (m - 1) / 3;
+    for (int step = 0; step < 200; ++step) {
+      // Half the writes restore the bind value, so counts move both ways.
+      const double value = rng.uniform() < 0.5 ? fill : rng.uniform(-1.0, 1.0);
+      std::string op;
+      switch (rng.below(8)) {
+        case 0:
+          op = "record";
+          arena.record(static_cast<std::int32_t>(
+                           rng.below(static_cast<std::uint64_t>(n))),
+                       value);
+          break;
+        case 1:
+          op = "set_slot";
+          arena.set_slot(rng.below(m), value);
+          break;
+        case 2:
+          op = "slot_data";
+          arena.slot_data()[rng.below(m)] = value;
+          break;
+        case 3:
+          op = "fill";
+          arena.fill(value);
+          break;
+        case 4:
+          op = "bind";
+          fill = fills[rng.below(fills.size())];
+          arena.bind({neighbors.data(), neighbors.size()}, n, fill);
+          break;
+        case 5:
+        case 6:
+          op = "precompute";
+          arena.precompute(ArrivalArena::Reduction::kMidpoint, f);
+          break;
+        default:
+          op = "midpoint_reduced";
+          (void)arena.midpoint_reduced(f);
+          break;
+      }
+      ASSERT_EQ(arena.unheard(), scan_unheard(arena, fill))
+          << "n=" << n << " degree=" << m << " step=" << step << " " << op;
+    }
+  }
+}
+
+TEST(ArrivalArena, UnheardMemoIsDroppedByEveryWriteAndOutlivesReductions) {
+  constexpr std::size_t kF = 2;
+  const auto ids = identity_ids(9);
+  const auto load = [&](ArrivalArena& arena) {
+    arena.bind({ids.data(), ids.size()}, 9, core_sentinel());
+    for (std::size_t i = 0; i < 6; ++i) {
+      arena.set_slot(i, static_cast<double>(i));
+    }
+  };
+  // Each write changes the count from the primed 3.
+  using Write = void (*)(ArrivalArena&);
+  const std::vector<std::pair<const char*, Write>> writes = {
+      {"record", [](ArrivalArena& a) { a.record(7, 50.0); }},
+      {"set_slot", [](ArrivalArena& a) { a.set_slot(0, core_sentinel()); }},
+      {"slot_data", [](ArrivalArena& a) { a.slot_data()[8] = 50.0; }},
+      {"fill", [](ArrivalArena& a) { a.fill(10.0); }},
+      {"bind",
+       [](ArrivalArena& a) {
+         const auto fresh_ids = identity_ids(9);
+         a.bind({fresh_ids.data(), fresh_ids.size()}, 9, core_sentinel());
+       }},
+  };
+  for (const auto& [name, write] : writes) {
+    ArrivalArena arena;
+    load(arena);
+    arena.precompute(ArrivalArena::Reduction::kMidpoint, kF);
+    ASSERT_EQ(arena.unheard(), 3u) << name;
+    write(arena);
+    ASSERT_NE(scan_unheard(arena, core_sentinel()), 3u) << name;
+    EXPECT_EQ(arena.unheard(), scan_unheard(arena, core_sentinel())) << name;
+  }
+  // Consuming the reduction memo leaves the slots, and so the count, as
+  // they were; a write after that still drops the count.
+  ArrivalArena arena;
+  load(arena);
+  arena.precompute(ArrivalArena::Reduction::kMidpoint, kF);
+  (void)arena.midpoint_reduced(kF);
+  EXPECT_EQ(arena.unheard(), 3u);
+  arena.record(6, 1.0);
+  EXPECT_EQ(arena.unheard(), 2u);
+  // Too few slots for f: the reduction memo is skipped, the count is not.
+  arena.precompute(ArrivalArena::Reduction::kMidpoint, 5);
+  EXPECT_EQ(arena.unheard(), 2u);
+  EXPECT_THROW((void)arena.midpoint_reduced(5), std::invalid_argument);
+}
+
 // --- kernels::dual_rank_select against std::sort ------------------------
 
 /// Multiset shapes the select must get right.  The cluster shape is the

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "analysis/parallel_runner.h"
 #include "util/parallel.h"
@@ -445,6 +446,64 @@ TEST(FastpathParallel, DelayModels) {
 TEST(FastpathParallel, SparseGraphRunsTheGenericKernel) {
   expect_sharded_identical(sharded_kregular_spec(),
                            "fault-free deg-16 graph, n = 4096");
+}
+
+// ---------------------------------------------------- fused mesh kernel ---
+// On the full mesh phase 2 is one fused kernel: each group of 8 senders
+// draws its delays per 256-receiver chunk and writes them straight into the
+// arenas.  n = 257 and 1031 leave a partial sender group and a partial
+// receiver chunk.  Each spec runs sharded (every hardware thread) and
+// serial (inside a WorkerScope), and both must be bitwise the event engine.
+
+void expect_fused_identical(const RunSpec& spec, const char* what) {
+  const RunResult event = run_engine(spec, EngineMode::kEvent);
+  const RunResult sharded = run_engine(spec, EngineMode::kFastpath);
+  const RunResult serial = [&spec] {
+    const util::WorkerScope scope;
+    return run_engine(spec, EngineMode::kFastpath);
+  }();
+  for (const RunResult* fast : {&sharded, &serial}) {
+    EXPECT_TRUE(fast->fastpath_engaged) << what;
+    EXPECT_GT(fast->fastpath_exchanges, 0) << what;
+    EXPECT_TRUE(results_identical(event, *fast)) << what;
+  }
+  EXPECT_EQ(sharded.fastpath_threads, util::hardware_threads()) << what;
+  EXPECT_EQ(serial.fastpath_threads, 1) << what;
+}
+
+RunSpec fused_spec(std::int32_t n, double stagger) {
+  RunSpec spec = sharded_spec(n);
+  spec.rounds = 3;
+  spec.stagger = stagger;
+  return spec;
+}
+
+TEST(FastpathFused, PlainMeshPartialGroupsAndChunks) {
+  expect_fused_identical(fused_spec(257, 0.0), "plain WL, n = 257");
+  expect_fused_identical(fused_spec(1031, 0.0), "plain WL, n = 1031");
+}
+
+TEST(FastpathFused, StaggeredMeshPartialGroupsAndChunks) {
+  expect_fused_identical(fused_spec(257, 1e-4), "staggered WL, n = 257");
+  expect_fused_identical(fused_spec(1031, 1e-4), "staggered WL, n = 1031");
+}
+
+TEST(FastpathFused, DriftBreakpointInsideTheWindowTakesTheFixUpPass) {
+  // As in FastpathParallel.DriftBreakpointInsideTheWindow: every clock has
+  // a breakpoint inside the second exchange's delivery window, so the
+  // kernel stores raw delivery times there and the fix-up pass rewrites
+  // them through now().
+  for (const double stagger : {0.0, 1e-4}) {
+    for (const std::int32_t n : {257, 1031}) {
+      RunSpec spec = fused_spec(n, stagger);
+      spec.drift = DriftKind::kPiecewise;
+      spec.drift_period = 10.012;
+      const std::string what = "breakpoint in window, n = " +
+                               std::to_string(n) +
+                               (stagger > 0.0 ? ", staggered" : ", plain");
+      expect_fused_identical(spec, what.c_str());
+    }
+  }
 }
 
 TEST(FastpathParallel, SweepWorkersStaySerial) {
