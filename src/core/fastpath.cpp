@@ -1168,11 +1168,7 @@ void RoundFastPath::draw_into_arenas() {
     Receiver& rc = recv_[r];
     rc.corr = sim_.nodes_[r].corr.current_target();
     rc.slots = wl_[r]->arena_.slot_data();
-    clk::PhysicalClock::AffineSpan span;
-    rc.raw = !sim_.nodes_[r].clock->affine_span(t0, t1, span);
-    rc.clock = span.clock;
-    rc.real = span.real;
-    rc.rate = span.rate;
+    rc.raw = !sim_.nodes_[r].clock->affine_span(t0, t1, rc.span);
     if (rc.raw) raw_ids_.push_back(r);
   }
   const bool staggered = mode_ == Mode::kStaggered;
@@ -1195,18 +1191,20 @@ void RoundFastPath::draw_into_arenas() {
         }
         for (std::size_t i = 0; i < m; ++i) {
           const Receiver& rc = recv_[r0 + i];
+          const clk::PhysicalClock::AffineSpan& seg = rc.span;
           double* dst = rc.slots + s0;
           if (rc.raw) {
             std::copy(t[i], t[i] + k, dst);
           } else if (staggered) {
             // The engine's receiver-side normalization, last: local - s*sigma.
             for (std::size_t j = 0; j < k; ++j) {
-              dst[j] = ((rc.clock + (t[i][j] - rc.real) * rc.rate) + rc.corr) -
-                       off_[s0 + j];
+              dst[j] =
+                  ((seg.clock + (t[i][j] - seg.real) * seg.rate) + rc.corr) -
+                  off_[s0 + j];
             }
           } else {
             for (std::size_t j = 0; j < k; ++j) {
-              dst[j] = (rc.clock + (t[i][j] - rc.real) * rc.rate) + rc.corr;
+              dst[j] = (seg.clock + (t[i][j] - seg.real) * seg.rate) + rc.corr;
             }
           }
         }

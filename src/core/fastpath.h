@@ -100,6 +100,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "clock/physical_clock.h"
 #include "proc/context.h"
 #include "sim/event.h"
 
@@ -240,9 +241,7 @@ class RoundFastPath {
   /// segment covering the exchange's delivery window (or `raw` when a drift
   /// breakpoint splits it), its CORR and its arena's slots.
   struct Receiver {
-    double clock = 0.0;
-    double real = 0.0;
-    double rate = 0.0;
+    clk::PhysicalClock::AffineSpan span;
     double corr = 0.0;
     double* slots = nullptr;
     bool raw = false;
