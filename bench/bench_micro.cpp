@@ -23,6 +23,7 @@
 #include <iterator>
 #include <memory>
 #include <new>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -352,6 +353,61 @@ BENCHMARK(BM_CellSeal)
     ->Args({17, 0})->Args({17, 1})
     ->Args({512, 0})->Args({512, 1})
     ->Args({2048, 0})->Args({2048, 1});
+
+/// One send's delays drawn as a row (sim/delay.h): DelayModel::delays over
+/// `arg1` recipients 0..arg1-1, one virtual call per row, from one sender's
+/// stream.  Reported per delay.  arg0 picks the model: 0 uniform, 1 fast,
+/// 2 slow, 3 per-link, 4 split (pivot n/2), 5 truncated exponential.
+void BM_DelayRow(benchmark::State& state) {
+  constexpr double kDelta = 0.01;
+  constexpr double kEps = 1e-3;
+  const auto row = static_cast<std::int32_t>(state.range(1));
+  std::unique_ptr<sim::DelayModel> model;
+  const char* label = "";
+  switch (state.range(0)) {
+    case 0:
+      model = sim::make_uniform_delay(kDelta, kEps);
+      label = "uniform";
+      break;
+    case 1:
+      model = sim::make_extreme_delay(kDelta, kEps, true);
+      label = "fast";
+      break;
+    case 2:
+      model = sim::make_extreme_delay(kDelta, kEps, false);
+      label = "slow";
+      break;
+    case 3:
+      model = sim::make_per_link_delay(kDelta, kEps, util::Rng(7));
+      label = "perlink";
+      break;
+    case 4:
+      model = sim::make_split_delay(kDelta, kEps, row / 2);
+      label = "split";
+      break;
+    default:
+      model = sim::make_trunc_exp_delay(kDelta, kEps);
+      label = "exptrunc";
+      break;
+  }
+  std::vector<std::int32_t> to(static_cast<std::size_t>(row));
+  std::iota(to.begin(), to.end(), 0);
+  std::vector<double> out(to.size());
+  util::Rng rng(3);
+  for (auto _ : state) {
+    model->delays(1, to, 0.0, rng, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          row);
+  state.counters["ns_per_delay"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * row,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetLabel(label);
+}
+BENCHMARK(BM_DelayRow)
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {16, 256, 2048}});
 
 // ---------------------------------------------------------------------------
 // ARR-ingestion hot path: per-delivery cost of on_message + the amortized

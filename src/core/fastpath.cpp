@@ -211,8 +211,11 @@ void RoundFastPath::on_broadcast(std::int32_t from, std::int32_t tag,
   std::size_t cursor = 0;
   const double now = sim_.main_.current_time;
   const sim::Message msg = sim::make_app(from, tag, value, aux);
-  for (const std::int32_t to : recipients) {
-    const double deliver_time = now + sim_.draw_delay(from, to, now);
+  // The main lane's delay row: the replay never runs inside a do_fanout.
+  const double* const delays = sim_.draw_row(sim_.main_, from, recipients);
+  for (std::size_t j = 0; j < recipients.size(); ++j) {
+    const std::int32_t to = recipients[j];
+    const double deliver_time = now + delays[j];
     ++sim_.main_.messages_sent;
     const std::uint64_t seq = sim_.alloc_seq(from);
     if (fast_[static_cast<std::size_t>(to)]) {
@@ -250,9 +253,9 @@ void RoundFastPath::draw_rows() {
           sim_.neighbors_of(send.from);
       double* row =
           times_.data() + row_offset_[static_cast<std::size_t>(send.from)];
+      sim_.draw_delays(send.from, recipients, send.time, row);
       for (std::size_t j = 0; j < recipients.size(); ++j) {
-        const double deliver_time =
-            send.time + sim_.draw_delay(send.from, recipients[j], send.time);
+        const double deliver_time = send.time + row[j];
         row[j] = deliver_time;
         lo = std::min(lo, deliver_time);
         hi = std::max(hi, deliver_time);
@@ -1131,8 +1134,8 @@ void RoundFastPath::draw_into_arenas() {
   // consecutive senders is one cache line of every receiver's arena: the
   // group is the unit of parallel work, and no two threads write one line.
   // Each sender's delays come from its own stream in neighbor (= receiver
-  // id) order, receivers walked in kChunk blocks, so the draws are exactly
-  // the ones on_broadcast would have made inline.
+  // id) order, one row of kChunk receivers per draw, so the draws are
+  // exactly the ones on_broadcast would have made inline.
   constexpr std::size_t kGroup = 8;
   constexpr std::size_t kChunk = 256;
   const auto n = static_cast<std::size_t>(n_);
@@ -1173,38 +1176,38 @@ void RoundFastPath::draw_into_arenas() {
   }
   const bool staggered = mode_ == Mode::kStaggered;
   const std::size_t groups = (n + kGroup - 1) / kGroup;
+  // The mesh's identity neighbor list, fetched here: neighbors_of grows it
+  // lazily, which the parallel section must not race on.
+  const std::span<const std::int32_t> ids = sim_.neighbors_of(0);
   for_slices(groups, [&](std::size_t first, std::size_t last, Slice&) {
-    double t[kChunk][kGroup];  // delivery times, receiver-major
+    double t[kGroup][kChunk];  // delivery times, sender-major
     for (std::size_t g = first; g < last; ++g) {
       const std::size_t s0 = g * kGroup;
       const std::size_t k = std::min(kGroup, n - s0);
       for (std::size_t r0 = 0; r0 < n; r0 += kChunk) {
         const std::size_t m = std::min(kChunk, n - r0);
         for (std::size_t j = 0; j < k; ++j) {
-          const auto s = static_cast<std::int32_t>(s0 + j);
           const double send_time = send_at_[s0 + j];
-          for (std::size_t i = 0; i < m; ++i) {
-            t[i][j] = send_time +
-                      sim_.draw_delay(s, static_cast<std::int32_t>(r0 + i),
-                                      send_time);
-          }
+          sim_.draw_delays(static_cast<std::int32_t>(s0 + j),
+                           ids.subspan(r0, m), send_time, t[j]);
+          for (std::size_t i = 0; i < m; ++i) t[j][i] = send_time + t[j][i];
         }
         for (std::size_t i = 0; i < m; ++i) {
           const Receiver& rc = recv_[r0 + i];
           const clk::PhysicalClock::AffineSpan& seg = rc.span;
           double* dst = rc.slots + s0;
           if (rc.raw) {
-            std::copy(t[i], t[i] + k, dst);
+            for (std::size_t j = 0; j < k; ++j) dst[j] = t[j][i];
           } else if (staggered) {
             // The engine's receiver-side normalization, last: local - s*sigma.
             for (std::size_t j = 0; j < k; ++j) {
               dst[j] =
-                  ((seg.clock + (t[i][j] - seg.real) * seg.rate) + rc.corr) -
+                  ((seg.clock + (t[j][i] - seg.real) * seg.rate) + rc.corr) -
                   off_[s0 + j];
             }
           } else {
             for (std::size_t j = 0; j < k; ++j) {
-              dst[j] = (seg.clock + (t[i][j] - seg.real) * seg.rate) + rc.corr;
+              dst[j] = (seg.clock + (t[j][i] - seg.real) * seg.rate) + rc.corr;
             }
           }
         }

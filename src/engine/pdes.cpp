@@ -161,6 +161,9 @@ struct PdesEngine::Shared {
   std::vector<Poller> pollers;
 
   double window = 0.0;  ///< inclusive run_lane limit for the current epoch
+  /// The current epoch's T: no lane runs an event before it, so it floors
+  /// every lane clock from the epoch's first drain on.
+  double epoch_start = 0.0;
   bool done = false;
   std::int64_t epochs = 0;
   double window_sum = 0.0;
@@ -296,19 +299,25 @@ struct PdesEngine::Shared {
     }
   }
 
-  /// Moves every available inbound item into lane wi's scheduler.  Called
-  /// by worker wi only (pre-window and from mid-window polls).  A remote
-  /// event in this lane's past means the sender's window overlapped ours —
-  /// the delay model broke its floor promise.  Fail loudly; never reorder.
+  /// Moves every available inbound item into lane wi: its delivery ring
+  /// where the ring can take it, its scheduler otherwise
+  /// (Simulator::accept_remote).  Called by worker wi only (pre-window and
+  /// from mid-window polls).  A remote event in this lane's past means the
+  /// sender's window overlapped ours — the delay model broke its floor
+  /// promise.  Fail loudly; never reorder.
   std::size_t drain_lane(std::int32_t wi) {
     sim::Simulator& sim = engine.sim_;
     sim::Simulator::Lane& lane =
         *sim.shard_lanes_[static_cast<std::size_t>(wi)];
+    // An idle lane's clock may lag far behind the epoch; the ring measures
+    // its span from what the lane can still run.
+    const double now = std::max(lane.current_time, epoch_start);
     std::size_t total = 0;
     for (std::size_t src = 0; src < static_cast<std::size_t>(k); ++src) {
       util::SpscQueue<sim::RemoteEvent>* queue =
           channels[static_cast<std::size_t>(wi)][src].get();
       if (queue == nullptr) continue;
+      std::uint32_t payload = net::DeliveryRing::kNone;
       total += queue->drain([&](const sim::RemoteEvent& ev) {
         if (ev.time < lane.current_time) {
           throw std::logic_error(
@@ -317,8 +326,7 @@ struct PdesEngine::Shared {
               std::to_string(lane.current_time) +
               " (delay model under-promised its lookahead floor?)");
         }
-        sim.schedule_raw(lane, ev.time, /*tier=*/0, ev.seq, ev.to,
-                         ev.engine_kind, ev.msg);
+        sim.accept_remote(lane, ev, now, payload);
       });
     }
     lane_cross[static_cast<std::size_t>(wi)] +=
@@ -382,6 +390,7 @@ struct PdesEngine::Shared {
     double limit = std::nextafter(bound, -kInf);
     if (limit < t) limit = t;
     window = std::min(limit, horizon);
+    epoch_start = t;
     window_sum += window - t;
   }
 

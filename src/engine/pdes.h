@@ -29,7 +29,9 @@
 //             exactly the serial engine's — and the receiving lane polls
 //             its channels every few dispatches (sim::LanePoller), so
 //             arrival ingestion overlaps execution instead of serializing
-//             behind a publish barrier.
+//             behind a publish barrier.  An arrival joins the lane's
+//             delivery ring where the ring can take it, and gets its own
+//             scheduler entry otherwise (Simulator::accept_remote).
 //
 // Window fold.  With per-lane outgoing cut floors L_j (min over shard j's
 // incident cut edges, min'd with the global floor when the lane hosts a

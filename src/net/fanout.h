@@ -2,14 +2,15 @@
 // The delivery ring: every in-flight message of one engine lane, released
 // in exact (time, seq) order without a scheduler entry per delivery.
 //
-// Two senders fill it: every broadcast and point-to-point send, and every
-// Byzantine multicast.  One scheduler entry per recipient would cost a heap
-// sift per delivery; one entry per fan-out still re-arms once per delivery
-// when n fan-outs interleave (Section 4's round: all n processes broadcast
-// within beta of each other).  The ring instead exploits A3's lookahead:
-// every delay lies in [delta - eps, delta + eps], so nothing sent at or
-// after time t is delivered before t + D, with D = delta - eps - tol (tol
-// is the engine's delay tolerance).
+// Three senders fill it: every broadcast and point-to-point send, every
+// Byzantine multicast, and — on a PDES lane — the deliveries other lanes
+// sent it (see "Cross-lane items" below).  One scheduler entry per
+// recipient would cost a heap sift per delivery; one entry per fan-out
+// still re-arms once per delivery when n fan-outs interleave (Section 4's
+// round: all n processes broadcast within beta of each other).  The ring
+// instead exploits A3's lookahead: every delay lies in [delta - eps,
+// delta + eps], so nothing sent at or after time t is delivered before
+// t + D, with D = delta - eps - tol (tol is the engine's delay tolerance).
 //
 // Geometry.  Time is cut into cells of width w = D / 64, cell c covering
 // [c w, (c + 1) w); R (a power of two) cells, with R >= (delta + eps +
@@ -34,6 +35,12 @@
 // ref + D.  A sealed head never needs re-keying, since later sends land
 // beyond its cell.
 //
+// Cross-lane items.  A delivery another lane sent was not drawn at this
+// lane's clock, so it may land sooner than clock + D, even in a sealed
+// cell.  push_remote takes it into any unsealed cell of the span and
+// refuses it otherwise; the lane then gives it a scheduler entry of its
+// own.  Either way it runs in (time, seq) order.
+//
 // Memory.  Items live in fixed 128-item chunks from one ring-wide free
 // list, allocated 16 chunks to a slab, and each send stores its message
 // once (a payload shared by its items, released after its last delivery),
@@ -48,6 +55,7 @@
 // (tests/topology_test.cpp checks it against an order oracle).
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -127,22 +135,32 @@ class DeliveryRing {
     // long the ring sat idle.
     if (empty()) base_ = std::max(base_, cell_of(now + geometry_.floor) - 1);
     const std::int64_t index = cell_of(time);
-    if (index < base_ ||
-        index - base_ >= static_cast<std::int64_t>(cells_.size())) {
-      refuse(index);
+    if (!spans(index)) refuse(index);
+    place(index, {time, seq, to, payload});
+  }
+
+  /// The cross-lane accept path: appends a delivery at `time` that another
+  /// lane sent, so it may land sooner than now + D (though never before
+  /// `now`, the earliest the lane will still run anything).  Returns false and stores nothing when its
+  /// cell is sealed or beyond the span; the caller schedules it on its own
+  /// then.  An accepted item shares `payload` when that handle (kNone to
+  /// start) holds the same message — consecutive items of one send — and
+  /// otherwise opens a fresh one and stores it in `payload`.
+  bool push_remote(double now, double time, std::uint64_t seq,
+                   std::int32_t to, const sim::Message& msg,
+                   std::uint32_t& payload) {
+    const std::int64_t index = cell_of(time);
+    // As in push, but the base must not rise past the item's own cell.
+    if (empty()) {
+      base_ = std::max(
+          base_, std::min(index, cell_of(now + geometry_.floor)) - 1);
     }
-    Cell& cell = cell_at(index);
-    const RingItem item{time, seq, to, payload};
-    const std::uint32_t fill = cell.count % kChunkItems;
-    if (fill == 0) {
-      append(cell, item);
-    } else {
-      chunk(cell.tail).items[fill] = item;
+    if (!spans(index)) return false;
+    if (payload == kNone || !same_message(payloads_[payload].msg, msg)) {
+      payload = open_payload(msg);
     }
-    ++cell.count;
-    if (time < cell.min_time) cell.min_time = time;
-    ++in_cells_;
-    ++payloads_[payload].pending;
+    place(index, {time, seq, to, payload});
+    return true;
   }
 
   /// The key of the earliest pending delivery, given that nothing will be
@@ -251,6 +269,33 @@ class DeliveryRing {
   }
   [[nodiscard]] const Cell& cell_at(std::int64_t cell) const noexcept {
     return cells_[static_cast<std::size_t>(cell) & (cells_.size() - 1)];
+  }
+  /// Whether cell `index` may still receive: unsealed and inside the span.
+  [[nodiscard]] bool spans(std::int64_t index) const noexcept {
+    return index >= base_ &&
+           index - base_ < static_cast<std::int64_t>(cells_.size());
+  }
+  /// Appends `item` to cell `index`, which spans() admits.
+  void place(std::int64_t index, const RingItem& item) {
+    Cell& cell = cell_at(index);
+    const std::uint32_t fill = cell.count % kChunkItems;
+    if (fill == 0) {
+      append(cell, item);
+    } else {
+      chunk(cell.tail).items[fill] = item;
+    }
+    ++cell.count;
+    if (item.time < cell.min_time) cell.min_time = item.time;
+    ++in_cells_;
+    ++payloads_[item.payload].pending;
+  }
+  /// Field-wise identity; the value bitwise, so -0.0 and 0.0 differ.
+  [[nodiscard]] static bool same_message(const sim::Message& a,
+                                         const sim::Message& b) noexcept {
+    return a.kind == b.kind && a.from == b.from && a.tag == b.tag &&
+           std::bit_cast<std::uint64_t>(a.value) ==
+               std::bit_cast<std::uint64_t>(b.value) &&
+           a.aux == b.aux;
   }
   std::uint32_t take_chunk();
   /// Starts a new chunk for `cell` holding `item`.

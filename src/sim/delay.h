@@ -6,15 +6,23 @@
 // the band, so we provide both benign (uniform) and extremal/adversarial
 // models; the network layer validates that every produced delay respects A3.
 //
-// Two structural contracts matter beyond the band itself:
+// Three structural contracts matter beyond the band itself:
 //
-//   * Thread-safety / order-independence.  delay() receives the SENDER's
-//     private Rng stream and must not keep mutable per-call state of its
-//     own: the conservative PDES engine (engine/pdes.h) evaluates senders
-//     from different shards concurrently, and bit-identical replay requires
-//     that the value for a given (link, draw index) not depend on which
-//     shard asks first.  PerLinkDelay therefore derives its fixed per-link
-//     value by hashing instead of memoizing first-query draws.
+//   * The row draw.  delays() is the one virtual draw: it fills out[i]
+//     with the delay of the message `from` sends to to[i], for every i in
+//     list order, consuming the SENDER's private Rng stream exactly as i
+//     per-link draws would (a single send is a row of one).  Each model
+//     runs its own tight loop, so a broadcast to n recipients costs one
+//     virtual call, not n.  The engine checks the band once per row
+//     (Simulator::draw_delays).
+//
+//   * Thread-safety / order-independence.  delays() is const and keeps no
+//     per-call state of its own: the conservative PDES engine
+//     (engine/pdes.h) and the round fast path's sharded rows evaluate
+//     senders concurrently, and bit-identical replay requires that the
+//     value for a given (link, draw index) not depend on which thread asks
+//     first.  PerLinkDelay therefore derives its fixed per-link value by
+//     hashing instead of memoizing first-query draws.
 //
 //   * Lookahead floors.  Conservative parallel simulation advances a shard
 //     while every cross-cut message is provably at least `lookahead` away;
@@ -27,8 +35,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "util/rng.h"
@@ -38,10 +48,13 @@ namespace wlsync::sim {
 class DelayModel {
  public:
   virtual ~DelayModel() = default;
-  /// Delay for a message from -> to sent at send_time.  Must lie in
-  /// [delta-eps, delta+eps]; `rng` is the sender's private randomness.
-  [[nodiscard]] virtual double delay(std::int32_t from, std::int32_t to,
-                                     double send_time, util::Rng& rng) = 0;
+  /// Delays of one send at send_time: out[i] for the message from -> to[i],
+  /// drawn in list order from `rng`, the sender's private randomness.
+  /// Each must lie in [delta-eps, delta+eps].  `out` holds to.size()
+  /// doubles.
+  virtual void delays(std::int32_t from, std::span<const std::int32_t> to,
+                      double send_time, util::Rng& rng,
+                      double* out) const = 0;
   /// Greatest lower bound of the delays this model can produce on the
   /// ordered link from -> to.  0 (the default) means "no usable floor" and
   /// disqualifies the model from conservative parallel execution.
@@ -60,9 +73,11 @@ class DelayModel {
 class UniformDelay final : public DelayModel {
  public:
   UniformDelay(double delta, double eps) : delta_(delta), eps_(eps) {}
-  [[nodiscard]] double delay(std::int32_t, std::int32_t, double,
-                             util::Rng& rng) override {
-    return rng.uniform(delta_ - eps_, delta_ + eps_);
+  void delays(std::int32_t, std::span<const std::int32_t> to, double,
+              util::Rng& rng, double* out) const override {
+    const double lo = delta_ - eps_;
+    const double hi = delta_ + eps_;
+    for (std::size_t i = 0; i < to.size(); ++i) out[i] = rng.uniform(lo, hi);
   }
   [[nodiscard]] double lower_bound(std::int32_t, std::int32_t) const override {
     return delta_ - eps_;
@@ -80,9 +95,9 @@ class ExtremeDelay final : public DelayModel {
  public:
   ExtremeDelay(double delta, double eps, bool fast)
       : value_(fast ? delta - eps : delta + eps) {}
-  [[nodiscard]] double delay(std::int32_t, std::int32_t, double,
-                             util::Rng&) override {
-    return value_;
+  void delays(std::int32_t, std::span<const std::int32_t> to, double,
+              util::Rng&, double* out) const override {
+    std::fill(out, out + to.size(), value_);
   }
   [[nodiscard]] double lower_bound(std::int32_t, std::int32_t) const override {
     return value_;
@@ -103,16 +118,19 @@ class PerLinkDelay final : public DelayModel {
  public:
   PerLinkDelay(double delta, double eps, util::Rng rng)
       : delta_(delta), eps_(eps), base_(rng()) {}
-  [[nodiscard]] double delay(std::int32_t from, std::int32_t to, double,
-                             util::Rng&) override {
-    std::uint64_t sm = base_ ^
-                       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
-                        << 32) ^
-                       static_cast<std::uint64_t>(static_cast<std::uint32_t>(to));
-    std::uint64_t z = util::splitmix64_next(sm);
-    z = util::splitmix64_next(sm) ^ z;
-    const double u = static_cast<double>(z >> 11) * 0x1.0p-53;
-    return (delta_ - eps_) + 2.0 * eps_ * u;
+  void delays(std::int32_t from, std::span<const std::int32_t> to, double,
+              util::Rng&, double* out) const override {
+    const std::uint64_t row =
+        base_ ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
+                 << 32);
+    for (std::size_t i = 0; i < to.size(); ++i) {
+      std::uint64_t sm =
+          row ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(to[i]));
+      std::uint64_t z = util::splitmix64_next(sm);
+      z = util::splitmix64_next(sm) ^ z;
+      const double u = static_cast<double>(z >> 11) * 0x1.0p-53;
+      out[i] = (delta_ - eps_) + 2.0 * eps_ * u;
+    }
   }
   [[nodiscard]] double lower_bound(std::int32_t, std::int32_t) const override {
     return delta_ - eps_;
@@ -134,9 +152,13 @@ class SplitDelay final : public DelayModel {
  public:
   SplitDelay(double delta, double eps, std::int32_t pivot)
       : delta_(delta), eps_(eps), pivot_(pivot) {}
-  [[nodiscard]] double delay(std::int32_t, std::int32_t to, double,
-                             util::Rng&) override {
-    return to < pivot_ ? delta_ - eps_ : delta_ + eps_;
+  void delays(std::int32_t, std::span<const std::int32_t> to, double,
+              util::Rng&, double* out) const override {
+    const double fast = delta_ - eps_;
+    const double slow = delta_ + eps_;
+    for (std::size_t i = 0; i < to.size(); ++i) {
+      out[i] = to[i] < pivot_ ? fast : slow;
+    }
   }
   [[nodiscard]] double lower_bound(std::int32_t, std::int32_t to) const override {
     return to < pivot_ ? delta_ - eps_ : delta_ + eps_;
@@ -161,11 +183,13 @@ class TruncExpDelay final : public DelayModel {
  public:
   TruncExpDelay(double delta, double eps)
       : lo_(delta - eps), span_(2.0 * eps), mean_(eps / 2.0) {}
-  [[nodiscard]] double delay(std::int32_t, std::int32_t, double,
-                             util::Rng& rng) override {
-    // Inverse-CDF draw; uniform() < 1 keeps log1p finite.
-    const double x = -mean_ * std::log1p(-rng.uniform());
-    return lo_ + std::min(x, span_);
+  void delays(std::int32_t, std::span<const std::int32_t> to, double,
+              util::Rng& rng, double* out) const override {
+    for (std::size_t i = 0; i < to.size(); ++i) {
+      // Inverse-CDF draw; uniform() < 1 keeps log1p finite.
+      const double x = -mean_ * std::log1p(-rng.uniform());
+      out[i] = lo_ + std::min(x, span_);
+    }
   }
   [[nodiscard]] double lower_bound(std::int32_t, std::int32_t) const override {
     return lo_;

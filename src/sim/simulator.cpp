@@ -111,11 +111,11 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<DelayModel> delay)
   if (config_.eps < 0 || config_.delta < config_.eps) {
     throw std::invalid_argument("Simulator: require delta >= eps >= 0 (A3)");
   }
+  band_lo_ = config_.delta - config_.eps - kDelayTolerance;
+  band_hi_ = config_.delta + config_.eps + kDelayTolerance;
   main_.scheduler = engine::make_scheduler(config_.scheduler, main_.pool);
-  // The ring's cells are cut from the same A3 band draw_delay enforces.
-  main_.ring.configure(net::RingGeometry::for_band(
-      config_.delta - config_.eps - kDelayTolerance,
-      config_.delta + config_.eps + kDelayTolerance));
+  // The ring's cells are cut from the same A3 band draw_delays enforces.
+  main_.ring.configure(net::RingGeometry::for_band(band_lo_, band_hi_));
 }
 
 Simulator::~Simulator() = default;
@@ -135,6 +135,14 @@ void Simulator::push_handle(Lane& lane, EventHandle handle) {
   lane.peak_pending = std::max(lane.peak_pending, lane.scheduler->size());
 }
 
+void Simulator::note_boundary(Lane& lane, std::int32_t to, double time) {
+  if (lane.boundary != nullptr && (*lane.boundary)[idx(to)] != 0) {
+    lane.boundary_heap.push_back(time);
+    std::push_heap(lane.boundary_heap.begin(), lane.boundary_heap.end(),
+                   std::greater<>{});
+  }
+}
+
 void Simulator::schedule_event(Lane& lane, double time, std::int32_t tier,
                                std::int32_t origin, std::int32_t to,
                                EngineKind engine_kind, const Message& msg) {
@@ -144,15 +152,9 @@ void Simulator::schedule_event(Lane& lane, double time, std::int32_t tier,
 void Simulator::schedule_raw(Lane& lane, double time, std::int32_t tier,
                              std::uint64_t seq, std::int32_t to,
                              EngineKind engine_kind, const Message& msg) {
-  // Adaptive-lookahead bookkeeping (PDES lanes only): an event delivered to
-  // a boundary process is the earliest thing that could cross the cut.
   // kScenario events never reach shard lanes (the engine refuses dynamics),
   // so `to` is always a process id when the flag vector is installed.
-  if (lane.boundary != nullptr && (*lane.boundary)[idx(to)] != 0) {
-    lane.boundary_heap.push_back(time);
-    std::push_heap(lane.boundary_heap.begin(), lane.boundary_heap.end(),
-                   std::greater<>{});
-  }
+  note_boundary(lane, to, time);
   const EventHandle handle = lane.pool.acquire();
   Event& event = lane.pool[handle];
   event.time = time;
@@ -392,15 +394,25 @@ std::size_t Simulator::history_entries() const noexcept {
   return entries;
 }
 
-double Simulator::draw_delay(std::int32_t from, std::int32_t to,
-                             double send_time) {
-  const double delay =
-      delay_->delay(from, to, send_time, nodes_[idx(from)].delay_rng);
-  if (delay < config_.delta - config_.eps - kDelayTolerance ||
-      delay > config_.delta + config_.eps + kDelayTolerance) {
+void Simulator::draw_delays(std::int32_t from,
+                            std::span<const std::int32_t> to,
+                            double send_time, double* out) {
+  delay_->delays(from, to, send_time, nodes_[idx(from)].delay_rng, out);
+  // Written so that a NaN fails it too.
+  bool in_band = true;
+  for (std::size_t i = 0; i < to.size(); ++i) {
+    in_band &= (out[i] >= band_lo_) & (out[i] <= band_hi_);
+  }
+  if (!in_band) {
     throw std::logic_error("delay model produced a delay outside A3 bounds");
   }
-  return delay;
+}
+
+const double* Simulator::draw_row(Lane& lane, std::int32_t from,
+                                  std::span<const std::int32_t> to) {
+  if (lane.delay_row.size() < to.size()) lane.delay_row.resize(to.size());
+  draw_delays(from, to, lane.current_time, lane.delay_row.data());
+  return lane.delay_row.data();
 }
 
 void Simulator::do_send(Lane& lane, std::int32_t from, std::int32_t to,
@@ -427,10 +439,11 @@ void Simulator::do_fanout(Lane& lane, std::int32_t from,
   const EngineKind arrive_kind = config_.nic.has_value()
                                      ? EngineKind::kNicArrive
                                      : EngineKind::kDeliver;
+  const double* const delays = draw_row(lane, from, recipients);
   std::uint32_t payload = net::DeliveryRing::kNone;
-  for (const std::int32_t to : recipients) {
-    const double deliver_time =
-        lane.current_time + draw_delay(from, to, lane.current_time);
+  for (std::size_t i = 0; i < recipients.size(); ++i) {
+    const std::int32_t to = recipients[i];
+    const double deliver_time = lane.current_time + delays[i];
     ++lane.messages_sent;
     for (TraceSink* sink : lane.sinks) {
       sink->on_send(from, to, msg, lane.current_time, deliver_time);
@@ -447,14 +460,9 @@ void Simulator::do_fanout(Lane& lane, std::int32_t from,
         payload = lane.ring.open_payload(msg);
       }
       lane.ring.push(lane.current_time, deliver_time, seq, to, payload);
-      // In-lane boundary recipients enter the adaptive-lookahead horizon
-      // here: the ring exposes only its head to the scheduler, so each
+      // The ring exposes only its head to the scheduler, so each boundary
       // recipient's time is tracked individually.
-      if (lane.boundary != nullptr && (*lane.boundary)[idx(to)] != 0) {
-        lane.boundary_heap.push_back(deliver_time);
-        std::push_heap(lane.boundary_heap.begin(), lane.boundary_heap.end(),
-                       std::greater<>{});
-      }
+      note_boundary(lane, to, deliver_time);
     }
   }
   // An armed ring needs no re-key: its sealed head precedes every new
@@ -464,6 +472,24 @@ void Simulator::do_fanout(Lane& lane, std::int32_t from,
       lane.ring_entry == EventPool::kInvalidHandle) {
     arm_ring(lane, lane.current_time);
   }
+}
+
+void Simulator::accept_remote(Lane& lane, const RemoteEvent& ev, double now,
+                              std::uint32_t& payload) {
+  // A seal entry later than the item would run it late; a sealed head
+  // never does (the item's cell lies beyond the sealed one).
+  const bool seal_ahead = lane.ring_queued && lane.ring_sealing &&
+                          lane.pool[lane.ring_entry].time > ev.time;
+  if (!lane.ring.enabled() || seal_ahead ||
+      !lane.ring.push_remote(now, ev.time, ev.seq, ev.to, ev.msg, payload)) {
+    schedule_raw(lane, ev.time, /*tier=*/0, ev.seq, ev.to, ev.engine_kind,
+                 ev.msg);
+    return;
+  }
+  note_boundary(lane, ev.to, ev.time);
+  // An idle ring gets its entry now; a live one needs none (see above), and
+  // while dispatch_ring runs it re-arms on the way out.
+  if (lane.ring_entry == EventPool::kInvalidHandle) arm_ring(lane, now);
 }
 
 void Simulator::arm_ring(Lane& lane, double ref) {

@@ -361,6 +361,9 @@ class Simulator {
     /// PDES only: overlapped-drain hook, called every 64 dispatches.
     LanePoller* poller = nullptr;
     std::uint32_t poll_tick = 0;
+    /// One send's delays, drawn before routing (draw_row).  Per lane,
+    /// since PDES lanes send concurrently.
+    std::vector<double> delay_row;
   };
 
   template <typename T>
@@ -410,6 +413,10 @@ class Simulator {
   void schedule_raw(Lane& lane, double time, std::int32_t tier,
                     std::uint64_t seq, std::int32_t to, EngineKind engine_kind,
                     const Message& msg);
+  /// Adaptive-lookahead bookkeeping (PDES lanes only): an event delivered
+  /// to a boundary process at `time` is the earliest thing that could
+  /// cross the cut, so it enters the lane's boundary heap.
+  void note_boundary(Lane& lane, std::int32_t to, double time);
   /// Wraps lane.scheduler->push with the pressure counters.
   void push_handle(Lane& lane, EventHandle handle);
 
@@ -479,12 +486,30 @@ class Simulator {
   void do_fanout(Lane& lane, std::int32_t from,
                  std::span<const std::int32_t> recipients, std::int32_t tag,
                  double value, std::int32_t aux);
-  /// Draws the A3-validated per-link delay for a message `from` sends to
-  /// `to` at `send_time`.  Touches only the sender's delay_rng, so draws for
-  /// distinct senders may run concurrently (the PDES lanes and the round
-  /// fast path's sharded delay rows rely on it).
-  [[nodiscard]] double draw_delay(std::int32_t from, std::int32_t to,
-                                  double send_time);
+  /// Draws the delays of one send from `from` at `send_time` to each id of
+  /// `to`, in list order, into out[0, to.size()): one DelayModel::delays
+  /// row, A3-checked once per row (a NaN fails the check too).  Touches
+  /// only the sender's delay_rng, so rows of distinct senders may be drawn
+  /// concurrently (the PDES lanes and the round fast path's sharded
+  /// kernels rely on it).
+  void draw_delays(std::int32_t from, std::span<const std::int32_t> to,
+                   double send_time, double* out);
+  /// draw_delays for a send from `from` at the lane clock, into the lane's
+  /// delay row (grown to fit); returns the row.  Valid until the lane's
+  /// next draw.
+  const double* draw_row(Lane& lane, std::int32_t from,
+                         std::span<const std::int32_t> to);
+  /// Ingests one cross-lane delivery drained from a PDES channel: it joins
+  /// the lane's delivery ring (DeliveryRing::push_remote) unless the ring
+  /// refuses it or the queued ring entry is a seal entry later than the
+  /// item — then it gets its own scheduler entry.  `now` floors every
+  /// event the lane will still run (at least its clock; the PDES epoch
+  /// start when that is later), and ev.time must not precede it.
+  /// `payload` is the ring payload of the previous accepted item (kNone to
+  /// start); an item with the same message shares it, as consecutive items
+  /// of one send do.
+  void accept_remote(Lane& lane, const RemoteEvent& ev, double now,
+                     std::uint32_t& payload);
   void do_set_timer_logical(Lane& lane, std::int32_t pid, double logical_time,
                             std::int32_t tag);
   void do_set_timer_physical(Lane& lane, std::int32_t pid, double physical_time,
@@ -518,6 +543,10 @@ class Simulator {
 
   SimConfig config_;
   std::unique_ptr<DelayModel> delay_;
+  /// The A3 band every drawn delay must lie in, widened by the engine's
+  /// delay tolerance.
+  double band_lo_ = 0.0;
+  double band_hi_ = 0.0;
   std::vector<Node> nodes_;
   Observer* observer_ = nullptr;
   double observer_next_ = std::numeric_limits<double>::infinity();

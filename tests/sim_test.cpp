@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "clock/drift.h"
@@ -179,8 +181,9 @@ TEST(Simulator, RejectsBadDelayModel) {
   /// A malicious/buggy delay model violating A3.
   class BadDelay : public DelayModel {
    public:
-    double delay(std::int32_t, std::int32_t, double, util::Rng&) override {
-      return 1e9;
+    void delays(std::int32_t, std::span<const std::int32_t> to, double,
+                util::Rng&, double* out) const override {
+      std::fill(out, out + to.size(), 1e9);
     }
   };
   SimConfig config;

@@ -953,6 +953,276 @@ TEST(DeliveryRing, RefusesADeliveryIntoASealedCell) {
   EXPECT_THROW(ring.push(t_ref, 1.0 + kDelta, 2, 0, payload), std::logic_error);
 }
 
+// ----------------------------------------- the cross-lane accept path ---
+// A PDES lane ingests deliveries other lanes sent (push_remote).  Such an
+// item may land sooner than the lane clock + D, so the ring must refuse it
+// — leaving it to a scheduler entry of its own — wherever push would have
+// thrown: a sealed cell or one beyond the span.
+
+TEST(DeliveryRing, RemoteItemIntoASealedCellIsRefused) {
+  net::DeliveryRing ring;
+  ring.configure(band_geometry());
+  const std::uint32_t local = ring.open_payload(sim::make_app(0, 0, 0.0));
+  const double t = 1.0 + kDelta;
+  ring.push(1.0, t, 5, 0, local);
+  const std::int64_t cell = ring.cell_of(t);
+  const double t_ref = ring.seal_time(cell);
+  ASSERT_FALSE(ring.next_key(t_ref).seal);  // cell sealed
+  std::uint32_t payload = net::DeliveryRing::kNone;
+  const sim::Message msg = sim::make_app(3, 1, 2.0);
+  // Behind the sealed head or not, the sealed cell takes nothing, and no
+  // payload is opened.
+  EXPECT_FALSE(ring.push_remote(t_ref, t, 6, 4, msg, payload));
+  EXPECT_FALSE(ring.push_remote(t_ref, t, 4, 4, msg, payload));
+  EXPECT_EQ(payload, net::DeliveryRing::kNone);
+  // The next cell is still open.
+  const double next_cell =
+      (static_cast<double>(cell) + 1.5) * ring.geometry().width;
+  EXPECT_TRUE(ring.push_remote(t_ref, next_cell, 3, 4, msg, payload));
+  EXPECT_NE(payload, net::DeliveryRing::kNone);
+  const std::vector<net::RingItem> out = run_out(ring, 1e9);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].seq, 5u);
+  EXPECT_EQ(out[1].seq, 3u);
+}
+
+TEST(DeliveryRing, RemoteItemOnAnEmptyRingKeepsTheBaseBelowIt) {
+  // An idle ring whose clock reads 5.0 takes a delivery due at 5.002: push
+  // would lift the base to the first cell a send at 5.0 can reach (5.009)
+  // and refuse it; push_remote stops the base below the item's cell.
+  const double now = 5.0;
+  const double t = now + 0.2 * kDelta;
+  {
+    net::DeliveryRing ring;
+    ring.configure(band_geometry());
+    const std::uint32_t payload = ring.open_payload(sim::make_app(0, 0, 0.0));
+    EXPECT_THROW(ring.push(now, t, 1, 0, payload), std::logic_error);
+  }
+  net::DeliveryRing ring;
+  ring.configure(band_geometry());
+  std::uint32_t payload = net::DeliveryRing::kNone;
+  ASSERT_TRUE(
+      ring.push_remote(now, t, 1, 0, sim::make_app(2, 0, 1.0), payload));
+  // A local send at the same clock still lands where it may.
+  const std::uint32_t local = ring.open_payload(sim::make_app(9, 0, 0.0));
+  ring.push(now, now + kDelta, 2, 1, local);
+  // The item's cell is sealable at once (its seal time is D - 2w before
+  // the cell), so the ring keys the item itself.
+  const net::DeliveryRing::Key key = ring.next_key(now);
+  EXPECT_FALSE(key.seal);
+  EXPECT_EQ(key.time, t);
+  EXPECT_EQ(key.seq, 1u);
+  const std::vector<net::RingItem> out = run_out(ring, 1e9);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].time, t);
+  EXPECT_EQ(out[1].time, now + kDelta);
+  // And an item due at the clock itself.
+  ASSERT_TRUE(
+      ring.push_remote(now + 1.0, now + 1.0, 3, 0, sim::make_app(2, 0, 1.0),
+                       payload));
+  EXPECT_EQ(run_out(ring, now + 1.0).size(), 1u);
+}
+
+TEST(DeliveryRing, RemoteItemBeyondTheSpanIsRefused) {
+  net::DeliveryRing ring;
+  ring.configure(band_geometry());
+  const double w = ring.geometry().width;
+  const auto span = static_cast<double>(ring.geometry().cells) * w;
+  std::uint32_t payload = net::DeliveryRing::kNone;
+  const sim::Message msg = sim::make_app(1, 0, 0.0);
+  // Empty ring: the base moves to the cell before now + D at most.
+  EXPECT_FALSE(ring.push_remote(1.0, 1.0 + kFloor + span, 1, 0, msg, payload));
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(payload, net::DeliveryRing::kNone);
+  ASSERT_TRUE(ring.push_remote(1.0, 1.0 + kCeil, 2, 0, msg, payload));
+  // Non-empty ring: the base no longer moves.
+  EXPECT_FALSE(ring.push_remote(1.0, 1.0 + 2.0 * span, 3, 0, msg, payload));
+  EXPECT_TRUE(ring.push_remote(1.0, 1.0 + kFloor, 4, 0, msg, payload));
+  EXPECT_EQ(run_out(ring, 1e9).size(), 2u);
+}
+
+TEST(DeliveryRing, RemoteItemsShareAPayloadPerMessage) {
+  net::DeliveryRing ring;
+  ring.configure(band_geometry());
+  std::uint32_t payload = net::DeliveryRing::kNone;
+  const sim::Message a = sim::make_app(1, 2, 0.0, 3);
+  const sim::Message negative_zero = sim::make_app(1, 2, -0.0, 3);
+  ASSERT_TRUE(ring.push_remote(1.0, 1.0 + kDelta, 1, 0, a, payload));
+  const std::uint32_t first = payload;
+  ASSERT_TRUE(ring.push_remote(1.0, 1.0 + kDelta, 2, 1, a, payload));
+  EXPECT_EQ(payload, first);
+  // -0.0 == 0.0, but the payload is a bit-exact copy of the message.
+  ASSERT_TRUE(
+      ring.push_remote(1.0, 1.0 + kDelta, 3, 2, negative_zero, payload));
+  EXPECT_NE(payload, first);
+  std::vector<double> values(3);
+  ring.drain([&](const net::RingItem& item, const sim::Message& msg) {
+    values[static_cast<std::size_t>(item.to)] = msg.value;
+  });
+  EXPECT_FALSE(std::signbit(values[0]));
+  EXPECT_FALSE(std::signbit(values[1]));
+  EXPECT_TRUE(std::signbit(values[2]));
+}
+
+TEST(DeliveryRing, SealEntryStaysAheadOfRemoteItems) {
+  // A miniature of a PDES lane.  Handlers send at the lane clock; polls
+  // ingest other lanes' deliveries at any point, each due no earlier than
+  // every entry the lane has run (the conservative window guarantees it),
+  // though possibly before the lane clock + D.  As accept_remote does, an
+  // item goes to a heap entry of its own when the ring refuses it or a
+  // queued seal entry is later than it, and an idle ring is armed at the
+  // lane's floor.  Every ring key must sit at or before the earliest ring
+  // item (exactly on it when not a seal entry), and ring and heap together
+  // must deliver everything in (time, seq) order.
+  for (const double eps : {kEps, 0.006}) {
+    const double lo = kDelta - eps - kTol;
+    const double hi = kDelta + eps + kTol;
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "eps " << eps << " seed " << seed);
+      net::DeliveryRing ring;
+      ring.configure(net::RingGeometry::for_band(lo, hi));
+      ASSERT_TRUE(ring.enabled());
+      util::Rng rng(seed);
+      std::vector<net::RingItem> pending;  // in the ring
+      std::vector<net::RingItem> heap;     // own scheduler entries
+      std::vector<net::RingItem> delivered;
+      double clock = 0.0;    // the lane clock: moved by deliveries
+      double entries = 0.0;  // the latest entry run (seal entries too)
+      std::uint64_t next_seq = 1;
+      bool armed = false;
+      bool dispatching = false;
+      net::DeliveryRing::Key key;
+      std::size_t remote_ring = 0;
+      std::size_t remote_heap = 0;
+      std::size_t seal_entries = 0;
+      const auto least = [](const std::vector<net::RingItem>& items) {
+        return items.empty()
+                   ? net::RingItem{std::numeric_limits<double>::infinity(),
+                                   ~std::uint64_t{0}, -1, 0}
+                   : *std::min_element(items.begin(), items.end(), before);
+      };
+      const auto arm = [&](double ref) {
+        if (!armed && !dispatching && !ring.empty()) {
+          key = ring.next_key(ref);
+          armed = true;
+        }
+      };
+      const auto send = [&]() {
+        const std::uint32_t payload =
+            ring.open_payload(sim::make_app(0, 0, 0.0));
+        const auto count = 1 + rng.below(20);
+        for (std::uint64_t i = 0; i < count; ++i) {
+          const net::RingItem item{clock + lo + (hi - lo) * rng.uniform(),
+                                   next_seq++, static_cast<std::int32_t>(i),
+                                   payload};
+          ring.push(clock, item.time, item.seq, item.to, payload);
+          pending.push_back(item);
+        }
+        arm(clock);
+      };
+      const auto poll = [&]() {
+        std::uint32_t payload = net::DeliveryRing::kNone;
+        const sim::Message msg =
+            sim::make_app(static_cast<std::int32_t>(rng.below(3)), 0, 0.0);
+        const auto count = 1 + rng.below(8);
+        // Nothing the lane runs from here on precedes `now` (the engine's
+        // epoch start plays this part).
+        const double now = std::max(clock, entries);
+        for (std::uint64_t i = 0; i < count; ++i) {
+          net::RingItem item{now + 3.0 * hi * rng.uniform(), next_seq++,
+                             static_cast<std::int32_t>(i), 0};
+          const bool seal_ahead = armed && key.seal && key.time > item.time;
+          if (seal_ahead || !ring.push_remote(now, item.time, item.seq,
+                                              item.to, msg, payload)) {
+            heap.push_back(item);
+            ++remote_heap;
+            continue;
+          }
+          item.payload = payload;
+          pending.push_back(item);
+          ++remote_ring;
+          arm(now);
+        }
+      };
+      const auto deliver = [&](const net::RingItem& item) {
+        ASSERT_GE(item.time, clock);
+        clock = item.time;
+        entries = std::max(entries, clock);
+        delivered.push_back(item);
+      };
+      send();
+      for (int step = 0; step < 4000 || armed || !heap.empty(); ++step) {
+        const bool live = step < 4000;
+        if (armed) {
+          const net::RingItem head = least(pending);
+          ASSERT_LE(key.time, head.time);
+          if (!key.seal) {
+            ASSERT_EQ(key.time, head.time);
+            ASSERT_EQ(key.seq, head.seq);
+          }
+        }
+        if (live && rng.uniform() < 0.25) {
+          poll();
+          continue;
+        }
+        if (!armed && heap.empty()) {
+          if (!live) break;
+          send();
+          continue;
+        }
+        const net::RingItem heap_head = least(heap);
+        const bool ring_next =
+            armed && (key.time < heap_head.time ||
+                      (key.time == heap_head.time && key.seq < heap_head.seq));
+        if (!ring_next) {
+          heap.erase(std::find_if(heap.begin(), heap.end(),
+                                  [&](const net::RingItem& it) {
+                                    return it.seq == heap_head.seq;
+                                  }));
+          deliver(heap_head);
+          if (live && rng.uniform() < 0.3) send();
+          continue;
+        }
+        // dispatch_ring: seal, then deliver while the head precedes the
+        // heap, polling in between; re-arm on the way out.
+        double ref = std::max(key.time, clock);
+        entries = std::max(entries, key.time);
+        if (key.seal) ++seal_entries;
+        armed = false;
+        dispatching = true;
+        while (!ring.empty()) {
+          const net::DeliveryRing::Key next = ring.next_key(ref);
+          if (next.seal || !before(ring.front(), least(heap))) break;
+          const net::RingItem want = least(pending);
+          ASSERT_EQ(next.time, want.time);
+          ASSERT_EQ(next.seq, want.seq);
+          (void)ring.pop_front();
+          pending.erase(std::find_if(pending.begin(), pending.end(),
+                                     [&](const net::RingItem& it) {
+                                       return it.seq == want.seq;
+                                     }));
+          deliver(want);
+          ref = clock;
+          if (live && rng.uniform() < 0.05) send();
+          if (live && rng.uniform() < 0.05) poll();
+        }
+        dispatching = false;
+        if (!ring.empty()) {
+          key = ring.next_key(ref);
+          armed = true;
+        }
+      }
+      EXPECT_TRUE(pending.empty());
+      EXPECT_TRUE(heap.empty());
+      EXPECT_EQ(delivered.size(), next_seq - 1);
+      EXPECT_TRUE(std::is_sorted(delivered.begin(), delivered.end(), before));
+      EXPECT_GT(remote_ring, 100u);
+      EXPECT_GT(remote_heap, 10u);
+      EXPECT_GT(seal_entries, 0u);
+    }
+  }
+}
+
 TEST(FanoutOracle, DeliveryOrderWithStaggerAndKExchanges) {
   RunSpec spec = fanout_spec();
   spec.fault = analysis::FaultKind::kSilent;

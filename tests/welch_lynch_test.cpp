@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "analysis/round_trace.h"
 #include "clock/drift.h"
 #include "core/welch_lynch.h"
@@ -41,8 +44,9 @@ TEST(WelchLynch, PerfectConditionsYieldZeroAdjustment) {
   class ExactDelay : public sim::DelayModel {
    public:
     explicit ExactDelay(double d) : d_(d) {}
-    double delay(std::int32_t, std::int32_t, double, util::Rng&) override {
-      return d_;
+    void delays(std::int32_t, std::span<const std::int32_t> to, double,
+                util::Rng&, double* out) const override {
+      std::fill(out, out + to.size(), d_);
     }
 
    private:
@@ -85,8 +89,9 @@ TEST(WelchLynch, OffsetProcessAdjustsTowardOthers) {
   class ExactDelay : public sim::DelayModel {
    public:
     explicit ExactDelay(double d) : d_(d) {}
-    double delay(std::int32_t, std::int32_t, double, util::Rng&) override {
-      return d_;
+    void delays(std::int32_t, std::span<const std::int32_t> to, double,
+                util::Rng&, double* out) const override {
+      std::fill(out, out + to.size(), d_);
     }
 
    private:
